@@ -17,6 +17,7 @@ from .errors import (
     SessionError,
     SessionParseError,
     UnknownNameError,
+    UnknownQueryError,
     WeilJetsError,
 )
 from .poly import (

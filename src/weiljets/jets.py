@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Callable, Sequence
 
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
 from .monomials import (
     Exponent,
     monomials_of_degree,
+    shift_tables,
     window,
     window_index,
     window_size,
@@ -42,18 +42,22 @@ from .poly import (
     truncated_substitute,
 )
 from .subspace import (
+    Echelon,
+    SparseRow,
     Subspace,
     canonical_basis,
+    invert_matrix,
     mat_vec,
     nullspace,
-    rref_insert,
+    preimage,
+    solve_columns,
+    sparse,
     subspace_intersection,
-    zero_subspace,
 )
 from .weil import (
     AlgebraElement,
-    DerivationSpace,
     WeilAlgebra,
+    _variable_shifts,
     derivation_space,
     quotient_algebra,
 )
@@ -109,9 +113,7 @@ class Jet:
     def contains_polynomial(self, f: TruncatedPolynomial) -> bool:
         """Membership of a polynomial written in coordinates at the base point."""
         shifted = f.shift(self.base_point) if any(self.base_point) else f
-        return self.ideal.contains_vector(
-            shifted.truncate(self.window_bound).to_vector(self.window_bound)
-        )
+        return self.ideal.contains_vector(shifted.to_sparse(self.window_bound))
 
     def embedded_ideal(self, bound: int) -> Subspace:
         """The ideal as a subspace of a larger window (origin coordinates)."""
@@ -119,22 +121,15 @@ class Jet:
             raise DimensionMismatchError("embedding window is too small")
         if bound == self.window_bound:
             return self.ideal
-        size = window_size(self.n, bound)
         idx = window_index(self.n, bound)
         exps = window(self.n, self.window_bound)
-        rows = []
-        for r in self.ideal.basis:
-            row = [_ZERO] * size
-            for c, v in enumerate(r):
-                if v:
-                    row[idx[exps[c]]] = v
-            rows.append(row)
+        span = Echelon(window_size(self.n, bound))
+        for r in self.ideal.rows.values():
+            span.insert({idx[exps[c]]: v for c, v in r.items()})
         for k in range(self.window_bound + 1, bound + 1):
             for exp in monomials_of_degree(self.n, k):
-                row = [_ZERO] * size
-                row[idx[exp]] = _ONE
-                rows.append(row)
-        return canonical_basis(rows, size)
+                span.insert({idx[exp]: _ONE})
+        return span.subspace()
 
     def contains_jet(self, other: "Jet") -> bool:
         """Ideal inclusion other <= self, compared in a common window."""
@@ -279,39 +274,25 @@ def hat_ideal(p: Jet) -> Jet:
     """
     n, ell = p.n, p.order
     bound = ell + 2
-    size = window_size(n, bound)
     exps = window(n, bound)
-    idx = window_index(n, bound)
+    shifts = shift_tables(n, bound)
     embedded = p.embedded_ideal(bound)
-    memb = embedded.membership_rows()
+    memb = embedded.echelon().kernel_rows()
 
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
+    conditions = Echelon(window_size(n, bound))
     for r in memb:
-        rref_insert(rows, pivots, list(r))
+        conditions.insert(r)
     for i in range(n):
-        # Condition rows of (membership o d/dx_i).
+        # Condition rows of (membership o d/dx_i): the coefficient of x^e in
+        # d f/dx_i is (e_i + 1) times that of x^e * x_i.
         for r in memb:
-            row = [_ZERO] * size
-            for c, exp in enumerate(exps):
-                k = exp[i]
-                if k:
-                    lowered = list(exp)
-                    lowered[i] -= 1
-                    v = r[idx[tuple(lowered)]]
-                    if v:
-                        row[c] = k * v
-            rref_insert(rows, pivots, row)
-    free = [c for c in range(size) if c not in set(pivots)]
-    vectors = []
-    for c in free:
-        vec = [_ZERO] * size
-        vec[c] = _ONE
-        for row, piv in zip(rows, pivots):
-            if row[c]:
-                vec[piv] = -row[c]
-        vectors.append(vec)
-    hat = canonical_basis(vectors, size)
+            row: SparseRow = {}
+            for c, v in r.items():
+                t = shifts[i][c]
+                if t is not None:
+                    row[t] = (exps[c][i] + 1) * v
+            conditions.insert(row)
+    hat = conditions.kernel()
 
     if not embedded.contains_subspace(hat):
         raise InternalCheckError("hat ideal escaped the jet")
@@ -322,7 +303,7 @@ def hat_ideal(p: Jet) -> Jet:
     for a in range(len(gen_polys)):
         for b in range(a, len(gen_polys)):
             prod = truncated_product(gen_polys[a], gen_polys[b], bound)
-            if not hat.contains_vector(prod.to_vector(bound)):
+            if not hat.contains_vector(prod.to_sparse(bound)):
                 raise InternalCheckError("p^2 is not inside the hat ideal")
 
     gens = [TruncatedPolynomial.from_vector(n, bound, r) for r in hat.basis]
@@ -351,12 +332,9 @@ def cotangent_module(p: Jet) -> CotangentModule:
     p_emb = p.embedded_ideal(bound)
     hat_emb = hat.embedded_ideal(bound)
     reps: list[TruncatedPolynomial] = []
-    picked: list[list[Fraction]] = []
-    piv: list[int] = []
-    for r in hat_emb.basis:
-        rref_insert(picked, piv, list(r))
-    for r in p_emb.basis:
-        if rref_insert(picked, piv, list(r)):
+    picked = hat_emb.echelon()
+    for piv, r in zip(p_emb.pivots, p_emb.basis):
+        if picked.insert(p_emb.rows[piv]):
             reps.append(TruncatedPolynomial.from_vector(p.n, bound, r))
     dim = p_emb.dimension - hat_emb.dimension
     algebra = p.quotient
@@ -433,55 +411,37 @@ def jet_fields(p: Jet) -> Subspace:
     unknowns = n * w
     coeff_exps = window(n, ell)
     target_bound = p.window_bound
-    memb = p.ideal.membership_rows()
+    memb = p.ideal.echelon().kernel_rows()
     tgt_idx = window_index(n, target_bound)
 
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
+    constraints = Echelon(unknowns)
     for gen in p.quotient.ideal_generators:
         g = TruncatedPolynomial.from_vector(n, target_bound, gen)
         derivs = [g.derivative(i) for i in range(n)]
-        # Column (i, c): coefficient vector of x^c * dg/dx_i, truncated.
-        cols: list[tuple[int, list[Fraction]]] = []
+        # Column (i, c): sparse coefficient vector of x^c * dg/dx_i, truncated.
+        cols: list[tuple[int, SparseRow]] = []
         for i in range(n):
-            if derivs[i].is_zero():
-                continue
             for c, cexp in enumerate(coeff_exps):
-                prod = {}
+                vec: SparseRow = {}
                 for exp, v in derivs[i].coefficients.items():
                     tot = tuple(a + b for a, b in zip(exp, cexp))
                     if sum(tot) <= target_bound:
-                        prod[tot] = prod.get(tot, _ZERO) + v
-                if prod:
-                    vec = [_ZERO] * window_size(n, target_bound)
-                    for exp, v in prod.items():
-                        vec[tgt_idx[exp]] = v
+                        vec[tgt_idx[tot]] = v
+                if vec:
                     cols.append((i * w + c, vec))
-        if not cols:
-            continue
         for r in memb:
-            row = [_ZERO] * unknowns
-            hit = False
+            row: SparseRow = {}
             for col, vec in cols:
                 s = _ZERO
-                for a, b in zip(r, vec):
-                    if a and b:
+                for t, b in vec.items():
+                    a = r.get(t)
+                    if a is not None:
                         s += a * b
                 if s:
                     row[col] = s
-                    hit = True
-            if hit:
-                rref_insert(rows, pivots, row)
-    free = [c for c in range(unknowns) if c not in set(pivots)]
-    vectors = []
-    for c in free:
-        vec = [_ZERO] * unknowns
-        vec[c] = _ONE
-        for row, piv in zip(rows, pivots):
-            if row[c]:
-                vec[piv] = -row[c]
-        vectors.append(vec)
-    result = canonical_basis(vectors, unknowns)
+            if row:
+                constraints.insert(row)
+    result = constraints.kernel()
     p._fields = result
     return result
 
@@ -520,8 +480,6 @@ def _invert_substitution_polys(
     sigma: Sequence[TruncatedPolynomial], bound: int
 ) -> list[TruncatedPolynomial]:
     """Exact truncated inverse of a substitution with invertible linear part."""
-    from .subspace import invert_matrix
-
     n = len(sigma)
     lin = []
     for f in sigma:
@@ -559,18 +517,22 @@ def _invert_substitution_polys(
     return tau
 
 
+def _coordinate_subspace(columns: Sequence[int], size: int) -> Subspace:
+    """Span of the unit vectors e_c for the given increasing columns."""
+    return Echelon(size, {c: {c: _ONE} for c in columns}).subspace()
+
+
 def _substituted_ideal(
     p_rows: Sequence[Sequence[Fraction]],
     n: int,
     bound: int,
     subst: Sequence[TruncatedPolynomial],
 ) -> Subspace:
-    rows = []
+    span = Echelon(window_size(n, bound))
     for r in p_rows:
         f = TruncatedPolynomial.from_vector(n, bound, r)
-        g = truncated_substitute(f, list(subst), bound)
-        rows.append(g.to_vector(bound))
-    return canonical_basis(rows, window_size(n, bound))
+        span.insert(truncated_substitute(f, list(subst), bound).to_sparse(bound))
+    return span.subspace()
 
 
 def normal_form(p: Jet) -> NormalForm:
@@ -633,9 +595,7 @@ def normal_form(p: Jet) -> NormalForm:
         residue = g - TruncatedPolynomial.variable(n, bound, j)
         if any(sum(e) <= ell for e in residue.coefficients):
             raise InternalCheckError("straightening left a low-degree tail")
-        if not current.contains_vector(
-            TruncatedPolynomial.variable(n, bound, j).to_vector(bound)
-        ):
+        if not current.contains_vector(TruncatedPolynomial.variable(n, bound, j).to_sparse(bound)):
             raise InternalCheckError("pivot variable missing from the transformed ideal")
 
     # Q list: the x-only part in degrees 2..l, pruned of redundant rows.
@@ -645,12 +605,7 @@ def normal_form(p: Jet) -> NormalForm:
         if 2 <= deg <= ell and all(exp[j] == 0 for j in pivot_vars):
             x_cols.append(c)
     size = window_size(n, bound)
-    coord_rows = []
-    for c in x_cols:
-        row = [_ZERO] * size
-        row[c] = _ONE
-        coord_rows.append(row)
-    x_part = subspace_intersection(current, canonical_basis(coord_rows, size))
+    x_part = subspace_intersection(current, _coordinate_subspace(x_cols, size))
 
     base_gens = [
         TruncatedPolynomial.variable(n, bound, j) for j in pivot_vars
@@ -658,21 +613,17 @@ def normal_form(p: Jet) -> NormalForm:
         TruncatedPolynomial.monomial(n, bound, e)
         for e in monomials_of_degree(n, ell + 1)
     ]
-    from .weil import _saturate_rows
-
-    gen_rows = [g.to_vector(bound) for g in base_gens]
-    basis_acc, pivots_acc = _saturate_rows(n, bound, gen_rows)
+    shifts = _variable_shifts(n, bound)
+    generated = Echelon(size)
+    generated.saturate([g.to_sparse(bound) for g in base_gens], shifts)
     q_list: list[TruncatedPolynomial] = []
-    for row in x_part.basis:
-        probe = list(row)
-        test = Subspace(size, tuple(tuple(x) for x in basis_acc), tuple(pivots_acc))
-        if test.contains_vector(probe):
+    for piv, row in zip(x_part.pivots, x_part.basis):
+        probe = x_part.rows[piv]
+        if not generated.reduce(probe):
             continue
         q_list.append(TruncatedPolynomial.from_vector(n, bound, row))
-        basis_acc, pivots_acc = _saturate_rows(
-            n, bound, [tuple(x) for x in basis_acc] + [probe]
-        )
-    rebuilt = Subspace(size, tuple(tuple(x) for x in basis_acc), tuple(pivots_acc))
+        generated.saturate([probe], shifts)
+    rebuilt = generated.subspace()
     if rebuilt != current:
         raise InternalCheckError("normal form identity failed to verify")
 
@@ -793,14 +744,7 @@ def cartan_generation_oracle(p: Jet) -> Jet:
         for c, e in enumerate(exps)
         if sum(e) >= 2 and all(e[j] == 0 for j in ys)
     ]
-    coord_rows = []
-    for c in x_cols:
-        row = [_ZERO] * size
-        row[c] = _ONE
-        coord_rows.append(row)
-    h_basis = subspace_intersection(
-        nf.transformed_ideal, canonical_basis(coord_rows, size)
-    )
+    h_basis = subspace_intersection(nf.transformed_ideal, _coordinate_subspace(x_cols, size))
     h_polys = [TruncatedPolynomial.from_vector(n, bound, r) for r in h_basis.basis]
 
     # Fields: n-tuples of polynomial coefficients, applied to the ideal gens.
@@ -956,8 +900,6 @@ def contact_and_cartan(p: Jet) -> ContactData:
 
     # Kernel of the tangent projection must sit inside the Cartan system.
     pi_blocks = _block_diagonal(qrows, n)
-    from .subspace import preimage
-
     rel_prime = tangent_module(derived).relations
     kernel = preimage(pi_blocks, rel_prime, n * d)
     kernel_ok = cartan.contains_subspace(kernel)
@@ -1062,14 +1004,7 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
         for c, e in enumerate(exps)
         if sum(e) >= 2 and all(e[j] == 0 for j in ys)
     ]
-    coord_rows = []
-    for c in x_cols:
-        row = [_ZERO] * size
-        row[c] = _ONE
-        coord_rows.append(row)
-    h_basis = subspace_intersection(
-        nf.transformed_ideal, canonical_basis(coord_rows, size)
-    )
+    h_basis = subspace_intersection(nf.transformed_ideal, _coordinate_subspace(x_cols, size))
     forms = [TruncatedPolynomial.monomial(n, bound, e) for e in exps_top] + [
         TruncatedPolynomial.from_vector(n, bound, r) for r in h_basis.basis
     ]
@@ -1084,24 +1019,16 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     # The Cartan system is the submodule the values generate: a field tangent
     # to X stays tangent under any coefficient, so close under the action of
     # the algebra generators componentwise.
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for v in tangent.relations.basis:
-        rref_insert(rows, pivots, list(v))
-    gen_classes = [algebra.generator(i).coordinates for i in range(n)]
-    queue = [list(v) for v in values]
-    while queue:
-        v = queue.pop()
-        if not rref_insert(rows, pivots, v):
-            continue
-        for cls in gen_classes:
-            shifted: list[Fraction] = []
-            for i in range(n):
-                block = v[i * d : (i + 1) * d]
-                shifted.extend(algebra.mult_coords(cls, block))
-            if any(shifted):
-                queue.append(shifted)
-    return Subspace(n * d, tuple(tuple(r) for r in rows), tuple(pivots))
+    tables = []
+    for i in range(n):
+        # Multiplication by x_i acts on each of the n blocks of A^n.
+        images = algebra.multiplication_map(algebra.generator(i).coordinates)
+        tables.append(
+            [{k * d + g: c for g, c in image.items()} for k in range(n) for image in images]
+        )
+    cartan = tangent.relations.echelon()
+    cartan.saturate([sparse(v, n * d) for v in values], tables)
+    return cartan.subspace()
 
 
 # -- Taylor map ---------------------------------------------------------------------
@@ -1168,9 +1095,7 @@ def _assert_fields_project(p: Jet, derived: Jet) -> None:
                 if df.is_zero() or comp[i].is_zero():
                     continue
                 total = total + truncated_product(comp[i], df, bound)
-            if not total.is_zero() and not derived.ideal.contains_vector(
-                total.to_vector(bound)
-            ):
+            if not total.is_zero() and not derived.ideal.contains_vector(total.to_sparse(bound)):
                 raise InternalCheckError(
                     "a field tangent to the jet is not tangent to its derived jet"
                 )
@@ -1257,19 +1182,12 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
         )
     images = [algebra.project_polynomial(f.truncate(p.window_bound)) for f in psi]
 
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    rref_insert(rows, pivots, list(algebra.one().coordinates))
-    frontier = [algebra.one().coordinates]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for img in images:
-                prod = algebra.mult_coords(u, img.coordinates)
-                if rref_insert(rows, pivots, list(prod)):
-                    nxt.append(prod)
-        frontier = nxt
-    subalgebra = Subspace(d, tuple(tuple(r) for r in rows), tuple(pivots))
+    generated = Echelon(d)
+    generated.saturate(
+        [sparse(algebra.one().coordinates, d)],
+        [algebra.multiplication_map(img.coordinates) for img in images],
+    )
+    subalgebra = generated.subspace()
 
     exists = True
     for j in range(target_n):
@@ -1304,7 +1222,6 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
 
         for exp in b.basis_monomials:
             iota_cols.append(list(compose_class(exp)))
-        from .subspace import solve_columns
 
         db = b.dimension
         out_rows: list[list[Fraction]] = [

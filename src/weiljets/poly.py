@@ -223,6 +223,12 @@ class TruncatedPolynomial:
                 vec[idx[exp]] = c
         return tuple(vec)
 
+    def to_sparse(self, bound: int | None = None) -> dict[int, Fraction]:
+        """Nonzero coefficients keyed by their window index (truncating)."""
+        b = self.degree_bound if bound is None else bound
+        idx = window_index(self.variable_count, b)
+        return {idx[exp]: c for exp, c in self.coefficients.items() if sum(exp) <= b}
+
     @classmethod
     def from_vector(
         cls, variable_count: int, bound: int, vector: Sequence[Scalar]

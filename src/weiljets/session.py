@@ -48,7 +48,7 @@ from .poly import (
     format_polynomial,
     parse_polynomial,
 )
-from .subspace import canonical_basis
+from .subspace import Echelon, sparse
 from .weil import (
     WeilAlgebra,
     derivation_space,
@@ -332,21 +332,14 @@ def _op_tensor(session: Session, cmd: dict) -> dict:
 def _op_stability(session: Session, cmd: dict) -> dict:
     algebra = _lookup(session, cmd, "of", session.algebras, "an algebra")
     polys = [_parse_poly(s, algebra.n) for s in cmd.get("ideal", [])]
-    rows = [algebra.project_polynomial(f).coordinates for f in polys]
+    d = algebra.dimension
     # Close the span into an ideal of the algebra before checking.
-    closed = list(rows)
-    frontier = list(rows)
-    basis = canonical_basis(closed, algebra.dimension)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(algebra.n):
-                w = algebra.mult_coords(algebra.generator(i).coordinates, v)
-                if any(w) and not basis.contains_vector(w):
-                    closed.append(w)
-                    nxt.append(w)
-                    basis = canonical_basis(closed, algebra.dimension)
-        frontier = nxt
+    ideal = Echelon(d)
+    ideal.saturate(
+        [sparse(algebra.project_polynomial(f).coordinates, d) for f in polys],
+        [algebra.multiplication_map(algebra.generator(i).coordinates) for i in range(algebra.n)],
+    )
+    basis = ideal.subspace()
     report = ideal_stability(algebra, basis)
     return {
         "ideal_dim": basis.dimension,

@@ -1,9 +1,18 @@
-"""Canonical linear subspaces over the rationals.
+"""Canonical linear subspaces over the rationals, on one sparse echelon core.
 
-A :class:`Subspace` stores the reduced row-echelon basis of a span.  Because
-the representation is canonical, two subspaces are equal as sets exactly when
-their stored bases are equal component-wise, which is what makes ideal
-equality (and every acceptance check built on it) decidable.
+Every elimination in the package goes through :class:`Echelon`, which keeps
+the reduced row-echelon form of a growing span.  Its rows are sparse: a row
+is a ``{column: Fraction}`` dict holding only the nonzero entries, and the
+rows are keyed by their pivot column.  The one builder inserts rows, reduces
+vectors against them, reads off the kernel and saturates the span (closes it
+under linear maps such as multiplication by the variables).
+
+A :class:`Subspace` is the frozen result: the dense reduced row-echelon
+``basis`` and its ``pivots``.  The form is canonical, so two subspaces are
+equal as sets exactly when their dense bases are equal component-wise; that
+is what equality and hashing compare, and what makes ideal equality (and
+every acceptance check built on it) decidable.  Membership and reduction run
+on the sparse rows, cached on the instance.
 
 All solvers here are exact: no pivot thresholds, no floating point.
 """
@@ -12,57 +21,162 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, UnknownQueryError
 from .poly import as_fraction
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]  # rows index the output coordinates
+SparseRow = dict[int, Fraction]  # column -> nonzero entry
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _coerce_vector(vector: Sequence, ambient: int) -> list[Fraction]:
+def sparse(vector: Sequence, ambient: int) -> SparseRow:
+    """The nonzero entries of a dense vector, coerced to Fractions."""
     if len(vector) != ambient:
         raise DimensionMismatchError(
             f"vector of length {len(vector)} in ambient dimension {ambient}"
         )
-    return [as_fraction(v) for v in vector]
+    row: SparseRow = {}
+    for c, v in enumerate(vector):
+        if type(v) is not Fraction:
+            v = as_fraction(v)
+        if v:
+            row[c] = v
+    return row
 
 
-def rref_insert(
-    basis: list[list[Fraction]], pivots: list[int], row: list[Fraction]
-) -> bool:
-    """Insert a row into an RREF basis, keeping it reduced; False if dependent."""
-    # Reduce the candidate against existing pivots.
-    for b, p in zip(basis, pivots):
-        c = row[p]
-        if c:
-            row = [a - c * bb for a, bb in zip(row, b)]
-    pivot = next((i for i, a in enumerate(row) if a), None)
-    if pivot is None:
-        return False
-    inv = row[pivot]
-    if inv != 1:
-        row = [a / inv for a in row]
-    # Eliminate the new pivot column from existing rows.
-    for k, b in enumerate(basis):
-        c = b[pivot]
-        if c:
-            basis[k] = [a - c * r for a, r in zip(b, row)]
-    at = next((k for k, p in enumerate(pivots) if p > pivot), len(pivots))
-    basis.insert(at, row)
-    pivots.insert(at, pivot)
-    return True
+def dense(row: SparseRow, ambient: int) -> list[Fraction]:
+    """The dense vector of a sparse row."""
+    out = [_ZERO] * ambient
+    for c, v in row.items():
+        out[c] = v
+    return out
 
 
-def rref(rows: Iterable[Sequence], ambient: int) -> tuple[list[list[Fraction]], list[int]]:
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        rref_insert(basis, pivots, _coerce_vector(row, ambient))
-    return basis, pivots
+def _add_multiple(target: SparseRow, m: Fraction, row: SparseRow, skip: int = -1) -> None:
+    """target += m * row in place, off column ``skip``; cancelled entries drop.
+
+    ``m`` and the entries of ``row`` are nonzero, so no zero is ever stored.
+    """
+    for c, v in row.items():
+        if c == skip:
+            continue
+        old = target.get(c)
+        if old is None:
+            target[c] = m * v
+        else:
+            new = old + m * v
+            if new:
+                target[c] = new
+            else:
+                del target[c]
+
+
+def _reduce(rows: dict[int, SparseRow], row: SparseRow) -> SparseRow:
+    """Remainder (a new dict) of a sparse row against reduced rows keyed by pivot.
+
+    A reduced row is zero in every other pivot column, so subtracting it
+    leaves the row's other pivot entries alone: one pass over the pivot
+    columns the row starts with clears them all.
+    """
+    out = dict(row)
+    for p in [p for p in row if p in rows]:
+        _add_multiple(out, -out.pop(p), rows[p], p)
+    return out
+
+
+class Echelon:
+    """Reduced row-echelon form of a growing span, with sparse rows.
+
+    ``rows`` maps each pivot column to its row; the pivot entry is 1 and every
+    other row is zero in that column.  A stored row is never mutated (an
+    elimination replaces it), so rows may be shared with the subspaces built
+    from it.
+    """
+
+    def __init__(self, ambient_dimension: int, rows: dict[int, SparseRow] | None = None):
+        self.ambient_dimension = ambient_dimension
+        self.rows: dict[int, SparseRow] = {} if rows is None else rows
+
+    def insert(self, row: SparseRow) -> bool:
+        """Add a row to the span, keeping the form reduced; False if dependent."""
+        row = _reduce(self.rows, row)
+        if not row:
+            return False
+        pivot = min(row)
+        lead = row[pivot]
+        if lead != 1:
+            row = {c: v / lead for c, v in row.items()}
+        rows = self.rows
+        for q, other in rows.items():
+            c = other.get(pivot)
+            if c is not None:
+                other = dict(other)
+                del other[pivot]
+                _add_multiple(other, -c, row, pivot)
+                rows[q] = other
+        rows[pivot] = row
+        return True
+
+    def reduce(self, row: SparseRow) -> SparseRow:
+        """Remainder of a sparse row after elimination; empty iff in the span."""
+        return _reduce(self.rows, row)
+
+    def saturate(self, rows: Iterable[SparseRow], tables: Sequence[Sequence[SparseRow | None]]) -> None:
+        """Insert rows and close the span under every linear map in ``tables``.
+
+        ``tables[k][j]`` is the image of the unit vector e_j under map k, a
+        sparse row (None or empty for zero).  The span is closed once every
+        inserted row has had its images queued.
+        """
+        queue = list(rows)
+        while queue:
+            row = queue.pop()
+            if not self.insert(row):
+                continue
+            for table in tables:
+                image: SparseRow = {}
+                for j, c in row.items():
+                    column = table[j]
+                    if column:
+                        _add_multiple(image, c, column)
+                if image:
+                    queue.append(image)
+
+    def kernel_rows(self) -> list[SparseRow]:
+        """One solution of row . x = 0 (all rows) per free column c, in order.
+
+        The solution for c is e_c - sum_p rows[p][c] e_p.  Together they span
+        the kernel, the annihilator of the span; read as functionals, they cut
+        the span out (see :meth:`Subspace.membership_rows`).
+        """
+        out = {c: {c: _ONE} for c in range(self.ambient_dimension) if c not in self.rows}
+        for p, row in self.rows.items():
+            for c, v in row.items():
+                if c != p:
+                    out[c][p] = -v
+        return list(out.values())
+
+    def kernel(self) -> "Subspace":
+        """The solution space of row . x = 0 for every row, in canonical form."""
+        solutions = Echelon(self.ambient_dimension)
+        for row in self.kernel_rows():
+            solutions.insert(row)
+        return solutions.subspace()
+
+    def subspace(self) -> "Subspace":
+        """The canonical subspace of the current span."""
+        pivots = sorted(self.rows)
+        n = self.ambient_dimension
+        rows = {p: self.rows[p] for p in pivots}
+        out = Subspace(n, tuple(tuple(dense(r, n)) for r in rows.values()), tuple(pivots))
+        object.__setattr__(out, "rows", rows)
+        return out
 
 
 @dataclass(frozen=True)
@@ -77,21 +191,29 @@ class Subspace:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def rows(self) -> dict[int, SparseRow]:
+        """The basis as sparse rows keyed by pivot; shared, never mutate."""
+        return {p: sparse(b, self.ambient_dimension) for p, b in zip(self.pivots, self.basis)}
+
+    def echelon(self) -> Echelon:
+        """A builder that starts from this span."""
+        return Echelon(self.ambient_dimension, dict(self.rows))
+
     def reduce(self, vector: Sequence) -> list[Fraction]:
         """Remainder of a vector after elimination against the basis."""
-        row = _coerce_vector(vector, self.ambient_dimension)
-        for b, p in zip(self.basis, self.pivots):
-            c = row[p]
-            if c:
-                row = [a - c * bb for a, bb in zip(row, b)]
-        return row
+        n = self.ambient_dimension
+        return dense(_reduce(self.rows, sparse(vector, n)), n)
 
-    def contains_vector(self, vector: Sequence) -> bool:
-        return not any(self.reduce(vector))
+    def contains_vector(self, vector: Sequence | SparseRow) -> bool:
+        """Membership of a dense vector or of a sparse row."""
+        if not isinstance(vector, dict):
+            vector = sparse(vector, self.ambient_dimension)
+        return not _reduce(self.rows, vector)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(r) for r in other.basis)
+        return not any(_reduce(self.rows, r) for r in other.rows.values())
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dimension != other.ambient_dimension:
@@ -111,15 +233,8 @@ class Subspace:
         Row for free column c: e_c - sum_j basis[j][c] e_{pivot_j}; a vector w
         lies in the subspace iff every row pairs to zero with w.
         """
-        rows = []
-        for c in self.free_columns():
-            row = [_ZERO] * self.ambient_dimension
-            row[c] = Fraction(1)
-            for b, p in zip(self.basis, self.pivots):
-                if b[c]:
-                    row[p] = -b[c]
-            rows.append(tuple(row))
-        return tuple(rows)
+        n = self.ambient_dimension
+        return tuple(tuple(dense(r, n)) for r in self.echelon().kernel_rows())
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dimension}, ambient={self.ambient_dimension})"
@@ -127,56 +242,44 @@ class Subspace:
 
 def canonical_basis(vectors: Iterable[Sequence], ambient_dimension: int) -> Subspace:
     """Reduced row-echelon basis of the span of the given vectors."""
-    basis, pivots = rref(vectors, ambient_dimension)
-    return Subspace(
-        ambient_dimension,
-        tuple(tuple(r) for r in basis),
-        tuple(pivots),
-    )
+    span = Echelon(ambient_dimension)
+    for v in vectors:
+        span.insert(sparse(v, ambient_dimension))
+    return span.subspace()
 
 
 def zero_subspace(ambient_dimension: int) -> Subspace:
     return Subspace(ambient_dimension, (), ())
 
 
-def full_subspace(ambient_dimension: int) -> Subspace:
-    rows = []
-    for i in range(ambient_dimension):
-        row = [_ZERO] * ambient_dimension
-        row[i] = Fraction(1)
-        rows.append(tuple(row))
-    return Subspace(ambient_dimension, tuple(rows), tuple(range(ambient_dimension)))
-
-
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     u._check_ambient(v)
-    return canonical_basis(list(u.basis) + list(v.basis), u.ambient_dimension)
+    span = u.echelon()
+    for r in v.rows.values():
+        span.insert(r)
+    return span.subspace()
 
 
 def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked-basis map.
+    """Intersection by Zassenhaus' method.
 
-    Solve sum_i a_i u_i + sum_j b_j v_j = 0; each kernel element yields the
-    intersection vector sum_i a_i u_i.
+    Echelonize the rows (u_i | u_i) and (v_j | 0) in twice the ambient
+    dimension.  The rows whose pivot lies in the right half are zero on the
+    left, and their right halves are the canonical basis of U n V.
     """
     u._check_ambient(v)
-    nu, nv = u.dimension, v.dimension
-    if nu == 0 or nv == 0:
-        return zero_subspace(u.ambient_dimension)
-    stacked = []
-    for col in range(u.ambient_dimension):
-        stacked.append(
-            tuple(r[col] for r in u.basis) + tuple(r[col] for r in v.basis)
-        )
-    kernel = nullspace(stacked, nu + nv)
-    vectors = []
-    for k in kernel.basis:
-        vec = [_ZERO] * u.ambient_dimension
-        for a, row in zip(k[:nu], u.basis):
-            if a:
-                vec = [x + a * y for x, y in zip(vec, row)]
-        vectors.append(vec)
-    return canonical_basis(vectors, u.ambient_dimension)
+    n = u.ambient_dimension
+    if u.dimension == 0 or v.dimension == 0:
+        return zero_subspace(n)
+    span = Echelon(2 * n)
+    for r in u.rows.values():
+        doubled = dict(r)
+        doubled.update((n + c, x) for c, x in r.items())
+        span.insert(doubled)
+    for r in v.rows.values():
+        span.insert(r)
+    right = Echelon(n, {p - n: {c - n: x for c, x in r.items()} for p, r in span.rows.items() if p >= n})
+    return right.subspace()
 
 
 def quotient_dimension(u: Subspace, v: Subspace) -> int:
@@ -198,74 +301,43 @@ def subspace_query(kind: str, u: Subspace, other=None):
         return u.contains_subspace(other)
     if kind == "quotient_dimension":
         return quotient_dimension(u, other)
-    raise ValueError(f"unknown subspace query {kind!r}")
+    raise UnknownQueryError(f"unknown subspace query {kind!r}")
 
 
 # -- linear maps as row matrices ----------------------------------------------
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> list[Fraction]:
+    nonzero = [(j, b) for j, b in enumerate(vector) if b]
     out = []
     for row in rows:
         s = _ZERO
-        for a, b in zip(row, vector):
-            if a and b:
+        for j, b in nonzero:
+            a = row[j]
+            if a:
                 s += a * b
         out.append(s)
     return out
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Rows of a compose with rows of b: (a @ b)[i][j] = sum_k a[i][k] b[k][j]."""
-    if not a:
-        return []
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [_ZERO] * cols
-        for k, coeff in enumerate(row):
-            if coeff:
-                brow = b[k]
-                for j, val in enumerate(brow):
-                    if val:
-                        acc[j] += coeff * val
-        out.append(acc)
-    return out
-
-
 def nullspace(rows: Iterable[Sequence], ambient: int) -> Subspace:
     """Solution space of (row . x) = 0 for every row."""
-    basis, pivots = rref(rows, ambient)
-    free = [c for c in range(ambient) if c not in set(pivots)]
-    vectors = []
-    for c in free:
-        vec = [_ZERO] * ambient
-        vec[c] = Fraction(1)
-        for row, p in zip(basis, pivots):
-            if row[c]:
-                vec[p] = -row[c]
-        vectors.append(vec)
-    return canonical_basis(vectors, ambient)
+    span = Echelon(ambient)
+    for row in rows:
+        span.insert(sparse(row, ambient))
+    return span.kernel()
 
 
 def preimage(matrix: Sequence[Sequence[Fraction]], target: Subspace, domain_dimension: int) -> Subspace:
     """{v : M v in target} for a row matrix M."""
-    rows = []
-    for functional in target.membership_rows():
+    constraints = Echelon(domain_dimension)
+    for functional in target.echelon().kernel_rows():
         # functional . (M v) = (functional @ M) . v
-        composed = [_ZERO] * domain_dimension
-        for out_coord, c in enumerate(functional):
-            if c:
-                mrow = matrix[out_coord]
-                for j, val in enumerate(mrow):
-                    if val:
-                        composed[j] += c * val
-        rows.append(composed)
-    return nullspace(rows, domain_dimension)
-
-
-def image(matrix: Sequence[Sequence[Fraction]], vectors: Iterable[Sequence[Fraction]], out_dimension: int) -> Subspace:
-    return canonical_basis([mat_vec(matrix, v) for v in vectors], out_dimension)
+        composed: SparseRow = {}
+        for out_coord, c in functional.items():
+            _add_multiple(composed, c, sparse(matrix[out_coord], domain_dimension))
+        constraints.insert(composed)
+    return constraints.kernel()
 
 
 def solve_columns(
@@ -277,16 +349,15 @@ def solve_columns(
     """
     ncols = len(columns)
     height = len(target)
-    rows = []
+    system = Echelon(ncols + 1)
     for i in range(height):
-        rows.append([col[i] for col in columns] + [target[i]])
-    basis, pivots = rref(rows, ncols + 1)
+        system.insert(sparse([col[i] for col in columns] + [target[i]], ncols + 1))
     solution = [_ZERO] * ncols
-    for row, p in zip(basis, pivots):
+    for p, row in system.rows.items():
         if p == ncols:
             return None  # inconsistent system
         # Row: x_p + sum_{free c>p} row[c] x_c = row[-1]; free unknowns are 0.
-        solution[p] = row[ncols]
+        solution[p] = row.get(ncols, _ZERO)
     # Cheap insurance: the zero-free-variable answer must solve the system.
     check = [_ZERO] * height
     for k, u in enumerate(solution):
@@ -301,14 +372,13 @@ def solve_columns(
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
     """Exact inverse of a square row matrix, or None if singular."""
     n = len(rows)
-    aug = []
+    augmented = Echelon(2 * n)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise DimensionMismatchError("invert_matrix needs a square matrix")
-        ext = list(row) + [_ZERO] * n
-        ext[n + i] = Fraction(1)
-        aug.append(ext)
-    basis, pivots = rref(aug, 2 * n)
-    if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
+        ext = sparse(row, n)
+        ext[n + i] = _ONE
+        augmented.insert(ext)
+    if any(p >= n for p in augmented.rows):
         return None
-    return [list(basis[i][n:]) for i in range(n)]
+    return [dense(augmented.rows[i], 2 * n)[n:] for i in range(n)]

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -32,12 +33,15 @@ from .monomials import (
 )
 from .poly import TruncatedPolynomial, as_fraction, format_polynomial, truncated_substitute
 from .subspace import (
+    Echelon,
+    SparseRow,
     Subspace,
     canonical_basis,
+    dense,
     invert_matrix,
     mat_vec,
-    rref_insert,
     solve_columns,
+    sparse,
     zero_subspace,
 )
 
@@ -45,33 +49,13 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _saturate_rows(
-    n: int, bound: int, rows: Iterable[Sequence[Fraction]]
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Close a span under multiplication by every variable, in RREF form."""
-    tables = shift_tables(n, bound)
-    size = window_size(n, bound)
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    queue: list[list[Fraction]] = [list(r) for r in rows]
-    while queue:
-        row = queue.pop()
-        if not rref_insert(basis, pivots, row):
-            continue
-        # The span of everything inserted so far is closed once each inserted
-        # row has had all its variable shifts queued.
-        for table in tables:
-            shifted = [_ZERO] * size
-            nonzero = False
-            for j, c in enumerate(row):
-                if c:
-                    t = table[j]
-                    if t is not None:
-                        shifted[t] = c
-                        nonzero = True
-            if nonzero:
-                queue.append(shifted)
-    return basis, pivots
+@lru_cache(maxsize=None)
+def _variable_shifts(n: int, bound: int) -> tuple[tuple[SparseRow | None, ...], ...]:
+    """Multiplication by each variable on the window, as saturation tables."""
+    return tuple(
+        tuple(None if t is None else {t: _ONE} for t in table)
+        for table in shift_tables(n, bound)
+    )
 
 
 class WeilAlgebra:
@@ -85,8 +69,7 @@ class WeilAlgebra:
         self,
         n: int,
         bound: int,
-        ideal_basis: list[list[Fraction]],
-        ideal_pivots: list[int],
+        ideal: Subspace,
         generator_rows: list[tuple[Fraction, ...]],
     ):
         self.n = n
@@ -94,16 +77,11 @@ class WeilAlgebra:
         size = window_size(n, bound)
         self.window_dimension = size
         degs = degrees(n, bound)
-        if 0 in ideal_pivots:
+        if 0 in ideal.pivots:
             raise EmptyQuotientError("the defining ideal contains a unit")
-        self.defining_ideal = Subspace(
-            size, tuple(tuple(r) for r in ideal_basis), tuple(ideal_pivots)
-        )
+        self.defining_ideal = ideal
         self.ideal_generators = tuple(generator_rows)
-        pivot_set = set(ideal_pivots)
-        self.basis_columns: tuple[int, ...] = tuple(
-            c for c in range(size) if c not in pivot_set
-        )
+        self.basis_columns: tuple[int, ...] = ideal.free_columns()
         exps = window(n, bound)
         self.basis_monomials: tuple[Exponent, ...] = tuple(
             exps[c] for c in self.basis_columns
@@ -111,36 +89,30 @@ class WeilAlgebra:
         self.dimension = len(self.basis_columns)
         self._column_of = {c: i for i, c in enumerate(self.basis_columns)}
 
-        # Class of each window monomial in quotient coordinates.
-        reduce_table: list[tuple[Fraction, ...]] = []
-        row_at_pivot = {p: row for p, row in zip(ideal_pivots, ideal_basis)}
+        # Class of each window monomial in quotient coordinates, sparse: a
+        # pivot monomial is minus the rest of its ideal row.
+        classes: list[SparseRow] = []
         for c in range(size):
-            if c in pivot_set:
-                row = row_at_pivot[c]
-                reduce_table.append(
-                    tuple(-row[b] for b in self.basis_columns)
-                )
+            row = ideal.rows.get(c)
+            if row is None:
+                classes.append({self._column_of[c]: _ONE})
             else:
-                coords = [_ZERO] * self.dimension
-                coords[self._column_of[c]] = _ONE
-                reduce_table.append(tuple(coords))
-        self._monomial_class = reduce_table
+                classes.append({self._column_of[b]: -v for b, v in row.items() if b != c})
+        self._classes = classes
+        self._monomial_class = [tuple(dense(cls, self.dimension)) for cls in classes]
 
         # Maximal-ideal filtration: m^k = span of classes of monomials of
-        # degree >= k; strictly decreasing until it vanishes.
-        filtration: list[Subspace] = []
-        k = 1
-        while True:
-            vecs = [
-                reduce_table[c]
-                for c in range(size)
-                if degs[c] >= k and any(reduce_table[c])
-            ]
-            sub = canonical_basis(vecs, self.dimension)
-            filtration.append(sub)
-            if sub.dimension == 0:
-                break
-            k += 1
+        # degree >= k; strictly decreasing until it vanishes.  One echelon
+        # takes the degrees from the top down; levels[k - 1] is m^k.
+        span = Echelon(self.dimension)
+        levels = [span.subspace()]
+        for k in range(bound, 0, -1):
+            for c, deg in enumerate(degs):
+                if deg == k:
+                    span.insert(classes[c])
+            levels.append(span.subspace())
+        levels.reverse()
+        filtration = levels[: next(k for k, sub in enumerate(levels) if sub.dimension == 0) + 1]
         self.order = len(filtration) - 1
         self.maximal_ideal = filtration[0]
         second = filtration[1] if len(filtration) > 1 else zero_subspace(self.dimension)
@@ -158,10 +130,7 @@ class WeilAlgebra:
                 if sum(prod) > bound:
                     row_entries.append(())
                     continue
-                coords = reduce_table[idx[prod]]
-                row_entries.append(
-                    tuple((g, c) for g, c in enumerate(coords) if c)
-                )
+                row_entries.append(tuple(classes[idx[prod]].items()))
             table.append(row_entries)
         self._mult = table
         self._derivations: "DerivationSpace | None" = None
@@ -223,10 +192,8 @@ class WeilAlgebra:
         coords = [_ZERO] * self.dimension
         for c, v in enumerate(vector):
             if v:
-                cls = self._monomial_class[c]
-                for g, w in enumerate(cls):
-                    if w:
-                        coords[g] += v * w
+                for g, w in self._classes[c].items():
+                    coords[g] += v * w
         return tuple(coords)
 
     def project_polynomial(self, f: TruncatedPolynomial) -> "AlgebraElement":
@@ -236,10 +203,8 @@ class WeilAlgebra:
         idx = window_index(self.n, self.window_bound)
         for exp, v in f.coefficients.items():
             if sum(exp) <= self.window_bound:
-                cls = self._monomial_class[idx[exp]]
-                for g, w in enumerate(cls):
-                    if w:
-                        coords[g] += v * w
+                for g, w in self._classes[idx[exp]].items():
+                    coords[g] += v * w
         return AlgebraElement(self, tuple(coords))
 
     # -- arithmetic on raw coordinate tuples ------------------------------------
@@ -249,13 +214,12 @@ class WeilAlgebra:
     ) -> tuple[Fraction, ...]:
         out = [_ZERO] * self.dimension
         mult = self._mult
+        v_nonzero = [(b, vb) for b, vb in enumerate(v) if vb]
         for a, ua in enumerate(u):
             if not ua:
                 continue
             row = mult[a]
-            for b, vb in enumerate(v):
-                if not vb:
-                    continue
+            for b, vb in v_nonzero:
                 w = ua * vb
                 for g, c in row[b]:
                     out[g] += w * c
@@ -279,6 +243,12 @@ class WeilAlgebra:
                 for g, c in row[b]:
                     rows[g][b] += wa * c
         return rows
+
+    def multiplication_map(self, w: Sequence[Fraction]) -> list[SparseRow]:
+        """Sparse images of the basis classes under v -> w*v (saturation table)."""
+        rows = self.left_mult_rows(w)
+        d = self.dimension
+        return [{g: rows[g][b] for g in range(d) if rows[g][b]} for b in range(d)]
 
     def maximal_power(self, k: int) -> Subspace:
         """m_A^k as a subspace of the quotient coordinate space."""
@@ -381,6 +351,7 @@ def quotient_algebra(
     that its stored bound is order+1; in particular the defining ideal always
     contains every monomial of top degree.
     """
+    size = window_size(n, bound)
     rows = []
     for g in generators:
         if g.variable_count != n:
@@ -389,40 +360,27 @@ def quotient_algebra(
             raise EmptyQuotientError(
                 f"generator {format_polynomial(g)} has a nonzero constant term"
             )
-        vec = list(g.truncate(bound).to_vector(bound))
-        if any(vec):
+        vec = g.to_sparse(bound)
+        if vec:
             rows.append(vec)
-    basis, pivots = _saturate_rows(n, bound, rows)
-    return _rewindow(n, bound, basis, pivots, rows)
+    ideal = Echelon(size)
+    ideal.saturate(rows, _variable_shifts(n, bound))
+    return _rewindow(n, bound, ideal, rows)
 
 
 def _rewindow(
-    n: int,
-    bound: int,
-    ideal_basis: list[list[Fraction]],
-    ideal_pivots: list[int],
-    generator_rows: list[list[Fraction]],
+    n: int, bound: int, ideal: Echelon, generator_rows: list[SparseRow]
 ) -> WeilAlgebra:
     """Detect the order and restate the presentation in the order+1 window."""
     degs = degrees(n, bound)
-    size = window_size(n, bound)
-    sub = Subspace(
-        size, tuple(tuple(r) for r in ideal_basis), tuple(ideal_pivots)
-    )
     # Order = first k with every monomial of degree > k inside the ideal
-    # (equivalently: the classes of degree >= k+1 monomials all vanish).
+    # (equivalently: the classes of degree >= k+1 monomials all vanish).  A
+    # monomial e_c lies in the span exactly when c is a pivot whose row is e_c.
     order = 0
     for k in range(bound, 0, -1):
-        # Is every monomial of degree exactly k in the ideal?
-        cols = [c for c in range(size) if degs[c] == k]
-        all_in = True
-        for c in cols:
-            e = [_ZERO] * size
-            e[c] = _ONE
-            if not sub.contains_vector(e):
-                all_in = False
-                break
-        if not all_in:
+        if not all(
+            len(ideal.rows.get(c, ())) == 1 for c, deg in enumerate(degs) if deg == k
+        ):
             order = k
             break
     new_bound = order + 1
@@ -430,29 +388,22 @@ def _rewindow(
     new_size = window_size(n, new_bound)
     new_idx = window_index(n, new_bound)
 
-    def convert(row: Sequence[Fraction]) -> list[Fraction]:
-        out = [_ZERO] * new_size
-        for c, v in enumerate(row):
-            if v:
-                exp = old_index[c]
-                if sum(exp) <= new_bound:
-                    out[new_idx[exp]] += v
-        return out
+    def convert(row: SparseRow) -> SparseRow:
+        return {
+            new_idx[old_index[c]]: v
+            for c, v in row.items()
+            if degs[c] <= new_bound
+        }
 
-    top_rows = []
-    for exp in monomials_of_degree(n, new_bound):
-        row = [_ZERO] * new_size
-        row[new_idx[exp]] = _ONE
-        top_rows.append(row)
-
-    converted = [convert(r) for r in ideal_basis]
-    nb: list[list[Fraction]] = []
-    np_: list[int] = []
-    for row in converted + top_rows:
-        rref_insert(nb, np_, row)
-    gen_rows = [tuple(convert(r)) for r in generator_rows if any(convert(r))]
-    gen_rows += [tuple(r) for r in top_rows]
-    return WeilAlgebra(n, new_bound, nb, np_, gen_rows)
+    top_rows = [{new_idx[exp]: _ONE} for exp in monomials_of_degree(n, new_bound)]
+    restated = Echelon(new_size)
+    for row in top_rows + [convert(r) for r in ideal.rows.values()]:
+        restated.insert(row)
+    gen_rows = [converted for r in generator_rows if (converted := convert(r))]
+    gen_rows += top_rows
+    return WeilAlgebra(
+        n, new_bound, restated.subspace(), [tuple(dense(r, new_size)) for r in gen_rows]
+    )
 
 
 def order_and_width(algebra: WeilAlgebra) -> tuple[int, int]:
@@ -544,37 +495,23 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     if algebra._derivations is not None:
         return algebra._derivations
     n, d = algebra.n, algebra.dimension
-    unknowns = n * d
-    rows: list[list[Fraction]] = []
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
+    constraints = Echelon(n * d)
     for gen in algebra.ideal_generators:
         f = TruncatedPolynomial.from_vector(algebra.n, algebra.window_bound, gen)
         blocks = []
-        nontrivial = False
         for i in range(n):
             w = algebra.project_polynomial(f.derivative(i)).coordinates
             if any(w):
-                nontrivial = True
-            blocks.append(algebra.left_mult_rows(w))
-        if not nontrivial:
-            continue
+                blocks.append((i * d, algebra.left_mult_rows(w)))
         for out in range(d):
-            row: list[Fraction] = []
-            for i in range(n):
-                row.extend(blocks[i][out])
-            rref_insert(basis, pivots, row)
-    # Kernel of the accumulated constraint rows, read off the RREF directly.
-    free = [c for c in range(unknowns) if c not in set(pivots)]
-    vectors = []
-    for c in free:
-        vec = [_ZERO] * unknowns
-        vec[c] = _ONE
-        for row, p in zip(basis, pivots):
-            if row[c]:
-                vec[p] = -row[c]
-        vectors.append(vec)
-    solution = canonical_basis(vectors, unknowns)
+            row: SparseRow = {}
+            for offset, block in blocks:
+                for b, v in enumerate(block[out]):
+                    if v:
+                        row[offset + b] = v
+            if row:
+                constraints.insert(row)
+    solution = constraints.kernel()
 
     gen_images = []
     matrices = []
@@ -814,11 +751,10 @@ def factor_epimorphism(
             img = phi.images[i]
             red = target.maximal_power(2).reduce(img.nilpotent_part().coordinates)
             classes.append(red)
-        pivot_rows: list[list[Fraction]] = []
-        pivot_cols: list[int] = []
+        independent = Echelon(target.dimension)
         selected: list[int] = []
         for i, cls in enumerate(classes):
-            if rref_insert(pivot_rows, pivot_cols, list(cls)):
+            if independent.insert(sparse(cls, target.dimension)):
                 selected.append(i)
         values = [phi.images[i] for i in selected]
         images = []

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiljets.errors import DimensionMismatchError
+from weiljets.errors import DimensionMismatchError, UnknownQueryError, WeilJetsError
 from weiljets.subspace import (
+    Echelon,
     Subspace,
     canonical_basis,
     invert_matrix,
@@ -100,6 +101,12 @@ class TestQueries:
         with pytest.raises(ValueError):
             subspace_query("nonsense", u, v)
 
+    def test_unknown_query_is_typed(self):
+        u = canonical_basis([(1, 0)], 2)
+        with pytest.raises(UnknownQueryError, match="nonsense") as info:
+            subspace_query("nonsense", u, u)
+        assert isinstance(info.value, WeilJetsError)
+
 
 class TestSolvers:
     def test_nullspace_of_full_rank_map_is_zero(self):
@@ -162,3 +169,159 @@ def test_dimension_formula(rows_u, rows_v):
     s = subspace_sum(u, v)
     i = subspace_intersection(u, v)
     assert s.dimension + i.dimension == u.dimension + v.dimension
+
+
+class TestEchelon:
+    def test_saturate_closes_under_a_shift(self):
+        # e_j -> e_{j+1} on R^4 (e_3 -> 0): the closure of e_1 is span{e_1, e_2, e_3}.
+        shift = [{1: Fraction(1)}, {2: Fraction(1)}, {3: Fraction(1)}, None]
+        span = Echelon(4)
+        span.saturate([{1: Fraction(2)}], [shift])
+        assert span.subspace() == canonical_basis([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 4)
+
+    def test_kernel_matches_nullspace(self):
+        span = Echelon(3)
+        assert span.insert({0: Fraction(1), 2: Fraction(-1)})
+        assert not span.insert({0: Fraction(3), 2: Fraction(-3)})
+        assert span.kernel() == nullspace([(1, 0, -1)], 3)
+        assert not span.reduce({0: Fraction(2), 2: Fraction(-2)})
+
+
+# -- independent oracle: sympy's DomainMatrix over QQ ----------------------------
+
+
+@pytest.fixture(scope="module")
+def qq():
+    """(to_domain, from_domain) converting between Fraction rows and DomainMatrix."""
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_domain(rows, ncols):
+        entries = [[QQ(int(a.numerator), int(a.denominator)) for a in r] for r in rows]
+        return DomainMatrix(entries, (len(rows), ncols), QQ)
+
+    def from_domain(matrix):
+        return [tuple(Fraction(int(a.numerator), int(a.denominator)) for a in r) for r in matrix.to_list()]
+
+    return to_domain, from_domain
+
+
+# About half the entries are zero.
+_entries = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """(column count, rows) with all-zero and duplicate rows mixed in."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(_entries, min_size=ncols, max_size=ncols)
+    if square:
+        return ncols, draw(st.lists(row, min_size=ncols, max_size=ncols))
+    rows = draw(st.lists(row, max_size=6))
+    if draw(st.booleans()):
+        rows.append([Fraction(0)] * ncols)
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    return ncols, draw(st.permutations(rows))
+
+
+def _oracle_rref(qq, rows, ncols):
+    to_domain, from_domain = qq
+    reduced, pivots = to_domain(rows, ncols).rref()
+    return from_domain(reduced)[: len(pivots)], tuple(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_canonical_basis_matches_sympy_rref(qq, matrix):
+    ncols, rows = matrix
+    s = canonical_basis(rows, ncols)
+    assert (list(s.basis), s.pivots) == _oracle_rref(qq, rows, ncols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_nullspace_matches_sympy(qq, matrix):
+    to_domain, from_domain = qq
+    ncols, rows = matrix
+    kernel = from_domain(to_domain(rows, ncols).nullspace())
+    expected = _oracle_rref(qq, kernel, ncols) if kernel else ([], ())
+    k = nullspace(rows, ncols)
+    assert (list(k.basis), k.pivots) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_solve_columns_matches_sympy(qq, matrix, data):
+    ncols, rows = matrix
+    if not rows:
+        return
+    target = data.draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+    columns = [[r[k] for r in rows] for k in range(ncols)]
+    augmented = [list(r) + [t] for r, t in zip(rows, target)]
+    reduced, pivots = _oracle_rref(qq, augmented, ncols + 1)
+    if ncols in pivots:
+        expected = None
+    else:
+        expected = [Fraction(0)] * ncols
+        for r, p in zip(reduced, pivots):
+            expected[p] = r[ncols]
+    assert solve_columns(columns, target) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(square=True))
+def test_invert_matrix_matches_sympy(qq, matrix):
+    to_domain, from_domain = qq
+    n, rows = matrix
+    m = to_domain(rows, n)
+    expected = [list(r) for r in from_domain(m.inv())] if m.rank() == n else None
+    assert invert_matrix(rows) == expected
+
+
+# -- invariants of the stored echelon form --------------------------------------
+
+
+def _rank(rows):
+    """Rank by plain Gaussian elimination, independent of the package."""
+    work = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != 0:
+                factor = work[i][col] / work[rank][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=6),
+            st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4),
+        )
+    )
+)
+def test_stored_rows_are_reduced_and_exact(case):
+    n, rows, probes = case
+    s = canonical_basis(rows, n)  # integer input must come out as Fractions
+    assert all(type(a) is Fraction for r in s.basis for a in r)
+    assert all(type(a) is Fraction and a != 0 for r in s.rows.values() for a in r.values())
+    assert list(s.pivots) == sorted(set(s.pivots))
+    assert list(s.rows) == list(s.pivots)
+    for i, (r, p) in enumerate(zip(s.basis, s.pivots)):
+        assert r[p] == 1 and all(a == 0 for a in r[:p])
+        assert all(other[p] == 0 for j, other in enumerate(s.basis) if j != i)
+        assert s.rows[p] == {c: a for c, a in enumerate(r) if a}
+    base = _rank(rows)
+    assert s.dimension == base
+    for v in probes + rows[:2]:
+        assert s.contains_vector(v) == (_rank(list(rows) + [v]) == base)
