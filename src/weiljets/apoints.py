@@ -12,19 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError
-from .jets import Jet, _jet_from_origin
-from .monomials import Exponent, window, window_size
+from .jets import Jet, _kernel_jet
+from .monomials import Exponent, _power_products
 from .poly import (
     TruncatedPolynomial,
     as_fraction,
-    format_polynomial,
     truncated_product,
+    truncated_substitute,
     variable_names,
 )
-from .subspace import canonical_basis, invert_matrix, mat_vec, nullspace
+from .subspace import canonical_basis, invert_matrix, mat_vec
 from .weil import AlgebraElement, WeilAlgebra, tensor_product
 
 _ZERO = Fraction(0)
@@ -65,6 +65,13 @@ def apoint(algebra: WeilAlgebra, images: Sequence) -> APoint:
     return APoint(algebra, tuple(elems))
 
 
+def _nilpotent_products(point: APoint) -> Callable[[Exponent], tuple[Fraction, ...]]:
+    """Memoized products of powers of the nilpotent parts of the images."""
+    algebra = point.algebra
+    nil = [img.nilpotent_part().coordinates for img in point.images]
+    return _power_products(algebra.one().coordinates, nil, algebra.mult_coords)
+
+
 def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
     """f(p^A) by the finite Taylor expansion at the underlying real point.
 
@@ -79,24 +86,8 @@ def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
     algebra = point.algebra
     base = point.base_point
     shifted = f.shift(base) if any(base) else f
-    nil = [img.nilpotent_part().coordinates for img in point.images]
     order = algebra.order
-
-    cache: dict[Exponent, tuple[Fraction, ...]] = {}
-
-    def power_product(exp: Exponent) -> tuple[Fraction, ...]:
-        if exp in cache:
-            return cache[exp]
-        if sum(exp) == 0:
-            out = algebra.one().coordinates
-        else:
-            i = next(k for k, e in enumerate(exp) if e)
-            lowered = list(exp)
-            lowered[i] -= 1
-            out = algebra.mult_coords(power_product(tuple(lowered)), nil[i])
-        cache[exp] = out
-        return out
-
+    power_product = _nilpotent_products(point)
     total = [_ZERO] * algebra.dimension
     for exp, c in shifted.coefficients.items():
         if sum(exp) > order:
@@ -116,23 +107,9 @@ def regularity_and_kernel(point: APoint) -> tuple[bool, Jet]:
     vecs += [img.nilpotent_part().coordinates for img in point.images]
     regular = canonical_basis(vecs, d) == algebra.maximal_ideal
 
-    n = point.ambient_dimension
-    bound = algebra.order + 1
-    exps = window(n, bound)
-    shifted_point = APoint(
-        algebra, tuple(img.nilpotent_part() for img in point.images)
+    return regular, _kernel_jet(
+        algebra, point.base_point, point.ambient_dimension, _nilpotent_products(point)
     )
-    columns = [
-        evaluate(TruncatedPolynomial.monomial(n, bound, e), shifted_point).coordinates
-        for e in exps
-    ]
-    rows = [[columns[c][out] for c in range(len(exps))] for out in range(d)]
-    kernel = nullspace(rows, len(exps))
-    gens = tuple(
-        TruncatedPolynomial.from_vector(n, bound, r) for r in kernel.basis
-    )
-    jet = _jet_from_origin(n, point.base_point, gens, algebra.order)
-    return regular, jet
 
 
 def cartesian_product(p: APoint, q: APoint) -> APoint:
@@ -202,23 +179,12 @@ def prolong_polynomial(
     total = n * d
     images = _generic_images(algebra, n, bound)
 
-    cache: dict[Exponent, list[TruncatedPolynomial]] = {}
-
-    def power_product(exp: Exponent) -> list[TruncatedPolynomial]:
-        if exp in cache:
-            return cache[exp]
-        if sum(exp) == 0:
-            out = [
-                TruncatedPolynomial.constant(total, bound, 1 if g == 0 else 0)
-                for g in range(d)
-            ]
-        else:
-            i = next(k for k, e in enumerate(exp) if e)
-            lowered = list(exp)
-            lowered[i] -= 1
-            out = _tensor_mult(algebra, power_product(tuple(lowered)), images[i], bound)
-        cache[exp] = out
-        return out
+    one = [
+        TruncatedPolynomial.constant(total, bound, 1 if g == 0 else 0) for g in range(d)
+    ]
+    power_product = _power_products(
+        one, images, lambda u, v: _tensor_mult(algebra, u, v, bound)
+    )
 
     total_comps = [TruncatedPolynomial.zero(total, bound) for _ in range(d)]
     for exp, c in f.coefficients.items():
@@ -365,8 +331,6 @@ class GroupLaw:
         bound = max(bound * bound, 1)
         xs = [TruncatedPolynomial.variable(n, bound, i) for i in range(n)]
         e = [TruncatedPolynomial.constant(n, bound, c) for c in self.identity]
-        from .poly import truncated_substitute
-
         left = [truncated_substitute(f, e + xs, bound) for f in self.law]
         if left != xs:
             raise ValueError("identity is not left-neutral for the law")

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import SessionError, WeilJetsError
-from .session import Report, Session, execute, parse_session, render
+from .session import Session, execute, parse_session, render
 
 
 def _build_parser() -> argparse.ArgumentParser:

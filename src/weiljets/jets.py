@@ -28,6 +28,7 @@ from .errors import (
 )
 from .monomials import (
     Exponent,
+    _power_products,
     monomials_of_degree,
     shift_tables,
     window,
@@ -46,7 +47,6 @@ from .subspace import (
     SparseRow,
     Subspace,
     canonical_basis,
-    invert_matrix,
     mat_vec,
     nullspace,
     preimage,
@@ -57,6 +57,8 @@ from .subspace import (
 from .weil import (
     AlgebraElement,
     WeilAlgebra,
+    _identity_substitution,
+    _inverse_substitution,
     _variable_shifts,
     derivation_space,
     quotient_algebra,
@@ -463,10 +465,6 @@ class NormalForm:
     transformed_ideal: Subspace
 
 
-def _identity_substitution(n: int, bound: int) -> list[TruncatedPolynomial]:
-    return [TruncatedPolynomial.variable(n, bound, i) for i in range(n)]
-
-
 def _compose_substitutions(
     outer: Sequence[TruncatedPolynomial],
     inner: Sequence[TruncatedPolynomial],
@@ -476,50 +474,24 @@ def _compose_substitutions(
     return [truncated_substitute(f, list(inner), bound) for f in outer]
 
 
-def _invert_substitution_polys(
-    sigma: Sequence[TruncatedPolynomial], bound: int
-) -> list[TruncatedPolynomial]:
-    """Exact truncated inverse of a substitution with invertible linear part."""
-    n = len(sigma)
-    lin = []
-    for f in sigma:
-        row = []
-        for j in range(n):
-            exp = [0] * n
-            exp[j] = 1
-            row.append(f.coefficient(tuple(exp)))
-        lin.append(row)
-    lin_inv = invert_matrix([tuple(r) for r in lin])
-    if lin_inv is None:
-        raise InternalCheckError("substitution has a singular linear part")
-    nonlinear = [
-        TruncatedPolynomial(
-            n, bound, {e: c for e, c in f.coefficients.items() if sum(e) >= 2}
-        )
-        for f in sigma
+def _x_columns(
+    n: int, bound: int, pivot_vars: Sequence[int], low: int, high: int
+) -> list[int]:
+    """Window columns of the monomials of degree low..high free of the pivot variables."""
+    return [
+        c
+        for c, e in enumerate(window(n, bound))
+        if low <= sum(e) <= high and all(e[j] == 0 for j in pivot_vars)
     ]
 
-    def lin_inv_apply(polys: Sequence[TruncatedPolynomial]) -> list[TruncatedPolynomial]:
-        out = []
-        for i in range(n):
-            acc = TruncatedPolynomial.zero(n, bound)
-            for j in range(n):
-                if lin_inv[i][j]:
-                    acc = acc + polys[j].scale(lin_inv[i][j])
-            out.append(acc)
-        return out
 
-    identity = _identity_substitution(n, bound)
-    tau = lin_inv_apply(identity)
-    for _ in range(max(bound, 1)):
-        n_tau = [truncated_substitute(f, tau, bound) for f in nonlinear]
-        tau = lin_inv_apply([identity[i] - n_tau[i] for i in range(n)])
-    return tau
-
-
-def _coordinate_subspace(columns: Sequence[int], size: int) -> Subspace:
-    """Span of the unit vectors e_c for the given increasing columns."""
-    return Echelon(size, {c: {c: _ONE} for c in columns}).subspace()
+def _x_part(
+    ideal: Subspace, n: int, bound: int, pivot_vars: Sequence[int], low: int, high: int
+) -> Subspace:
+    """The elements of the ideal written in the free variables, in degrees low..high."""
+    columns = _x_columns(n, bound, pivot_vars, low, high)
+    coordinate = Echelon(ideal.ambient_dimension, {c: {c: _ONE} for c in columns})
+    return subspace_intersection(ideal, coordinate.subspace())
 
 
 def _substituted_ideal(
@@ -553,7 +525,7 @@ def normal_form(p: Jet) -> NormalForm:
     exps = window(n, bound)
     for c, exp in enumerate(exps):
         if sum(exp) == 1:
-            deg1_cols[c] = next(i for i, e in enumerate(exp) if e)
+            deg1_cols[c] = exp.index(1)
     pivot_vars: list[int] = []
     carried: list[TruncatedPolynomial] = []
     for row, piv in zip(p.ideal.basis, p.ideal.pivots):
@@ -599,13 +571,7 @@ def normal_form(p: Jet) -> NormalForm:
             raise InternalCheckError("pivot variable missing from the transformed ideal")
 
     # Q list: the x-only part in degrees 2..l, pruned of redundant rows.
-    x_cols = []
-    for c, exp in enumerate(exps):
-        deg = sum(exp)
-        if 2 <= deg <= ell and all(exp[j] == 0 for j in pivot_vars):
-            x_cols.append(c)
-    size = window_size(n, bound)
-    x_part = subspace_intersection(current, _coordinate_subspace(x_cols, size))
+    x_part = _x_part(current, n, bound, pivot_vars, 2, ell)
 
     base_gens = [
         TruncatedPolynomial.variable(n, bound, j) for j in pivot_vars
@@ -614,7 +580,7 @@ def normal_form(p: Jet) -> NormalForm:
         for e in monomials_of_degree(n, ell + 1)
     ]
     shifts = _variable_shifts(n, bound)
-    generated = Echelon(size)
+    generated = Echelon(window_size(n, bound))
     generated.saturate([g.to_sparse(bound) for g in base_gens], shifts)
     q_list: list[TruncatedPolynomial] = []
     for piv, row in zip(x_part.pivots, x_part.basis):
@@ -627,11 +593,12 @@ def normal_form(p: Jet) -> NormalForm:
     if rebuilt != current:
         raise InternalCheckError("normal form identity failed to verify")
 
-    tau = _invert_substitution_polys(sigma, sub_bound)
+    tau = _inverse_substitution(sigma, sub_bound)
+    if tau is None:
+        raise InternalCheckError("substitution has a singular linear part")
     # sigma o tau must be the identity substitution.
-    for i, f in enumerate(_compose_substitutions(sigma, tau, sub_bound)):
-        if f != TruncatedPolynomial.variable(n, sub_bound, i):
-            raise InternalCheckError("substitution inverse failed to verify")
+    if _compose_substitutions(sigma, tau, sub_bound) != _identity_substitution(n, sub_bound):
+        raise InternalCheckError("substitution inverse failed to verify")
 
     result = NormalForm(
         p,
@@ -709,6 +676,40 @@ def _pullback_jet(
     return _jet_from_origin(n, p.base_point, tuple(pulled), hint)
 
 
+def _x_top(nf: NormalForm) -> list[TruncatedPolynomial]:
+    """The monomials of degree l+1 in the free variables alone."""
+    p = nf.jet
+    n, bound = p.n, p.window_bound
+    exps = window(n, bound)
+    return [
+        TruncatedPolynomial.monomial(n, bound, exps[c])
+        for c in _x_columns(n, bound, nf.pivot_variables, bound, bound)
+    ]
+
+
+def _graph_tangent_fields(nf: NormalForm) -> list[dict[int, TruncatedPolynomial]]:
+    """The finite graph-tangent field family in adapted coordinates.
+
+    Each field is a dict {variable index: polynomial coefficient}: the
+    coordinate fields d/dx^a of the base graph, and d/dx^a + dF/dx^a d/dy^j
+    for F a top-degree form in the free variables or an element of the x-part
+    of the transformed ideal.
+    """
+    p = nf.jet
+    n, bound = p.n, p.window_bound
+    xs, ys = nf.free_variables, nf.pivot_variables
+    h_basis = _x_part(nf.transformed_ideal, n, bound, ys, 2, bound)
+    forms = _x_top(nf) + [TruncatedPolynomial.from_vector(n, bound, r) for r in h_basis.basis]
+    one = TruncatedPolynomial.constant(n, bound, 1)
+    fields = [{a: one} for a in xs]
+    for F in forms:
+        for a in xs:
+            dF = F.derivative(a)
+            if not dF.is_zero():
+                fields += [{a: one, j: dF} for j in ys]
+    return fields
+
+
 def cartan_generation_oracle(p: Jet) -> Jet:
     """Independent derived jet: apply the finite graph-tangent field family.
 
@@ -722,35 +723,15 @@ def cartan_generation_oracle(p: Jet) -> Jet:
         return p
     nf = normal_form(p)
     bound = p.window_bound
-    xs = nf.free_variables
-    ys = nf.pivot_variables
 
     ideal_gens: list[TruncatedPolynomial] = [
-        TruncatedPolynomial.variable(n, bound, j) for j in ys
+        TruncatedPolynomial.variable(n, bound, j) for j in nf.pivot_variables
     ]
-    x_top = [
-        e
-        for e in monomials_of_degree(n, ell + 1)
-        if all(e[j] == 0 for j in ys)
-    ]
-    ideal_gens += [TruncatedPolynomial.monomial(n, bound, e) for e in x_top]
+    ideal_gens += _x_top(nf)
     ideal_gens += list(nf.q_list)
 
-    # x-part of the transformed ideal (all degrees) for the H-family.
-    exps = window(n, bound)
-    size = window_size(n, bound)
-    x_cols = [
-        c
-        for c, e in enumerate(exps)
-        if sum(e) >= 2 and all(e[j] == 0 for j in ys)
-    ]
-    h_basis = subspace_intersection(nf.transformed_ideal, _coordinate_subspace(x_cols, size))
-    h_polys = [TruncatedPolynomial.from_vector(n, bound, r) for r in h_basis.basis]
-
-    # Fields: n-tuples of polynomial coefficients, applied to the ideal gens.
     derived_rows: set[TruncatedPolynomial] = set()
-
-    def apply_field(coeff: dict[int, TruncatedPolynomial]):
+    for coeff in _graph_tangent_fields(nf):
         for g in ideal_gens:
             total = TruncatedPolynomial.zero(n, bound)
             for i, a in coeff.items():
@@ -760,20 +741,6 @@ def cartan_generation_oracle(p: Jet) -> Jet:
                 total = total + truncated_product(a, dg, bound)
             if not total.is_zero():
                 derived_rows.add(total)
-
-    one = TruncatedPolynomial.constant(n, bound, 1)
-    for a in xs:
-        apply_field({a: one})
-    forms = [
-        TruncatedPolynomial.monomial(n, bound, e) for e in x_top
-    ] + h_polys
-    for F in forms:
-        for a in xs:
-            dF = F.derivative(a)
-            if dF.is_zero():
-                continue
-            for j in ys:
-                apply_field({a: one, j: dF})
 
     # Saturate with the jet's own cap only: the drop to order l-1 (in
     # particular m^l itself) has to come out of the field derivatives.
@@ -929,7 +896,6 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
 
     nf = normal_form(p)
     bound = p.window_bound
-    xs, ys = nf.free_variables, nf.pivot_variables
 
     # The transformed jet and the iso back to p's presentation.
     q_jet = _jet_from_origin(
@@ -977,44 +943,16 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
         return out
 
     # Family values at the transformed jet.
-    values: list[list[Fraction]] = []
-    one = TruncatedPolynomial.constant(n, bound, 1)
     zero_el = (_ZERO,) * d
-
-    def field_value(coeff: dict[int, TruncatedPolynomial]) -> list[Fraction]:
-        comps = []
-        for k in range(n):
-            f = coeff.get(k)
-            comps.append(
-                bq.project_polynomial(f).coordinates if f is not None else zero_el
-            )
-        return transport(comps)
-
-    for a in xs:
-        values.append(field_value({a: one}))
-    exps_top = [
-        e
-        for e in monomials_of_degree(n, ell + 1)
-        if all(e[j] == 0 for j in ys)
+    values = [
+        transport(
+            [
+                bq.project_polynomial(coeff[k]).coordinates if k in coeff else zero_el
+                for k in range(n)
+            ]
+        )
+        for coeff in _graph_tangent_fields(nf)
     ]
-    size = window_size(n, bound)
-    exps = window(n, bound)
-    x_cols = [
-        c
-        for c, e in enumerate(exps)
-        if sum(e) >= 2 and all(e[j] == 0 for j in ys)
-    ]
-    h_basis = subspace_intersection(nf.transformed_ideal, _coordinate_subspace(x_cols, size))
-    forms = [TruncatedPolynomial.monomial(n, bound, e) for e in exps_top] + [
-        TruncatedPolynomial.from_vector(n, bound, r) for r in h_basis.basis
-    ]
-    for F in forms:
-        for a in xs:
-            dF = F.derivative(a)
-            if dF.is_zero():
-                continue
-            for j in ys:
-                values.append(field_value({a: one, j: dF}))
 
     # The Cartan system is the submodule the values generate: a field tangent
     # to X stays tangent under any coefficient, so close under the action of
@@ -1104,10 +1042,41 @@ def _assert_fields_project(p: Jet, derived: Jet) -> None:
 # -- functorial maps -----------------------------------------------------------------
 
 
-def pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> Jet:
-    """Image jet under a polynomial map: the kernel of composition mod p."""
-    n, ell = p.n, p.order
-    target_n = len(phi)
+def _kernel_jet(
+    algebra: WeilAlgebra,
+    base_point: tuple[Fraction, ...],
+    m: int,
+    power_product: Callable[[Exponent], tuple[Fraction, ...]],
+) -> Jet:
+    """Jet of the morphism R[y1..ym] -> A sending y^e to power_product(e).
+
+    The ideal is the kernel on the window of degree order+1; the monomials of
+    that top degree map to zero, being products of order+1 nilpotents.
+    """
+    order = algebra.order
+    bound = order + 1
+    exps = window(m, bound)
+    zero = (_ZERO,) * algebra.dimension
+    columns = [power_product(e) if sum(e) <= order else zero for e in exps]
+    rows = [[col[out] for col in columns] for out in range(algebra.dimension)]
+    kernel = nullspace(rows, len(exps))
+    gens = [TruncatedPolynomial.from_vector(m, bound, r) for r in kernel.basis]
+    return _jet_from_origin(m, base_point, tuple(gens), order)
+
+
+def _pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> tuple[
+    Jet,
+    list[TruncatedPolynomial],
+    list[tuple[Fraction, ...]],
+    Callable[[Exponent], tuple[Fraction, ...]],
+]:
+    """Image jet together with the translated map psi it is computed from.
+
+    psi = phi(base + x) - phi(base) moves both base points to the origin.
+    Returns the image jet, psi, the classes [psi_j] in A and the memoized
+    power products of those classes.
+    """
+    n = p.n
     for f in phi:
         if f.variable_count != n:
             raise DimensionMismatchError("map component has the wrong variable count")
@@ -1116,38 +1085,18 @@ def pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> Jet:
     for f in phi:
         moved = f.shift(p.base_point) if any(p.base_point) else f
         psi.append(moved - TruncatedPolynomial.constant(n, f.degree_bound, moved.constant_term()))
-
     algebra = p.quotient
-    d = algebra.dimension
-    bound = ell + 1
-    exps = window(target_n, bound)
-
-    cache: dict[Exponent, tuple[Fraction, ...]] = {}
-
-    def compose_class(exp: Exponent) -> tuple[Fraction, ...]:
-        if exp in cache:
-            return cache[exp]
-        if sum(exp) == 0:
-            out = algebra.one().coordinates
-        else:
-            i = next(k for k, e in enumerate(exp) if e)
-            lowered = list(exp)
-            lowered[i] -= 1
-            prev = compose_class(tuple(lowered))
-            img = algebra.project_polynomial(psi[i].truncate(p.window_bound))
-            out = algebra.mult_coords(prev, img.coordinates)
-        cache[exp] = out
-        return out
-
-    columns = [compose_class(e) for e in exps]
-    rows = [
-        [columns[c][out] for c in range(len(exps))] for out in range(d)
+    images = [
+        algebra.project_polynomial(f.truncate(p.window_bound)).coordinates for f in psi
     ]
-    kernel = nullspace(rows, len(exps))
-    gens = [
-        TruncatedPolynomial.from_vector(target_n, bound, r) for r in kernel.basis
-    ]
-    return _jet_from_origin(target_n, base_target, tuple(gens), ell)
+    power_product = _power_products(algebra.one().coordinates, images, algebra.mult_coords)
+    image_jet = _kernel_jet(algebra, base_target, len(phi), power_product)
+    return image_jet, psi, images, power_product
+
+
+def pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> Jet:
+    """Image jet under a polynomial map: the kernel of composition mod p."""
+    return _pushforward(p, phi)[0]
 
 
 @dataclass(frozen=True)
@@ -1172,67 +1121,35 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
     target_n = len(phi)
     algebra = p.quotient
     d = algebra.dimension
-    image_jet = pushforward(p, phi)
+    image_jet, psi, images, power_product = _pushforward(p, phi)
     b = image_jet.quotient
-    psi = []
-    for f in phi:
-        moved = f.shift(p.base_point) if any(p.base_point) else f
-        psi.append(
-            moved - TruncatedPolynomial.constant(n, f.degree_bound, moved.constant_term())
-        )
-    images = [algebra.project_polynomial(f.truncate(p.window_bound)) for f in psi]
 
     generated = Echelon(d)
     generated.saturate(
         [sparse(algebra.one().coordinates, d)],
-        [algebra.multiplication_map(img.coordinates) for img in images],
+        [algebra.multiplication_map(img) for img in images],
     )
     subalgebra = generated.subspace()
 
-    exists = True
-    for j in range(target_n):
-        for i in range(n):
-            cls = algebra.project_polynomial(psi[j].derivative(i).truncate(p.window_bound))
-            if not subalgebra.contains_vector(cls.coordinates):
-                exists = False
-                break
-        if not exists:
-            break
+    partials = [
+        [
+            algebra.project_polynomial(f.derivative(i).truncate(p.window_bound)).coordinates
+            for i in range(n)
+        ]
+        for f in psi
+    ]
+    exists = all(subalgebra.contains_vector(w) for row in partials for w in row)
     regular = subalgebra.dimension == d
 
     matrix = None
     if exists:
-        iota_cols = []
-        cache: dict[Exponent, tuple[Fraction, ...]] = {}
-
-        def compose_class(exp: Exponent) -> tuple[Fraction, ...]:
-            if exp in cache:
-                return cache[exp]
-            if sum(exp) == 0:
-                out = algebra.one().coordinates
-            else:
-                i2 = next(k for k, e in enumerate(exp) if e)
-                lowered = list(exp)
-                lowered[i2] -= 1
-                out = algebra.mult_coords(
-                    compose_class(tuple(lowered)), images[i2].coordinates
-                )
-            cache[exp] = out
-            return out
-
-        for exp in b.basis_monomials:
-            iota_cols.append(list(compose_class(exp)))
-
+        iota_cols = [list(power_product(exp)) for exp in b.basis_monomials]
         db = b.dimension
         out_rows: list[list[Fraction]] = [
             [_ZERO] * (n * d) for _ in range(target_n * db)
         ]
         for j in range(target_n):
-            partial_classes = [
-                algebra.project_polynomial(psi[j].derivative(i).truncate(p.window_bound)).coordinates
-                for i in range(n)
-            ]
-            lefts = [algebra.left_mult_rows(w) if any(w) else None for w in partial_classes]
+            lefts = [algebra.left_mult_rows(w) if any(w) else None for w in partials[j]]
             for i in range(n):
                 left = lefts[i]
                 if left is None:

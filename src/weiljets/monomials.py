@@ -13,8 +13,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import comb
+from typing import Callable, Sequence, TypeVar
 
 Exponent = tuple[int, ...]
+_T = TypeVar("_T")
 
 
 def window_size(variable_count: int, bound: int) -> int:
@@ -81,3 +83,24 @@ def monomials_of_degree(variable_count: int, degree: int) -> tuple[Exponent, ...
     return tuple(
         e for e in window(variable_count, degree) if sum(e) == degree
     )
+
+
+def _power_products(
+    one: _T, factors: Sequence[_T], mul: Callable[[_T, _T], _T]
+) -> Callable[[Exponent], _T]:
+    """Memoized x^e -> prod_i factors[i]^e[i] in any commutative ring.
+
+    Each new exponent costs one ``mul``: it lowers its first nonzero entry
+    and multiplies the cached product of the lowered exponent by that factor.
+    """
+    cache: dict[Exponent, _T] = {(0,) * len(factors): one}
+
+    def power_product(exp: Exponent) -> _T:
+        out = cache.get(exp)
+        if out is None:
+            i = next(k for k, e in enumerate(exp) if e)
+            lowered = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
+            out = cache[exp] = mul(power_product(lowered), factors[i])
+        return out
+
+    return power_product

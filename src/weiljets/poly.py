@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError
 from .monomials import Exponent, monomial_sort_key, window, window_index
@@ -420,10 +420,6 @@ def parse_polynomial(
     if bound is None:
         bound = max((sum(e) for e in coeffs), default=0)
     return TruncatedPolynomial(variable_count, bound, coeffs)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def format_polynomial(f: TruncatedPolynomial) -> str:

@@ -12,6 +12,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Any, Callable
 
 from .apoints import (
@@ -218,28 +219,18 @@ def _parse_poly(text, n: int) -> TruncatedPolynomial:
 # -- serialization helpers -----------------------------------------------------------
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
-def _poly_str(f: TruncatedPolynomial) -> str:
-    return format_polynomial(f)
-
-
 def _jet_summary(jet: Jet) -> dict:
-    from math import comb
-
     classical_dim = comb(jet.width + jet.order, jet.order)
     return {
         "vars": jet.n,
-        "point": [_frac(c) for c in jet.base_point],
+        "point": [str(c) for c in jet.base_point],
         "order": jet.order,
         "width": jet.width,
         "dim": jet.quotient.dimension,
         "classical": jet.classical,
         "classical_dim": classical_dim,
         "classical_invariants": jet.quotient.dimension == classical_dim,
-        "generators": [_poly_str(f) for f in jet.ideal_polynomials()],
+        "generators": [format_polynomial(f) for f in jet.ideal_polynomials()],
     }
 
 
@@ -261,10 +252,10 @@ def _algebra_description(algebra: WeilAlgebra) -> dict:
         "filtration": list(algebra.filtration_dimensions),
         "basis_monomials": [list(e) for e in algebra.basis_monomials],
         "structure_constants": [
-            [a, b, g, _frac(c)] for (a, b, g, c) in algebra.structure_constants()
+            [a, b, g, str(c)] for (a, b, g, c) in algebra.structure_constants()
         ],
         "relations": [
-            _poly_str(TruncatedPolynomial.from_vector(algebra.n, algebra.window_bound, r))
+            format_polynomial(TruncatedPolynomial.from_vector(algebra.n, algebra.window_bound, r))
             for r in algebra.defining_ideal.basis
         ],
     }
@@ -291,11 +282,11 @@ def _op_info(session: Session, cmd: dict) -> dict:
         return {
             "ambient": point.ambient_dimension,
             "algebra_dim": point.algebra.dimension,
-            "base_point": [_frac(c) for c in point.base_point],
+            "base_point": [str(c) for c in point.base_point],
         }
     if name in session.groups:
         g = session.groups[name]
-        return {"dim": g.dimension, "identity": [_frac(c) for c in g.identity]}
+        return {"dim": g.dimension, "identity": [str(c) for c in g.identity]}
     raise UnknownNameError(f"unknown name {name!r}")
 
 
@@ -311,7 +302,7 @@ def _op_derivations(session: Session, cmd: dict) -> dict:
         "dim": ders.dimension,
         "generator_images": [
             [
-                _poly_str(algebra.element_polynomial(img))
+                format_polynomial(algebra.element_polynomial(img))
                 for img in images
             ]
             for images in ders.generator_images
@@ -358,7 +349,7 @@ def _op_cotangent(session: Session, cmd: dict) -> dict:
     ct = cotangent_module(jet)
     return {
         "dim": ct.dimension,
-        "basis": [_poly_str(f) for f in ct.basis],
+        "basis": [format_polynomial(f) for f in ct.basis],
     }
 
 
@@ -383,8 +374,8 @@ def _op_normal_form(session: Session, cmd: dict) -> dict:
     return {
         "r": nf.r,
         "pivot_variables": list(nf.pivot_variables),
-        "substitution": [_poly_str(f) for f in nf.sigma],
-        "q_list": [_poly_str(f) for f in nf.q_list],
+        "substitution": [format_polynomial(f) for f in nf.sigma],
+        "q_list": [format_polynomial(f) for f in nf.q_list],
     }
 
 
@@ -392,9 +383,8 @@ def _op_derive(session: Session, cmd: dict) -> dict:
     jet = _lookup(session, cmd, "of", session.jets, "a jet")
     verify = bool(cmd.get("verify", False))
     derived = derived_jet(jet, verify=verify)
-    ty = taylor_map(jet)
     out = _jet_summary(derived)
-    out["taylor_condition"] = ty.taylor_condition
+    out["taylor_condition"] = jet.contains_jet(hat_ideal(derived))
     if verify:
         out["oracle_agrees"] = True
     return out
@@ -451,8 +441,8 @@ def _op_evaluate(session: Session, cmd: dict) -> dict:
     poly = _parse_poly(cmd.get("poly", ""), point.ambient_dimension)
     value = evaluate(poly, point)
     return {
-        "components": [_frac(c) for c in value.coordinates],
-        "value": _poly_str(
+        "components": [str(c) for c in value.coordinates],
+        "value": format_polynomial(
             point.algebra.element_polynomial(value.coordinates)
         ),
     }
@@ -472,7 +462,7 @@ def _op_prolong(session: Session, cmd: dict) -> dict:
     prolonged = prolong_ideal(gens, algebra)
     return {
         "coordinates": component_names(algebra, n),
-        "components": [[_poly_str(c) for c in comps] for comps in prolonged],
+        "components": [[format_polynomial(c) for c in comps] for comps in prolonged],
     }
 
 
@@ -487,7 +477,7 @@ def _op_weil_check(session: Session, cmd: dict) -> dict:
     report = weil_iso_check(poly, a, b, matrices)
     return {
         "equal": report.equal,
-        "components": [[_frac(v) for v in row] for row in report.direct],
+        "components": [[str(v) for v in row] for row in report.direct],
     }
 
 
@@ -505,7 +495,7 @@ def _op_group_product(session: Session, cmd: dict) -> dict:
     q = _group_point(session, cmd, "q", algebra)
     result = lifted.product(p, q)
     return {
-        "images": [[_frac(c) for c in img.coordinates] for img in result.images]
+        "images": [[str(c) for c in img.coordinates] for img in result.images]
     }
 
 
@@ -516,7 +506,7 @@ def _op_group_inverse(session: Session, cmd: dict) -> dict:
     p = _group_point(session, cmd, "p", algebra)
     result = lifted.inverse(p)
     return {
-        "images": [[_frac(c) for c in img.coordinates] for img in result.images]
+        "images": [[str(c) for c in img.coordinates] for img in result.images]
     }
 
 

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .monomials import (
     Exponent,
+    _power_products,
     degrees,
     monomials_of_degree,
     shift_tables,
@@ -627,21 +628,9 @@ def algebra_morphism(
         else:
             elems.append(target.element(img))
 
-    # Image of every window monomial, built multiplicatively with caching.
-    cache: dict[Exponent, tuple[Fraction, ...]] = {}
-
-    def image_of(exp: Exponent) -> tuple[Fraction, ...]:
-        if exp in cache:
-            return cache[exp]
-        if sum(exp) == 0:
-            out = target.one().coordinates
-        else:
-            i = next(k for k, e in enumerate(exp) if e)
-            lowered = list(exp)
-            lowered[i] -= 1
-            out = target.mult_coords(image_of(tuple(lowered)), elems[i].coordinates)
-        cache[exp] = out
-        return out
+    image_of = _power_products(
+        target.one().coordinates, [e.coordinates for e in elems], target.mult_coords
+    )
 
     # Well-definedness on a generating set of the ideal.
     for gen in source.ideal_generators:
@@ -676,22 +665,6 @@ def identity_morphism(algebra: WeilAlgebra) -> AlgebraMorphism:
     )
 
 
-def _monomial_images(
-    algebra: WeilAlgebra, values: Sequence[AlgebraElement], bound: int, m: int
-) -> list[tuple[Exponent, tuple[Fraction, ...]]]:
-    """Classes of z^delta evaluated at the values, for 1 <= |delta| <= bound."""
-    out = []
-    for exp in window(m, bound):
-        if sum(exp) == 0:
-            continue
-        acc = algebra.one().coordinates
-        for i, k in enumerate(exp):
-            for _ in range(k):
-                acc = algebra.mult_coords(acc, values[i].coordinates)
-        out.append((exp, acc))
-    return out
-
-
 def _express_in_generators(
     algebra: WeilAlgebra,
     values: Sequence[AlgebraElement],
@@ -700,16 +673,17 @@ def _express_in_generators(
 ) -> TruncatedPolynomial:
     """A zero-constant polynomial P with P(values) = target, in m variables."""
     bound = algebra.order if algebra.order > 0 else 1
-    monos = _monomial_images(algebra, values, bound, m)
-    columns = [list(coords) for _, coords in monos]
+    monos = window(m, bound)[1:]
+    image_of = _power_products(
+        algebra.one().coordinates, [v.coordinates for v in values], algebra.mult_coords
+    )
+    columns = [list(image_of(exp)) for exp in monos]
     solution = solve_columns(columns, list(target.coordinates))
     if solution is None:
         raise NotEpimorphismError(
             "images do not generate the target algebra"
         )
-    coeffs = {
-        exp: c for (exp, _), c in zip(monos, solution) if c
-    }
+    coeffs = {exp: c for exp, c in zip(monos, solution) if c}
     return TruncatedPolynomial(m, bound, coeffs)
 
 
@@ -827,32 +801,32 @@ def _spread(exp: Exponent, positions: Sequence[int], n: int) -> Exponent:
     return tuple(out)
 
 
-def invert_substitution(phi: AlgebraMorphism) -> AlgebraMorphism:
-    """Inverse of an automorphism of a free truncated algebra.
+def _identity_substitution(n: int, bound: int) -> list[TruncatedPolynomial]:
+    return [TruncatedPolynomial.variable(n, bound, i) for i in range(n)]
 
-    Fixed-point iteration tau <- Lin^{-1} (id - N o tau) where phi = Lin + N
-    splits off the linear part; each pass fixes one more degree.
+
+def _inverse_substitution(
+    sigma: Sequence[TruncatedPolynomial], bound: int
+) -> list[TruncatedPolynomial] | None:
+    """Truncated inverse of the substitution x -> sigma(x); None if not invertible.
+
+    Fixed-point iteration tau <- Lin^{-1} (x - N o tau) where sigma = Lin + N
+    splits off the linear part; each pass fixes one more degree.  The
+    substitution is invertible exactly when its linear part is.
     """
-    source = phi.source
-    if phi.target != source or not is_free_truncated(source):
-        raise NotEpimorphismError("can only invert automorphisms of the free algebra")
-    n = source.n
-    bound = source.order
-    lin = phi.linear_part()
-    lin_inv = invert_matrix([tuple(r) for r in lin])
+    n = len(sigma)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    lin_inv = invert_matrix([tuple(f.coefficient(u) for u in units) for f in sigma])
     if lin_inv is None:
-        raise NotEpimorphismError("linear part is singular")
-
-    phi_polys = [
-        source.element_polynomial(phi.images[i].coordinates) for i in range(n)
+        return None
+    nonlinear = [
+        TruncatedPolynomial(
+            n, bound, {e: c for e, c in f.coefficients.items() if sum(e) >= 2}
+        )
+        for f in sigma
     ]
-    nonlinear = []
-    for i in range(n):
-        f = phi_polys[i]
-        terms = {e: c for e, c in f.coefficients.items() if sum(e) >= 2}
-        nonlinear.append(TruncatedPolynomial(n, bound, terms))
 
-    def lin_inv_apply(polys: list[TruncatedPolynomial]) -> list[TruncatedPolynomial]:
+    def lin_inv_apply(polys: Sequence[TruncatedPolynomial]) -> list[TruncatedPolynomial]:
         out = []
         for i in range(n):
             acc = TruncatedPolynomial.zero(n, bound)
@@ -862,17 +836,25 @@ def invert_substitution(phi: AlgebraMorphism) -> AlgebraMorphism:
             out.append(acc)
         return out
 
-    identity = [
-        TruncatedPolynomial.variable(n, bound, i) for i in range(n)
-    ]
+    identity = _identity_substitution(n, bound)
     tau = lin_inv_apply(identity)
     for _ in range(max(bound, 1)):
-        n_of_tau = [
-            truncated_substitute(nonlinear[i], tau, bound) for i in range(n)
-        ]
         tau = lin_inv_apply(
-            [identity[i] - n_of_tau[i] for i in range(n)]
+            [x - truncated_substitute(f, tau, bound) for x, f in zip(identity, nonlinear)]
         )
+    return tau
+
+
+def invert_substitution(phi: AlgebraMorphism) -> AlgebraMorphism:
+    """Inverse of an automorphism of a free truncated algebra."""
+    source = phi.source
+    if phi.target != source or not is_free_truncated(source):
+        raise NotEpimorphismError("can only invert automorphisms of the free algebra")
+    tau = _inverse_substitution(
+        [source.element_polynomial(img.coordinates) for img in phi.images], source.order
+    )
+    if tau is None:
+        raise NotEpimorphismError("linear part is singular")
     return algebra_morphism(
         source, source, [source.project_polynomial(t) for t in tau]
     )

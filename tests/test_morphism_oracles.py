@@ -1,0 +1,155 @@
+"""Oracles for the morphism kernels: evaluation, morphism matrices, kernel jets
+and substitution inverses.
+
+Each expected value is computed by plain polynomial substitution
+(``truncated_substitute``) followed by projection to the quotient, a route
+that shares no code with the package's cached power products.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weiljets.apoints import apoint, evaluate, regularity_and_kernel
+from weiljets.errors import NotEpimorphismError
+from weiljets.jets import jet_from_ideal, power_jet, pushforward
+from weiljets.monomials import window
+from weiljets.poly import TruncatedPolynomial, truncated_substitute
+from weiljets.subspace import canonical_basis
+from weiljets.weil import (
+    algebra_morphism,
+    free_truncated_algebra,
+    invert_substitution,
+    quotient_algebra,
+)
+
+from conftest import P
+
+ALGEBRAS = [
+    free_truncated_algebra(1, 3),
+    free_truncated_algebra(2, 2),
+    free_truncated_algebra(2, 3),
+    quotient_algebra(2, 3, [P("x^2 - y^2", 2, 3), P("x y", 2, 3)]),
+    quotient_algebra(2, 4, [P("y^2 - x^3", 2, 4)]),
+]
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def substituted_value(f, algebra, images):
+    """[f(images)] in the algebra, by substituting representatives."""
+    base = [img.augmentation() for img in images]
+    nil = [algebra.element_polynomial(img.nilpotent_part().coordinates) for img in images]
+    moved = f.shift(base)
+    return algebra.project_polynomial(
+        truncated_substitute(moved, nil, algebra.window_bound)
+    )
+
+
+@st.composite
+def polynomial_and_point(draw):
+    algebra = draw(st.sampled_from(ALGEBRAS))
+    n = draw(st.integers(1, 3))
+    exps = window(n, 3)
+    coeffs = draw(st.dictionaries(st.sampled_from(exps), rationals, max_size=6))
+    f = TruncatedPolynomial(n, 3, coeffs)
+    images = [
+        draw(st.lists(rationals, min_size=algebra.dimension, max_size=algebra.dimension))
+        for _ in range(n)
+    ]
+    return f, apoint(algebra, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_and_point())
+def test_evaluate_matches_substitution(case):
+    f, point = case
+    expected = substituted_value(f, point.algebra, point.images)
+    assert evaluate(f, point) == expected
+
+
+MORPHISMS = [
+    # R_2^2 -> R_1^2: x -> e + e^2, y -> 2 e^2.
+    (free_truncated_algebra(2, 2), free_truncated_algebra(1, 2), [[0, 1, 1], [0, 0, 2]]),
+    # R_1^3 -> R_1^3: x -> x + x^2.
+    (free_truncated_algebra(1, 3), free_truncated_algebra(1, 3), [[0, 1, 1, 0]]),
+    # R_2^3 -> R_2^3: x -> x + y^2, y -> -y + x y.
+    (
+        free_truncated_algebra(2, 3),
+        free_truncated_algebra(2, 3),
+        [
+            [0, 1, 0, 0, 0, 1, 0, 0, 0, 0],
+            [0, 0, -1, 0, 1, 0, 0, 0, 0, 0],
+        ],
+    ),
+    # R_2^3 onto the binomial quotient (x^2 - y^2, x y) + m^4, identity on generators.
+    (free_truncated_algebra(2, 3), ALGEBRAS[3], None),
+]
+
+
+@pytest.mark.parametrize("source, target, images", MORPHISMS)
+def test_morphism_columns_are_substituted_monomials(source, target, images):
+    if images is None:
+        images = [target.generator(i).coordinates for i in range(source.n)]
+    phi = algebra_morphism(source, target, images)
+    reps = [target.element_polynomial(img.coordinates) for img in phi.images]
+    for b in range(source.dimension):
+        column = tuple(phi.matrix[g][b] for g in range(target.dimension))
+        moved = truncated_substitute(source.basis_polynomial(b), reps, target.window_bound)
+        assert column == target.project_polynomial(moved).coordinates
+
+
+KERNEL_CASES = [
+    (power_jet(1, 4), [P("x^2", 1), P("x + x^3", 1)]),
+    (jet_from_ideal(2, [0, 0], [P("y - x^2", 2)], 3), [P("x + y", 2), P("x y", 2)]),
+    (jet_from_ideal(2, [1, "1/2"], [P("y - x^2 + 1/2", 2)], 2), [P("x^2 - y", 2)]),
+    (jet_from_ideal(2, [0, 0], [P("y^2 - x^3", 2)], 3), [P("x", 2), P("y", 2), P("x y", 2)]),
+]
+
+
+@pytest.mark.parametrize("jet, phi", KERNEL_CASES)
+def test_kernel_of_point_matches_pushforward(jet, phi):
+    # The A-point x -> [phi(base + x)] is the morphism R[y] -> A whose
+    # kernel is the pushforward jet.
+    algebra = jet.quotient
+    images = [algebra.project_polynomial(f.shift(jet.base_point)) for f in phi]
+    _, kernel = regularity_and_kernel(apoint(algebra, images))
+    assert kernel == pushforward(jet, phi)
+    assert kernel.base_point == tuple(f.evaluate(jet.base_point) for f in phi)
+
+    # Independently: the kernel dies under substitution, and R[y]/kernel is
+    # as large as the image, the span of the substituted monomials.
+    m, bound = len(phi), algebra.window_bound
+    nil = [algebra.element_polynomial(img.nilpotent_part().coordinates) for img in images]
+    for g in kernel.ideal_polynomials():
+        assert algebra.project_polynomial(truncated_substitute(g, nil, bound)).is_zero()
+    image = canonical_basis(
+        [
+            algebra.project_polynomial(
+                truncated_substitute(TruncatedPolynomial.monomial(m, bound, e), nil, bound)
+            ).coordinates
+            for e in window(m, bound)
+        ],
+        algebra.dimension,
+    )
+    assert kernel.quotient.dimension == image.dimension
+
+
+def test_invert_substitution_rejects_singular_linear_part():
+    r13 = free_truncated_algebra(1, 3)
+    square = algebra_morphism(r13, r13, [r13.element([0, 0, 1, 0])])  # x -> x^2
+    with pytest.raises(NotEpimorphismError, match="linear part is singular"):
+        invert_substitution(square)
+
+
+def test_invert_substitution_two_variables_round_trip():
+    r23 = free_truncated_algebra(2, 3)
+    x, y = r23.generator(0), r23.generator(1)
+    phi = algebra_morphism(
+        r23, r23, [x * 2 + y + x * y - y * y * y, x - y + x * x * Fraction(1, 2)]
+    )
+    inv = invert_substitution(phi)
+    assert phi.compose(inv).is_identity()
+    assert inv.compose(phi).is_identity()
