@@ -46,11 +46,11 @@ from .subspace import (
     Echelon,
     SparseRow,
     Subspace,
+    _add_multiple,
     canonical_basis,
     mat_vec,
     nullspace,
     preimage,
-    solve_columns,
     sparse,
     subspace_intersection,
 )
@@ -1143,27 +1143,34 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
 
     matrix = None
     if exists:
-        iota_cols = [list(power_product(exp)) for exp in b.basis_monomials]
+        # B -> A is injective: one echelon of the image columns, each tagged
+        # with its unknown, solves for every value (an image reduces to minus
+        # its coordinates in B, on the tags).
+        iota_cols = [sparse(power_product(exp), d) for exp in b.basis_monomials]
         db = b.dimension
+        system = Echelon(d + db)
+        for k, col in enumerate(iota_cols):
+            system.insert({**col, d + k: _ONE})
         out_rows: list[list[Fraction]] = [
             [_ZERO] * (n * d) for _ in range(target_n * db)
         ]
         for j in range(target_n):
-            lefts = [algebra.left_mult_rows(w) if any(w) else None for w in partials[j]]
-            for i in range(n):
-                left = lefts[i]
-                if left is None:
+            for i, w in enumerate(partials[j]):
+                if not any(w):
                     continue
-                for beta in range(d):
-                    value = [left[g][beta] for g in range(d)]
-                    w_coords = solve_columns(iota_cols, value)
-                    if w_coords is None:
+                for beta, value in enumerate(algebra.multiplication_map(w)):
+                    rest = system.reduce(value)
+                    w_coords = {c - d: -v for c, v in rest.items() if c >= d}
+                    check: SparseRow = {}
+                    for k, u in w_coords.items():
+                        _add_multiple(check, u, iota_cols[k])
+                    if len(w_coords) != len(rest) or check != value:
                         raise InternalCheckError(
                             "tangent value escaped the image subalgebra"
                         )
                     col = i * d + beta
-                    for out_coord in range(db):
-                        out_rows[j * db + out_coord][col] = w_coords[out_coord]
+                    for out_coord, u in w_coords.items():
+                        out_rows[j * db + out_coord][col] = u
         matrix = tuple(tuple(r) for r in out_rows)
 
         rel = tangent_module(p).relations

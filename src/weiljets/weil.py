@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Sequence
 
@@ -37,6 +37,7 @@ from .subspace import (
     Echelon,
     SparseRow,
     Subspace,
+    _add_multiple,
     canonical_basis,
     dense,
     invert_matrix,
@@ -247,9 +248,14 @@ class WeilAlgebra:
 
     def multiplication_map(self, w: Sequence[Fraction]) -> list[SparseRow]:
         """Sparse images of the basis classes under v -> w*v (saturation table)."""
-        rows = self.left_mult_rows(w)
-        d = self.dimension
-        return [{g: rows[g][b] for g in range(d) if rows[g][b]} for b in range(d)]
+        columns: list[SparseRow] = [{} for _ in range(self.dimension)]
+        for a, wa in enumerate(w):
+            if not wa:
+                continue
+            for column, entries in zip(columns, self._mult[a]):
+                for g, c in entries:
+                    column[g] = column.get(g, _ZERO) + wa * c
+        return [{g: v for g, v in column.items() if v} for column in columns]
 
     def maximal_power(self, k: int) -> Subspace:
         """m_A^k as a subspace of the quotient coordinate space."""
@@ -464,15 +470,49 @@ def tensor_product(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Basis of Der(A, A): linear maps satisfying Leibniz on the quotient."""
+    """Basis of Der(A, A), stored as generator images; the Leibniz action on
+    the whole basis is built on first use (only stability needs it)."""
 
     algebra: WeilAlgebra
     generator_images: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.generator_images)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[SparseRow, ...], ...]:
+        """Per derivation, the sparse images delta(a_b) of the basis classes.
+
+        Leibniz expansion: delta(x^e) = sum_i e_i [x^(e - 1_i)] * delta(x_i).
+        """
+        algebra = self.algebra
+        idx = window_index(algebra.n, algebra.window_bound)
+        out = []
+        for images in self.generator_images:
+            maps = [algebra.multiplication_map(img) for img in images]
+            cols = []
+            for exp in algebra.basis_monomials:
+                total: SparseRow = {}
+                for i, k in enumerate(exp):
+                    if not k:
+                        continue
+                    lowered = list(exp)
+                    lowered[i] -= 1
+                    for a, c in algebra._classes[idx[tuple(lowered)]].items():
+                        _add_multiple(total, k * c, maps[i][a])
+                cols.append(total)
+            out.append(tuple(cols))
+        return tuple(out)
+
+    @cached_property
+    def matrices(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Dense view of :attr:`columns`: rows index the output coordinates."""
+        d = self.algebra.dimension
+        return tuple(
+            tuple(tuple(col.get(g, _ZERO) for col in cols) for g in range(d))
+            for cols in self.columns
+        )
 
     def relations_in_ambient(self) -> Subspace:
         """Images delta -> (delta[x^1], ..., delta[x^n]) flattened into A^n."""
@@ -499,56 +539,23 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     constraints = Echelon(n * d)
     for gen in algebra.ideal_generators:
         f = TruncatedPolynomial.from_vector(algebra.n, algebra.window_bound, gen)
-        blocks = []
+        rows: list[SparseRow] = [{} for _ in range(d)]
         for i in range(n):
             w = algebra.project_polynomial(f.derivative(i)).coordinates
             if any(w):
-                blocks.append((i * d, algebra.left_mult_rows(w)))
-        for out in range(d):
-            row: SparseRow = {}
-            for offset, block in blocks:
-                for b, v in enumerate(block[out]):
-                    if v:
-                        row[offset + b] = v
+                for b, column in enumerate(algebra.multiplication_map(w)):
+                    for g, c in column.items():
+                        rows[g][i * d + b] = c
+        for row in rows:
             if row:
                 constraints.insert(row)
     solution = constraints.kernel()
-
-    gen_images = []
-    matrices = []
-    for vec in solution.basis:
-        images = tuple(
-            tuple(vec[i * d : (i + 1) * d]) for i in range(n)
-        )
-        gen_images.append(images)
-        matrices.append(_derivation_matrix(algebra, images))
-    space = DerivationSpace(algebra, tuple(gen_images), tuple(matrices))
+    gen_images = tuple(
+        tuple(tuple(vec[i * d : (i + 1) * d]) for i in range(n)) for vec in solution.basis
+    )
+    space = DerivationSpace(algebra, gen_images)
     algebra._derivations = space
     return space
-
-
-def _derivation_matrix(
-    algebra: WeilAlgebra, images: Sequence[Sequence[Fraction]]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of the derivation on basis classes via the Leibniz expansion."""
-    d = algebra.dimension
-    cols: list[tuple[Fraction, ...]] = []
-    for exp in algebra.basis_monomials:
-        total = [_ZERO] * d
-        for i, k in enumerate(exp):
-            if not k:
-                continue
-            lowered = list(exp)
-            lowered[i] -= 1
-            cls = algebra.monomial_class(tuple(lowered))
-            contrib = algebra.mult_coords(cls, images[i])
-            for g, c in enumerate(contrib):
-                if c:
-                    total[g] += k * c
-        cols.append(tuple(total))
-    return tuple(
-        tuple(cols[b][g] for b in range(d)) for g in range(d)
-    )
 
 
 @dataclass(frozen=True)
@@ -838,7 +845,7 @@ def _inverse_substitution(
 
     identity = _identity_substitution(n, bound)
     tau = lin_inv_apply(identity)
-    for _ in range(max(bound, 1)):
+    for _ in range(max(bound - 1, 0)):
         tau = lin_inv_apply(
             [x - truncated_substitute(f, tau, bound) for x, f in zip(identity, nonlinear)]
         )
@@ -892,17 +899,20 @@ def ideal_stability(
                     f"not closed under multiplication by generator {i}"
                 )
     ders = derivation_space(algebra)
-    der_stable = True
+    d = algebra.dimension
+    rows = [ideal.rows[p] for p in ideal.pivots]
     witness = None
-    for k, matrix in enumerate(ders.matrices):
-        for row in ideal.basis:
-            img = mat_vec(matrix, row)
+    for k, columns in enumerate(ders.columns):
+        for row in rows:
+            img: SparseRow = {}
+            for b, c in row.items():
+                _add_multiple(img, c, columns[b])
             if not ideal.contains_vector(img):
-                der_stable = False
-                witness = (k, tuple(img))
+                witness = (k, tuple(dense(img, d)))
                 break
-        if not der_stable:
+        if witness is not None:
             break
+    der_stable = witness is None
     auto_results = []
     for g in automorphisms:
         if g.source != algebra or g.target != algebra:
@@ -912,19 +922,16 @@ def ideal_stability(
 
     projected = None
     if der_stable:
+        # Entry (out, in) of the induced map on A/I, read off the remainder
+        # of each complement column against the ideal's echelon.
         complement = ideal.free_columns()
+        span = ideal.echelon()
         proj = []
-        for matrix in ders.matrices:
-            rows = []
-            for c_out in complement:
-                row = []
-                for c_in in complement:
-                    unit = [_ZERO] * algebra.dimension
-                    unit[c_in] = _ONE
-                    img = ideal.reduce(mat_vec(matrix, unit))
-                    row.append(img[c_out])
-                rows.append(tuple(row))
-            proj.append(tuple(rows))
+        for columns in ders.columns:
+            reduced = [span.reduce(columns[c_in]) for c_in in complement]
+            proj.append(
+                tuple(tuple(r.get(c_out, _ZERO) for r in reduced) for c_out in complement)
+            )
         projected = tuple(proj)
     return IdealStabilityReport(
         algebra, ideal, der_stable, witness, tuple(auto_results), projected

@@ -153,3 +153,25 @@ def test_invert_substitution_two_variables_round_trip():
     inv = invert_substitution(phi)
     assert phi.compose(inv).is_identity()
     assert inv.compose(phi).is_identity()
+
+
+# Substitutions with terms in every degree up to 4; each pass of the inverter
+# fixes one more degree, so a missing pass shows at the top degree.
+SUBSTITUTIONS = {
+    1: ["2 x + x^2 - 3 x^3 + 1/2 x^4"],
+    2: ["x + 2 y + x y - y^2 + x^3 + x^2 y^2", "y - x + x^2 + 1/3 x y^2 - y^4"],
+}
+
+
+@pytest.mark.parametrize("n", sorted(SUBSTITUTIONS))
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_invert_substitution_round_trip_at_every_order(n, order):
+    algebra = free_truncated_algebra(n, order)
+    phi = algebra_morphism(
+        algebra,
+        algebra,
+        [algebra.project_polynomial(P(s, n, 4)) for s in SUBSTITUTIONS[n]],
+    )
+    inv = invert_substitution(phi)
+    assert phi.compose(inv).is_identity()
+    assert inv.compose(phi).is_identity()
