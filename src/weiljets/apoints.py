@@ -19,6 +19,9 @@ from .jets import Jet, _kernel_jet
 from .monomials import Exponent, _power_products
 from .poly import (
     TruncatedPolynomial,
+    _add_scaled,
+    _common_denominator,
+    _product_numerators,
     as_fraction,
     truncated_product,
     truncated_substitute,
@@ -88,15 +91,16 @@ def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
     shifted = f.shift(base) if any(base) else f
     order = algebra.order
     power_product = _nilpotent_products(point)
-    total = [_ZERO] * algebra.dimension
-    for exp, c in shifted.coefficients.items():
-        if sum(exp) > order:
-            continue  # nilpotent parts of degree past the order vanish
-        term = power_product(exp)
-        for g, v in enumerate(term):
-            if v:
-                total[g] += c * v
-    return algebra.element(total)
+    # Nilpotent parts of degree past the order vanish.
+    kept = [(exp, c) for exp, c in shifted.coefficients.items() if sum(exp) <= order]
+    (coefficients, *vectors), den = _common_denominator(
+        [kept, *([(g, v) for g, v in enumerate(power_product(exp)) if v] for exp, _ in kept)]
+    )
+    total = [0] * algebra.dimension
+    for (_, c), vector in zip(coefficients, vectors):
+        for g, v in vector:
+            total[g] += c * v
+    return algebra.element([Fraction(x, den * den) for x in total])
 
 
 def regularity_and_kernel(point: APoint) -> tuple[bool, Jet]:
@@ -153,20 +157,23 @@ def _tensor_mult(
     v: Sequence[TruncatedPolynomial],
     bound: int,
 ) -> list[TruncatedPolynomial]:
+    """Product in (polynomials) (x) A, each factor given by its d components."""
     d = algebra.dimension
-    total = u[0].variable_count
-    out = [TruncatedPolynomial.zero(total, bound) for _ in range(d)]
-    for a in range(d):
-        if u[a].is_zero():
+    rows, den = _common_denominator([p.coefficients.items() for p in (*u, *v)])
+    left, right = rows[:d], rows[d:]
+    out: list[dict[Exponent, int]] = [{} for _ in range(d)]
+    for ua, row in zip(left, algebra._mult):
+        if not ua:
             continue
-        row = algebra._mult[a]
-        for b in range(d):
-            if v[b].is_zero():
+        for vb, entries in zip(right, row):
+            if not vb or not entries:
                 continue
-            prod = truncated_product(u[a], v[b], bound)
-            for g, c in row[b]:
-                out[g] = out[g] + prod.scale(c)
-    return out
+            prod = _product_numerators(ua, vb, bound).items()
+            for g, t in entries:
+                _add_scaled(out[g], t, prod)
+    total = u[0].variable_count
+    scale = den * den * algebra._mult_den
+    return [TruncatedPolynomial._from_numerators(total, bound, o, scale) for o in out]
 
 
 def prolong_polynomial(
@@ -185,14 +192,15 @@ def prolong_polynomial(
     power_product = _power_products(
         one, images, lambda u, v: _tensor_mult(algebra, u, v, bound)
     )
-
-    total_comps = [TruncatedPolynomial.zero(total, bound) for _ in range(d)]
-    for exp, c in f.coefficients.items():
-        term = power_product(exp)
-        for g in range(d):
-            if not term[g].is_zero():
-                total_comps[g] = total_comps[g] + term[g].scale(c)
-    return total_comps
+    terms = [power_product(exp) for exp in f.coefficients]
+    (coefficients, *components), den = _common_denominator(
+        [f.coefficients.items()] + [p.coefficients.items() for term in terms for p in term]
+    )
+    out: list[dict[Exponent, int]] = [{} for _ in range(d)]
+    for k, (_, c) in enumerate(coefficients):
+        for acc, component in zip(out, components[k * d : (k + 1) * d]):
+            _add_scaled(acc, c, component)
+    return [TruncatedPolynomial._from_numerators(total, bound, o, den * den) for o in out]
 
 
 def prolong_ideal(

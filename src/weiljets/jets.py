@@ -91,6 +91,7 @@ class Jet:
         self._derived: "Jet | None" = None
         self._fields: Subspace | None = None
         self._tangent: "TangentModule | None" = None
+        self._contact: "ContactData | None" = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -769,12 +770,13 @@ class ContactData:
     kernel_inside_cartan: bool
 
 
-def _quotient_map_rows(p: Jet, p2: Jet) -> list[list[Fraction]]:
-    """Matrix of A -> A' on quotient coordinates (p <= p2 assumed)."""
-    a, b = p.quotient, p2.quotient
-    cols = [b.monomial_class(exp) for exp in a.basis_monomials]
+def _quotient_map_columns(p: Jet, p2: Jet) -> list[SparseRow]:
+    """Sparse columns of A -> A' on quotient coordinates (p <= p2 assumed)."""
+    b = p2.quotient
+    idx = window_index(b.n, b.window_bound)
     return [
-        [cols[j][i] for j in range(a.dimension)] for i in range(b.dimension)
+        b._classes[idx[exp]] if sum(exp) <= b.window_bound else {}
+        for exp in p.quotient.basis_monomials
     ]
 
 
@@ -790,37 +792,24 @@ def _block_diagonal(rows: Sequence[Sequence[Fraction]], blocks: int) -> list[lis
     return big
 
 
-def _differential_matrix(
-    p: Jet, quotient_rows: Sequence[Sequence[Fraction]], f: TruncatedPolynomial, out_dim: int
-) -> list[list[Fraction]]:
-    """Matrix of the map (ambient tangent tuple) -> class of Df in A'."""
+def _differential_columns(
+    p: Jet, quotient_columns: Sequence[SparseRow], f: TruncatedPolynomial
+) -> list[SparseRow]:
+    """Sparse columns of the map (ambient tangent tuple) -> class of Df in A'.
+
+    Column i*d + b is the image of a_b in slot i: the class of
+    (d f / d x_i) * a_b, pushed to A'.
+    """
     algebra = p.quotient
-    d = algebra.dimension
-    n = p.n
-    block_rows: list[list[list[Fraction]]] = []
-    for i in range(n):
+    columns: list[SparseRow] = []
+    for i in range(p.n):
         w = algebra.project_polynomial(f.derivative(i)).coordinates
-        if any(w):
-            left = algebra.left_mult_rows(w)
-            block = [
-                mat_vec(quotient_rows, [left[g][b] for g in range(d)])
-                for b in range(d)
-            ]
-            # block[b] is the image column for basis vector b; transpose below.
-            block_rows.append(block)
-        else:
-            block_rows.append(None)
-    rows = []
-    for out in range(out_dim):
-        row: list[Fraction] = []
-        for i in range(n):
-            block = block_rows[i]
-            if block is None:
-                row.extend([_ZERO] * d)
-            else:
-                row.extend(block[b][out] for b in range(d))
-        rows.append(row)
-    return rows
+        for column in algebra.multiplication_map(w):
+            image: SparseRow = {}
+            for g, v in column.items():
+                _add_multiple(image, v, quotient_columns[g])
+            columns.append(image)
+    return columns
 
 
 def contact_and_cartan(p: Jet) -> ContactData:
@@ -828,38 +817,49 @@ def contact_and_cartan(p: Jet) -> ContactData:
 
     The Cartan system is additionally rebuilt from the finite generating
     family of graph-tangent fields (transported back from the adapted
-    coordinates) so the two routes can be compared exactly.
+    coordinates) so the two routes can be compared exactly.  The result is
+    cached on the jet.
     """
+    if p._contact is not None:
+        return p._contact
     derived = derived_jet(p)
     algebra = p.quotient
     d = algebra.dimension
     n = p.n
+    nd = n * d
     dprime = derived.quotient.dimension
-    qrows = _quotient_map_rows(p, derived)
+    qcols = _quotient_map_columns(p, derived)
+    qrows = [[col.get(i, _ZERO) for col in qcols] for i in range(dprime)]
     tangent = tangent_module(p)
 
-    flat: list[list[Fraction]] = []
-    matrices: list[list[list[Fraction]]] = []
+    # Omega: one map per ideal row, flattened output-major into one row.
+    span = Echelon(dprime * nd)
+    differentials: list[list[SparseRow]] = []
     for row in p.ideal.basis:
         f = TruncatedPolynomial.from_vector(n, p.window_bound, row)
-        m = _differential_matrix(p, qrows, f, dprime)
-        matrices.append(m)
-        flat.append([v for r in m for v in r])
-    omega = canonical_basis(flat, dprime * n * d)
+        columns = _differential_columns(p, qcols, f)
+        differentials.append(columns)
+        span.insert({out * nd + j: v for j, col in enumerate(columns) for out, v in col.items()})
+    omega = span.subspace()
 
     # Representatives differing by an algebra derivation must evaluate to zero.
-    for m in matrices:
-        for rel in tangent.relations.basis:
-            if any(mat_vec(m, rel)):
+    relations = list(tangent.relations.rows.values())
+    for columns in differentials:
+        for rel in relations:
+            image: SparseRow = {}
+            for j, r in rel.items():
+                _add_multiple(image, r, columns[j])
+            if image:
                 raise InternalCheckError("contact map is not constant on classes")
 
-    constraint_rows: list[Sequence[Fraction]] = []
-    for vec in omega.basis:
-        for out in range(dprime):
-            constraint_rows.append(
-                vec[out * n * d : (out + 1) * n * d]
-            )
-    cartan = nullspace(constraint_rows, n * d)
+    constraints = Echelon(nd)
+    for vec in omega.rows.values():
+        blocks: list[SparseRow] = [{} for _ in range(dprime)]
+        for k, v in vec.items():
+            blocks[k // nd][k % nd] = v
+        for block in blocks:
+            constraints.insert(block)
+    cartan = constraints.kernel()
     if not cartan.contains_subspace(tangent.relations):
         raise InternalCheckError("annihilator lost the derivation relations")
 
@@ -868,10 +868,10 @@ def contact_and_cartan(p: Jet) -> ContactData:
     # Kernel of the tangent projection must sit inside the Cartan system.
     pi_blocks = _block_diagonal(qrows, n)
     rel_prime = tangent_module(derived).relations
-    kernel = preimage(pi_blocks, rel_prime, n * d)
+    kernel = preimage(pi_blocks, rel_prime, nd)
     kernel_ok = cartan.contains_subspace(kernel)
 
-    return ContactData(
+    p._contact = ContactData(
         jet=p,
         derived=derived,
         quotient_map=tuple(tuple(r) for r in qrows),
@@ -883,6 +883,7 @@ def contact_and_cartan(p: Jet) -> ContactData:
         cartan_tangent_dimension=cartan.dimension - tangent.relations.dimension,
         kernel_inside_cartan=kernel_ok,
     )
+    return p._contact
 
 
 def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
@@ -995,8 +996,7 @@ def taylor_map(p: Jet, contact: ContactData | None = None) -> TaylorData:
 
     _assert_fields_project(p, derived)
 
-    qrows = _quotient_map_rows(p, derived)
-    pi_blocks = _block_diagonal(qrows, n)
+    pi_blocks = _block_diagonal(contact.quotient_map, n)
     rel_prime = tangent_module(derived).relations
     pushed = [mat_vec(pi_blocks, v) for v in contact.cartan.basis]
     image = canonical_basis(list(rel_prime.basis) + pushed, n * derived.quotient.dimension)

@@ -16,14 +16,38 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import lcm
+from operator import add, itemgetter
+from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import DimensionMismatchError
-from .monomials import Exponent, monomial_sort_key, window, window_index
+from .monomials import Exponent, _power_products, monomial_sort_key, window, window_index
 
 Scalar = Fraction | int
+_K = TypeVar("_K", bound=Hashable)
 
 _ZERO = Fraction(0)
+
+
+def _common_denominator(
+    rows: Iterable[Iterable[tuple[_K, Scalar]]],
+) -> tuple[list[list[tuple[_K, int]]], int]:
+    """Rows of ``(key, value)`` pairs as integer numerators over one denominator.
+
+    The denominator is the lcm of every value's denominator, so each value
+    equals its numerator divided by it exactly; the keys and their order are
+    kept.  This is the entry to every integer-numerator kernel.
+    """
+    rows = [list(row) for row in rows]
+    den = lcm(*(c.denominator for row in rows for _, c in row))
+    return [[(k, c.numerator * (den // c.denominator)) for k, c in row] for row in rows], den
+
+
+def _add_scaled(acc: dict[_K, int], c: int, terms: Iterable[tuple[_K, int]]) -> None:
+    """acc += c * terms, in place, on integer numerators."""
+    get = acc.get
+    for k, v in terms:
+        acc[k] = get(k, 0) + c * v
 
 
 def as_fraction(value) -> Fraction:
@@ -35,7 +59,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value.strip()!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -68,6 +95,21 @@ class TruncatedPolynomial:
         self.coefficients = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_numerators(
+        cls, variable_count: int, degree_bound: int, numerators: Mapping[Exponent, int], den: int
+    ) -> "TruncatedPolynomial":
+        """Trusted constructor: exponents already fit the ring and the bound.
+
+        Each nonzero ``numerators[e] / den`` becomes one ``Fraction``; nothing
+        is validated again.
+        """
+        poly = object.__new__(cls)
+        poly.variable_count = variable_count
+        poly.degree_bound = degree_bound
+        poly.coefficients = {e: Fraction(c, den) for e, c in numerators.items() if c}
+        return poly
 
     @classmethod
     def zero(cls, variable_count: int, degree_bound: int) -> "TruncatedPolynomial":
@@ -267,24 +309,33 @@ def _unit(n: int, i: int) -> Exponent:
     return tuple(exp)
 
 
+def _product_numerators(
+    left: Iterable[tuple[Exponent, int]], right: Iterable[tuple[Exponent, int]], bound: int
+) -> dict[Exponent, int]:
+    """Integer product kernel: numerators of left * right up to the degree bound."""
+    by_degree = sorted(((eb, sum(eb), cb) for eb, cb in right), key=itemgetter(1))
+    out: dict[Exponent, int] = {}
+    get = out.get
+    for ea, ca in left:
+        room = bound - sum(ea)
+        for eb, db, cb in by_degree:
+            if db > room:
+                break
+            exp = tuple(map(add, ea, eb))
+            out[exp] = get(exp, 0) + ca * cb
+    return out
+
+
 def truncated_product(
     f: TruncatedPolynomial, g: TruncatedPolynomial, bound: int
 ) -> TruncatedPolynomial:
     """f * g with every monomial of degree > bound discarded."""
     if f.variable_count != g.variable_count:
         raise DimensionMismatchError("cannot multiply polynomials in different rings")
-    out: dict[Exponent, Fraction] = {}
-    for ea, ca in f.coefficients.items():
-        da = sum(ea)
-        if da > bound:
-            continue
-        for eb, cb in g.coefficients.items():
-            if da + sum(eb) > bound:
-                continue
-            exp = tuple(a + b for a, b in zip(ea, eb))
-            prev = out.get(exp)
-            out[exp] = ca * cb if prev is None else prev + ca * cb
-    return TruncatedPolynomial(f.variable_count, bound, out)
+    (left, right), den = _common_denominator([f.coefficients.items(), g.coefficients.items()])
+    return TruncatedPolynomial._from_numerators(
+        f.variable_count, bound, _product_numerators(left, right, bound), den * den
+    )
 
 
 def truncated_substitute(
@@ -311,22 +362,17 @@ def truncated_substitute(
                 "coordinate change requires images with zero constant term"
             )
     one = TruncatedPolynomial.constant(target_vars, bound, 1)
-    # Cache powers of each image as they are needed.
-    powers: list[list[TruncatedPolynomial]] = [[one] for _ in images]
-    total = TruncatedPolynomial.zero(target_vars, bound)
-    for exp, c in f.terms():
-        term = one.scale(c)
-        for i, k in enumerate(exp):
-            if k == 0:
-                continue
-            cache = powers[i]
-            while len(cache) <= k:
-                cache.append(
-                    truncated_product(cache[-1], images[i].truncate(bound), bound)
-                )
-            term = truncated_product(term, cache[k], bound)
-        total = total + term
-    return total
+    power_product = _power_products(
+        one, images, lambda u, v: truncated_product(u, v, bound)
+    )
+    monomials = [power_product(exp).coefficients.items() for exp in f.coefficients]
+    (coefficients, *monomials), den = _common_denominator(
+        [f.coefficients.items(), *monomials]
+    )
+    out: dict[Exponent, int] = {}
+    for (_, c), terms in zip(coefficients, monomials):
+        _add_scaled(out, c, terms)
+    return TruncatedPolynomial._from_numerators(target_vars, bound, out, den * den)
 
 
 # -- text syntax --------------------------------------------------------------
@@ -391,7 +437,7 @@ def parse_polynomial(
         if m.group("pow"):
             raise ValueError("unexpected exponent operator")
         if m.group("num"):
-            value = Fraction(m.group("num"))
+            value = as_fraction(m.group("num"))
             if pending is None:
                 pending = (sign * value, [0] * variable_count)
                 sign = Fraction(1)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -32,7 +33,13 @@ from .monomials import (
     window_index,
     window_size,
 )
-from .poly import TruncatedPolynomial, as_fraction, format_polynomial, truncated_substitute
+from .poly import (
+    TruncatedPolynomial,
+    _common_denominator,
+    as_fraction,
+    format_polynomial,
+    truncated_substitute,
+)
 from .subspace import (
     Echelon,
     SparseRow,
@@ -73,6 +80,7 @@ class WeilAlgebra:
         bound: int,
         ideal: Subspace,
         generator_rows: list[tuple[Fraction, ...]],
+        left_vars: int | None = None,
     ):
         self.n = n
         self.window_bound = bound
@@ -89,6 +97,12 @@ class WeilAlgebra:
             exps[c] for c in self.basis_columns
         )
         self.dimension = len(self.basis_columns)
+        # A tensor product splits each basis monomial into its two factors.
+        self.basis_pairs: tuple[tuple[Exponent, Exponent], ...] | None = (
+            None
+            if left_vars is None
+            else tuple((e[:left_vars], e[left_vars:]) for e in self.basis_monomials)
+        )
         self._column_of = {c: i for i, c in enumerate(self.basis_columns)}
 
         # Class of each window monomial in quotient coordinates, sparse: a
@@ -122,20 +136,22 @@ class WeilAlgebra:
         self._filtration = filtration
         self.filtration_dimensions = tuple(s.dimension for s in filtration)
 
-        # Sparse multiplication table over the basis monomials.
+        # Sparse multiplication table over the basis monomials, stored once as
+        # integer numerators over one table denominator (1 for every
+        # monomial quotient): [a_a][a_b] = sum_g _mult[a][b][g] / _mult_den.
         idx = window_index(n, bound)
-        table: list[list[tuple[tuple[int, Fraction], ...]]] = []
+        numerators, self._mult_den = _common_denominator([cls.items() for cls in classes])
+        entries = [tuple(row) for row in numerators]
+        table: list[list[tuple[tuple[int, int], ...]]] = []
         for a in self.basis_monomials:
-            row_entries = []
+            row = []
             for b in self.basis_monomials:
-                prod = tuple(x + y for x, y in zip(a, b))
-                if sum(prod) > bound:
-                    row_entries.append(())
-                    continue
-                row_entries.append(tuple(classes[idx[prod]].items()))
-            table.append(row_entries)
+                prod = tuple(map(add, a, b))
+                row.append(entries[idx[prod]] if sum(prod) <= bound else ())
+            table.append(row)
         self._mult = table
         self._derivations: "DerivationSpace | None" = None
+        self._tensors: dict[WeilAlgebra, WeilAlgebra] = {}
 
     # -- identity ------------------------------------------------------------
 
@@ -214,18 +230,19 @@ class WeilAlgebra:
     def mult_coords(
         self, u: Sequence[Fraction], v: Sequence[Fraction]
     ) -> tuple[Fraction, ...]:
-        out = [_ZERO] * self.dimension
+        (us, vs), den = _common_denominator(
+            [[(a, ua) for a, ua in enumerate(u) if ua], [(b, vb) for b, vb in enumerate(v) if vb]]
+        )
+        out = [0] * self.dimension
         mult = self._mult
-        v_nonzero = [(b, vb) for b, vb in enumerate(v) if vb]
-        for a, ua in enumerate(u):
-            if not ua:
-                continue
+        for a, ua in us:
             row = mult[a]
-            for b, vb in v_nonzero:
+            for b, vb in vs:
                 w = ua * vb
                 for g, c in row[b]:
                     out[g] += w * c
-        return tuple(out)
+        scale = den * den * self._mult_den
+        return tuple(Fraction(x, scale) if x else _ZERO for x in out)
 
     def power_coords(self, u: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
         result = self.one().coordinates
@@ -234,28 +251,28 @@ class WeilAlgebra:
             result = self.mult_coords(result, base)
         return result
 
+    def _mult_columns(self, w: Sequence[Fraction]) -> tuple[list[dict[int, int]], int]:
+        """Numerators of the images w * a_b (one dict per b) and their denominator."""
+        (ws,), den = _common_denominator([[(a, wa) for a, wa in enumerate(w) if wa]])
+        columns: list[dict[int, int]] = [{} for _ in range(self.dimension)]
+        for a, wa in ws:
+            for column, entries in zip(columns, self._mult[a]):
+                for g, c in entries:
+                    column[g] = column.get(g, 0) + wa * c
+        return columns, den * self._mult_den
+
     def left_mult_rows(self, w: Sequence[Fraction]) -> list[list[Fraction]]:
         """Matrix of v -> w*v in quotient coordinates."""
-        rows = [[_ZERO] * self.dimension for _ in range(self.dimension)]
-        for a, wa in enumerate(w):
-            if not wa:
-                continue
-            row = self._mult[a]
-            for b in range(self.dimension):
-                for g, c in row[b]:
-                    rows[g][b] += wa * c
-        return rows
+        columns, den = self._mult_columns(w)
+        return [
+            [Fraction(column[g], den) if column.get(g) else _ZERO for column in columns]
+            for g in range(self.dimension)
+        ]
 
     def multiplication_map(self, w: Sequence[Fraction]) -> list[SparseRow]:
         """Sparse images of the basis classes under v -> w*v (saturation table)."""
-        columns: list[SparseRow] = [{} for _ in range(self.dimension)]
-        for a, wa in enumerate(w):
-            if not wa:
-                continue
-            for column, entries in zip(columns, self._mult[a]):
-                for g, c in entries:
-                    column[g] = column.get(g, _ZERO) + wa * c
-        return [{g: v for g, v in column.items() if v} for column in columns]
+        columns, den = self._mult_columns(w)
+        return [{g: Fraction(c, den) for g, c in column.items() if c} for column in columns]
 
     def maximal_power(self, k: int) -> Subspace:
         """m_A^k as a subspace of the quotient coordinate space."""
@@ -273,7 +290,7 @@ class WeilAlgebra:
         for a in range(self.dimension):
             for b in range(self.dimension):
                 for g, c in self._mult[a][b]:
-                    yield (a, b, g, c)
+                    yield (a, b, g, Fraction(c, self._mult_den))
 
     def basis_polynomial(self, index: int) -> TruncatedPolynomial:
         return TruncatedPolynomial.monomial(
@@ -376,7 +393,11 @@ def quotient_algebra(
 
 
 def _rewindow(
-    n: int, bound: int, ideal: Echelon, generator_rows: list[SparseRow]
+    n: int,
+    bound: int,
+    ideal: Echelon,
+    generator_rows: list[SparseRow],
+    left_vars: int | None = None,
 ) -> WeilAlgebra:
     """Detect the order and restate the presentation in the order+1 window."""
     degs = degrees(n, bound)
@@ -409,7 +430,11 @@ def _rewindow(
     gen_rows = [converted for r in generator_rows if (converted := convert(r))]
     gen_rows += top_rows
     return WeilAlgebra(
-        n, new_bound, restated.subspace(), [tuple(dense(r, new_size)) for r in gen_rows]
+        n,
+        new_bound,
+        restated.subspace(),
+        [tuple(dense(r, new_size)) for r in gen_rows],
+        left_vars,
     )
 
 
@@ -443,28 +468,24 @@ def is_free_truncated(algebra: WeilAlgebra) -> bool:
 
 
 def tensor_product(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
-    """Quotient on disjoint variables whose ideal joins both defining ideals."""
+    """Quotient on disjoint variables whose ideal joins both defining ideals.
+
+    Memoized on the left factor (the values are immutable).
+    """
+    result = a._tensors.get(b)
+    if result is not None:
+        return result
     n = a.n + b.n
     bound = a.order + b.order + 1
-    gens: list[TruncatedPolynomial] = []
-    for row in a.defining_ideal.basis:
-        f = TruncatedPolynomial.from_vector(a.n, a.window_bound, row)
-        gens.append(
-            TruncatedPolynomial(
-                n, bound, {exp + (0,) * b.n: c for exp, c in f.coefficients.items()}
-            )
-        )
-    for row in b.defining_ideal.basis:
-        f = TruncatedPolynomial.from_vector(b.n, b.window_bound, row)
-        gens.append(
-            TruncatedPolynomial(
-                n, bound, {(0,) * a.n + exp: c for exp, c in f.coefficients.items()}
-            )
-        )
-    result = quotient_algebra(n, bound, gens)
-    result.basis_pairs = tuple(
-        (exp[: a.n], exp[a.n :]) for exp in result.basis_monomials
-    )
+    idx = window_index(n, bound)
+    rows: list[SparseRow] = []
+    for factor, before, after in ((a, (), (0,) * b.n), (b, (0,) * a.n, ())):
+        exps = window(factor.n, factor.window_bound)
+        for row in factor.defining_ideal.rows.values():
+            rows.append({idx[before + exps[c] + after]: v for c, v in row.items()})
+    ideal = Echelon(window_size(n, bound))
+    ideal.saturate(rows, _variable_shifts(n, bound))
+    result = a._tensors[b] = _rewindow(n, bound, ideal, rows, a.n)
     return result
 
 

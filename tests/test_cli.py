@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from weiljets.errors import SessionParseError, UnknownNameError
+from weiljets.poly import as_fraction, parse_polynomial
 from weiljets.session import execute, parse_session, render
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,6 +173,45 @@ class TestExecute:
         assert report.results[0]["result"]["oracle_agrees"] is True
 
 
+class TestZeroDenominator:
+    def test_kernel_parsers_raise_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_fraction("1/0")
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_polynomial("x + 1/0 y", 2)
+
+    @pytest.mark.parametrize(
+        "binding",
+        [
+            {"apoint": "P", "algebra": "A", "images": [["1/0", "1"]]},
+            {"algebra": "B", "vars": 1, "relations": ["1/0 x^2"]},
+            {"jet": "p", "vars": 1, "point": ["1/0"], "generators": ["x^2"], "order_hint": 1},
+        ],
+    )
+    def test_bind_time_is_a_parse_error(self, binding):
+        text = json.dumps({"bind": [{"algebra": "A", "vars": 1, "relations": ["x^2"]}, binding]})
+        with pytest.raises(SessionParseError, match="zero denominator"):
+            parse_session(text)
+
+    def test_run_time_is_a_per_command_error(self):
+        text = json.dumps(
+            {
+                "bind": [
+                    {"algebra": "A", "vars": 1, "relations": ["x^2"]},
+                    {"apoint": "P", "algebra": "A", "images": [["3", "1"]]},
+                ],
+                "run": [
+                    {"op": "evaluate", "of": "P", "poly": "1/0 x^2"},
+                    {"op": "evaluate", "of": "P", "poly": "x^2"},
+                ],
+            }
+        )
+        report = execute(parse_session(text))
+        assert report.exit_status == 1
+        assert [r["ok"] for r in report.results] == [False, True]
+        assert report.results[0]["error"]["kind"] == "SessionParseError"
+
+
 class TestDeterminismAndGoldens:
     @pytest.mark.parametrize("path", SESSIONS, ids=lambda p: p.stem)
     def test_byte_identical_across_runs(self, path):
@@ -213,6 +253,30 @@ class TestCommandLine:
         result = self._run("run", str(bad))
         assert result.returncode == 2
         assert "session error" in result.stderr
+
+    def test_zero_denominator_exit_codes(self, tmp_path):
+        algebra = {"algebra": "A", "vars": 1, "relations": ["x^2"]}
+        at_bind = tmp_path / "bind.json"
+        at_bind.write_text(
+            json.dumps({"bind": [algebra, {"apoint": "P", "algebra": "A", "images": [["1/0", "1"]]}]})
+        )
+        result = self._run("run", str(at_bind))
+        assert result.returncode == 2
+        assert "zero denominator" in result.stderr and "Traceback" not in result.stderr
+        at_run = tmp_path / "run.json"
+        at_run.write_text(
+            json.dumps(
+                {
+                    "bind": [algebra, {"apoint": "P", "algebra": "A", "images": [["3", "1"]]}],
+                    "run": [{"op": "evaluate", "of": "P", "poly": "1/0 x"}],
+                }
+            )
+        )
+        result = self._run("run", str(at_run))
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        error = json.loads(result.stdout)["results"][0]["error"]
+        assert error["kind"] == "SessionParseError"
 
     def test_algebra_shortcut(self):
         result = self._run("algebra", "--vars", "1", "--relations", "x^2")

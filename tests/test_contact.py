@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from weiljets import jets
+from weiljets.errors import InternalCheckError
 from weiljets.jets import (
     cartan_generation_oracle,
     classical_jet,
@@ -103,6 +105,38 @@ class TestContactSystem:
     @pytest.mark.parametrize("index", range(8))
     def test_kernel_of_projection_inside_cartan(self, index):
         assert contact_and_cartan(sample_jets()[index]).kernel_inside_cartan
+
+
+class TestContactCache:
+    def test_contact_data_is_cached_on_the_jet(self):
+        p = jet_from_ideal(2, [0, 0], [P("y - x^2", 2)], 2)
+        assert contact_and_cartan(p) is contact_and_cartan(p)
+        # An equal but distinct jet has its own cache.
+        q = jet_from_ideal(2, [0, 0], [P("y - x^2", 2)], 2)
+        assert q == p and contact_and_cartan(q) is not contact_and_cartan(p)
+
+    def test_taylor_reuses_the_contact_data(self, monkeypatch):
+        p = jet_from_ideal(2, [0, 0], [P("y - x^3", 2)], 3)
+        first = contact_and_cartan(p)
+        built = []
+        original = jets._cartan_by_generation
+        monkeypatch.setattr(
+            jets, "_cartan_by_generation", lambda q, d: built.append(q) or original(q, d)
+        )
+        taylor_map(p)
+        assert contact_and_cartan(p) is first
+        assert all(q is not p for q in built)
+
+    def test_check_on_classes_still_fires(self, monkeypatch):
+        p = jet_from_ideal(2, [0, 0], [P("y - x^2", 2)], 2)
+        original = jets._differential_columns
+
+        def shifted(jet, quotient_columns, f):
+            return [{**col, 0: col.get(0, 0) + 1} for col in original(jet, quotient_columns, f)]
+
+        monkeypatch.setattr(jets, "_differential_columns", shifted)
+        with pytest.raises(InternalCheckError, match="not constant on classes"):
+            contact_and_cartan(p)
 
 
 class TestFieldsProject:

@@ -141,6 +141,28 @@ class TestTensorProduct:
                 assert hasattr(t, "basis_pairs")
 
 
+    def test_tensor_product_is_memoized_on_the_left_factor(self):
+        dual = free_truncated_algebra(1, 1)
+        squares = quotient_algebra(2, 3, [P("x^2", 2, 3), P("y^2", 2, 3)])
+        t = tensor_product(dual, squares)
+        assert tensor_product(dual, squares) is t
+        # Equal right factors share the entry; other pairs get their own.
+        again = quotient_algebra(2, 3, [P("x^2", 2, 3), P("y^2", 2, 3)])
+        assert again is not squares and tensor_product(dual, again) is t
+        assert tensor_product(squares, dual) is not t
+        assert tensor_product(dual, dual) is not t
+
+    def test_basis_pairs_are_set_at_construction(self):
+        a = quotient_algebra(1, 3, [P("x^3", 1, 3)])
+        b = free_truncated_algebra(1, 1)
+        t = tensor_product(a, b)
+        assert t.basis_pairs == tuple((e[:1], e[1:]) for e in t.basis_monomials)
+        assert sorted(t.basis_pairs) == sorted(
+            (ea, eb) for ea in a.basis_monomials for eb in b.basis_monomials
+        )
+        assert a.basis_pairs is None
+
+
 class TestDerivations:
     def test_reals_have_no_derivations(self):
         assert derivation_space(quotient_algebra(1, 0, [])).dimension == 0
