@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Callable, Sequence
 
 from .errors import (
@@ -92,6 +93,7 @@ class Jet:
         self._fields: Subspace | None = None
         self._tangent: "TangentModule | None" = None
         self._contact: "ContactData | None" = None
+        self._hat: "Jet | None" = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -273,8 +275,12 @@ def hat_ideal(p: Jet) -> Jet:
     """{f in p : every first partial of f stays in p}, as a jet.
 
     Computed one window above the jet's own so the raised order is visible;
-    the inclusions p^2 <= hat(p) <= p are verified before returning.
+    the inclusions p^2 <= hat(p) <= p are verified before returning.  The
+    products of pairs of minimal generators of p generate p^2, so those pairs
+    are the ones checked.  The result is cached on the jet.
     """
+    if p._hat is not None:
+        return p._hat
     n, ell = p.n, p.order
     bound = ell + 2
     exps = window(n, bound)
@@ -301,7 +307,7 @@ def hat_ideal(p: Jet) -> Jet:
         raise InternalCheckError("hat ideal escaped the jet")
     gen_polys = [
         TruncatedPolynomial.from_vector(p.n, p.window_bound, g)
-        for g in p.quotient.ideal_generators
+        for g in p.quotient.minimal_generators
     ]
     for a in range(len(gen_polys)):
         for b in range(a, len(gen_polys)):
@@ -310,7 +316,8 @@ def hat_ideal(p: Jet) -> Jet:
                 raise InternalCheckError("p^2 is not inside the hat ideal")
 
     gens = [TruncatedPolynomial.from_vector(n, bound, r) for r in hat.basis]
-    return _jet_from_origin(n, p.base_point, tuple(gens), ell + 1)
+    p._hat = _jet_from_origin(n, p.base_point, tuple(gens), ell + 1)
+    return p._hat
 
 
 @dataclass(frozen=True)
@@ -405,36 +412,55 @@ def tangent_module(p: Jet) -> TangentModule:
     return module
 
 
+def _field_columns(
+    g: TruncatedPolynomial, coeff_bound: int, target_bound: int
+) -> dict[int, SparseRow]:
+    """Column i*w + c of the linear map (field coefficients) -> D(g), sparse.
+
+    A field has n coefficients of degree <= coeff_bound, laid out over the
+    window (w unknowns each); column (i, c) is x^c * dg/dx_i truncated to the
+    target window.  Zero columns are left out.
+    """
+    n = g.variable_count
+    coeff_exps = window(n, coeff_bound)
+    w = len(coeff_exps)
+    tgt_idx = window_index(n, target_bound)
+    cols: dict[int, SparseRow] = {}
+    for i in range(n):
+        dg = g.derivative(i).coefficients
+        for c, cexp in enumerate(coeff_exps):
+            vec: SparseRow = {}
+            for exp, v in dg.items():
+                tot = tuple(map(add, exp, cexp))
+                if sum(tot) <= target_bound:
+                    vec[tgt_idx[tot]] = v
+            if vec:
+                cols[i * w + c] = vec
+    return cols
+
+
 def jet_fields(p: Jet) -> Subspace:
-    """Fields (window-order polynomial coefficients) mapping the ideal into itself."""
+    """Fields (window-order polynomial coefficients) mapping the ideal into itself.
+
+    A field D is a derivation, so D(gf) = D(g)f + gD(f): it maps the ideal
+    into itself once it maps each of a set of generators there, and the
+    constraints come from the minimal generators only.  Truncation is
+    harmless: the ideal contains every monomial of the window's top degree,
+    so D of anything past the window lands in it.
+    """
     if p._fields is not None:
         return p._fields
     n, ell = p.n, p.order
-    w = window_size(n, ell)
-    unknowns = n * w
-    coeff_exps = window(n, ell)
     target_bound = p.window_bound
     memb = p.ideal.echelon().kernel_rows()
-    tgt_idx = window_index(n, target_bound)
 
-    constraints = Echelon(unknowns)
-    for gen in p.quotient.ideal_generators:
+    constraints = Echelon(n * window_size(n, ell))
+    for gen in p.quotient.minimal_generators:
         g = TruncatedPolynomial.from_vector(n, target_bound, gen)
-        derivs = [g.derivative(i) for i in range(n)]
-        # Column (i, c): sparse coefficient vector of x^c * dg/dx_i, truncated.
-        cols: list[tuple[int, SparseRow]] = []
-        for i in range(n):
-            for c, cexp in enumerate(coeff_exps):
-                vec: SparseRow = {}
-                for exp, v in derivs[i].coefficients.items():
-                    tot = tuple(a + b for a, b in zip(exp, cexp))
-                    if sum(tot) <= target_bound:
-                        vec[tgt_idx[tot]] = v
-                if vec:
-                    cols.append((i * w + c, vec))
+        cols = _field_columns(g, ell, target_bound)
         for r in memb:
             row: SparseRow = {}
-            for col, vec in cols:
+            for col, vec in cols.items():
                 s = _ZERO
                 for t, b in vec.items():
                     a = r.get(t)
@@ -1013,27 +1039,24 @@ def taylor_map(p: Jet, contact: ContactData | None = None) -> TaylorData:
 
 
 def _assert_fields_project(p: Jet, derived: Jet) -> None:
-    """Every field tangent to p maps the derived ideal into itself."""
-    fields = jet_fields(p)
-    n, ell = p.n, p.order
-    w = window_size(n, ell)
+    """Every field tangent to p maps the derived ideal into itself.
+
+    D(gf) = D(g)f + gD(f), so it is enough that each field maps each minimal
+    generator of the derived ideal into it; the derived ideal contains every
+    monomial of its window's top degree, so truncating D(g) there is harmless.
+    """
+    fields = jet_fields(p).rows.values()
     bound = derived.window_bound
-    prime_polys = [
-        TruncatedPolynomial.from_vector(n, bound, r) for r in derived.ideal.basis
-    ]
-    for coeffs in fields.basis:
-        comp = [
-            TruncatedPolynomial.from_vector(n, ell, coeffs[i * w : (i + 1) * w])
-            for i in range(n)
-        ]
-        for f in prime_polys:
-            total = TruncatedPolynomial.zero(n, bound)
-            for i in range(n):
-                df = f.derivative(i)
-                if df.is_zero() or comp[i].is_zero():
-                    continue
-                total = total + truncated_product(comp[i], df, bound)
-            if not total.is_zero() and not derived.ideal.contains_vector(total.to_sparse(bound)):
+    for gen in derived.quotient.minimal_generators:
+        g = TruncatedPolynomial.from_vector(p.n, bound, gen)
+        cols = _field_columns(g, p.order, bound)
+        for coeffs in fields:
+            image: SparseRow = {}
+            for col, a in coeffs.items():
+                vec = cols.get(col)
+                if vec is not None:
+                    _add_multiple(image, a, vec)
+            if image and not derived.ideal.contains_vector(image):
                 raise InternalCheckError(
                     "a field tangent to the jet is not tangent to its derived jet"
                 )

@@ -21,7 +21,7 @@ from operator import add, itemgetter
 from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import DimensionMismatchError
-from .monomials import Exponent, _power_products, monomial_sort_key, window, window_index
+from .monomials import Exponent, _power_products, window, window_index
 
 Scalar = Fraction | int
 _K = TypeVar("_K", bound=Hashable)
@@ -154,8 +154,16 @@ class TruncatedPolynomial:
         return self.coefficients.get((0,) * self.variable_count, _ZERO)
 
     def terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in the canonical layout order."""
-        return sorted(self.coefficients.items(), key=lambda t: monomial_sort_key(t[0]))
+        """Terms in the canonical layout order.
+
+        The layout sorts by degree, then by exponent descending; two stable
+        sorts with builtin keys give that order without a key tuple per term
+        and without allocating the window of the polynomial's degree.
+        """
+        coefficients = self.coefficients
+        exps = sorted(coefficients, reverse=True)
+        exps.sort(key=sum)
+        return [(e, coefficients[e]) for e in exps]
 
     def coefficient(self, exponent: Exponent) -> Fraction:
         return self.coefficients.get(tuple(exponent), _ZERO)

@@ -178,9 +178,8 @@ def _bind(session: Session, entry: dict) -> None:
         graph = entry.get("graph")
         if graph is not None:
             _require(isinstance(graph, dict), "'graph' must map variable indices to polynomials")
-            mapping = {
-                int(k): _parse_poly(v, n) for k, v in graph.items()
-            }
+            mapping = {_graph_index(k, n): _parse_poly(v, n) for k, v in graph.items()}
+            _require(len(mapping) == len(graph), "'graph' names a variable index twice")
             session.jets[name] = classical_jet(n, point, mapping, hint)
         else:
             session.jets[name] = jet_from_ideal(
@@ -206,6 +205,15 @@ def _bind(session: Session, entry: dict) -> None:
             session.groups[name] = group_law(n, law, identity, inverse)
         except (ValueError, WeilJetsError) as exc:
             raise SessionParseError(f"invalid group law {name!r}: {exc}")
+
+
+def _graph_index(key: str, n: int) -> int:
+    """A graph key: the decimal index of a dependent variable, 0 <= index < n."""
+    _require(
+        key.isdecimal() and int(key) < n,
+        f"graph key {key!r} is not a variable index from 0 to {n - 1}",
+    )
+    return int(key)
 
 
 def _parse_poly(text, n: int) -> TruncatedPolynomial:

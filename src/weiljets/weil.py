@@ -292,6 +292,23 @@ class WeilAlgebra:
                 for g, c in self._mult[a][b]:
                     yield (a, b, g, Fraction(c, self._mult_den))
 
+    @cached_property
+    def minimal_generators(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows of ``ideal_generators`` independent modulo m*I.
+
+        They generate I, minimally, by Nakayama's lemma (Atiyah-Macdonald,
+        Prop. 2.8): the generators span I modulo m*I, and m is nilpotent on
+        the window.  One echelon takes the variable shifts of I's rows (which
+        span m*I in the window) and keeps each generator that raises its rank.
+        """
+        span = Echelon(self.window_dimension)
+        for table in shift_tables(self.n, self.window_bound):
+            for row in self.defining_ideal.rows.values():
+                span.insert({table[c]: v for c, v in row.items() if table[c] is not None})
+        return tuple(
+            g for g in self.ideal_generators if span.insert(sparse(g, self.window_dimension))
+        )
+
     def basis_polynomial(self, index: int) -> TruncatedPolynomial:
         return TruncatedPolynomial.monomial(
             self.n, self.window_bound, self.basis_monomials[index]

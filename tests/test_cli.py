@@ -212,6 +212,30 @@ class TestZeroDenominator:
         assert report.results[0]["error"]["kind"] == "SessionParseError"
 
 
+def _graph_session(graph: dict) -> str:
+    bind = {"jet": "p", "vars": 2, "order_hint": 2, "graph": graph}
+    return json.dumps({"bind": [bind], "run": [{"op": "info", "of": "p"}]})
+
+
+class TestGraphKeys:
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ({"y": "x^2"}, "graph key 'y'"),
+            ({"5": "x^2"}, "graph key '5'"),
+            ({"-1": "x^2"}, "graph key '-1'"),
+            ({"1": "x^2", "01": "x^3"}, "twice"),
+        ],
+    )
+    def test_bad_key_is_a_parse_error(self, graph, message):
+        with pytest.raises(SessionParseError, match=message):
+            parse_session(_graph_session(graph))
+
+    def test_index_key_binds_the_graph(self):
+        jet = parse_session(_graph_session({"1": "x^2"})).jets["p"]
+        assert jet.classical and (jet.order, jet.width) == (2, 1)
+
+
 class TestDeterminismAndGoldens:
     @pytest.mark.parametrize("path", SESSIONS, ids=lambda p: p.stem)
     def test_byte_identical_across_runs(self, path):
@@ -277,6 +301,27 @@ class TestCommandLine:
         assert "Traceback" not in result.stderr
         error = json.loads(result.stdout)["results"][0]["error"]
         assert error["kind"] == "SessionParseError"
+
+    @pytest.mark.parametrize("key", ["y", "5"])
+    def test_bad_graph_key_exit_code(self, tmp_path, key):
+        path = tmp_path / "graph.json"
+        path.write_text(_graph_session({key: "x^2"}))
+        result = self._run("run", str(path))
+        assert result.returncode == 2
+        assert f"graph key {key!r}" in result.stderr and "Traceback" not in result.stderr
+
+    def test_module_entry_point(self):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", module, "run", str(ROOT / "sessions" / name)],
+                capture_output=True,
+                text=True,
+            )
+            for module in ("weiljets", "weiljets.cli")
+            for name in ("algebra_dual.json", "command_error.json")
+        ]
+        assert [r.returncode for r in runs] == [0, 1, 0, 1]
+        assert runs[0].stdout == runs[2].stdout and runs[1].stdout == runs[3].stdout
 
     def test_algebra_shortcut(self):
         result = self._run("algebra", "--vars", "1", "--relations", "x^2")

@@ -1,0 +1,314 @@
+"""Oracles for the minimal ideal generators and the jet checks built on them.
+
+Every expected value here is computed in this file, with dense ``Fraction``
+elimination over a window layout rebuilt from ``itertools``: the saturation
+of the minimal generators, dim I - dim m*I, the field space of a jet taken
+over the full vector basis of its ideal, and the order of polynomial terms.
+The tests also make each reworked self-check fire on a perturbed input, and
+pin the memo of the hat ideal.
+"""
+
+from fractions import Fraction
+from itertools import product
+from operator import add
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from weiljets.errors import InternalCheckError
+from weiljets.jets import (
+    _assert_fields_project,
+    cotangent_module,
+    derived_jet,
+    hat_ideal,
+    jet_fields,
+    jet_from_ideal,
+    taylor_map,
+)
+from weiljets.poly import TruncatedPolynomial
+from weiljets.subspace import canonical_basis
+from weiljets.weil import free_truncated_algebra, quotient_algebra
+
+from conftest import P
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+# (vars, generators, order): the jets of the benchmark's ladder.
+LADDER = (
+    (2, ["y - x^2"], 3),
+    (2, ["y - x^3"], 4),
+    (3, ["z - x^2 - y^2"], 3),
+    (3, ["z - x y"], 4),
+    (4, ["x4 - x1 x2", "x3 - x1^2"], 3),
+    (3, ["y^2 - x^3", "z"], 3),
+)
+
+
+def layout(n, bound):
+    """Exponents of degree <= bound: by degree, then exponent descending."""
+    exps = [e for e in product(range(bound + 1), repeat=n) if sum(e) <= bound]
+    return sorted(exps, key=lambda e: (sum(e), [-k for k in e]))
+
+
+def rref(vectors):
+    """Reduced row-echelon rows (pivot entry 1) of the span of dense vectors.
+
+    Rows are kept as {column: entry} dicts of their nonzeros, for speed.
+    """
+    rows = {}
+    for v in vectors:
+        v = {k: Fraction(x) for k, x in enumerate(v) if x}
+        for pivot in [k for k in v if k in rows]:
+            c = v.get(pivot)
+            if c:
+                for k, b in rows[pivot].items():
+                    v[k] = v.get(k, 0) - c * b
+        v = {k: x for k, x in v.items() if x}
+        if not v:
+            continue
+        lead = min(v)
+        v = {k: x / v[lead] for k, x in v.items()}
+        for p, r in rows.items():
+            c = r.get(lead)
+            if c:
+                for k, b in v.items():
+                    r[k] = r.get(k, 0) - c * b
+                rows[p] = {k: x for k, x in r.items() if x}
+        rows[lead] = v
+    return rows
+
+
+def rank(vectors):
+    return len(rref(vectors))
+
+
+def same_span(a, b):
+    return rank(a) == rank(b) == rank(list(a) + list(b))
+
+
+def nullspace(rows, width):
+    """Basis of {x : r . x = 0 for every row r}."""
+    reduced = rref(rows)
+    basis = []
+    for free in range(width):
+        if free in reduced:
+            continue
+        x = [Fraction(0)] * width
+        x[free] = Fraction(1)
+        for p, r in reduced.items():
+            x[p] = -r.get(free, 0)
+        basis.append(x)
+    return basis
+
+
+def multiply(vector, exps, idx, shift, bound):
+    """Dense vector * x^shift, truncated at the bound."""
+    out = [Fraction(0)] * len(exps)
+    for c, v in enumerate(vector):
+        if v:
+            e = tuple(map(add, exps[c], shift))
+            if sum(e) <= bound:
+                out[idx[e]] += v
+    return out
+
+
+def units(n):
+    return [tuple(int(k == i) for k in range(n)) for i in range(n)]
+
+
+def check_minimal_generators(algebra):
+    n, bound = algebra.n, algebra.window_bound
+    exps = layout(n, bound)
+    idx = {e: i for i, e in enumerate(exps)}
+    ideal = [list(r) for r in algebra.defining_ideal.basis]
+    gens = algebra.minimal_generators
+    assert set(gens) <= set(algebra.ideal_generators)
+    multiples = [multiply(g, exps, idx, a, bound) for g in gens for a in exps]
+    assert same_span(multiples, ideal)
+    m_ideal = [multiply(r, exps, idx, u, bound) for r in ideal for u in units(n)]
+    assert len(gens) == len(ideal) - rank(m_ideal)
+
+
+@st.composite
+def algebras(draw):
+    """R_m^l, or a monomial or binomial quotient of it, for m, l <= 3."""
+    m = draw(st.integers(1, 3))
+    ell = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["free", "monomial", "binomial"]))
+    exps = layout(m, ell)[1:]
+    if kind == "free" or not exps:
+        return free_truncated_algebra(m, ell)
+    if kind == "binomial" and len(exps) > 1:
+        left, right = draw(st.lists(st.sampled_from(exps), min_size=2, max_size=2, unique=True))
+        c = draw(rationals.filter(bool))
+        gens = [
+            TruncatedPolynomial.monomial(m, ell, left)
+            - TruncatedPolynomial.monomial(m, ell, right, c)
+        ]
+    else:
+        chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=3, unique=True))
+        gens = [TruncatedPolynomial.monomial(m, ell, e) for e in chosen]
+    return quotient_algebra(m, ell, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras())
+@example(quotient_algebra(2, 3, [P("x^2 - 2/3 y^2", 2), P("x y", 2), P("x^3", 2)]))
+def test_minimal_generators_oracle(algebra):
+    check_minimal_generators(algebra)
+
+
+def ladder_jet(n, gens, order):
+    return jet_from_ideal(n, [0] * n, [P(g, n) for g in gens], order)
+
+
+@pytest.mark.parametrize("n, gens, order", LADDER)
+def test_minimal_generators_of_derived_quotients(n, gens, order):
+    p = ladder_jet(n, gens, order)
+    derived = derived_jet(p).quotient
+    check_minimal_generators(derived)
+    # The derived quotients carry redundant generators; the check drops some.
+    assert len(derived.minimal_generators) <= len(derived.ideal_generators)
+
+
+def test_minimal_generators_drop_redundant_rows():
+    # (x, x^2, x y) + m^3 in two variables is (x, y^3): x generates x^2, x y
+    # and every top monomial but y^3.
+    algebra = quotient_algebra(2, 2, [P("x", 2), P("x^2", 2), P("x y", 2)])
+    exps = layout(2, algebra.window_bound)
+    kept = [{exps[c] for c, v in enumerate(g) if v} for g in algebra.minimal_generators]
+    assert kept == [{(1, 0)}, {(0, 3)}]
+
+
+@pytest.mark.parametrize("n, gens, order", LADDER)
+def test_jet_fields_match_full_basis_route(n, gens, order):
+    p = ladder_jet(n, gens, order)
+    ell, bound = p.order, p.window_bound
+    coeff_exps = layout(n, ell)
+    exps = layout(n, bound)
+    idx = {e: i for i, e in enumerate(exps)}
+    ideal = [list(r) for r in p.ideal.basis]
+    annihilator = [
+        [(k, x) for k, x in enumerate(lam) if x] for lam in nullspace(ideal, len(exps))
+    ]
+    constraints = []
+    for f in ideal:
+        # Column (i, c) of field -> D(f): x^c * df/dx_i, truncated.
+        columns = []
+        for i in range(n):
+            df = [Fraction(0)] * len(exps)
+            for c, v in enumerate(f):
+                e = exps[c]
+                if v and e[i]:
+                    lowered = tuple(k - (j == i) for j, k in enumerate(e))
+                    df[idx[lowered]] += e[i] * v
+            columns += [multiply(df, exps, idx, a, bound) for a in coeff_exps]
+        for lam in annihilator:
+            constraints.append([sum(x * col[k] for k, x in lam) for col in columns])
+    expected = nullspace(constraints, n * len(coeff_exps))
+    assert same_span(expected, jet_fields(p).basis)
+
+
+class TestChecksFire:
+    def parabola(self):
+        return ladder_jet(2, ["y - x^2"], 3)
+
+    def test_fields_project_on_the_true_derived_jet(self):
+        p = self.parabola()
+        _assert_fields_project(p, derived_jet(p))
+
+    def test_fields_project_fires_on_a_perturbed_derived_jet(self):
+        # x d/dx + 2x^2 d/dy is a field of the jet (it kills y - x^2); it takes
+        # y - 2x^2 to -2x^2, which is not in (y - 2x^2) + m^3.
+        p = self.parabola()
+        perturbed = jet_from_ideal(2, [0, 0], [P("y - 2 x^2", 2)], 2)
+        with pytest.raises(InternalCheckError, match="not tangent to its derived jet"):
+            _assert_fields_project(p, perturbed)
+
+    def with_fields(self, p, *fields):
+        """p with its field space replaced by the span of {unknown: value} dicts."""
+        width = 2 * len(layout(2, p.order))
+        rows = []
+        for field in fields:
+            row = [Fraction(0)] * width
+            for k, v in field.items():
+                row[k] = Fraction(v)
+            rows.append(row)
+        p._fields = canonical_basis(rows, width)
+        return p
+
+    def test_fields_project_fires_on_a_perturbed_field(self):
+        # d/dx alone takes y - x^2 to -2x, outside the derived jet (y - x^2) + m^3.
+        p = self.with_fields(self.parabola(), {0: 1})
+        with pytest.raises(InternalCheckError, match="not tangent to its derived jet"):
+            _assert_fields_project(p, derived_jet(p))
+
+    def test_fields_project_checks_every_minimal_generator(self):
+        # The derived jet's minimal generators are y - x^2 and x^3.  The
+        # unknown i*w + c is the coefficient of x^c in the i-th component, so
+        # {0: 1, w + 1: 2} is d/dx + 2x d/dy: it kills y - x^2 and takes x^3 to
+        # 3x^2, which is outside the derived jet.
+        p = self.parabola()
+        derived = derived_jet(p)
+        exps = layout(2, derived.window_bound)
+        kept = [
+            {exps[c]: v for c, v in enumerate(g) if v} for g in derived.quotient.minimal_generators
+        ]
+        assert kept == [{(0, 1): 1, (2, 0): -1}, {(3, 0): 1}]
+        w = len(layout(2, p.order))
+        p = self.with_fields(p, {0: 1, w + 1: 2})
+        with pytest.raises(InternalCheckError, match="not tangent to its derived jet"):
+            _assert_fields_project(p, derived)
+
+    @pytest.mark.parametrize(
+        "extra, keep",
+        [
+            # x is not in p: x * x = x^2 is not in p, let alone in hat(p).
+            ((1, 0), True),
+            # Only the square of a lone generator x can catch it.
+            ((1, 0), False),
+            # x^3 is not in p either; its square vanishes in the window, but
+            # d/dy of x^3 * (y - x^2) is x^3 again, so that product is not in hat(p).
+            ((3, 0), True),
+        ],
+    )
+    def test_hat_square_check_fires_on_a_perturbed_generator(self, extra, keep):
+        p = self.parabola()
+        exps = layout(2, p.window_bound)
+        g = [Fraction(0)] * len(exps)
+        g[exps.index(extra)] = Fraction(1)
+        kept = p.quotient.minimal_generators if keep else ()
+        p.quotient.minimal_generators = kept + (tuple(g),)
+        with pytest.raises(InternalCheckError, match="p\\^2 is not inside the hat ideal"):
+            hat_ideal(p)
+
+    def test_hat_square_check_passes_unperturbed(self):
+        p = self.parabola()
+        hat = hat_ideal(p)
+        assert p.contains_jet(hat)
+
+
+def test_hat_ideal_is_memoized_on_the_jet():
+    p = ladder_jet(3, ["z - x y"], 3)
+    hat = hat_ideal(p)
+    assert hat_ideal(p) is hat
+    assert cotangent_module(p).hat is hat
+    derived = derived_jet(p)
+    taylor_map(p)
+    assert derived._hat is hat_ideal(derived)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * n), rationals.filter(bool), max_size=12
+        ).map(lambda terms: (n, terms))
+    )
+)
+def test_terms_follow_the_layout(case):
+    n, terms = case
+    f = TruncatedPolynomial(n, 4 * n, terms)
+    expected = sorted(terms.items(), key=lambda t: (sum(t[0]), [-k for k in t[0]]))
+    assert f.terms() == expected
