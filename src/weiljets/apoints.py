@@ -27,7 +27,7 @@ from .poly import (
     truncated_substitute,
     variable_names,
 )
-from .subspace import canonical_basis, invert_matrix, mat_vec
+from .subspace import invert_matrix, mat_vec
 from .weil import AlgebraElement, WeilAlgebra, tensor_product
 
 _ZERO = Fraction(0)
@@ -106,11 +106,7 @@ def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
 def regularity_and_kernel(point: APoint) -> tuple[bool, Jet]:
     """Surjectivity of the evaluation plus its kernel jet at the base point."""
     algebra = point.algebra
-    d = algebra.dimension
-    vecs = list(algebra.maximal_power(2).basis)
-    vecs += [img.nilpotent_part().coordinates for img in point.images]
-    regular = canonical_basis(vecs, d) == algebra.maximal_ideal
-
+    regular = algebra.generated_by([img.coordinates for img in point.images])
     return regular, _kernel_jet(
         algebra, point.base_point, point.ambient_dimension, _nilpotent_products(point)
     )

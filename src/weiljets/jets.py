@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ClassicalityError,
@@ -48,7 +48,7 @@ from .subspace import (
     SparseRow,
     Subspace,
     _add_multiple,
-    canonical_basis,
+    apply_columns,
     mat_vec,
     nullspace,
     preimage,
@@ -60,6 +60,7 @@ from .weil import (
     WeilAlgebra,
     _identity_substitution,
     _inverse_substitution,
+    _rewindow,
     _variable_shifts,
     derivation_space,
     quotient_algebra,
@@ -72,13 +73,7 @@ _ONE = Fraction(1)
 class Jet:
     """An ideal of the local model at a point, in canonical form."""
 
-    def __init__(
-        self,
-        quotient: WeilAlgebra,
-        base_point: tuple[Fraction, ...],
-        generators: tuple[TruncatedPolynomial, ...],
-        classical: bool = False,
-    ):
+    def __init__(self, quotient: WeilAlgebra, base_point: tuple[Fraction, ...]):
         self.quotient = quotient
         self.n = quotient.n
         self.base_point = base_point
@@ -86,8 +81,7 @@ class Jet:
         self.width = quotient.width
         self.window_bound = quotient.window_bound
         self.ideal = quotient.defining_ideal
-        self.generators = generators
-        self.classical = classical
+        self.classical = False  # set by classical_jet
         self._normal_form: "NormalForm | None" = None
         self._derived: "Jet | None" = None
         self._fields: Subspace | None = None
@@ -105,7 +99,7 @@ class Jet:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.base_point, self.window_bound, self.ideal.basis))
+        return hash((self.n, self.base_point, self.window_bound, self.ideal))
 
     def __repr__(self) -> str:
         return (
@@ -148,18 +142,9 @@ class Jet:
     def ideal_polynomials(self) -> list[TruncatedPolynomial]:
         """Canonical basis of the ideal as polynomials (origin coordinates)."""
         return [
-            TruncatedPolynomial.from_vector(self.n, self.window_bound, r)
-            for r in self.ideal.basis
+            TruncatedPolynomial.from_sparse(self.n, self.window_bound, r)
+            for r in self.ideal.rows.values()
         ]
-
-    def classical_invariants_match(self) -> bool:
-        """Whether (dimension, order, width) agree with the graph model."""
-        model = free_model(self.width, self.order)
-        return (
-            self.quotient.dimension == model.dimension
-            and self.order == model.order
-            and self.width == model.width
-        )
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +159,6 @@ def _jet_from_origin(
     generators: Sequence[TruncatedPolynomial],
     order_hint: int,
     strict_hint: bool = False,
-    classical: bool = False,
 ) -> Jet:
     if order_hint < 0:
         raise HintTooSmallError("the order hint must be non-negative")
@@ -184,7 +168,13 @@ def _jet_from_origin(
             f"detected order {algebra.order} reached the hint; the truncation "
             "may be cutting the ideal, retry with a larger hint"
         )
-    return Jet(algebra, base_point, tuple(generators), classical)
+    return Jet(algebra, base_point)
+
+
+def _window_jet(n: int, bound: int, ideal: Subspace, base_point: tuple[Fraction, ...]) -> Jet:
+    """The jet of a subspace that is already an ideal of the window: its rows
+    generate it, and need no saturation."""
+    return Jet(_rewindow(n, bound, ideal.echelon(), list(ideal.rows.values())), base_point)
 
 
 def jet_from_ideal(
@@ -315,8 +305,7 @@ def hat_ideal(p: Jet) -> Jet:
             if not hat.contains_vector(prod.to_sparse(bound)):
                 raise InternalCheckError("p^2 is not inside the hat ideal")
 
-    gens = [TruncatedPolynomial.from_vector(n, bound, r) for r in hat.basis]
-    p._hat = _jet_from_origin(n, p.base_point, tuple(gens), ell + 1)
+    p._hat = _window_jet(n, bound, hat, p.base_point)
     return p._hat
 
 
@@ -343,9 +332,9 @@ def cotangent_module(p: Jet) -> CotangentModule:
     hat_emb = hat.embedded_ideal(bound)
     reps: list[TruncatedPolynomial] = []
     picked = hat_emb.echelon()
-    for piv, r in zip(p_emb.pivots, p_emb.basis):
-        if picked.insert(p_emb.rows[piv]):
-            reps.append(TruncatedPolynomial.from_vector(p.n, bound, r))
+    for r in p_emb.rows.values():
+        if picked.insert(r):
+            reps.append(TruncatedPolynomial.from_sparse(p.n, bound, r))
     dim = p_emb.dimension - hat_emb.dimension
     algebra = p.quotient
 
@@ -404,8 +393,7 @@ class TangentModule:
 def tangent_module(p: Jet) -> TangentModule:
     if p._tangent is not None:
         return p._tangent
-    ders = derivation_space(p.quotient)
-    relations = ders.relations_in_ambient()
+    relations = derivation_space(p.quotient).relations
     ambient = p.n * p.quotient.dimension
     module = TangentModule(p, ambient, relations, ambient - relations.dimension)
     p._tangent = module
@@ -522,14 +510,14 @@ def _x_part(
 
 
 def _substituted_ideal(
-    p_rows: Sequence[Sequence[Fraction]],
+    p_rows: Iterable[SparseRow],
     n: int,
     bound: int,
     subst: Sequence[TruncatedPolynomial],
 ) -> Subspace:
     span = Echelon(window_size(n, bound))
     for r in p_rows:
-        f = TruncatedPolynomial.from_vector(n, bound, r)
+        f = TruncatedPolynomial.from_sparse(n, bound, r)
         span.insert(truncated_substitute(f, list(subst), bound).to_sparse(bound))
     return span.subspace()
 
@@ -555,10 +543,10 @@ def normal_form(p: Jet) -> NormalForm:
             deg1_cols[c] = exp.index(1)
     pivot_vars: list[int] = []
     carried: list[TruncatedPolynomial] = []
-    for row, piv in zip(p.ideal.basis, p.ideal.pivots):
+    for piv, row in p.ideal.rows.items():
         if piv in deg1_cols:
             pivot_vars.append(deg1_cols[piv])
-            carried.append(TruncatedPolynomial.from_vector(n, bound, row))
+            carried.append(TruncatedPolynomial.from_sparse(n, bound, row))
     free_vars = [i for i in range(n) if i not in set(pivot_vars)]
     r = len(pivot_vars)
     if r != n - p.width:
@@ -582,7 +570,7 @@ def normal_form(p: Jet) -> NormalForm:
         if not changed:
             continue
         sigma = _compose_substitutions(sigma, stage, sub_bound)
-        current = _substituted_ideal(current.basis, n, bound, stage)
+        current = _substituted_ideal(current.rows.values(), n, bound, stage)
         carried = [
             truncated_substitute(g, stage, bound) for g in carried
         ]
@@ -610,11 +598,10 @@ def normal_form(p: Jet) -> NormalForm:
     generated = Echelon(window_size(n, bound))
     generated.saturate([g.to_sparse(bound) for g in base_gens], shifts)
     q_list: list[TruncatedPolynomial] = []
-    for piv, row in zip(x_part.pivots, x_part.basis):
-        probe = x_part.rows[piv]
+    for probe in x_part.rows.values():
         if not generated.reduce(probe):
             continue
-        q_list.append(TruncatedPolynomial.from_vector(n, bound, row))
+        q_list.append(TruncatedPolynomial.from_sparse(n, bound, probe))
         generated.saturate([probe], shifts)
     rebuilt = generated.subspace()
     if rebuilt != current:
@@ -726,7 +713,9 @@ def _graph_tangent_fields(nf: NormalForm) -> list[dict[int, TruncatedPolynomial]
     n, bound = p.n, p.window_bound
     xs, ys = nf.free_variables, nf.pivot_variables
     h_basis = _x_part(nf.transformed_ideal, n, bound, ys, 2, bound)
-    forms = _x_top(nf) + [TruncatedPolynomial.from_vector(n, bound, r) for r in h_basis.basis]
+    forms = _x_top(nf) + [
+        TruncatedPolynomial.from_sparse(n, bound, r) for r in h_basis.rows.values()
+    ]
     one = TruncatedPolynomial.constant(n, bound, 1)
     fields = [{a: one} for a in xs]
     for F in forms:
@@ -786,7 +775,6 @@ class ContactData:
 
     jet: Jet
     derived: Jet
-    quotient_map: tuple[tuple[Fraction, ...], ...]
     omega: Subspace
     omega_rank: int
     cartan: Subspace
@@ -806,16 +794,14 @@ def _quotient_map_columns(p: Jet, p2: Jet) -> list[SparseRow]:
     ]
 
 
-def _block_diagonal(rows: Sequence[Sequence[Fraction]], blocks: int) -> list[list[Fraction]]:
-    out_dim = len(rows)
-    in_dim = len(rows[0]) if rows else 0
-    big = []
-    for k in range(blocks):
-        for r in rows:
-            row = [_ZERO] * (blocks * in_dim)
-            row[k * in_dim : (k + 1) * in_dim] = list(r)
-            big.append(row)
-    return big
+def _projection_columns(p: Jet, p2: Jet) -> list[SparseRow]:
+    """Sparse columns of pi: A^n -> A'^n, the map A -> A' on each of the n blocks.
+
+    Column k*d + j is column j of A -> A', moved into block k.
+    """
+    qcols = _quotient_map_columns(p, p2)
+    d2 = p2.quotient.dimension
+    return [{k * d2 + i: v for i, v in col.items()} for k in range(p.n) for col in qcols]
 
 
 def _differential_columns(
@@ -831,10 +817,7 @@ def _differential_columns(
     for i in range(p.n):
         w = algebra.project_polynomial(f.derivative(i)).coordinates
         for column in algebra.multiplication_map(w):
-            image: SparseRow = {}
-            for g, v in column.items():
-                _add_multiple(image, v, quotient_columns[g])
-            columns.append(image)
+            columns.append(apply_columns(quotient_columns, column))
     return columns
 
 
@@ -855,14 +838,13 @@ def contact_and_cartan(p: Jet) -> ContactData:
     nd = n * d
     dprime = derived.quotient.dimension
     qcols = _quotient_map_columns(p, derived)
-    qrows = [[col.get(i, _ZERO) for col in qcols] for i in range(dprime)]
     tangent = tangent_module(p)
 
     # Omega: one map per ideal row, flattened output-major into one row.
     span = Echelon(dprime * nd)
     differentials: list[list[SparseRow]] = []
-    for row in p.ideal.basis:
-        f = TruncatedPolynomial.from_vector(n, p.window_bound, row)
+    for row in p.ideal.rows.values():
+        f = TruncatedPolynomial.from_sparse(n, p.window_bound, row)
         columns = _differential_columns(p, qcols, f)
         differentials.append(columns)
         span.insert({out * nd + j: v for j, col in enumerate(columns) for out, v in col.items()})
@@ -872,10 +854,7 @@ def contact_and_cartan(p: Jet) -> ContactData:
     relations = list(tangent.relations.rows.values())
     for columns in differentials:
         for rel in relations:
-            image: SparseRow = {}
-            for j, r in rel.items():
-                _add_multiple(image, r, columns[j])
-            if image:
+            if apply_columns(columns, rel):
                 raise InternalCheckError("contact map is not constant on classes")
 
     constraints = Echelon(nd)
@@ -892,15 +871,16 @@ def contact_and_cartan(p: Jet) -> ContactData:
     cartan_generated = _cartan_by_generation(p, derived)
 
     # Kernel of the tangent projection must sit inside the Cartan system.
-    pi_blocks = _block_diagonal(qrows, n)
-    rel_prime = tangent_module(derived).relations
-    kernel = preimage(pi_blocks, rel_prime, nd)
+    pi_rows: list[SparseRow] = [{} for _ in range(n * dprime)]
+    for c, col in enumerate(_projection_columns(p, derived)):
+        for r, v in col.items():
+            pi_rows[r][c] = v
+    kernel = preimage(pi_rows, tangent_module(derived).relations, nd)
     kernel_ok = cartan.contains_subspace(kernel)
 
     p._contact = ContactData(
         jet=p,
         derived=derived,
-        quotient_map=tuple(tuple(r) for r in qrows),
         omega=omega,
         omega_rank=omega.dimension,
         cartan=cartan,
@@ -925,15 +905,7 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     bound = p.window_bound
 
     # The transformed jet and the iso back to p's presentation.
-    q_jet = _jet_from_origin(
-        n,
-        p.base_point,
-        tuple(
-            TruncatedPolynomial.from_vector(n, bound, r)
-            for r in nf.transformed_ideal.basis
-        ),
-        ell,
-    )
+    q_jet = _window_jet(n, bound, nf.transformed_ideal, p.base_point)
     if q_jet.quotient.dimension != d:
         raise InternalCheckError("transformed jet changed dimension")
     bq = q_jet.quotient
@@ -1018,14 +990,14 @@ def taylor_map(p: Jet, contact: ContactData | None = None) -> TaylorData:
     """
     contact = contact or contact_and_cartan(p)
     derived = contact.derived
-    n = p.n
 
     _assert_fields_project(p, derived)
 
-    pi_blocks = _block_diagonal(contact.quotient_map, n)
-    rel_prime = tangent_module(derived).relations
-    pushed = [mat_vec(pi_blocks, v) for v in contact.cartan.basis]
-    image = canonical_basis(list(rel_prime.basis) + pushed, n * derived.quotient.dimension)
+    pi_cols = _projection_columns(p, derived)
+    span = tangent_module(derived).relations.echelon()
+    for v in contact.cartan.rows.values():
+        span.insert(apply_columns(pi_cols, v))
+    image = span.subspace()
 
     hat_prime = hat_ideal(derived)
     taylor_condition = p.contains_jet(hat_prime)
@@ -1074,7 +1046,8 @@ def _kernel_jet(
     """Jet of the morphism R[y1..ym] -> A sending y^e to power_product(e).
 
     The ideal is the kernel on the window of degree order+1; the monomials of
-    that top degree map to zero, being products of order+1 nilpotents.
+    that top degree map to zero, being products of order+1 nilpotents, so the
+    kernel is an ideal of the window.
     """
     order = algebra.order
     bound = order + 1
@@ -1082,9 +1055,7 @@ def _kernel_jet(
     zero = (_ZERO,) * algebra.dimension
     columns = [power_product(e) if sum(e) <= order else zero for e in exps]
     rows = [[col[out] for col in columns] for out in range(algebra.dimension)]
-    kernel = nullspace(rows, len(exps))
-    gens = [TruncatedPolynomial.from_vector(m, bound, r) for r in kernel.basis]
-    return _jet_from_origin(m, base_point, tuple(gens), order)
+    return _window_jet(m, bound, nullspace(rows, len(exps)), base_point)
 
 
 def _pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> tuple[
@@ -1174,9 +1145,8 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
         system = Echelon(d + db)
         for k, col in enumerate(iota_cols):
             system.insert({**col, d + k: _ONE})
-        out_rows: list[list[Fraction]] = [
-            [_ZERO] * (n * d) for _ in range(target_n * db)
-        ]
+        # Column i*d + beta of the induced map, sparse over target_n * db rows.
+        columns: list[SparseRow] = [{} for _ in range(n * d)]
         for j in range(target_n):
             for i, w in enumerate(partials[j]):
                 if not any(w):
@@ -1184,22 +1154,20 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
                 for beta, value in enumerate(algebra.multiplication_map(w)):
                     rest = system.reduce(value)
                     w_coords = {c - d: -v for c, v in rest.items() if c >= d}
-                    check: SparseRow = {}
-                    for k, u in w_coords.items():
-                        _add_multiple(check, u, iota_cols[k])
-                    if len(w_coords) != len(rest) or check != value:
+                    if len(w_coords) != len(rest) or apply_columns(iota_cols, w_coords) != value:
                         raise InternalCheckError(
                             "tangent value escaped the image subalgebra"
                         )
-                    col = i * d + beta
-                    for out_coord, u in w_coords.items():
-                        out_rows[j * db + out_coord][col] = u
-        matrix = tuple(tuple(r) for r in out_rows)
+                    columns[i * d + beta].update(
+                        (j * db + k, u) for k, u in w_coords.items()
+                    )
+        matrix = tuple(
+            tuple(col.get(r, _ZERO) for col in columns) for r in range(target_n * db)
+        )
 
-        rel = tangent_module(p).relations
         rel_image = tangent_module(image_jet).relations
-        for v in rel.basis:
-            if not rel_image.contains_vector(mat_vec(matrix, v)):
+        for v in tangent_module(p).relations.rows.values():
+            if not rel_image.contains_vector(apply_columns(columns, v)):
                 raise InternalCheckError("induced map is not constant on classes")
 
     return TangentMap(p, image_jet, exists, regular, matrix)

@@ -280,6 +280,14 @@ class TruncatedPolynomial:
         return {idx[exp]: c for exp, c in self.coefficients.items() if sum(exp) <= b}
 
     @classmethod
+    def from_sparse(
+        cls, variable_count: int, bound: int, row: Mapping[int, Scalar]
+    ) -> "TruncatedPolynomial":
+        """The polynomial of a row keyed by window index; inverse of :meth:`to_sparse`."""
+        exps = window(variable_count, bound)
+        return cls(variable_count, bound, {exps[c]: v for c, v in row.items()})
+
+    @classmethod
     def from_vector(
         cls, variable_count: int, bound: int, vector: Sequence[Scalar]
     ) -> "TruncatedPolynomial":

@@ -93,6 +93,11 @@ def _require(condition: bool, message: str) -> None:
         raise SessionParseError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int subclass, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rat(value) -> Fraction:
     if isinstance(value, float):
         raise SessionParseError(f"floating point value {value!r}; use 'p/q' strings")
@@ -123,9 +128,10 @@ def parse_session(text: str) -> Session:
     known = session.names()
     for cmd in commands:
         _require(isinstance(cmd, dict), "each command must be an object")
-        _require("op" in cmd, "command missing 'op'")
+        _require(isinstance(cmd.get("op"), str), "each command needs a string 'op'")
         for key in ("of", "with", "a", "b", "algebra", "group"):
-            if key in cmd and isinstance(cmd[key], str):
+            if key in cmd:
+                _require(isinstance(cmd[key], str), f"{key!r} must name a binding")
                 if cmd[key] not in known:
                     raise UnknownNameError(f"unknown name {cmd[key]!r}")
         session.commands.append(cmd)
@@ -157,26 +163,27 @@ def _bind(session: Session, entry: dict) -> None:
     if kind == "algebra":
         name = _fresh_name(session, entry, "algebra")
         n = entry.get("vars")
-        _require(isinstance(n, int) and n >= 1, "'vars' must be a positive integer")
+        _require(_is_int(n) and n >= 1, "'vars' must be a positive integer")
         relations = entry.get("relations", [])
         _require(isinstance(relations, list), "'relations' must be a list of strings")
         gens = [_parse_poly(s, n) for s in relations]
         bound = entry.get("bound")
         if bound is None:
             bound = max([g.degree() for g in gens] + [2])
-        _require(isinstance(bound, int) and bound >= 0, "'bound' must be a non-negative integer")
+        _require(_is_int(bound) and bound >= 0, "'bound' must be a non-negative integer")
         session.algebras[name] = quotient_algebra(n, bound, gens)
     elif kind == "jet":
         name = _fresh_name(session, entry, "jet")
         n = entry.get("vars")
-        _require(isinstance(n, int) and n >= 1, "'vars' must be a positive integer")
+        _require(_is_int(n) and n >= 1, "'vars' must be a positive integer")
         point = [_rat(v) for v in entry.get("point", [0] * n)]
         _require(len(point) == n, "'point' must have one coordinate per variable")
         gens = [_parse_poly(s, n) for s in entry.get("generators", [])]
         hint = entry.get("order_hint")
-        _require(isinstance(hint, int) and hint >= 0, "'order_hint' must be a non-negative integer")
+        _require(_is_int(hint) and hint >= 0, "'order_hint' must be a non-negative integer")
         graph = entry.get("graph")
         if graph is not None:
+            _require("generators" not in entry, "a jet takes 'graph' or 'generators', not both")
             _require(isinstance(graph, dict), "'graph' must map variable indices to polynomials")
             mapping = {_graph_index(k, n): _parse_poly(v, n) for k, v in graph.items()}
             _require(len(mapping) == len(graph), "'graph' names a variable index twice")
@@ -197,7 +204,7 @@ def _bind(session: Session, entry: dict) -> None:
     else:
         name = _fresh_name(session, entry, "group")
         n = entry.get("dim")
-        _require(isinstance(n, int) and n >= 1, "'dim' must be a positive integer")
+        _require(_is_int(n) and n >= 1, "'dim' must be a positive integer")
         law = [_parse_poly(s, 2 * n) for s in entry.get("law", [])]
         identity = [_rat(v) for v in entry.get("identity", [0] * n)]
         inverse = [_parse_poly(s, n) for s in entry.get("inverse", [])]
@@ -263,8 +270,8 @@ def _algebra_description(algebra: WeilAlgebra) -> dict:
             [a, b, g, str(c)] for (a, b, g, c) in algebra.structure_constants()
         ],
         "relations": [
-            format_polynomial(TruncatedPolynomial.from_vector(algebra.n, algebra.window_bound, r))
-            for r in algebra.defining_ideal.basis
+            format_polynomial(TruncatedPolynomial.from_sparse(algebra.n, algebra.window_bound, r))
+            for r in algebra.defining_ideal.rows.values()
         ],
     }
 
@@ -281,6 +288,8 @@ def _lookup(session: Session, cmd: dict, key: str, table: dict, what: str):
 
 def _op_info(session: Session, cmd: dict) -> dict:
     name = cmd.get("of")
+    if not isinstance(name, str):
+        raise UnknownNameError(f"command needs a name under 'of', got {name!r}")
     if name in session.algebras:
         return _algebra_summary(session.algebras[name])
     if name in session.jets:
@@ -465,7 +474,7 @@ def _op_kernel(session: Session, cmd: dict) -> dict:
 def _op_prolong(session: Session, cmd: dict) -> dict:
     algebra = _lookup(session, cmd, "algebra", session.algebras, "an algebra")
     n = cmd.get("vars")
-    _require(isinstance(n, int) and n >= 1, "'vars' must be a positive integer")
+    _require(_is_int(n) and n >= 1, "'vars' must be a positive integer")
     gens = [_parse_poly(s, n) for s in cmd.get("ideal", [])]
     prolonged = prolong_ideal(gens, algebra)
     return {
@@ -478,7 +487,7 @@ def _op_weil_check(session: Session, cmd: dict) -> dict:
     a = _lookup(session, cmd, "a", session.algebras, "an algebra")
     b = _lookup(session, cmd, "b", session.algebras, "an algebra")
     n = cmd.get("vars")
-    _require(isinstance(n, int) and n >= 1, "'vars' must be a positive integer")
+    _require(_is_int(n) and n >= 1, "'vars' must be a positive integer")
     poly = _parse_poly(cmd.get("poly", ""), n)
     matrices = cmd.get("point")
     _require(isinstance(matrices, list), "'point' must be a list of matrices")

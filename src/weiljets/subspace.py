@@ -7,19 +7,19 @@ rows are keyed by their pivot column.  The one builder inserts rows, reduces
 vectors against them, reads off the kernel and saturates the span (closes it
 under linear maps such as multiplication by the variables).
 
-A :class:`Subspace` is the frozen result: the dense reduced row-echelon
-``basis`` and its ``pivots``.  The form is canonical, so two subspaces are
-equal as sets exactly when their dense bases are equal component-wise; that
-is what equality and hashing compare, and what makes ideal equality (and
-every acceptance check built on it) decidable.  Membership and reduction run
-on the sparse rows, cached on the instance.
+A :class:`Subspace` is the frozen result, and its pivot-keyed sparse rows are
+the only thing it stores.  Reduced row-echelon form is unique, so two
+subspaces are equal as sets exactly when their rows are equal; that is what
+equality and hashing compare, and what makes ideal equality (and every
+acceptance check built on it) decidable.  The dense ``basis`` is a view built
+on demand for display and for tests.
 
 All solvers here are exact: no pivot thresholds, no floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -171,39 +171,62 @@ class Echelon:
 
     def subspace(self) -> "Subspace":
         """The canonical subspace of the current span."""
-        pivots = sorted(self.rows)
-        n = self.ambient_dimension
-        rows = {p: self.rows[p] for p in pivots}
-        out = Subspace(n, tuple(tuple(dense(r, n)) for r in rows.values()), tuple(pivots))
-        object.__setattr__(out, "rows", rows)
-        return out
+        return Subspace(self.ambient_dimension, self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A linear subspace in canonical (reduced row-echelon) form."""
+    """A linear subspace in canonical (reduced row-echelon) form.
+
+    ``rows`` maps each pivot column to its sparse row, in pivot order.  Rows
+    are shared with echelons and other subspaces: never mutate them.
+    """
 
     ambient_dimension: int
-    basis: Matrix
-    pivots: tuple[int, ...] = field(default=())
+    rows: dict[int, SparseRow]
+
+    def __post_init__(self) -> None:
+        # A copy in pivot order: the echelon the rows came from goes on
+        # replacing its entries.
+        object.__setattr__(self, "rows", {p: self.rows[p] for p in sorted(self.rows)})
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.ambient_dimension == other.ambient_dimension
+            and self.rows == other.rows
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(
+            (self.ambient_dimension, tuple((p, frozenset(r.items())) for p, r in self.rows.items()))
+        )
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(self.rows)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    @cached_property
-    def rows(self) -> dict[int, SparseRow]:
-        """The basis as sparse rows keyed by pivot; shared, never mutate."""
-        return {p: sparse(b, self.ambient_dimension) for p, b in zip(self.pivots, self.basis)}
+    @property
+    def basis(self) -> Matrix:
+        """The dense reduced row-echelon basis, built on each call."""
+        n = self.ambient_dimension
+        return tuple(tuple(dense(r, n)) for r in self.rows.values())
 
     def echelon(self) -> Echelon:
         """A builder that starts from this span."""
         return Echelon(self.ambient_dimension, dict(self.rows))
 
-    def reduce(self, vector: Sequence) -> list[Fraction]:
-        """Remainder of a vector after elimination against the basis."""
-        n = self.ambient_dimension
-        return dense(_reduce(self.rows, sparse(vector, n)), n)
+    def reduce(self, row: SparseRow) -> SparseRow:
+        """Remainder of a sparse row after elimination; empty iff in the span."""
+        return _reduce(self.rows, row)
 
     def contains_vector(self, vector: Sequence | SparseRow) -> bool:
         """Membership of a dense vector or of a sparse row."""
@@ -224,13 +247,12 @@ class Subspace:
 
     def free_columns(self) -> tuple[int, ...]:
         """Columns without a pivot; they index a complement basis."""
-        taken = set(self.pivots)
-        return tuple(c for c in range(self.ambient_dimension) if c not in taken)
+        return tuple(c for c in range(self.ambient_dimension) if c not in self.rows)
 
     def membership_rows(self) -> Matrix:
         """Functionals whose common kernel is exactly this subspace.
 
-        Row for free column c: e_c - sum_j basis[j][c] e_{pivot_j}; a vector w
+        Row for free column c: e_c - sum_p rows[p][c] e_p; a vector w
         lies in the subspace iff every row pairs to zero with w.
         """
         n = self.ambient_dimension
@@ -249,7 +271,7 @@ def canonical_basis(vectors: Iterable[Sequence], ambient_dimension: int) -> Subs
 
 
 def zero_subspace(ambient_dimension: int) -> Subspace:
-    return Subspace(ambient_dimension, (), ())
+    return Subspace(ambient_dimension, {})
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -320,6 +342,14 @@ def mat_vec(rows: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> l
     return out
 
 
+def apply_columns(columns: Sequence[SparseRow], row: SparseRow) -> SparseRow:
+    """M row, for the linear map M whose column j is the sparse row columns[j]."""
+    out: SparseRow = {}
+    for j, c in row.items():
+        _add_multiple(out, c, columns[j])
+    return out
+
+
 def nullspace(rows: Iterable[Sequence], ambient: int) -> Subspace:
     """Solution space of (row . x) = 0 for every row."""
     span = Echelon(ambient)
@@ -328,15 +358,13 @@ def nullspace(rows: Iterable[Sequence], ambient: int) -> Subspace:
     return span.kernel()
 
 
-def preimage(matrix: Sequence[Sequence[Fraction]], target: Subspace, domain_dimension: int) -> Subspace:
-    """{v : M v in target} for a row matrix M."""
+def preimage(rows: Sequence[SparseRow], target: Subspace, domain_dimension: int) -> Subspace:
+    """{v : M v in target} for the map M with the given sparse rows."""
     constraints = Echelon(domain_dimension)
     for functional in target.echelon().kernel_rows():
-        # functional . (M v) = (functional @ M) . v
-        composed: SparseRow = {}
-        for out_coord, c in functional.items():
-            _add_multiple(composed, c, sparse(matrix[out_coord], domain_dimension))
-        constraints.insert(composed)
+        # functional . (M v) = (functional @ M) . v, and functional @ M
+        # combines the rows of M.
+        constraints.insert(apply_columns(rows, functional))
     return constraints.kernel()
 
 

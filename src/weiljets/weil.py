@@ -45,7 +45,7 @@ from .subspace import (
     SparseRow,
     Subspace,
     _add_multiple,
-    canonical_basis,
+    apply_columns,
     dense,
     invert_matrix,
     mat_vec,
@@ -87,7 +87,7 @@ class WeilAlgebra:
         size = window_size(n, bound)
         self.window_dimension = size
         degs = degrees(n, bound)
-        if 0 in ideal.pivots:
+        if 0 in ideal.rows:
             raise EmptyQuotientError("the defining ideal contains a unit")
         self.defining_ideal = ideal
         self.ideal_generators = tuple(generator_rows)
@@ -164,7 +164,7 @@ class WeilAlgebra:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.window_bound, self.defining_ideal.basis))
+        return hash((self.n, self.window_bound, self.defining_ideal))
 
     def __repr__(self) -> str:
         return (
@@ -204,15 +204,6 @@ class WeilAlgebra:
                 f"need {self.dimension} coordinates, got {len(coords)}"
             )
         return AlgebraElement(self, coords)
-
-    def project_vector(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Window coefficient vector -> quotient coordinates."""
-        coords = [_ZERO] * self.dimension
-        for c, v in enumerate(vector):
-            if v:
-                for g, w in self._classes[c].items():
-                    coords[g] += v * w
-        return tuple(coords)
 
     def project_polynomial(self, f: TruncatedPolynomial) -> "AlgebraElement":
         if f.variable_count != self.n:
@@ -277,13 +268,22 @@ class WeilAlgebra:
     def maximal_power(self, k: int) -> Subspace:
         """m_A^k as a subspace of the quotient coordinate space."""
         if k <= 0:
-            vecs = [self.one().coordinates] + [
-                s for s in self._filtration[0].basis
-            ]
-            return canonical_basis(vecs, self.dimension)
+            span = self.maximal_ideal.echelon()
+            span.insert({0: _ONE})
+            return span.subspace()
         if k - 1 < len(self._filtration):
             return self._filtration[k - 1]
         return zero_subspace(self.dimension)
+
+    def generated_by(self, elements: Sequence[Sequence[Fraction]]) -> bool:
+        """Whether elements (coordinate tuples) generate the algebra.
+
+        They do exactly when their nilpotent parts span m/m^2 (Nakayama).
+        """
+        span = self.maximal_power(2).echelon()
+        for coords in elements:
+            span.insert({g: c for g, c in enumerate(coords) if c and g})
+        return span.subspace() == self.maximal_ideal
 
     def structure_constants(self):
         """Sparse (alpha, beta, gamma, c) with a^alpha a^beta = c a^gamma + ..."""
@@ -508,15 +508,23 @@ def tensor_product(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Basis of Der(A, A), stored as generator images; the Leibniz action on
-    the whole basis is built on first use (only stability needs it)."""
+    """Der(A, A) as the span of the generator images (delta[x^1], ...,
+    delta[x^n]) flattened into A^n; the Leibniz action on the whole basis is
+    built on first use (only stability needs it)."""
 
     algebra: WeilAlgebra
-    generator_images: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    relations: Subspace
 
     @property
     def dimension(self) -> int:
-        return len(self.generator_images)
+        return self.relations.dimension
+
+    @cached_property
+    def generator_images(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Per basis derivation, the coordinates of delta[x^1], ..., delta[x^n]."""
+        n, d = self.algebra.n, self.algebra.dimension
+        flat = [dense(row, n * d) for row in self.relations.rows.values()]
+        return tuple(tuple(tuple(v[i * d : (i + 1) * d]) for i in range(n)) for v in flat)
 
     @cached_property
     def columns(self) -> tuple[tuple[SparseRow, ...], ...]:
@@ -552,17 +560,6 @@ class DerivationSpace:
             for cols in self.columns
         )
 
-    def relations_in_ambient(self) -> Subspace:
-        """Images delta -> (delta[x^1], ..., delta[x^n]) flattened into A^n."""
-        d = self.algebra.dimension
-        rows = []
-        for images in self.generator_images:
-            row: list[Fraction] = []
-            for img in images:
-                row.extend(img)
-            rows.append(row)
-        return canonical_basis(rows, self.algebra.n * d)
-
 
 def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     """Solve the Leibniz system: derivations are fixed by generator images.
@@ -587,11 +584,7 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
         for row in rows:
             if row:
                 constraints.insert(row)
-    solution = constraints.kernel()
-    gen_images = tuple(
-        tuple(tuple(vec[i * d : (i + 1) * d]) for i in range(n)) for vec in solution.basis
-    )
-    space = DerivationSpace(algebra, gen_images)
+    space = DerivationSpace(algebra, constraints.kernel())
     algebra._derivations = space
     return space
 
@@ -612,9 +605,6 @@ class AlgebraMorphism:
         return AlgebraElement(
             self.target, tuple(mat_vec(self.matrix, element.coordinates))
         )
-
-    def apply_polynomial(self, f: TruncatedPolynomial) -> AlgebraElement:
-        return self.apply(self.source.project_polynomial(f))
 
     def compose(self, inner: "AlgebraMorphism") -> "AlgebraMorphism":
         """self o inner (inner first)."""
@@ -696,11 +686,7 @@ def algebra_morphism(
         for g in range(target.dimension)
     )
 
-    # Epimorphism test: images must span m_B / m_B^2.
-    vecs = list(target.maximal_power(2).basis)
-    vecs += [e.nilpotent_part().coordinates for e in elems]
-    epi = canonical_basis(vecs, target.dimension) == target.maximal_ideal
-
+    epi = target.generated_by([e.coordinates for e in elems])
     return AlgebraMorphism(source, target, tuple(elems), matrix, epi)
 
 
@@ -765,15 +751,12 @@ def factor_epimorphism(
 
     def straighten(phi: AlgebraMorphism) -> tuple[list[int], AlgebraMorphism]:
         """Pivot indices S and automorphism h with (phi o h)(x_j)=0 off S."""
-        classes = []
-        for i in range(n):
-            img = phi.images[i]
-            red = target.maximal_power(2).reduce(img.nilpotent_part().coordinates)
-            classes.append(red)
+        m2 = target.maximal_power(2)
         independent = Echelon(target.dimension)
         selected: list[int] = []
-        for i, cls in enumerate(classes):
-            if independent.insert(sparse(cls, target.dimension)):
+        for i, img in enumerate(phi.images):
+            nilpotent = {g: c for g, c in enumerate(img.coordinates) if c and g}
+            if independent.insert(m2.reduce(nilpotent)):
                 selected.append(i)
         values = [phi.images[i] for i in selected]
         images = []
@@ -929,22 +912,20 @@ def ideal_stability(
     """Check delta(I) <= I for all derivations, plus supplied automorphisms."""
     if ideal.ambient_dimension != algebra.dimension:
         raise DimensionMismatchError("ideal must live in the quotient coordinates")
-    for row in ideal.basis:
-        for i in range(algebra.n):
-            product = algebra.mult_coords(algebra.generator(i).coordinates, row)
-            if not ideal.contains_vector(product):
-                raise NotAnIdealError(
-                    f"not closed under multiplication by generator {i}"
-                )
+    rows = ideal.rows.values()
+    shifts = [
+        algebra.multiplication_map(algebra.generator(i).coordinates) for i in range(algebra.n)
+    ]
+    for row in rows:
+        for i, columns in enumerate(shifts):
+            if not ideal.contains_vector(apply_columns(columns, row)):
+                raise NotAnIdealError(f"not closed under multiplication by generator {i}")
     ders = derivation_space(algebra)
     d = algebra.dimension
-    rows = [ideal.rows[p] for p in ideal.pivots]
     witness = None
     for k, columns in enumerate(ders.columns):
         for row in rows:
-            img: SparseRow = {}
-            for b, c in row.items():
-                _add_multiple(img, c, columns[b])
+            img = apply_columns(columns, row)
             if not ideal.contains_vector(img):
                 witness = (k, tuple(dense(img, d)))
                 break
@@ -955,8 +936,11 @@ def ideal_stability(
     for g in automorphisms:
         if g.source != algebra or g.target != algebra:
             raise DimensionMismatchError("automorphism must act on the algebra")
-        image_rows = [mat_vec(g.matrix, row) for row in ideal.basis]
-        auto_results.append(canonical_basis(image_rows, algebra.dimension) == ideal)
+        columns = [sparse(col, d) for col in zip(*g.matrix)]
+        image = Echelon(d)
+        for row in rows:
+            image.insert(apply_columns(columns, row))
+        auto_results.append(image.subspace() == ideal)
 
     projected = None
     if der_stable:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -236,6 +237,49 @@ class TestGraphKeys:
         assert jet.classical and (jet.order, jet.width) == (2, 1)
 
 
+_ALGEBRA = {"algebra": "A", "vars": 1, "relations": ["x^2"]}
+_PARABOLA = {"jet": "p", "vars": 2, "order_hint": 2, "graph": {"1": "x^2"}}
+
+
+def _run_on_algebra(command):
+    return {"bind": [_ALGEBRA], "run": [command]}
+
+
+# (session, expected message): each must fail to parse, never run.
+MALFORMED = [
+    pytest.param(
+        {"bind": [dict(_PARABOLA, generators=["x"])]},
+        "'graph' or 'generators'",
+        id="graph-and-generators",
+    ),
+    pytest.param(_run_on_algebra({"op": ["info"], "of": "A"}), "string 'op'", id="list-op"),
+    pytest.param(_run_on_algebra({"op": 1, "of": "A"}), "string 'op'", id="number-op"),
+    pytest.param(_run_on_algebra({"op": "info", "of": ["A"]}), "'of' must name", id="list-of"),
+    pytest.param({"bind": [dict(_ALGEBRA, vars=True)]}, "'vars'", id="bool-algebra-vars"),
+    pytest.param({"bind": [dict(_ALGEBRA, bound=True)]}, "'bound'", id="bool-bound"),
+    pytest.param({"bind": [dict(_PARABOLA, vars=True)]}, "'vars'", id="bool-jet-vars"),
+    pytest.param({"bind": [dict(_PARABOLA, order_hint=True)]}, "'order_hint'", id="bool-order-hint"),
+    pytest.param({"bind": [{"group": "G", "dim": True, "law": ["x + y"]}]}, "'dim'", id="bool-dim"),
+]
+
+
+class TestMalformedSessions:
+    @pytest.mark.parametrize("doc, message", MALFORMED)
+    def test_is_a_parse_error(self, doc, message):
+        with pytest.raises(SessionParseError, match=message):
+            parse_session(json.dumps(doc))
+
+    def test_graph_alone_still_binds(self):
+        jet = parse_session(json.dumps({"bind": [_PARABOLA]})).jets["p"]
+        assert jet.classical
+
+    def test_info_looks_up_names_only(self):
+        session = parse_session(json.dumps({"bind": [_ALGEBRA]}))
+        session.commands.append({"op": "info", "of": ["A"]})
+        report = execute(session)
+        assert report.results[0]["error"]["kind"] == "UnknownNameError"
+
+
 class TestDeterminismAndGoldens:
     @pytest.mark.parametrize("path", SESSIONS, ids=lambda p: p.stem)
     def test_byte_identical_across_runs(self, path):
@@ -309,6 +353,15 @@ class TestCommandLine:
         result = self._run("run", str(path))
         assert result.returncode == 2
         assert f"graph key {key!r}" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("doc, message", MALFORMED)
+    def test_malformed_session_exit_code(self, tmp_path, doc, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        result = self._run("run", str(path))
+        assert result.returncode == 2
+        assert "session error" in result.stderr and "Traceback" not in result.stderr
+        assert re.search(message, result.stderr)
 
     def test_module_entry_point(self):
         runs = [

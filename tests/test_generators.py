@@ -299,6 +299,21 @@ def test_hat_ideal_is_memoized_on_the_jet():
     assert derived._hat is hat_ideal(derived)
 
 
+@pytest.mark.parametrize("n, gens, order", LADDER)
+def test_hat_quotient_matches_the_generator_route(n, gens, order):
+    # The hat is built from its own rows, which already span an ideal of the
+    # window; saturating them as generators must give the same algebra.
+    p = ladder_jet(n, gens, order)
+    for jet in (p, derived_jet(p)):
+        hat = hat_ideal(jet)
+        bound = jet.order + 2
+        rows = hat.embedded_ideal(bound).rows.values()
+        polys = [TruncatedPolynomial.from_sparse(n, bound, r) for r in rows]
+        saturated = quotient_algebra(n, jet.order + 1, polys)
+        assert hat.quotient == saturated
+        assert (hat.order, hat.quotient.dimension) == (saturated.order, saturated.dimension)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 4).flatmap(

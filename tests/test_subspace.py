@@ -130,7 +130,7 @@ class TestSolvers:
 
     def test_preimage(self):
         # M(x, y) = (x + y, y); target = span{(1, 0)}.
-        m = [(Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))]
+        m = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
         target = canonical_basis([(1, 0)], 2)
         pre = preimage(m, target, 2)
         assert pre == canonical_basis([(1, 0)], 2)
@@ -238,6 +238,48 @@ def test_canonical_basis_matches_sympy_rref(qq, matrix):
     ncols, rows = matrix
     s = canonical_basis(rows, ncols)
     assert (list(s.basis), s.pivots) == _oracle_rref(qq, rows, ncols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False), st.integers(0, 7))
+def test_equal_spans_are_equal_and_hash_alike(matrix, rng, cut):
+    ncols, rows = matrix
+    s = canonical_basis(rows, ncols)
+    annihilator = Echelon(ncols)
+    for r in s.echelon().kernel_rows():
+        annihilator.insert(r)
+    # Every row dict, and the dict of rows, in another insertion order.
+    scrambled = {
+        p: dict(rng.sample(list(r.items()), len(r)))
+        for p, r in rng.sample(list(s.rows.items()), len(s.rows))
+    }
+    same = [
+        canonical_basis(rng.sample(rows, len(rows)), ncols),
+        subspace_sum(canonical_basis(rows[:cut], ncols), canonical_basis(rows[cut:], ncols)),
+        subspace_sum(s, zero_subspace(ncols)),
+        annihilator.kernel(),
+        Subspace(ncols, scrambled),
+    ]
+    for t in same:
+        assert t == s and hash(t) == hash(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_equality_matches_sympy_rref(qq, matrix, data):
+    ncols, rows = matrix
+    # Combinations of the rows span a subspace of theirs, the whole of it
+    # once the rows themselves are added.
+    combination = st.lists(_entries, min_size=len(rows), max_size=len(rows))
+    coefficients = data.draw(st.lists(combination, max_size=4))
+    other = [[sum(c * r[j] for c, r in zip(cs, rows)) for j in range(ncols)] for cs in coefficients]
+    if data.draw(st.booleans()):
+        other += rows
+    u, v = canonical_basis(rows, ncols), canonical_basis(other, ncols)
+    expected = _oracle_rref(qq, rows, ncols) == _oracle_rref(qq, other, ncols)
+    assert (u == v) == expected
+    if expected:
+        assert hash(u) == hash(v)
 
 
 @settings(max_examples=60, deadline=None)
