@@ -19,6 +19,7 @@ from .errors import (
     UnknownNameError,
     UnknownQueryError,
     WeilJetsError,
+    WindowTooLargeError,
 )
 from .poly import (
     TruncatedPolynomial,

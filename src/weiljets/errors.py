@@ -45,6 +45,10 @@ class ClassicalityError(WeilJetsError):
     """Internal consistency failure: a graph jet missed its model invariants."""
 
 
+class WindowTooLargeError(WeilJetsError):
+    """A monomial window is larger than the package will allocate."""
+
+
 class InternalCheckError(WeilJetsError):
     """An identity the construction guarantees failed to verify; a bug."""
 
@@ -57,5 +61,5 @@ class SessionParseError(SessionError):
     """The session text is not valid against the documented schema."""
 
 
-class UnknownNameError(SessionError):
-    """A command referenced a name that was never bound."""
+class UnknownNameError(SessionParseError):
+    """A binding or command referenced a name that was never bound."""

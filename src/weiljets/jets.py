@@ -49,7 +49,6 @@ from .subspace import (
     Subspace,
     _add_multiple,
     apply_columns,
-    mat_vec,
     nullspace,
     preimage,
     sparse,
@@ -910,48 +909,34 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
         raise InternalCheckError("transformed jet changed dimension")
     bq = q_jet.quotient
 
-    # Psi: [g]_q -> [g o tau]_p on quotient coordinates.
+    # Psi: [g]_q -> [g o tau]_p on quotient coordinates, as sparse columns.
     psi_cols = []
     for exp in bq.basis_monomials:
         g = TruncatedPolynomial.monomial(n, bound, exp)
         moved = truncated_substitute(g, list(nf.sigma_inverse), bound)
-        psi_cols.append(algebra.project_polynomial(moved).coordinates)
-    psi = [[psi_cols[j][i] for j in range(d)] for i in range(d)]
+        psi_cols.append(sparse(algebra.project_polynomial(moved).coordinates, d))
 
-    # Jacobian classes [d sigma^i / d x_k]_q, as left-multiplication blocks.
-    jac_left = []
+    # The transport A_q^n -> A_p^n, v -> (psi(sum_k [d sigma^i / d x_k]_q v_k))_i,
+    # as one sparse column per coordinate k * d + g of A_q^n.
+    transport = [{} for _ in range(n * d)]
     for i in range(n):
-        row_blocks = []
         for k in range(n):
             entry = bq.project_polynomial(nf.sigma[i].derivative(k)).coordinates
-            row_blocks.append(bq.left_mult_rows(entry) if any(entry) else None)
-        jac_left.append(row_blocks)
-
-    def transport(components_q: list[tuple[Fraction, ...]]) -> list[Fraction]:
-        out: list[Fraction] = []
-        for i in range(n):
-            acc = [_ZERO] * d
-            for k in range(n):
-                block = jac_left[i][k]
-                if block is None:
-                    continue
-                contrib = mat_vec(block, components_q[k])
-                for g, c in enumerate(contrib):
-                    acc[g] += c
-            out.extend(mat_vec(psi, acc))
-        return out
+            if not any(entry):
+                continue
+            for g, column in enumerate(bq.multiplication_map(entry)):
+                for h, c in apply_columns(psi_cols, column).items():
+                    transport[k * d + g][i * d + h] = c
 
     # Family values at the transformed jet.
-    zero_el = (_ZERO,) * d
-    values = [
-        transport(
-            [
-                bq.project_polynomial(coeff[k]).coordinates if k in coeff else zero_el
-                for k in range(n)
-            ]
-        )
-        for coeff in _graph_tangent_fields(nf)
-    ]
+    values = []
+    for coeff in _graph_tangent_fields(nf):
+        field_q: SparseRow = {}
+        for k, f in coeff.items():
+            for g, c in enumerate(bq.project_polynomial(f).coordinates):
+                if c:
+                    field_q[k * d + g] = c
+        values.append(apply_columns(transport, field_q))
 
     # The Cartan system is the submodule the values generate: a field tangent
     # to X stays tangent under any coefficient, so close under the action of
@@ -964,7 +949,7 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
             [{k * d + g: c for g, c in image.items()} for k in range(n) for image in images]
         )
     cartan = tangent.relations.echelon()
-    cartan.saturate([sparse(v, n * d) for v in values], tables)
+    cartan.saturate(values, tables)
     return cartan.subspace()
 
 

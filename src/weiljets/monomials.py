@@ -15,8 +15,17 @@ from itertools import product
 from math import comb
 from typing import Callable, Sequence, TypeVar
 
+from .errors import WindowTooLargeError
+
 Exponent = tuple[int, ...]
 _T = TypeVar("_T")
+
+# Largest window (number of monomials) that may be allocated.  An algebra's
+# multiplication table grows as the square of its window: a free algebra binds
+# in about 1 s and 41 MB at a window of 1,365 and in 4.5 s and 140 MB at 3,060,
+# and one at 39,711 exhausts memory.  The corpus and the benchmark never exceed
+# 126, so the cap rejects only inputs that would take minutes or all memory.
+MAX_WINDOW = 3000
 
 
 def window_size(variable_count: int, bound: int) -> int:
@@ -34,6 +43,12 @@ def window(variable_count: int, bound: int) -> tuple[Exponent, ...]:
     """All exponents of degree <= bound, in layout order."""
     if variable_count < 0 or bound < 0:
         raise ValueError("variable count and degree bound must be non-negative")
+    size = window_size(variable_count, bound)
+    if size > MAX_WINDOW:
+        raise WindowTooLargeError(
+            f"the window of degree <= {bound} in {variable_count} variables has "
+            f"{size} monomials, more than the cap of {MAX_WINDOW}"
+        )
     exps = [
         e
         for e in product(range(bound + 1), repeat=variable_count)
@@ -92,15 +107,23 @@ def _power_products(
 
     Each new exponent costs one ``mul``: it lowers its first nonzero entry
     and multiplies the cached product of the lowered exponent by that factor.
+    A miss walks down to the nearest cached exponent and multiplies back up,
+    so a high exponent needs no recursion.
     """
     cache: dict[Exponent, _T] = {(0,) * len(factors): one}
 
     def power_product(exp: Exponent) -> _T:
         out = cache.get(exp)
-        if out is None:
+        if out is not None:
+            return out
+        missing: list[tuple[Exponent, int]] = []
+        while out is None:
             i = next(k for k, e in enumerate(exp) if e)
-            lowered = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
-            out = cache[exp] = mul(power_product(lowered), factors[i])
+            missing.append((exp, i))
+            exp = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
+            out = cache.get(exp)
+        for exp, i in reversed(missing):
+            out = cache[exp] = mul(out, factors[i])
         return out
 
     return power_product

@@ -4,6 +4,11 @@ A session is JSON with two keys: ``bind`` (algebras, jets, A-points, group
 laws, in dependency order) and ``run`` (commands over the bound names).  The
 rendered report is byte-stable: rationals are emitted as ``p/q`` strings,
 keys are sorted, and nothing time- or platform-dependent is included.
+
+Each binding kind and each op has one key table (``_BINDINGS``, ``_OPERATIONS``),
+and ``_validate`` is the one place that checks an input against its table.
+Bindings are validated when the session is parsed.  A command's names are
+checked then too, and the rest of it when it runs, so a bad command fails alone.
 """
 
 from __future__ import annotations
@@ -13,50 +18,17 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
-from .apoints import (
-    APoint,
-    GroupLaw,
-    apoint,
-    component_names,
-    evaluate,
-    group_law,
-    prolong_ideal,
-    prolong_group,
-    regularity_and_kernel,
-    weil_iso_check,
-)
+from .apoints import APoint, GroupLaw, apoint, component_names, evaluate, group_law
+from .apoints import prolong_group, prolong_ideal, regularity_and_kernel, weil_iso_check
 from .errors import SessionParseError, UnknownNameError, WeilJetsError
-from .jets import (
-    Jet,
-    classical_jet,
-    contact_and_cartan,
-    cotangent_module,
-    derived_jet,
-    hat_ideal,
-    jet_fields,
-    jet_from_ideal,
-    normal_form,
-    pushforward,
-    tangent_map,
-    tangent_module,
-    taylor_map,
-)
-from .poly import (
-    TruncatedPolynomial,
-    as_fraction,
-    format_polynomial,
-    parse_polynomial,
-)
+from .jets import Jet, classical_jet, contact_and_cartan, cotangent_module, derived_jet, hat_ideal
+from .jets import jet_fields, jet_from_ideal, normal_form, pushforward, tangent_map, tangent_module
+from .jets import taylor_map
+from .poly import TruncatedPolynomial, as_fraction, format_polynomial, parse_polynomial
 from .subspace import Echelon, sparse
-from .weil import (
-    WeilAlgebra,
-    derivation_space,
-    ideal_stability,
-    quotient_algebra,
-    tensor_product,
-)
+from .weil import WeilAlgebra, derivation_space, ideal_stability, quotient_algebra, tensor_product
 
 _FORMATS = ("json", "text")
 
@@ -72,11 +44,13 @@ class Session:
     commands: list[dict] = field(default_factory=list)
     format: str = "json"
 
+    def table(self, kind: str) -> dict:
+        """The bindings of one kind, by name."""
+        return {"algebra": self.algebras, "jet": self.jets,
+                "apoint": self.points, "group": self.groups}[kind]
+
     def names(self) -> set[str]:
-        out: set[str] = set()
-        for d in (self.algebras, self.jets, self.points, self.groups):
-            out |= set(d)
-        return out
+        return set().union(*map(self.table, _BINDINGS))
 
 
 @dataclass
@@ -93,18 +67,193 @@ def _require(condition: bool, message: str) -> None:
         raise SessionParseError(message)
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: Python's bool is an int subclass, JSON's true is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# -- the session schema ---------------------------------------------------------------
+#
+# A key table maps each key to a _Key.  A converter takes (key, JSON value, the
+# values converted so far) and returns what the builder or handler receives, so
+# a table lists a key after the keys its converter reads.  A _Ref in place of a
+# converter names an earlier binding.  An absent optional key is left out, and
+# the builder's or handler's own default applies.
+
+_Converter = Callable[[str, Any, dict], Any]
 
 
-def _rat(value) -> Fraction:
-    if isinstance(value, float):
-        raise SessionParseError(f"floating point value {value!r}; use 'p/q' strings")
+class _Key(NamedTuple):
+    convert: Any  # a _Converter or a _Ref
+    required: bool = True
+
+
+class _Ref(NamedTuple):
+    """A key that names an earlier binding of one kind (of any kind for None)."""
+
+    kind: str | None
+
+
+def _optional(convert) -> _Key:
+    return _Key(convert, required=False)
+
+
+def _integer(minimum: int) -> _Converter:
+    adjective = "positive" if minimum else "non-negative"
+
+    def convert(key, value, values):
+        # type() rather than isinstance: JSON's true is not an integer.
+        _require(type(value) is int and value >= minimum, f"{key!r} must be a {adjective} integer")
+        return value
+
+    return convert
+
+
+def _boolean(key, value, values) -> bool:
+    _require(isinstance(value, bool), f"{key!r} must be true or false")
+    return value
+
+
+def _rat(key, value, values) -> Fraction:
+    if isinstance(value, (bool, float)):
+        raise SessionParseError(f"{json.dumps(value)} is not an exact rational; use 'p/q' strings")
     try:
         return as_fraction(value)
     except (TypeError, ValueError) as exc:
-        raise SessionParseError(str(exc))
+        raise SessionParseError(f"{key!r}: {exc}")
+
+
+def _list(item: _Converter, nonempty: bool = False) -> _Converter:
+    def convert(key, value, values):
+        _require(
+            isinstance(value, list) and (value or not nonempty),
+            f"{key!r} must be a {'non-empty ' if nonempty else ''}list",
+        )
+        return [item(key, v, values) for v in value]
+
+    return convert
+
+
+def _poly(variable_count: Callable[[dict], int]) -> _Converter:
+    def convert(key, text, values):
+        _require(isinstance(text, str), f"{key!r}: polynomials must be strings")
+        try:
+            return parse_polynomial(text, variable_count(values))
+        except ValueError as exc:
+            raise SessionParseError(f"{key!r}: {exc}")
+
+    return convert
+
+
+def _point(key, value, values) -> list[Fraction]:
+    coords = _list(_rat)(key, value, values)
+    _require(len(coords) == values["vars"], f"{key!r} must have one coordinate per variable")
+    return coords
+
+
+def _graph(key, value, values) -> dict[int, TruncatedPolynomial]:
+    """Decimal variable indices 0 <= index < vars, each mapped to a polynomial."""
+    _require("generators" not in values, "a jet takes 'graph' or 'generators', not both")
+    _require(isinstance(value, dict), "'graph' must map variable indices to polynomials")
+    n = values["vars"]
+    mapping = {}
+    for index, text in value.items():
+        _require(
+            index.isdecimal() and int(index) < n,
+            f"graph key {index!r} is not a variable index from 0 to {n - 1}",
+        )
+        _require(int(index) not in mapping, "'graph' names a variable index twice")
+        mapping[int(index)] = _poly(lambda v: n)(key, text, values)
+    return mapping
+
+
+def _point_over_algebra(key, value, values) -> APoint:
+    """The coordinate lists of an A-point over the command's 'algebra'."""
+    return apoint(values["algebra"], _list(_list(_rat))(key, value, values))
+
+
+def _validate(keys: dict[str, _Key], entry: dict, session: Session, where: str) -> dict:
+    """Check ``entry`` against its key table and return the converted values.
+
+    ``where`` is "binding", "command", or "session" for the parse-time check of
+    a command's names.  A bad name raises ``UnknownNameError``, anything else
+    ``SessionParseError``.
+    """
+    for key in entry:
+        _require(key in keys, f"unknown {where} key {key!r}")
+    values: dict[str, Any] = {}
+    for key, spec in keys.items():
+        if key not in entry:
+            _require(not spec.required, f"{where} needs the key {key!r}")
+        elif isinstance(spec.convert, _Ref):
+            values[key] = _resolve(session, spec.convert.kind, key, entry[key], where)
+        else:
+            values[key] = spec.convert(key, entry[key], values)
+    return values
+
+
+_ARTICLES = {"algebra": "an algebra", "jet": "a jet",
+             "apoint": "an A-point", "group": "a group law"}
+
+
+def _resolve(session: Session, kind: str | None, key: str, name, where: str):
+    for table in map(session.table, [kind] if kind else _BINDINGS):
+        if isinstance(name, str) and name in table:
+            return table[name]
+    what = _ARTICLES[kind] if kind else "a binding"
+    if where == "command":
+        raise UnknownNameError(f"command needs {what} under {key!r}, got {name!r}")
+    raise UnknownNameError(f"{key!r} must name {what}, got {name!r}")
+
+
+# -- bindings -------------------------------------------------------------------------
+
+
+def _bind_algebra(vars: int, relations=(), bound: int | None = None) -> WeilAlgebra:
+    if bound is None:
+        bound = max([g.degree() for g in relations] + [2])
+    return quotient_algebra(vars, bound, relations)
+
+
+def _bind_jet(
+    vars: int, order_hint: int, point=None, generators=(), graph=None, strict=False
+) -> Jet:
+    point = point or [0] * vars
+    if graph is not None:
+        return classical_jet(vars, point, graph, order_hint)
+    return jet_from_ideal(vars, point, generators, order_hint, strict_hint=strict)
+
+
+def _bind_group(dim: int, law=(), identity=None, inverse=()) -> GroupLaw:
+    try:
+        return group_law(dim, law, [0] * dim if identity is None else identity, inverse)
+    except (ValueError, WeilJetsError) as exc:
+        raise SessionParseError(f"invalid group law: {exc}")
+
+
+_VARS = _Key(_integer(1))
+_VARS_POLYS = _list(_poly(lambda v: v["vars"]))  # polynomials in the entry's 'vars' variables
+_ALGEBRA, _JET, _APOINT, _GROUP = (_Key(_Ref(k)) for k in ("algebra", "jet", "apoint", "group"))
+
+# Kind -> (builder, key table).  An "apoint" binding carries an "algebra" key
+# as a reference, so a binding's kind is the first of these keys it has.
+_BINDINGS: dict[str, tuple[Callable[..., Any], dict[str, _Key]]] = {
+    "apoint": (apoint, {"algebra": _ALGEBRA, "images": _Key(_list(_list(_rat), nonempty=True))}),
+    "jet": (_bind_jet, {
+        "vars": _VARS,
+        "order_hint": _Key(_integer(0)),
+        "point": _optional(_point),
+        "generators": _optional(_VARS_POLYS),
+        "graph": _optional(_graph),
+        "strict": _optional(_boolean),
+    }),
+    "group": (_bind_group, {
+        "dim": _Key(_integer(1)),
+        "law": _optional(_list(_poly(lambda v: 2 * v["dim"]))),
+        "identity": _optional(_list(_rat)),
+        "inverse": _optional(_list(_poly(lambda v: v["dim"]))),
+    }),
+    "algebra": (_bind_algebra, {
+        "vars": _VARS,
+        "relations": _optional(_VARS_POLYS),
+        "bound": _optional(_integer(0)),
+    }),
+}
 
 
 def parse_session(text: str) -> Session:
@@ -125,110 +274,24 @@ def parse_session(text: str) -> Session:
         _bind(session, entry)
     commands = raw.get("run", [])
     _require(isinstance(commands, list), "'run' must be a list")
-    known = session.names()
     for cmd in commands:
         _require(isinstance(cmd, dict), "each command must be an object")
         _require(isinstance(cmd.get("op"), str), "each command needs a string 'op'")
-        for key in ("of", "with", "a", "b", "algebra", "group"):
-            if key in cmd:
-                _require(isinstance(cmd[key], str), f"{key!r} must name a binding")
-                if cmd[key] not in known:
-                    raise UnknownNameError(f"unknown name {cmd[key]!r}")
+        names = {key: value for key, value in cmd.items() if key in _NAME_KEYS}
+        _validate(_NAME_KEYS, names, session, "session")
         session.commands.append(cmd)
     return session
 
 
-def _fresh_name(session: Session, entry: dict, kind: str) -> str:
-    name = entry.get(kind)
+def _bind(session: Session, entry: dict) -> None:
+    kind = next((kind for kind in _BINDINGS if kind in entry), None)
+    _require(kind is not None, "binding must declare one of algebra/jet/apoint/group")
+    name = entry[kind]
     _require(isinstance(name, str) and name, f"'{kind}' binding needs a name")
     _require(name not in session.names(), f"duplicate name {name!r}")
-    return name
-
-
-def _bind(session: Session, entry: dict) -> None:
-    # "apoint" bindings carry an "algebra" key as a reference, so the kind
-    # test checks the specific kinds before the bare-algebra fallback.
-    if "apoint" in entry:
-        kind = "apoint"
-    elif "jet" in entry:
-        kind = "jet"
-    elif "group" in entry:
-        kind = "group"
-    elif "algebra" in entry:
-        kind = "algebra"
-    else:
-        raise SessionParseError(
-            "binding must declare one of algebra/jet/apoint/group"
-        )
-    if kind == "algebra":
-        name = _fresh_name(session, entry, "algebra")
-        n = entry.get("vars")
-        _require(_is_int(n) and n >= 1, "'vars' must be a positive integer")
-        relations = entry.get("relations", [])
-        _require(isinstance(relations, list), "'relations' must be a list of strings")
-        gens = [_parse_poly(s, n) for s in relations]
-        bound = entry.get("bound")
-        if bound is None:
-            bound = max([g.degree() for g in gens] + [2])
-        _require(_is_int(bound) and bound >= 0, "'bound' must be a non-negative integer")
-        session.algebras[name] = quotient_algebra(n, bound, gens)
-    elif kind == "jet":
-        name = _fresh_name(session, entry, "jet")
-        n = entry.get("vars")
-        _require(_is_int(n) and n >= 1, "'vars' must be a positive integer")
-        point = [_rat(v) for v in entry.get("point", [0] * n)]
-        _require(len(point) == n, "'point' must have one coordinate per variable")
-        gens = [_parse_poly(s, n) for s in entry.get("generators", [])]
-        hint = entry.get("order_hint")
-        _require(_is_int(hint) and hint >= 0, "'order_hint' must be a non-negative integer")
-        graph = entry.get("graph")
-        if graph is not None:
-            _require("generators" not in entry, "a jet takes 'graph' or 'generators', not both")
-            _require(isinstance(graph, dict), "'graph' must map variable indices to polynomials")
-            mapping = {_graph_index(k, n): _parse_poly(v, n) for k, v in graph.items()}
-            _require(len(mapping) == len(graph), "'graph' names a variable index twice")
-            session.jets[name] = classical_jet(n, point, mapping, hint)
-        else:
-            session.jets[name] = jet_from_ideal(
-                n, point, gens, hint, strict_hint=bool(entry.get("strict", False))
-            )
-    elif kind == "apoint":
-        name = _fresh_name(session, entry, "apoint")
-        algebra_name = entry.get("algebra")
-        _require(algebra_name in session.algebras, f"unknown algebra {algebra_name!r}")
-        algebra = session.algebras[algebra_name]
-        images = entry.get("images")
-        _require(isinstance(images, list) and images, "'images' must be a non-empty list")
-        coords = [[_rat(v) for v in img] for img in images]
-        session.points[name] = apoint(algebra, coords)
-    else:
-        name = _fresh_name(session, entry, "group")
-        n = entry.get("dim")
-        _require(_is_int(n) and n >= 1, "'dim' must be a positive integer")
-        law = [_parse_poly(s, 2 * n) for s in entry.get("law", [])]
-        identity = [_rat(v) for v in entry.get("identity", [0] * n)]
-        inverse = [_parse_poly(s, n) for s in entry.get("inverse", [])]
-        try:
-            session.groups[name] = group_law(n, law, identity, inverse)
-        except (ValueError, WeilJetsError) as exc:
-            raise SessionParseError(f"invalid group law {name!r}: {exc}")
-
-
-def _graph_index(key: str, n: int) -> int:
-    """A graph key: the decimal index of a dependent variable, 0 <= index < n."""
-    _require(
-        key.isdecimal() and int(key) < n,
-        f"graph key {key!r} is not a variable index from 0 to {n - 1}",
-    )
-    return int(key)
-
-
-def _parse_poly(text, n: int) -> TruncatedPolynomial:
-    _require(isinstance(text, str), "polynomials must be strings")
-    try:
-        return parse_polynomial(text, n)
-    except ValueError as exc:
-        raise SessionParseError(str(exc))
+    builder, keys = _BINDINGS[kind]
+    rest = {key: value for key, value in entry.items() if key != kind}
+    session.table(kind)[name] = builder(**_validate(keys, rest, session, "binding"))
 
 
 # -- serialization helpers -----------------------------------------------------------
@@ -258,136 +321,84 @@ def _algebra_summary(algebra: WeilAlgebra) -> dict:
     }
 
 
-def _algebra_description(algebra: WeilAlgebra) -> dict:
+def _images(point: APoint) -> dict:
+    return {"images": [[str(c) for c in img.coordinates] for img in point.images]}
+
+
+# -- commands: each handler takes its op's validated values as keyword arguments ---------
+
+
+def _op_info(of) -> dict:
+    if isinstance(of, WeilAlgebra):
+        return _algebra_summary(of)
+    if isinstance(of, Jet):
+        return _jet_summary(of)
+    if isinstance(of, APoint):
+        return {"ambient": of.ambient_dimension, "algebra_dim": of.algebra.dimension,
+                "base_point": [str(c) for c in of.base_point]}
+    return {"dim": of.dimension, "identity": [str(c) for c in of.identity]}
+
+
+def _op_describe(of: WeilAlgebra) -> dict:
     return {
-        "vars": algebra.n,
-        "dim": algebra.dimension,
-        "order": algebra.order,
-        "width": algebra.width,
-        "filtration": list(algebra.filtration_dimensions),
-        "basis_monomials": [list(e) for e in algebra.basis_monomials],
-        "structure_constants": [
-            [a, b, g, str(c)] for (a, b, g, c) in algebra.structure_constants()
-        ],
+        "vars": of.n,
+        "dim": of.dimension,
+        "order": of.order,
+        "width": of.width,
+        "filtration": list(of.filtration_dimensions),
+        "basis_monomials": [list(e) for e in of.basis_monomials],
+        "structure_constants": [[a, b, g, str(c)] for (a, b, g, c) in of.structure_constants()],
         "relations": [
-            format_polynomial(TruncatedPolynomial.from_sparse(algebra.n, algebra.window_bound, r))
-            for r in algebra.defining_ideal.rows.values()
+            format_polynomial(TruncatedPolynomial.from_sparse(of.n, of.window_bound, r))
+            for r in of.defining_ideal.rows.values()
         ],
     }
 
 
-# -- command dispatch -----------------------------------------------------------------
+def _op_derivations(of: WeilAlgebra) -> dict:
+    ders = derivation_space(of)
+    images = [
+        [format_polynomial(of.element_polynomial(i)) for i in g]
+        for g in ders.generator_images
+    ]
+    return {"dim": ders.dimension, "generator_images": images}
 
 
-def _lookup(session: Session, cmd: dict, key: str, table: dict, what: str):
-    name = cmd.get(key)
-    if not isinstance(name, str) or name not in table:
-        raise UnknownNameError(f"command needs {what} under {key!r}, got {name!r}")
-    return table[name]
-
-
-def _op_info(session: Session, cmd: dict) -> dict:
-    name = cmd.get("of")
-    if not isinstance(name, str):
-        raise UnknownNameError(f"command needs a name under 'of', got {name!r}")
-    if name in session.algebras:
-        return _algebra_summary(session.algebras[name])
-    if name in session.jets:
-        return _jet_summary(session.jets[name])
-    if name in session.points:
-        point = session.points[name]
-        return {
-            "ambient": point.ambient_dimension,
-            "algebra_dim": point.algebra.dimension,
-            "base_point": [str(c) for c in point.base_point],
-        }
-    if name in session.groups:
-        g = session.groups[name]
-        return {"dim": g.dimension, "identity": [str(c) for c in g.identity]}
-    raise UnknownNameError(f"unknown name {name!r}")
-
-
-def _op_describe(session: Session, cmd: dict) -> dict:
-    algebra = _lookup(session, cmd, "of", session.algebras, "an algebra")
-    return _algebra_description(algebra)
-
-
-def _op_derivations(session: Session, cmd: dict) -> dict:
-    algebra = _lookup(session, cmd, "of", session.algebras, "an algebra")
-    ders = derivation_space(algebra)
-    return {
-        "dim": ders.dimension,
-        "generator_images": [
-            [
-                format_polynomial(algebra.element_polynomial(img))
-                for img in images
-            ]
-            for images in ders.generator_images
-        ],
-    }
-
-
-def _op_tensor(session: Session, cmd: dict) -> dict:
-    a = _lookup(session, cmd, "of", session.algebras, "an algebra")
-    b = _lookup(session, cmd, "with", session.algebras, "an algebra")
-    t = tensor_product(a, b)
+def _op_tensor(of: WeilAlgebra, **keys) -> dict:
+    other = keys["with"]  # a Python keyword, so not a parameter name
+    t = tensor_product(of, other)
     out = _algebra_summary(t)
-    out["dims_multiply"] = t.dimension == a.dimension * b.dimension
-    out["order_adds"] = t.order == a.order + b.order
+    out["dims_multiply"] = t.dimension == of.dimension * other.dimension
+    out["order_adds"] = t.order == of.order + other.order
     return out
 
 
-def _op_stability(session: Session, cmd: dict) -> dict:
-    algebra = _lookup(session, cmd, "of", session.algebras, "an algebra")
-    polys = [_parse_poly(s, algebra.n) for s in cmd.get("ideal", [])]
-    d = algebra.dimension
+def _op_stability(of: WeilAlgebra, ideal=()) -> dict:
+    d = of.dimension
     # Close the span into an ideal of the algebra before checking.
-    ideal = Echelon(d)
-    ideal.saturate(
-        [sparse(algebra.project_polynomial(f).coordinates, d) for f in polys],
-        [algebra.multiplication_map(algebra.generator(i).coordinates) for i in range(algebra.n)],
+    span = Echelon(d)
+    span.saturate(
+        [sparse(of.project_polynomial(f).coordinates, d) for f in ideal],
+        [of.multiplication_map(of.generator(i).coordinates) for i in range(of.n)],
     )
-    basis = ideal.subspace()
-    report = ideal_stability(algebra, basis)
-    return {
-        "ideal_dim": basis.dimension,
-        "der_stable": report.der_stable,
-        "note": report.note,
-    }
+    basis = span.subspace()
+    report = ideal_stability(of, basis)
+    return {"ideal_dim": basis.dimension, "der_stable": report.der_stable, "note": report.note}
 
 
-def _op_hat(session: Session, cmd: dict) -> dict:
-    jet = _lookup(session, cmd, "of", session.jets, "a jet")
-    return _jet_summary(hat_ideal(jet))
+def _op_cotangent(of: Jet) -> dict:
+    ct = cotangent_module(of)
+    return {"dim": ct.dimension, "basis": [format_polynomial(f) for f in ct.basis]}
 
 
-def _op_cotangent(session: Session, cmd: dict) -> dict:
-    jet = _lookup(session, cmd, "of", session.jets, "a jet")
-    ct = cotangent_module(jet)
-    return {
-        "dim": ct.dimension,
-        "basis": [format_polynomial(f) for f in ct.basis],
-    }
+def _op_tangent(of: Jet) -> dict:
+    tm = tangent_module(of)
+    return {"ambient_dim": tm.ambient_dimension, "relations_dim": tm.relations.dimension,
+            "dim": tm.dimension}
 
 
-def _op_tangent(session: Session, cmd: dict) -> dict:
-    jet = _lookup(session, cmd, "of", session.jets, "a jet")
-    tm = tangent_module(jet)
-    return {
-        "ambient_dim": tm.ambient_dimension,
-        "relations_dim": tm.relations.dimension,
-        "dim": tm.dimension,
-    }
-
-
-def _op_fields(session: Session, cmd: dict) -> dict:
-    jet = _lookup(session, cmd, "of", session.jets, "a jet")
-    return {"dim": jet_fields(jet).dimension}
-
-
-def _op_normal_form(session: Session, cmd: dict) -> dict:
-    jet = _lookup(session, cmd, "of", session.jets, "a jet")
-    nf = normal_form(jet)
+def _op_normal_form(of: Jet) -> dict:
+    nf = normal_form(of)
     return {
         "r": nf.r,
         "pivot_variables": list(nf.pivot_variables),
@@ -396,20 +407,17 @@ def _op_normal_form(session: Session, cmd: dict) -> dict:
     }
 
 
-def _op_derive(session: Session, cmd: dict) -> dict:
-    jet = _lookup(session, cmd, "of", session.jets, "a jet")
-    verify = bool(cmd.get("verify", False))
-    derived = derived_jet(jet, verify=verify)
+def _op_derive(of: Jet, verify: bool = False) -> dict:
+    derived = derived_jet(of, verify=verify)
     out = _jet_summary(derived)
-    out["taylor_condition"] = jet.contains_jet(hat_ideal(derived))
+    out["taylor_condition"] = of.contains_jet(hat_ideal(derived))
     if verify:
         out["oracle_agrees"] = True
     return out
 
 
-def _op_contact(session: Session, cmd: dict) -> dict:
-    jet = _lookup(session, cmd, "of", session.jets, "a jet")
-    c = contact_and_cartan(jet)
+def _op_contact(of: Jet) -> dict:
+    c = contact_and_cartan(of)
     return {
         "omega_rank": c.omega_rank,
         "tangent_dim": c.tangent_dimension,
@@ -419,33 +427,19 @@ def _op_contact(session: Session, cmd: dict) -> dict:
     }
 
 
-def _op_taylor(session: Session, cmd: dict) -> dict:
-    jet = _lookup(session, cmd, "of", session.jets, "a jet")
-    ty = taylor_map(jet)
-    out = {
+def _op_taylor(of: Jet) -> dict:
+    ty = taylor_map(of)
+    return {
         "taylor_condition": ty.taylor_condition,
         "image_ambient_dim": ty.pi_star_cartan.ambient_dimension,
         "image_dim": ty.pi_star_cartan.dimension,
         "derived": _jet_summary(ty.derived),
+        "cartan_projects": ty.cartan_projects,
     }
-    out["cartan_projects"] = ty.cartan_projects
-    return out
 
 
-def _op_pushforward(session: Session, cmd: dict) -> dict:
-    jet = _lookup(session, cmd, "of", session.jets, "a jet")
-    comps = cmd.get("map", [])
-    _require(isinstance(comps, list) and comps, "'map' must be a non-empty list")
-    phi = [_parse_poly(s, jet.n) for s in comps]
-    return _jet_summary(pushforward(jet, phi))
-
-
-def _op_tangent_map(session: Session, cmd: dict) -> dict:
-    jet = _lookup(session, cmd, "of", session.jets, "a jet")
-    comps = cmd.get("map", [])
-    _require(isinstance(comps, list) and comps, "'map' must be a non-empty list")
-    phi = [_parse_poly(s, jet.n) for s in comps]
-    tm = tangent_map(jet, phi)
+def _op_tangent_map(of: Jet, map: list) -> dict:
+    tm = tangent_map(of, map)
     return {
         "exists": tm.exists,
         "regular_for_subalgebra": tm.is_regular_for_subalgebra,
@@ -453,102 +447,96 @@ def _op_tangent_map(session: Session, cmd: dict) -> dict:
     }
 
 
-def _op_evaluate(session: Session, cmd: dict) -> dict:
-    point = _lookup(session, cmd, "of", session.points, "an A-point")
-    poly = _parse_poly(cmd.get("poly", ""), point.ambient_dimension)
-    value = evaluate(poly, point)
-    return {
-        "components": [str(c) for c in value.coordinates],
-        "value": format_polynomial(
-            point.algebra.element_polynomial(value.coordinates)
-        ),
-    }
+def _op_evaluate(of: APoint, poly: TruncatedPolynomial) -> dict:
+    value = evaluate(poly, of).coordinates
+    text = format_polynomial(of.algebra.element_polynomial(value))
+    return {"components": [str(c) for c in value], "value": text}
 
 
-def _op_kernel(session: Session, cmd: dict) -> dict:
-    point = _lookup(session, cmd, "of", session.points, "an A-point")
-    regular, jet = regularity_and_kernel(point)
+def _op_kernel(of: APoint) -> dict:
+    regular, jet = regularity_and_kernel(of)
     return {"regular": regular, "kernel": _jet_summary(jet)}
 
 
-def _op_prolong(session: Session, cmd: dict) -> dict:
-    algebra = _lookup(session, cmd, "algebra", session.algebras, "an algebra")
-    n = cmd.get("vars")
-    _require(_is_int(n) and n >= 1, "'vars' must be a positive integer")
-    gens = [_parse_poly(s, n) for s in cmd.get("ideal", [])]
-    prolonged = prolong_ideal(gens, algebra)
-    return {
-        "coordinates": component_names(algebra, n),
-        "components": [[format_polynomial(c) for c in comps] for comps in prolonged],
-    }
+def _op_prolong(algebra: WeilAlgebra, vars: int, ideal=()) -> dict:
+    components = [[format_polynomial(c) for c in comps] for comps in prolong_ideal(ideal, algebra)]
+    return {"coordinates": component_names(algebra, vars), "components": components}
 
 
-def _op_weil_check(session: Session, cmd: dict) -> dict:
-    a = _lookup(session, cmd, "a", session.algebras, "an algebra")
-    b = _lookup(session, cmd, "b", session.algebras, "an algebra")
-    n = cmd.get("vars")
-    _require(_is_int(n) and n >= 1, "'vars' must be a positive integer")
-    poly = _parse_poly(cmd.get("poly", ""), n)
-    matrices = cmd.get("point")
-    _require(isinstance(matrices, list), "'point' must be a list of matrices")
-    report = weil_iso_check(poly, a, b, matrices)
-    return {
-        "equal": report.equal,
-        "components": [[str(v) for v in row] for row in report.direct],
-    }
+def _op_weil_check(a: WeilAlgebra, b: WeilAlgebra, vars: int, poly, point: list) -> dict:
+    report = weil_iso_check(poly, a, b, point)
+    return {"equal": report.equal, "components": [[str(v) for v in row] for row in report.direct]}
 
 
-def _group_point(session: Session, cmd: dict, key: str, algebra: WeilAlgebra) -> APoint:
-    data = cmd.get(key)
-    _require(isinstance(data, list), f"'{key}' must be a list of coordinate lists")
-    return apoint(algebra, [[_rat(v) for v in img] for img in data])
+class _Command(NamedTuple):
+    """An op: its handler and its key table, called as ``execute`` runs the op."""
+
+    handler: Callable[..., dict]
+    keys: dict[str, _Key]
+
+    def __call__(self, session: Session, cmd: dict, verify_oracles: bool = False) -> dict:
+        args = {key: value for key, value in cmd.items() if key != "op"}
+        values = _validate(self.keys, args, session, "command")
+        if verify_oracles and "verify" in self.keys:
+            values["verify"] = True
+        return self.handler(**values)
 
 
-def _op_group_product(session: Session, cmd: dict) -> dict:
-    law = _lookup(session, cmd, "group", session.groups, "a group law")
-    algebra = _lookup(session, cmd, "algebra", session.algebras, "an algebra")
-    lifted = prolong_group(law, algebra)
-    p = _group_point(session, cmd, "p", algebra)
-    q = _group_point(session, cmd, "q", algebra)
-    result = lifted.product(p, q)
-    return {
-        "images": [[str(c) for c in img.coordinates] for img in result.images]
-    }
+_JET_MAP = _Key(_list(_poly(lambda v: v["of"].n), nonempty=True))
+_POINT_OVER_ALGEBRA = _Key(_point_over_algebra)
 
+# Op -> handler and key table.
+_OPERATIONS: dict[str, _Command] = {
+    "info": _Command(_op_info, {"of": _Key(_Ref(None))}),
+    "describe": _Command(_op_describe, {"of": _ALGEBRA}),
+    "derivations": _Command(_op_derivations, {"of": _ALGEBRA}),
+    "tensor": _Command(_op_tensor, {"of": _ALGEBRA, "with": _ALGEBRA}),
+    "stability": _Command(
+        _op_stability, {"of": _ALGEBRA, "ideal": _optional(_list(_poly(lambda v: v["of"].n)))}
+    ),
+    "hat": _Command(lambda of: _jet_summary(hat_ideal(of)), {"of": _JET}),
+    "cotangent": _Command(_op_cotangent, {"of": _JET}),
+    "tangent": _Command(_op_tangent, {"of": _JET}),
+    "fields": _Command(lambda of: {"dim": jet_fields(of).dimension}, {"of": _JET}),
+    "normal_form": _Command(_op_normal_form, {"of": _JET}),
+    "derive": _Command(_op_derive, {"of": _JET, "verify": _optional(_boolean)}),
+    "contact": _Command(_op_contact, {"of": _JET}),
+    "taylor": _Command(_op_taylor, {"of": _JET}),
+    "pushforward": _Command(
+        lambda of, map: _jet_summary(pushforward(of, map)), {"of": _JET, "map": _JET_MAP}
+    ),
+    "tangent_map": _Command(_op_tangent_map, {"of": _JET, "map": _JET_MAP}),
+    "evaluate": _Command(
+        _op_evaluate, {"of": _APOINT, "poly": _Key(_poly(lambda v: v["of"].ambient_dimension))}
+    ),
+    "kernel": _Command(_op_kernel, {"of": _APOINT}),
+    "prolong": _Command(
+        _op_prolong, {"algebra": _ALGEBRA, "vars": _VARS, "ideal": _optional(_VARS_POLYS)}
+    ),
+    "weil_check": _Command(_op_weil_check, {
+        "a": _ALGEBRA,
+        "b": _ALGEBRA,
+        "vars": _VARS,
+        "poly": _Key(_poly(lambda v: v["vars"])),
+        "point": _Key(_list(_list(_list(_rat)))),
+    }),
+    "group_product": _Command(
+        lambda group, algebra, p, q: _images(prolong_group(group, algebra).product(p, q)),
+        {"group": _GROUP, "algebra": _ALGEBRA, "p": _POINT_OVER_ALGEBRA, "q": _POINT_OVER_ALGEBRA},
+    ),
+    "group_inverse": _Command(
+        lambda group, algebra, p: _images(prolong_group(group, algebra).inverse(p)),
+        {"group": _GROUP, "algebra": _ALGEBRA, "p": _POINT_OVER_ALGEBRA},
+    ),
+}
 
-def _op_group_inverse(session: Session, cmd: dict) -> dict:
-    law = _lookup(session, cmd, "group", session.groups, "a group law")
-    algebra = _lookup(session, cmd, "algebra", session.algebras, "an algebra")
-    lifted = prolong_group(law, algebra)
-    p = _group_point(session, cmd, "p", algebra)
-    result = lifted.inverse(p)
-    return {
-        "images": [[str(c) for c in img.coordinates] for img in result.images]
-    }
-
-
-_OPERATIONS: dict[str, Callable[[Session, dict], dict]] = {
-    "info": _op_info,
-    "describe": _op_describe,
-    "derivations": _op_derivations,
-    "tensor": _op_tensor,
-    "stability": _op_stability,
-    "hat": _op_hat,
-    "cotangent": _op_cotangent,
-    "tangent": _op_tangent,
-    "fields": _op_fields,
-    "normal_form": _op_normal_form,
-    "derive": _op_derive,
-    "contact": _op_contact,
-    "taylor": _op_taylor,
-    "pushforward": _op_pushforward,
-    "tangent_map": _op_tangent_map,
-    "evaluate": _op_evaluate,
-    "kernel": _op_kernel,
-    "prolong": _op_prolong,
-    "weil_check": _op_weil_check,
-    "group_product": _op_group_product,
-    "group_inverse": _op_group_inverse,
+# Every key that names a binding in some op.  The parser checks these for a
+# bound name of any kind, so an unbound name fails the whole session.
+_NAME_KEYS = {
+    key: _optional(_Ref(None))
+    for command in _OPERATIONS.values()
+    for key, spec in command.keys.items()
+    if isinstance(spec.convert, _Ref)
 }
 
 
@@ -562,14 +550,12 @@ def execute(
     for index, cmd in enumerate(session.commands):
         op = cmd.get("op")
         entry: dict[str, Any] = {"index": index, "op": op}
-        handler = _OPERATIONS.get(op)
-        if verify_oracles and op == "derive":
-            cmd = dict(cmd, verify=True)
+        command = _OPERATIONS.get(op)
         try:
-            if handler is None:
+            if command is None:
                 raise SessionParseError(f"unknown operation {op!r}")
             entry["ok"] = True
-            entry["result"] = handler(session, cmd)
+            entry["result"] = command(session, cmd, verify_oracles)
         except WeilJetsError as exc:
             entry["ok"] = False
             entry["error"] = {"kind": type(exc).__name__, "message": str(exc)}
