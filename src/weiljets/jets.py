@@ -110,7 +110,7 @@ class Jet:
 
     def contains_polynomial(self, f: TruncatedPolynomial) -> bool:
         """Membership of a polynomial written in coordinates at the base point."""
-        shifted = f.shift(self.base_point) if any(self.base_point) else f
+        shifted = f.shift(self.base_point, self.window_bound) if any(self.base_point) else f
         return self.ideal.contains_vector(shifted.to_sparse(self.window_bound))
 
     def embedded_ideal(self, bound: int) -> Subspace:
@@ -197,7 +197,8 @@ def jet_from_ideal(
     for g in generators:
         if g.variable_count != n:
             raise DimensionMismatchError("generator has the wrong variable count")
-        moved = g.shift(base) if any(base) else g
+        # The quotient keeps degrees up to the hint only, so the shift stops there.
+        moved = g.shift(base, max(order_hint, 0)) if any(base) else g
         if moved.constant_term():
             raise EmptyQuotientError(
                 f"generator {format_polynomial(g)} does not vanish at the base point"

@@ -33,6 +33,15 @@ def window_size(variable_count: int, bound: int) -> int:
     return comb(variable_count + bound, variable_count)
 
 
+def _check_window(variable_count: int, bound: int) -> None:
+    size = window_size(variable_count, bound)
+    if size > MAX_WINDOW:
+        raise WindowTooLargeError(
+            f"the window of degree <= {bound} in {variable_count} variables has "
+            f"{size} monomials, more than the cap of {MAX_WINDOW}"
+        )
+
+
 def monomial_sort_key(exponent: Exponent) -> tuple:
     """Sort key realising the layout order (graded, then lex with x1 first)."""
     return (sum(exponent), tuple(-e for e in exponent))
@@ -43,12 +52,7 @@ def window(variable_count: int, bound: int) -> tuple[Exponent, ...]:
     """All exponents of degree <= bound, in layout order."""
     if variable_count < 0 or bound < 0:
         raise ValueError("variable count and degree bound must be non-negative")
-    size = window_size(variable_count, bound)
-    if size > MAX_WINDOW:
-        raise WindowTooLargeError(
-            f"the window of degree <= {bound} in {variable_count} variables has "
-            f"{size} monomials, more than the cap of {MAX_WINDOW}"
-        )
+    _check_window(variable_count, bound)
     exps = [
         e
         for e in product(range(bound + 1), repeat=variable_count)
@@ -108,7 +112,10 @@ def _power_products(
     Each new exponent costs one ``mul``: it lowers its first nonzero entry
     and multiplies the cached product of the lowered exponent by that factor.
     A miss walks down to the nearest cached exponent and multiplies back up,
-    so a high exponent needs no recursion.
+    so a high exponent needs no recursion.  Every exponent walked lies in the
+    window of the requested degree, so a degree whose window is above
+    ``MAX_WINDOW`` raises ``WindowTooLargeError`` before the walk: that caps
+    both the products made and the cache.
     """
     cache: dict[Exponent, _T] = {(0,) * len(factors): one}
 
@@ -116,6 +123,7 @@ def _power_products(
         out = cache.get(exp)
         if out is not None:
             return out
+        _check_window(len(exp), sum(exp))
         missing: list[tuple[Exponent, int]] = []
         while out is None:
             i = next(k for k, e in enumerate(exp) if e)

@@ -21,7 +21,7 @@ from operator import add, itemgetter
 from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import DimensionMismatchError
-from .monomials import Exponent, _power_products, window, window_index
+from .monomials import Exponent, _check_window, _power_products, window, window_index
 
 Scalar = Fraction | int
 _K = TypeVar("_K", bound=Hashable)
@@ -246,8 +246,12 @@ class TruncatedPolynomial:
             total += term
         return total
 
-    def shift(self, point: Sequence[Scalar]) -> "TruncatedPolynomial":
-        """f(x + point), computed exactly (the degree does not grow)."""
+    def shift(self, point: Sequence[Scalar], bound: int | None = None) -> "TruncatedPolynomial":
+        """f(x + point), computed exactly (the degree does not grow).
+
+        With a ``bound`` the terms above it are never computed: the result is
+        ``f(x + point).truncate(bound)``.
+        """
         images = [
             TruncatedPolynomial(
                 self.variable_count,
@@ -259,7 +263,7 @@ class TruncatedPolynomial:
             )
             for i in range(self.variable_count)
         ]
-        return truncated_substitute(self, images, self.degree_bound)
+        return truncated_substitute(self, images, self.degree_bound if bound is None else bound)
 
     # -- coordinate vectors --------------------------------------------------
 
@@ -363,7 +367,9 @@ def truncated_substitute(
     """f(images[0], ..., images[n-1]) truncated at the given degree bound.
 
     With ``coordinate_change=True`` the images must all have zero constant
-    term (a substitution meant as a local change of coordinates).
+    term (a substitution meant as a local change of coordinates).  Every
+    product made lies in the window of the bound, so a bound whose window is
+    above ``MAX_WINDOW`` raises ``WindowTooLargeError`` first.
     """
     if len(images) != f.variable_count:
         raise DimensionMismatchError(
@@ -377,6 +383,7 @@ def truncated_substitute(
             raise ValueError(
                 "coordinate change requires images with zero constant term"
             )
+    _check_window(target_vars, bound)
     one = TruncatedPolynomial.constant(target_vars, bound, 1)
     power_product = _power_products(
         one, images, lambda u, v: truncated_product(u, v, bound)

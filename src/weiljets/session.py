@@ -20,15 +20,48 @@ from fractions import Fraction
 from math import comb
 from typing import Any, Callable, NamedTuple
 
-from .apoints import APoint, GroupLaw, apoint, component_names, evaluate, group_law
-from .apoints import prolong_group, prolong_ideal, regularity_and_kernel, weil_iso_check
+from .apoints import (
+    APoint,
+    GroupLaw,
+    apoint,
+    component_names,
+    evaluate,
+    group_law,
+    prolong_ideal,
+    prolong_group,
+    regularity_and_kernel,
+    weil_iso_check,
+)
 from .errors import SessionParseError, UnknownNameError, WeilJetsError
-from .jets import Jet, classical_jet, contact_and_cartan, cotangent_module, derived_jet, hat_ideal
-from .jets import jet_fields, jet_from_ideal, normal_form, pushforward, tangent_map, tangent_module
-from .jets import taylor_map
-from .poly import TruncatedPolynomial, as_fraction, format_polynomial, parse_polynomial
+from .jets import (
+    Jet,
+    classical_jet,
+    contact_and_cartan,
+    cotangent_module,
+    derived_jet,
+    hat_ideal,
+    jet_fields,
+    jet_from_ideal,
+    normal_form,
+    pushforward,
+    tangent_map,
+    tangent_module,
+    taylor_map,
+)
+from .poly import (
+    TruncatedPolynomial,
+    as_fraction,
+    format_polynomial,
+    parse_polynomial,
+)
 from .subspace import Echelon, sparse
-from .weil import WeilAlgebra, derivation_space, ideal_stability, quotient_algebra, tensor_product
+from .weil import (
+    WeilAlgebra,
+    derivation_space,
+    ideal_stability,
+    quotient_algebra,
+    tensor_product,
+)
 
 _FORMATS = ("json", "text")
 
@@ -140,10 +173,18 @@ def _poly(variable_count: Callable[[dict], int]) -> _Converter:
     return convert
 
 
-def _point(key, value, values) -> list[Fraction]:
-    coords = _list(_rat)(key, value, values)
-    _require(len(coords) == values["vars"], f"{key!r} must have one coordinate per variable")
-    return coords
+def _sized(convert: _Converter, size_key: str, what: str) -> _Converter:
+    """``convert`` for a list that needs one item per unit of ``values[size_key]``."""
+
+    def check(key, value, values):
+        items = convert(key, value, values)
+        _require(len(items) == values[size_key], f"{key!r} must have one {what}")
+        return items
+
+    return check
+
+
+_point = _sized(_list(_rat), "vars", "coordinate per variable")
 
 
 def _graph(key, value, values) -> dict[int, TruncatedPolynomial]:
@@ -187,8 +228,9 @@ def _validate(keys: dict[str, _Key], entry: dict, session: Session, where: str) 
     return values
 
 
-_ARTICLES = {"algebra": "an algebra", "jet": "a jet",
-             "apoint": "an A-point", "group": "a group law"}
+_ARTICLES = {
+    "algebra": "an algebra", "jet": "a jet", "apoint": "an A-point", "group": "a group law"
+}
 
 
 def _resolve(session: Session, kind: str | None, key: str, name, where: str):
@@ -219,7 +261,13 @@ def _bind_jet(
     return jet_from_ideal(vars, point, generators, order_hint, strict_hint=strict)
 
 
-def _bind_group(dim: int, law=(), identity=None, inverse=()) -> GroupLaw:
+def _bind_apoint(algebra: WeilAlgebra, images: list) -> APoint:
+    # Looks ``apoint`` up in this module at call time, where bench/tracer.py
+    # rebinds it to open its span.
+    return apoint(algebra, images)
+
+
+def _bind_group(dim: int, law: list, inverse: list, identity=None) -> GroupLaw:
     try:
         return group_law(dim, law, [0] * dim if identity is None else identity, inverse)
     except (ValueError, WeilJetsError) as exc:
@@ -228,12 +276,16 @@ def _bind_group(dim: int, law=(), identity=None, inverse=()) -> GroupLaw:
 
 _VARS = _Key(_integer(1))
 _VARS_POLYS = _list(_poly(lambda v: v["vars"]))  # polynomials in the entry's 'vars' variables
+_PER_DIM = "component per dimension"
 _ALGEBRA, _JET, _APOINT, _GROUP = (_Key(_Ref(k)) for k in ("algebra", "jet", "apoint", "group"))
 
 # Kind -> (builder, key table).  An "apoint" binding carries an "algebra" key
 # as a reference, so a binding's kind is the first of these keys it has.
 _BINDINGS: dict[str, tuple[Callable[..., Any], dict[str, _Key]]] = {
-    "apoint": (apoint, {"algebra": _ALGEBRA, "images": _Key(_list(_list(_rat), nonempty=True))}),
+    "apoint": (_bind_apoint, {
+        "algebra": _ALGEBRA,
+        "images": _Key(_list(_list(_rat), nonempty=True)),
+    }),
     "jet": (_bind_jet, {
         "vars": _VARS,
         "order_hint": _Key(_integer(0)),
@@ -244,9 +296,9 @@ _BINDINGS: dict[str, tuple[Callable[..., Any], dict[str, _Key]]] = {
     }),
     "group": (_bind_group, {
         "dim": _Key(_integer(1)),
-        "law": _optional(_list(_poly(lambda v: 2 * v["dim"]))),
-        "identity": _optional(_list(_rat)),
-        "inverse": _optional(_list(_poly(lambda v: v["dim"]))),
+        "law": _Key(_sized(_list(_poly(lambda v: 2 * v["dim"])), "dim", _PER_DIM)),
+        "identity": _optional(_sized(_list(_rat), "dim", "coordinate per dimension")),
+        "inverse": _Key(_sized(_list(_poly(lambda v: v["dim"])), "dim", _PER_DIM)),
     }),
     "algebra": (_bind_algebra, {
         "vars": _VARS,
@@ -334,8 +386,11 @@ def _op_info(of) -> dict:
     if isinstance(of, Jet):
         return _jet_summary(of)
     if isinstance(of, APoint):
-        return {"ambient": of.ambient_dimension, "algebra_dim": of.algebra.dimension,
-                "base_point": [str(c) for c in of.base_point]}
+        return {
+            "ambient": of.ambient_dimension,
+            "algebra_dim": of.algebra.dimension,
+            "base_point": [str(c) for c in of.base_point],
+        }
     return {"dim": of.dimension, "identity": [str(c) for c in of.identity]}
 
 
@@ -347,7 +402,9 @@ def _op_describe(of: WeilAlgebra) -> dict:
         "width": of.width,
         "filtration": list(of.filtration_dimensions),
         "basis_monomials": [list(e) for e in of.basis_monomials],
-        "structure_constants": [[a, b, g, str(c)] for (a, b, g, c) in of.structure_constants()],
+        "structure_constants": [
+            [a, b, g, str(c)] for (a, b, g, c) in of.structure_constants()
+        ],
         "relations": [
             format_polynomial(TruncatedPolynomial.from_sparse(of.n, of.window_bound, r))
             for r in of.defining_ideal.rows.values()
@@ -357,11 +414,16 @@ def _op_describe(of: WeilAlgebra) -> dict:
 
 def _op_derivations(of: WeilAlgebra) -> dict:
     ders = derivation_space(of)
-    images = [
-        [format_polynomial(of.element_polynomial(i)) for i in g]
-        for g in ders.generator_images
-    ]
-    return {"dim": ders.dimension, "generator_images": images}
+    return {
+        "dim": ders.dimension,
+        "generator_images": [
+            [
+                format_polynomial(of.element_polynomial(img))
+                for img in images
+            ]
+            for images in ders.generator_images
+        ],
+    }
 
 
 def _op_tensor(of: WeilAlgebra, **keys) -> dict:
@@ -383,18 +445,28 @@ def _op_stability(of: WeilAlgebra, ideal=()) -> dict:
     )
     basis = span.subspace()
     report = ideal_stability(of, basis)
-    return {"ideal_dim": basis.dimension, "der_stable": report.der_stable, "note": report.note}
+    return {
+        "ideal_dim": basis.dimension,
+        "der_stable": report.der_stable,
+        "note": report.note,
+    }
 
 
 def _op_cotangent(of: Jet) -> dict:
     ct = cotangent_module(of)
-    return {"dim": ct.dimension, "basis": [format_polynomial(f) for f in ct.basis]}
+    return {
+        "dim": ct.dimension,
+        "basis": [format_polynomial(f) for f in ct.basis],
+    }
 
 
 def _op_tangent(of: Jet) -> dict:
     tm = tangent_module(of)
-    return {"ambient_dim": tm.ambient_dimension, "relations_dim": tm.relations.dimension,
-            "dim": tm.dimension}
+    return {
+        "ambient_dim": tm.ambient_dimension,
+        "relations_dim": tm.relations.dimension,
+        "dim": tm.dimension,
+    }
 
 
 def _op_normal_form(of: Jet) -> dict:
@@ -448,9 +520,13 @@ def _op_tangent_map(of: Jet, map: list) -> dict:
 
 
 def _op_evaluate(of: APoint, poly: TruncatedPolynomial) -> dict:
-    value = evaluate(poly, of).coordinates
-    text = format_polynomial(of.algebra.element_polynomial(value))
-    return {"components": [str(c) for c in value], "value": text}
+    value = evaluate(poly, of)
+    return {
+        "components": [str(c) for c in value.coordinates],
+        "value": format_polynomial(
+            of.algebra.element_polynomial(value.coordinates)
+        ),
+    }
 
 
 def _op_kernel(of: APoint) -> dict:
@@ -459,13 +535,19 @@ def _op_kernel(of: APoint) -> dict:
 
 
 def _op_prolong(algebra: WeilAlgebra, vars: int, ideal=()) -> dict:
-    components = [[format_polynomial(c) for c in comps] for comps in prolong_ideal(ideal, algebra)]
-    return {"coordinates": component_names(algebra, vars), "components": components}
+    prolonged = prolong_ideal(ideal, algebra)
+    return {
+        "coordinates": component_names(algebra, vars),
+        "components": [[format_polynomial(c) for c in comps] for comps in prolonged],
+    }
 
 
 def _op_weil_check(a: WeilAlgebra, b: WeilAlgebra, vars: int, poly, point: list) -> dict:
     report = weil_iso_check(poly, a, b, point)
-    return {"equal": report.equal, "components": [[str(v) for v in row] for row in report.direct]}
+    return {
+        "equal": report.equal,
+        "components": [[str(v) for v in row] for row in report.direct],
+    }
 
 
 class _Command(NamedTuple):

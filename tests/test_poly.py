@@ -128,6 +128,13 @@ def test_shift_then_unshift_is_identity(f):
 
 
 @settings(max_examples=25, deadline=None)
+@given(small_polys(), st.integers(0, 3))
+def test_bounded_shift_is_the_truncated_shift(f, bound):
+    point = (Fraction(1, 2), Fraction(-2))
+    assert f.shift(point, bound) == f.shift(point).truncate(bound)
+
+
+@settings(max_examples=25, deadline=None)
 @given(small_polys(n_vars=1, bound=4))
 def test_substitution_composition(f):
     # f((s o t)(x)) agrees with (f o s) o t up to the shared truncation.

@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _ALGEBRA = {"algebra": "A", "vars": 1, "relations": ["x^2"]}
 _JET = {"jet": "p", "vars": 1, "generators": ["x^2"], "order_hint": 1}
+_GROUP = {"group": "G", "dim": 1, "law": ["x + y"], "inverse": ["-x"]}
 _WEIL = {"op": "weil_check", "a": "A", "b": "A", "vars": 1, "poly": "x"}
 
 
@@ -60,7 +61,7 @@ BAD_BINDINGS = [
         id="apoint-algebra-list",
     ),
     pytest.param(
-        _bind({"group": "G", "dim": 1, "law": ["x + y"], "identity": 0}),
+        _bind(dict(_GROUP, identity=0)),
         "'identity' must be a list",
         id="group-identity-int",
     ),
@@ -77,6 +78,22 @@ BAD_BINDINGS = [
         _bind({"algebra": "A", "relations": ["x^2"]}), "needs the key 'vars'", id="missing-vars"
     ),
     pytest.param(_bind(dict(_JET, point=[True])), "not an exact rational", id="bool-rational"),
+    pytest.param(
+        _bind({"group": "G", "dim": 1, "law": ["x + y"]}), "needs the key 'inverse'", id="no-inverse"
+    ),
+    pytest.param(
+        _bind({"group": "G", "dim": 1, "inverse": ["-x"]}), "needs the key 'law'", id="no-law"
+    ),
+    pytest.param(
+        _bind(dict(_GROUP, law=["x + y", "x"])),
+        "'law' must have one component per dimension",
+        id="law-length",
+    ),
+    pytest.param(
+        _bind(dict(_GROUP, identity=["0", "0"])),
+        "'identity' must have one coordinate per dimension",
+        id="identity-length",
+    ),
 ]
 
 
@@ -142,6 +159,10 @@ class TestBadCommands:
         assert report.results[0]["result"]["oracle_agrees"] is True
 
 
+_HUGE = "x^99999999999"
+_SHIFTED_JET = {"jet": "p", "vars": 1, "point": ["1"], "order_hint": 1}
+
+
 class TestWindowCap:
     def test_window_above_the_cap_is_refused(self):
         assert window_size(2, 76) > MAX_WINDOW
@@ -153,18 +174,46 @@ class TestWindowCap:
         [
             {"algebra": "A", "vars": 40, "bound": 6},
             {"algebra": "A", "vars": 3, "bound": 60},
-            {"algebra": "A", "vars": 1, "relations": ["x^99999999999"]},
+            {"algebra": "A", "vars": 1, "relations": [_HUGE]},
+            dict(_SHIFTED_JET, generators=[_HUGE + " - 1"]),
+            dict(_SHIFTED_JET, generators=["x^3000 - 1"]),
+            {"jet": "p", "vars": 2, "graph": {"1": _HUGE}, "point": ["1", "0"], "order_hint": 1},
+            dict(_GROUP, law=["x + y + " + _HUGE]),
+            dict(_GROUP, law=["x + y + x^40 y^40"]),
         ],
-        ids=["R_40^6", "R_3^60", "huge-exponent"],
+        ids=[
+            "R_40^6",
+            "R_3^60",
+            "huge-relation",
+            "huge-jet-shift",
+            "deep-jet-shift",
+            "huge-graph-shift",
+            "huge-group-law",
+            "group-law-squared-degree",
+        ],
     )
     def test_bind_time_exits_2(self, binding):
         code, _, err = _run_cli(_bind(binding))
         assert code == 2
         assert "more than the cap" in err and "Traceback" not in err
 
-    def test_run_time_is_a_per_command_error(self):
-        run = [{"op": "tensor", "of": "B", "with": "B"}, {"op": "info", "of": "B"}]
-        report = _run({"bind": [{"algebra": "B", "vars": 6, "bound": 2}], "run": run})
+    @pytest.mark.parametrize(
+        "command",
+        [
+            {"op": "tensor", "of": "B", "with": "B"},
+            {"op": "prolong", "algebra": "B", "vars": 1, "ideal": [_HUGE]},
+            {"op": "prolong", "algebra": "B", "vars": 1, "ideal": ["x^5000"]},
+            {"op": "evaluate", "of": "P", "poly": _HUGE},
+            {"op": "weil_check", "a": "A", "b": "A", "vars": 1, "poly": _HUGE,
+             "point": [[["1", "0"], ["0", "1"]]]},
+        ],
+        ids=["tensor", "huge-prolong", "deep-prolong", "huge-evaluate", "huge-weil-check"],
+    )
+    def test_run_time_is_a_per_command_error(self, command):
+        algebra = {"algebra": "B", "vars": 6, "bound": 2}
+        point = {"apoint": "P", "algebra": "A", "images": [["1", "1"]]}
+        run = [command, {"op": "info", "of": "B"}]
+        report = _run({"bind": [_ALGEBRA, algebra, point], "run": run})
         assert [r["ok"] for r in report.results] == [False, True]
         assert report.results[0]["error"]["kind"] == "WindowTooLargeError"
 
@@ -179,21 +228,35 @@ class TestDeepExponents:
             calls.append(1)
             return a * b % 1_000_003
 
+        power = _power_products(1, [3], mul)
+        assert power((2999,)) == pow(3, 2999, 1_000_003)
+        assert len(calls) == 2999  # one product per new exponent
+        # The walk down cached every exponent on the way.
+        assert power((2998,)) == pow(3, 2998, 1_000_003) and len(calls) == 2999
+        # The next degree's window is above the cap: refused before any product.
+        with pytest.raises(WindowTooLargeError):
+            power((3000,))
+        assert len(calls) == 2999
+
+    def test_power_products_lower_the_first_variable_first(self):
+        calls = []
+
+        def mul(a, b):
+            calls.append(1)
+            return a * b
+
         power = _power_products(1, [3, 5], mul)
-        assert power((5000, 2)) == pow(3, 5000, 1_000_003) * 25 % 1_000_003
-        assert len(calls) == 5002  # one product per new exponent
-        # The walk down cached every exponent on the way: (4999, 2) is a hit,
-        # and (0, 3) costs one product on top of the cached (0, 2).
-        assert power((4999, 2)) == pow(3, 4999, 1_000_003) * 25 % 1_000_003
-        assert power((0, 3)) == 125 and len(calls) == 5003
+        assert power((40, 2)) == 3**40 * 25 and len(calls) == 42
+        # (0, 3) costs one product on top of the cached (0, 2).
+        assert power((0, 3)) == 125 and len(calls) == 43
 
     def test_jet_with_a_deep_shift(self):
-        jet = {"jet": "p", "vars": 1, "generators": ["x^1000 - 1"], "point": ["1"], "order_hint": 1}
+        jet = dict(_SHIFTED_JET, generators=["x^2999 - 1"])
         report = _run({"bind": [jet], "run": [{"op": "info", "of": "p"}]})
         assert report.results[0]["result"]["generators"] == ["x"]
 
     def test_prolong_of_a_deep_power(self):
-        command = {"op": "prolong", "algebra": "A", "vars": 1, "ideal": ["x^5000"]}
+        command = {"op": "prolong", "algebra": "A", "vars": 1, "ideal": ["x^2999"]}
         assert _run({"bind": [_ALGEBRA], "run": [command]}).exit_status == 0
 
 
