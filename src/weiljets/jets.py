@@ -807,18 +807,9 @@ def _projection_columns(p: Jet, p2: Jet) -> list[SparseRow]:
 def _differential_columns(
     p: Jet, quotient_columns: Sequence[SparseRow], f: TruncatedPolynomial
 ) -> list[SparseRow]:
-    """Sparse columns of the map (ambient tangent tuple) -> class of Df in A'.
-
-    Column i*d + b is the image of a_b in slot i: the class of
-    (d f / d x_i) * a_b, pushed to A'.
-    """
-    algebra = p.quotient
-    columns: list[SparseRow] = []
-    for i in range(p.n):
-        w = algebra.project_polynomial(f.derivative(i)).coordinates
-        for column in algebra.multiplication_map(w):
-            columns.append(apply_columns(quotient_columns, column))
-    return columns
+    """Sparse columns of the map (ambient tangent tuple) -> class of Df in A':
+    the differential map of f on A, pushed to A'."""
+    return [apply_columns(quotient_columns, c) for c in p.quotient.differential_map(f)]
 
 
 def contact_and_cartan(p: Jet) -> ContactData:

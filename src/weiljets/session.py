@@ -417,11 +417,8 @@ def _op_derivations(of: WeilAlgebra) -> dict:
     return {
         "dim": ders.dimension,
         "generator_images": [
-            [
-                format_polynomial(of.element_polynomial(img))
-                for img in images
-            ]
-            for images in ders.generator_images
+            [format_polynomial(of.row_polynomial(img)) for img in images]
+            for images in ders.sparse_images
         ],
     }
 

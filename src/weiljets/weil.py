@@ -208,13 +208,16 @@ class WeilAlgebra:
     def project_polynomial(self, f: TruncatedPolynomial) -> "AlgebraElement":
         if f.variable_count != self.n:
             raise DimensionMismatchError("polynomial has the wrong variable count")
-        coords = [_ZERO] * self.dimension
+        return AlgebraElement(self, tuple(dense(self._polynomial_class(f), self.dimension)))
+
+    def _polynomial_class(self, f: TruncatedPolynomial) -> SparseRow:
+        """Sparse quotient coordinates of the class of f."""
+        row: SparseRow = {}
         idx = window_index(self.n, self.window_bound)
         for exp, v in f.coefficients.items():
             if sum(exp) <= self.window_bound:
-                for g, w in self._classes[idx[exp]].items():
-                    coords[g] += v * w
-        return AlgebraElement(self, tuple(coords))
+                _add_multiple(row, v, self._classes[idx[exp]])
+        return row
 
     # -- arithmetic on raw coordinate tuples ------------------------------------
 
@@ -242,9 +245,13 @@ class WeilAlgebra:
             result = self.mult_coords(result, base)
         return result
 
-    def _mult_columns(self, w: Sequence[Fraction]) -> tuple[list[dict[int, int]], int]:
-        """Numerators of the images w * a_b (one dict per b) and their denominator."""
-        (ws,), den = _common_denominator([[(a, wa) for a, wa in enumerate(w) if wa]])
+    def _mult_columns(
+        self, w: Sequence[Fraction] | SparseRow
+    ) -> tuple[list[dict[int, int]], int]:
+        """Numerators of the images w * a_b (one dict per b) and their
+        denominator; w is dense or sparse."""
+        items = w.items() if isinstance(w, dict) else ((a, wa) for a, wa in enumerate(w) if wa)
+        (ws,), den = _common_denominator([items])
         columns: list[dict[int, int]] = [{} for _ in range(self.dimension)]
         for a, wa in ws:
             for column, entries in zip(columns, self._mult[a]):
@@ -260,10 +267,23 @@ class WeilAlgebra:
             for g in range(self.dimension)
         ]
 
-    def multiplication_map(self, w: Sequence[Fraction]) -> list[SparseRow]:
+    def multiplication_map(self, w: Sequence[Fraction] | SparseRow) -> list[SparseRow]:
         """Sparse images of the basis classes under v -> w*v (saturation table)."""
         columns, den = self._mult_columns(w)
         return [{g: Fraction(c, den) for g, c in column.items() if c} for column in columns]
+
+    def differential_map(self, f: TruncatedPolynomial) -> list[SparseRow]:
+        """Sparse columns of v -> sum_i [d f / d x_i] * v_i, from A^n to A.
+
+        Column i*d + b is the class of (d f / d x_i) * a_b.  By the Leibniz
+        rule, the derivation with generator images (v_1, ..., v_n) sends [f]
+        to the image of the flattened tuple.
+        """
+        columns: list[SparseRow] = []
+        for i in range(self.n):
+            w = self._polynomial_class(f.derivative(i))
+            columns += self.multiplication_map(w) if w else [{} for _ in range(self.dimension)]
+        return columns
 
     def maximal_power(self, k: int) -> Subspace:
         """m_A^k as a subspace of the quotient coordinate space."""
@@ -316,9 +336,11 @@ class WeilAlgebra:
 
     def element_polynomial(self, coords: Sequence[Fraction]) -> TruncatedPolynomial:
         """A representative polynomial built from basis monomials."""
-        terms = {
-            self.basis_monomials[i]: c for i, c in enumerate(coords) if c
-        }
+        return self.row_polynomial({i: c for i, c in enumerate(coords) if c})
+
+    def row_polynomial(self, row: SparseRow) -> TruncatedPolynomial:
+        """The representative polynomial of a sparse row of quotient coordinates."""
+        terms = {self.basis_monomials[b]: c for b, c in row.items()}
         return TruncatedPolynomial(self.n, self.window_bound, terms)
 
 
@@ -509,8 +531,13 @@ def tensor_product(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
 @dataclass(frozen=True)
 class DerivationSpace:
     """Der(A, A) as the span of the generator images (delta[x^1], ...,
-    delta[x^n]) flattened into A^n; the Leibniz action on the whole basis is
-    built on first use (only stability needs it)."""
+    delta[x^n]) flattened into A^n.
+
+    The relation rows are all the dimension, the tangent presentation, the
+    stability check and the session report read.  The Leibniz action on the
+    whole basis (``columns``, and its dense view ``matrices``) is built on
+    first read; only :attr:`IdealStabilityReport.projected_derivations` reads
+    it."""
 
     algebra: WeilAlgebra
     relations: Subspace
@@ -520,11 +547,24 @@ class DerivationSpace:
         return self.relations.dimension
 
     @cached_property
-    def generator_images(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """Per basis derivation, the coordinates of delta[x^1], ..., delta[x^n]."""
+    def sparse_images(self) -> tuple[tuple[SparseRow, ...], ...]:
+        """Per basis derivation, the sparse coordinates of delta[x^1], ..., delta[x^n]."""
         n, d = self.algebra.n, self.algebra.dimension
-        flat = [dense(row, n * d) for row in self.relations.rows.values()]
-        return tuple(tuple(tuple(v[i * d : (i + 1) * d]) for i in range(n)) for v in flat)
+        out = []
+        for row in self.relations.rows.values():
+            blocks: list[SparseRow] = [{} for _ in range(n)]
+            for j, c in row.items():
+                blocks[j // d][j % d] = c
+            out.append(tuple(blocks))
+        return tuple(out)
+
+    @cached_property
+    def generator_images(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Dense view of :attr:`sparse_images`, for tests and display."""
+        d = self.algebra.dimension
+        return tuple(
+            tuple(tuple(dense(block, d)) for block in blocks) for blocks in self.sparse_images
+        )
 
     @cached_property
     def columns(self) -> tuple[tuple[SparseRow, ...], ...]:
@@ -535,7 +575,7 @@ class DerivationSpace:
         algebra = self.algebra
         idx = window_index(algebra.n, algebra.window_bound)
         out = []
-        for images in self.generator_images:
+        for images in self.sparse_images:
             maps = [algebra.multiplication_map(img) for img in images]
             cols = []
             for exp in algebra.basis_monomials:
@@ -564,23 +604,21 @@ class DerivationSpace:
 def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     """Solve the Leibniz system: derivations are fixed by generator images.
 
-    A tuple (v_1, ..., v_n) in A^n defines a derivation exactly when
-    sum_i [d g / d x_i] * v_i = 0 for every defining-ideal generator g;
-    checking a generating set suffices since the rule is multiplicative.
+    A tuple v = (v_1, ..., v_n) in A^n defines a derivation exactly when
+    sum_i [d g / d x_i] * v_i = 0 for every g in the defining ideal, that is
+    when v lies in the kernel of :meth:`WeilAlgebra.differential_map` of g.
+    Since d(hg) = h dg + g dh and g vanishes in A, a generating set
+    suffices: the constraints come from the minimal generators only.
     """
     if algebra._derivations is not None:
         return algebra._derivations
-    n, d = algebra.n, algebra.dimension
-    constraints = Echelon(n * d)
-    for gen in algebra.ideal_generators:
+    constraints = Echelon(algebra.n * algebra.dimension)
+    for gen in algebra.minimal_generators:
         f = TruncatedPolynomial.from_vector(algebra.n, algebra.window_bound, gen)
-        rows: list[SparseRow] = [{} for _ in range(d)]
-        for i in range(n):
-            w = algebra.project_polynomial(f.derivative(i)).coordinates
-            if any(w):
-                for b, column in enumerate(algebra.multiplication_map(w)):
-                    for g, c in column.items():
-                        rows[g][i * d + b] = c
+        rows: list[SparseRow] = [{} for _ in range(algebra.dimension)]
+        for j, column in enumerate(algebra.differential_map(f)):
+            for g, c in column.items():
+                rows[g][j] = c
         for row in rows:
             if row:
                 constraints.insert(row)
@@ -890,18 +928,38 @@ def invert_substitution(phi: AlgebraMorphism) -> AlgebraMorphism:
 
 @dataclass(frozen=True)
 class IdealStabilityReport:
-    """Outcome of the derivation-level (and optional group-level) checks."""
+    """Outcome of the derivation-level (and optional group-level) checks.
+
+    ``der_stable`` and ``witness`` come from the generators of the ideal;
+    :attr:`projected_derivations` is built on first read."""
 
     algebra: WeilAlgebra
     ideal: Subspace
     der_stable: bool
     witness: tuple[int, tuple[Fraction, ...]] | None
     automorphism_stable: tuple[bool, ...]
-    projected_derivations: tuple[tuple[tuple[Fraction, ...], ...], ...] | None
     note: str = (
         "derivation stability is the infinitesimal criterion; it matches the "
         "full automorphism-group condition only up to the connected component"
     )
+
+    @cached_property
+    def projected_derivations(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...] | None:
+        """Per derivation, the induced map on A/I (rows index the output); None
+        unless stable.  Reads the Leibniz action :attr:`DerivationSpace.columns`."""
+        if not self.der_stable:
+            return None
+        # Entry (out, in) of the induced map on A/I, read off the remainder
+        # of each complement column against the ideal's echelon.
+        complement = self.ideal.free_columns()
+        span = self.ideal.echelon()
+        proj = []
+        for columns in derivation_space(self.algebra).columns:
+            reduced = [span.reduce(columns[c_in]) for c_in in complement]
+            proj.append(
+                tuple(tuple(r.get(c_out, _ZERO) for r in reduced) for c_out in complement)
+            )
+        return tuple(proj)
 
 
 def ideal_stability(
@@ -909,29 +967,47 @@ def ideal_stability(
     ideal: Subspace,
     automorphisms: Sequence[AlgebraMorphism] = (),
 ) -> IdealStabilityReport:
-    """Check delta(I) <= I for all derivations, plus supplied automorphisms."""
+    """Check delta(I) <= I for all derivations, plus supplied automorphisms.
+
+    Since delta(a g) = delta(a) g + a delta(g), a derivation maps the ideal
+    into itself once it maps a generating set there.  The generators are the
+    rows of I independent modulo m*I (Nakayama), and delta_k(g) is the
+    relation row k of Der(A, A) under the differential map of g.  The
+    witness, on failure, is the first (derivation, ideal row) pair in that
+    order whose image leaves I.
+    """
     if ideal.ambient_dimension != algebra.dimension:
         raise DimensionMismatchError("ideal must live in the quotient coordinates")
+    d = algebra.dimension
     rows = ideal.rows.values()
     shifts = [
         algebra.multiplication_map(algebra.generator(i).coordinates) for i in range(algebra.n)
     ]
+    # m*I is spanned by the x_i-images of I's rows.
+    products = Echelon(d)
     for row in rows:
         for i, columns in enumerate(shifts):
-            if not ideal.contains_vector(apply_columns(columns, row)):
+            image = apply_columns(columns, row)
+            if not ideal.contains_vector(image):
                 raise NotAnIdealError(f"not closed under multiplication by generator {i}")
-    ders = derivation_space(algebra)
-    d = algebra.dimension
+            products.insert(image)
+    generators = [row for row in rows if products.insert(row)]
+    relations = derivation_space(algebra).relations.rows.values()
+
+    def first_escape(elements) -> tuple[int, SparseRow] | None:
+        """First (k, delta_k(g)) outside I, derivations outer, elements inner."""
+        maps = [algebra.differential_map(algebra.row_polynomial(g)) for g in elements]
+        for k, rel in enumerate(relations):
+            for columns in maps:
+                img = apply_columns(columns, rel)
+                if not ideal.contains_vector(img):
+                    return k, img
+        return None
+
     witness = None
-    for k, columns in enumerate(ders.columns):
-        for row in rows:
-            img = apply_columns(columns, row)
-            if not ideal.contains_vector(img):
-                witness = (k, tuple(dense(img, d)))
-                break
-        if witness is not None:
-            break
-    der_stable = witness is None
+    if first_escape(generators) is not None:
+        k, img = first_escape(rows)
+        witness = (k, tuple(dense(img, d)))
     auto_results = []
     for g in automorphisms:
         if g.source != algebra or g.target != algebra:
@@ -941,20 +1017,4 @@ def ideal_stability(
         for row in rows:
             image.insert(apply_columns(columns, row))
         auto_results.append(image.subspace() == ideal)
-
-    projected = None
-    if der_stable:
-        # Entry (out, in) of the induced map on A/I, read off the remainder
-        # of each complement column against the ideal's echelon.
-        complement = ideal.free_columns()
-        span = ideal.echelon()
-        proj = []
-        for columns in ders.columns:
-            reduced = [span.reduce(columns[c_in]) for c_in in complement]
-            proj.append(
-                tuple(tuple(r.get(c_out, _ZERO) for r in reduced) for c_out in complement)
-            )
-        projected = tuple(proj)
-    return IdealStabilityReport(
-        algebra, ideal, der_stable, witness, tuple(auto_results), projected
-    )
+    return IdealStabilityReport(algebra, ideal, witness is None, witness, tuple(auto_results))

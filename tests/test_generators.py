@@ -28,11 +28,9 @@ from weiljets.jets import (
 )
 from weiljets.poly import TruncatedPolynomial
 from weiljets.subspace import canonical_basis
-from weiljets.weil import free_truncated_algebra, quotient_algebra
+from weiljets.weil import quotient_algebra
 
-from conftest import P
-
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+from conftest import P, algebras, rationals
 
 # (vars, generators, order): the jets of the benchmark's ladder.
 LADDER = (
@@ -128,28 +126,6 @@ def check_minimal_generators(algebra):
     assert same_span(multiples, ideal)
     m_ideal = [multiply(r, exps, idx, u, bound) for r in ideal for u in units(n)]
     assert len(gens) == len(ideal) - rank(m_ideal)
-
-
-@st.composite
-def algebras(draw):
-    """R_m^l, or a monomial or binomial quotient of it, for m, l <= 3."""
-    m = draw(st.integers(1, 3))
-    ell = draw(st.integers(0, 3))
-    kind = draw(st.sampled_from(["free", "monomial", "binomial"]))
-    exps = layout(m, ell)[1:]
-    if kind == "free" or not exps:
-        return free_truncated_algebra(m, ell)
-    if kind == "binomial" and len(exps) > 1:
-        left, right = draw(st.lists(st.sampled_from(exps), min_size=2, max_size=2, unique=True))
-        c = draw(rationals.filter(bool))
-        gens = [
-            TruncatedPolynomial.monomial(m, ell, left)
-            - TruncatedPolynomial.monomial(m, ell, right, c)
-        ]
-    else:
-        chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=3, unique=True))
-        gens = [TruncatedPolynomial.monomial(m, ell, e) for e in chosen]
-    return quotient_algebra(m, ell, gens)
 
 
 @settings(max_examples=80, deadline=None)

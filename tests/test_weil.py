@@ -3,6 +3,7 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
 
 from weiljets.errors import (
     EmptyQuotientError,
@@ -24,7 +25,7 @@ from weiljets.weil import (
     tensor_product,
 )
 
-from conftest import P
+from conftest import P, presentations
 
 
 class TestQuotientAlgebra:
@@ -365,3 +366,55 @@ class TestIdealStability:
         doubling = algebra_morphism(a, a, [a.element([0, 2, 0])])
         report = ideal_stability(a, a.maximal_power(2), [doubling])
         assert report.automorphism_stable == (True,)
+
+
+# -- independent oracle: sympy's groebner ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def groebner_invariants():
+    """(dimension, order) of R[x]/((gens) + m^(bound+1)) from a grevlex basis.
+
+    The dimension counts the standard monomials, those no leading monomial
+    divides.  The order is the largest degree of a monomial outside the
+    ideal, since m^k is spanned by the monomials of degree k.  (The largest
+    degree of a standard monomial can fall short of it: a grevlex leading
+    term may lower the degree, as y^2 -> x does for (x - y^2).)
+    """
+    sympy = pytest.importorskip("sympy")
+
+    def invariants(n, bound, gens):
+        xs = sympy.symbols(f"x1:{n + 1}")
+
+        def term(exp, c=Fraction(1)):
+            return sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+                *[x**k for x, k in zip(xs, exp)]
+            )
+
+        monomials = [e for e in product(range(bound + 2), repeat=n) if sum(e) <= bound + 1]
+        polys = [sum(term(e, c) for e, c in g.coefficients.items()) for g in gens]
+        polys += [term(e) for e in monomials if sum(e) == bound + 1]
+        basis = sympy.groebner(polys, *xs, order="grevlex")
+        leading = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+        inside = [e for e in monomials if sum(e) <= bound]
+        standard = [
+            e for e in inside if not any(all(a >= b for a, b in zip(e, lt)) for lt in leading)
+        ]
+        order = max(sum(e) for e in inside if not basis.contains(term(e)))
+        return len(standard), order
+
+    return invariants
+
+
+def test_z_minus_xy_matches_groebner(groebner_invariants):
+    gens = [P("z - x y", 3, 4)]
+    algebra = quotient_algebra(3, 4, gens)
+    assert (algebra.dimension, algebra.order) == groebner_invariants(3, 4, gens) == (15, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations())
+@example((2, 4, [P("x - y^2", 2, 4)]))
+def test_dimension_and_order_match_groebner(groebner_invariants, presentation):
+    algebra = quotient_algebra(*presentation)
+    assert (algebra.dimension, algebra.order) == groebner_invariants(*presentation)
