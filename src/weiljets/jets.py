@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -47,8 +45,8 @@ from .subspace import (
     Echelon,
     SparseRow,
     Subspace,
-    _add_multiple,
     apply_columns,
+    dense,
     nullspace,
     preimage,
     sparse,
@@ -62,6 +60,7 @@ from .weil import (
     _rewindow,
     _variable_shifts,
     derivation_space,
+    free_truncated_algebra,
     quotient_algebra,
 )
 
@@ -144,12 +143,6 @@ class Jet:
             TruncatedPolynomial.from_sparse(self.n, self.window_bound, r)
             for r in self.ideal.rows.values()
         ]
-
-
-@lru_cache(maxsize=None)
-def free_model(m: int, order: int) -> WeilAlgebra:
-    """The full truncated algebra on m variables, cached for comparisons."""
-    return quotient_algebra(m, order, [])
 
 
 def _jet_from_origin(
@@ -243,7 +236,7 @@ def classical_jet(
         bound = max(order, f.degree(), 1)
         gens.append(TruncatedPolynomial.variable(n, bound, j) - f.with_bound(bound))
     jet = jet_from_ideal(n, base, gens, order)
-    model = free_model(len(free), order)
+    model = free_truncated_algebra(len(free), order)
     ok = (
         jet.quotient.dimension == model.dimension
         and jet.order == model.order
@@ -295,10 +288,7 @@ def hat_ideal(p: Jet) -> Jet:
 
     if not embedded.contains_subspace(hat):
         raise InternalCheckError("hat ideal escaped the jet")
-    gen_polys = [
-        TruncatedPolynomial.from_vector(p.n, p.window_bound, g)
-        for g in p.quotient.minimal_generators
-    ]
+    gen_polys = p.quotient.minimal_generators
     for a in range(len(gen_polys)):
         for b in range(a, len(gen_polys)):
             prod = truncated_product(gen_polys[a], gen_polys[b], bound)
@@ -344,18 +334,11 @@ def cotangent_module(p: Jet) -> CotangentModule:
                 f"{format_polynomial(f)} is not in the ideal at the base point"
             )
         shifted = f.shift(p.base_point) if any(p.base_point) else f
-        d = algebra.dimension
         coords = [as_fraction(c) for c in coords]
-        if len(coords) != p.n * d:
+        if len(coords) != p.n * algebra.dimension:
             raise DimensionMismatchError("tangent representative has the wrong length")
-        total = [_ZERO] * d
-        for i in range(p.n):
-            w = algebra.project_polynomial(shifted.derivative(i)).coordinates
-            block = coords[i * d : (i + 1) * d]
-            contrib = algebra.mult_coords(block, w)
-            for g, c in enumerate(contrib):
-                total[g] += c
-        return algebra.element(total)
+        value = apply_columns(algebra.differential_map(shifted), sparse(coords, len(coords)))
+        return algebra.element(dense(value, algebra.dimension))
 
     return CotangentModule(p, hat, dim, tuple(reps), differential)
 
@@ -400,67 +383,36 @@ def tangent_module(p: Jet) -> TangentModule:
     return module
 
 
-def _field_columns(
-    g: TruncatedPolynomial, coeff_bound: int, target_bound: int
-) -> dict[int, SparseRow]:
-    """Column i*w + c of the linear map (field coefficients) -> D(g), sparse.
-
-    A field has n coefficients of degree <= coeff_bound, laid out over the
-    window (w unknowns each); column (i, c) is x^c * dg/dx_i truncated to the
-    target window.  Zero columns are left out.
-    """
-    n = g.variable_count
-    coeff_exps = window(n, coeff_bound)
-    w = len(coeff_exps)
-    tgt_idx = window_index(n, target_bound)
-    cols: dict[int, SparseRow] = {}
-    for i in range(n):
-        dg = g.derivative(i).coefficients
-        for c, cexp in enumerate(coeff_exps):
-            vec: SparseRow = {}
-            for exp, v in dg.items():
-                tot = tuple(map(add, exp, cexp))
-                if sum(tot) <= target_bound:
-                    vec[tgt_idx[tot]] = v
-            if vec:
-                cols[i * w + c] = vec
-    return cols
-
-
 def jet_fields(p: Jet) -> Subspace:
     """Fields (window-order polynomial coefficients) mapping the ideal into itself.
 
-    A field D is a derivation, so D(gf) = D(g)f + gD(f): it maps the ideal
-    into itself once it maps each of a set of generators there, and the
-    constraints come from the minimal generators only.  Truncation is
-    harmless: the ideal contains every monomial of the window's top degree,
-    so D of anything past the window lands in it.
+    The field D = sum_i a_i d/dx_i maps p into itself exactly when
+    ([a_1], ..., [a_n]) is a derivation of A = R[x]/p: the class of D(g) is
+    sum_i [a_i][dg/dx_i], and D(gf) = D(g)f + gD(f).  So the fields are the
+    lift of Der(A, A) plus the fields whose coefficients all lie in p.  The
+    coefficients have degree <= l, the order, and the ideal contains every
+    monomial of degree l + 1, so nothing is lost.  Unknown i*w + c is the
+    coefficient in a_i of the c-th monomial of the window (n, l).
     """
     if p._fields is not None:
         return p._fields
     n, ell = p.n, p.order
-    target_bound = p.window_bound
-    memb = p.ideal.echelon().kernel_rows()
-
-    constraints = Echelon(n * window_size(n, ell))
-    for gen in p.quotient.minimal_generators:
-        g = TruncatedPolynomial.from_vector(n, target_bound, gen)
-        cols = _field_columns(g, ell, target_bound)
-        for r in memb:
-            row: SparseRow = {}
-            for col, vec in cols.items():
-                s = _ZERO
-                for t, b in vec.items():
-                    a = r.get(t)
-                    if a is not None:
-                        s += a * b
-                if s:
-                    row[col] = s
-            if row:
-                constraints.insert(row)
-    result = constraints.kernel()
-    p._fields = result
-    return result
+    algebra = p.quotient
+    d = algebra.dimension
+    w = window_size(n, ell)
+    idx = window_index(n, ell)
+    columns = [idx[e] for e in algebra.basis_monomials]
+    fields = Echelon(n * w)
+    for row in derivation_space(algebra).relations.rows.values():
+        fields.insert({(j // d) * w + columns[j % d]: c for j, c in row.items()})
+    # The window (n, l) is a prefix of p's, and the rows of p with a pivot
+    # there are zero in degree l + 1, whose monomials are the other pivots.
+    inside = [row for pivot, row in p.ideal.rows.items() if pivot < w]
+    for i in range(n):
+        for row in inside:
+            fields.insert({i * w + c: v for c, v in row.items()})
+    p._fields = fields.subspace()
+    return p._fields
 
 
 # -- normal form -----------------------------------------------------------------
@@ -784,24 +736,30 @@ class ContactData:
     kernel_inside_cartan: bool
 
 
-def _quotient_map_columns(p: Jet, p2: Jet) -> list[SparseRow]:
-    """Sparse columns of A -> A' on quotient coordinates (p <= p2 assumed)."""
-    b = p2.quotient
-    idx = window_index(b.n, b.window_bound)
+def _class_columns(monomials: Sequence[Exponent], target: WeilAlgebra) -> list[SparseRow]:
+    """Sparse columns sending each monomial to its class in the target algebra.
+
+    On the basis monomials of A this is the map A -> A' of an inclusion of
+    ideals p <= p'.
+    """
+    idx = window_index(target.n, target.window_bound)
     return [
-        b._classes[idx[exp]] if sum(exp) <= b.window_bound else {}
-        for exp in p.quotient.basis_monomials
+        target._classes[idx[exp]] if sum(exp) <= target.window_bound else {}
+        for exp in monomials
     ]
 
 
-def _projection_columns(p: Jet, p2: Jet) -> list[SparseRow]:
-    """Sparse columns of pi: A^n -> A'^n, the map A -> A' on each of the n blocks.
+def _projection_columns(
+    n: int, monomials: Sequence[Exponent], target: WeilAlgebra
+) -> list[SparseRow]:
+    """Sparse columns of :func:`_class_columns` on each of n blocks, into target^n.
 
-    Column k*d + j is column j of A -> A', moved into block k.
+    Column k*len(monomials) + j is the class of monomials[j], in block k.  On
+    the basis monomials of A it is pi: A^n -> A'^n.
     """
-    qcols = _quotient_map_columns(p, p2)
-    d2 = p2.quotient.dimension
-    return [{k * d2 + i: v for i, v in col.items()} for k in range(p.n) for col in qcols]
+    columns = _class_columns(monomials, target)
+    d = target.dimension
+    return [{k * d + i: v for i, v in col.items()} for k in range(n) for col in columns]
 
 
 def _differential_columns(
@@ -828,7 +786,7 @@ def contact_and_cartan(p: Jet) -> ContactData:
     n = p.n
     nd = n * d
     dprime = derived.quotient.dimension
-    qcols = _quotient_map_columns(p, derived)
+    qcols = _class_columns(algebra.basis_monomials, derived.quotient)
     tangent = tangent_module(p)
 
     # Omega: one map per ideal row, flattened output-major into one row.
@@ -863,7 +821,7 @@ def contact_and_cartan(p: Jet) -> ContactData:
 
     # Kernel of the tangent projection must sit inside the Cartan system.
     pi_rows: list[SparseRow] = [{} for _ in range(n * dprime)]
-    for c, col in enumerate(_projection_columns(p, derived)):
+    for c, col in enumerate(_projection_columns(n, algebra.basis_monomials, derived.quotient)):
         for r, v in col.items():
             pi_rows[r][c] = v
     kernel = preimage(pi_rows, tangent_module(derived).relations, nd)
@@ -906,15 +864,15 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     for exp in bq.basis_monomials:
         g = TruncatedPolynomial.monomial(n, bound, exp)
         moved = truncated_substitute(g, list(nf.sigma_inverse), bound)
-        psi_cols.append(sparse(algebra.project_polynomial(moved).coordinates, d))
+        psi_cols.append(algebra._polynomial_class(moved))
 
     # The transport A_q^n -> A_p^n, v -> (psi(sum_k [d sigma^i / d x_k]_q v_k))_i,
     # as one sparse column per coordinate k * d + g of A_q^n.
     transport = [{} for _ in range(n * d)]
     for i in range(n):
         for k in range(n):
-            entry = bq.project_polynomial(nf.sigma[i].derivative(k)).coordinates
-            if not any(entry):
+            entry = bq._polynomial_class(nf.sigma[i].derivative(k))
+            if not entry:
                 continue
             for g, column in enumerate(bq.multiplication_map(entry)):
                 for h, c in apply_columns(psi_cols, column).items():
@@ -925,9 +883,7 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     for coeff in _graph_tangent_fields(nf):
         field_q: SparseRow = {}
         for k, f in coeff.items():
-            for g, c in enumerate(bq.project_polynomial(f).coordinates):
-                if c:
-                    field_q[k * d + g] = c
+            field_q.update((k * d + g, c) for g, c in bq._polynomial_class(f).items())
         values.append(apply_columns(transport, field_q))
 
     # The Cartan system is the submodule the values generate: a field tangent
@@ -970,7 +926,7 @@ def taylor_map(p: Jet, contact: ContactData | None = None) -> TaylorData:
 
     _assert_fields_project(p, derived)
 
-    pi_cols = _projection_columns(p, derived)
+    pi_cols = _projection_columns(p.n, p.quotient.basis_monomials, derived.quotient)
     span = tangent_module(derived).relations.echelon()
     for v in contact.cartan.rows.values():
         span.insert(apply_columns(pi_cols, v))
@@ -990,25 +946,18 @@ def taylor_map(p: Jet, contact: ContactData | None = None) -> TaylorData:
 def _assert_fields_project(p: Jet, derived: Jet) -> None:
     """Every field tangent to p maps the derived ideal into itself.
 
-    D(gf) = D(g)f + gD(f), so it is enough that each field maps each minimal
-    generator of the derived ideal into it; the derived ideal contains every
-    monomial of its window's top degree, so truncating D(g) there is harmless.
+    A field maps p' into itself exactly when its coefficients' classes in
+    A' = R[x]/p' form a derivation of A' (see :func:`jet_fields`).  So each
+    field of p, projected to A'^n monomial by monomial, has to lie in the
+    relations of the tangent module of p'.
     """
-    fields = jet_fields(p).rows.values()
-    bound = derived.window_bound
-    for gen in derived.quotient.minimal_generators:
-        g = TruncatedPolynomial.from_vector(p.n, bound, gen)
-        cols = _field_columns(g, p.order, bound)
-        for coeffs in fields:
-            image: SparseRow = {}
-            for col, a in coeffs.items():
-                vec = cols.get(col)
-                if vec is not None:
-                    _add_multiple(image, a, vec)
-            if image and not derived.ideal.contains_vector(image):
-                raise InternalCheckError(
-                    "a field tangent to the jet is not tangent to its derived jet"
-                )
+    pi = _projection_columns(p.n, window(p.n, p.order), derived.quotient)
+    relations = tangent_module(derived).relations
+    for coeffs in jet_fields(p).rows.values():
+        if not relations.contains_vector(apply_columns(pi, coeffs)):
+            raise InternalCheckError(
+                "a field tangent to the jet is not tangent to its derived jet"
+            )
 
 
 # -- functorial maps -----------------------------------------------------------------
@@ -1102,13 +1051,7 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
     )
     subalgebra = generated.subspace()
 
-    partials = [
-        [
-            algebra.project_polynomial(f.derivative(i).truncate(p.window_bound)).coordinates
-            for i in range(n)
-        ]
-        for f in psi
-    ]
+    partials = [[algebra._polynomial_class(f.derivative(i)) for i in range(n)] for f in psi]
     exists = all(subalgebra.contains_vector(w) for row in partials for w in row)
     regular = subalgebra.dimension == d
 
@@ -1126,7 +1069,7 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
         columns: list[SparseRow] = [{} for _ in range(n * d)]
         for j in range(target_n):
             for i, w in enumerate(partials[j]):
-                if not any(w):
+                if not w:
                     continue
                 for beta, value in enumerate(algebra.multiplication_map(w)):
                     rest = system.reduce(value)

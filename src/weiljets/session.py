@@ -54,7 +54,7 @@ from .poly import (
     format_polynomial,
     parse_polynomial,
 )
-from .subspace import Echelon, sparse
+from .subspace import Echelon
 from .weil import (
     WeilAlgebra,
     derivation_space,
@@ -437,7 +437,7 @@ def _op_stability(of: WeilAlgebra, ideal=()) -> dict:
     # Close the span into an ideal of the algebra before checking.
     span = Echelon(d)
     span.saturate(
-        [sparse(of.project_polynomial(f).coordinates, d) for f in ideal],
+        [of._polynomial_class(f) for f in ideal],
         [of.multiplication_map(of.generator(i).coordinates) for i in range(of.n)],
     )
     basis = span.subspace()

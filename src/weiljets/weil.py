@@ -71,7 +71,10 @@ class WeilAlgebra:
     """Local rational quotient with an explicit monomial basis.
 
     Instances are built by :func:`quotient_algebra` (or :func:`tensor_product`)
-    and treated as immutable afterwards.
+    and treated as immutable afterwards.  ``ideal_generators`` are polynomials
+    on the window (the given generators, restated, and the monomials of top
+    degree) that generate the defining ideal I; :attr:`minimal_generators`
+    keeps a minimal subset of them.
     """
 
     def __init__(
@@ -79,7 +82,7 @@ class WeilAlgebra:
         n: int,
         bound: int,
         ideal: Subspace,
-        generator_rows: list[tuple[Fraction, ...]],
+        generators: Sequence[TruncatedPolynomial],
         left_vars: int | None = None,
     ):
         self.n = n
@@ -90,7 +93,7 @@ class WeilAlgebra:
         if 0 in ideal.rows:
             raise EmptyQuotientError("the defining ideal contains a unit")
         self.defining_ideal = ideal
-        self.ideal_generators = tuple(generator_rows)
+        self.ideal_generators: tuple[TruncatedPolynomial, ...] = tuple(generators)
         self.basis_columns: tuple[int, ...] = ideal.free_columns()
         exps = window(n, bound)
         self.basis_monomials: tuple[Exponent, ...] = tuple(
@@ -313,8 +316,8 @@ class WeilAlgebra:
                     yield (a, b, g, Fraction(c, self._mult_den))
 
     @cached_property
-    def minimal_generators(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows of ``ideal_generators`` independent modulo m*I.
+    def minimal_generators(self) -> tuple[TruncatedPolynomial, ...]:
+        """The polynomials of ``ideal_generators`` independent modulo m*I.
 
         They generate I, minimally, by Nakayama's lemma (Atiyah-Macdonald,
         Prop. 2.8): the generators span I modulo m*I, and m is nilpotent on
@@ -325,9 +328,7 @@ class WeilAlgebra:
         for table in shift_tables(self.n, self.window_bound):
             for row in self.defining_ideal.rows.values():
                 span.insert({table[c]: v for c, v in row.items() if table[c] is not None})
-        return tuple(
-            g for g in self.ideal_generators if span.insert(sparse(g, self.window_dimension))
-        )
+        return tuple(g for g in self.ideal_generators if span.insert(g.to_sparse()))
 
     def basis_polynomial(self, index: int) -> TruncatedPolynomial:
         return TruncatedPolynomial.monomial(
@@ -472,7 +473,7 @@ def _rewindow(
         n,
         new_bound,
         restated.subspace(),
-        [tuple(dense(r, new_size)) for r in gen_rows],
+        [TruncatedPolynomial.from_sparse(n, new_bound, r) for r in gen_rows],
         left_vars,
     )
 
@@ -482,8 +483,10 @@ def order_and_width(algebra: WeilAlgebra) -> tuple[int, int]:
     return algebra.order, algebra.width
 
 
+@lru_cache(maxsize=None)
 def free_truncated_algebra(m: int, order: int) -> WeilAlgebra:
-    """The full truncated polynomial algebra in m variables at the given order."""
+    """The full truncated polynomial algebra in m variables at the given order,
+    memoized (the values are immutable)."""
     return quotient_algebra(m, order, [])
 
 
@@ -613,8 +616,7 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     if algebra._derivations is not None:
         return algebra._derivations
     constraints = Echelon(algebra.n * algebra.dimension)
-    for gen in algebra.minimal_generators:
-        f = TruncatedPolynomial.from_vector(algebra.n, algebra.window_bound, gen)
+    for f in algebra.minimal_generators:
         rows: list[SparseRow] = [{} for _ in range(algebra.dimension)]
         for j, column in enumerate(algebra.differential_map(f)):
             for g, c in column.items():
@@ -706,8 +708,7 @@ def algebra_morphism(
     )
 
     # Well-definedness on a generating set of the ideal.
-    for gen in source.ideal_generators:
-        f = TruncatedPolynomial.from_vector(source.n, source.window_bound, gen)
+    for f in source.ideal_generators:
         acc = [_ZERO] * target.dimension
         for exp, c in f.coefficients.items():
             img = image_of(exp)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from weiljets.jets import jet_from_ideal
 from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial, parse_polynomial
 from weiljets.weil import quotient_algebra
@@ -48,3 +49,13 @@ def presentations(draw):
 def algebras():
     """The quotient algebras of :func:`presentations`."""
     return presentations().map(lambda p: quotient_algebra(*p))
+
+
+@st.composite
+def jets(draw):
+    """The jets of the ideals of :func:`presentations`, moved to a drawn
+    rational base point: each generator g(x) becomes g(x - point)."""
+    m, ell, generators = draw(presentations())
+    point = draw(st.lists(rationals, min_size=m, max_size=m))
+    away = [-c for c in point]
+    return jet_from_ideal(m, point, [g.shift(away) for g in generators], ell)

@@ -224,10 +224,8 @@ def test_stability_builds_the_leibniz_action_only_for_the_projection():
 @settings(max_examples=40, deadline=None)
 @given(algebras())
 def test_derivations_kill_every_ideal_generator(algebra):
-    n, bound = algebra.n, algebra.window_bound
     for images in derivation_space(algebra).generator_images:
-        for gen in algebra.ideal_generators:
-            f = TruncatedPolynomial.from_vector(n, bound, gen)
+        for f in algebra.ideal_generators:
             assert not any(leibniz_image(algebra, images, f))
 
 
@@ -252,8 +250,7 @@ def test_dimension_is_the_nullity_over_every_generator(rank_over_qq, algebra):
     # gives d equations, the coordinates of sum_i [dg/dx_i] * delta(x_i).
     n, bound, d = algebra.n, algebra.window_bound, algebra.dimension
     rows = []
-    for gen in algebra.ideal_generators:
-        f = TruncatedPolynomial.from_vector(n, bound, gen)
+    for f in algebra.ideal_generators:
         columns = [
             algebra.project_polynomial(
                 f.derivative(i) * TruncatedPolynomial.monomial(n, bound, exp)

@@ -30,7 +30,7 @@ from weiljets.poly import TruncatedPolynomial
 from weiljets.subspace import canonical_basis
 from weiljets.weil import quotient_algebra
 
-from conftest import P, algebras, rationals
+from conftest import P, algebras, jets, rationals
 
 # (vars, generators, order): the jets of the benchmark's ladder.
 LADDER = (
@@ -122,7 +122,7 @@ def check_minimal_generators(algebra):
     ideal = [list(r) for r in algebra.defining_ideal.basis]
     gens = algebra.minimal_generators
     assert set(gens) <= set(algebra.ideal_generators)
-    multiples = [multiply(g, exps, idx, a, bound) for g in gens for a in exps]
+    multiples = [multiply(g.to_vector(), exps, idx, a, bound) for g in gens for a in exps]
     assert same_span(multiples, ideal)
     m_ideal = [multiply(r, exps, idx, u, bound) for r in ideal for u in units(n)]
     assert len(gens) == len(ideal) - rank(m_ideal)
@@ -152,15 +152,18 @@ def test_minimal_generators_drop_redundant_rows():
     # (x, x^2, x y) + m^3 in two variables is (x, y^3): x generates x^2, x y
     # and every top monomial but y^3.
     algebra = quotient_algebra(2, 2, [P("x", 2), P("x^2", 2), P("x y", 2)])
-    exps = layout(2, algebra.window_bound)
-    kept = [{exps[c] for c, v in enumerate(g) if v} for g in algebra.minimal_generators]
+    kept = [set(g.coefficients) for g in algebra.minimal_generators]
     assert kept == [{(1, 0)}, {(0, 3)}]
 
 
-@pytest.mark.parametrize("n, gens, order", LADDER)
-def test_jet_fields_match_full_basis_route(n, gens, order):
-    p = ladder_jet(n, gens, order)
-    ell, bound = p.order, p.window_bound
+# The last case draws its jets from Hypothesis; the ladder cases draw nothing,
+# so Hypothesis runs each of them once.
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("n, gens, order", [*LADDER, pytest.param(0, None, 0, id="drawn")])
+def test_jet_fields_match_full_basis_route(n, gens, order, data):
+    p = data.draw(jets()) if gens is None else ladder_jet(n, gens, order)
+    n, ell, bound = p.n, p.order, p.window_bound
     coeff_exps = layout(n, ell)
     exps = layout(n, bound)
     idx = {e: i for i, e in enumerate(exps)}
@@ -227,10 +230,7 @@ class TestChecksFire:
         # 3x^2, which is outside the derived jet.
         p = self.parabola()
         derived = derived_jet(p)
-        exps = layout(2, derived.window_bound)
-        kept = [
-            {exps[c]: v for c, v in enumerate(g) if v} for g in derived.quotient.minimal_generators
-        ]
+        kept = [g.coefficients for g in derived.quotient.minimal_generators]
         assert kept == [{(0, 1): 1, (2, 0): -1}, {(3, 0): 1}]
         w = len(layout(2, p.order))
         p = self.with_fields(p, {0: 1, w + 1: 2})
@@ -251,11 +251,9 @@ class TestChecksFire:
     )
     def test_hat_square_check_fires_on_a_perturbed_generator(self, extra, keep):
         p = self.parabola()
-        exps = layout(2, p.window_bound)
-        g = [Fraction(0)] * len(exps)
-        g[exps.index(extra)] = Fraction(1)
+        g = TruncatedPolynomial.monomial(2, p.window_bound, extra)
         kept = p.quotient.minimal_generators if keep else ()
-        p.quotient.minimal_generators = kept + (tuple(g),)
+        p.quotient.minimal_generators = kept + (g,)
         with pytest.raises(InternalCheckError, match="p\\^2 is not inside the hat ideal"):
             hat_ideal(p)
 

@@ -1,10 +1,13 @@
 """Import hygiene of the package modules, checked with the standard ``ast``.
 
 Every import sits at module level, and every module-level import is used.
-``__init__.py`` is exempt: its imports are the public re-exports.
+``__init__.py`` is exempt: its imports are the public re-exports.  Every
+module-level private helper (a function or class named ``_name``) is
+referenced somewhere in the package outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,36 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def _reference_counts(root: ast.AST) -> Counter:
+    """How often each name is read under root: as a name, as an attribute
+    or inside a quoted annotation."""
+    counts = Counter()
+    for tree in [root, *_annotation_strings(root)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                counts[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+    return counts
+
+
+def _dead_helpers(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level ``_name`` functions and classes that no code outside their
+    own definition refers to, across all the given modules."""
+    total = sum((_reference_counts(tree) for tree in trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                and total[node.name] == _reference_counts(node)[node.name]
+            ):
+                dead.append(f"{module}: {node.name}")
+    return dead
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert _local_imports(_tree(path)) == []
@@ -92,3 +125,23 @@ def test_checks_catch_both_faults():
     assert _local_imports(tree) == ["line 4 in f: path"]
     unused = set(_bound_names(tree)) - _used_names(tree)
     assert unused == {"json", "gcd"}
+
+
+def test_no_dead_private_helpers():
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_helpers(trees) == []
+
+
+def test_dead_helper_check_catches_unreferenced_helpers():
+    trees = {
+        "a.py": ast.parse(
+            "def _used(x): return x\n"
+            "def _recursive(n): return _recursive(n - 1) if n else 0\n"
+            "class _Dead: pass\n"
+            "def _annotated() -> '_Hinted': pass\n"
+            "class _Hinted: pass\n"
+            "def __getattr__(name): pass\n"
+        ),
+        "b.py": ast.parse("from a import _used\nimport a\nprint(_used(1), a._annotated)\n"),
+    }
+    assert _dead_helpers(trees) == ["a.py: _recursive", "a.py: _Dead"]
