@@ -20,15 +20,17 @@ from .monomials import Exponent, _power_products
 from .poly import (
     TruncatedPolynomial,
     _add_scaled,
-    _common_denominator,
+    _by_degree,
     _product_numerators,
+    _top_weights,
+    _unit,
     as_fraction,
     truncated_product,
     truncated_substitute,
     variable_names,
 )
-from .subspace import invert_matrix, mat_vec
-from .weil import AlgebraElement, WeilAlgebra, tensor_product
+from .subspace import dense, invert_matrix, mat_vec
+from .weil import AlgebraElement, WeilAlgebra, _fraction_row, tensor_product
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -68,18 +70,26 @@ def apoint(algebra: WeilAlgebra, images: Sequence) -> APoint:
     return APoint(algebra, tuple(elems))
 
 
-def _nilpotent_products(point: APoint) -> Callable[[Exponent], tuple[Fraction, ...]]:
-    """Memoized products of powers of the nilpotent parts of the images."""
-    algebra = point.algebra
-    nil = [img.nilpotent_part().coordinates for img in point.images]
-    return _power_products(algebra.one().coordinates, nil, algebra.mult_coords)
+def _nilpotent_products(
+    point: APoint,
+) -> tuple[Callable[[Exponent], tuple[tuple[int, int], ...]], int]:
+    """Memoized integer products of powers of the nilpotent parts of the images.
+
+    As :meth:`WeilAlgebra._power_numerators`: sparse numerators over
+    ``scale**sum(e)``.
+    """
+    return point.algebra._power_numerators(
+        [img.nilpotent_part().coordinates for img in point.images]
+    )
 
 
 def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
     """f(p^A) by the finite Taylor expansion at the underlying real point.
 
     The coordinates of the result over the basis monomials are the real
-    components of f at the point.
+    components of f at the point.  Nilpotent parts of degree past the
+    algebra's order vanish, so f is shifted only up to that degree, and the
+    power products stay integer until the one ``Fraction`` per coordinate.
     """
     if f.variable_count != point.ambient_dimension:
         raise DimensionMismatchError(
@@ -88,19 +98,16 @@ def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
         )
     algebra = point.algebra
     base = point.base_point
-    shifted = f.shift(base) if any(base) else f
     order = algebra.order
-    power_product = _nilpotent_products(point)
-    # Nilpotent parts of degree past the order vanish.
-    kept = [(exp, c) for exp, c in shifted.coefficients.items() if sum(exp) <= order]
-    (coefficients, *vectors), den = _common_denominator(
-        [kept, *([(g, v) for g, v in enumerate(power_product(exp)) if v] for exp, _ in kept)]
+    shifted = f.shift(base, min(order, f.degree())) if any(base) else f
+    power_product, scale = _nilpotent_products(point)
+    weights, den = _top_weights(
+        ((exp, c) for exp, c in shifted.coefficients.items() if sum(exp) <= order), scale
     )
-    total = [0] * algebra.dimension
-    for (_, c), vector in zip(coefficients, vectors):
-        for g, v in vector:
-            total[g] += c * v
-    return algebra.element([Fraction(x, den * den) for x in total])
+    total: dict[int, int] = {}
+    for exp, w in weights:
+        _add_scaled(total, w, power_product(exp))
+    return AlgebraElement(algebra, tuple(dense(_fraction_row(total.items(), den), algebra.dimension)))
 
 
 def regularity_and_kernel(point: APoint) -> tuple[bool, Jet]:
@@ -108,7 +115,7 @@ def regularity_and_kernel(point: APoint) -> tuple[bool, Jet]:
     algebra = point.algebra
     regular = algebra.generated_by([img.coordinates for img in point.images])
     return regular, _kernel_jet(
-        algebra, point.base_point, point.ambient_dimension, _nilpotent_products(point)
+        algebra, point.base_point, point.ambient_dimension, *_nilpotent_products(point)
     )
 
 
@@ -128,75 +135,47 @@ def component_names(algebra: WeilAlgebra, n: int) -> list[str]:
     return [f"{base[i]}{alpha}" for i in range(n) for alpha in range(algebra.dimension)]
 
 
-def _generic_images(
-    algebra: WeilAlgebra, n: int, bound: int
-) -> list[list[TruncatedPolynomial]]:
-    """The images of the ambient coordinates at the generic A-point.
-
-    Elements of the coefficient ring tensored with A are stored as one
-    polynomial (in the n*dim component variables) per basis monomial.
-    """
-    d = algebra.dimension
-    total = n * d
-    out = []
-    for i in range(n):
-        comp = []
-        for alpha in range(d):
-            comp.append(TruncatedPolynomial.variable(total, bound, i * d + alpha))
-        out.append(comp)
-    return out
-
-
-def _tensor_mult(
-    algebra: WeilAlgebra,
-    u: Sequence[TruncatedPolynomial],
-    v: Sequence[TruncatedPolynomial],
-    bound: int,
-) -> list[TruncatedPolynomial]:
-    """Product in (polynomials) (x) A, each factor given by its d components."""
-    d = algebra.dimension
-    rows, den = _common_denominator([p.coefficients.items() for p in (*u, *v)])
-    left, right = rows[:d], rows[d:]
-    out: list[dict[Exponent, int]] = [{} for _ in range(d)]
-    for ua, row in zip(left, algebra._mult):
-        if not ua:
-            continue
-        for vb, entries in zip(right, row):
-            if not vb or not entries:
-                continue
-            prod = _product_numerators(ua, vb, bound).items()
-            for g, t in entries:
-                _add_scaled(out[g], t, prod)
-    total = u[0].variable_count
-    scale = den * den * algebra._mult_den
-    return [TruncatedPolynomial._from_numerators(total, bound, o, scale) for o in out]
-
-
 def prolong_polynomial(
     f: TruncatedPolynomial, algebra: WeilAlgebra
 ) -> list[TruncatedPolynomial]:
-    """Real components of f at the generic A-point, as exact polynomials."""
+    """Real components of f at the generic A-point, as exact polynomials.
+
+    Elements of the coefficient ring tensored with A are kept as one integer
+    numerator dict (in the n*dim component variables) per basis monomial.
+    The generic image of x_i has the single variable x_(i*dim + alpha) as its
+    component alpha, so a product of k images lies over ``_mult_den**k``.
+    """
     n = f.variable_count
     d = algebra.dimension
     bound = max(f.degree(), 1)
     total = n * d
-    images = _generic_images(algebra, n, bound)
-
-    one = [
-        TruncatedPolynomial.constant(total, bound, 1 if g == 0 else 0) for g in range(d)
+    images = [
+        [_by_degree([(_unit(total, i * d + alpha), 1)]) for alpha in range(d)] for i in range(n)
     ]
-    power_product = _power_products(
-        one, images, lambda u, v: _tensor_mult(algebra, u, v, bound)
-    )
-    terms = [power_product(exp) for exp in f.coefficients]
-    (coefficients, *components), den = _common_denominator(
-        [f.coefficients.items()] + [p.coefficients.items() for term in terms for p in term]
-    )
+
+    def mul(u: list[dict[Exponent, int]], v: list[list]) -> list[dict[Exponent, int]]:
+        """Product in (polynomials) (x) A on numerators, through the table."""
+        out: list[dict[Exponent, int]] = [{} for _ in range(d)]
+        for ua, row in zip(u, algebra._mult):
+            if not ua:
+                continue
+            left = ua.items()
+            for vb, entries in zip(v, row):
+                if not vb or not entries:
+                    continue
+                prod = _product_numerators(left, vb, bound).items()
+                for g, t in entries:
+                    _add_scaled(out[g], t, prod)
+        return out
+
+    one: list[dict[Exponent, int]] = [{(0,) * total: 1}] + [{} for _ in range(d - 1)]
+    power_product = _power_products(one, images, mul)
+    weights, den = _top_weights(f.coefficients.items(), algebra._mult_den)
     out: list[dict[Exponent, int]] = [{} for _ in range(d)]
-    for k, (_, c) in enumerate(coefficients):
-        for acc, component in zip(out, components[k * d : (k + 1) * d]):
-            _add_scaled(acc, c, component)
-    return [TruncatedPolynomial._from_numerators(total, bound, o, den * den) for o in out]
+    for exp, w in weights:
+        for acc, component in zip(out, power_product(exp)):
+            _add_scaled(acc, w, component.items())
+    return [TruncatedPolynomial._from_numerators(total, bound, o, den) for o in out]
 
 
 def prolong_ideal(
@@ -328,11 +307,12 @@ class GroupLaw:
         for f in self.inverse:
             if f.variable_count != n:
                 raise DimensionMismatchError("inverse components take n variables")
-        bound = max(
-            [f.degree() for f in self.law]
-            + [f.degree() for f in self.inverse]
-        )
-        bound = max(bound * bound, 1)
+        # Each check substitutes to the degree its composition can reach: the
+        # law's degree with constants and variables, and that degree times
+        # the inverse's with the inverse.
+        law_degree = max((f.degree() for f in self.law), default=0)
+        inverse_degree = max((f.degree() for f in self.inverse), default=0)
+        bound = max(law_degree, 1)
         xs = [TruncatedPolynomial.variable(n, bound, i) for i in range(n)]
         e = [TruncatedPolynomial.constant(n, bound, c) for c in self.identity]
         left = [truncated_substitute(f, e + xs, bound) for f in self.law]
@@ -341,12 +321,9 @@ class GroupLaw:
         right = [truncated_substitute(f, xs + e, bound) for f in self.law]
         if right != xs:
             raise ValueError("identity is not right-neutral for the law")
-        inv = [f.with_bound(bound) for f in self.inverse]
-        prod = [truncated_substitute(f, xs + inv, bound) for f in self.law]
-        expected = [
-            TruncatedPolynomial.constant(n, bound, c) for c in self.identity
-        ]
-        if prod != expected:
+        bound = max(law_degree * max(inverse_degree, 1), 1)
+        prod = [truncated_substitute(f, xs + list(self.inverse), bound) for f in self.law]
+        if prod != e:
             raise ValueError("inverse map does not invert the law")
 
     def multiply_points(self, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .monomials import (
     Exponent,
-    _power_products,
     monomials_of_degree,
     shift_tables,
     window,
@@ -55,6 +54,7 @@ from .subspace import (
 from .weil import (
     AlgebraElement,
     WeilAlgebra,
+    _fraction_row,
     _identity_substitution,
     _inverse_substitution,
     _rewindow,
@@ -166,7 +166,7 @@ def _jet_from_origin(
 def _window_jet(n: int, bound: int, ideal: Subspace, base_point: tuple[Fraction, ...]) -> Jet:
     """The jet of a subspace that is already an ideal of the window: its rows
     generate it, and need no saturation."""
-    return Jet(_rewindow(n, bound, ideal.echelon(), list(ideal.rows.values())), base_point)
+    return Jet(_rewindow(n, bound, ideal, list(ideal.rows.values())), base_point)
 
 
 def jet_from_ideal(
@@ -967,20 +967,26 @@ def _kernel_jet(
     algebra: WeilAlgebra,
     base_point: tuple[Fraction, ...],
     m: int,
-    power_product: Callable[[Exponent], tuple[Fraction, ...]],
+    power_product: Callable[[Exponent], tuple[tuple[int, int], ...]],
+    scale: int,
 ) -> Jet:
     """Jet of the morphism R[y1..ym] -> A sending y^e to power_product(e).
 
-    The ideal is the kernel on the window of degree order+1; the monomials of
-    that top degree map to zero, being products of order+1 nilpotents, so the
-    kernel is an ideal of the window.
+    ``power_product`` and ``scale`` come from
+    :meth:`WeilAlgebra._power_numerators`: y^e maps to the numerators
+    ``power_product(e)`` over ``scale**sum(e)``, made ``Fraction`` here,
+    before the elimination.  The ideal is the kernel on the window of degree
+    order+1; the monomials of that top degree map to zero, being products of
+    order+1 nilpotents, so the kernel is an ideal of the window.
     """
     order = algebra.order
     bound = order + 1
     exps = window(m, bound)
-    zero = (_ZERO,) * algebra.dimension
-    columns = [power_product(e) if sum(e) <= order else zero for e in exps]
-    rows = [[col[out] for col in columns] for out in range(algebra.dimension)]
+    rows = [[_ZERO] * len(exps) for _ in range(algebra.dimension)]
+    for j, e in enumerate(exps):
+        if sum(e) <= order:
+            for g, v in _fraction_row(power_product(e), scale ** sum(e)).items():
+                rows[g][j] = v
     return _window_jet(m, bound, nullspace(rows, len(exps)), base_point)
 
 
@@ -988,13 +994,15 @@ def _pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> tuple[
     Jet,
     list[TruncatedPolynomial],
     list[tuple[Fraction, ...]],
-    Callable[[Exponent], tuple[Fraction, ...]],
+    Callable[[Exponent], tuple[tuple[int, int], ...]],
+    int,
 ]:
     """Image jet together with the translated map psi it is computed from.
 
     psi = phi(base + x) - phi(base) moves both base points to the origin.
     Returns the image jet, psi, the classes [psi_j] in A and the memoized
-    power products of those classes.
+    integer power products of those classes with their scale (as
+    :meth:`WeilAlgebra._power_numerators`).
     """
     n = p.n
     for f in phi:
@@ -1009,9 +1017,9 @@ def _pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> tuple[
     images = [
         algebra.project_polynomial(f.truncate(p.window_bound)).coordinates for f in psi
     ]
-    power_product = _power_products(algebra.one().coordinates, images, algebra.mult_coords)
-    image_jet = _kernel_jet(algebra, base_target, len(phi), power_product)
-    return image_jet, psi, images, power_product
+    power_product, scale = algebra._power_numerators(images)
+    image_jet = _kernel_jet(algebra, base_target, len(phi), power_product, scale)
+    return image_jet, psi, images, power_product, scale
 
 
 def pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> Jet:
@@ -1041,7 +1049,7 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
     target_n = len(phi)
     algebra = p.quotient
     d = algebra.dimension
-    image_jet, psi, images, power_product = _pushforward(p, phi)
+    image_jet, psi, images, power_product, scale = _pushforward(p, phi)
     b = image_jet.quotient
 
     generated = Echelon(d)
@@ -1060,7 +1068,9 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
         # B -> A is injective: one echelon of the image columns, each tagged
         # with its unknown, solves for every value (an image reduces to minus
         # its coordinates in B, on the tags).
-        iota_cols = [sparse(power_product(exp), d) for exp in b.basis_monomials]
+        iota_cols = [
+            _fraction_row(power_product(exp), scale ** sum(exp)) for exp in b.basis_monomials
+        ]
         db = b.dimension
         system = Echelon(d + db)
         for k, col in enumerate(iota_cols):

@@ -19,6 +19,7 @@ from .errors import WindowTooLargeError
 
 Exponent = tuple[int, ...]
 _T = TypeVar("_T")
+_F = TypeVar("_F")
 
 # Largest window (number of monomials) that may be allocated.  An algebra's
 # multiplication table grows as the square of its window: a free algebra binds
@@ -105,17 +106,25 @@ def monomials_of_degree(variable_count: int, degree: int) -> tuple[Exponent, ...
 
 
 def _power_products(
-    one: _T, factors: Sequence[_T], mul: Callable[[_T, _T], _T]
+    one: _T, factors: Sequence[_F], mul: Callable[[_T, _F], _T]
 ) -> Callable[[Exponent], _T]:
     """Memoized x^e -> prod_i factors[i]^e[i] in any commutative ring.
 
-    Each new exponent costs one ``mul``: it lowers its first nonzero entry
-    and multiplies the cached product of the lowered exponent by that factor.
-    A miss walks down to the nearest cached exponent and multiplies back up,
-    so a high exponent needs no recursion.  Every exponent walked lies in the
-    window of the requested degree, so a degree whose window is above
-    ``MAX_WINDOW`` raises ``WindowTooLargeError`` before the walk: that caps
-    both the products made and the cache.
+    Each new exponent costs one ``mul(product, factor)``: it lowers its first
+    nonzero entry and multiplies the cached product of the lowered exponent
+    by that factor.  A miss walks down to the nearest cached exponent and
+    multiplies back up, so a high exponent needs no recursion.  Every
+    exponent walked lies in the window of the requested degree, so a degree
+    whose window is above ``MAX_WINDOW`` raises ``WindowTooLargeError``
+    before the walk: that caps both the products made and the cache.
+
+    Every chain in the package keeps its products integer: the factors are
+    numerators over one denominator ``q`` (prepared once, in whatever form
+    ``mul`` reads fastest), so the product of degree k is a numerator over
+    ``q**k`` (times ``m**k`` for an algebra table over ``m``).  The caller
+    combines them with its polynomial's coefficients at the top degree
+    (``poly._top_weights``) and builds one ``Fraction`` per output
+    coefficient, or per entry where a product feeds an elimination.
     """
     cache: dict[Exponent, _T] = {(0,) * len(factors): one}
 

@@ -43,6 +43,21 @@ def _common_denominator(
     return [[(k, c.numerator * (den // c.denominator)) for k, c in row] for row in rows], den
 
 
+def _top_weights(
+    terms: Iterable[tuple[Exponent, Scalar]], scale: int
+) -> tuple[list[tuple[Exponent, int]], int]:
+    """Integer weights that combine power products over ``scale**|e|`` at the top degree.
+
+    For products ``P_e`` whose numerators lie over ``scale**sum(e)``,
+    ``sum_e c_e * P_e`` equals ``sum_e w_e * numerators(P_e) / den``, where
+    ``den`` is the coefficients' common denominator times ``scale`` to the
+    highest total degree among the exponents.
+    """
+    (row,), den = _common_denominator([terms])
+    top = max((sum(e) for e, _ in row), default=0)
+    return [(e, c * scale ** (top - sum(e))) for e, c in row], den * scale**top
+
+
 def _add_scaled(acc: dict[_K, int], c: int, terms: Iterable[tuple[_K, int]]) -> None:
     """acc += c * terms, in place, on integer numerators."""
     get = acc.get
@@ -329,16 +344,25 @@ def _unit(n: int, i: int) -> Exponent:
     return tuple(exp)
 
 
+def _by_degree(terms: Iterable[tuple[Exponent, int]]) -> list[tuple[Exponent, int, int]]:
+    """Terms as ``(exponent, degree, numerator)``, sorted by degree: the right
+    operand of :func:`_product_numerators`."""
+    return sorted(((e, sum(e), c) for e, c in terms), key=itemgetter(1))
+
+
 def _product_numerators(
-    left: Iterable[tuple[Exponent, int]], right: Iterable[tuple[Exponent, int]], bound: int
+    left: Iterable[tuple[Exponent, int]], right: list[tuple[Exponent, int, int]], bound: int
 ) -> dict[Exponent, int]:
-    """Integer product kernel: numerators of left * right up to the degree bound."""
-    by_degree = sorted(((eb, sum(eb), cb) for eb, cb in right), key=itemgetter(1))
+    """Integer product kernel: numerators of left * right up to the degree bound.
+
+    ``right`` comes from :func:`_by_degree`, so a factor used many times (a
+    substitution image) is sorted once.
+    """
     out: dict[Exponent, int] = {}
     get = out.get
     for ea, ca in left:
         room = bound - sum(ea)
-        for eb, db, cb in by_degree:
+        for eb, db, cb in right:
             if db > room:
                 break
             exp = tuple(map(add, ea, eb))
@@ -354,7 +378,7 @@ def truncated_product(
         raise DimensionMismatchError("cannot multiply polynomials in different rings")
     (left, right), den = _common_denominator([f.coefficients.items(), g.coefficients.items()])
     return TruncatedPolynomial._from_numerators(
-        f.variable_count, bound, _product_numerators(left, right, bound), den * den
+        f.variable_count, bound, _product_numerators(left, _by_degree(right), bound), den * den
     )
 
 
@@ -384,18 +408,19 @@ def truncated_substitute(
                 "coordinate change requires images with zero constant term"
             )
     _check_window(target_vars, bound)
-    one = TruncatedPolynomial.constant(target_vars, bound, 1)
+    # Products stay integer: the images' numerators over one denominator q,
+    # so a product of k images is a numerator dict over q**k.
+    factors, q = _common_denominator(img.coefficients.items() for img in images)
     power_product = _power_products(
-        one, images, lambda u, v: truncated_product(u, v, bound)
+        {(0,) * target_vars: 1},
+        [_by_degree(terms) for terms in factors],
+        lambda u, v: _product_numerators(u.items(), v, bound),
     )
-    monomials = [power_product(exp).coefficients.items() for exp in f.coefficients]
-    (coefficients, *monomials), den = _common_denominator(
-        [f.coefficients.items(), *monomials]
-    )
+    weights, den = _top_weights(f.coefficients.items(), q)
     out: dict[Exponent, int] = {}
-    for (_, c), terms in zip(coefficients, monomials):
-        _add_scaled(out, c, terms)
-    return TruncatedPolynomial._from_numerators(target_vars, bound, out, den * den)
+    for exp, w in weights:
+        _add_scaled(out, w, power_product(exp).items())
+    return TruncatedPolynomial._from_numerators(target_vars, bound, out, den)
 
 
 # -- text syntax --------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
 from operator import add
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -35,7 +35,9 @@ from .monomials import (
 )
 from .poly import (
     TruncatedPolynomial,
+    _add_scaled,
     _common_denominator,
+    _top_weights,
     as_fraction,
     format_polynomial,
     truncated_substitute,
@@ -56,6 +58,12 @@ from .subspace import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _fraction_row(pairs: Iterable[tuple[int, int]], den: int) -> SparseRow:
+    """The sparse ``Fraction`` row of integer ``(index, numerator)`` pairs over
+    ``den``: where an integer power product meets an elimination."""
+    return {g: Fraction(x, den) for g, x in pairs}
 
 
 @lru_cache(maxsize=None)
@@ -224,12 +232,15 @@ class WeilAlgebra:
 
     # -- arithmetic on raw coordinate tuples ------------------------------------
 
-    def mult_coords(
-        self, u: Sequence[Fraction], v: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]:
-        (us, vs), den = _common_denominator(
-            [[(a, ua) for a, ua in enumerate(u) if ua], [(b, vb) for b, vb in enumerate(v) if vb]]
-        )
+    def _mult_numerators(
+        self, us: Iterable[tuple[int, int]], vs: Iterable[tuple[int, int]]
+    ) -> list[int]:
+        """The one integer algebra product: numerators of u * v, dense.
+
+        ``us`` and ``vs`` are sparse ``(index, numerator)`` pairs, ``vs``
+        reiterable; the result lies over their two denominators times
+        ``_mult_den``.
+        """
         out = [0] * self.dimension
         mult = self._mult
         for a, ua in us:
@@ -238,8 +249,33 @@ class WeilAlgebra:
                 w = ua * vb
                 for g, c in row[b]:
                     out[g] += w * c
+        return out
+
+    def mult_coords(
+        self, u: Sequence[Fraction], v: Sequence[Fraction]
+    ) -> tuple[Fraction, ...]:
+        (us, vs), den = _common_denominator(
+            [[(a, ua) for a, ua in enumerate(u) if ua], [(b, vb) for b, vb in enumerate(v) if vb]]
+        )
         scale = den * den * self._mult_den
-        return tuple(Fraction(x, scale) if x else _ZERO for x in out)
+        return tuple(Fraction(x, scale) if x else _ZERO for x in self._mult_numerators(us, vs))
+
+    def _power_numerators(
+        self, factors: Sequence[Sequence[Fraction]]
+    ) -> tuple[Callable[[Exponent], tuple[tuple[int, int], ...]], int]:
+        """Memoized integer power products of elements given by their coordinates.
+
+        Returns ``(power, scale)``: ``power(e)`` is the sparse ``(index,
+        numerator)`` pairs of prod_i factors[i]^e[i] over ``scale**sum(e)``.
+        The factors are split once over one denominator q, and each product
+        multiplies numerators only, so ``scale`` is q times ``_mult_den``.
+        """
+        rows, q = _common_denominator([(g, v) for g, v in enumerate(f) if v] for f in factors)
+
+        def mul(u, v):
+            return tuple((g, x) for g, x in enumerate(self._mult_numerators(u, v)) if x)
+
+        return _power_products(((0, 1),), rows, mul), q * self._mult_den
 
     def power_coords(self, u: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
         result = self.one().coordinates
@@ -435,11 +471,20 @@ def quotient_algebra(
 def _rewindow(
     n: int,
     bound: int,
-    ideal: Echelon,
+    ideal: Echelon | Subspace,
     generator_rows: list[SparseRow],
     left_vars: int | None = None,
 ) -> WeilAlgebra:
-    """Detect the order and restate the presentation in the order+1 window."""
+    """Detect the order and restate the presentation in the order+1 window.
+
+    ``ideal`` holds reduced row-echelon rows; they are restated without a
+    second elimination.  Windows are prefixes of one layout, so a column
+    keeps its index in every window.  Every column of degree above the order
+    is a pivot whose row is a unit vector, so no other row has an entry
+    there: the rows whose pivot lies in the order+1 window are already the
+    canonical rows of the ideal in that window.  When the window grows (order
+    equal to ``bound``) the monomials of the new top degree join as unit rows.
+    """
     degs = degrees(n, bound)
     # Order = first k with every monomial of degree > k inside the ideal
     # (equivalently: the classes of degree >= k+1 monomials all vanish).  A
@@ -452,27 +497,22 @@ def _rewindow(
             order = k
             break
     new_bound = order + 1
-    old_index = window(n, bound)
-    new_size = window_size(n, new_bound)
     new_idx = window_index(n, new_bound)
-
-    def convert(row: SparseRow) -> SparseRow:
-        return {
-            new_idx[old_index[c]]: v
-            for c, v in row.items()
-            if degs[c] <= new_bound
-        }
-
-    top_rows = [{new_idx[exp]: _ONE} for exp in monomials_of_degree(n, new_bound)]
-    restated = Echelon(new_size)
-    for row in top_rows + [convert(r) for r in ideal.rows.values()]:
-        restated.insert(row)
-    gen_rows = [converted for r in generator_rows if (converted := convert(r))]
+    top = [new_idx[exp] for exp in monomials_of_degree(n, new_bound)]
+    top_rows = [{c: _ONE} for c in top]
+    rows = {p: row for p, row in ideal.rows.items() if degs[p] <= new_bound}
+    if new_bound > bound:
+        rows.update(zip(top, top_rows))
+    gen_rows = [
+        converted
+        for r in generator_rows
+        if (converted := {c: v for c, v in r.items() if degs[c] <= new_bound})
+    ]
     gen_rows += top_rows
     return WeilAlgebra(
         n,
         new_bound,
-        restated.subspace(),
+        Subspace(window_size(n, new_bound), rows),
         [TruncatedPolynomial.from_sparse(n, new_bound, r) for r in gen_rows],
         left_vars,
     )
@@ -703,26 +743,21 @@ def algebra_morphism(
         else:
             elems.append(target.element(img))
 
-    image_of = _power_products(
-        target.one().coordinates, [e.coordinates for e in elems], target.mult_coords
-    )
+    power, scale = target._power_numerators([e.coordinates for e in elems])
 
     # Well-definedness on a generating set of the ideal.
     for f in source.ideal_generators:
-        acc = [_ZERO] * target.dimension
-        for exp, c in f.coefficients.items():
-            img = image_of(exp)
-            for g, v in enumerate(img):
-                if v:
-                    acc[g] += c * v
-        if any(acc):
+        weights, _ = _top_weights(f.coefficients.items(), scale)
+        acc: dict[int, int] = {}
+        for exp, w in weights:
+            _add_scaled(acc, w, power(exp))
+        if any(acc.values()):
             raise NotWellDefinedError(format_polynomial(f))
 
     exps = window(source.n, source.window_bound)
-    cols = [image_of(exps[c]) for c in source.basis_columns]
+    cols = [_fraction_row(power(exps[c]), scale ** sum(exps[c])) for c in source.basis_columns]
     matrix = tuple(
-        tuple(cols[b][g] for b in range(source.dimension))
-        for g in range(target.dimension)
+        tuple(col.get(g, _ZERO) for col in cols) for g in range(target.dimension)
     )
 
     epi = target.generated_by([e.coordinates for e in elems])
@@ -744,10 +779,10 @@ def _express_in_generators(
     """A zero-constant polynomial P with P(values) = target, in m variables."""
     bound = algebra.order if algebra.order > 0 else 1
     monos = window(m, bound)[1:]
-    image_of = _power_products(
-        algebra.one().coordinates, [v.coordinates for v in values], algebra.mult_coords
-    )
-    columns = [list(image_of(exp)) for exp in monos]
+    power, scale = algebra._power_numerators([v.coordinates for v in values])
+    columns = [
+        dense(_fraction_row(power(exp), scale ** sum(exp)), algebra.dimension) for exp in monos
+    ]
     solution = solve_columns(columns, list(target.coordinates))
     if solution is None:
         raise NotEpimorphismError(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,7 +20,7 @@ from weiljets.apoints import (
 )
 from weiljets.errors import DimensionMismatchError
 from weiljets.jets import jet_from_ideal, power_jet
-from weiljets.poly import format_polynomial
+from weiljets.poly import TruncatedPolynomial, format_polynomial
 from weiljets.subspace import mat_vec
 from weiljets.weil import (
     algebra_morphism,
@@ -257,6 +258,29 @@ class TestGroups:
             ]
             assert [img.coordinates[1] for img in prod.images] == expected
             assert [img.augmentation() for img in prod.images] == law.multiply_points(pb, qb)
+
+    def test_law_checks_reach_the_degree_of_each_composition(self):
+        # A wrong inverse shows only at degree deg(law) * deg(inverse) = 3,
+        # and a wrong identity only at the law's own degree.
+        with pytest.raises(ValueError, match="inverse map does not invert"):
+            group_law(1, [P("x + y", 2)], [0], [P("-x + x^3", 1)])
+        with pytest.raises(ValueError, match="identity is not right-neutral"):
+            group_law(1, [P("x + y + x^3", 2)], [0], [P("-x", 1)])
+
+    def test_high_degree_law_with_linear_inverse_binds(self):
+        # (x1 + y1, x2 + y2 + (x1 + y1)^11 - x1^11 - y1^11) has the inverse
+        # (-x1, -x2): the checks work to degree 11, not 11^2, whose window
+        # in two variables is above the cap.
+        k = 11
+        cocycle = {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1}
+        cocycle.update({(a, 0, k - a, 0): comb(k, a) for a in range(1, k)})
+        law = group_law(
+            2,
+            [P("x1 + x3", 4), TruncatedPolynomial(4, k, cocycle)],
+            [0, 0],
+            [P("-x", 2), P("-y", 2)],
+        )
+        assert law.multiply_points([1, 0], [1, 0]) == [2, 2**k - 2]
 
     def test_inverse_adjoint_formula(self):
         law = heisenberg()

@@ -5,7 +5,9 @@ arithmetic: double loops over the terms, one ``Fraction`` per partial sum,
 no common denominators.  Algebra products are then projected to the
 quotient with ``project_polynomial``, which shares no code with the kernels.
 Inputs mix denominators and signs, and the coefficient pool is small so
-that terms cancel often.
+that terms cancel often.  A second pool with the coprime denominators 5 and
+7 feeds substitution images and A-point images (hence base points), so that
+the kernels' common denominators and their powers grow.
 """
 
 from fractions import Fraction
@@ -13,16 +15,26 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weiljets.apoints import apoint, components_at, evaluate, prolong_polynomial
+from weiljets.apoints import (
+    apoint,
+    components_at,
+    evaluate,
+    prolong_polynomial,
+    regularity_and_kernel,
+)
 from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial, truncated_product, truncated_substitute
+from weiljets.subspace import canonical_basis
 from weiljets.weil import free_truncated_algebra, quotient_algebra
 
 from conftest import P
 
 ZERO = Fraction(0)
 POOL = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3, 4, 6)]
+COPRIME_POOL = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 5, 7)]
 coefficients = st.sampled_from(POOL)
+coprime_coefficients = st.sampled_from(COPRIME_POOL)
+pools = st.sampled_from([coefficients, coprime_coefficients])
 
 
 def ref_product(f: dict, g: dict, bound: int) -> dict:
@@ -52,10 +64,18 @@ def assert_stored_fractions(poly: TruncatedPolynomial) -> None:
         assert type(c) is Fraction and c != 0
 
 
+def assert_fraction_coordinates(coordinates: tuple) -> None:
+    assert all(type(c) is Fraction for c in coordinates)
+
+
+def top_degree(f: dict) -> int:
+    return max((sum(e) for e in f), default=0)
+
+
 @st.composite
-def polynomials(draw, n: int, degree: int, max_terms: int = 6) -> dict:
+def polynomials(draw, n: int, degree: int, max_terms: int = 6, pool=coefficients) -> dict:
     exps = window(n, degree)
-    return draw(st.dictionaries(st.sampled_from(exps), coefficients, max_size=max_terms))
+    return draw(st.dictionaries(st.sampled_from(exps), pool, max_size=max_terms))
 
 
 @st.composite
@@ -93,12 +113,23 @@ def substitution_case(draw):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     f = draw(polynomials(n, 3))
-    images = [draw(polynomials(m, 2, max_terms=3)) for _ in range(n)]
+    pool = draw(pools)
+    images = [draw(polynomials(m, 2, max_terms=3, pool=pool)) for _ in range(n)]
     return n, m, f, images, draw(st.integers(0, 5))
+
+
+X, Y = (1, 0), (0, 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(substitution_case())
+# Zero images: every product past degree 0 vanishes, the constant term stays.
+@example((2, 2, {(0, 0): Fraction(3, 5), X: Fraction(1, 7), (1, 1): Fraction(2)}, [{}, {}], 3))
+# A constant-only f: the top degree is 0, and no image is ever multiplied.
+@example((2, 1, {(0, 0): Fraction(-2, 7)}, [{(1,): Fraction(1, 5)}, {(0,): Fraction(3)}], 2))
+# Bound 0 keeps only the constant terms of the images' products.
+@example((2, 2, {X: Fraction(1, 5), (1, 1): Fraction(2, 7)},
+          [{(0, 0): Fraction(3, 7), X: Fraction(1)}, {(0, 0): Fraction(-2, 5), Y: Fraction(1)}], 0))
 def test_truncated_substitute_matches_expansion(case):
     n, m, f, images, bound = case
     got = truncated_substitute(
@@ -111,7 +142,11 @@ def test_truncated_substitute_matches_expansion(case):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3).flatmap(
-    lambda n: st.tuples(st.just(n), polynomials(n, 4), st.lists(coefficients, min_size=n, max_size=n))
+    lambda n: st.tuples(
+        st.just(n),
+        polynomials(n, 4),
+        pools.flatmap(lambda pool: st.lists(pool, min_size=n, max_size=n)),
+    )
 ))
 def test_shift_matches_expansion(case):
     n, f, point = case
@@ -192,17 +227,28 @@ def point_case(draw):
     n = draw(st.integers(1, 2))
     f = draw(polynomials(n, 3, max_terms=5))
     d = algebra.dimension
-    images = [draw(st.lists(coefficients, min_size=d, max_size=d)) for _ in range(n)]
+    pool = draw(pools)
+    images = [draw(st.lists(pool, min_size=d, max_size=d)) for _ in range(n)]
     return algebra, n, f, images
+
+
+R22 = free_truncated_algebra(2, 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(point_case())
 @example((BINOMIAL, 1, {(2,): Fraction(1, 2)}, [[1, 2, -1, 0, 0, 0, 0]]))
+# deg f = 5 above the order 2, at a base point off the origin: f is shifted
+# only to the order, and the terms past it must not reach the result.
+@example((R22, 2, {(5, 0): Fraction(1, 5), (2, 3): Fraction(-3, 7), (1, 1): Fraction(2), (0, 0): Fraction(1)},
+          [[Fraction(2, 5), 1, 0, Fraction(1, 7), 0, 0], [Fraction(-3, 7), 0, 1, 0, 2, 0]]))
+# A constant-only f evaluates to a multiple of the unit.
+@example((BINOMIAL, 1, {(0,): Fraction(-2, 7)}, [[Fraction(1, 5), 2, -1, 0, 0, 0, 0]]))
 def test_evaluate_matches_expansion(case):
     algebra, n, f, images = case
-    got = evaluate(TruncatedPolynomial(n, 3, f), apoint(algebra, images)).coordinates
+    got = evaluate(TruncatedPolynomial(n, top_degree(f), f), apoint(algebra, images)).coordinates
     assert got == ref_value(f, algebra, images)
+    assert_fraction_coordinates(got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,3 +262,28 @@ def test_prolonged_components_match_expansion(case):
         assert_stored_fractions(component)
     got = tuple(components_at(components, apoint(algebra, images)))
     assert got == ref_value(f, algebra, images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_case())
+@example((BINOMIAL, 2, {}, [[Fraction(1, 5), 1, Fraction(-2, 7), 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0]]))
+def test_kernel_jet_relations_vanish_at_the_point(case):
+    # Each relation y^e - ... of the kernel jet, substituted into the
+    # representatives of the images' nilpotent parts, is zero in A; and
+    # R[y]/kernel is as large as the span of the substituted monomials.
+    algebra, n, _, images = case
+    point = apoint(algebra, images)
+    _, kernel = regularity_and_kernel(point)
+    assert kernel.base_point == tuple(Fraction(img[0]) for img in images)
+    nil = [representative(algebra, [0] + list(img[1:])) for img in images]
+    bound = algebra.window_bound
+    for g in kernel.ideal_polynomials():
+        assert_stored_fractions(g)
+        value = ref_substitute(g.coefficients, nil, algebra.n, bound)
+        assert not any(project(algebra, value))
+    span = canonical_basis(
+        [project(algebra, ref_substitute({e: Fraction(1)}, nil, algebra.n, bound))
+         for e in window(n, bound)],
+        algebra.dimension,
+    )
+    assert kernel.quotient.dimension == span.dimension

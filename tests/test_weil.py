@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weiljets.errors import (
     EmptyQuotientError,
@@ -11,8 +12,11 @@ from weiljets.errors import (
     NotEpimorphismError,
     NotWellDefinedError,
 )
-from weiljets.subspace import canonical_basis, mat_vec, zero_subspace
+from weiljets.monomials import monomials_of_degree, window, window_index, window_size
+from weiljets.subspace import Echelon, canonical_basis, mat_vec, zero_subspace
 from weiljets.weil import (
+    _rewindow,
+    _variable_shifts,
     algebra_morphism,
     derivation_space,
     factor_epimorphism,
@@ -418,3 +422,33 @@ def test_z_minus_xy_matches_groebner(groebner_invariants):
 def test_dimension_and_order_match_groebner(groebner_invariants, presentation):
     algebra = quotient_algebra(*presentation)
     assert (algebra.dimension, algebra.order) == groebner_invariants(*presentation)
+
+
+def fresh_restatement(n, bound, rows, order):
+    """The ideal restated in the order+1 window by a second elimination: the
+    top-degree monomials and every row, each column moved by exponent."""
+    new_bound = order + 1
+    old, new = window(n, bound), window_index(n, new_bound)
+    span = Echelon(window_size(n, new_bound))
+    for exp in monomials_of_degree(n, new_bound):
+        span.insert({new[exp]: Fraction(1)})
+    for row in rows:
+        span.insert({new[old[c]]: v for c, v in row.items() if sum(old[c]) <= new_bound})
+    return span.subspace()
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentations(), st.integers(0, 2), st.booleans())
+# The free algebra at its own bound: the window grows by one degree.
+@example((2, 2, []), 0, False)
+# Relations far below the bound: the window shrinks.
+@example((2, 1, [P("x", 2, 1), P("y", 2, 1)]), 2, True)
+def test_rewindow_keeps_the_canonical_rows_of_a_fresh_elimination(presentation, extra, frozen):
+    m, ell, generators = presentation
+    bound = ell + extra
+    rows = [r for g in generators if (r := g.to_sparse(bound))]
+    ideal = Echelon(window_size(m, bound))
+    ideal.saturate(rows, _variable_shifts(m, bound))
+    algebra = _rewindow(m, bound, ideal.subspace() if frozen else ideal, rows)
+    assert algebra.window_bound == algebra.order + 1
+    assert algebra.defining_ideal == fresh_restatement(m, bound, ideal.rows.values(), algebra.order)
