@@ -29,7 +29,7 @@ from .poly import (
     truncated_substitute,
     variable_names,
 )
-from .subspace import dense, invert_matrix, mat_vec
+from .subspace import Echelon, apply_columns
 from .weil import AlgebraElement, WeilAlgebra, _fraction_row, tensor_product
 
 _ZERO = Fraction(0)
@@ -79,7 +79,7 @@ def _nilpotent_products(
     ``scale**sum(e)``.
     """
     return point.algebra._power_numerators(
-        [img.nilpotent_part().coordinates for img in point.images]
+        [img.nilpotent_part().row for img in point.images]
     )
 
 
@@ -107,13 +107,13 @@ def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
     total: dict[int, int] = {}
     for exp, w in weights:
         _add_scaled(total, w, power_product(exp))
-    return AlgebraElement(algebra, tuple(dense(_fraction_row(total.items(), den), algebra.dimension)))
+    return AlgebraElement(algebra, _fraction_row(total.items(), den))
 
 
 def regularity_and_kernel(point: APoint) -> tuple[bool, Jet]:
     """Surjectivity of the evaluation plus its kernel jet at the base point."""
     algebra = point.algebra
-    regular = algebra.generated_by([img.coordinates for img in point.images])
+    regular = algebra.generated_by([img.row for img in point.images])
     return regular, _kernel_jet(
         algebra, point.base_point, point.ambient_dimension, *_nilpotent_products(point)
     )
@@ -236,47 +236,38 @@ def weil_iso_check(
             raise DimensionMismatchError("coefficient matrix has the wrong shape")
 
     tensor = tensor_product(a, b)
-    if tensor.dimension != da * db:
+    d = tensor.dimension
+    if d != da * db:
         raise DimensionMismatchError("tensor basis does not split into pairs")
-    pair_cols = []
-    for alpha in range(da):
-        for beta in range(db):
-            exp = a.basis_monomials[alpha] + b.basis_monomials[beta]
-            pair_cols.append(tensor.monomial_class(exp))
-    pair_matrix = [
-        [pair_cols[k][i] for k in range(da * db)] for i in range(tensor.dimension)
+    # Column alpha * db + beta of the pairing P is the class of a_alpha b_beta.
+    pair_cols = [
+        tensor.monomial_element(ea + eb).row
+        for ea in a.basis_monomials
+        for eb in b.basis_monomials
     ]
-    pair_inverse = invert_matrix([tuple(r) for r in pair_matrix])
-    if pair_inverse is None:
+    # Rows (P^T e_k | e_k) reduce to (e_g | row g of P^-T): the columns of P^-1.
+    pairing = Echelon(2 * d)
+    for k, col in enumerate(pair_cols):
+        pairing.insert({**col, d + k: _ONE})
+    if any(p >= d for p in pairing.rows):
         raise DimensionMismatchError("tensor pairing is degenerate")
+    pair_inverse = [{c - d: v for c, v in pairing.rows[g].items() if c >= d} for g in range(d)]
 
     # Route 1: evaluate directly over A (x) B and convert to pair coordinates.
-    images = []
-    for i in range(n):
-        coords = [_ZERO] * tensor.dimension
-        for alpha in range(da):
-            for beta in range(db):
-                c = mats[i][alpha][beta]
-                if c:
-                    col = pair_cols[alpha * db + beta]
-                    for g, v in enumerate(col):
-                        if v:
-                            coords[g] += c * v
-        images.append(tensor.element(coords))
-    direct_t = evaluate(f, APoint(tensor, tuple(images))).coordinates
-    direct_pairs = mat_vec(pair_inverse, direct_t)
+    flat = [[c for row in m for c in row] for m in mats]
+    images = tuple(
+        AlgebraElement(tensor, apply_columns(pair_cols, {k: c for k, c in enumerate(v) if c}))
+        for v in flat
+    )
+    direct_pairs = apply_columns(pair_inverse, evaluate(f, APoint(tensor, images)).row)
     direct = tuple(
-        tuple(direct_pairs[alpha * db + beta] for beta in range(db))
+        tuple(direct_pairs.get(alpha * db + beta, _ZERO) for beta in range(db))
         for alpha in range(da)
     )
 
     # Route 2: components over A, then components of those over B.
     comps = prolong_polynomial(f, a)
-    b_images = []
-    for i in range(n):
-        for alpha in range(da):
-            b_images.append(b.element(mats[i][alpha]))
-    stage_point = APoint(b, tuple(b_images))
+    stage_point = APoint(b, tuple(b.element(row) for m in mats for row in m))
     two_stage = tuple(
         tuple(evaluate(comps[alpha], stage_point).coordinates)
         for alpha in range(da)
@@ -366,12 +357,8 @@ class ProlongedGroup:
         )
 
     def identity(self) -> APoint:
-        e = []
-        for c in self.law.identity:
-            coords = [_ZERO] * self.algebra.dimension
-            coords[0] = c
-            e.append(self.algebra.element(coords))
-        return APoint(self.algebra, tuple(e))
+        one = self.algebra.one()
+        return APoint(self.algebra, tuple(one * c for c in self.law.identity))
 
     def inverse(self, p: APoint) -> APoint:
         self._check(p)

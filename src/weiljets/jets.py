@@ -45,11 +45,10 @@ from .subspace import (
     SparseRow,
     Subspace,
     apply_columns,
-    dense,
-    nullspace,
     preimage,
     sparse,
     subspace_intersection,
+    transpose,
 )
 from .weil import (
     AlgebraElement,
@@ -64,7 +63,6 @@ from .weil import (
     quotient_algebra,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -338,7 +336,7 @@ def cotangent_module(p: Jet) -> CotangentModule:
         if len(coords) != p.n * algebra.dimension:
             raise DimensionMismatchError("tangent representative has the wrong length")
         value = apply_columns(algebra.differential_map(shifted), sparse(coords, len(coords)))
-        return algebra.element(dense(value, algebra.dimension))
+        return AlgebraElement(algebra, value)
 
     return CotangentModule(p, hat, dim, tuple(reps), differential)
 
@@ -892,7 +890,7 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     tables = []
     for i in range(n):
         # Multiplication by x_i acts on each of the n blocks of A^n.
-        images = algebra.multiplication_map(algebra.generator(i).coordinates)
+        images = algebra.multiplication_map(algebra.generator(i).row)
         tables.append(
             [{k * d + g: c for g, c in image.items()} for k in range(n) for image in images]
         )
@@ -982,18 +980,18 @@ def _kernel_jet(
     order = algebra.order
     bound = order + 1
     exps = window(m, bound)
-    rows = [[_ZERO] * len(exps) for _ in range(algebra.dimension)]
-    for j, e in enumerate(exps):
-        if sum(e) <= order:
-            for g, v in _fraction_row(power_product(e), scale ** sum(e)).items():
-                rows[g][j] = v
-    return _window_jet(m, bound, nullspace(rows, len(exps)), base_point)
+    span = Echelon(len(exps))
+    for row in transpose(
+        _fraction_row(power_product(e), scale ** sum(e)) if sum(e) <= order else {} for e in exps
+    ):
+        span.insert(row)
+    return _window_jet(m, bound, span.kernel(), base_point)
 
 
 def _pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> tuple[
     Jet,
     list[TruncatedPolynomial],
-    list[tuple[Fraction, ...]],
+    list[SparseRow],
     Callable[[Exponent], tuple[tuple[int, int], ...]],
     int,
 ]:
@@ -1014,9 +1012,7 @@ def _pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> tuple[
         moved = f.shift(p.base_point) if any(p.base_point) else f
         psi.append(moved - TruncatedPolynomial.constant(n, f.degree_bound, moved.constant_term()))
     algebra = p.quotient
-    images = [
-        algebra.project_polynomial(f.truncate(p.window_bound)).coordinates for f in psi
-    ]
+    images = [algebra._polynomial_class(f) for f in psi]
     power_product, scale = algebra._power_numerators(images)
     image_jet = _kernel_jet(algebra, base_target, len(phi), power_product, scale)
     return image_jet, psi, images, power_product, scale
@@ -1029,13 +1025,17 @@ def pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> Jet:
 
 @dataclass(frozen=True)
 class TangentMap:
-    """Existence data and the induced map between tangent presentations."""
+    """Existence data and the induced map between tangent presentations.
+
+    ``columns[i * d + beta]``, when the map exists, is the sparse image in
+    B^m of the ambient tangent coordinate (i, beta) of A^n.
+    """
 
     jet: Jet
     image_jet: Jet
     exists: bool
     is_regular_for_subalgebra: bool
-    matrix: tuple[tuple[Fraction, ...], ...] | None
+    columns: tuple[SparseRow, ...] | None
 
 
 def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
@@ -1054,7 +1054,7 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
 
     generated = Echelon(d)
     generated.saturate(
-        [sparse(algebra.one().coordinates, d)],
+        [algebra.one().row],
         [algebra.multiplication_map(img) for img in images],
     )
     subalgebra = generated.subspace()
@@ -1063,7 +1063,7 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
     exists = all(subalgebra.contains_vector(w) for row in partials for w in row)
     regular = subalgebra.dimension == d
 
-    matrix = None
+    columns = None
     if exists:
         # B -> A is injective: one echelon of the image columns, each tagged
         # with its unknown, solves for every value (an image reduces to minus
@@ -1076,7 +1076,7 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
         for k, col in enumerate(iota_cols):
             system.insert({**col, d + k: _ONE})
         # Column i*d + beta of the induced map, sparse over target_n * db rows.
-        columns: list[SparseRow] = [{} for _ in range(n * d)]
+        induced: list[SparseRow] = [{} for _ in range(n * d)]
         for j in range(target_n):
             for i, w in enumerate(partials[j]):
                 if not w:
@@ -1088,16 +1088,14 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
                         raise InternalCheckError(
                             "tangent value escaped the image subalgebra"
                         )
-                    columns[i * d + beta].update(
+                    induced[i * d + beta].update(
                         (j * db + k, u) for k, u in w_coords.items()
                     )
-        matrix = tuple(
-            tuple(col.get(r, _ZERO) for col in columns) for r in range(target_n * db)
-        )
+        columns = tuple(induced)
 
         rel_image = tangent_module(image_jet).relations
         for v in tangent_module(p).relations.rows.values():
             if not rel_image.contains_vector(apply_columns(columns, v)):
                 raise InternalCheckError("induced map is not constant on classes")
 
-    return TangentMap(p, image_jet, exists, regular, matrix)
+    return TangentMap(p, image_jet, exists, regular, columns)

@@ -438,7 +438,7 @@ def _op_stability(of: WeilAlgebra, ideal=()) -> dict:
     span = Echelon(d)
     span.saturate(
         [of._polynomial_class(f) for f in ideal],
-        [of.multiplication_map(of.generator(i).coordinates) for i in range(of.n)],
+        [of.multiplication_map(of.generator(i).row) for i in range(of.n)],
     )
     basis = span.subspace()
     report = ideal_stability(of, basis)
@@ -520,9 +520,7 @@ def _op_evaluate(of: APoint, poly: TruncatedPolynomial) -> dict:
     value = evaluate(poly, of)
     return {
         "components": [str(c) for c in value.coordinates],
-        "value": format_polynomial(
-            of.algebra.element_polynomial(value.coordinates)
-        ),
+        "value": format_polynomial(of.algebra.row_polynomial(value.row)),
     }
 
 

@@ -11,8 +11,8 @@ A :class:`Subspace` is the frozen result, and its pivot-keyed sparse rows are
 the only thing it stores.  Reduced row-echelon form is unique, so two
 subspaces are equal as sets exactly when their rows are equal; that is what
 equality and hashing compare, and what makes ideal equality (and every
-acceptance check built on it) decidable.  The dense ``basis`` is a view built
-on demand for display and for tests.
+acceptance check built on it) decidable.  A linear map is the list of its
+sparse columns, applied by :func:`apply_columns`.
 
 All solvers here are exact: no pivot thresholds, no floating point.
 """
@@ -27,8 +27,6 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError, UnknownQueryError
 from .poly import as_fraction
 
-Vector = tuple[Fraction, ...]
-Matrix = tuple[Vector, ...]  # rows index the output coordinates
 SparseRow = dict[int, Fraction]  # column -> nonzero entry
 
 _ZERO = Fraction(0)
@@ -153,7 +151,7 @@ class Echelon:
 
         The solution for c is e_c - sum_p rows[p][c] e_p.  Together they span
         the kernel, the annihilator of the span; read as functionals, they cut
-        the span out (see :meth:`Subspace.membership_rows`).
+        the span out (see :func:`preimage`).
         """
         out = {c: {c: _ONE} for c in range(self.ambient_dimension) if c not in self.rows}
         for p, row in self.rows.items():
@@ -214,12 +212,6 @@ class Subspace:
     def dimension(self) -> int:
         return len(self.rows)
 
-    @property
-    def basis(self) -> Matrix:
-        """The dense reduced row-echelon basis, built on each call."""
-        n = self.ambient_dimension
-        return tuple(tuple(dense(r, n)) for r in self.rows.values())
-
     def echelon(self) -> Echelon:
         """A builder that starts from this span."""
         return Echelon(self.ambient_dimension, dict(self.rows))
@@ -248,15 +240,6 @@ class Subspace:
     def free_columns(self) -> tuple[int, ...]:
         """Columns without a pivot; they index a complement basis."""
         return tuple(c for c in range(self.ambient_dimension) if c not in self.rows)
-
-    def membership_rows(self) -> Matrix:
-        """Functionals whose common kernel is exactly this subspace.
-
-        Row for free column c: e_c - sum_p rows[p][c] e_p; a vector w
-        lies in the subspace iff every row pairs to zero with w.
-        """
-        n = self.ambient_dimension
-        return tuple(tuple(dense(r, n)) for r in self.echelon().kernel_rows())
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dimension}, ambient={self.ambient_dimension})"
@@ -326,20 +309,7 @@ def subspace_query(kind: str, u: Subspace, other=None):
     raise UnknownQueryError(f"unknown subspace query {kind!r}")
 
 
-# -- linear maps as row matrices ----------------------------------------------
-
-
-def mat_vec(rows: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> list[Fraction]:
-    nonzero = [(j, b) for j, b in enumerate(vector) if b]
-    out = []
-    for row in rows:
-        s = _ZERO
-        for j, b in nonzero:
-            a = row[j]
-            if a:
-                s += a * b
-        out.append(s)
-    return out
+# -- linear maps as sparse columns ----------------------------------------------
 
 
 def apply_columns(columns: Sequence[SparseRow], row: SparseRow) -> SparseRow:
@@ -348,6 +318,15 @@ def apply_columns(columns: Sequence[SparseRow], row: SparseRow) -> SparseRow:
     for j, c in row.items():
         _add_multiple(out, c, columns[j])
     return out
+
+
+def transpose(columns: Iterable[SparseRow]) -> list[SparseRow]:
+    """The nonzero sparse rows, in order, of the map whose column j is columns[j]."""
+    rows: dict[int, SparseRow] = {}
+    for j, column in enumerate(columns):
+        for i, c in column.items():
+            rows.setdefault(i, {})[j] = c
+    return [rows[i] for i in sorted(rows)]
 
 
 def nullspace(rows: Iterable[Sequence], ambient: int) -> Subspace:
@@ -368,31 +347,23 @@ def preimage(rows: Sequence[SparseRow], target: Subspace, domain_dimension: int)
     return constraints.kernel()
 
 
-def solve_columns(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> list[Fraction] | None:
+def solve_columns(columns: Sequence[SparseRow], target: SparseRow) -> SparseRow | None:
     """One exact solution u of sum_k u_k columns[k] = target, or None.
 
-    Free unknowns are set to zero, so the answer is deterministic.
+    The columns, the target and the solution are sparse rows (the target
+    without zero entries).  Free unknowns stay zero, so the answer is
+    deterministic.
     """
     ncols = len(columns)
-    height = len(target)
     system = Echelon(ncols + 1)
-    for i in range(height):
-        system.insert(sparse([col[i] for col in columns] + [target[i]], ncols + 1))
-    solution = [_ZERO] * ncols
-    for p, row in system.rows.items():
-        if p == ncols:
-            return None  # inconsistent system
-        # Row: x_p + sum_{free c>p} row[c] x_c = row[-1]; free unknowns are 0.
-        solution[p] = row.get(ncols, _ZERO)
+    for row in transpose([*columns, target]):
+        system.insert(row)
+    if ncols in system.rows:
+        return None  # inconsistent system
+    # Row p: x_p + sum_{free c>p} row[c] x_c = row[ncols]; free unknowns are 0.
+    solution = {p: row[ncols] for p, row in system.rows.items() if ncols in row}
     # Cheap insurance: the zero-free-variable answer must solve the system.
-    check = [_ZERO] * height
-    for k, u in enumerate(solution):
-        if u:
-            for i in range(height):
-                check[i] += u * columns[k][i]
-    if any(a != b for a, b in zip(check, [as_fraction(t) for t in target])):
+    if apply_columns(columns, solution) != target:
         return None
     return solution
 

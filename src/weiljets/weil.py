@@ -50,9 +50,8 @@ from .subspace import (
     apply_columns,
     dense,
     invert_matrix,
-    mat_vec,
     solve_columns,
-    sparse,
+    transpose,
     zero_subspace,
 )
 
@@ -62,8 +61,8 @@ _ONE = Fraction(1)
 
 def _fraction_row(pairs: Iterable[tuple[int, int]], den: int) -> SparseRow:
     """The sparse ``Fraction`` row of integer ``(index, numerator)`` pairs over
-    ``den``: where an integer power product meets an elimination."""
-    return {g: Fraction(x, den) for g, x in pairs}
+    ``den``, zero numerators dropped: where integer products become rows."""
+    return {g: Fraction(x, den) for g, x in pairs if x}
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +125,6 @@ class WeilAlgebra:
             else:
                 classes.append({self._column_of[b]: -v for b, v in row.items() if b != c})
         self._classes = classes
-        self._monomial_class = [tuple(dense(cls, self.dimension)) for cls in classes]
 
         # Maximal-ideal filtration: m^k = span of classes of monomials of
         # degree >= k; strictly decreasing until it vanishes.  One echelon
@@ -186,12 +184,10 @@ class WeilAlgebra:
     # -- elements --------------------------------------------------------------
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, (_ZERO,) * self.dimension)
+        return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
-        coords = [_ZERO] * self.dimension
-        coords[0] = _ONE
-        return AlgebraElement(self, tuple(coords))
+        return AlgebraElement(self, {0: _ONE})
 
     def generator(self, i: int) -> "AlgebraElement":
         """Class of the variable x_i."""
@@ -200,26 +196,24 @@ class WeilAlgebra:
         return self.monomial_element(tuple(exp))
 
     def monomial_element(self, exponent: Exponent) -> "AlgebraElement":
-        return AlgebraElement(self, self.monomial_class(exponent))
-
-    def monomial_class(self, exponent: Exponent) -> tuple[Fraction, ...]:
         if sum(exponent) > self.window_bound:
-            return (_ZERO,) * self.dimension
+            return self.zero()
         idx = window_index(self.n, self.window_bound)[tuple(exponent)]
-        return self._monomial_class[idx]
+        return AlgebraElement(self, self._classes[idx])
 
     def element(self, coordinates: Sequence) -> "AlgebraElement":
-        coords = tuple(as_fraction(c) for c in coordinates)
+        """The element with the given dense coordinates: the one dense entry."""
+        coords = [as_fraction(c) for c in coordinates]
         if len(coords) != self.dimension:
             raise DimensionMismatchError(
                 f"need {self.dimension} coordinates, got {len(coords)}"
             )
-        return AlgebraElement(self, coords)
+        return AlgebraElement(self, {g: c for g, c in enumerate(coords) if c})
 
     def project_polynomial(self, f: TruncatedPolynomial) -> "AlgebraElement":
         if f.variable_count != self.n:
             raise DimensionMismatchError("polynomial has the wrong variable count")
-        return AlgebraElement(self, tuple(dense(self._polynomial_class(f), self.dimension)))
+        return AlgebraElement(self, self._polynomial_class(f))
 
     def _polynomial_class(self, f: TruncatedPolynomial) -> SparseRow:
         """Sparse quotient coordinates of the class of f."""
@@ -230,7 +224,7 @@ class WeilAlgebra:
                 _add_multiple(row, v, self._classes[idx[exp]])
         return row
 
-    # -- arithmetic on raw coordinate tuples ------------------------------------
+    # -- arithmetic on sparse rows ------------------------------------------------
 
     def _mult_numerators(
         self, us: Iterable[tuple[int, int]], vs: Iterable[tuple[int, int]]
@@ -251,46 +245,32 @@ class WeilAlgebra:
                     out[g] += w * c
         return out
 
-    def mult_coords(
-        self, u: Sequence[Fraction], v: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]:
-        (us, vs), den = _common_denominator(
-            [[(a, ua) for a, ua in enumerate(u) if ua], [(b, vb) for b, vb in enumerate(v) if vb]]
-        )
-        scale = den * den * self._mult_den
-        return tuple(Fraction(x, scale) if x else _ZERO for x in self._mult_numerators(us, vs))
+    def product(self, u: SparseRow, v: SparseRow) -> SparseRow:
+        """The row of u * v, for sparse rows u and v of quotient coordinates."""
+        (us, vs), den = _common_denominator([u.items(), v.items()])
+        return _fraction_row(enumerate(self._mult_numerators(us, vs)), den * den * self._mult_den)
 
     def _power_numerators(
-        self, factors: Sequence[Sequence[Fraction]]
+        self, factors: Sequence[SparseRow]
     ) -> tuple[Callable[[Exponent], tuple[tuple[int, int], ...]], int]:
-        """Memoized integer power products of elements given by their coordinates.
+        """Memoized integer power products of elements given by their rows.
 
         Returns ``(power, scale)``: ``power(e)`` is the sparse ``(index,
         numerator)`` pairs of prod_i factors[i]^e[i] over ``scale**sum(e)``.
         The factors are split once over one denominator q, and each product
         multiplies numerators only, so ``scale`` is q times ``_mult_den``.
         """
-        rows, q = _common_denominator([(g, v) for g, v in enumerate(f) if v] for f in factors)
+        rows, q = _common_denominator(f.items() for f in factors)
 
         def mul(u, v):
             return tuple((g, x) for g, x in enumerate(self._mult_numerators(u, v)) if x)
 
         return _power_products(((0, 1),), rows, mul), q * self._mult_den
 
-    def power_coords(self, u: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
-        result = self.one().coordinates
-        base = tuple(u)
-        for _ in range(k):
-            result = self.mult_coords(result, base)
-        return result
-
-    def _mult_columns(
-        self, w: Sequence[Fraction] | SparseRow
-    ) -> tuple[list[dict[int, int]], int]:
+    def _mult_columns(self, w: SparseRow) -> tuple[list[dict[int, int]], int]:
         """Numerators of the images w * a_b (one dict per b) and their
-        denominator; w is dense or sparse."""
-        items = w.items() if isinstance(w, dict) else ((a, wa) for a, wa in enumerate(w) if wa)
-        (ws,), den = _common_denominator([items])
+        denominator."""
+        (ws,), den = _common_denominator([w.items()])
         columns: list[dict[int, int]] = [{} for _ in range(self.dimension)]
         for a, wa in ws:
             for column, entries in zip(columns, self._mult[a]):
@@ -298,18 +278,10 @@ class WeilAlgebra:
                     column[g] = column.get(g, 0) + wa * c
         return columns, den * self._mult_den
 
-    def left_mult_rows(self, w: Sequence[Fraction]) -> list[list[Fraction]]:
-        """Matrix of v -> w*v in quotient coordinates."""
-        columns, den = self._mult_columns(w)
-        return [
-            [Fraction(column[g], den) if column.get(g) else _ZERO for column in columns]
-            for g in range(self.dimension)
-        ]
-
-    def multiplication_map(self, w: Sequence[Fraction] | SparseRow) -> list[SparseRow]:
+    def multiplication_map(self, w: SparseRow) -> list[SparseRow]:
         """Sparse images of the basis classes under v -> w*v (saturation table)."""
         columns, den = self._mult_columns(w)
-        return [{g: Fraction(c, den) for g, c in column.items() if c} for column in columns]
+        return [_fraction_row(column.items(), den) for column in columns]
 
     def differential_map(self, f: TruncatedPolynomial) -> list[SparseRow]:
         """Sparse columns of v -> sum_i [d f / d x_i] * v_i, from A^n to A.
@@ -334,14 +306,14 @@ class WeilAlgebra:
             return self._filtration[k - 1]
         return zero_subspace(self.dimension)
 
-    def generated_by(self, elements: Sequence[Sequence[Fraction]]) -> bool:
-        """Whether elements (coordinate tuples) generate the algebra.
+    def generated_by(self, elements: Sequence[SparseRow]) -> bool:
+        """Whether elements (sparse rows) generate the algebra.
 
         They do exactly when their nilpotent parts span m/m^2 (Nakayama).
         """
         span = self.maximal_power(2).echelon()
-        for coords in elements:
-            span.insert({g: c for g, c in enumerate(coords) if c and g})
+        for row in elements:
+            span.insert({g: c for g, c in row.items() if g})
         return span.subspace() == self.maximal_ideal
 
     def structure_constants(self):
@@ -371,73 +343,86 @@ class WeilAlgebra:
             self.n, self.window_bound, self.basis_monomials[index]
         )
 
-    def element_polynomial(self, coords: Sequence[Fraction]) -> TruncatedPolynomial:
-        """A representative polynomial built from basis monomials."""
-        return self.row_polynomial({i: c for i, c in enumerate(coords) if c})
-
     def row_polynomial(self, row: SparseRow) -> TruncatedPolynomial:
         """The representative polynomial of a sparse row of quotient coordinates."""
         terms = {self.basis_monomials[b]: c for b, c in row.items()}
         return TruncatedPolynomial(self.n, self.window_bound, terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """An element in quotient coordinates over the basis monomials."""
+    """An element of a Weil algebra as the sparse row of its quotient
+    coordinates over the basis monomials.
+
+    The row holds only nonzero coordinates and is never mutated, so equal
+    elements have equal rows; :attr:`coordinates` is the dense report view.
+    """
 
     algebra: WeilAlgebra
-    coordinates: tuple[Fraction, ...]
+    row: SparseRow
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return (self.algebra, self.row) == (other.algebra, other.row)
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, frozenset(self.row.items())))
+
+    @property
+    def coordinates(self) -> tuple[Fraction, ...]:
+        """The dense coordinates, built on each read."""
+        return tuple(dense(self.row, self.algebra.dimension))
 
     def _check(self, other: "AlgebraElement") -> None:
         if self.algebra != other.algebra:
             raise DimensionMismatchError("elements live in different algebras")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def _combine(self, m: Fraction, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(
-            self.algebra,
-            tuple(a + b for a, b in zip(self.coordinates, other.coordinates)),
-        )
+        row = dict(self.row)
+        _add_multiple(row, m, other.row)
+        return AlgebraElement(self.algebra, row)
+
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self._combine(_ONE, other)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(
-            self.algebra,
-            tuple(a - b for a, b in zip(self.coordinates, other.coordinates)),
-        )
+        return self._combine(-_ONE, other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coordinates))
+        return self * -_ONE
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            return AlgebraElement(
-                self.algebra,
-                self.algebra.mult_coords(self.coordinates, other.coordinates),
-            )
+            return AlgebraElement(self.algebra, self.algebra.product(self.row, other.row))
         c = as_fraction(other)
-        return AlgebraElement(self.algebra, tuple(c * a for a in self.coordinates))
+        row: SparseRow = {}
+        if c:
+            _add_multiple(row, c, self.row)
+        return AlgebraElement(self.algebra, row)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.algebra.power_coords(self.coordinates, k))
+        result = self.algebra.one()
+        for _ in range(k):
+            result = result * self
+        return result
 
     def is_zero(self) -> bool:
-        return not any(self.coordinates)
+        return not self.row
 
     def augmentation(self) -> Fraction:
         """Constant term: the image in A/m_A = R."""
-        return self.coordinates[0]
+        return self.row.get(0, _ZERO)
 
     def nilpotent_part(self) -> "AlgebraElement":
-        coords = list(self.coordinates)
-        coords[0] = _ZERO
-        return AlgebraElement(self.algebra, tuple(coords))
+        return AlgebraElement(self.algebra, {g: v for g, v in self.row.items() if g})
 
     def __repr__(self) -> str:
-        return f"AlgebraElement({format_polynomial(self.algebra.element_polynomial(self.coordinates))})"
+        return f"AlgebraElement({format_polynomial(self.algebra.row_polynomial(self.row))})"
 
 
 def quotient_algebra(
@@ -578,9 +563,8 @@ class DerivationSpace:
 
     The relation rows are all the dimension, the tangent presentation, the
     stability check and the session report read.  The Leibniz action on the
-    whole basis (``columns``, and its dense view ``matrices``) is built on
-    first read; only :attr:`IdealStabilityReport.projected_derivations` reads
-    it."""
+    whole basis (``columns``) is built on first read; only
+    :attr:`IdealStabilityReport.projected_derivations` reads it."""
 
     algebra: WeilAlgebra
     relations: Subspace
@@ -600,14 +584,6 @@ class DerivationSpace:
                 blocks[j // d][j % d] = c
             out.append(tuple(blocks))
         return tuple(out)
-
-    @cached_property
-    def generator_images(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """Dense view of :attr:`sparse_images`, for tests and display."""
-        d = self.algebra.dimension
-        return tuple(
-            tuple(tuple(dense(block, d)) for block in blocks) for blocks in self.sparse_images
-        )
 
     @cached_property
     def columns(self) -> tuple[tuple[SparseRow, ...], ...]:
@@ -634,15 +610,6 @@ class DerivationSpace:
             out.append(tuple(cols))
         return tuple(out)
 
-    @cached_property
-    def matrices(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """Dense view of :attr:`columns`: rows index the output coordinates."""
-        d = self.algebra.dimension
-        return tuple(
-            tuple(tuple(col.get(g, _ZERO) for col in cols) for g in range(d))
-            for cols in self.columns
-        )
-
 
 def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     """Solve the Leibniz system: derivations are fixed by generator images.
@@ -657,13 +624,8 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
         return algebra._derivations
     constraints = Echelon(algebra.n * algebra.dimension)
     for f in algebra.minimal_generators:
-        rows: list[SparseRow] = [{} for _ in range(algebra.dimension)]
-        for j, column in enumerate(algebra.differential_map(f)):
-            for g, c in column.items():
-                rows[g][j] = c
-        for row in rows:
-            if row:
-                constraints.insert(row)
+        for row in transpose(algebra.differential_map(f)):
+            constraints.insert(row)
     space = DerivationSpace(algebra, constraints.kernel())
     algebra._derivations = space
     return space
@@ -671,20 +633,22 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
 
 @dataclass(frozen=True)
 class AlgebraMorphism:
-    """Unital algebra morphism fixed by its generator images."""
+    """Unital algebra morphism fixed by its generator images.
+
+    ``columns[b]`` is the sparse target row of the image of the source basis
+    class a_b, so :meth:`apply` is :func:`apply_columns`.
+    """
 
     source: WeilAlgebra
     target: WeilAlgebra
     images: tuple[AlgebraElement, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]  # target-coords rows over source basis
+    columns: tuple[SparseRow, ...]
     is_epimorphism: bool
 
     def apply(self, element: AlgebraElement) -> AlgebraElement:
         if element.algebra != self.source:
             raise DimensionMismatchError("element does not live in the source algebra")
-        return AlgebraElement(
-            self.target, tuple(mat_vec(self.matrix, element.coordinates))
-        )
+        return AlgebraElement(self.target, apply_columns(self.columns, element.row))
 
     def compose(self, inner: "AlgebraMorphism") -> "AlgebraMorphism":
         """self o inner (inner first)."""
@@ -695,13 +659,8 @@ class AlgebraMorphism:
         )
 
     def is_identity(self) -> bool:
-        if self.source != self.target:
-            return False
-        d = self.source.dimension
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(d)
-            for j in range(d)
+        return self.source == self.target and all(
+            col == {b: _ONE} for b, col in enumerate(self.columns)
         )
 
     def linear_part(self) -> list[list[Fraction]]:
@@ -710,7 +669,7 @@ class AlgebraMorphism:
         rows = []
         for i in range(n):
             img = self.images[i]
-            poly = self.target.element_polynomial(img.coordinates)
+            poly = self.target.row_polynomial(img.row)
             row = []
             for j in range(self.target.n):
                 exp = [0] * self.target.n
@@ -743,7 +702,7 @@ def algebra_morphism(
         else:
             elems.append(target.element(img))
 
-    power, scale = target._power_numerators([e.coordinates for e in elems])
+    power, scale = target._power_numerators([e.row for e in elems])
 
     # Well-definedness on a generating set of the ideal.
     for f in source.ideal_generators:
@@ -755,13 +714,11 @@ def algebra_morphism(
             raise NotWellDefinedError(format_polynomial(f))
 
     exps = window(source.n, source.window_bound)
-    cols = [_fraction_row(power(exps[c]), scale ** sum(exps[c])) for c in source.basis_columns]
-    matrix = tuple(
-        tuple(col.get(g, _ZERO) for col in cols) for g in range(target.dimension)
+    columns = tuple(
+        _fraction_row(power(exps[c]), scale ** sum(exps[c])) for c in source.basis_columns
     )
-
-    epi = target.generated_by([e.coordinates for e in elems])
-    return AlgebraMorphism(source, target, tuple(elems), matrix, epi)
+    epi = target.generated_by([e.row for e in elems])
+    return AlgebraMorphism(source, target, tuple(elems), columns, epi)
 
 
 def identity_morphism(algebra: WeilAlgebra) -> AlgebraMorphism:
@@ -779,17 +736,14 @@ def _express_in_generators(
     """A zero-constant polynomial P with P(values) = target, in m variables."""
     bound = algebra.order if algebra.order > 0 else 1
     monos = window(m, bound)[1:]
-    power, scale = algebra._power_numerators([v.coordinates for v in values])
-    columns = [
-        dense(_fraction_row(power(exp), scale ** sum(exp)), algebra.dimension) for exp in monos
-    ]
-    solution = solve_columns(columns, list(target.coordinates))
+    power, scale = algebra._power_numerators([v.row for v in values])
+    columns = [_fraction_row(power(exp), scale ** sum(exp)) for exp in monos]
+    solution = solve_columns(columns, target.row)
     if solution is None:
         raise NotEpimorphismError(
             "images do not generate the target algebra"
         )
-    coeffs = {exp: c for exp, c in zip(monos, solution) if c}
-    return TruncatedPolynomial(m, bound, coeffs)
+    return TruncatedPolynomial(m, bound, {monos[k]: c for k, c in solution.items()})
 
 
 def factor_epimorphism(
@@ -829,8 +783,7 @@ def factor_epimorphism(
         independent = Echelon(target.dimension)
         selected: list[int] = []
         for i, img in enumerate(phi.images):
-            nilpotent = {g: c for g, c in enumerate(img.coordinates) if c and g}
-            if independent.insert(m2.reduce(nilpotent)):
+            if independent.insert(m2.reduce(img.nilpotent_part().row)):
                 selected.append(i)
         values = [phi.images[i] for i in selected]
         images = []
@@ -887,7 +840,7 @@ def factor_epimorphism(
     # Exact verification of the factorization and of invertibility.
     composite = alpha.compose(g)
     for got, want in zip(composite.images, beta.images):
-        if got.coordinates != want.coordinates:
+        if got != want:
             raise NotEpimorphismError("internal factorization check failed")
     if invert_matrix([tuple(r) for r in g.linear_part()]) is None:
         raise NotEpimorphismError("constructed substitution is not invertible")
@@ -953,7 +906,7 @@ def invert_substitution(phi: AlgebraMorphism) -> AlgebraMorphism:
     if phi.target != source or not is_free_truncated(source):
         raise NotEpimorphismError("can only invert automorphisms of the free algebra")
     tau = _inverse_substitution(
-        [source.element_polynomial(img.coordinates) for img in phi.images], source.order
+        [source.row_polynomial(img.row) for img in phi.images], source.order
     )
     if tau is None:
         raise NotEpimorphismError("linear part is singular")
@@ -1017,7 +970,7 @@ def ideal_stability(
     d = algebra.dimension
     rows = ideal.rows.values()
     shifts = [
-        algebra.multiplication_map(algebra.generator(i).coordinates) for i in range(algebra.n)
+        algebra.multiplication_map(algebra.generator(i).row) for i in range(algebra.n)
     ]
     # m*I is spanned by the x_i-images of I's rows.
     products = Echelon(d)
@@ -1048,9 +1001,8 @@ def ideal_stability(
     for g in automorphisms:
         if g.source != algebra or g.target != algebra:
             raise DimensionMismatchError("automorphism must act on the algebra")
-        columns = [sparse(col, d) for col in zip(*g.matrix)]
         image = Echelon(d)
         for row in rows:
-            image.insert(apply_columns(columns, row))
+            image.insert(apply_columns(g.columns, row))
         auto_results.append(image.subspace() == ideal)
     return IdealStabilityReport(algebra, ideal, witness is None, witness, tuple(auto_results))

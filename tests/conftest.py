@@ -59,3 +59,81 @@ def jets(draw):
     point = draw(st.lists(rationals, min_size=m, max_size=m))
     away = [-c for c in point]
     return jet_from_ideal(m, point, [g.shift(away) for g in generators], ell)
+
+
+# -- reference polynomial arithmetic -----------------------------------------------
+# Plain Fraction double loops over the terms of {exponent: coefficient} dicts:
+# one Fraction per partial sum, no common denominators, no power-product walk.
+
+ZERO = Fraction(0)
+
+
+def ref_product(f: dict, g: dict, bound: int) -> dict:
+    out: dict = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            exp = tuple(a + b for a, b in zip(ea, eb))
+            if sum(exp) <= bound:
+                out[exp] = out.get(exp, ZERO) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_substitute(f: dict, images: list[dict], n: int, bound: int) -> dict:
+    total: dict = {}
+    for exp, c in f.items():
+        term = {(0,) * n: c}
+        for image, k in zip(images, exp):
+            for _ in range(k):
+                term = ref_product(term, image, bound)
+        for e, v in term.items():
+            total[e] = total.get(e, ZERO) + v
+    return {e: c for e, c in total.items() if c}
+
+
+# -- dense views of the package's sparse forms ------------------------------------
+# Only the tests read matrices and vectors densely; each view is built here
+# from the sparse rows and columns the package stores.
+
+
+def dense_row(row: dict, ambient: int) -> tuple:
+    return tuple(row.get(c, ZERO) for c in range(ambient))
+
+
+def basis(subspace) -> tuple:
+    """The dense reduced row-echelon basis of a subspace, in pivot order."""
+    return tuple(dense_row(r, subspace.ambient_dimension) for r in subspace.rows.values())
+
+
+def membership_rows(subspace) -> tuple:
+    """Functionals whose common kernel is exactly the subspace: for each free
+    column c, e_c - sum_p rows[p][c] e_p."""
+    n = subspace.ambient_dimension
+    out = []
+    for c in subspace.free_columns():
+        functional = {c: Fraction(1)}
+        for p, row in subspace.rows.items():
+            if row.get(c):
+                functional[p] = -row[c]
+        out.append(dense_row(functional, n))
+    return tuple(out)
+
+
+def mat_vec(rows, vector) -> list:
+    """The dense product of a row matrix with a vector."""
+    return [sum((a * b for a, b in zip(row, vector)), ZERO) for row in rows]
+
+
+def columns_matrix(columns, height: int) -> tuple:
+    """The dense row matrix of a linear map given by sparse columns."""
+    return tuple(tuple(col.get(g, ZERO) for col in columns) for g in range(height))
+
+
+def derivation_matrices(ders) -> tuple:
+    """Per derivation, the dense matrix of its action on the basis classes."""
+    return tuple(columns_matrix(cols, ders.algebra.dimension) for cols in ders.columns)
+
+
+def generator_images(ders) -> tuple:
+    """Per derivation, the dense coordinates of delta[x^1], ..., delta[x^n]."""
+    d = ders.algebra.dimension
+    return tuple(tuple(dense_row(img, d) for img in images) for images in ders.sparse_images)

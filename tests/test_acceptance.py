@@ -37,14 +37,21 @@ from weiljets.jets import (
 from weiljets.monomials import window, window_size
 from weiljets.poly import TruncatedPolynomial, parse_polynomial, truncated_product
 from weiljets.session import execute, parse_session, render
-from weiljets.subspace import canonical_basis, mat_vec, nullspace
+from weiljets.subspace import canonical_basis, nullspace
 from weiljets.weil import (
     derivation_space,
     free_truncated_algebra,
     quotient_algebra,
 )
 
-from conftest import jets
+from conftest import (
+    basis,
+    columns_matrix,
+    derivation_matrices,
+    jets,
+    mat_vec,
+    membership_rows,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,9 +109,9 @@ def test_criterion_02_order_one_jets_derive_to_the_point():
         span = canonical_basis(directions, n)
         if span.dimension == 0:
             continue
-        annihilator = nullspace(span.basis, n)
+        annihilator = nullspace(basis(span), n)
         gens = []
-        for row in annihilator.basis:
+        for row in basis(annihilator):
             gens.append(
                 TruncatedPolynomial(
                     n, 1, {tuple(1 if j == i else 0 for j in range(n)): c
@@ -164,9 +171,9 @@ def test_criterion_06_tangent_fields_remain_tangent_to_derived(drawn):
         bound = derived.window_bound
         prime_polys = [
             TruncatedPolynomial.from_vector(n, bound, r)
-            for r in derived.ideal.basis
+            for r in basis(derived.ideal)
         ]
-        for coeffs in fields.basis:
+        for coeffs in basis(fields):
             comp = [
                 TruncatedPolynomial.from_vector(n, ell, coeffs[i * w : (i + 1) * w])
                 for i in range(n)
@@ -205,7 +212,7 @@ def test_criterion_07_taylor_injectivity_instances():
         ty = taylor_map(p)
         assert ty.taylor_condition, "hat(p') <= p must hold for classical jets"
         values.append(
-            (ty.derived.ideal.basis, ty.pi_star_cartan.basis)
+            (basis(ty.derived.ideal), basis(ty.pi_star_cartan))
         )
     assert len(set(values)) == len(values), "Taylor values must be pairwise distinct"
     report(7, "Taylor map separates the 12 sampled classical 2-jets")
@@ -309,9 +316,9 @@ def _stabilizer_dimension(free_algebra, ideal):
     """dim of the Lie-algebra stabilizer of an ideal inside the derivations."""
     ders = derivation_space(free_algebra)
     rows = []
-    memb = ideal.membership_rows()
-    for v in ideal.basis:
-        images = [mat_vec(m, v) for m in ders.matrices]
+    memb = membership_rows(ideal)
+    for v in basis(ideal):
+        images = [mat_vec(m, v) for m in derivation_matrices(ders)]
         for r in memb:
             rows.append(
                 [sum(a * b for a, b in zip(r, img)) for img in images]
@@ -343,7 +350,7 @@ def test_criterion_10_contact_rank_is_codimension():
         small_idx = {e: i for i, e in enumerate(small)}
         big = window(n, derived.window_bound)
         rows = []
-        for r in derived.ideal.basis:
+        for r in basis(derived.ideal):
             vec = [Fraction(0)] * len(small)
             for c, v in enumerate(r):
                 if v and sum(big[c]) <= ell_prime:
@@ -377,7 +384,7 @@ def test_criterion_11_prolongation_matches_contact_components():
         coords.extend(img.coordinates)
 
     side_one = []
-    for row in p.ideal.basis:
+    for row in basis(p.ideal):
         f = TruncatedPolynomial.from_vector(n, p.window_bound, row)
         comps = prolong_polynomial(f, a_prime)
         for comp in comps:
@@ -387,13 +394,13 @@ def test_criterion_11_prolongation_matches_contact_components():
     lhs = canonical_basis(side_one, n * d)
 
     side_two = []
-    for row in p.ideal.basis:
+    for row in basis(p.ideal):
         f = TruncatedPolynomial.from_vector(n, p.window_bound, row)
         partials = [
-            a_prime.project_polynomial(f.derivative(i)).coordinates
+            a_prime.project_polynomial(f.derivative(i)).row
             for i in range(n)
         ]
-        lefts = [a_prime.left_mult_rows(w) for w in partials]
+        lefts = [columns_matrix(a_prime.multiplication_map(w), d) for w in partials]
         for alpha in range(d):
             srow = []
             for i in range(n):

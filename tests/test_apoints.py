@@ -21,7 +21,6 @@ from weiljets.apoints import (
 from weiljets.errors import DimensionMismatchError
 from weiljets.jets import jet_from_ideal, power_jet
 from weiljets.poly import TruncatedPolynomial, format_polynomial
-from weiljets.subspace import mat_vec
 from weiljets.weil import (
     algebra_morphism,
     free_truncated_algebra,
@@ -29,7 +28,7 @@ from weiljets.weil import (
     tensor_product,
 )
 
-from conftest import P
+from conftest import P, mat_vec
 
 R11 = free_truncated_algebra(1, 1)
 R12 = free_truncated_algebra(1, 2)

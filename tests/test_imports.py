@@ -2,8 +2,8 @@
 
 Every import sits at module level, and every module-level import is used.
 ``__init__.py`` is exempt: its imports are the public re-exports.  Every
-module-level private helper (a function or class named ``_name``) is
-referenced somewhere in the package outside its own definition.
+module-level function or class is referenced somewhere in the package
+outside its own definition, or, if public, re-exported by ``__init__.py``.
 """
 
 import ast
@@ -80,19 +80,33 @@ def _reference_counts(root: ast.AST) -> Counter:
     return counts
 
 
-def _dead_helpers(trees: dict[str, ast.Module]) -> list[str]:
-    """Module-level ``_name`` functions and classes that no code outside their
-    own definition refers to, across all the given modules."""
+def _exports(tree: ast.Module) -> set[str]:
+    """The names an ``__init__.py`` re-exports by its module-level imports."""
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _dead_helpers(trees: dict[str, ast.Module], exported: set[str] | None = None) -> list[str]:
+    """Module-level functions and classes that no code outside their own
+    definition refers to, across all the given modules.
+
+    Only ``_name`` helpers are checked unless ``exported`` is given; then a
+    public name is checked too, and counts as used when it is exported."""
     total = sum((_reference_counts(tree) for tree in trees.values()), Counter())
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
-                and not node.name.startswith("__")
-                and total[node.name] == _reference_counts(node)[node.name]
-            ):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__"):
+                continue
+            if not node.name.startswith("_") and (exported is None or node.name in exported):
+                continue
+            if total[node.name] == _reference_counts(node)[node.name]:
                 dead.append(f"{module}: {node.name}")
     return dead
 
@@ -132,6 +146,11 @@ def test_no_dead_private_helpers():
     assert _dead_helpers(trees) == []
 
 
+def test_no_dead_public_names():
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_helpers(trees, _exports(trees["__init__.py"])) == []
+
+
 def test_dead_helper_check_catches_unreferenced_helpers():
     trees = {
         "a.py": ast.parse(
@@ -145,3 +164,19 @@ def test_dead_helper_check_catches_unreferenced_helpers():
         "b.py": ast.parse("from a import _used\nimport a\nprint(_used(1), a._annotated)\n"),
     }
     assert _dead_helpers(trees) == ["a.py: _recursive", "a.py: _Dead"]
+    # Public names: one read by another module, one only re-exported, one
+    # (like a dense helper whose last reader went sparse) read by neither.
+    trees["c.py"] = ast.parse(
+        "def apply(m, v): return [v]\n"
+        "def solve(m, v): return apply(m, v)\n"
+        "def exported(): pass\n"
+        "def mat_vec(rows, v): return mat_vec(rows[1:], v) if rows else []\n"
+        "class Dense: pass\n"
+    )
+    trees["__init__.py"] = ast.parse("from .c import solve, exported\n")
+    assert _dead_helpers(trees, _exports(trees["__init__.py"])) == [
+        "a.py: _recursive",
+        "a.py: _Dead",
+        "c.py: mat_vec",
+        "c.py: Dense",
+    ]

@@ -1,8 +1,9 @@
 """Oracles for the integer-numerator product kernels of poly, weil and apoints.
 
-Every expected value is computed in this file with plain ``Fraction``
-arithmetic: double loops over the terms, one ``Fraction`` per partial sum,
-no common denominators.  Algebra products are then projected to the
+Every expected value is computed with plain ``Fraction`` arithmetic, here
+and in the reference ``ref_product`` and ``ref_substitute`` of ``conftest``:
+double loops over the terms, one ``Fraction`` per partial sum, no common
+denominators.  Algebra products are then projected to the
 quotient with ``project_polynomial``, which shares no code with the kernels.
 Inputs mix denominators and signs, and the coefficient pool is small so
 that terms cancel often.  A second pool with the coprime denominators 5 and
@@ -27,7 +28,7 @@ from weiljets.poly import TruncatedPolynomial, truncated_product, truncated_subs
 from weiljets.subspace import canonical_basis
 from weiljets.weil import free_truncated_algebra, quotient_algebra
 
-from conftest import P
+from conftest import P, ref_product, ref_substitute
 
 ZERO = Fraction(0)
 POOL = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3, 4, 6)]
@@ -35,28 +36,6 @@ COPRIME_POOL = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 5, 7)
 coefficients = st.sampled_from(POOL)
 coprime_coefficients = st.sampled_from(COPRIME_POOL)
 pools = st.sampled_from([coefficients, coprime_coefficients])
-
-
-def ref_product(f: dict, g: dict, bound: int) -> dict:
-    out: dict = {}
-    for ea, ca in f.items():
-        for eb, cb in g.items():
-            exp = tuple(a + b for a, b in zip(ea, eb))
-            if sum(exp) <= bound:
-                out[exp] = out.get(exp, ZERO) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def ref_substitute(f: dict, images: list[dict], n: int, bound: int) -> dict:
-    total: dict = {}
-    for exp, c in f.items():
-        term = {(0,) * n: c}
-        for image, k in zip(images, exp):
-            for _ in range(k):
-                term = ref_product(term, image, bound)
-        for e, v in term.items():
-            total[e] = total.get(e, ZERO) + v
-    return {e: c for e, c in total.items() if c}
 
 
 def assert_stored_fractions(poly: TruncatedPolynomial) -> None:
@@ -203,13 +182,13 @@ def algebra_pair(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(algebra_pair())
-def test_mult_coords_matches_product_of_representatives(case):
+def test_element_product_matches_product_of_representatives(case):
     algebra, u, v = case
     expected = project(
         algebra,
         ref_product(representative(algebra, u), representative(algebra, v), algebra.window_bound),
     )
-    got = algebra.mult_coords(u, v)
+    got = (algebra.element(u) * algebra.element(v)).coordinates
     assert got == expected
     assert all(type(c) is Fraction for c in got)
 

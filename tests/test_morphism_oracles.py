@@ -1,9 +1,12 @@
-"""Oracles for the morphism kernels: evaluation, morphism matrices, kernel jets
+"""Oracles for the morphism kernels: evaluation, morphism columns, kernel jets
 and substitution inverses.
 
-Each expected value is computed by plain polynomial substitution
-(``truncated_substitute``) followed by projection to the quotient, a route
-that shares no code with the package's cached power products.
+Each expected value is computed by the reference ``ref_substitute`` of
+``conftest`` (plain ``Fraction`` double loops, the shift to the base point
+included) on representatives read off the elements' rows, followed by
+projection to the quotient.  Unlike ``truncated_substitute`` and
+``TruncatedPolynomial.shift``, that route shares no code with the package's
+power products and their top-degree weights.
 """
 
 from fractions import Fraction
@@ -16,7 +19,7 @@ from weiljets.apoints import apoint, evaluate, regularity_and_kernel
 from weiljets.errors import NotEpimorphismError
 from weiljets.jets import jet_from_ideal, power_jet, pushforward
 from weiljets.monomials import window
-from weiljets.poly import TruncatedPolynomial, truncated_substitute
+from weiljets.poly import TruncatedPolynomial
 from weiljets.subspace import canonical_basis
 from weiljets.weil import (
     algebra_morphism,
@@ -25,7 +28,7 @@ from weiljets.weil import (
     quotient_algebra,
 )
 
-from conftest import P
+from conftest import P, ref_substitute
 
 ALGEBRAS = [
     free_truncated_algebra(1, 3),
@@ -38,14 +41,22 @@ ALGEBRAS = [
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
-def substituted_value(f, algebra, images):
+def representative(element) -> dict:
+    """The representative {exponent: coefficient} of an element, from its row."""
+    return {element.algebra.basis_monomials[g]: c for g, c in element.row.items()}
+
+
+def substitute_and_project(f: dict, algebra, images):
     """[f(images)] in the algebra, by substituting representatives."""
-    base = [img.augmentation() for img in images]
-    nil = [algebra.element_polynomial(img.nilpotent_part().coordinates) for img in images]
-    moved = f.shift(base)
-    return algebra.project_polynomial(
-        truncated_substitute(moved, nil, algebra.window_bound)
-    )
+    reps = [representative(img) for img in images]
+    value = ref_substitute(f, reps, algebra.n, algebra.window_bound)
+    return algebra.project_polynomial(TruncatedPolynomial(algebra.n, algebra.window_bound, value))
+
+
+def substituted_value(f, algebra, images):
+    """[f(images)] in the algebra; each image, constant term included, is one
+    representative, so the shift to the base point is part of the expansion."""
+    return substitute_and_project(f.coefficients, algebra, images)
 
 
 @st.composite
@@ -94,11 +105,9 @@ def test_morphism_columns_are_substituted_monomials(source, target, images):
     if images is None:
         images = [target.generator(i).coordinates for i in range(source.n)]
     phi = algebra_morphism(source, target, images)
-    reps = [target.element_polynomial(img.coordinates) for img in phi.images]
-    for b in range(source.dimension):
-        column = tuple(phi.matrix[g][b] for g in range(target.dimension))
-        moved = truncated_substitute(source.basis_polynomial(b), reps, target.window_bound)
-        assert column == target.project_polynomial(moved).coordinates
+    for b, exp in enumerate(source.basis_monomials):
+        expected = substitute_and_project({exp: Fraction(1)}, target, phi.images)
+        assert phi.columns[b] == expected.row
 
 
 KERNEL_CASES = [
@@ -122,14 +131,12 @@ def test_kernel_of_point_matches_pushforward(jet, phi):
     # Independently: the kernel dies under substitution, and R[y]/kernel is
     # as large as the image, the span of the substituted monomials.
     m, bound = len(phi), algebra.window_bound
-    nil = [algebra.element_polynomial(img.nilpotent_part().coordinates) for img in images]
+    nil = [img.nilpotent_part() for img in images]
     for g in kernel.ideal_polynomials():
-        assert algebra.project_polynomial(truncated_substitute(g, nil, bound)).is_zero()
+        assert substitute_and_project(g.coefficients, algebra, nil).is_zero()
     image = canonical_basis(
         [
-            algebra.project_polynomial(
-                truncated_substitute(TruncatedPolynomial.monomial(m, bound, e), nil, bound)
-            ).coordinates
+            substitute_and_project({e: Fraction(1)}, algebra, nil).coordinates
             for e in window(m, bound)
         ],
         algebra.dimension,
