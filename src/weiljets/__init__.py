@@ -17,7 +17,6 @@ from .errors import (
     SessionError,
     SessionParseError,
     UnknownNameError,
-    UnknownQueryError,
     WeilJetsError,
     WindowTooLargeError,
 )
@@ -32,12 +31,7 @@ from .poly import (
 )
 from .subspace import (
     Subspace,
-    canonical_basis,
-    nullspace,
-    quotient_dimension,
     subspace_intersection,
-    subspace_query,
-    subspace_sum,
     zero_subspace,
 )
 from .weil import (
@@ -52,9 +46,7 @@ from .weil import (
     free_truncated_algebra,
     ideal_stability,
     identity_morphism,
-    invariants_agree,
     invert_substitution,
-    order_and_width,
     quotient_algebra,
     tensor_product,
 )
@@ -89,7 +81,6 @@ from .apoints import (
     apoint,
     cartesian_product,
     component_names,
-    components_at,
     evaluate,
     group_law,
     prolong_group,

@@ -190,16 +190,6 @@ def prolong_ideal(
     return [prolong_polynomial(f, algebra) for f in generators]
 
 
-def components_at(
-    components: Sequence[TruncatedPolynomial], point: APoint
-) -> list[Fraction]:
-    """Evaluate component polynomials at the real components of a point."""
-    coords: list[Fraction] = []
-    for img in point.images:
-        coords.extend(img.coordinates)
-    return [f.evaluate(coords) for f in components]
-
-
 # -- Weil's theorem check -----------------------------------------------------------
 
 

@@ -17,10 +17,6 @@ class HintTooSmallError(WeilJetsError):
     """Order detection hit the truncation ceiling; retry with a larger hint."""
 
 
-class UnknownQueryError(WeilJetsError, ValueError):
-    """A subspace query named a kind that does not exist."""
-
-
 class NotAnIdealError(WeilJetsError):
     """A subspace is not closed under multiplication by the generators."""
 

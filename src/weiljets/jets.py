@@ -13,7 +13,7 @@ the package's standing checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -69,7 +69,9 @@ _ONE = Fraction(1)
 class Jet:
     """An ideal of the local model at a point, in canonical form."""
 
-    def __init__(self, quotient: WeilAlgebra, base_point: tuple[Fraction, ...]):
+    def __init__(
+        self, quotient: WeilAlgebra, base_point: tuple[Fraction, ...], classical: bool = False
+    ):
         self.quotient = quotient
         self.n = quotient.n
         self.base_point = base_point
@@ -77,11 +79,10 @@ class Jet:
         self.width = quotient.width
         self.window_bound = quotient.window_bound
         self.ideal = quotient.defining_ideal
-        self.classical = False  # set by classical_jet
+        self.classical = classical
         self._normal_form: "NormalForm | None" = None
         self._derived: "Jet | None" = None
         self._fields: Subspace | None = None
-        self._tangent: "TangentModule | None" = None
         self._contact: "ContactData | None" = None
         self._hat: "Jet | None" = None
 
@@ -116,15 +117,13 @@ class Jet:
             raise DimensionMismatchError("embedding window is too small")
         if bound == self.window_bound:
             return self.ideal
-        idx = window_index(self.n, bound)
-        exps = window(self.n, self.window_bound)
-        span = Echelon(window_size(self.n, bound))
-        for r in self.ideal.rows.values():
-            span.insert({idx[exps[c]]: v for c, v in r.items()})
-        for k in range(self.window_bound + 1, bound + 1):
-            for exp in monomials_of_degree(self.n, k):
-                span.insert({idx[exp]: _ONE})
-        return span.subspace()
+        # Windows are prefixes of one layout and the ideal's rows stop at its
+        # own window, so they stay reduced; the new monomials join as unit rows.
+        size = window_size(self.n, bound)
+        rows = dict(self.ideal.rows)
+        for c in range(self.ideal.ambient_dimension, size):
+            rows[c] = {c: _ONE}
+        return Subspace(size, rows)
 
     def contains_jet(self, other: "Jet") -> bool:
         """Ideal inclusion other <= self, compared in a common window."""
@@ -233,20 +232,19 @@ def classical_jet(
                 )
         bound = max(order, f.degree(), 1)
         gens.append(TruncatedPolynomial.variable(n, bound, j) - f.with_bound(bound))
-    jet = jet_from_ideal(n, base, gens, order)
+    quotient = jet_from_ideal(n, base, gens, order).quotient
     model = free_truncated_algebra(len(free), order)
     ok = (
-        jet.quotient.dimension == model.dimension
-        and jet.order == model.order
-        and jet.width == model.width
+        quotient.dimension == model.dimension
+        and quotient.order == model.order
+        and quotient.width == model.width
     )
     if not ok:
         raise ClassicalityError(
-            f"graph jet missed the model invariants: got dim {jet.quotient.dimension},"
-            f" order {jet.order}, width {jet.width}"
+            f"graph jet missed the model invariants: got dim {quotient.dimension},"
+            f" order {quotient.order}, width {quotient.width}"
         )
-    jet.classical = True
-    return jet
+    return Jet(quotient, base, classical=True)
 
 
 # -- hat ideal and cotangent ---------------------------------------------------
@@ -305,11 +303,21 @@ class CotangentModule:
     hat: Jet
     dimension: int
     basis: tuple[TruncatedPolynomial, ...]
-    _differential: Callable = field(repr=False, compare=False, default=None)
 
     def differential(self, f: TruncatedPolynomial, tangent_coords: Sequence[Fraction]) -> AlgebraElement:
         """d_p f evaluated on an ambient tangent representative."""
-        return self._differential(f, tangent_coords)
+        p = self.jet
+        if not p.contains_polynomial(f):
+            raise NotInIdealError(
+                f"{format_polynomial(f)} is not in the ideal at the base point"
+            )
+        shifted = f.shift(p.base_point) if any(p.base_point) else f
+        algebra = p.quotient
+        coords = [as_fraction(c) for c in tangent_coords]
+        if len(coords) != p.n * algebra.dimension:
+            raise DimensionMismatchError("tangent representative has the wrong length")
+        value = apply_columns(algebra.differential_map(shifted), sparse(coords, len(coords)))
+        return AlgebraElement(algebra, value)
 
 
 def cotangent_module(p: Jet) -> CotangentModule:
@@ -324,21 +332,7 @@ def cotangent_module(p: Jet) -> CotangentModule:
         if picked.insert(r):
             reps.append(TruncatedPolynomial.from_sparse(p.n, bound, r))
     dim = p_emb.dimension - hat_emb.dimension
-    algebra = p.quotient
-
-    def differential(f: TruncatedPolynomial, coords: Sequence[Fraction]) -> AlgebraElement:
-        if not p.contains_polynomial(f):
-            raise NotInIdealError(
-                f"{format_polynomial(f)} is not in the ideal at the base point"
-            )
-        shifted = f.shift(p.base_point) if any(p.base_point) else f
-        coords = [as_fraction(c) for c in coords]
-        if len(coords) != p.n * algebra.dimension:
-            raise DimensionMismatchError("tangent representative has the wrong length")
-        value = apply_columns(algebra.differential_map(shifted), sparse(coords, len(coords)))
-        return AlgebraElement(algebra, value)
-
-    return CotangentModule(p, hat, dim, tuple(reps), differential)
+    return CotangentModule(p, hat, dim, tuple(reps))
 
 
 # -- tangent module --------------------------------------------------------------
@@ -353,32 +347,11 @@ class TangentModule:
     relations: Subspace
     dimension: int
 
-    def value_of_field(self, coefficients: Sequence[TruncatedPolynomial]) -> tuple[Fraction, ...]:
-        """Ambient tuple of a field given by n polynomial coefficients."""
-        algebra = self.jet.quotient
-        if len(coefficients) != self.jet.n:
-            raise DimensionMismatchError("need one coefficient per coordinate")
-        out: list[Fraction] = []
-        for f in coefficients:
-            out.extend(algebra.project_polynomial(f).coordinates)
-        return tuple(out)
-
-    def same_class(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-        diff = [a - b for a, b in zip(u, v)]
-        return self.relations.contains_vector(diff)
-
-    def is_zero_class(self, u: Sequence[Fraction]) -> bool:
-        return self.relations.contains_vector(list(u))
-
 
 def tangent_module(p: Jet) -> TangentModule:
-    if p._tangent is not None:
-        return p._tangent
     relations = derivation_space(p.quotient).relations
     ambient = p.n * p.quotient.dimension
-    module = TangentModule(p, ambient, relations, ambient - relations.dimension)
-    p._tangent = module
-    return module
+    return TangentModule(p, ambient, relations, ambient - relations.dimension)
 
 
 def jet_fields(p: Jet) -> Subspace:
@@ -696,7 +669,7 @@ def cartan_generation_oracle(p: Jet) -> Jet:
     ideal_gens += _x_top(nf)
     ideal_gens += list(nf.q_list)
 
-    derived_rows: set[TruncatedPolynomial] = set()
+    derived_rows: dict[TruncatedPolynomial, None] = {}
     for coeff in _graph_tangent_fields(nf):
         for g in ideal_gens:
             total = TruncatedPolynomial.zero(n, bound)
@@ -706,14 +679,11 @@ def cartan_generation_oracle(p: Jet) -> Jet:
                     continue
                 total = total + truncated_product(a, dg, bound)
             if not total.is_zero():
-                derived_rows.add(total)
+                derived_rows[total] = None
 
     # Saturate with the jet's own cap only: the drop to order l-1 (in
     # particular m^l itself) has to come out of the field derivatives.
-    all_gens = ideal_gens + sorted(
-        derived_rows, key=lambda f: tuple(f.to_vector(bound))
-    )
-    return _pullback_jet(p, all_gens, ell, nf)
+    return _pullback_jet(p, ideal_gens + list(derived_rows), ell, nf)
 
 
 # -- contact system ----------------------------------------------------------------
@@ -887,13 +857,11 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     # The Cartan system is the submodule the values generate: a field tangent
     # to X stays tangent under any coefficient, so close under the action of
     # the algebra generators componentwise.
-    tables = []
-    for i in range(n):
-        # Multiplication by x_i acts on each of the n blocks of A^n.
-        images = algebra.multiplication_map(algebra.generator(i).row)
-        tables.append(
-            [{k * d + g: c for g, c in image.items()} for k in range(n) for image in images]
-        )
+    # Multiplication by x_i acts on each of the n blocks of A^n.
+    tables = [
+        [{k * d + g: c for g, c in image.items()} for k in range(n) for image in images]
+        for images in algebra.variable_maps
+    ]
     cartan = tangent.relations.echelon()
     cartan.saturate(values, tables)
     return cartan.subspace()
@@ -913,13 +881,13 @@ class TaylorData:
     cartan_projects: bool | None
 
 
-def taylor_map(p: Jet, contact: ContactData | None = None) -> TaylorData:
+def taylor_map(p: Jet) -> TaylorData:
     """pi_* C_p inside T_{p'} plus the injectivity hypothesis hat(p') <= p.
 
     The projection exists because every field tangent to p is tangent to p';
     that inclusion is asserted computationally before projecting.
     """
-    contact = contact or contact_and_cartan(p)
+    contact = contact_and_cartan(p)
     derived = contact.derived
 
     _assert_fields_project(p, derived)

@@ -282,16 +282,6 @@ class TruncatedPolynomial:
 
     # -- coordinate vectors --------------------------------------------------
 
-    def to_vector(self, bound: int | None = None) -> tuple[Fraction, ...]:
-        """Dense coefficient vector over the window layout (truncating)."""
-        b = self.degree_bound if bound is None else bound
-        idx = window_index(self.variable_count, b)
-        vec = [_ZERO] * len(idx)
-        for exp, c in self.coefficients.items():
-            if sum(exp) <= b:
-                vec[idx[exp]] = c
-        return tuple(vec)
-
     def to_sparse(self, bound: int | None = None) -> dict[int, Fraction]:
         """Nonzero coefficients keyed by their window index (truncating)."""
         b = self.degree_bound if bound is None else bound
@@ -305,19 +295,6 @@ class TruncatedPolynomial:
         """The polynomial of a row keyed by window index; inverse of :meth:`to_sparse`."""
         exps = window(variable_count, bound)
         return cls(variable_count, bound, {exps[c]: v for c, v in row.items()})
-
-    @classmethod
-    def from_vector(
-        cls, variable_count: int, bound: int, vector: Sequence[Scalar]
-    ) -> "TruncatedPolynomial":
-        exps = window(variable_count, bound)
-        if len(vector) != len(exps):
-            raise DimensionMismatchError(
-                f"vector length {len(vector)} does not match window size {len(exps)}"
-            )
-        return cls(
-            variable_count, bound, {e: v for e, v in zip(exps, vector) if v}
-        )
 
     # -- equality / display ---------------------------------------------------
 
@@ -386,14 +363,11 @@ def truncated_substitute(
     f: TruncatedPolynomial,
     images: Sequence[TruncatedPolynomial],
     bound: int,
-    coordinate_change: bool = False,
 ) -> TruncatedPolynomial:
     """f(images[0], ..., images[n-1]) truncated at the given degree bound.
 
-    With ``coordinate_change=True`` the images must all have zero constant
-    term (a substitution meant as a local change of coordinates).  Every
-    product made lies in the window of the bound, so a bound whose window is
-    above ``MAX_WINDOW`` raises ``WindowTooLargeError`` first.
+    Every product made lies in the window of the bound, so a bound whose
+    window is above ``MAX_WINDOW`` raises ``WindowTooLargeError`` first.
     """
     if len(images) != f.variable_count:
         raise DimensionMismatchError(
@@ -403,10 +377,6 @@ def truncated_substitute(
     for img in images:
         if img.variable_count != target_vars:
             raise DimensionMismatchError("substitution images disagree on variables")
-        if coordinate_change and img.constant_term():
-            raise ValueError(
-                "coordinate change requires images with zero constant term"
-            )
     _check_window(target_vars, bound)
     # Products stay integer: the images' numerators over one denominator q,
     # so a product of k images is a numerator dict over q**k.

@@ -438,7 +438,7 @@ def _op_stability(of: WeilAlgebra, ideal=()) -> dict:
     span = Echelon(d)
     span.saturate(
         [of._polynomial_class(f) for f in ideal],
-        [of.multiplication_map(of.generator(i).row) for i in range(of.n)],
+        of.variable_maps,
     )
     basis = span.subspace()
     report = ideal_stability(of, basis)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, UnknownQueryError
+from .errors import DimensionMismatchError
 from .poly import as_fraction
 
 SparseRow = dict[int, Fraction]  # column -> nonzero entry
@@ -220,11 +220,9 @@ class Subspace:
         """Remainder of a sparse row after elimination; empty iff in the span."""
         return _reduce(self.rows, row)
 
-    def contains_vector(self, vector: Sequence | SparseRow) -> bool:
-        """Membership of a dense vector or of a sparse row."""
-        if not isinstance(vector, dict):
-            vector = sparse(vector, self.ambient_dimension)
-        return not _reduce(self.rows, vector)
+    def contains_vector(self, row: SparseRow) -> bool:
+        """Membership of a sparse row."""
+        return not _reduce(self.rows, row)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -245,24 +243,8 @@ class Subspace:
         return f"Subspace(dim={self.dimension}, ambient={self.ambient_dimension})"
 
 
-def canonical_basis(vectors: Iterable[Sequence], ambient_dimension: int) -> Subspace:
-    """Reduced row-echelon basis of the span of the given vectors."""
-    span = Echelon(ambient_dimension)
-    for v in vectors:
-        span.insert(sparse(v, ambient_dimension))
-    return span.subspace()
-
-
 def zero_subspace(ambient_dimension: int) -> Subspace:
     return Subspace(ambient_dimension, {})
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    u._check_ambient(v)
-    span = u.echelon()
-    for r in v.rows.values():
-        span.insert(r)
-    return span.subspace()
 
 
 def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
@@ -287,28 +269,6 @@ def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
     return right.subspace()
 
 
-def quotient_dimension(u: Subspace, v: Subspace) -> int:
-    """dim U - dim V, demanding V <= U."""
-    if not u.contains_subspace(v):
-        raise DimensionMismatchError("quotient_dimension requires V contained in U")
-    return u.dimension - v.dimension
-
-
-def subspace_query(kind: str, u: Subspace, other=None):
-    """Single entry point mirroring the documented query surface."""
-    if kind == "sum":
-        return subspace_sum(u, other)
-    if kind == "intersection":
-        return subspace_intersection(u, other)
-    if kind == "contains_vector":
-        return u.contains_vector(other)
-    if kind == "contains_subspace":
-        return u.contains_subspace(other)
-    if kind == "quotient_dimension":
-        return quotient_dimension(u, other)
-    raise UnknownQueryError(f"unknown subspace query {kind!r}")
-
-
 # -- linear maps as sparse columns ----------------------------------------------
 
 
@@ -327,14 +287,6 @@ def transpose(columns: Iterable[SparseRow]) -> list[SparseRow]:
         for i, c in column.items():
             rows.setdefault(i, {})[j] = c
     return [rows[i] for i in sorted(rows)]
-
-
-def nullspace(rows: Iterable[Sequence], ambient: int) -> Subspace:
-    """Solution space of (row . x) = 0 for every row."""
-    span = Echelon(ambient)
-    for row in rows:
-        span.insert(sparse(row, ambient))
-    return span.kernel()
 
 
 def preimage(rows: Sequence[SparseRow], target: Subspace, domain_dimension: int) -> Subspace:

@@ -90,7 +90,6 @@ class WeilAlgebra:
         bound: int,
         ideal: Subspace,
         generators: Sequence[TruncatedPolynomial],
-        left_vars: int | None = None,
     ):
         self.n = n
         self.window_bound = bound
@@ -107,12 +106,6 @@ class WeilAlgebra:
             exps[c] for c in self.basis_columns
         )
         self.dimension = len(self.basis_columns)
-        # A tensor product splits each basis monomial into its two factors.
-        self.basis_pairs: tuple[tuple[Exponent, Exponent], ...] | None = (
-            None
-            if left_vars is None
-            else tuple((e[:left_vars], e[left_vars:]) for e in self.basis_monomials)
-        )
         self._column_of = {c: i for i, c in enumerate(self.basis_columns)}
 
         # Class of each window monomial in quotient coordinates, sparse: a
@@ -283,6 +276,11 @@ class WeilAlgebra:
         columns, den = self._mult_columns(w)
         return [_fraction_row(column.items(), den) for column in columns]
 
+    @cached_property
+    def variable_maps(self) -> tuple[list[SparseRow], ...]:
+        """The :meth:`multiplication_map` of each variable class, built once."""
+        return tuple(self.multiplication_map(self.generator(i).row) for i in range(self.n))
+
     def differential_map(self, f: TruncatedPolynomial) -> list[SparseRow]:
         """Sparse columns of v -> sum_i [d f / d x_i] * v_i, from A^n to A.
 
@@ -337,11 +335,6 @@ class WeilAlgebra:
             for row in self.defining_ideal.rows.values():
                 span.insert({table[c]: v for c, v in row.items() if table[c] is not None})
         return tuple(g for g in self.ideal_generators if span.insert(g.to_sparse()))
-
-    def basis_polynomial(self, index: int) -> TruncatedPolynomial:
-        return TruncatedPolynomial.monomial(
-            self.n, self.window_bound, self.basis_monomials[index]
-        )
 
     def row_polynomial(self, row: SparseRow) -> TruncatedPolynomial:
         """The representative polynomial of a sparse row of quotient coordinates."""
@@ -458,7 +451,6 @@ def _rewindow(
     bound: int,
     ideal: Echelon | Subspace,
     generator_rows: list[SparseRow],
-    left_vars: int | None = None,
 ) -> WeilAlgebra:
     """Detect the order and restate the presentation in the order+1 window.
 
@@ -499,13 +491,7 @@ def _rewindow(
         new_bound,
         Subspace(window_size(n, new_bound), rows),
         [TruncatedPolynomial.from_sparse(n, new_bound, r) for r in gen_rows],
-        left_vars,
     )
-
-
-def order_and_width(algebra: WeilAlgebra) -> tuple[int, int]:
-    """(first k with m^{k+1} = 0, dim m/m^2)."""
-    return algebra.order, algebra.width
 
 
 @lru_cache(maxsize=None)
@@ -513,21 +499,6 @@ def free_truncated_algebra(m: int, order: int) -> WeilAlgebra:
     """The full truncated polynomial algebra in m variables at the given order,
     memoized (the values are immutable)."""
     return quotient_algebra(m, order, [])
-
-
-def invariants_agree(a: WeilAlgebra, b: WeilAlgebra) -> bool:
-    """Compare dimension, order, width, filtration and derivation dimension.
-
-    Agreement certifies only that the computable invariants coincide; a full
-    isomorphism search is deliberately not attempted.
-    """
-    return (
-        a.dimension == b.dimension
-        and a.order == b.order
-        and a.width == b.width
-        and a.filtration_dimensions == b.filtration_dimensions
-        and derivation_space(a).dimension == derivation_space(b).dimension
-    )
 
 
 def is_free_truncated(algebra: WeilAlgebra) -> bool:
@@ -552,7 +523,7 @@ def tensor_product(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
             rows.append({idx[before + exps[c] + after]: v for c, v in row.items()})
     ideal = Echelon(window_size(n, bound))
     ideal.saturate(rows, _variable_shifts(n, bound))
-    result = a._tensors[b] = _rewindow(n, bound, ideal, rows, a.n)
+    result = a._tensors[b] = _rewindow(n, bound, ideal, rows)
     return result
 
 
@@ -969,13 +940,10 @@ def ideal_stability(
         raise DimensionMismatchError("ideal must live in the quotient coordinates")
     d = algebra.dimension
     rows = ideal.rows.values()
-    shifts = [
-        algebra.multiplication_map(algebra.generator(i).row) for i in range(algebra.n)
-    ]
     # m*I is spanned by the x_i-images of I's rows.
     products = Echelon(d)
     for row in rows:
-        for i, columns in enumerate(shifts):
+        for i, columns in enumerate(algebra.variable_maps):
             image = apply_columns(columns, row)
             if not ideal.contains_vector(image):
                 raise NotAnIdealError(f"not closed under multiplication by generator {i}")

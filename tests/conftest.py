@@ -4,8 +4,9 @@ import pytest
 from hypothesis import strategies as st
 
 from weiljets.jets import jet_from_ideal
-from weiljets.monomials import window
+from weiljets.monomials import window, window_size
 from weiljets.poly import TruncatedPolynomial, parse_polynomial
+from weiljets.subspace import Echelon, sparse
 from weiljets.weil import quotient_algebra
 
 
@@ -137,3 +138,51 @@ def generator_images(ders) -> tuple:
     """Per derivation, the dense coordinates of delta[x^1], ..., delta[x^n]."""
     d = ders.algebra.dimension
     return tuple(tuple(dense_row(img, d) for img in images) for images in ders.sparse_images)
+
+
+# -- dense-input constructors ---------------------------------------------------
+# The package takes sparse rows only; these build its objects from dense
+# vectors through the one input boundary, ``subspace.sparse``.
+
+
+def canonical_basis(vectors, ambient: int):
+    """The canonical subspace spanned by dense vectors."""
+    span = Echelon(ambient)
+    for v in vectors:
+        span.insert(sparse(v, ambient))
+    return span.subspace()
+
+
+def nullspace(rows, ambient: int):
+    """The solution space of row . x = 0 for every dense row."""
+    span = Echelon(ambient)
+    for row in rows:
+        span.insert(sparse(row, ambient))
+    return span.kernel()
+
+
+def subspace_sum(u, v):
+    """U + V: V's rows inserted into U's echelon."""
+    u._check_ambient(v)
+    span = u.echelon()
+    for r in v.rows.values():
+        span.insert(r)
+    return span.subspace()
+
+
+def contains_dense(subspace, vector) -> bool:
+    """Membership of a dense vector, sparsified first."""
+    return subspace.contains_vector(sparse(vector, subspace.ambient_dimension))
+
+
+def to_vector(f: TruncatedPolynomial, bound: int | None = None) -> tuple:
+    """The dense coefficient vector of f over the window layout (truncating)."""
+    b = f.degree_bound if bound is None else bound
+    return dense_row(f.to_sparse(b), window_size(f.variable_count, b))
+
+
+def from_vector(n: int, bound: int, vector) -> TruncatedPolynomial:
+    """The polynomial of a dense coefficient vector over the window layout."""
+    exps = window(n, bound)
+    assert len(vector) == len(exps)
+    return TruncatedPolynomial(n, bound, {e: v for e, v in zip(exps, vector) if v})

@@ -8,7 +8,6 @@ from weiljets.apoints import (
     apoint,
     cartesian_product,
     component_names,
-    components_at,
     evaluate,
     group_law,
     prolong_ideal,
@@ -172,14 +171,16 @@ class TestProlongIdeal:
         comps = prolong_ideal(gens, R11)[0]
         for _ in range(6):
             pt = random_r11_point(rng, dim=2)
-            values = components_at(comps, pt)
+            coords = [c for img in pt.images for c in img.coordinates]
+            values = [f.evaluate(coords) for f in comps]
             gen_value = evaluate(gens[0], pt)
             assert (all(v == 0 for v in values)) == gen_value.is_zero()
         # A point actually on the prolonged locus: x -> t + s eps,
         # y -> t^2 + 2 t s eps.
         t, s = Fraction(3), Fraction(1, 2)
         on = apoint(R11, [[t, s], [t * t, 2 * t * s]])
-        assert all(v == 0 for v in components_at(comps, on))
+        coords = [c for img in on.images for c in img.coordinates]
+        assert all(f.evaluate(coords) == 0 for f in comps)
         assert evaluate(gens[0], on).is_zero()
 
 

@@ -10,6 +10,8 @@ by sympy.  None of it goes through the package's sparse columns or its
 differential map.
 """
 
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,15 +20,15 @@ from hypothesis import strategies as st
 
 from weiljets.poly import TruncatedPolynomial
 from weiljets.session import execute, parse_session
-from weiljets.subspace import canonical_basis
 from weiljets.weil import (
+    WeilAlgebra,
     derivation_space,
     free_truncated_algebra,
     ideal_stability,
     quotient_algebra,
 )
 
-from conftest import P, algebras, basis, derivation_matrices, rationals
+from conftest import P, algebras, basis, canonical_basis, derivation_matrices, rationals
 
 def leibniz_image(algebra, images, f):
     """delta(f) for the derivation x_i -> images[i], term by term:
@@ -215,6 +217,24 @@ def test_stability_builds_the_leibniz_action_only_for_the_projection():
     assert "columns" not in vars(ders)
     assert report.projected_derivations is not None
     assert "columns" in vars(ders)
+
+
+def test_stability_builds_each_variable_map_once(monkeypatch):
+    # The ideal's saturation and the m*I check share WeilAlgebra.variable_maps.
+    # A differential map builds the map of each derivative class it meets, a
+    # variable's class included, so its calls are not counted here.
+    built = Counter()
+    multiplication_map = WeilAlgebra.multiplication_map
+
+    def counting(self, w):
+        if sys._getframe(1).f_code.co_name != "differential_map":
+            built[frozenset(w.items())] += 1
+        return multiplication_map(self, w)
+
+    monkeypatch.setattr(WeilAlgebra, "multiplication_map", counting)
+    algebra = _run(['{"op": "stability", "of": "A", "ideal": ["x"]}']).algebra
+    variables = [frozenset(algebra.generator(i).row.items()) for i in range(algebra.n)]
+    assert [built[v] for v in variables] == [1, 1, 1]
 
 
 # -- the Leibniz system over every generator, not only the minimal ones ---------

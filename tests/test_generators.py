@@ -27,10 +27,9 @@ from weiljets.jets import (
     taylor_map,
 )
 from weiljets.poly import TruncatedPolynomial
-from weiljets.subspace import canonical_basis
 from weiljets.weil import quotient_algebra
 
-from conftest import P, algebras, basis, jets, rationals
+from conftest import P, algebras, basis, canonical_basis, jets, rationals, to_vector
 
 # (vars, generators, order): the jets of the benchmark's ladder.
 LADDER = (
@@ -122,7 +121,7 @@ def check_minimal_generators(algebra):
     ideal = [list(r) for r in basis(algebra.defining_ideal)]
     gens = algebra.minimal_generators
     assert set(gens) <= set(algebra.ideal_generators)
-    multiples = [multiply(g.to_vector(), exps, idx, a, bound) for g in gens for a in exps]
+    multiples = [multiply(to_vector(g), exps, idx, a, bound) for g in gens for a in exps]
     assert same_span(multiples, ideal)
     m_ideal = [multiply(r, exps, idx, u, bound) for r in ideal for u in units(n)]
     assert len(gens) == len(ideal) - rank(m_ideal)

@@ -3,7 +3,8 @@
 Every import sits at module level, and every module-level import is used.
 ``__init__.py`` is exempt: its imports are the public re-exports.  Every
 module-level function or class is referenced somewhere in the package
-outside its own definition, or, if public, re-exported by ``__init__.py``.
+outside its own definition; a re-export does not count.  The one exception
+is :data:`AWAITING_OPS`, paper constructions that no session op reaches yet.
 """
 
 import ast
@@ -14,6 +15,14 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weiljets"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# Public constructions of the paper with no package caller, each waiting to be
+# wired into a session op; an entry leaves the set when its op lands.
+AWAITING_OPS = {
+    "factor_epimorphism": "two regular A-points at a point differ by an automorphism of the source",
+    "tangent_correspondence_check": "Weil's identification of R[eps]-points with tangent vectors",
+    "power_jet": "the jet m^k at a point, the model jet whose derived jet is m^(k-1)",
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -80,22 +89,12 @@ def _reference_counts(root: ast.AST) -> Counter:
     return counts
 
 
-def _exports(tree: ast.Module) -> set[str]:
-    """The names an ``__init__.py`` re-exports by its module-level imports."""
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-
-
-def _dead_helpers(trees: dict[str, ast.Module], exported: set[str] | None = None) -> list[str]:
+def _dead_helpers(trees: dict[str, ast.Module], public: bool = False) -> list[str]:
     """Module-level functions and classes that no code outside their own
     definition refers to, across all the given modules.
 
-    Only ``_name`` helpers are checked unless ``exported`` is given; then a
-    public name is checked too, and counts as used when it is exported."""
+    Only ``_name`` helpers are checked unless ``public`` is set.  An import,
+    such as a re-export from ``__init__.py``, is not a reference."""
     total = sum((_reference_counts(tree) for tree in trees.values()), Counter())
     dead = []
     for module, tree in trees.items():
@@ -104,7 +103,7 @@ def _dead_helpers(trees: dict[str, ast.Module], exported: set[str] | None = None
                 continue
             if node.name.startswith("__"):
                 continue
-            if not node.name.startswith("_") and (exported is None or node.name in exported):
+            if not (public or node.name.startswith("_")):
                 continue
             if total[node.name] == _reference_counts(node)[node.name]:
                 dead.append(f"{module}: {node.name}")
@@ -148,7 +147,8 @@ def test_no_dead_private_helpers():
 
 def test_no_dead_public_names():
     trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert _dead_helpers(trees, _exports(trees["__init__.py"])) == []
+    dead = _dead_helpers(trees, public=True)
+    assert sorted(entry.split(": ")[1] for entry in dead) == sorted(AWAITING_OPS)
 
 
 def test_dead_helper_check_catches_unreferenced_helpers():
@@ -164,19 +164,22 @@ def test_dead_helper_check_catches_unreferenced_helpers():
         "b.py": ast.parse("from a import _used\nimport a\nprint(_used(1), a._annotated)\n"),
     }
     assert _dead_helpers(trees) == ["a.py: _recursive", "a.py: _Dead"]
-    # Public names: one read by another module, one only re-exported, one
-    # (like a dense helper whose last reader went sparse) read by neither.
+    # Public names: one read by another definition, one thin wrapper that is
+    # only re-exported, and one (like a dense helper whose last reader went
+    # sparse) read by nothing.
     trees["c.py"] = ast.parse(
         "def apply(m, v): return [v]\n"
         "def solve(m, v): return apply(m, v)\n"
-        "def exported(): pass\n"
+        "def query(kind, m, v): return solve(m, v)\n"
         "def mat_vec(rows, v): return mat_vec(rows[1:], v) if rows else []\n"
         "class Dense: pass\n"
     )
-    trees["__init__.py"] = ast.parse("from .c import solve, exported\n")
-    assert _dead_helpers(trees, _exports(trees["__init__.py"])) == [
+    trees["__init__.py"] = ast.parse("from .c import apply, solve, query\n")
+    assert _dead_helpers(trees) == ["a.py: _recursive", "a.py: _Dead"]
+    assert _dead_helpers(trees, public=True) == [
         "a.py: _recursive",
         "a.py: _Dead",
+        "c.py: query",
         "c.py: mat_vec",
         "c.py: Dense",
     ]

@@ -18,17 +18,15 @@ from hypothesis import strategies as st
 
 from weiljets.apoints import (
     apoint,
-    components_at,
     evaluate,
     prolong_polynomial,
     regularity_and_kernel,
 )
 from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial, truncated_product, truncated_substitute
-from weiljets.subspace import canonical_basis
 from weiljets.weil import free_truncated_algebra, quotient_algebra
 
-from conftest import P, ref_product, ref_substitute
+from conftest import P, canonical_basis, ref_product, ref_substitute
 
 ZERO = Fraction(0)
 POOL = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3, 4, 6)]
@@ -239,7 +237,8 @@ def test_prolonged_components_match_expansion(case):
     components = prolong_polynomial(TruncatedPolynomial(n, 3, f), algebra)
     for component in components:
         assert_stored_fractions(component)
-    got = tuple(components_at(components, apoint(algebra, images)))
+    coords = [c for img in apoint(algebra, images).images for c in img.coordinates]
+    got = tuple(f.evaluate(coords) for f in components)
     assert got == ref_value(f, algebra, images)
 
 

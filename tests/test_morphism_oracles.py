@@ -20,7 +20,6 @@ from weiljets.errors import NotEpimorphismError
 from weiljets.jets import jet_from_ideal, power_jet, pushforward
 from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial
-from weiljets.subspace import canonical_basis
 from weiljets.weil import (
     algebra_morphism,
     free_truncated_algebra,
@@ -28,7 +27,7 @@ from weiljets.weil import (
     quotient_algebra,
 )
 
-from conftest import P, ref_substitute
+from conftest import P, canonical_basis, ref_substitute
 
 ALGEBRAS = [
     free_truncated_algebra(1, 3),

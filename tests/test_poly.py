@@ -85,12 +85,6 @@ class TestSubstitute:
         images = [P("x", 2, 3), P("y", 2, 3)]
         assert truncated_substitute(f, images, 3) == f
 
-    def test_coordinate_change_requires_zero_constant(self):
-        with pytest.raises(ValueError):
-            truncated_substitute(
-                P("x", 1, 2), [P("1 + x", 1, 2)], 2, coordinate_change=True
-            )
-
 
 def rationals():
     return st.fractions(max_denominator=6, min_value=-4, max_value=4)
