@@ -25,6 +25,7 @@ from .poly import (
     as_fraction,
     format_polynomial,
     parse_polynomial,
+    substitution,
     truncated_product,
     truncated_substitute,
     variable_names,

@@ -25,8 +25,8 @@ from .poly import (
     _top_weights,
     _unit,
     as_fraction,
+    substitution,
     truncated_product,
-    truncated_substitute,
     variable_names,
 )
 from .subspace import Echelon, apply_columns
@@ -296,14 +296,16 @@ class GroupLaw:
         bound = max(law_degree, 1)
         xs = [TruncatedPolynomial.variable(n, bound, i) for i in range(n)]
         e = [TruncatedPolynomial.constant(n, bound, c) for c in self.identity]
-        left = [truncated_substitute(f, e + xs, bound) for f in self.law]
-        if left != xs:
+        # One substitution map per check, shared by the law's n components.
+        left = substitution(e + xs, bound)
+        if [left(f) for f in self.law] != xs:
             raise ValueError("identity is not left-neutral for the law")
-        right = [truncated_substitute(f, xs + e, bound) for f in self.law]
-        if right != xs:
+        right = substitution(xs + e, bound)
+        if [right(f) for f in self.law] != xs:
             raise ValueError("identity is not right-neutral for the law")
         bound = max(law_degree * max(inverse_degree, 1), 1)
-        prod = [truncated_substitute(f, xs + list(self.inverse), bound) for f in self.law]
+        inverted = substitution(xs + list(self.inverse), bound)
+        prod = [inverted(f) for f in self.law]
         if prod != e:
             raise ValueError("inverse map does not invert the law")
 

@@ -37,8 +37,8 @@ from .poly import (
     TruncatedPolynomial,
     as_fraction,
     format_polynomial,
+    substitution,
     truncated_product,
-    truncated_substitute,
 )
 from .subspace import (
     Echelon,
@@ -409,7 +409,7 @@ def _compose_substitutions(
     bound: int,
 ) -> list[TruncatedPolynomial]:
     """Formulas of outer o inner (apply inner first as functions of x)."""
-    return [truncated_substitute(f, list(inner), bound) for f in outer]
+    return list(map(substitution(inner, bound), outer))
 
 
 def _x_columns(
@@ -436,12 +436,13 @@ def _substituted_ideal(
     p_rows: Iterable[SparseRow],
     n: int,
     bound: int,
-    subst: Sequence[TruncatedPolynomial],
+    substitute: Callable[[TruncatedPolynomial], TruncatedPolynomial],
 ) -> Subspace:
+    """The span of the rows' polynomials pushed through one substitution map."""
     span = Echelon(window_size(n, bound))
     for r in p_rows:
         f = TruncatedPolynomial.from_sparse(n, bound, r)
-        span.insert(truncated_substitute(f, list(subst), bound).to_sparse(bound))
+        span.insert(substitute(f).to_sparse(bound))
     return span.subspace()
 
 
@@ -493,10 +494,10 @@ def normal_form(p: Jet) -> NormalForm:
         if not changed:
             continue
         sigma = _compose_substitutions(sigma, stage, sub_bound)
-        current = _substituted_ideal(current.rows.values(), n, bound, stage)
-        carried = [
-            truncated_substitute(g, stage, bound) for g in carried
-        ]
+        # The ideal's rows and the carried rows share one power cache.
+        through_stage = substitution(stage, bound)
+        current = _substituted_ideal(current.rows.values(), n, bound, through_stage)
+        carried = [through_stage(g) for g in carried]
 
     # After absorption each carried element is the pure pivot variable mod m^{l+1}.
     for j, g in zip(pivot_vars, carried):
@@ -601,13 +602,10 @@ def _pullback_jet(
     """Move generators written in normal coordinates back through sigma."""
     n = p.n
     work_bound = hint + 1
+    pull = substitution(nf.sigma_inverse, work_bound)
     pulled = []
     for g in gens_new_coords:
-        moved = truncated_substitute(
-            g.truncate(work_bound) if g.degree() > work_bound else g,
-            list(nf.sigma_inverse),
-            work_bound,
-        )
+        moved = pull(g.truncate(work_bound) if g.degree() > work_bound else g)
         if not moved.is_zero():
             pulled.append(moved)
     return _jet_from_origin(n, p.base_point, tuple(pulled), hint)
@@ -739,7 +737,15 @@ def _differential_columns(
 
 
 def contact_and_cartan(p: Jet) -> ContactData:
-    """Omega as a span of maps into A/p', Cartan as its exact annihilator.
+    """Omega as a span of maps into A' = R[x]/p', Cartan as its exact annihilator.
+
+    Omega is spanned by the maps v -> [Df(v)] over every f in p.  By the
+    Leibniz rule D(hg) = [h] Dg + [g] Dh, and [g] = 0 in A' since p <= p',
+    so Omega is the A'-module generated by the maps of the minimal
+    generators of p: one differential map per generator, closed under
+    multiplication by the variables on the output.  A tangent vector is
+    killed by all of Omega exactly when the generator maps kill it ([1] is
+    one of the [h]), so their rows cut out the Cartan system.
 
     The Cartan system is additionally rebuilt from the finite generating
     family of graph-tangent fields (transported back from the adapted
@@ -757,30 +763,37 @@ def contact_and_cartan(p: Jet) -> ContactData:
     qcols = _class_columns(algebra.basis_monomials, derived.quotient)
     tangent = tangent_module(p)
 
-    # Omega: one map per ideal row, flattened output-major into one row.
+    # Omega: the map of each minimal generator, flattened output-major into
+    # one row, and closed under the action of A' on the output index.
+    differentials = [_differential_columns(p, qcols, g) for g in algebra.minimal_generators]
+    tables = [
+        [{o * nd + j: c for o, c in image.items()} for image in images for j in range(nd)]
+        for images in derived.quotient.variable_maps
+    ]
     span = Echelon(dprime * nd)
-    differentials: list[list[SparseRow]] = []
-    for row in p.ideal.rows.values():
-        f = TruncatedPolynomial.from_sparse(n, p.window_bound, row)
-        columns = _differential_columns(p, qcols, f)
-        differentials.append(columns)
-        span.insert({out * nd + j: v for j, col in enumerate(columns) for out, v in col.items()})
+    span.saturate(
+        (
+            {out * nd + j: v for j, col in enumerate(columns) for out, v in col.items()}
+            for columns in differentials
+        ),
+        tables,
+    )
     omega = span.subspace()
 
-    # Representatives differing by an algebra derivation must evaluate to zero.
+    # Representatives differing by an algebra derivation must evaluate to zero;
+    # on the generator maps, that covers every [h] Dg.
     relations = list(tangent.relations.rows.values())
     for columns in differentials:
         for rel in relations:
             if apply_columns(columns, rel):
                 raise InternalCheckError("contact map is not constant on classes")
 
+    # The rows of the generator maps cut out the Cartan system: every map of
+    # Omega is sum_k [h_k] Dg_k, and [1] is one of the [h].
     constraints = Echelon(nd)
-    for vec in omega.rows.values():
-        blocks: list[SparseRow] = [{} for _ in range(dprime)]
-        for k, v in vec.items():
-            blocks[k // nd][k % nd] = v
-        for block in blocks:
-            constraints.insert(block)
+    for columns in differentials:
+        for row in transpose(columns):
+            constraints.insert(row)
     cartan = constraints.kernel()
     if not cartan.contains_subspace(tangent.relations):
         raise InternalCheckError("annihilator lost the derivation relations")
@@ -828,11 +841,11 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     bq = q_jet.quotient
 
     # Psi: [g]_q -> [g o tau]_p on quotient coordinates, as sparse columns.
-    psi_cols = []
-    for exp in bq.basis_monomials:
-        g = TruncatedPolynomial.monomial(n, bound, exp)
-        moved = truncated_substitute(g, list(nf.sigma_inverse), bound)
-        psi_cols.append(algebra._polynomial_class(moved))
+    pull = substitution(nf.sigma_inverse, bound)
+    psi_cols = [
+        algebra._polynomial_class(pull(TruncatedPolynomial.monomial(n, bound, exp)))
+        for exp in bq.basis_monomials
+    ]
 
     # The transport A_q^n -> A_p^n, v -> (psi(sum_k [d sigma^i / d x_k]_q v_k))_i,
     # as one sparse column per coordinate k * d + g of A_q^n.

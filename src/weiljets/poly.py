@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from math import lcm
 from operator import add, itemgetter
-from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import DimensionMismatchError
 from .monomials import Exponent, _check_window, _power_products, window, window_index
@@ -359,20 +359,17 @@ def truncated_product(
     )
 
 
-def truncated_substitute(
-    f: TruncatedPolynomial,
-    images: Sequence[TruncatedPolynomial],
-    bound: int,
-) -> TruncatedPolynomial:
-    """f(images[0], ..., images[n-1]) truncated at the given degree bound.
+def substitution(
+    images: Sequence[TruncatedPolynomial], bound: int
+) -> Callable[[TruncatedPolynomial], TruncatedPolynomial]:
+    """The map f -> f(images[0], ..., images[n-1]) truncated at the degree bound.
 
-    Every product made lies in the window of the bound, so a bound whose
-    window is above ``MAX_WINDOW`` raises ``WindowTooLargeError`` first.
+    Every polynomial pushed through the map shares one power cache, so each
+    product of the images is made once however many polynomials ask for it:
+    build the map once per list of images.  Every product made lies in the
+    window of the bound, so a bound whose window is above ``MAX_WINDOW``
+    raises ``WindowTooLargeError`` here, before anything is allocated.
     """
-    if len(images) != f.variable_count:
-        raise DimensionMismatchError(
-            f"need {f.variable_count} substitution images, got {len(images)}"
-        )
     target_vars = images[0].variable_count if images else 0
     for img in images:
         if img.variable_count != target_vars:
@@ -386,11 +383,32 @@ def truncated_substitute(
         [_by_degree(terms) for terms in factors],
         lambda u, v: _product_numerators(u.items(), v, bound),
     )
-    weights, den = _top_weights(f.coefficients.items(), q)
-    out: dict[Exponent, int] = {}
-    for exp, w in weights:
-        _add_scaled(out, w, power_product(exp).items())
-    return TruncatedPolynomial._from_numerators(target_vars, bound, out, den)
+
+    def substitute(f: TruncatedPolynomial) -> TruncatedPolynomial:
+        if f.variable_count != len(images):
+            raise DimensionMismatchError(
+                f"need {f.variable_count} substitution images, got {len(images)}"
+            )
+        weights, den = _top_weights(f.coefficients.items(), q)
+        out: dict[Exponent, int] = {}
+        for exp, w in weights:
+            _add_scaled(out, w, power_product(exp).items())
+        return TruncatedPolynomial._from_numerators(target_vars, bound, out, den)
+
+    return substitute
+
+
+def truncated_substitute(
+    f: TruncatedPolynomial,
+    images: Sequence[TruncatedPolynomial],
+    bound: int,
+) -> TruncatedPolynomial:
+    """f(images[0], ..., images[n-1]) truncated at the given degree bound.
+
+    One polynomial through :func:`substitution`; a caller with several
+    polynomials and the same images builds that map once instead.
+    """
+    return substitution(images, bound)(f)
 
 
 # -- text syntax --------------------------------------------------------------

@@ -161,10 +161,19 @@ class Echelon:
         return list(out.values())
 
     def kernel(self) -> "Subspace":
-        """The solution space of row . x = 0 for every row, in canonical form."""
+        """The solution space of row . x = 0 for every row, in canonical form.
+
+        A free column that no row touches gives the unit solution e_c, whose
+        support meets no other solution's: it is a reduced row as it stands,
+        so only the other solutions are eliminated.
+        """
         solutions = Echelon(self.ambient_dimension)
         for row in self.kernel_rows():
-            solutions.insert(row)
+            if len(row) == 1:
+                (c,) = row
+                solutions.rows[c] = row
+            else:
+                solutions.insert(row)
         return solutions.subspace()
 
     def subspace(self) -> "Subspace":

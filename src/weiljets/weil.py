@@ -40,7 +40,7 @@ from .poly import (
     _top_weights,
     as_fraction,
     format_polynomial,
-    truncated_substitute,
+    substitution,
 )
 from .subspace import (
     Echelon,
@@ -277,21 +277,33 @@ class WeilAlgebra:
         return [_fraction_row(column.items(), den) for column in columns]
 
     @cached_property
+    def _variable_classes(self) -> tuple[SparseRow, ...]:
+        """The row of each variable's class."""
+        return tuple(self.generator(i).row for i in range(self.n))
+
+    @cached_property
     def variable_maps(self) -> tuple[list[SparseRow], ...]:
         """The :meth:`multiplication_map` of each variable class, built once."""
-        return tuple(self.multiplication_map(self.generator(i).row) for i in range(self.n))
+        return tuple(self.multiplication_map(row) for row in self._variable_classes)
 
     def differential_map(self, f: TruncatedPolynomial) -> list[SparseRow]:
         """Sparse columns of v -> sum_i [d f / d x_i] * v_i, from A^n to A.
 
         Column i*d + b is the class of (d f / d x_i) * a_b.  By the Leibniz
         rule, the derivation with generator images (v_1, ..., v_n) sends [f]
-        to the image of the flattened tuple.
+        to the image of the flattened tuple.  A derivative whose class is a
+        variable's takes that variable's map from :attr:`variable_maps`.
         """
+        variables = self._variable_classes
         columns: list[SparseRow] = []
         for i in range(self.n):
             w = self._polynomial_class(f.derivative(i))
-            columns += self.multiplication_map(w) if w else [{} for _ in range(self.dimension)]
+            if not w:
+                columns += [{} for _ in range(self.dimension)]
+            elif w in variables:
+                columns += self.variable_maps[variables.index(w)]
+            else:
+                columns += self.multiplication_map(w)
         return columns
 
     def maximal_power(self, k: int) -> Subspace:
@@ -865,9 +877,8 @@ def _inverse_substitution(
     identity = _identity_substitution(n, bound)
     tau = lin_inv_apply(identity)
     for _ in range(max(bound - 1, 0)):
-        tau = lin_inv_apply(
-            [x - truncated_substitute(f, tau, bound) for x, f in zip(identity, nonlinear)]
-        )
+        through_tau = substitution(tau, bound)
+        tau = lin_inv_apply([x - through_tau(f) for x, f in zip(identity, nonlinear)])
     return tau
 
 

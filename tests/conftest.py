@@ -62,6 +62,21 @@ def jets(draw):
     return jet_from_ideal(m, point, [g.shift(away) for g in generators], ell)
 
 
+# (vars, generators, order): the jets of the benchmark's ladder.
+LADDER = (
+    (2, ["y - x^2"], 3),
+    (2, ["y - x^3"], 4),
+    (3, ["z - x^2 - y^2"], 3),
+    (3, ["z - x y"], 4),
+    (4, ["x4 - x1 x2", "x3 - x1^2"], 3),
+    (3, ["y^2 - x^3", "z"], 3),
+)
+
+
+def ladder_jet(n, gens, order):
+    return jet_from_ideal(n, [0] * n, [P(g, n) for g in gens], order)
+
+
 # -- reference polynomial arithmetic -----------------------------------------------
 # Plain Fraction double loops over the terms of {exponent: coefficient} dicts:
 # one Fraction per partial sum, no common denominators, no power-product walk.

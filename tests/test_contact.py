@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weiljets import jets
 from weiljets.errors import InternalCheckError
@@ -21,9 +23,9 @@ from weiljets.jets import (
 )
 from weiljets.monomials import window_size
 from weiljets.poly import TruncatedPolynomial, truncated_product
-from weiljets.subspace import apply_columns
+from weiljets.subspace import Echelon, apply_columns
 
-from conftest import P, basis, canonical_basis
+from conftest import LADDER, P, basis, canonical_basis, jets as drawn_jets, ladder_jet
 
 
 def sample_jets():
@@ -137,6 +139,62 @@ class TestContactCache:
         monkeypatch.setattr(jets, "_differential_columns", shifted)
         with pytest.raises(InternalCheckError, match="not constant on classes"):
             contact_and_cartan(p)
+
+
+# -- Omega from the minimal generators ----------------------------------------------
+
+
+def all_rows_contact(p):
+    """Omega and its annihilator from one map per row of the ideal's basis.
+
+    Each map is the differential map of the row's polynomial, its columns'
+    classes moved to A' = R[x]/p' through polynomial representatives, and
+    flattened output-major; the Cartan system is cut out by every output
+    block of every row of Omega.
+    """
+    algebra, target = p.quotient, derived_jet(p).quotient
+    nd = p.n * algebra.dimension
+    span = Echelon(target.dimension * nd)
+    for row in p.ideal.rows.values():
+        f = TruncatedPolynomial.from_sparse(p.n, p.window_bound, row)
+        columns = [
+            target.project_polynomial(algebra.row_polynomial(col)).row
+            for col in algebra.differential_map(f)
+        ]
+        span.insert({out * nd + j: v for j, col in enumerate(columns) for out, v in col.items()})
+    omega = span.subspace()
+    constraints = Echelon(nd)
+    for vec in omega.rows.values():
+        for out in range(target.dimension):
+            constraints.insert({k % nd: v for k, v in vec.items() if k // nd == out})
+    return omega, constraints.kernel()
+
+
+# The last case draws its jets from Hypothesis; the ladder cases draw nothing,
+# so Hypothesis runs each of them once.
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("n, gens, order", [*LADDER, pytest.param(0, None, 0, id="drawn")])
+def test_generator_route_matches_the_all_rows_route(n, gens, order, data):
+    p = data.draw(drawn_jets()) if gens is None else ladder_jet(n, gens, order)
+    c = contact_and_cartan(p)
+    assert (c.omega, c.cartan) == all_rows_contact(p)
+
+
+@pytest.mark.parametrize("n, gens, order", LADDER)
+def test_one_differential_map_per_minimal_generator(monkeypatch, n, gens, order):
+    p = ladder_jet(n, gens, order)
+    seen = []
+    original = jets._differential_columns
+
+    def spy(jet, quotient_columns, f):
+        seen.append(f)
+        return original(jet, quotient_columns, f)
+
+    monkeypatch.setattr(jets, "_differential_columns", spy)
+    contact_and_cartan(p)
+    assert seen == list(p.quotient.minimal_generators)
+    assert len(seen) < p.ideal.dimension
 
 
 class TestFieldsProject:

@@ -221,8 +221,8 @@ def test_stability_builds_the_leibniz_action_only_for_the_projection():
 
 def test_stability_builds_each_variable_map_once(monkeypatch):
     # The ideal's saturation and the m*I check share WeilAlgebra.variable_maps.
-    # A differential map builds the map of each derivative class it meets, a
-    # variable's class included, so its calls are not counted here.
+    # A differential map builds the map of each other derivative class it
+    # meets, so its calls are not counted here.
     built = Counter()
     multiplication_map = WeilAlgebra.multiplication_map
 
@@ -235,6 +235,24 @@ def test_stability_builds_each_variable_map_once(monkeypatch):
     algebra = _run(['{"op": "stability", "of": "A", "ideal": ["x"]}']).algebra
     variables = [frozenset(algebra.generator(i).row.items()) for i in range(algebra.n)]
     assert [built[v] for v in variables] == [1, 1, 1]
+
+
+def test_differential_maps_reuse_the_variable_maps(monkeypatch):
+    # A derivative whose class is a variable's takes that variable's map from
+    # variable_maps: on this stability op the classes of x (twice), y and z
+    # meet the differential maps, and none of them is built again.
+    built = []
+    multiplication_map = WeilAlgebra.multiplication_map
+
+    def counting(self, w):
+        built.append((sys._getframe(1).f_code.co_name, frozenset(w.items())))
+        return multiplication_map(self, w)
+
+    monkeypatch.setattr(WeilAlgebra, "multiplication_map", counting)
+    algebra = _run(['{"op": "stability", "of": "A", "ideal": ["x"]}']).algebra
+    variables = {frozenset(algebra.generator(i).row.items()) for i in range(algebra.n)}
+    assert len(built) == 48
+    assert not any(caller == "differential_map" and w in variables for caller, w in built)
 
 
 # -- the Leibniz system over every generator, not only the minimal ones ---------

@@ -29,16 +29,16 @@ from weiljets.jets import (
 from weiljets.poly import TruncatedPolynomial
 from weiljets.weil import quotient_algebra
 
-from conftest import P, algebras, basis, canonical_basis, jets, rationals, to_vector
-
-# (vars, generators, order): the jets of the benchmark's ladder.
-LADDER = (
-    (2, ["y - x^2"], 3),
-    (2, ["y - x^3"], 4),
-    (3, ["z - x^2 - y^2"], 3),
-    (3, ["z - x y"], 4),
-    (4, ["x4 - x1 x2", "x3 - x1^2"], 3),
-    (3, ["y^2 - x^3", "z"], 3),
+from conftest import (
+    LADDER,
+    P,
+    algebras,
+    basis,
+    canonical_basis,
+    jets,
+    ladder_jet,
+    rationals,
+    to_vector,
 )
 
 
@@ -132,10 +132,6 @@ def check_minimal_generators(algebra):
 @example(quotient_algebra(2, 3, [P("x^2 - 2/3 y^2", 2), P("x y", 2), P("x^3", 2)]))
 def test_minimal_generators_oracle(algebra):
     check_minimal_generators(algebra)
-
-
-def ladder_jet(n, gens, order):
-    return jet_from_ideal(n, [0] * n, [P(g, n) for g in gens], order)
 
 
 @pytest.mark.parametrize("n, gens, order", LADDER)

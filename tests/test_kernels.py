@@ -11,19 +11,29 @@ that terms cancel often.  A second pool with the coprime denominators 5 and
 the kernels' common denominators and their powers grow.
 """
 
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weiljets import jets, poly
 from weiljets.apoints import (
     apoint,
     evaluate,
     prolong_polynomial,
     regularity_and_kernel,
 )
+from weiljets.errors import DimensionMismatchError, WindowTooLargeError
+from weiljets.jets import jet_from_ideal, normal_form
 from weiljets.monomials import window
-from weiljets.poly import TruncatedPolynomial, truncated_product, truncated_substitute
+from weiljets.poly import (
+    TruncatedPolynomial,
+    substitution,
+    truncated_product,
+    truncated_substitute,
+)
 from weiljets.weil import free_truncated_algebra, quotient_algebra
 
 from conftest import P, canonical_basis, ref_product, ref_substitute
@@ -115,6 +125,73 @@ def test_truncated_substitute_matches_expansion(case):
     assert got.coefficients == ref_substitute(f, images, m, bound)
     assert got.degree_bound == bound
     assert_stored_fractions(got)
+
+
+@st.composite
+def substitution_map_case(draw):
+    n, m, _, images, bound = draw(substitution_case())
+    fs = draw(st.lists(polynomials(n, 3), min_size=1, max_size=4))
+    return n, m, fs, images, bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitution_map_case())
+# Zero images: every polynomial keeps only its constant term.
+@example((2, 2, [{(0, 0): Fraction(3, 5), X: Fraction(1, 7)}, {(1, 1): Fraction(2)}, {}], [{}, {}], 3))
+# Bound 0 keeps only the constant terms of the images' products, for each f.
+@example((2, 2, [{X: Fraction(1, 5), (1, 1): Fraction(2, 7)}, {(0, 2): Fraction(-1, 2)}],
+          [{(0, 0): Fraction(3, 7), X: Fraction(1)}, {(0, 0): Fraction(-2, 5), Y: Fraction(1)}], 0))
+def test_one_substitution_map_matches_expansion(case):
+    # Several polynomials through one map share its power cache; each result
+    # must still be its own expansion.
+    n, m, fs, images, bound = case
+    substitute = substitution([TruncatedPolynomial(m, 2, g) for g in images], bound)
+    for f in fs:
+        got = substitute(TruncatedPolynomial(n, 3, f))
+        assert got.coefficients == ref_substitute(f, images, m, bound)
+        assert got.degree_bound == bound
+        assert_stored_fractions(got)
+
+
+def test_substitution_checks_its_images_when_built(monkeypatch):
+    with pytest.raises(DimensionMismatchError, match="disagree on variables"):
+        substitution([P("x", 2), P("x", 1)], 2)
+    # The window of degree 80 in two variables has 3321 monomials: refused
+    # before any power cache is allocated.
+    monkeypatch.setattr(poly, "_power_products", lambda *args: pytest.fail("cache allocated"))
+    with pytest.raises(WindowTooLargeError):
+        substitution([P("x", 2), P("y", 2)], 80)
+
+
+def test_substitution_checks_the_image_count_per_polynomial():
+    substitute = substitution([P("x", 1), P("x^2", 1)], 3)
+    with pytest.raises(DimensionMismatchError, match="need 3 substitution images, got 2"):
+        substitute(P("x y z", 3))
+    assert substitute(P("x y", 2)) == P("x^3", 1, 3)
+
+
+def test_normal_form_builds_one_power_cache_per_stage(monkeypatch):
+    # y - x - x^2 - x^3 is straightened in three stages (degrees 1, 2, 3).
+    # Each stage pushes the ideal's rows and the carried pivot rows through
+    # one substitution map at the jet's window, so one power cache.
+    p = jet_from_ideal(2, [0, 0], [P("y - x - x^2 - x^3", 2)], 3)
+    events = []
+    power_products = poly._power_products
+    substituted_ideal = jets._substituted_ideal
+
+    def spy_cache(*args):
+        events.append(("cache", sys._getframe(1).f_locals["bound"]))
+        return power_products(*args)
+
+    def spy_stage(*args):
+        events.append(("stage", None))
+        return substituted_ideal(*args)
+
+    monkeypatch.setattr(poly, "_power_products", spy_cache)
+    monkeypatch.setattr(jets, "_substituted_ideal", spy_stage)
+    normal_form(p)
+    at_window = [kind for kind, bound in events if kind == "stage" or bound == p.window_bound]
+    assert at_window == ["cache", "stage"] * 3
 
 
 @settings(max_examples=100, deadline=None)

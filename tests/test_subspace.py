@@ -284,6 +284,26 @@ def test_nullspace_matches_sympy(qq, matrix):
 
 @settings(max_examples=60, deadline=None)
 @given(sparse_matrices(), st.data())
+def test_nullspace_with_untouched_columns_matches_sympy(qq, matrix, data):
+    # A column no row touches gives the unit solution e_c, which the kernel
+    # keeps as it stands; zero columns spliced in at drawn places must leave
+    # the rest of the canonical form where sympy puts it.
+    to_domain, from_domain = qq
+    ncols, rows = matrix
+    width = ncols + data.draw(st.integers(1, 4))
+    kept = sorted(data.draw(st.permutations(range(width)))[:ncols])
+    padded = [[Fraction(0)] * width for _ in rows]
+    for old, new in enumerate(kept):
+        for row, source in zip(padded, rows):
+            row[new] = source[old]
+    kernel = from_domain(to_domain(padded, width).nullspace())
+    expected = _oracle_rref(qq, kernel, width) if kernel else ([], ())
+    k = nullspace(padded, width)
+    assert (list(basis(k)), k.pivots) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(), st.data())
 def test_solve_columns_matches_sympy(qq, matrix, data):
     ncols, rows = matrix
     if not rows:
