@@ -160,8 +160,9 @@ def prolong_polynomial(
             if not ua:
                 continue
             left = ua.items()
-            for vb, entries in zip(v, row):
-                if not vb or not entries:
+            for b, entries in row.items():
+                vb = v[b]
+                if not vb:
                     continue
                 prod = _product_numerators(left, vb, bound).items()
                 for g, t in entries:

@@ -44,7 +44,9 @@ from .subspace import (
     Echelon,
     SparseRow,
     Subspace,
+    _add_multiple,
     apply_columns,
+    apply_rows,
     preimage,
     sparse,
     subspace_intersection,
@@ -316,7 +318,7 @@ class CotangentModule:
         coords = [as_fraction(c) for c in tangent_coords]
         if len(coords) != p.n * algebra.dimension:
             raise DimensionMismatchError("tangent representative has the wrong length")
-        value = apply_columns(algebra.differential_map(shifted), sparse(coords, len(coords)))
+        value = apply_rows(algebra.differential_rows(shifted), sparse(coords, len(coords)))
         return AlgebraElement(algebra, value)
 
 
@@ -728,12 +730,17 @@ def _projection_columns(
     return [{k * d + i: v for i, v in col.items()} for k in range(n) for col in columns]
 
 
-def _differential_columns(
+def _differential_rows(
     p: Jet, quotient_columns: Sequence[SparseRow], f: TruncatedPolynomial
-) -> list[SparseRow]:
-    """Sparse columns of the map (ambient tangent tuple) -> class of Df in A':
-    the differential map of f on A, pushed to A'."""
-    return [apply_columns(quotient_columns, c) for c in p.quotient.differential_map(f)]
+) -> dict[int, SparseRow]:
+    """Sparse rows, keyed by output class o of A', of the map (ambient
+    tangent tuple) -> class of Df in A': the Leibniz rows of f on A moved to
+    A' on the output index, row'_o = sum_g quotient_columns[g][o] * row_g."""
+    moved: dict[int, SparseRow] = {}
+    for g, row in p.quotient.differential_rows(f).items():
+        for o, c in quotient_columns[g].items():
+            _add_multiple(moved.setdefault(o, {}), c, row)
+    return {o: row for o, row in sorted(moved.items()) if row}
 
 
 def contact_and_cartan(p: Jet) -> ContactData:
@@ -742,10 +749,11 @@ def contact_and_cartan(p: Jet) -> ContactData:
     Omega is spanned by the maps v -> [Df(v)] over every f in p.  By the
     Leibniz rule D(hg) = [h] Dg + [g] Dh, and [g] = 0 in A' since p <= p',
     so Omega is the A'-module generated by the maps of the minimal
-    generators of p: one differential map per generator, closed under
-    multiplication by the variables on the output.  A tangent vector is
-    killed by all of Omega exactly when the generator maps kill it ([1] is
-    one of the [h]), so their rows cut out the Cartan system.
+    generators of p: the Leibniz rows of each generator, moved to A' on the
+    output index and flattened output-major, closed under multiplication by
+    the variables on the output.  A tangent vector is killed by all of Omega
+    exactly when the generator maps kill it ([1] is one of the [h]), so the
+    same rows cut out the Cartan system.
 
     The Cartan system is additionally rebuilt from the finite generating
     family of graph-tangent fields (transported back from the adapted
@@ -765,7 +773,7 @@ def contact_and_cartan(p: Jet) -> ContactData:
 
     # Omega: the map of each minimal generator, flattened output-major into
     # one row, and closed under the action of A' on the output index.
-    differentials = [_differential_columns(p, qcols, g) for g in algebra.minimal_generators]
+    differentials = [_differential_rows(p, qcols, g) for g in algebra.minimal_generators]
     tables = [
         [{o * nd + j: c for o, c in image.items()} for image in images for j in range(nd)]
         for images in derived.quotient.variable_maps
@@ -773,8 +781,8 @@ def contact_and_cartan(p: Jet) -> ContactData:
     span = Echelon(dprime * nd)
     span.saturate(
         (
-            {out * nd + j: v for j, col in enumerate(columns) for out, v in col.items()}
-            for columns in differentials
+            {o * nd + j: v for o, row in rows.items() for j, v in row.items()}
+            for rows in differentials
         ),
         tables,
     )
@@ -783,16 +791,16 @@ def contact_and_cartan(p: Jet) -> ContactData:
     # Representatives differing by an algebra derivation must evaluate to zero;
     # on the generator maps, that covers every [h] Dg.
     relations = list(tangent.relations.rows.values())
-    for columns in differentials:
+    for rows in differentials:
         for rel in relations:
-            if apply_columns(columns, rel):
+            if apply_rows(rows, rel):
                 raise InternalCheckError("contact map is not constant on classes")
 
     # The rows of the generator maps cut out the Cartan system: every map of
     # Omega is sum_k [h_k] Dg_k, and [1] is one of the [h].
     constraints = Echelon(nd)
-    for columns in differentials:
-        for row in transpose(columns):
+    for rows in differentials:
+        for row in rows.values():
             constraints.insert(row)
     cartan = constraints.kernel()
     if not cartan.contains_subspace(tangent.relations):

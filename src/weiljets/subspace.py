@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
 from .poly import as_fraction
@@ -286,6 +286,18 @@ def apply_columns(columns: Sequence[SparseRow], row: SparseRow) -> SparseRow:
     out: SparseRow = {}
     for j, c in row.items():
         _add_multiple(out, c, columns[j])
+    return out
+
+
+def apply_rows(rows: Mapping[int, SparseRow], row: SparseRow) -> SparseRow:
+    """M row, for the linear map M whose row i is the sparse row rows[i]
+    (absent rows are zero)."""
+    out: SparseRow = {}
+    for i, r in rows.items():
+        short, long = (r, row) if len(r) <= len(row) else (row, r)
+        c = sum(v * x for j, v in short.items() if (x := long.get(j)) is not None)
+        if c:
+            out[i] = c
     return out
 
 

@@ -48,10 +48,10 @@ from .subspace import (
     Subspace,
     _add_multiple,
     apply_columns,
+    apply_rows,
     dense,
     invert_matrix,
     solve_columns,
-    transpose,
     zero_subspace,
 )
 
@@ -141,15 +141,22 @@ class WeilAlgebra:
         # Sparse multiplication table over the basis monomials, stored once as
         # integer numerators over one table denominator (1 for every
         # monomial quotient): [a_a][a_b] = sum_g _mult[a][b][g] / _mult_den.
+        # Only nonzero products are stored, in ascending b.  Every monomial of
+        # degree above the order is zero, and the basis is in graded layout
+        # order, so only the prefix of b with deg a + deg b <= order is read.
         idx = window_index(n, bound)
         numerators, self._mult_den = _common_denominator([cls.items() for cls in classes])
         entries = [tuple(row) for row in numerators]
-        table: list[list[tuple[tuple[int, int], ...]]] = []
-        for a in self.basis_monomials:
-            row = []
-            for b in self.basis_monomials:
-                prod = tuple(map(add, a, b))
-                row.append(entries[idx[prod]] if sum(prod) <= bound else ())
+        basis_degrees = [degs[c] for c in self.basis_columns]
+        table: list[dict[int, tuple[tuple[int, int], ...]]] = []
+        for a, da in zip(self.basis_monomials, basis_degrees):
+            row = {}
+            for b, (exp, db) in enumerate(zip(self.basis_monomials, basis_degrees)):
+                if da + db > self.order:
+                    break
+                product = entries[idx[tuple(map(add, a, exp))]]
+                if product:
+                    row[b] = product
             table.append(row)
         self._mult = table
         self._derivations: "DerivationSpace | None" = None
@@ -233,9 +240,11 @@ class WeilAlgebra:
         for a, ua in us:
             row = mult[a]
             for b, vb in vs:
-                w = ua * vb
-                for g, c in row[b]:
-                    out[g] += w * c
+                entries = row.get(b)
+                if entries:
+                    w = ua * vb
+                    for g, c in entries:
+                        out[g] += w * c
         return out
 
     def product(self, u: SparseRow, v: SparseRow) -> SparseRow:
@@ -260,51 +269,56 @@ class WeilAlgebra:
 
         return _power_products(((0, 1),), rows, mul), q * self._mult_den
 
-    def _mult_columns(self, w: SparseRow) -> tuple[list[dict[int, int]], int]:
-        """Numerators of the images w * a_b (one dict per b) and their
-        denominator."""
+    def multiplication_map(self, w: SparseRow) -> list[SparseRow]:
+        """Sparse images of the basis classes under v -> w*v (saturation table),
+        accumulated as integer numerators from the table."""
         (ws,), den = _common_denominator([w.items()])
         columns: list[dict[int, int]] = [{} for _ in range(self.dimension)]
         for a, wa in ws:
-            for column, entries in zip(columns, self._mult[a]):
+            for b, entries in self._mult[a].items():
+                column = columns[b]
                 for g, c in entries:
                     column[g] = column.get(g, 0) + wa * c
-        return columns, den * self._mult_den
-
-    def multiplication_map(self, w: SparseRow) -> list[SparseRow]:
-        """Sparse images of the basis classes under v -> w*v (saturation table)."""
-        columns, den = self._mult_columns(w)
+        den *= self._mult_den
         return [_fraction_row(column.items(), den) for column in columns]
-
-    @cached_property
-    def _variable_classes(self) -> tuple[SparseRow, ...]:
-        """The row of each variable's class."""
-        return tuple(self.generator(i).row for i in range(self.n))
 
     @cached_property
     def variable_maps(self) -> tuple[list[SparseRow], ...]:
         """The :meth:`multiplication_map` of each variable class, built once."""
-        return tuple(self.multiplication_map(row) for row in self._variable_classes)
+        return tuple(self.multiplication_map(self.generator(i).row) for i in range(self.n))
 
-    def differential_map(self, f: TruncatedPolynomial) -> list[SparseRow]:
-        """Sparse columns of v -> sum_i [d f / d x_i] * v_i, from A^n to A.
+    def differential_rows(self, f: TruncatedPolynomial) -> dict[int, SparseRow]:
+        """Sparse rows of v -> sum_i [d f / d x_i] * v_i, from A^n to A.
 
-        Column i*d + b is the class of (d f / d x_i) * a_b.  By the Leibniz
-        rule, the derivation with generator images (v_1, ..., v_n) sends [f]
-        to the image of the flattened tuple.  A derivative whose class is a
-        variable's takes that variable's map from :attr:`variable_maps`.
+        Row g is keyed by the output class a_g: its entry i*d + b is the a_g
+        coefficient of [d f / d x_i] * a_b.  By the Leibniz rule, the
+        derivation with generator images (v_1, ..., v_n) sends [f] to the
+        image of the flattened tuple.  The rows are read straight off the
+        multiplication table, as integer numerators over one denominator of
+        the n derivative classes, with one ``Fraction`` per entry; no
+        multiplication map is built.  Only nonzero rows are kept, in
+        ascending g.
         """
-        variables = self._variable_classes
-        columns: list[SparseRow] = []
-        for i in range(self.n):
-            w = self._polynomial_class(f.derivative(i))
-            if not w:
-                columns += [{} for _ in range(self.dimension)]
-            elif w in variables:
-                columns += self.variable_maps[variables.index(w)]
-            else:
-                columns += self.multiplication_map(w)
-        return columns
+        d = self.dimension
+        classes, den = _common_denominator(
+            self._polynomial_class(f.derivative(i)).items() for i in range(self.n)
+        )
+        acc: list[dict[int, int]] = [{} for _ in range(d)]
+        mult = self._mult
+        for i, ws in enumerate(classes):
+            offset = i * d
+            for a, wa in ws:
+                for b, entries in mult[a].items():
+                    j = offset + b
+                    for g, c in entries:
+                        row = acc[g]
+                        row[j] = row.get(j, 0) + wa * c
+        den *= self._mult_den
+        return {
+            g: row
+            for g, numerators in enumerate(acc)
+            if numerators and (row := _fraction_row(numerators.items(), den))
+        }
 
     def maximal_power(self, k: int) -> Subspace:
         """m_A^k as a subspace of the quotient coordinate space."""
@@ -328,9 +342,9 @@ class WeilAlgebra:
 
     def structure_constants(self):
         """Sparse (alpha, beta, gamma, c) with a^alpha a^beta = c a^gamma + ..."""
-        for a in range(self.dimension):
-            for b in range(self.dimension):
-                for g, c in self._mult[a][b]:
+        for a, row in enumerate(self._mult):
+            for b, entries in row.items():
+                for g, c in entries:
                     yield (a, b, g, Fraction(c, self._mult_den))
 
     @cached_property
@@ -599,15 +613,16 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
 
     A tuple v = (v_1, ..., v_n) in A^n defines a derivation exactly when
     sum_i [d g / d x_i] * v_i = 0 for every g in the defining ideal, that is
-    when v lies in the kernel of :meth:`WeilAlgebra.differential_map` of g.
+    when v lies in the kernel of :meth:`WeilAlgebra.differential_rows` of g.
     Since d(hg) = h dg + g dh and g vanishes in A, a generating set
-    suffices: the constraints come from the minimal generators only.
+    suffices: the constraints are the Leibniz rows of the minimal generators,
+    inserted as they come.
     """
     if algebra._derivations is not None:
         return algebra._derivations
     constraints = Echelon(algebra.n * algebra.dimension)
     for f in algebra.minimal_generators:
-        for row in transpose(algebra.differential_map(f)):
+        for row in algebra.differential_rows(f).values():
             constraints.insert(row)
     space = DerivationSpace(algebra, constraints.kernel())
     algebra._derivations = space
@@ -849,8 +864,10 @@ def _inverse_substitution(
     """Truncated inverse of the substitution x -> sigma(x); None if not invertible.
 
     Fixed-point iteration tau <- Lin^{-1} (x - N o tau) where sigma = Lin + N
-    splits off the linear part; each pass fixes one more degree.  The
-    substitution is invertible exactly when its linear part is.
+    splits off the linear part; each pass fixes one more degree, and the
+    iteration stops at the first pass that changes nothing (every later pass
+    would return the same tau).  The substitution is invertible exactly when
+    its linear part is.
     """
     n = len(sigma)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -878,7 +895,10 @@ def _inverse_substitution(
     tau = lin_inv_apply(identity)
     for _ in range(max(bound - 1, 0)):
         through_tau = substitution(tau, bound)
-        tau = lin_inv_apply([x - through_tau(f) for x, f in zip(identity, nonlinear)])
+        step = lin_inv_apply([x - through_tau(f) for x, f in zip(identity, nonlinear)])
+        if step == tau:
+            break
+        tau = step
     return tau
 
 
@@ -943,9 +963,10 @@ def ideal_stability(
     Since delta(a g) = delta(a) g + a delta(g), a derivation maps the ideal
     into itself once it maps a generating set there.  The generators are the
     rows of I independent modulo m*I (Nakayama), and delta_k(g) is the
-    relation row k of Der(A, A) under the differential map of g.  The
-    witness, on failure, is the first (derivation, ideal row) pair in that
-    order whose image leaves I.
+    relation row k of Der(A, A) under the Leibniz rows of g
+    (:meth:`WeilAlgebra.differential_rows`, applied by :func:`apply_rows`).
+    The witness, on failure, is the first (derivation, ideal row) pair in
+    that order whose image leaves I.
     """
     if ideal.ambient_dimension != algebra.dimension:
         raise DimensionMismatchError("ideal must live in the quotient coordinates")
@@ -964,10 +985,10 @@ def ideal_stability(
 
     def first_escape(elements) -> tuple[int, SparseRow] | None:
         """First (k, delta_k(g)) outside I, derivations outer, elements inner."""
-        maps = [algebra.differential_map(algebra.row_polynomial(g)) for g in elements]
+        maps = [algebra.differential_rows(algebra.row_polynomial(g)) for g in elements]
         for k, rel in enumerate(relations):
-            for columns in maps:
-                img = apply_columns(columns, rel)
+            for rows in maps:
+                img = apply_rows(rows, rel)
                 if not ideal.contains_vector(img):
                     return k, img
         return None

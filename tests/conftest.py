@@ -106,6 +106,21 @@ def ref_substitute(f: dict, images: list[dict], n: int, bound: int) -> dict:
     return {e: c for e, c in total.items() if c}
 
 
+def ref_leibniz_columns(f: TruncatedPolynomial, monomials, target) -> list[dict]:
+    """Column i*len(monomials) + b: the sparse class in ``target`` of
+    (d f / d x_i) * x^monomials[b], the product expanded by ``ref_product``
+    and projected with ``target.project_polynomial`` (no multiplication
+    table, no multiplication map)."""
+    n, bound = f.variable_count, target.window_bound
+    return [
+        target.project_polynomial(
+            TruncatedPolynomial(n, bound, ref_product(f.derivative(i).coefficients, {exp: 1}, bound))
+        ).row
+        for i in range(n)
+        for exp in monomials
+    ]
+
+
 # -- dense views of the package's sparse forms ------------------------------------
 # Only the tests read matrices and vectors densely; each view is built here
 # from the sparse rows and columns the package stores.

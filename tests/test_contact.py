@@ -25,7 +25,15 @@ from weiljets.monomials import window_size
 from weiljets.poly import TruncatedPolynomial, truncated_product
 from weiljets.subspace import Echelon, apply_columns
 
-from conftest import LADDER, P, basis, canonical_basis, jets as drawn_jets, ladder_jet
+from conftest import (
+    LADDER,
+    P,
+    basis,
+    canonical_basis,
+    jets as drawn_jets,
+    ladder_jet,
+    ref_leibniz_columns,
+)
 
 
 def sample_jets():
@@ -131,12 +139,16 @@ class TestContactCache:
 
     def test_check_on_classes_still_fires(self, monkeypatch):
         p = jet_from_ideal(2, [0, 0], [P("y - x^2", 2)], 2)
-        original = jets._differential_columns
+        original = jets._differential_rows
+        nd = p.n * p.quotient.dimension
 
         def shifted(jet, quotient_columns, f):
-            return [{**col, 0: col.get(0, 0) + 1} for col in original(jet, quotient_columns, f)]
+            # Add 1 to every entry of the output-0 row.
+            rows = original(jet, quotient_columns, f)
+            first = rows.get(0, {})
+            return {**rows, 0: {j: first.get(j, 0) + 1 for j in range(nd)}}
 
-        monkeypatch.setattr(jets, "_differential_columns", shifted)
+        monkeypatch.setattr(jets, "_differential_rows", shifted)
         with pytest.raises(InternalCheckError, match="not constant on classes"):
             contact_and_cartan(p)
 
@@ -147,20 +159,18 @@ class TestContactCache:
 def all_rows_contact(p):
     """Omega and its annihilator from one map per row of the ideal's basis.
 
-    Each map is the differential map of the row's polynomial, its columns'
-    classes moved to A' = R[x]/p' through polynomial representatives, and
-    flattened output-major; the Cartan system is cut out by every output
-    block of every row of Omega.
+    Each map sends the tangent tuple's entry (i, b) to the class in
+    A' = R[x]/p' of the row's d/dx_i times the basis monomial a_b, expanded
+    with the reference product (``ref_leibniz_columns``), and is flattened
+    output-major; the Cartan system is cut out by every output block of every
+    row of Omega.
     """
     algebra, target = p.quotient, derived_jet(p).quotient
     nd = p.n * algebra.dimension
     span = Echelon(target.dimension * nd)
     for row in p.ideal.rows.values():
         f = TruncatedPolynomial.from_sparse(p.n, p.window_bound, row)
-        columns = [
-            target.project_polynomial(algebra.row_polynomial(col)).row
-            for col in algebra.differential_map(f)
-        ]
+        columns = ref_leibniz_columns(f, algebra.basis_monomials, target)
         span.insert({out * nd + j: v for j, col in enumerate(columns) for out, v in col.items()})
     omega = span.subspace()
     constraints = Echelon(nd)
@@ -185,13 +195,13 @@ def test_generator_route_matches_the_all_rows_route(n, gens, order, data):
 def test_one_differential_map_per_minimal_generator(monkeypatch, n, gens, order):
     p = ladder_jet(n, gens, order)
     seen = []
-    original = jets._differential_columns
+    original = jets._differential_rows
 
     def spy(jet, quotient_columns, f):
         seen.append(f)
         return original(jet, quotient_columns, f)
 
-    monkeypatch.setattr(jets, "_differential_columns", spy)
+    monkeypatch.setattr(jets, "_differential_rows", spy)
     contact_and_cartan(p)
     assert seen == list(p.quotient.minimal_generators)
     assert len(seen) < p.ideal.dimension

@@ -1,13 +1,16 @@
 """Oracles for Der(A, A): the Leibniz action, ideal stability, the Leibniz
-system over every ideal generator and the sparse multiplication columns, plus
-a guard that the action is built only on demand.
+system over every ideal generator, the Leibniz rows and the sparse
+multiplication columns, plus guards that the action is built only on demand
+and that the Leibniz rows build no multiplication map.
 
-Every expected value here is computed in this file: derivation matrices and
-images of generators by expanding delta(x^e) = sum_i e_i x^(e - 1_i) delta(x_i)
-with polynomial arithmetic and projecting, stability by dense elimination
-against the ideal's reduced basis, and the dimension of Der(A, A) as a nullity
-by sympy.  None of it goes through the package's sparse columns or its
-differential map.
+Every expected value here is computed in this file or in ``conftest``:
+derivation matrices and images of generators by expanding
+delta(x^e) = sum_i e_i x^(e - 1_i) delta(x_i) with polynomial arithmetic and
+projecting, the Leibniz rows from d f / d x_i times each basis monomial by
+``ref_leibniz_columns``, stability by dense elimination against the ideal's
+reduced basis, and the dimension of Der(A, A) as a nullity by sympy.  None of
+it goes through the package's multiplication table, its sparse columns or its
+Leibniz rows.
 """
 
 import sys
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial
 from weiljets.session import execute, parse_session
 from weiljets.weil import (
@@ -28,7 +32,15 @@ from weiljets.weil import (
     quotient_algebra,
 )
 
-from conftest import P, algebras, basis, canonical_basis, derivation_matrices, rationals
+from conftest import (
+    P,
+    algebras,
+    basis,
+    canonical_basis,
+    derivation_matrices,
+    rationals,
+    ref_leibniz_columns,
+)
 
 def leibniz_image(algebra, images, f):
     """delta(f) for the derivation x_i -> images[i], term by term:
@@ -190,6 +202,29 @@ def test_multiplication_map_drops_cancelled_entries():
     assert all(all(column.values()) for column in columns)
 
 
+def polynomials(algebra):
+    """Polynomials on the algebra's window, with up to five rational terms."""
+    n, bound = algebra.n, algebra.window_bound
+    terms = st.dictionaries(st.sampled_from(window(n, bound)), rationals, max_size=5)
+    return terms.map(lambda coefficients: TruncatedPolynomial(n, bound, coefficients))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(), st.data())
+def test_leibniz_rows_are_derivatives_times_basis_monomials(algebra, data):
+    # Row g, entry i*d + b: the a_g coordinate of [d f / d x_i] * a_b.
+    for f in [data.draw(polynomials(algebra)), *algebra.minimal_generators]:
+        expected: dict = {}
+        columns = ref_leibniz_columns(f, algebra.basis_monomials, algebra)
+        for j, column in enumerate(columns):
+            for g, c in column.items():
+                expected.setdefault(g, {})[j] = c
+        rows = algebra.differential_rows(f)
+        assert rows == expected
+        assert list(rows) == sorted(rows)
+        assert all(row and all(row.values()) for row in rows.values())
+
+
 def _run(ops):
     session = parse_session(
         '{"bind": [{"algebra": "A", "vars": 3, "bound": 3}], "run": ['
@@ -221,14 +256,11 @@ def test_stability_builds_the_leibniz_action_only_for_the_projection():
 
 def test_stability_builds_each_variable_map_once(monkeypatch):
     # The ideal's saturation and the m*I check share WeilAlgebra.variable_maps.
-    # A differential map builds the map of each other derivative class it
-    # meets, so its calls are not counted here.
     built = Counter()
     multiplication_map = WeilAlgebra.multiplication_map
 
     def counting(self, w):
-        if sys._getframe(1).f_code.co_name != "differential_map":
-            built[frozenset(w.items())] += 1
+        built[frozenset(w.items())] += 1
         return multiplication_map(self, w)
 
     monkeypatch.setattr(WeilAlgebra, "multiplication_map", counting)
@@ -237,22 +269,33 @@ def test_stability_builds_each_variable_map_once(monkeypatch):
     assert [built[v] for v in variables] == [1, 1, 1]
 
 
-def test_differential_maps_reuse_the_variable_maps(monkeypatch):
-    # A derivative whose class is a variable's takes that variable's map from
-    # variable_maps: on this stability op the classes of x (twice), y and z
-    # meet the differential maps, and none of them is built again.
-    built = []
+def test_differential_rows_build_no_multiplication_map(monkeypatch):
+    # The Leibniz rows are read off the multiplication table: no map is built
+    # while they are.  The stability op calls them for the derivation solve
+    # and for the ideal's generators.
+    rows_built = []
+    maps_built = []
+    differential_rows = WeilAlgebra.differential_rows
     multiplication_map = WeilAlgebra.multiplication_map
 
-    def counting(self, w):
-        built.append((sys._getframe(1).f_code.co_name, frozenset(w.items())))
+    def counting(self, f):
+        rows_built.append(f)
+        return differential_rows(self, f)
+
+    def spy(self, w):
+        frame, inside = sys._getframe(1), False
+        while frame is not None:
+            inside = inside or frame.f_code.co_name == "differential_rows"
+            frame = frame.f_back
+        maps_built.append(inside)
         return multiplication_map(self, w)
 
-    monkeypatch.setattr(WeilAlgebra, "multiplication_map", counting)
-    algebra = _run(['{"op": "stability", "of": "A", "ideal": ["x"]}']).algebra
-    variables = {frozenset(algebra.generator(i).row.items()) for i in range(algebra.n)}
-    assert len(built) == 48
-    assert not any(caller == "differential_map" and w in variables for caller, w in built)
+    monkeypatch.setattr(WeilAlgebra, "differential_rows", counting)
+    monkeypatch.setattr(WeilAlgebra, "multiplication_map", spy)
+    _run(['{"op": "stability", "of": "A", "ideal": ["x"]}'])
+    assert rows_built
+    assert maps_built  # the variable maps of the saturation and the m*I check
+    assert not any(maps_built)
 
 
 # -- the Leibniz system over every generator, not only the minimal ones ---------

@@ -40,6 +40,7 @@ from conftest import (
     mat_vec,
     presentations,
     rationals,
+    ref_product,
 )
 
 
@@ -493,3 +494,33 @@ def test_element_rows_hold_no_zero_so_equality_is_decidable(a, data):
     assert u - u == a.zero() and hash(u - u) == hash(a.zero())
     assert evaluate(f - f, point) == a.zero()
     assert a.element(u.coordinates) == u and hash(a.element(u.coordinates)) == hash(u)
+
+
+# -- the sparse multiplication table -------------------------------------------
+# Expected values come from products of basis monomials expanded by the
+# reference ``ref_product`` and projected through ``project_polynomial``: no
+# multiplication table is read.
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras())
+def test_structure_constants_are_projected_products_of_representatives(algebra):
+    n, bound = algebra.n, algebra.window_bound
+    expected = []
+    for a, left in enumerate(algebra.basis_monomials):
+        for b, right in enumerate(algebra.basis_monomials):
+            product = TruncatedPolynomial(n, bound, ref_product({left: 1}, {right: 1}, bound))
+            row = algebra.project_polynomial(product).row
+            expected += [(a, b, g, row[g]) for g in sorted(row)]
+    assert list(algebra.structure_constants()) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras())
+def test_multiplication_table_stores_nonzero_products_inside_the_order(algebra):
+    # Products of degree above the order vanish, so none is stored.
+    monomials = algebra.basis_monomials
+    for a, row in enumerate(algebra._mult):
+        for b, entries in row.items():
+            assert entries and all(c for _, c in entries)
+            assert sum(monomials[a]) + sum(monomials[b]) <= algebra.order
