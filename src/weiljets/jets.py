@@ -730,6 +730,24 @@ def _projection_columns(
     return [{k * d + i: v for i, v in col.items()} for k in range(n) for col in columns]
 
 
+class _BlockTable(dict):
+    """The saturation table of a map, given by its sparse ``columns``, acting on
+    u (``outer``) or on v of the index k = u * size + v, 0 <= v < size.  Each
+    entry is built the first time the saturation reads it."""
+
+    def __init__(self, columns: Sequence[SparseRow], size: int, outer: bool):
+        self.columns, self.size, self.outer = columns, size, outer
+
+    def __missing__(self, k: int) -> SparseRow:
+        u, v = divmod(k, self.size)
+        if self.outer:
+            entry = {g * self.size + v: c for g, c in self.columns[u].items()}
+        else:
+            entry = {u * self.size + g: c for g, c in self.columns[v].items()}
+        self[k] = entry
+        return entry
+
+
 def _differential_rows(
     p: Jet, quotient_columns: Sequence[SparseRow], f: TruncatedPolynomial
 ) -> dict[int, SparseRow]:
@@ -774,10 +792,7 @@ def contact_and_cartan(p: Jet) -> ContactData:
     # Omega: the map of each minimal generator, flattened output-major into
     # one row, and closed under the action of A' on the output index.
     differentials = [_differential_rows(p, qcols, g) for g in algebra.minimal_generators]
-    tables = [
-        [{o * nd + j: c for o, c in image.items()} for image in images for j in range(nd)]
-        for images in derived.quotient.variable_maps
-    ]
+    tables = [_BlockTable(images, nd, outer=True) for images in derived.quotient.variable_maps]
     span = Echelon(dprime * nd)
     span.saturate(
         (
@@ -879,10 +894,7 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     # to X stays tangent under any coefficient, so close under the action of
     # the algebra generators componentwise.
     # Multiplication by x_i acts on each of the n blocks of A^n.
-    tables = [
-        [{k * d + g: c for g, c in image.items()} for k in range(n) for image in images]
-        for images in algebra.variable_maps
-    ]
+    tables = [_BlockTable(images, d, outer=False) for images in algebra.variable_maps]
     cartan = tangent.relations.echelon()
     cartan.saturate(values, tables)
     return cartan.subspace()

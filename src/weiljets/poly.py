@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
@@ -74,10 +75,16 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        # ASCII [+-]digits[/digits] is split into ints; every other spelling
+        # goes through Fraction's own parser, so it keeps its value or error.
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        fast = text.isascii() and digits.isdigit() and (not slash or den.isdigit())
         try:
-            return Fraction(value.strip())
+            return Fraction(int(num), int(den) if slash else 1) if fast else Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value.strip()!r}") from None
+            raise ValueError(f"zero denominator in {text!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -414,11 +421,12 @@ def truncated_substitute(
 # -- text syntax --------------------------------------------------------------
 
 
-def variable_names(variable_count: int) -> list[str]:
+@lru_cache(maxsize=64)
+def variable_names(variable_count: int) -> tuple[str, ...]:
     """Display names: x, y, z for up to three variables, else x1..xn."""
     if variable_count <= 3:
-        return ["x", "y", "z"][:variable_count]
-    return [f"x{i + 1}" for i in range(variable_count)]
+        return ("x", "y", "z")[:variable_count]
+    return tuple(f"x{i + 1}" for i in range(variable_count))
 
 
 def _name_table(variable_count: int) -> dict[str, int]:
@@ -504,28 +512,39 @@ def parse_polynomial(
     return TruncatedPolynomial(variable_count, bound, coeffs)
 
 
+# A few hundred entries hold the bases and windows a session reports; the bound
+# keeps the one-off exponents of large polynomials (prolongations) from piling up.
+@lru_cache(maxsize=256)
+def _monomial_text(exp: Exponent) -> str:
+    """The factors of x^exp, space-separated; "" for the constant monomial."""
+    names = variable_names(len(exp))
+    return " ".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, exp) if k)
+
+
+def _format_terms(terms: Iterable[tuple[Exponent, Fraction]]) -> str:
+    """Canonical text of nonzero ``(exponent, coefficient)`` terms in layout order."""
+    pieces: list[str] = []
+    for exp, c in terms:
+        factors = _monomial_text(exp)
+        num, den = c.numerator, c.denominator
+        if factors and den == 1 and (num == 1 or num == -1):
+            body = factors
+        else:
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            body = f"{mag} {factors}" if factors else mag
+        if pieces:
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
+        else:
+            pieces.append(body if num > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
+
+
+def _format_row(row: Mapping[int, Fraction], monomials: Sequence[Exponent]) -> str:
+    """Text of sum_k row[k] x^monomials[k], with no polynomial built; ``monomials``
+    is in layout order (a window or a basis), so sorted keys give layout order."""
+    return _format_terms([(monomials[k], row[k]) for k in sorted(row)])
+
+
 def format_polynomial(f: TruncatedPolynomial) -> str:
     """Canonical text form, terms in the layout order."""
-    if f.is_zero():
-        return "0"
-    names = variable_names(f.variable_count)
-    pieces: list[str] = []
-    for exp, c in f.terms():
-        factors = []
-        for name, k in zip(names, exp):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}^{k}")
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = " ".join(factors)
-        else:
-            body = f"{mag} " + " ".join(factors)
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+    return _format_terms(f.terms())

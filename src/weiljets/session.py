@@ -17,6 +17,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Any, Callable, NamedTuple
 
@@ -48,8 +49,10 @@ from .jets import (
     tangent_module,
     taylor_map,
 )
+from .monomials import window
 from .poly import (
     TruncatedPolynomial,
+    _format_row,
     as_fraction,
     format_polynomial,
     parse_polynomial,
@@ -64,6 +67,7 @@ from .weil import (
 )
 
 _FORMATS = ("json", "text")
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 @dataclass
@@ -406,8 +410,7 @@ def _op_describe(of: WeilAlgebra) -> dict:
             [a, b, g, str(c)] for (a, b, g, c) in of.structure_constants()
         ],
         "relations": [
-            format_polynomial(TruncatedPolynomial.from_sparse(of.n, of.window_bound, r))
-            for r in of.defining_ideal.rows.values()
+            _format_row(r, window(of.n, of.window_bound)) for r in of.defining_ideal.rows.values()
         ],
     }
 
@@ -417,7 +420,7 @@ def _op_derivations(of: WeilAlgebra) -> dict:
     return {
         "dim": ders.dimension,
         "generator_images": [
-            [format_polynomial(of.row_polynomial(img)) for img in images]
+            [_format_row(img, of.basis_monomials) for img in images]
             for images in ders.sparse_images
         ],
     }
@@ -520,7 +523,7 @@ def _op_evaluate(of: APoint, poly: TruncatedPolynomial) -> dict:
     value = evaluate(poly, of)
     return {
         "components": [str(c) for c in value.coordinates],
-        "value": format_polynomial(of.algebra.row_polynomial(value.row)),
+        "value": _format_row(value.row, of.algebra.basis_monomials),
     }
 
 
@@ -650,7 +653,7 @@ def render(report: Report, format: str = "json") -> str:
         raise ValueError(f"unknown format {format!r}")
     payload = {"exit": report.exit_status, "results": report.results}
     if format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json(payload, "\n") + "\n"
     lines = [f"exit {report.exit_status}"]
     for entry in report.results:
         if entry.get("ok"):
@@ -662,6 +665,30 @@ def render(report: Report, format: str = "json") -> str:
                 f"[{entry['index']}] {entry['op']}: ERROR {err['kind']}: {err['message']}"
             )
     return "\n".join(lines) + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` with one join per container
+    (with an indent the standard library runs its pure-Python encoder); ``newline``
+    is "\\n" plus the indent of value's line.  Only str-keyed dicts, lists, tuples,
+    str, int, bool and None are taken; any other type raises TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render_result(result: dict, indent: str = "  ") -> list[str]:

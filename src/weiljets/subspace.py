@@ -125,12 +125,18 @@ class Echelon:
         """Remainder of a sparse row after elimination; empty iff in the span."""
         return _reduce(self.rows, row)
 
-    def saturate(self, rows: Iterable[SparseRow], tables: Sequence[Sequence[SparseRow | None]]) -> None:
+    def saturate(
+        self,
+        rows: Iterable[SparseRow],
+        tables: Sequence[Sequence[SparseRow | None] | Mapping[int, SparseRow]],
+    ) -> None:
         """Insert rows and close the span under every linear map in ``tables``.
 
         ``tables[k][j]`` is the image of the unit vector e_j under map k, a
-        sparse row (None or empty for zero).  The span is closed once every
-        inserted row has had its images queued.
+        sparse row (None or empty for zero).  Only the entries j in the
+        support of an inserted row are read, so a table may build its
+        entries on first read.  The span is closed once every inserted row
+        has had its images queued.
         """
         queue = list(rows)
         while queue:

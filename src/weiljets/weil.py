@@ -37,6 +37,7 @@ from .poly import (
     TruncatedPolynomial,
     _add_scaled,
     _common_denominator,
+    _format_row,
     _top_weights,
     as_fraction,
     format_polynomial,
@@ -441,7 +442,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, {g: v for g, v in self.row.items() if g})
 
     def __repr__(self) -> str:
-        return f"AlgebraElement({format_polynomial(self.algebra.row_polynomial(self.row))})"
+        return f"AlgebraElement({_format_row(self.row, self.algebra.basis_monomials)})"
 
 
 def quotient_algebra(

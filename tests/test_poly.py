@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from weiljets.errors import DimensionMismatchError
 from weiljets.poly import (
     TruncatedPolynomial,
+    as_fraction,
     format_polynomial,
     parse_polynomial,
     truncated_product,
@@ -36,6 +37,48 @@ class TestParseFormat:
 
     def test_format_orders_terms_by_degree(self):
         assert format_polynomial(P("x^2 + 1 + x", 1)) == "1 + x + x^2"
+
+
+def fraction_or_error(text):
+    """What ``Fraction`` makes of a stripped string: a value, or the error
+    ``as_fraction`` must raise (a zero denominator is a ValueError)."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        return ValueError(f"zero denominator in {text.strip()!r}")
+    except ValueError as exc:
+        return exc
+
+
+def assert_as_fraction_agrees(text):
+    expected = fraction_or_error(text)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as err:
+            as_fraction(text)
+        assert str(err.value) == str(expected)
+    else:
+        result = as_fraction(text)
+        assert type(result) is Fraction and result == expected
+
+
+class TestAsFraction:
+    # The fast path takes ASCII [+-]digits[/digits]; each other spelling must
+    # still reach Fraction's parser and keep its value or its error.
+    @pytest.mark.parametrize(
+        "text",
+        ["7", "-7", "+7", "007", "3/4", "-6/8", "+6/8", " 5/10 ", "\t-2/3\n", "-0/5",
+         "3/0", "0/0", "-1/00", "1 / 2", " 1/ 2", "1_000", "1_0/2_0", "1.5", "-.5",
+         "1e3", "1.5e-2", "\u0661\u0662", "\u0661/\u0662", "\u00b2", "1/2/3", "+", "-",
+         "", "/", "1/", "/2", "+-1", "--1", "1/+2", "1/-2", "x", "1" * 5000],
+        ids=lambda text: repr(text) if len(text) < 20 else f"{len(text)} digits",
+    )
+    def test_agrees_with_fraction(self, text):
+        assert_as_fraction_agrees(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789+-/ _.e", max_size=8))
+    def test_agrees_with_fraction_on_drawn_text(self, text):
+        assert_as_fraction_agrees(text)
 
 
 class TestProduct:
