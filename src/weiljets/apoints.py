@@ -304,11 +304,20 @@ class GroupLaw:
         right = substitution(xs + e, bound)
         if [right(f) for f in self.law] != xs:
             raise ValueError("identity is not right-neutral for the law")
-        bound = max(law_degree * max(inverse_degree, 1), 1)
-        inverted = substitution(xs + list(self.inverse), bound)
-        prod = [inverted(f) for f in self.law]
-        if prod != e:
-            raise ValueError("inverse map does not invert the law")
+        # Truncation is a ring map, so the composition truncated at a bound is
+        # the degree <= bound part of the whole one: check at doubling bounds
+        # up to the full one, and a wrong inverse fails at the first bound that
+        # reaches its first wrong degree.  The first bound is twice the law's
+        # degree, so an inverse of degree <= 2 is checked once, at the full
+        # bound: for small laws a check costs its map's set-up, not its degree.
+        full = max(law_degree * max(inverse_degree, 1), 1)
+        while True:
+            bound = min(2 * bound, full)
+            inverted = substitution(xs + [g.truncate(bound) for g in self.inverse], bound)
+            if [inverted(f) for f in self.law] != e:
+                raise ValueError("inverse map does not invert the law")
+            if bound == full:
+                break
 
     def multiply_points(self, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
         vals = [as_fraction(v) for v in list(p) + list(q)]

@@ -85,6 +85,7 @@ class Jet:
         self._normal_form: "NormalForm | None" = None
         self._derived: "Jet | None" = None
         self._fields: Subspace | None = None
+        self._cartan: "tuple[Jet, list[dict[int, SparseRow]], Subspace] | None" = None
         self._contact: "ContactData | None" = None
         self._hat: "Jet | None" = None
 
@@ -761,6 +762,38 @@ def _differential_rows(
     return {o: row for o, row in sorted(moved.items()) if row}
 
 
+def _cartan_system(p: Jet) -> tuple[Jet, list[dict[int, SparseRow]], Subspace]:
+    """The derived jet p', the rows of each minimal generator's map moved to
+    A' = R[x]/p' (:func:`_differential_rows`), and the Cartan system they cut
+    out (see :func:`contact_and_cartan`).  The result is cached on the jet.
+    """
+    if p._cartan is not None:
+        return p._cartan
+    derived = derived_jet(p)
+    qcols = _class_columns(p.quotient.basis_monomials, derived.quotient)
+    differentials = [_differential_rows(p, qcols, g) for g in p.quotient.minimal_generators]
+    relations = tangent_module(p).relations
+
+    # Representatives differing by an algebra derivation must evaluate to zero;
+    # on the generator maps, that covers every [h] Dg.
+    for rows in differentials:
+        for rel in relations.rows.values():
+            if apply_rows(rows, rel):
+                raise InternalCheckError("contact map is not constant on classes")
+
+    # The rows of the generator maps cut out the Cartan system: every map of
+    # Omega is sum_k [h_k] Dg_k, and [1] is one of the [h].
+    constraints = Echelon(p.n * p.quotient.dimension)
+    for rows in differentials:
+        for row in rows.values():
+            constraints.insert(row)
+    cartan = constraints.kernel()
+    if not cartan.contains_subspace(relations):
+        raise InternalCheckError("annihilator lost the derivation relations")
+    p._cartan = (derived, differentials, cartan)
+    return p._cartan
+
+
 def contact_and_cartan(p: Jet) -> ContactData:
     """Omega as a span of maps into A' = R[x]/p', Cartan as its exact annihilator.
 
@@ -771,7 +804,7 @@ def contact_and_cartan(p: Jet) -> ContactData:
     output index and flattened output-major, closed under multiplication by
     the variables on the output.  A tangent vector is killed by all of Omega
     exactly when the generator maps kill it ([1] is one of the [h]), so the
-    same rows cut out the Cartan system.
+    same rows cut out the Cartan system (:func:`_cartan_system`).
 
     The Cartan system is additionally rebuilt from the finite generating
     family of graph-tangent fields (transported back from the adapted
@@ -780,18 +813,15 @@ def contact_and_cartan(p: Jet) -> ContactData:
     """
     if p._contact is not None:
         return p._contact
-    derived = derived_jet(p)
+    derived, differentials, cartan = _cartan_system(p)
     algebra = p.quotient
-    d = algebra.dimension
     n = p.n
-    nd = n * d
+    nd = n * algebra.dimension
     dprime = derived.quotient.dimension
-    qcols = _class_columns(algebra.basis_monomials, derived.quotient)
     tangent = tangent_module(p)
 
     # Omega: the map of each minimal generator, flattened output-major into
     # one row, and closed under the action of A' on the output index.
-    differentials = [_differential_rows(p, qcols, g) for g in algebra.minimal_generators]
     tables = [_BlockTable(images, nd, outer=True) for images in derived.quotient.variable_maps]
     span = Echelon(dprime * nd)
     span.saturate(
@@ -802,24 +832,6 @@ def contact_and_cartan(p: Jet) -> ContactData:
         tables,
     )
     omega = span.subspace()
-
-    # Representatives differing by an algebra derivation must evaluate to zero;
-    # on the generator maps, that covers every [h] Dg.
-    relations = list(tangent.relations.rows.values())
-    for rows in differentials:
-        for rel in relations:
-            if apply_rows(rows, rel):
-                raise InternalCheckError("contact map is not constant on classes")
-
-    # The rows of the generator maps cut out the Cartan system: every map of
-    # Omega is sum_k [h_k] Dg_k, and [1] is one of the [h].
-    constraints = Echelon(nd)
-    for rows in differentials:
-        for row in rows.values():
-            constraints.insert(row)
-    cartan = constraints.kernel()
-    if not cartan.contains_subspace(tangent.relations):
-        raise InternalCheckError("annihilator lost the derivation relations")
 
     cartan_generated = _cartan_by_generation(p, derived)
 
@@ -918,16 +930,16 @@ def taylor_map(p: Jet) -> TaylorData:
     """pi_* C_p inside T_{p'} plus the injectivity hypothesis hat(p') <= p.
 
     The projection exists because every field tangent to p is tangent to p';
-    that inclusion is asserted computationally before projecting.
+    that inclusion is asserted computationally before projecting.  Only the
+    Cartan systems of p and p' are read, not the rest of their contact data.
     """
-    contact = contact_and_cartan(p)
-    derived = contact.derived
+    derived, _, cartan = _cartan_system(p)
 
     _assert_fields_project(p, derived)
 
     pi_cols = _projection_columns(p.n, p.quotient.basis_monomials, derived.quotient)
     span = tangent_module(derived).relations.echelon()
-    for v in contact.cartan.rows.values():
+    for v in cartan.rows.values():
         span.insert(apply_columns(pi_cols, v))
     image = span.subspace()
 
@@ -936,8 +948,7 @@ def taylor_map(p: Jet) -> TaylorData:
 
     cartan_projects: bool | None = None
     if derived.width == p.width:
-        prime_contact = contact_and_cartan(derived)
-        cartan_projects = prime_contact.cartan.contains_subspace(image)
+        cartan_projects = _cartan_system(derived)[2].contains_subspace(image)
 
     return TaylorData(p, derived, image, taylor_condition, cartan_projects)
 

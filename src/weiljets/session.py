@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import comb
+from math import comb, gcd
 from typing import Any, Callable, NamedTuple
 
 from .apoints import (
@@ -399,6 +399,15 @@ def _op_info(of) -> dict:
 
 
 def _op_describe(of: WeilAlgebra) -> dict:
+    # a^alpha a^beta = sum_gamma c/den a^gamma: each c/den printed as its
+    # reduced fraction, from the table's integer numerators.
+    den = of._mult_den
+    constants = []
+    for a, row in enumerate(of._mult):
+        for b, entries in row.items():
+            for g, c in entries:
+                k = gcd(c, den)
+                constants.append([a, b, g, str(c // k) if k == den else f"{c // k}/{den // k}"])
     return {
         "vars": of.n,
         "dim": of.dimension,
@@ -406,9 +415,7 @@ def _op_describe(of: WeilAlgebra) -> dict:
         "width": of.width,
         "filtration": list(of.filtration_dimensions),
         "basis_monomials": [list(e) for e in of.basis_monomials],
-        "structure_constants": [
-            [a, b, g, str(c)] for (a, b, g, c) in of.structure_constants()
-        ],
+        "structure_constants": constants,
         "relations": [
             _format_row(r, window(of.n, of.window_bound)) for r in of.defining_ideal.rows.values()
         ],

@@ -341,13 +341,6 @@ class WeilAlgebra:
             span.insert({g: c for g, c in row.items() if g})
         return span.subspace() == self.maximal_ideal
 
-    def structure_constants(self):
-        """Sparse (alpha, beta, gamma, c) with a^alpha a^beta = c a^gamma + ..."""
-        for a, row in enumerate(self._mult):
-            for b, entries in row.items():
-                for g, c in entries:
-                    yield (a, b, g, Fraction(c, self._mult_den))
-
     @cached_property
     def minimal_generators(self) -> tuple[TruncatedPolynomial, ...]:
         """The polynomials of ``ideal_generators`` independent modulo m*I.

@@ -216,3 +216,12 @@ def from_vector(n: int, bound: int, vector) -> TruncatedPolynomial:
     exps = window(n, bound)
     assert len(vector) == len(exps)
     return TruncatedPolynomial(n, bound, {e: v for e, v in zip(exps, vector) if v})
+
+
+def structure_constants(algebra):
+    """Sparse (alpha, beta, gamma, c) with a^alpha a^beta = c a^gamma + ...: the
+    algebra's stored integer table, one ``Fraction`` per nonzero product."""
+    for a, row in enumerate(algebra._mult):
+        for b, entries in row.items():
+            for g, c in entries:
+                yield (a, b, g, Fraction(c, algebra._mult_den))

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from weiljets import apoints
 from weiljets.apoints import (
     apoint,
     cartesian_product,
@@ -281,6 +282,65 @@ class TestGroups:
             [P("-x", 2), P("-y", 2)],
         )
         assert law.multiply_points([1, 0], [1, 0]) == [2, 2**k - 2]
+
+    @staticmethod
+    def spy_bounds(monkeypatch) -> list:
+        bounds = []
+        original = apoints.substitution
+
+        def spy(images, bound):
+            bounds.append(bound)
+            return original(images, bound)
+
+        monkeypatch.setattr(apoints, "substitution", spy)
+        return bounds
+
+    def test_wrong_inverse_fails_at_the_first_bound_reaching_it(self, monkeypatch):
+        # A dimension-1 law of degree 54 with every mixed term and a wrong
+        # inverse of degree 54: the whole composition reaches degree 54^2, but
+        # the inverse is wrong at degree 3, so the check stops at degree 108.
+        k = 54
+        law = {(1, 0): 1, (0, 1): 1}
+        law.update({(i, j): 1 for i in range(1, k) for j in range(1, k - i + 1)})
+        inverse = {(1,): -1, **{(a,): 1 for a in range(2, k + 1)}}
+        bounds = self.spy_bounds(monkeypatch)
+        with pytest.raises(ValueError, match="inverse map does not invert the law"):
+            group_law(1, [TruncatedPolynomial(2, k, law)], [0], [TruncatedPolynomial(1, k, inverse)])
+        assert bounds and max(bounds) <= 2 * k
+
+    def test_right_inverse_is_checked_up_to_the_full_degree(self, monkeypatch):
+        # Unipotent 4 x 4 matrices I + N: the law (I + N)(I + M) has degree 2
+        # and the inverse I - N + N^2 - N^3 degree 3, so the identity checks
+        # run at 2 and the inverse at 4 and the full 2 * 3.
+        entries = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        index = {e: k for k, e in enumerate(entries)}
+        n = len(entries)
+
+        def unit(*ks, c=1, count=n):
+            exp = [0] * count
+            for k in ks:
+                exp[k] += 1
+            return {tuple(exp): c}
+
+        law, inverse = [], []
+        for i, j in entries:
+            terms = {**unit(index[i, j], count=2 * n), **unit(n + index[i, j], count=2 * n)}
+            for k in range(i + 1, j):
+                terms.update(unit(index[i, k], n + index[k, j], count=2 * n))
+            law.append(TruncatedPolynomial(2 * n, 2, terms))
+            # (-N + N^2 - N^3)_ij over the paths i < ... < j.
+            terms = unit(index[i, j], c=-1)
+            for k in range(i + 1, j):
+                terms.update(unit(index[i, k], index[k, j]))
+                for m in range(k + 1, j):
+                    terms.update(unit(index[i, k], index[k, m], index[m, j], c=-1))
+            inverse.append(TruncatedPolynomial(n, 3, terms))
+        bounds = self.spy_bounds(monkeypatch)
+        group = group_law(n, law, [0] * n, inverse)
+        assert bounds == [2, 2, 4, 6]
+        # A point times its inverse is the identity.
+        point = [1, 2, 3, 4, 5, 6]
+        assert group.multiply_points(point, group.invert_point(point)) == [0] * n
 
     def test_inverse_adjoint_formula(self):
         law = heisenberg()

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from weiljets.jets import (
 )
 from weiljets.monomials import window_size
 from weiljets.poly import TruncatedPolynomial, truncated_product
+from weiljets.session import execute, parse_session
 from weiljets.subspace import Echelon, apply_columns
 
 from conftest import (
@@ -273,6 +275,138 @@ class TestTaylorMap:
         # Full-width jet derives to the maximal ideal of width 0: gate closed.
         sq = jet_from_ideal(2, [0, 0], [P("x^2", 2), P("y^2", 2)], 2)
         assert taylor_map(sq).cartan_projects is None
+
+
+# -- Taylor from the Cartan systems alone -------------------------------------------
+
+
+def taylor_jets():
+    """sample_jets(), the ladder jets, the benchmark's graph-curve, graph-surface
+    and cusp shapes at rational points, and the power jet m^3 in two variables."""
+    curve = P("-1 + 2 x^2 - 1/2 x^3", 2).shift([Fraction(-1, 2), 0])
+    surface_point = [Fraction(1, 2), -1, Fraction(3, 2)]
+    surface_away = [-c for c in surface_point]
+    cusp_point = [-1, Fraction(1, 2), 2]
+    cusp_away = [-c for c in cusp_point]
+    return [
+        *sample_jets(),
+        *(ladder_jet(*case) for case in LADDER),
+        classical_jet(2, [Fraction(1, 2), -1], {1: curve}, 3),
+        jet_from_ideal(3, surface_point, [P("z + 3/2 x y - x^2", 3).shift(surface_away)], 3),
+        jet_from_ideal(
+            3, cusp_point, [P("y^2 - 2 x^3", 3).shift(cusp_away), P("z", 3).shift(cusp_away)], 3
+        ),
+        power_jet(2, 3),
+    ]
+
+
+def taylor_through_contact(p):
+    """The Taylor map's fields through the whole contact data: pi_* of
+    contact_and_cartan(p).cartan, each basis monomial of A sent to its class in
+    A' block by block, plus the relations of T_{p'}; hat(p') <= p; and, when
+    the widths agree, that image inside contact_and_cartan(p').cartan."""
+    contact = contact_and_cartan(p)
+    derived = contact.derived
+    source, target = p.quotient, derived.quotient
+    classes = [
+        target.project_polynomial(TruncatedPolynomial.monomial(p.n, p.window_bound, exp)).row
+        for exp in source.basis_monomials
+    ]
+    span = tangent_module(derived).relations.echelon()
+    for v in contact.cartan.rows.values():
+        moved = {}
+        for j, c in v.items():
+            k, b = divmod(j, source.dimension)
+            for g, x in classes[b].items():
+                key = k * target.dimension + g
+                moved[key] = moved.get(key, 0) + c * x
+        span.insert({key: c for key, c in moved.items() if c})
+    image = span.subspace()
+    projects = None
+    if derived.width == p.width:
+        projects = contact_and_cartan(derived).cartan.contains_subspace(image)
+    return image, p.contains_jet(hat_ideal(derived)), projects
+
+
+@pytest.mark.parametrize("index", range(len(taylor_jets())))
+def test_taylor_matches_the_route_through_contact(index):
+    # Separate copies, so that neither route reads the other's caches.
+    ty = taylor_map(taylor_jets()[index])
+    expected = taylor_through_contact(taylor_jets()[index])
+    assert (ty.pi_star_cartan, ty.taylor_condition, ty.cartan_projects) == expected
+
+
+def test_contact_after_taylor_reports_as_contact_alone():
+    bind = {"jet": "p", "vars": 2, "generators": ["y - x^3"], "order_hint": 4}
+
+    def run(ops):
+        text = json.dumps({"bind": [bind], "run": [{"op": op, "of": "p"} for op in ops]})
+        return [c["result"] for c in execute(parse_session(text)).results]
+
+    assert run(["taylor", "contact"])[1] == run(["contact"])[0]
+
+
+class TestSelfChecksPerOp:
+    """Which parts of the contact theory each jet op builds, counted by spies."""
+
+    @staticmethod
+    def spies(monkeypatch):
+        calls = {"cartan_built": [], "cartan_hit": [], "generation": [], "fields_project": []}
+        cartan_system = jets._cartan_system
+        generation = jets._cartan_by_generation
+        fields_project = jets._assert_fields_project
+
+        def spy_cartan(q):
+            calls["cartan_hit" if q._cartan is not None else "cartan_built"].append(q)
+            return cartan_system(q)
+
+        def spy_generation(q, derived):
+            calls["generation"].append(q)
+            return generation(q, derived)
+
+        def spy_fields(q, derived):
+            calls["fields_project"].append(q)
+            return fields_project(q, derived)
+
+        monkeypatch.setattr(jets, "_cartan_system", spy_cartan)
+        monkeypatch.setattr(jets, "_cartan_by_generation", spy_generation)
+        monkeypatch.setattr(jets, "_assert_fields_project", spy_fields)
+        return calls
+
+    def test_taylor_builds_two_cartan_systems_and_no_generation_route(self, monkeypatch):
+        p = ladder_jet(*LADDER[0])
+        calls = self.spies(monkeypatch)
+        ty = taylor_map(p)
+        assert ty.cartan_projects is not None
+        assert calls == {
+            "cartan_built": [p, ty.derived], "cartan_hit": [], "generation": [],
+            "fields_project": [p],
+        }
+        assert p._contact is None and ty.derived._contact is None
+
+    def test_contact_runs_the_generation_route_once_and_then_hits(self, monkeypatch):
+        p = ladder_jet(*LADDER[0])
+        calls = self.spies(monkeypatch)
+        first = contact_and_cartan(p)
+        assert (calls["cartan_built"], calls["generation"]) == ([p], [p])
+        assert contact_and_cartan(p) is first
+        taylor_map(p)
+        derived = first.derived
+        assert calls == {
+            "cartan_built": [p, derived], "cartan_hit": [p], "generation": [p],
+            "fields_project": [p],
+        }
+
+    def test_second_taylor_hits_the_cached_cartan_systems(self, monkeypatch):
+        p = ladder_jet(*LADDER[0])
+        calls = self.spies(monkeypatch)
+        derived = taylor_map(p).derived
+        taylor_map(p)
+        contact_and_cartan(p)
+        assert calls == {
+            "cartan_built": [p, derived], "cartan_hit": [p, derived, p], "generation": [p],
+            "fields_project": [p, p],
+        }
 
 
 class TestPushforward:

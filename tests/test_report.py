@@ -5,7 +5,9 @@ which shares no code with it, on drawn payloads and on every corpus report.
 The row formatter (sparse rows of quotient or window coordinates printed with
 no polynomial built) is checked against the polynomial route and against
 ``ref_format``, a term-by-term formatter written here that sorts with
-``monomial_sort_key`` and prints ``str`` of each coefficient.
+``monomial_sort_key`` and prints ``str`` of each coefficient.  The structure
+constants ``describe`` prints from the table's integer numerators are checked
+against ``str`` of each constant as a ``Fraction``.
 """
 
 import json
@@ -13,14 +15,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weiljets.monomials import monomial_sort_key, window
 from weiljets.poly import TruncatedPolynomial, _format_row, format_polynomial, variable_names
-from weiljets.session import Report, _json, execute, parse_session, render
+from weiljets.session import Report, _json, _op_describe, execute, parse_session, render
+from weiljets.weil import quotient_algebra
 
-from conftest import algebras
+from conftest import P, algebras, structure_constants
+from test_kernels import BINOMIAL
 
 SESSIONS = sorted((Path(__file__).resolve().parent.parent / "sessions").glob("*.json"))
 
@@ -151,3 +155,26 @@ def test_window_rows_format_as_their_polynomials(data):
 )
 def test_row_formatter_explicit_cases(row, text):
     assert _format_row(row, window(2, 2)) == text
+
+
+# -- structure constants --------------------------------------------------------------
+
+
+# BINOMIAL's table lies over 3 (entries 2/3 and 3/3); x^2 = 2/3 y^2 at order 4
+# puts the table over 9 (entries 6/9 and 9/9), so every entry must reduce.
+OVER_NINE = quotient_algebra(2, 4, [P("x^2 - 2/3 y^2", 2, 4)])
+
+
+@pytest.mark.parametrize("algebra, den, numerators", [(BINOMIAL, 3, {2, 3}), (OVER_NINE, 9, {6, 9})])
+def test_example_tables_have_entries_to_reduce(algebra, den, numerators):
+    assert algebra._mult_den == den
+    assert {c for row in algebra._mult for entries in row.values() for _, c in entries} == numerators
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras())
+@example(BINOMIAL)
+@example(OVER_NINE)
+def test_describe_prints_each_structure_constant_as_its_fraction(algebra):
+    expected = [[a, b, g, str(c)] for a, b, g, c in structure_constants(algebra)]
+    assert _op_describe(algebra)["structure_constants"] == expected
