@@ -1,22 +1,24 @@
 """Algebra-valued points of R^n: evaluation, prolongation, group lifting.
 
 An A-point assigns to each ambient coordinate an element of a Weil algebra;
-evaluating a polynomial at the point is the finite Taylor expansion around
-the underlying real point, carried out with the algebra's multiplication
-table.  Real components (the coordinates of a value over the basis
-monomials) are what turn A-points into honest coordinates: prolongation of
-ideals and the lifted group operations all happen through them.
+evaluating a polynomial at the point applies that ring morphism: its terms
+become products of the images, made with the algebra's multiplication table
+and cached on the point.  Real components (the coordinates of a value over
+the basis monomials) are what turn A-points into honest coordinates:
+prolongation of ideals and the lifted group operations all happen through
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError
 from .jets import Jet, _kernel_jet
-from .monomials import Exponent, _power_products
+from .monomials import Exponent, _check_window, _power_products
 from .poly import (
     TruncatedPolynomial,
     _add_scaled,
@@ -56,6 +58,12 @@ class APoint:
     def base_point(self) -> tuple[Fraction, ...]:
         return tuple(img.augmentation() for img in self.images)
 
+    @cached_property
+    def _powers(self) -> tuple[Callable[[Exponent], tuple[tuple[int, int], ...]], int]:
+        """The images' :meth:`WeilAlgebra._power_numerators`, built on first read
+        and shared by every polynomial evaluated at this point."""
+        return self.algebra._power_numerators([img.row for img in self.images])
+
     def __repr__(self) -> str:
         return f"APoint(n={self.ambient_dimension}, algebra={self.algebra!r})"
 
@@ -70,26 +78,14 @@ def apoint(algebra: WeilAlgebra, images: Sequence) -> APoint:
     return APoint(algebra, tuple(elems))
 
 
-def _nilpotent_products(
-    point: APoint,
-) -> tuple[Callable[[Exponent], tuple[tuple[int, int], ...]], int]:
-    """Memoized integer products of powers of the nilpotent parts of the images.
-
-    As :meth:`WeilAlgebra._power_numerators`: sparse numerators over
-    ``scale**sum(e)``.
-    """
-    return point.algebra._power_numerators(
-        [img.nilpotent_part().row for img in point.images]
-    )
-
-
 def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
-    """f(p^A) by the finite Taylor expansion at the underlying real point.
+    """f(p^A): each term of f becomes the product of the images' powers.
 
     The coordinates of the result over the basis monomials are the real
-    components of f at the point.  Nilpotent parts of degree past the
-    algebra's order vanish, so f is shifted only up to that degree, and the
-    power products stay integer until the one ``Fraction`` per coordinate.
+    components of f at the point.  The products come from the point's one
+    power cache and stay integer until the one ``Fraction`` per coordinate.
+    At a zero base point the images are nilpotent, so terms past the
+    algebra's order vanish and are never walked.
     """
     if f.variable_count != point.ambient_dimension:
         raise DimensionMismatchError(
@@ -97,13 +93,15 @@ def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
             f"of R^{point.ambient_dimension}"
         )
     algebra = point.algebra
-    base = point.base_point
-    order = algebra.order
-    shifted = f.shift(base, min(order, f.degree())) if any(base) else f
-    power_product, scale = _nilpotent_products(point)
-    weights, den = _top_weights(
-        ((exp, c) for exp, c in shifted.coefficients.items() if sum(exp) <= order), scale
-    )
+    terms = f.coefficients.items()
+    if any(point.base_point):
+        # Every term is walked, and a term whose window is above the cap
+        # raises.  The window of the degree the value reaches is checked first.
+        _check_window(f.variable_count, min(algebra.order, f.degree()))
+    else:
+        terms = [(exp, c) for exp, c in terms if sum(exp) <= algebra.order]
+    power_product, scale = point._powers
+    weights, den = _top_weights(terms, scale)
     total: dict[int, int] = {}
     for exp, w in weights:
         _add_scaled(total, w, power_product(exp))
@@ -114,9 +112,8 @@ def regularity_and_kernel(point: APoint) -> tuple[bool, Jet]:
     """Surjectivity of the evaluation plus its kernel jet at the base point."""
     algebra = point.algebra
     regular = algebra.generated_by([img.row for img in point.images])
-    return regular, _kernel_jet(
-        algebra, point.base_point, point.ambient_dimension, *_nilpotent_products(point)
-    )
+    nilpotent = algebra._power_numerators([img.nilpotent_part().row for img in point.images])
+    return regular, _kernel_jet(algebra, point.base_point, point.ambient_dimension, *nilpotent)
 
 
 def cartesian_product(p: APoint, q: APoint) -> APoint:
@@ -319,14 +316,6 @@ class GroupLaw:
             if bound == full:
                 break
 
-    def multiply_points(self, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-        vals = [as_fraction(v) for v in list(p) + list(q)]
-        return [f.evaluate(vals) for f in self.law]
-
-    def invert_point(self, p: Sequence[Fraction]) -> list[Fraction]:
-        vals = [as_fraction(v) for v in p]
-        return [f.evaluate(vals) for f in self.inverse]
-
 
 def group_law(
     dimension: int,
@@ -374,25 +363,6 @@ class ProlongedGroup:
             raise DimensionMismatchError("point does not live over the group algebra")
         if p.ambient_dimension != self.law.dimension:
             raise DimensionMismatchError("point has the wrong ambient dimension")
-
-    def verify_axioms(self, points: Sequence[APoint]) -> bool:
-        """Exact associativity, identity and inverse laws on the given points."""
-        e = self.identity()
-        for p in points:
-            if self.product(p, e).images != p.images:
-                return False
-            if self.product(e, p).images != p.images:
-                return False
-            if self.product(p, self.inverse(p)).images != e.images:
-                return False
-        for p in points:
-            for q in points:
-                for s in points:
-                    lhs = self.product(self.product(p, q), s)
-                    rhs = self.product(p, self.product(q, s))
-                    if lhs.images != rhs.images:
-                        return False
-        return True
 
 
 def prolong_group(law: GroupLaw, algebra: WeilAlgebra) -> ProlongedGroup:

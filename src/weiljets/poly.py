@@ -445,21 +445,26 @@ _TOKEN = re.compile(
 def parse_polynomial(
     text: str, variable_count: int, degree_bound: int | None = None
 ) -> TruncatedPolynomial:
-    """Parse the documented term syntax; the bound defaults to the exact degree."""
+    """Parse the documented term syntax; the bound defaults to the exact degree.
+
+    A term's sign and coefficient tokens multiply as an integer numerator and
+    denominator, and each term becomes one ``Fraction``.
+    """
     names = _name_table(variable_count)
     coeffs: dict[Exponent, Fraction] = {}
 
     pos = 0
-    sign = Fraction(1)
-    pending: tuple[Fraction, list[int]] | None = None  # (coefficient, exponents)
+    sign = 1
+    pending: tuple[int, int, list[int]] | None = None  # (numerator, denominator, exponents)
 
     def flush():
         nonlocal pending
         if pending is None:
             return
-        coeff, exps = pending
+        num, den, exps = pending
         exp = tuple(exps)
-        coeffs[exp] = coeffs.get(exp, _ZERO) + coeff
+        value = Fraction(num, den)
+        coeffs[exp] = coeffs[exp] + value if exp in coeffs else value
         pending = None
 
     text = text.strip()
@@ -470,25 +475,30 @@ def parse_polynomial(
         if not m:
             raise ValueError(f"cannot parse polynomial near {text[pos:pos + 12]!r}")
         pos = m.end()
-        if m.group("sign"):
+        kind = m.lastgroup
+        if kind == "sign":
             flush()
-            sign = Fraction(1) if m.group("sign") == "+" else Fraction(-1)
+            sign = 1 if m.group(kind) == "+" else -1
             continue
-        if m.group("mul"):
+        if kind == "mul":
             if pending is None:
                 raise ValueError("unexpected '*'")
             continue
-        if m.group("pow"):
+        if kind == "pow":
             raise ValueError("unexpected exponent operator")
-        if m.group("num"):
-            value = as_fraction(m.group("num"))
+        if kind == "num":
+            token = m.group(kind)
+            # int reads every digit \d matches, as Fraction's own parser does.
+            top, _, bottom = token.partition("/")
+            num, den = int(top), int(bottom or 1)
+            if not den:
+                raise ValueError(f"zero denominator in {token!r}")
             if pending is None:
-                pending = (sign * value, [0] * variable_count)
-                sign = Fraction(1)
+                pending = (sign * num, den, [0] * variable_count)
             else:
-                pending = (pending[0] * value, pending[1])
+                pending = (pending[0] * num, pending[1] * den, pending[2])
             continue
-        name = m.group("name")
+        name = m.group(kind)
         if name not in names:
             raise ValueError(f"unknown variable {name!r} for {variable_count} variables")
         power = 1
@@ -501,9 +511,8 @@ def parse_polynomial(
             power = int(em.group("num"))
             pos = em.end()
         if pending is None:
-            pending = (sign, [0] * variable_count)
-            sign = Fraction(1)
-        pending[1][names[name]] += power
+            pending = (sign, 1, [0] * variable_count)
+        pending[2][names[name]] += power
     flush()
 
     bound = degree_bound

@@ -106,6 +106,19 @@ def ref_substitute(f: dict, images: list[dict], n: int, bound: int) -> dict:
     return {e: c for e, c in total.items() if c}
 
 
+def ref_evaluate_free(f: TruncatedPolynomial, point) -> dict:
+    """f at an A-point of a free algebra R_m^l as {basis index: coefficient}:
+    each image read as a polynomial in the m algebra variables, substituted by
+    ``ref_substitute`` at the bound l, where truncation is the product of the
+    free algebra."""
+    algebra = point.algebra
+    monomials = algebra.basis_monomials
+    images = [{monomials[k]: c for k, c in img.row.items()} for img in point.images]
+    value = ref_substitute(f.coefficients, images, algebra.n, algebra.order)
+    index = {e: k for k, e in enumerate(monomials)}
+    return {index[e]: c for e, c in value.items()}
+
+
 def ref_leibniz_columns(f: TruncatedPolynomial, monomials, target) -> list[dict]:
     """Column i*len(monomials) + b: the sparse class in ``target`` of
     (d f / d x_i) * x^monomials[b], the product expanded by ``ref_product``
@@ -119,6 +132,41 @@ def ref_leibniz_columns(f: TruncatedPolynomial, monomials, target) -> list[dict]
         for i in range(n)
         for exp in monomials
     ]
+
+
+# -- group laws on real points and on A-points -------------------------------------
+# The package lifts a law to A-points only; the real operations and the axiom
+# check on A-points are what the tests compare that lift with.
+
+
+def multiply_points(law, p, q) -> list:
+    """The law at real points: (p * q)_i = law_i(p, q)."""
+    vals = [Fraction(v) for v in list(p) + list(q)]
+    return [f.evaluate(vals) for f in law.law]
+
+
+def invert_point(law, p) -> list:
+    """The law's inverse at a real point."""
+    vals = [Fraction(v) for v in p]
+    return [f.evaluate(vals) for f in law.inverse]
+
+
+def verify_axioms(group, points) -> bool:
+    """Exact identity, inverse and associativity laws of a prolonged group on
+    the given A-points."""
+    e = group.identity()
+    for p in points:
+        if group.product(p, e).images != p.images or group.product(e, p).images != p.images:
+            return False
+        if group.product(p, group.inverse(p)).images != e.images:
+            return False
+    return all(
+        group.product(group.product(p, q), s).images
+        == group.product(p, group.product(q, s)).images
+        for p in points
+        for q in points
+        for s in points
+    )
 
 
 # -- dense views of the package's sparse forms ------------------------------------

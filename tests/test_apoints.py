@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -18,17 +19,26 @@ from weiljets.apoints import (
     tangent_correspondence_check,
     weil_iso_check,
 )
-from weiljets.errors import DimensionMismatchError
+from weiljets.errors import DimensionMismatchError, WindowTooLargeError
 from weiljets.jets import jet_from_ideal, power_jet
 from weiljets.poly import TruncatedPolynomial, format_polynomial
+from weiljets.session import execute, parse_session
 from weiljets.weil import (
+    WeilAlgebra,
     algebra_morphism,
     free_truncated_algebra,
     quotient_algebra,
     tensor_product,
 )
 
-from conftest import P, mat_vec
+from conftest import (
+    P,
+    invert_point,
+    mat_vec,
+    multiply_points,
+    ref_evaluate_free,
+    verify_axioms,
+)
 
 R11 = free_truncated_algebra(1, 1)
 R12 = free_truncated_algebra(1, 2)
@@ -229,7 +239,7 @@ class TestGroups:
         lifted = prolong_group(law, R11)
         rng = random.Random(7)
         pts = [random_r11_point(rng) for _ in range(3)]
-        assert lifted.verify_axioms(pts)
+        assert verify_axioms(lifted, pts)
 
     def test_identity_point_is_neutral(self):
         law = heisenberg()
@@ -258,7 +268,7 @@ class TestGroups:
                 for i in range(3)
             ]
             assert [img.coordinates[1] for img in prod.images] == expected
-            assert [img.augmentation() for img in prod.images] == law.multiply_points(pb, qb)
+            assert [img.augmentation() for img in prod.images] == multiply_points(law, pb, qb)
 
     def test_law_checks_reach_the_degree_of_each_composition(self):
         # A wrong inverse shows only at degree deg(law) * deg(inverse) = 3,
@@ -281,7 +291,7 @@ class TestGroups:
             [0, 0],
             [P("-x", 2), P("-y", 2)],
         )
-        assert law.multiply_points([1, 0], [1, 0]) == [2, 2**k - 2]
+        assert multiply_points(law, [1, 0], [1, 0]) == [2, 2**k - 2]
 
     @staticmethod
     def spy_bounds(monkeypatch) -> list:
@@ -340,7 +350,7 @@ class TestGroups:
         assert bounds == [2, 2, 4, 6]
         # A point times its inverse is the identity.
         point = [1, 2, 3, 4, 5, 6]
-        assert group.multiply_points(point, group.invert_point(point)) == [0] * n
+        assert multiply_points(group, point, invert_point(group, point)) == [0] * n
 
     def test_inverse_adjoint_formula(self):
         law = heisenberg()
@@ -349,7 +359,7 @@ class TestGroups:
         for _ in range(4):
             p = random_r11_point(rng)
             pb = list(p.base_point)
-            pinv = law.invert_point(pb)
+            pinv = invert_point(law, pb)
             dp = [img.coordinates[1] for img in p.images]
             inv_point = lifted.inverse(p)
             assert [img.augmentation() for img in inv_point.images] == pinv
@@ -418,3 +428,89 @@ class TestTangentCorrespondence:
         assert tangent_correspondence_check(
             P("x^2 y - y^2", 2), pt, [P("y", 2), P("x + y", 2)]
         )
+
+
+class TestPointPowerCache:
+    """One power cache per A-point, built on first use and shared by every
+    polynomial evaluated there; evaluation shifts no polynomial."""
+
+    @staticmethod
+    def spy_builds(monkeypatch) -> list:
+        built = []
+        original = WeilAlgebra._power_numerators
+
+        def spy(algebra, factors):
+            built.append(algebra)
+            return original(algebra, factors)
+
+        def no_shift(*args, **kwargs):
+            raise AssertionError("evaluation shifted a polynomial")
+
+        monkeypatch.setattr(WeilAlgebra, "_power_numerators", spy)
+        monkeypatch.setattr(TruncatedPolynomial, "shift", no_shift)
+        return built
+
+    @staticmethod
+    def run(bind: str, run: str) -> None:
+        report = execute(parse_session(f'{{"bind": [{bind}], "run": [{run}]}}'))
+        assert all(entry["ok"] for entry in report.results)
+
+    A = '{"algebra": "A", "vars": 1, "relations": ["x^2"]}'
+
+    def test_two_evaluations_at_a_bound_point_build_it_once(self, monkeypatch):
+        built = self.spy_builds(monkeypatch)
+        self.run(
+            self.A + ', {"apoint": "P", "algebra": "A", "images": [["3", "1"], ["0", "2"]]}',
+            '{"op": "evaluate", "of": "P", "poly": "x^2 y"},'
+            ' {"op": "evaluate", "of": "P", "poly": "x - y^3"}',
+        )
+        assert len(built) == 1
+
+    def test_group_product_builds_it_once_for_its_joint_point(self, monkeypatch):
+        built = self.spy_builds(monkeypatch)
+        self.run(
+            self.A + ', {"group": "G", "dim": 3, "law": ["x1 + x4", "x2 + x5", "x3 + x6 + x1 x5"],'
+            ' "identity": ["0", "0", "0"], "inverse": ["-x1", "-x2", "-x3 + x1 x2"]}',
+            '{"op": "group_product", "group": "G", "algebra": "A",'
+            ' "p": [["1", "2"], ["0", "1"], ["2", "0"]], "q": [["-1", "0"], ["1", "1"], ["0", "3"]]}',
+        )
+        assert len(built) == 1
+
+    def test_weil_check_builds_it_once_for_its_stage_point(self, monkeypatch):
+        built = self.spy_builds(monkeypatch)
+        self.run(
+            self.A + ', {"algebra": "B", "vars": 1, "relations": ["x^3"], "bound": 3}',
+            '{"op": "weil_check", "a": "A", "b": "B", "vars": 2, "poly": "x^2 y",'
+            ' "point": [[["1", "2", "0"], ["1/2", "1", "3"]], [["2", "0", "1"], ["1", "1", "0"]]]}',
+        )
+        # Route 1 builds one cache over the tensor algebra, route 2 one over B.
+        assert len(built) == 2 and built[0] is not built[1]
+        assert built[1].dimension == 3
+
+    @pytest.mark.parametrize("base", [0, 2], ids=["zero base", "nonzero base"])
+    def test_repeat_evaluations_agree_with_a_fresh_point_and_the_reference(self, base, monkeypatch):
+        self.spy_builds(monkeypatch)
+        algebra = free_truncated_algebra(2, 3)
+        images = [[base, 1, "1/2", 0, 3, 0, 0, 0, 0, -1], [-base, 0, 2, "2/3", 0, 0, 1, 0, 0, 0]]
+        point = apoint(algebra, images)
+        # Terms of degree past the order: zero at a zero base, not otherwise.
+        f = P("x^3 y - 2 x y + 1/3 + x^5", 2)
+        g = P("y^4 - 3/2 x^2 + 5 x^2 y^2", 2)
+        for h in (f, g, f):
+            value = evaluate(h, point)
+            assert value == evaluate(h, apoint(algebra, images))
+            assert value.row == ref_evaluate_free(h, point)
+
+    def test_zero_base_point_never_walks_past_the_order(self):
+        order_one = free_truncated_algebra(1, 1)
+        f = P("x1^40", 6)
+        assert evaluate(f, apoint(order_one, [[0, 1]] * 6)).row == {}
+        with pytest.raises(WindowTooLargeError, match=re.escape("degree <= 40 in 6 variables")):
+            evaluate(f, apoint(order_one, [[1, 1]] * 6))
+
+    def test_nonzero_base_names_the_degree_the_value_reaches(self):
+        # The walk would first meet x1^9; the value reaches degree 10.
+        algebra = free_truncated_algebra(1, 10)
+        point = apoint(algebra, [[1, 1] + [0] * 9] * 10)
+        with pytest.raises(WindowTooLargeError, match=re.escape("degree <= 10 in 10 variables")):
+            evaluate(P("x1^9 + x1^10", 10), point)

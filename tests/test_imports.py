@@ -5,6 +5,8 @@ Every import sits at module level, and every module-level import is used.
 module-level function or class is referenced somewhere in the package
 outside its own definition; a re-export does not count.  The one exception
 is :data:`AWAITING_OPS`, paper constructions that no session op reaches yet.
+Every non-dunder method of a module-level class is likewise read by name or
+attribute outside its own body, apart from :data:`AWAITING_METHODS`.
 """
 
 import ast
@@ -22,6 +24,17 @@ AWAITING_OPS = {
     "factor_epimorphism": "two regular A-points at a point differ by an automorphism of the source",
     "tangent_correspondence_check": "Weil's identification of R[eps]-points with tangent vectors",
     "power_jet": "the jet m^k at a point, the model jet whose derived jet is m^(k-1)",
+}
+
+# Methods that only the tests read, each waiting to be wired into an op or to
+# leave the package; an entry leaves the dict when it gets a package reader.
+AWAITING_METHODS = {
+    "Subspace.pivots": "the pivot columns, read by the echelon oracles in the tests",
+    "CotangentModule.differential": "the paper's cotangent differential d_p f, for an optional "
+    "poly key on the cotangent op",
+    "AlgebraMorphism.is_identity": "the automorphism tests compose a morphism with its inverse",
+    "IdealStabilityReport.projected_derivations": "the derivations of A/J, compared with a "
+    "dense oracle in the tests",
 }
 
 
@@ -110,6 +123,25 @@ def _dead_helpers(trees: dict[str, ast.Module], public: bool = False) -> list[st
     return dead
 
 
+def _dead_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """``Class.method`` for each non-dunder method of a module-level class that
+    no code outside the method's own body reads, by name or as an attribute."""
+    total = sum((_reference_counts(tree) for tree in trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if total[node.name] == _reference_counts(node)[node.name]:
+                    dead.append(f"{module}: {cls.name}.{node.name}")
+    return dead
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert _local_imports(_tree(path)) == []
@@ -151,6 +183,12 @@ def test_no_dead_public_names():
     assert sorted(entry.split(": ")[1] for entry in dead) == sorted(AWAITING_OPS)
 
 
+def test_no_dead_methods():
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    dead = _dead_methods(trees)
+    assert sorted(entry.split(": ")[1] for entry in dead) == sorted(AWAITING_METHODS)
+
+
 def test_dead_helper_check_catches_unreferenced_helpers():
     trees = {
         "a.py": ast.parse(
@@ -183,3 +221,18 @@ def test_dead_helper_check_catches_unreferenced_helpers():
         "c.py: mat_vec",
         "c.py: Dense",
     ]
+    # Methods: one read by another method, one read only through an attribute
+    # in another module, one read only by its own recursion, one read by
+    # nothing, and dunders, which the language reads.
+    trees["d.py"] = ast.parse(
+        "class Point:\n"
+        "    def __eq__(self, other): return self.norm() == other.norm()\n"
+        "    def norm(self): return self._square()\n"
+        "    def _square(self): return 0\n"
+        "    @property\n"
+        "    def base(self): return 0\n"
+        "    def walk(self, n): return self.walk(n - 1) if n else 0\n"
+        "    def unused(self): return 1\n"
+    )
+    trees["e.py"] = ast.parse("from d import Point\nprint(Point().base)\n")
+    assert _dead_methods(trees) == ["d.py: Point.walk", "d.py: Point.unused"]

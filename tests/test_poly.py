@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,85 @@ from weiljets.poly import (
 )
 
 from conftest import P
+
+
+# -- a reference parser: one Fraction per sign and per coefficient token --------
+
+_REF_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([a-zA-Z]\w*)|(\^|\*\*)|(\*)|([+-]))")
+
+
+def reference_parse(text, n, bound=None):
+    """(bound, {exponent: coefficient}) of the term syntax, or the error the
+    parser must raise: the same walk as the documented grammar, with every
+    sign, token and product a ``Fraction``."""
+    names = {f"x{i + 1}": i for i in range(n)}
+    if n <= 3:
+        names.update({alias: i for i, alias in enumerate("xyz"[:n])})
+    coeffs, sign, pending, pos = {}, Fraction(1), None, 0
+
+    def flush():
+        if pending is not None:
+            exp = tuple(pending[1])
+            coeffs[exp] = coeffs.get(exp, Fraction(0)) + pending[0]
+
+    text = text.strip()
+    if not text:
+        return ValueError("empty polynomial text")
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if not m:
+            return ValueError(f"cannot parse polynomial near {text[pos:pos + 12]!r}")
+        pos = m.end()
+        number, name, power_op, times, sign_text = m.groups()
+        if sign_text:
+            flush()
+            pending, sign = None, Fraction(1 if sign_text == "+" else -1)
+        elif times:
+            if pending is None:
+                return ValueError("unexpected '*'")
+        elif power_op:
+            return ValueError("unexpected exponent operator")
+        elif number:
+            try:
+                value = Fraction(number)
+            except ZeroDivisionError:
+                return ValueError(f"zero denominator in {number!r}")
+            except ValueError as exc:  # more digits than int reads
+                return exc
+            if pending is None:
+                pending, sign = [sign * value, [0] * n], Fraction(1)
+            else:
+                pending[0] *= value
+        else:
+            if name not in names:
+                return ValueError(f"unknown variable {name!r} for {n} variables")
+            power = 1
+            pm = _REF_TOKEN.match(text, pos)
+            if pm and pm.group(3):
+                em = _REF_TOKEN.match(text, pm.end())
+                if not em or not em.group(1) or "/" in em.group(1):
+                    return ValueError("exponent must be a non-negative integer")
+                power, pos = int(em.group(1)), em.end()
+            if pending is None:
+                pending, sign = [sign, [0] * n], Fraction(1)
+            pending[1][names[name]] += power
+    flush()
+    if bound is None:
+        bound = max((sum(e) for e in coeffs), default=0)
+    return bound, {e: c for e, c in coeffs.items() if c and sum(e) <= bound}
+
+
+# Well-formed pieces, then pieces that make an error where they land.  The
+# digits include Arabic-Indic and fullwidth ones, which \d also matches.
+_PIECES = ["0", "1", "2", "12", "3/4", "6/8", "0/5", "\u0663", "\u0661/\u0662", "\uff15",
+           "x", "y", "z", "x1", "x2", "x4", "x^2", "y^3", "x**2", "*", "+", "-"]
+_FAULTS = ["3/0", "3/\u0660", "^", "**", "w", "@", "x^y", "x^1/2"]
+
+
+def _texts(pieces):
+    return st.lists(
+        st.tuples(st.sampled_from(pieces), st.sampled_from(["", " "])), max_size=9
+    ).map(lambda parts: "".join(p + gap for p, gap in parts))
 
 
 class TestParseFormat:
@@ -37,6 +117,34 @@ class TestParseFormat:
 
     def test_format_orders_terms_by_degree(self):
         assert format_polynomial(P("x^2 + 1 + x", 1)) == "1 + x + x^2"
+
+    @pytest.mark.parametrize(
+        "text", ["2 x - 2 x + y^2", "x^2 - x^2 + 3/6 x", "-3 * 4/6 x y 5", "3/0 x", "x ** 2",
+                 "**", "\u0663/\u0664 x", "x^\u0662", "1" * 5000 + " x", "2/" + "\u0661" * 4400],
+        ids=lambda text: repr(text) if len(text) < 20 else f"{len(text)} characters",
+    )
+    def test_agrees_with_the_reference_parser(self, text):
+        assert_parse_agrees(text, 2, None)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(_texts(_PIECES), _texts(_PIECES + _FAULTS)),
+        st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 4)),
+    )
+    def test_agrees_with_the_reference_parser_on_drawn_text(self, text, n, bound):
+        assert_parse_agrees(text, n, bound)
+
+
+def assert_parse_agrees(text, n, bound):
+    expected = reference_parse(text, n, bound)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as err:
+            parse_polynomial(text, n, bound)
+        assert str(err.value) == str(expected)
+    else:
+        f = parse_polynomial(text, n, bound)
+        assert (f.variable_count, f.degree_bound, f.coefficients) == (n, *expected)
 
 
 def fraction_or_error(text):
