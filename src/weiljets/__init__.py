@@ -85,7 +85,6 @@ from .apoints import (
     evaluate,
     group_law,
     prolong_group,
-    prolong_ideal,
     prolong_polynomial,
     regularity_and_kernel,
     tangent_correspondence_check,

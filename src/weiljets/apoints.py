@@ -22,10 +22,7 @@ from .monomials import Exponent, _check_window, _power_products
 from .poly import (
     TruncatedPolynomial,
     _add_scaled,
-    _by_degree,
-    _product_numerators,
     _top_weights,
-    _unit,
     as_fraction,
     substitution,
     truncated_product,
@@ -132,60 +129,81 @@ def component_names(algebra: WeilAlgebra, n: int) -> list[str]:
     return [f"{base[i]}{alpha}" for i in range(n) for alpha in range(algebra.dimension)]
 
 
-def prolong_polynomial(
-    f: TruncatedPolynomial, algebra: WeilAlgebra
-) -> list[TruncatedPolynomial]:
-    """Real components of f at the generic A-point, as exact polynomials.
+def _times_variable(m: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The index key of the monomial m times the variable v.
 
-    Elements of the coefficient ring tensored with A are kept as one integer
-    numerator dict (in the n*dim component variables) per basis monomial.
-    The generic image of x_i has the single variable x_(i*dim + alpha) as its
-    component alpha, so a product of k images lies over ``_mult_den**k``.
+    An index key is the flat tuple ``(v1, -k1, v2, -k2, ...)`` of a monomial's
+    variables, ascending, each followed by its negated power; within one
+    degree, plain tuple order is then the layout order.
     """
-    n = f.variable_count
-    d = algebra.dimension
-    bound = max(f.degree(), 1)
-    total = n * d
-    images = [
-        [_by_degree([(_unit(total, i * d + alpha), 1)]) for alpha in range(d)] for i in range(n)
-    ]
+    for j in range(0, len(m), 2):
+        w = m[j]
+        if w == v:
+            return m[: j + 1] + (m[j + 1] - 1,) + m[j + 2 :]
+        if w > v:
+            return m[:j] + (v, -1) + m[j:]
+    return m + (v, -1)
 
-    def mul(u: list[dict[Exponent, int]], v: list[list]) -> list[dict[Exponent, int]]:
-        """Product in (polynomials) (x) A on numerators, through the table."""
-        out: list[dict[Exponent, int]] = [{} for _ in range(d)]
+
+def _prolonged_numerators(
+    f: TruncatedPolynomial, algebra: WeilAlgebra
+) -> tuple[list[dict[tuple[int, ...], int]], int]:
+    """Real components of f at the generic A-point, as numerators over one denominator.
+
+    One ``{index key: numerator}`` dict per basis monomial, in the n*dim
+    component variables (see :func:`_times_variable`).  Component b of the
+    generic image of x_i is the single variable ``i*dim + b``, so multiplying
+    by an image moves each monomial by one variable through the table; a
+    product of k images lies over ``_mult_den**k`` and has degree k <= deg f.
+    """
+    d = algebra.dimension
+
+    def mul(u: list[dict[tuple[int, ...], int]], i: int) -> list[dict[tuple[int, ...], int]]:
+        """u times the generic image of x_i, on numerators, through the table."""
+        out: list[dict[tuple[int, ...], int]] = [{} for _ in range(d)]
+        first = i * d
         for ua, row in zip(u, algebra._mult):
             if not ua:
                 continue
             left = ua.items()
             for b, entries in row.items():
-                vb = v[b]
-                if not vb:
-                    continue
-                prod = _product_numerators(left, vb, bound).items()
+                v = first + b
+                moved = [(_times_variable(m, v), c) for m, c in left]
                 for g, t in entries:
-                    _add_scaled(out[g], t, prod)
+                    _add_scaled(out[g], t, moved)
         return out
 
-    one: list[dict[Exponent, int]] = [{(0,) * total: 1}] + [{} for _ in range(d - 1)]
-    power_product = _power_products(one, images, mul)
+    one: list[dict[tuple[int, ...], int]] = [{(): 1}] + [{} for _ in range(d - 1)]
+    power_product = _power_products(one, range(f.variable_count), mul)
     weights, den = _top_weights(f.coefficients.items(), algebra._mult_den)
-    out: list[dict[Exponent, int]] = [{} for _ in range(d)]
+    out: list[dict[tuple[int, ...], int]] = [{} for _ in range(d)]
     for exp, w in weights:
         for acc, component in zip(out, power_product(exp)):
             _add_scaled(acc, w, component.items())
-    return [TruncatedPolynomial._from_numerators(total, bound, o, den) for o in out]
+    return out, den
 
 
-def prolong_ideal(
-    generators: Sequence[TruncatedPolynomial], algebra: WeilAlgebra
-) -> list[list[TruncatedPolynomial]]:
-    """Per generator, the list of its real-component polynomials.
+def prolong_polynomial(
+    f: TruncatedPolynomial, algebra: WeilAlgebra
+) -> list[TruncatedPolynomial]:
+    """Real components of f at the generic A-point, as exact polynomials.
 
-    The components live on the n*dim(A) coordinates of the A-point space; a
-    concrete A-point kills all of them exactly when every generator
-    evaluates to zero there.
+    The component variables x_(i*dim + alpha) are ordered as
+    :func:`component_names`; each index key becomes a dense exponent once.
     """
-    return [prolong_polynomial(f, algebra) for f in generators]
+    components, den = _prolonged_numerators(f, algebra)
+    total = f.variable_count * algebra.dimension
+    bound = max(f.degree(), 1)
+    polys = []
+    for numerators in components:
+        dense = {}
+        for m, c in numerators.items():
+            e = [0] * total
+            for v, k in zip(m[::2], m[1::2]):
+                e[v] = -k
+            dense[tuple(e)] = c
+        polys.append(TruncatedPolynomial._from_numerators(total, bound, dense, den))
+    return polys
 
 
 # -- Weil's theorem check -----------------------------------------------------------

@@ -521,8 +521,9 @@ def parse_polynomial(
     return TruncatedPolynomial(variable_count, bound, coeffs)
 
 
-# A few hundred entries hold the bases and windows a session reports; the bound
-# keeps the one-off exponents of large polynomials (prolongations) from piling up.
+# A few hundred entries hold the bases and windows a session reports.  Prolonged
+# components, whose monomials in n*dim variables rarely repeat, are formatted
+# from their index keys by _format_index_terms and never come here.
 @lru_cache(maxsize=256)
 def _monomial_text(exp: Exponent) -> str:
     """The factors of x^exp, space-separated; "" for the constant monomial."""
@@ -530,11 +531,10 @@ def _monomial_text(exp: Exponent) -> str:
     return " ".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, exp) if k)
 
 
-def _format_terms(terms: Iterable[tuple[Exponent, Fraction]]) -> str:
-    """Canonical text of nonzero ``(exponent, coefficient)`` terms in layout order."""
+def _format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """Canonical text of nonzero ``(monomial text, coefficient)`` terms in layout order."""
     pieces: list[str] = []
-    for exp, c in terms:
-        factors = _monomial_text(exp)
+    for factors, c in terms:
         num, den = c.numerator, c.denominator
         if factors and den == 1 and (num == 1 or num == -1):
             body = factors
@@ -551,9 +551,25 @@ def _format_terms(terms: Iterable[tuple[Exponent, Fraction]]) -> str:
 def _format_row(row: Mapping[int, Fraction], monomials: Sequence[Exponent]) -> str:
     """Text of sum_k row[k] x^monomials[k], with no polynomial built; ``monomials``
     is in layout order (a window or a basis), so sorted keys give layout order."""
-    return _format_terms([(monomials[k], row[k]) for k in sorted(row)])
+    return _format_terms([(_monomial_text(monomials[k]), row[k]) for k in sorted(row)])
+
+
+def _format_index_terms(
+    numerators: Mapping[tuple[int, ...], int], den: int, names: Sequence[str]
+) -> str:
+    """Text of sum_m numerators[m] / den x^m over index keys ``(v1, -k1, ...)``,
+    with no polynomial built; ``names[v]`` names variable v.  Within one degree
+    tuple order is the layout order, so a sort and a stable sort by degree give
+    the layout, as in :meth:`TruncatedPolynomial.terms`."""
+    keys = sorted(m for m, c in numerators.items() if c)
+    keys.sort(key=lambda m: -sum(m[1::2]))
+    terms = []
+    for m in keys:
+        factors = (names[v] if k == -1 else f"{names[v]}^{-k}" for v, k in zip(m[::2], m[1::2]))
+        terms.append((" ".join(factors), Fraction(numerators[m], den)))
+    return _format_terms(terms)
 
 
 def format_polynomial(f: TruncatedPolynomial) -> str:
     """Canonical text form, terms in the layout order."""
-    return _format_terms(f.terms())
+    return _format_terms([(_monomial_text(e), c) for e, c in f.terms()])

@@ -22,13 +22,13 @@ from math import comb, gcd
 from typing import Any, Callable, NamedTuple
 
 from .apoints import (
+    _prolonged_numerators,
     APoint,
     GroupLaw,
     apoint,
     component_names,
     evaluate,
     group_law,
-    prolong_ideal,
     prolong_group,
     regularity_and_kernel,
     weil_iso_check,
@@ -52,10 +52,12 @@ from .jets import (
 from .monomials import window
 from .poly import (
     TruncatedPolynomial,
+    _format_index_terms,
     _format_row,
     as_fraction,
     format_polynomial,
     parse_polynomial,
+    variable_names,
 )
 from .subspace import Echelon
 from .weil import (
@@ -540,11 +542,12 @@ def _op_kernel(of: APoint) -> dict:
 
 
 def _op_prolong(algebra: WeilAlgebra, vars: int, ideal=()) -> dict:
-    prolonged = prolong_ideal(ideal, algebra)
-    return {
-        "coordinates": component_names(algebra, vars),
-        "components": [[format_polynomial(c) for c in comps] for comps in prolonged],
-    }
+    names = variable_names(vars * algebra.dimension)
+    components = []
+    for f in ideal:
+        numerators, den = _prolonged_numerators(f, algebra)
+        components.append([_format_index_terms(c, den, names) for c in numerators])
+    return {"coordinates": component_names(algebra, vars), "components": components}
 
 
 def _op_weil_check(a: WeilAlgebra, b: WeilAlgebra, vars: int, poly, point: list) -> dict:

@@ -220,10 +220,6 @@ class Subspace:
         )
 
     @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(self.rows)
-
-    @property
     def dimension(self) -> int:
         return len(self.rows)
 

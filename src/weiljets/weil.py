@@ -554,8 +554,7 @@ class DerivationSpace:
 
     The relation rows are all the dimension, the tangent presentation, the
     stability check and the session report read.  The Leibniz action on the
-    whole basis (``columns``) is built on first read; only
-    :attr:`IdealStabilityReport.projected_derivations` reads it."""
+    whole basis (``columns``) is built on first read."""
 
     algebra: WeilAlgebra
     relations: Subspace
@@ -648,11 +647,6 @@ class AlgebraMorphism:
             raise DimensionMismatchError("morphisms do not compose")
         return algebra_morphism(
             inner.source, self.target, [self.apply(img) for img in inner.images]
-        )
-
-    def is_identity(self) -> bool:
-        return self.source == self.target and all(
-            col == {b: _ONE} for b, col in enumerate(self.columns)
         )
 
     def linear_part(self) -> list[list[Fraction]]:
@@ -915,8 +909,7 @@ def invert_substitution(phi: AlgebraMorphism) -> AlgebraMorphism:
 class IdealStabilityReport:
     """Outcome of the derivation-level (and optional group-level) checks.
 
-    ``der_stable`` and ``witness`` come from the generators of the ideal;
-    :attr:`projected_derivations` is built on first read."""
+    ``der_stable`` and ``witness`` come from the generators of the ideal."""
 
     algebra: WeilAlgebra
     ideal: Subspace
@@ -927,24 +920,6 @@ class IdealStabilityReport:
         "derivation stability is the infinitesimal criterion; it matches the "
         "full automorphism-group condition only up to the connected component"
     )
-
-    @cached_property
-    def projected_derivations(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...] | None:
-        """Per derivation, the induced map on A/I (rows index the output); None
-        unless stable.  Reads the Leibniz action :attr:`DerivationSpace.columns`."""
-        if not self.der_stable:
-            return None
-        # Entry (out, in) of the induced map on A/I, read off the remainder
-        # of each complement column against the ideal's echelon.
-        complement = self.ideal.free_columns()
-        span = self.ideal.echelon()
-        proj = []
-        for columns in derivation_space(self.algebra).columns:
-            reduced = [span.reduce(columns[c_in]) for c_in in complement]
-            proj.append(
-                tuple(tuple(r.get(c_out, _ZERO) for r in reduced) for c_out in complement)
-            )
-        return tuple(proj)
 
 
 def ideal_stability(

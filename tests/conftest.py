@@ -7,7 +7,7 @@ from weiljets.jets import jet_from_ideal
 from weiljets.monomials import window, window_size
 from weiljets.poly import TruncatedPolynomial, parse_polynomial
 from weiljets.subspace import Echelon, sparse
-from weiljets.weil import quotient_algebra
+from weiljets.weil import derivation_space, quotient_algebra
 
 
 def P(text, n, bound=None):
@@ -167,6 +167,36 @@ def verify_axioms(group, points) -> bool:
         for q in points
         for s in points
     )
+
+
+# -- views of package values that only the tests read ------------------------------
+
+
+def pivots(subspace) -> tuple:
+    """The pivot columns of a subspace, in the order of its rows."""
+    return tuple(subspace.rows)
+
+
+def is_identity(phi) -> bool:
+    """Whether an algebra morphism is the identity of its source."""
+    return phi.source == phi.target and all(
+        col == {b: Fraction(1)} for b, col in enumerate(phi.columns)
+    )
+
+
+def projected_derivations(report):
+    """Per derivation, the induced map on A/I (rows index the output), read off
+    the remainder of each complement column of the Leibniz action against the
+    ideal's echelon; None unless the report found the ideal stable."""
+    if not report.der_stable:
+        return None
+    complement = report.ideal.free_columns()
+    span = report.ideal.echelon()
+    proj = []
+    for columns in derivation_space(report.algebra).columns:
+        reduced = [span.reduce(columns[c_in]) for c_in in complement]
+        proj.append(tuple(tuple(r.get(c_out, ZERO) for r in reduced) for c_out in complement))
+    return tuple(proj)
 
 
 # -- dense views of the package's sparse forms ------------------------------------

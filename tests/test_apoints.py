@@ -12,7 +12,6 @@ from weiljets.apoints import (
     component_names,
     evaluate,
     group_law,
-    prolong_ideal,
     prolong_group,
     prolong_polynomial,
     regularity_and_kernel,
@@ -157,18 +156,18 @@ class TestCartesianProduct:
 
 class TestProlongIdeal:
     def test_first_prolongation_of_parabola(self):
-        comps = prolong_ideal([P("y - x^2", 2)], R11)[0]
+        comps = prolong_polynomial(P("y - x^2", 2), R11)
         assert component_names(R11, 2) == ["x0", "x1", "y0", "y1"]
         texts = [format_polynomial(c) for c in comps]
         # Coordinates are x0, x1, y0, y1 in that order (x3 = y0, x4 = y1).
         assert texts == ["x3 - x1^2", "x4 - 2 x1 x2"]
 
     def test_linear_ideal(self):
-        comps = prolong_ideal([P("x", 1)], R11)[0]
+        comps = prolong_polynomial(P("x", 1), R11)
         assert [format_polynomial(c) for c in comps] == ["x", "y"]
 
     def test_second_order_prolongation(self):
-        comps = prolong_ideal([P("y - x^2", 2)], R12)[0]
+        comps = prolong_polynomial(P("y - x^2", 2), R12)
         texts = [format_polynomial(c) for c in comps]
         assert texts == [
             "x4 - x1^2",
@@ -179,7 +178,7 @@ class TestProlongIdeal:
     def test_vanishing_iff_generators_vanish(self):
         rng = random.Random(5)
         gens = [P("y - x^2", 2)]
-        comps = prolong_ideal(gens, R11)[0]
+        comps = prolong_polynomial(gens[0], R11)
         for _ in range(6):
             pt = random_r11_point(rng, dim=2)
             coords = [c for img in pt.images for c in img.coordinates]

@@ -29,12 +29,8 @@ AWAITING_OPS = {
 # Methods that only the tests read, each waiting to be wired into an op or to
 # leave the package; an entry leaves the dict when it gets a package reader.
 AWAITING_METHODS = {
-    "Subspace.pivots": "the pivot columns, read by the echelon oracles in the tests",
     "CotangentModule.differential": "the paper's cotangent differential d_p f, for an optional "
     "poly key on the cotangent op",
-    "AlgebraMorphism.is_identity": "the automorphism tests compose a morphism with its inverse",
-    "IdealStabilityReport.projected_derivations": "the derivations of A/J, compared with a "
-    "dense oracle in the tests",
 }
 
 

@@ -12,28 +12,34 @@ the kernels' common denominators and their powers grow.
 """
 
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weiljets import jets, poly
+from weiljets import apoints, jets, poly
 from weiljets.apoints import (
     apoint,
+    component_names,
     evaluate,
     prolong_polynomial,
     regularity_and_kernel,
 )
 from weiljets.errors import DimensionMismatchError, WindowTooLargeError
 from weiljets.jets import jet_from_ideal, normal_form
-from weiljets.monomials import window
+from weiljets.monomials import monomial_sort_key, window
 from weiljets.poly import (
     TruncatedPolynomial,
+    format_polynomial,
+    parse_polynomial,
     substitution,
     truncated_product,
     truncated_substitute,
+    variable_names,
 )
+from weiljets.session import _op_prolong
 from weiljets.weil import free_truncated_algebra, quotient_algebra
 
 from conftest import P, canonical_basis, ref_product, ref_substitute, structure_constants
@@ -317,6 +323,68 @@ def test_prolonged_components_match_expansion(case):
     coords = [c for img in apoint(algebra, images).images for c in img.coordinates]
     got = tuple(f.evaluate(coords) for f in components)
     assert got == ref_value(f, algebra, images)
+
+
+@st.composite
+def index_keys(draw):
+    """(n, exponents, keys): distinct dense exponents and their index keys, each
+    key made by multiplying its variables onto () in a drawn order."""
+    n = draw(st.integers(1, 12))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=12, unique=True))
+    keys = []
+    for e in exps:
+        factors = draw(st.permutations([v for v, k in enumerate(e) for _ in range(k)]))
+        key = ()
+        for v in factors:
+            key = apoints._times_variable(key, v)
+        keys.append(key)
+    return n, exps, keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_keys())
+def test_index_keys_format_in_layout_order(case):
+    # Each key names its exponent, and the index formatter writes the terms in
+    # the order of monomial_sort_key: a distinct coefficient per term shows it.
+    n, exps, keys = case
+    for e, key in zip(exps, keys):
+        assert key == tuple(x for v, k in enumerate(e) if k for x in (v, -k))
+    ordered = sorted(exps, key=monomial_sort_key)
+    numerators = {key: ordered.index(e) + 1 for e, key in zip(exps, keys)}
+    expected = poly._format_terms(
+        [(poly._monomial_text(e), Fraction(j + 1, 7)) for j, e in enumerate(ordered)]
+    )
+    assert poly._format_index_terms(numerators, 7, variable_names(n)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_case())
+@example((BINOMIAL, 1, {(2,): Fraction(1, 2)}, [[1, 2, -1, 0, 0, 0, 0]]))
+def test_prolong_op_texts_parse_to_the_components(case):
+    algebra, n, f, _ = case
+    f = TruncatedPolynomial(n, 3, f)
+    report = _op_prolong(algebra, n, [f])
+    assert report["coordinates"] == component_names(algebra, n)
+    (texts,) = report["components"]
+    expected = prolong_polynomial(f, algebra)
+    assert [parse_polynomial(t, n * algebra.dimension) for t in texts] == expected
+
+
+def test_deep_prolongation_stays_small():
+    # An index key grows with the variables of a monomial, not with its
+    # degree: the 2,999 cached powers of x over R_1^1 hold two short keys each.
+    f, r11 = P("x^2999 - 1", 1), free_truncated_algebra(1, 1)
+    tracemalloc.start()
+    try:
+        components = prolong_polynomial(f, r11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert [format_polynomial(c) for c in components] == ["-1 + x^2999", "2999 x^2998 y"]
+    assert _op_prolong(r11, 1, [f])["components"] == [["-1 + x^2999", "2999 x^2998 y"]]
+    with pytest.raises(WindowTooLargeError, match="window of degree <= 5000 in 1 variables"):
+        _op_prolong(r11, 1, [P("x^5000", 1)])
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,7 +31,7 @@ from weiljets.weil import (
     quotient_algebra,
 )
 
-from conftest import LADDER, P, canonical_basis, ladder_jet, ref_substitute
+from conftest import LADDER, P, canonical_basis, is_identity, ladder_jet, ref_substitute
 
 ALGEBRAS = [
     free_truncated_algebra(1, 3),
@@ -161,8 +161,8 @@ def test_invert_substitution_two_variables_round_trip():
         r23, r23, [x * 2 + y + x * y - y * y * y, x - y + x * x * Fraction(1, 2)]
     )
     inv = invert_substitution(phi)
-    assert phi.compose(inv).is_identity()
-    assert inv.compose(phi).is_identity()
+    assert is_identity(phi.compose(inv))
+    assert is_identity(inv.compose(phi))
 
 
 # Substitutions with terms in every degree up to 4; each pass of the inverter
@@ -183,8 +183,8 @@ def test_invert_substitution_round_trip_at_every_order(n, order):
         [algebra.project_polynomial(P(s, n, 4)) for s in SUBSTITUTIONS[n]],
     )
     inv = invert_substitution(phi)
-    assert phi.compose(inv).is_identity()
-    assert inv.compose(phi).is_identity()
+    assert is_identity(phi.compose(inv))
+    assert is_identity(inv.compose(phi))
 
 
 # -- the inverter stops at its fixed point ------------------------------------------

@@ -22,6 +22,7 @@ from conftest import (
     contains_dense,
     membership_rows,
     nullspace,
+    pivots,
     subspace_sum,
 )
 
@@ -49,7 +50,7 @@ class TestCanonicalBasis:
         assert det != 0
         s = canonical_basis(rows, 3)
         assert s.dimension == 3
-        assert s.pivots == (0, 1, 2)
+        assert pivots(s) == (0, 1, 2)
 
     def test_idempotent(self):
         s = canonical_basis([(1, 2, 3), (0, 1, 1)], 3)
@@ -226,7 +227,7 @@ def _oracle_rref(qq, rows, ncols):
 def test_canonical_basis_matches_sympy_rref(qq, matrix):
     ncols, rows = matrix
     s = canonical_basis(rows, ncols)
-    assert (list(basis(s)), s.pivots) == _oracle_rref(qq, rows, ncols)
+    assert (list(basis(s)), pivots(s)) == _oracle_rref(qq, rows, ncols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,7 +280,7 @@ def test_nullspace_matches_sympy(qq, matrix):
     kernel = from_domain(to_domain(rows, ncols).nullspace())
     expected = _oracle_rref(qq, kernel, ncols) if kernel else ([], ())
     k = nullspace(rows, ncols)
-    assert (list(basis(k)), k.pivots) == expected
+    assert (list(basis(k)), pivots(k)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,7 +300,7 @@ def test_nullspace_with_untouched_columns_matches_sympy(qq, matrix, data):
     kernel = from_domain(to_domain(padded, width).nullspace())
     expected = _oracle_rref(qq, kernel, width) if kernel else ([], ())
     k = nullspace(padded, width)
-    assert (list(basis(k)), k.pivots) == expected
+    assert (list(basis(k)), pivots(k)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,9 +365,9 @@ def test_stored_rows_are_reduced_and_exact(case):
     s = canonical_basis(rows, n)  # integer input must come out as Fractions
     assert all(type(a) is Fraction for r in basis(s) for a in r)
     assert all(type(a) is Fraction and a != 0 for r in s.rows.values() for a in r.values())
-    assert list(s.pivots) == sorted(set(s.pivots))
-    assert list(s.rows) == list(s.pivots)
-    for i, (r, p) in enumerate(zip(basis(s), s.pivots)):
+    assert list(pivots(s)) == sorted(set(pivots(s)))
+    assert list(s.rows) == list(pivots(s))
+    for i, (r, p) in enumerate(zip(basis(s), pivots(s))):
         assert r[p] == 1 and all(a == 0 for a in r[:p])
         assert all(other[p] == 0 for j, other in enumerate(basis(s)) if j != i)
         assert s.rows[p] == {c: a for c, a in enumerate(r) if a}

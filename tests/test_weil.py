@@ -37,8 +37,10 @@ from conftest import (
     contains_dense,
     derivation_matrices,
     generator_images,
+    is_identity,
     mat_vec,
     presentations,
+    projected_derivations,
     rationals,
     ref_product,
     structure_constants,
@@ -291,7 +293,7 @@ class TestFactorEpimorphism:
     def test_equal_inputs_admit_identity(self):
         alpha = algebra_morphism(self.r21, self.r11, [self.eps, self.r11.zero()])
         g = self._check(alpha, alpha)
-        assert g.is_identity()
+        assert is_identity(g)
 
     def test_swap(self):
         alpha = algebra_morphism(self.r21, self.r11, [self.eps, self.r11.zero()])
@@ -324,8 +326,8 @@ class TestFactorEpimorphism:
         r13 = free_truncated_algebra(1, 3)
         phi = algebra_morphism(r13, r13, [r13.element([0, 1, 1, 0])])  # x + x^2
         inv = invert_substitution(phi)
-        assert phi.compose(inv).is_identity()
-        assert inv.compose(phi).is_identity()
+        assert is_identity(phi.compose(inv))
+        assert is_identity(inv.compose(phi))
 
 
 class TestIdealStability:
@@ -333,7 +335,7 @@ class TestIdealStability:
         a = free_truncated_algebra(1, 2)
         report = ideal_stability(a, a.maximal_power(2))
         assert report.der_stable
-        assert report.projected_derivations is not None
+        assert projected_derivations(report) is not None
 
     def test_unstable_principal_ideal(self):
         # In R_2^1 every pair (v_x, v_y) of nilpotents is a derivation, so
