@@ -14,6 +14,7 @@ from .errors import (
     NotEpimorphismError,
     NotInIdealError,
     NotWellDefinedError,
+    OutOfMemoryError,
     SessionError,
     SessionParseError,
     UnknownNameError,

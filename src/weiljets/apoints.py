@@ -14,15 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError
 from .jets import Jet, _kernel_jet
-from .monomials import Exponent, _check_window, _power_products
+from .monomials import _check_window
 from .poly import (
     TruncatedPolynomial,
-    _add_scaled,
-    _top_weights,
+    _Powers,
     as_fraction,
     substitution,
     truncated_product,
@@ -56,9 +55,9 @@ class APoint:
         return tuple(img.augmentation() for img in self.images)
 
     @cached_property
-    def _powers(self) -> tuple[Callable[[Exponent], tuple[tuple[int, int], ...]], int]:
-        """The images' :meth:`WeilAlgebra._power_numerators`, built on first read
-        and shared by every polynomial evaluated at this point."""
+    def _powers(self) -> _Powers:
+        """The point as a ring morphism (:meth:`WeilAlgebra._power_numerators`),
+        built on first read and shared by every polynomial evaluated here."""
         return self.algebra._power_numerators([img.row for img in self.images])
 
     def __repr__(self) -> str:
@@ -97,11 +96,7 @@ def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
         _check_window(f.variable_count, min(algebra.order, f.degree()))
     else:
         terms = [(exp, c) for exp, c in terms if sum(exp) <= algebra.order]
-    power_product, scale = point._powers
-    weights, den = _top_weights(terms, scale)
-    total: dict[int, int] = {}
-    for exp, w in weights:
-        _add_scaled(total, w, power_product(exp))
+    total, den = point._powers.image(terms)
     return AlgebraElement(algebra, _fraction_row(total.items(), den))
 
 
@@ -110,7 +105,7 @@ def regularity_and_kernel(point: APoint) -> tuple[bool, Jet]:
     algebra = point.algebra
     regular = algebra.generated_by([img.row for img in point.images])
     nilpotent = algebra._power_numerators([img.nilpotent_part().row for img in point.images])
-    return regular, _kernel_jet(algebra, point.base_point, point.ambient_dimension, *nilpotent)
+    return regular, _kernel_jet(algebra, point.base_point, point.ambient_dimension, nilpotent)
 
 
 def cartesian_product(p: APoint, q: APoint) -> APoint:
@@ -154,32 +149,30 @@ def _prolonged_numerators(
     component variables (see :func:`_times_variable`).  Component b of the
     generic image of x_i is the single variable ``i*dim + b``, so multiplying
     by an image moves each monomial by one variable through the table; a
-    product of k images lies over ``_mult_den**k`` and has degree k <= deg f.
+    product of k images is flat ``((component, index key), numerator)``
+    pairs over ``_mult_den**k`` and has degree k <= deg f.
     """
     d = algebra.dimension
+    mult = algebra._mult
 
-    def mul(u: list[dict[tuple[int, ...], int]], i: int) -> list[dict[tuple[int, ...], int]]:
+    def mul(u, i: int):
         """u times the generic image of x_i, on numerators, through the table."""
-        out: list[dict[tuple[int, ...], int]] = [{} for _ in range(d)]
+        out: dict[tuple[int, tuple[int, ...]], int] = {}
+        get = out.get
         first = i * d
-        for ua, row in zip(u, algebra._mult):
-            if not ua:
-                continue
-            left = ua.items()
-            for b, entries in row.items():
-                v = first + b
-                moved = [(_times_variable(m, v), c) for m, c in left]
+        for (a, m), c in u:
+            for b, entries in mult[a].items():
+                moved = _times_variable(m, first + b)
                 for g, t in entries:
-                    _add_scaled(out[g], t, moved)
-        return out
+                    key = (g, moved)
+                    out[key] = get(key, 0) + c * t
+        return out.items()
 
-    one: list[dict[tuple[int, ...], int]] = [{(): 1}] + [{} for _ in range(d - 1)]
-    power_product = _power_products(one, range(f.variable_count), mul)
-    weights, den = _top_weights(f.coefficients.items(), algebra._mult_den)
+    powers = _Powers((((0, ()), 1),), range(f.variable_count), mul, algebra._mult_den)
+    numerators, den = powers.image(f.coefficients.items())
     out: list[dict[tuple[int, ...], int]] = [{} for _ in range(d)]
-    for exp, w in weights:
-        for acc, component in zip(out, power_product(exp)):
-            _add_scaled(acc, w, component.items())
+    for (g, m), c in numerators.items():
+        out[g][m] = c
     return out, den
 
 

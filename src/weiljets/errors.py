@@ -45,6 +45,10 @@ class WindowTooLargeError(WeilJetsError):
     """A monomial window is larger than the package will allocate."""
 
 
+class OutOfMemoryError(WeilJetsError):
+    """A command ran out of memory; the session goes on with the next one."""
+
+
 class InternalCheckError(WeilJetsError):
     """An identity the construction guarantees failed to verify; a bug."""
 

@@ -35,6 +35,7 @@ from .monomials import (
 )
 from .poly import (
     TruncatedPolynomial,
+    _Powers,
     as_fraction,
     format_polynomial,
     substitution,
@@ -55,7 +56,6 @@ from .subspace import (
 from .weil import (
     AlgebraElement,
     WeilAlgebra,
-    _fraction_row,
     _identity_substitution,
     _inverse_substitution,
     _rewindow,
@@ -974,45 +974,33 @@ def _assert_fields_project(p: Jet, derived: Jet) -> None:
 
 
 def _kernel_jet(
-    algebra: WeilAlgebra,
-    base_point: tuple[Fraction, ...],
-    m: int,
-    power_product: Callable[[Exponent], tuple[tuple[int, int], ...]],
-    scale: int,
+    algebra: WeilAlgebra, base_point: tuple[Fraction, ...], m: int, powers: _Powers
 ) -> Jet:
-    """Jet of the morphism R[y1..ym] -> A sending y^e to power_product(e).
+    """Jet of the morphism R[y1..ym] -> A of ``powers`` (from
+    :meth:`WeilAlgebra._power_numerators`).
 
-    ``power_product`` and ``scale`` come from
-    :meth:`WeilAlgebra._power_numerators`: y^e maps to the numerators
-    ``power_product(e)`` over ``scale**sum(e)``, made ``Fraction`` here,
-    before the elimination.  The ideal is the kernel on the window of degree
-    order+1; the monomials of that top degree map to zero, being products of
-    order+1 nilpotents, so the kernel is an ideal of the window.
+    Each image of y^e becomes a ``Fraction`` row before the elimination.  The
+    ideal is the kernel on the window of degree order+1; the monomials of
+    that top degree map to zero, being products of order+1 nilpotents, so
+    the kernel is an ideal of the window.
     """
     order = algebra.order
     bound = order + 1
     exps = window(m, bound)
     span = Echelon(len(exps))
-    for row in transpose(
-        _fraction_row(power_product(e), scale ** sum(e)) if sum(e) <= order else {} for e in exps
-    ):
+    for row in transpose(powers.row(e) if sum(e) <= order else {} for e in exps):
         span.insert(row)
     return _window_jet(m, bound, span.kernel(), base_point)
 
 
-def _pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> tuple[
-    Jet,
-    list[TruncatedPolynomial],
-    list[SparseRow],
-    Callable[[Exponent], tuple[tuple[int, int], ...]],
-    int,
-]:
+def _pushforward(
+    p: Jet, phi: Sequence[TruncatedPolynomial]
+) -> tuple[Jet, list[TruncatedPolynomial], list[SparseRow], _Powers]:
     """Image jet together with the translated map psi it is computed from.
 
     psi = phi(base + x) - phi(base) moves both base points to the origin.
-    Returns the image jet, psi, the classes [psi_j] in A and the memoized
-    integer power products of those classes with their scale (as
-    :meth:`WeilAlgebra._power_numerators`).
+    Returns the image jet, psi, the classes [psi_j] in A and the morphism
+    y_j -> [psi_j] (:meth:`WeilAlgebra._power_numerators`).
     """
     n = p.n
     for f in phi:
@@ -1025,9 +1013,8 @@ def _pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> tuple[
         psi.append(moved - TruncatedPolynomial.constant(n, f.degree_bound, moved.constant_term()))
     algebra = p.quotient
     images = [algebra._polynomial_class(f) for f in psi]
-    power_product, scale = algebra._power_numerators(images)
-    image_jet = _kernel_jet(algebra, base_target, len(phi), power_product, scale)
-    return image_jet, psi, images, power_product, scale
+    powers = algebra._power_numerators(images)
+    return _kernel_jet(algebra, base_target, len(phi), powers), psi, images, powers
 
 
 def pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> Jet:
@@ -1061,7 +1048,7 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
     target_n = len(phi)
     algebra = p.quotient
     d = algebra.dimension
-    image_jet, psi, images, power_product, scale = _pushforward(p, phi)
+    image_jet, psi, images, powers = _pushforward(p, phi)
     b = image_jet.quotient
 
     generated = Echelon(d)
@@ -1080,9 +1067,7 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
         # B -> A is injective: one echelon of the image columns, each tagged
         # with its unknown, solves for every value (an image reduces to minus
         # its coordinates in B, on the tags).
-        iota_cols = [
-            _fraction_row(power_product(exp), scale ** sum(exp)) for exp in b.basis_monomials
-        ]
+        iota_cols = [powers.row(exp) for exp in b.basis_monomials]
         db = b.dimension
         system = Echelon(d + db)
         for k, col in enumerate(iota_cols):

@@ -13,13 +13,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Callable, Sequence, TypeVar
 
 from .errors import WindowTooLargeError
 
 Exponent = tuple[int, ...]
-_T = TypeVar("_T")
-_F = TypeVar("_F")
 
 # Largest window (number of monomials) that may be allocated.  An algebra's
 # multiplication table grows as the square of its window: a free algebra binds
@@ -103,44 +100,3 @@ def monomials_of_degree(variable_count: int, degree: int) -> tuple[Exponent, ...
     return tuple(
         e for e in window(variable_count, degree) if sum(e) == degree
     )
-
-
-def _power_products(
-    one: _T, factors: Sequence[_F], mul: Callable[[_T, _F], _T]
-) -> Callable[[Exponent], _T]:
-    """Memoized x^e -> prod_i factors[i]^e[i] in any commutative ring.
-
-    Each new exponent costs one ``mul(product, factor)``: it lowers its first
-    nonzero entry and multiplies the cached product of the lowered exponent
-    by that factor.  A miss walks down to the nearest cached exponent and
-    multiplies back up, so a high exponent needs no recursion.  Every
-    exponent walked lies in the window of the requested degree, so a degree
-    whose window is above ``MAX_WINDOW`` raises ``WindowTooLargeError``
-    before the walk: that caps both the products made and the cache.
-
-    Every chain in the package keeps its products integer: the factors are
-    numerators over one denominator ``q`` (prepared once, in whatever form
-    ``mul`` reads fastest), so the product of degree k is a numerator over
-    ``q**k`` (times ``m**k`` for an algebra table over ``m``).  The caller
-    combines them with its polynomial's coefficients at the top degree
-    (``poly._top_weights``) and builds one ``Fraction`` per output
-    coefficient, or per entry where a product feeds an elimination.
-    """
-    cache: dict[Exponent, _T] = {(0,) * len(factors): one}
-
-    def power_product(exp: Exponent) -> _T:
-        out = cache.get(exp)
-        if out is not None:
-            return out
-        _check_window(len(exp), sum(exp))
-        missing: list[tuple[Exponent, int]] = []
-        while out is None:
-            i = next(k for k, e in enumerate(exp) if e)
-            missing.append((exp, i))
-            exp = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
-            out = cache.get(exp)
-        for exp, i in reversed(missing):
-            out = cache[exp] = mul(out, factors[i])
-        return out
-
-    return power_product

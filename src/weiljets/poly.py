@@ -17,15 +17,17 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import DimensionMismatchError
-from .monomials import Exponent, _check_window, _power_products, window, window_index
+from .monomials import Exponent, _check_window, window, window_index
 
 Scalar = Fraction | int
 _K = TypeVar("_K", bound=Hashable)
+_T = TypeVar("_T")
+_F = TypeVar("_F")
 
 _ZERO = Fraction(0)
 
@@ -44,26 +46,73 @@ def _common_denominator(
     return [[(k, c.numerator * (den // c.denominator)) for k, c in row] for row in rows], den
 
 
-def _top_weights(
-    terms: Iterable[tuple[Exponent, Scalar]], scale: int
-) -> tuple[list[tuple[Exponent, int]], int]:
-    """Integer weights that combine power products over ``scale**|e|`` at the top degree.
+class _Powers:
+    """The ring morphism x_i -> factors[i], on monomials and on polynomials.
 
-    For products ``P_e`` whose numerators lie over ``scale**sum(e)``,
-    ``sum_e c_e * P_e`` equals ``sum_e w_e * numerators(P_e) / den``, where
-    ``den`` is the coefficients' common denominator times ``scale`` to the
-    highest total degree among the exponents.
+    The package keeps every product integer: the factors are numerators over
+    one denominator, prepared once in whatever form ``mul`` reads fastest, so
+    a product of k factors is a numerator over ``scale**k``.  :meth:`image`
+    and :meth:`row` read a product as ``(key, numerator)`` pairs.
     """
-    (row,), den = _common_denominator([terms])
-    top = max((sum(e) for e, _ in row), default=0)
-    return [(e, c * scale ** (top - sum(e))) for e, c in row], den * scale**top
 
+    __slots__ = ("_cache", "_factors", "_mul", "_scale")
 
-def _add_scaled(acc: dict[_K, int], c: int, terms: Iterable[tuple[_K, int]]) -> None:
-    """acc += c * terms, in place, on integer numerators."""
-    get = acc.get
-    for k, v in terms:
-        acc[k] = get(k, 0) + c * v
+    def __init__(self, one: _T, factors: Sequence[_F], mul: Callable[[_T, _F], _T], scale: int):
+        self._cache: dict[Exponent, _T] = {(0,) * len(factors): one}
+        self._factors = factors
+        self._mul = mul
+        self._scale = scale
+
+    def product(self, exp: Exponent) -> _T:
+        """Memoized prod_i factors[i]^exp[i].
+
+        Each new exponent costs one ``mul(product, factor)``: it lowers its
+        first nonzero entry and multiplies the cached product of the lowered
+        exponent by that factor.  A miss walks down to the nearest cached
+        exponent and multiplies back up, so a high exponent needs no
+        recursion.  Every exponent walked lies in the window of the requested
+        degree, so a degree whose window is above ``MAX_WINDOW`` raises
+        ``WindowTooLargeError`` before the walk: that caps both the products
+        made and the cache.
+        """
+        cache = self._cache
+        out = cache.get(exp)
+        if out is not None:
+            return out
+        _check_window(len(exp), sum(exp))
+        missing: list[tuple[Exponent, int]] = []
+        while out is None:
+            i = next(k for k, e in enumerate(exp) if e)
+            missing.append((exp, i))
+            exp = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
+            out = cache.get(exp)
+        mul, factors = self._mul, self._factors
+        for exp, i in reversed(missing):
+            out = cache[exp] = mul(out, factors[i])
+        return out
+
+    def image(self, terms: Iterable[tuple[Exponent, Scalar]]) -> tuple[dict, int]:
+        """Numerators and their denominator of sum_e c_e x^e under the morphism.
+
+        The products meet the coefficients once, at the top degree: a product
+        of degree k is weighted by ``scale**(top - k)``, so every numerator
+        lies over the coefficients' common denominator times ``scale**top``.
+        """
+        (row,), den = _common_denominator([terms])
+        top = max((sum(e) for e, _ in row), default=0)
+        scale = self._scale
+        acc: dict = {}
+        get = acc.get
+        for e, c in row:
+            w = c * scale ** (top - sum(e))
+            for k, v in self.product(e):
+                acc[k] = get(k, 0) + w * v
+        return acc, den * scale**top
+
+    def row(self, exp: Exponent) -> dict:
+        """The image of x^exp as ``{key: Fraction}``, zero entries dropped."""
+        den = self._scale ** sum(exp)
+        return {k: Fraction(v, den) for k, v in self.product(exp) if v}
 
 
 def as_fraction(value) -> Fraction:
@@ -385,10 +434,11 @@ def substitution(
     # Products stay integer: the images' numerators over one denominator q,
     # so a product of k images is a numerator dict over q**k.
     factors, q = _common_denominator(img.coefficients.items() for img in images)
-    power_product = _power_products(
-        {(0,) * target_vars: 1},
+    powers = _Powers(
+        {(0,) * target_vars: 1}.items(),
         [_by_degree(terms) for terms in factors],
-        lambda u, v: _product_numerators(u.items(), v, bound),
+        lambda u, v: _product_numerators(u, v, bound).items(),
+        q,
     )
 
     def substitute(f: TruncatedPolynomial) -> TruncatedPolynomial:
@@ -396,11 +446,9 @@ def substitution(
             raise DimensionMismatchError(
                 f"need {f.variable_count} substitution images, got {len(images)}"
             )
-        weights, den = _top_weights(f.coefficients.items(), q)
-        out: dict[Exponent, int] = {}
-        for exp, w in weights:
-            _add_scaled(out, w, power_product(exp).items())
-        return TruncatedPolynomial._from_numerators(target_vars, bound, out, den)
+        return TruncatedPolynomial._from_numerators(
+            target_vars, bound, *powers.image(f.coefficients.items())
+        )
 
     return substitute
 
@@ -531,15 +579,21 @@ def _monomial_text(exp: Exponent) -> str:
     return " ".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, exp) if k)
 
 
-def _format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
-    """Canonical text of nonzero ``(monomial text, coefficient)`` terms in layout order."""
+def _rational_text(num: int, den: int) -> str:
+    """Text of num/den (den > 0) in lowest terms, "p" or "p/q", with one ``gcd``."""
+    k = gcd(num, den)
+    return str(num // k) if k == den else f"{num // k}/{den // k}"
+
+
+def _format_terms(terms: Iterable[tuple[str, int, int]]) -> str:
+    """Canonical text of nonzero ``(monomial text, numerator, denominator)`` terms
+    in layout order; each coefficient is reduced as it is printed."""
     pieces: list[str] = []
-    for factors, c in terms:
-        num, den = c.numerator, c.denominator
-        if factors and den == 1 and (num == 1 or num == -1):
+    for factors, num, den in terms:
+        mag = _rational_text(abs(num), den)
+        if factors and mag == "1":
             body = factors
         else:
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             body = f"{mag} {factors}" if factors else mag
         if pieces:
             pieces.append(f"+ {body}" if num > 0 else f"- {body}")
@@ -551,7 +605,9 @@ def _format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
 def _format_row(row: Mapping[int, Fraction], monomials: Sequence[Exponent]) -> str:
     """Text of sum_k row[k] x^monomials[k], with no polynomial built; ``monomials``
     is in layout order (a window or a basis), so sorted keys give layout order."""
-    return _format_terms([(_monomial_text(monomials[k]), row[k]) for k in sorted(row)])
+    return _format_terms(
+        [(_monomial_text(monomials[k]), row[k].numerator, row[k].denominator) for k in sorted(row)]
+    )
 
 
 def _format_index_terms(
@@ -566,10 +622,10 @@ def _format_index_terms(
     terms = []
     for m in keys:
         factors = (names[v] if k == -1 else f"{names[v]}^{-k}" for v, k in zip(m[::2], m[1::2]))
-        terms.append((" ".join(factors), Fraction(numerators[m], den)))
+        terms.append((" ".join(factors), numerators[m], den))
     return _format_terms(terms)
 
 
 def format_polynomial(f: TruncatedPolynomial) -> str:
     """Canonical text form, terms in the layout order."""
-    return _format_terms([(_monomial_text(e), c) for e, c in f.terms()])
+    return _format_terms([(_monomial_text(e), c.numerator, c.denominator) for e, c in f.terms()])

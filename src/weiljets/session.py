@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import comb, gcd
+from math import comb
 from typing import Any, Callable, NamedTuple
 
 from .apoints import (
@@ -33,7 +33,7 @@ from .apoints import (
     regularity_and_kernel,
     weil_iso_check,
 )
-from .errors import SessionParseError, UnknownNameError, WeilJetsError
+from .errors import OutOfMemoryError, SessionParseError, UnknownNameError, WeilJetsError
 from .jets import (
     Jet,
     classical_jet,
@@ -54,6 +54,7 @@ from .poly import (
     TruncatedPolynomial,
     _format_index_terms,
     _format_row,
+    _rational_text,
     as_fraction,
     format_polynomial,
     parse_polynomial,
@@ -404,12 +405,12 @@ def _op_describe(of: WeilAlgebra) -> dict:
     # a^alpha a^beta = sum_gamma c/den a^gamma: each c/den printed as its
     # reduced fraction, from the table's integer numerators.
     den = of._mult_den
-    constants = []
-    for a, row in enumerate(of._mult):
-        for b, entries in row.items():
-            for g, c in entries:
-                k = gcd(c, den)
-                constants.append([a, b, g, str(c // k) if k == den else f"{c // k}/{den // k}"])
+    constants = [
+        [a, b, g, _rational_text(c, den)]
+        for a, row in enumerate(of._mult)
+        for b, entries in row.items()
+        for g, c in entries
+    ]
     return {
         "vars": of.n,
         "dim": of.dimension,
@@ -633,19 +634,20 @@ _NAME_KEYS = {
 def execute(
     session: Session, fail_fast: bool = False, verify_oracles: bool = False
 ) -> Report:
-    """Run the commands in order, capturing kernel errors per command."""
+    """Run the commands in order, capturing kernel errors per command.
+
+    A command that runs out of memory fails with :class:`OutOfMemoryError`;
+    leaving its frames frees what it held before the next command runs.
+    """
     started = time.monotonic()
     results: list[dict] = []
     status = 0
     for index, cmd in enumerate(session.commands):
         op = cmd.get("op")
         entry: dict[str, Any] = {"index": index, "op": op}
-        command = _OPERATIONS.get(op)
         try:
-            if command is None:
-                raise SessionParseError(f"unknown operation {op!r}")
             entry["ok"] = True
-            entry["result"] = command(session, cmd, verify_oracles)
+            entry["result"] = _run_command(session, cmd, verify_oracles)
         except WeilJetsError as exc:
             entry["ok"] = False
             entry["error"] = {"kind": type(exc).__name__, "message": str(exc)}
@@ -655,6 +657,18 @@ def execute(
                 break
         results.append(entry)
     return Report(results, status, time.monotonic() - started)
+
+
+def _run_command(session: Session, cmd: dict, verify_oracles: bool) -> dict:
+    op = cmd.get("op")
+    command = _OPERATIONS.get(op)
+    if command is None:
+        raise SessionParseError(f"unknown operation {op!r}")
+    try:
+        return command(session, cmd, verify_oracles)
+    except MemoryError:
+        pass  # raised below, once the handler has dropped the command's frames
+    raise OutOfMemoryError(f"{op} ran out of memory")
 
 
 def render(report: Report, format: str = "json") -> str:

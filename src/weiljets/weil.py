@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .monomials import (
     Exponent,
-    _power_products,
     degrees,
     monomials_of_degree,
     shift_tables,
@@ -35,10 +34,9 @@ from .monomials import (
 )
 from .poly import (
     TruncatedPolynomial,
-    _add_scaled,
     _common_denominator,
     _format_row,
-    _top_weights,
+    _Powers,
     as_fraction,
     format_polynomial,
     substitution,
@@ -253,22 +251,20 @@ class WeilAlgebra:
         (us, vs), den = _common_denominator([u.items(), v.items()])
         return _fraction_row(enumerate(self._mult_numerators(us, vs)), den * den * self._mult_den)
 
-    def _power_numerators(
-        self, factors: Sequence[SparseRow]
-    ) -> tuple[Callable[[Exponent], tuple[tuple[int, int], ...]], int]:
-        """Memoized integer power products of elements given by their rows.
+    def _power_numerators(self, factors: Sequence[SparseRow]) -> _Powers:
+        """The morphism R[y] -> A sending y_i to the element of row factors[i].
 
-        Returns ``(power, scale)``: ``power(e)`` is the sparse ``(index,
-        numerator)`` pairs of prod_i factors[i]^e[i] over ``scale**sum(e)``.
-        The factors are split once over one denominator q, and each product
-        multiplies numerators only, so ``scale`` is q times ``_mult_den``.
+        A product is the sparse ``(index, numerator)`` pairs of
+        prod_i factors[i]^e[i].  The factors are split once over one
+        denominator q, and each product multiplies numerators only, so the
+        scale is q times ``_mult_den``.
         """
         rows, q = _common_denominator(f.items() for f in factors)
 
         def mul(u, v):
             return tuple((g, x) for g, x in enumerate(self._mult_numerators(u, v)) if x)
 
-        return _power_products(((0, 1),), rows, mul), q * self._mult_den
+        return _Powers(((0, 1),), rows, mul, q * self._mult_den)
 
     def multiplication_map(self, w: SparseRow) -> list[SparseRow]:
         """Sparse images of the basis classes under v -> w*v (saturation table),
@@ -553,8 +549,7 @@ class DerivationSpace:
     delta[x^n]) flattened into A^n.
 
     The relation rows are all the dimension, the tangent presentation, the
-    stability check and the session report read.  The Leibniz action on the
-    whole basis (``columns``) is built on first read."""
+    stability check and the session report read."""
 
     algebra: WeilAlgebra
     relations: Subspace
@@ -573,31 +568,6 @@ class DerivationSpace:
             for j, c in row.items():
                 blocks[j // d][j % d] = c
             out.append(tuple(blocks))
-        return tuple(out)
-
-    @cached_property
-    def columns(self) -> tuple[tuple[SparseRow, ...], ...]:
-        """Per derivation, the sparse images delta(a_b) of the basis classes.
-
-        Leibniz expansion: delta(x^e) = sum_i e_i [x^(e - 1_i)] * delta(x_i).
-        """
-        algebra = self.algebra
-        idx = window_index(algebra.n, algebra.window_bound)
-        out = []
-        for images in self.sparse_images:
-            maps = [algebra.multiplication_map(img) for img in images]
-            cols = []
-            for exp in algebra.basis_monomials:
-                total: SparseRow = {}
-                for i, k in enumerate(exp):
-                    if not k:
-                        continue
-                    lowered = list(exp)
-                    lowered[i] -= 1
-                    for a, c in algebra._classes[idx[tuple(lowered)]].items():
-                        _add_multiple(total, k * c, maps[i][a])
-                cols.append(total)
-            out.append(tuple(cols))
         return tuple(out)
 
 
@@ -688,21 +658,15 @@ def algebra_morphism(
         else:
             elems.append(target.element(img))
 
-    power, scale = target._power_numerators([e.row for e in elems])
+    powers = target._power_numerators([e.row for e in elems])
 
     # Well-definedness on a generating set of the ideal.
     for f in source.ideal_generators:
-        weights, _ = _top_weights(f.coefficients.items(), scale)
-        acc: dict[int, int] = {}
-        for exp, w in weights:
-            _add_scaled(acc, w, power(exp))
-        if any(acc.values()):
+        if any(powers.image(f.coefficients.items())[0].values()):
             raise NotWellDefinedError(format_polynomial(f))
 
     exps = window(source.n, source.window_bound)
-    columns = tuple(
-        _fraction_row(power(exps[c]), scale ** sum(exps[c])) for c in source.basis_columns
-    )
+    columns = tuple(powers.row(exps[c]) for c in source.basis_columns)
     epi = target.generated_by([e.row for e in elems])
     return AlgebraMorphism(source, target, tuple(elems), columns, epi)
 
@@ -722,8 +686,8 @@ def _express_in_generators(
     """A zero-constant polynomial P with P(values) = target, in m variables."""
     bound = algebra.order if algebra.order > 0 else 1
     monos = window(m, bound)[1:]
-    power, scale = algebra._power_numerators([v.row for v in values])
-    columns = [_fraction_row(power(exp), scale ** sum(exp)) for exp in monos]
+    powers = algebra._power_numerators([v.row for v in values])
+    columns = [powers.row(exp) for exp in monos]
     solution = solve_columns(columns, target.row)
     if solution is None:
         raise NotEpimorphismError(

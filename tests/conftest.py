@@ -184,6 +184,28 @@ def is_identity(phi) -> bool:
     )
 
 
+def leibniz_columns(ders) -> tuple:
+    """Per derivation, the sparse images delta(a_b) of the basis classes, by the
+    Leibniz expansion delta(x^e) = sum_i e_i [x^(e - 1_i)] * delta(x_i)."""
+    algebra = ders.algebra
+    out = []
+    for images in ders.sparse_images:
+        maps = [algebra.multiplication_map(img) for img in images]
+        cols = []
+        for exp in algebra.basis_monomials:
+            total = {}
+            for i, k in enumerate(exp):
+                if not k:
+                    continue
+                lowered = exp[:i] + (k - 1,) + exp[i + 1 :]
+                for a, c in algebra.monomial_element(lowered).row.items():
+                    for g, v in maps[i][a].items():
+                        total[g] = total.get(g, 0) + k * c * v
+            cols.append({g: v for g, v in total.items() if v})
+        out.append(tuple(cols))
+    return tuple(out)
+
+
 def projected_derivations(report):
     """Per derivation, the induced map on A/I (rows index the output), read off
     the remainder of each complement column of the Leibniz action against the
@@ -193,7 +215,7 @@ def projected_derivations(report):
     complement = report.ideal.free_columns()
     span = report.ideal.echelon()
     proj = []
-    for columns in derivation_space(report.algebra).columns:
+    for columns in leibniz_columns(derivation_space(report.algebra)):
         reduced = [span.reduce(columns[c_in]) for c_in in complement]
         proj.append(tuple(tuple(r.get(c_out, ZERO) for r in reduced) for c_out in complement))
     return tuple(proj)
@@ -239,7 +261,7 @@ def columns_matrix(columns, height: int) -> tuple:
 
 def derivation_matrices(ders) -> tuple:
     """Per derivation, the dense matrix of its action on the basis classes."""
-    return tuple(columns_matrix(cols, ders.algebra.dimension) for cols in ders.columns)
+    return tuple(columns_matrix(cols, ders.algebra.dimension) for cols in leibniz_columns(ders))
 
 
 def generator_images(ders) -> tuple:

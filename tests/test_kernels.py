@@ -28,7 +28,7 @@ from weiljets.apoints import (
     regularity_and_kernel,
 )
 from weiljets.errors import DimensionMismatchError, WindowTooLargeError
-from weiljets.jets import jet_from_ideal, normal_form
+from weiljets.jets import jet_from_ideal, normal_form, tangent_map
 from weiljets.monomials import monomial_sort_key, window
 from weiljets.poly import (
     TruncatedPolynomial,
@@ -40,7 +40,7 @@ from weiljets.poly import (
     variable_names,
 )
 from weiljets.session import _op_prolong
-from weiljets.weil import free_truncated_algebra, quotient_algebra
+from weiljets.weil import WeilAlgebra, algebra_morphism, free_truncated_algebra, quotient_algebra
 
 from conftest import P, canonical_basis, ref_product, ref_substitute, structure_constants
 
@@ -164,7 +164,7 @@ def test_substitution_checks_its_images_when_built(monkeypatch):
         substitution([P("x", 2), P("x", 1)], 2)
     # The window of degree 80 in two variables has 3321 monomials: refused
     # before any power cache is allocated.
-    monkeypatch.setattr(poly, "_power_products", lambda *args: pytest.fail("cache allocated"))
+    monkeypatch.setattr(poly, "_Powers", lambda *args: pytest.fail("cache allocated"))
     with pytest.raises(WindowTooLargeError):
         substitution([P("x", 2), P("y", 2)], 80)
 
@@ -182,22 +182,65 @@ def test_normal_form_builds_one_power_cache_per_stage(monkeypatch):
     # one substitution map at the jet's window, so one power cache.
     p = jet_from_ideal(2, [0, 0], [P("y - x - x^2 - x^3", 2)], 3)
     events = []
-    power_products = poly._power_products
+    powers = poly._Powers
     substituted_ideal = jets._substituted_ideal
 
     def spy_cache(*args):
         events.append(("cache", sys._getframe(1).f_locals["bound"]))
-        return power_products(*args)
+        return powers(*args)
 
     def spy_stage(*args):
         events.append(("stage", None))
         return substituted_ideal(*args)
 
-    monkeypatch.setattr(poly, "_power_products", spy_cache)
+    monkeypatch.setattr(poly, "_Powers", spy_cache)
     monkeypatch.setattr(jets, "_substituted_ideal", spy_stage)
     normal_form(p)
     at_window = [kind for kind, bound in events if kind == "stage" or bound == p.window_bound]
     assert at_window == ["cache", "stage"] * 3
+
+
+def test_tangent_maps_and_morphisms_build_one_power_cache(monkeypatch):
+    # The kernel jet of a tangent map and its inclusion columns read one
+    # morphism's products, as do a morphism's well-definedness check and its
+    # columns: one cache each, and every product read comes from it.
+    p = jet_from_ideal(2, [1, 1], [P("y - x^2", 2)], 3)
+    source = free_truncated_algebra(2, 2)
+    target = quotient_algebra(2, 2, [P("x^2", 2), P("y^2", 2)])
+    built, read = [], []
+    power_numerators = WeilAlgebra._power_numerators
+    row, image = poly._Powers.row, poly._Powers.image
+
+    def spy_build(algebra, factors):
+        built.append(power_numerators(algebra, factors))
+        return built[-1]
+
+    def spy_row(powers, exp):
+        read.append(("row", powers))
+        return row(powers, exp)
+
+    def spy_image(powers, terms):
+        read.append(("image", powers))
+        return image(powers, terms)
+
+    monkeypatch.setattr(WeilAlgebra, "_power_numerators", spy_build)
+    monkeypatch.setattr(poly._Powers, "row", spy_row)
+    monkeypatch.setattr(poly._Powers, "image", spy_image)
+    tm = tangent_map(p, [P("x", 2, 3), P("x y + y", 2, 3)])
+    assert tm.exists and len(built) == 1
+    # One row per monomial of degree <= order (the top degree of the kernel
+    # window maps to zero), then one per basis class of B.  The shifts of the
+    # map go through substitution maps, which read no rows.
+    rows = [powers is built[0] for kind, powers in read if kind == "row"]
+    assert rows == [True] * (len(window(2, p.quotient.order)) + tm.image_jet.quotient.dimension)
+
+    built.clear()
+    read.clear()
+    phi = algebra_morphism(source, target, [target.generator(0), target.generator(1)])
+    assert len(built) == 1 and phi.is_epimorphism
+    kinds = [kind for kind, powers in read if powers is built[0]]
+    assert len(kinds) == len(read)
+    assert kinds == ["image"] * len(source.ideal_generators) + ["row"] * source.dimension
 
 
 @settings(max_examples=100, deadline=None)
@@ -346,13 +389,15 @@ def index_keys(draw):
 def test_index_keys_format_in_layout_order(case):
     # Each key names its exponent, and the index formatter writes the terms in
     # the order of monomial_sort_key: a distinct coefficient per term shows it.
+    # The expected terms are reduced by Fraction, the formatter's by its gcd.
     n, exps, keys = case
     for e, key in zip(exps, keys):
         assert key == tuple(x for v, k in enumerate(e) if k for x in (v, -k))
     ordered = sorted(exps, key=monomial_sort_key)
     numerators = {key: ordered.index(e) + 1 for e, key in zip(exps, keys)}
+    coefficients = [Fraction(j + 1, 7) for j in range(len(ordered))]
     expected = poly._format_terms(
-        [(poly._monomial_text(e), Fraction(j + 1, 7)) for j, e in enumerate(ordered)]
+        [(poly._monomial_text(e), c.numerator, c.denominator) for e, c in zip(ordered, coefficients)]
     )
     assert poly._format_index_terms(numerators, 7, variable_names(n)) == expected
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from weiljets import cli, session
 from weiljets.errors import SessionParseError, WindowTooLargeError
-from weiljets.monomials import MAX_WINDOW, _power_products, window, window_size
+from weiljets.monomials import MAX_WINDOW, window, window_size
+from weiljets.poly import _Powers
 from weiljets.session import execute, parse_session
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -228,7 +229,7 @@ class TestDeepExponents:
             calls.append(1)
             return a * b % 1_000_003
 
-        power = _power_products(1, [3], mul)
+        power = _Powers(1, [3], mul, 1).product
         assert power((2999,)) == pow(3, 2999, 1_000_003)
         assert len(calls) == 2999  # one product per new exponent
         # The walk down cached every exponent on the way.
@@ -245,7 +246,7 @@ class TestDeepExponents:
             calls.append(1)
             return a * b
 
-        power = _power_products(1, [3, 5], mul)
+        power = _Powers(1, [3, 5], mul, 1).product
         assert power((40, 2)) == 3**40 * 25 and len(calls) == 42
         # (0, 3) costs one product on top of the cached (0, 2).
         assert power((0, 3)) == 125 and len(calls) == 43
