@@ -2,8 +2,9 @@
 
 ``weiljets run session.json`` executes a session file; the ``algebra``,
 ``jet`` and ``apoint`` subcommands are one-shot shortcuts that build the
-equivalent single-binding session.  Exit codes: 0 success, 1 command error,
-2 parse/usage error.
+equivalent single-binding session.  Exit codes: 0 success, 1 command error
+(or a report too large to render, with nothing written to stdout), 2
+parse/usage error.
 """
 
 from __future__ import annotations
@@ -142,7 +143,14 @@ def main(argv: list[str] | None = None) -> int:
     except WeilJetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(render(report, fmt))
+    try:
+        text = render(report, fmt)
+    except MemoryError:
+        text = None  # reported below, once the handler has dropped render's frames
+    if text is None:
+        print("error: out of memory while rendering the report", file=sys.stderr)
+        return 1
+    sys.stdout.write(text)
     return report.exit_status
 
 

@@ -580,13 +580,25 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     Since d(hg) = h dg + g dh and g vanishes in A, a generating set
     suffices: the constraints are the Leibniz rows of the minimal generators,
     inserted as they come.
+
+    Over Q every derivation maps m into m: for a in m with a^N = 0 != a^(N-1),
+    0 = delta(a^N) = N a^(N-1) delta(a), so delta(a) is not a unit.  So the
+    solve starts from the n unit rows {i*d: 1} (basis class 0 is the constant
+    monomial), which change no kernel, and skips every generator whose terms
+    all have degree above the order: its derivatives lie in m^order, which
+    kills m, so its Leibniz rows lie in the span of the unit rows.  On a free
+    truncated algebra no Leibniz row is built at all.
     """
     if algebra._derivations is not None:
         return algebra._derivations
-    constraints = Echelon(algebra.n * algebra.dimension)
+    d = algebra.dimension
+    constraints = Echelon(algebra.n * d)
+    for i in range(algebra.n):
+        constraints.insert({i * d: _ONE})
     for f in algebra.minimal_generators:
-        for row in algebra.differential_rows(f).values():
-            constraints.insert(row)
+        if any(sum(exp) <= algebra.order for exp in f.coefficients):
+            for row in algebra.differential_rows(f).values():
+                constraints.insert(row)
     space = DerivationSpace(algebra, constraints.kernel())
     algebra._derivations = space
     return space
@@ -873,17 +885,39 @@ def invert_substitution(phi: AlgebraMorphism) -> AlgebraMorphism:
 class IdealStabilityReport:
     """Outcome of the derivation-level (and optional group-level) checks.
 
-    ``der_stable`` and ``witness`` come from the generators of the ideal."""
+    ``der_stable`` comes from the generators of the ideal; the
+    :attr:`witness` is built when it is first read."""
 
     algebra: WeilAlgebra
     ideal: Subspace
     der_stable: bool
-    witness: tuple[int, tuple[Fraction, ...]] | None
     automorphism_stable: tuple[bool, ...]
     note: str = (
         "derivation stability is the infinitesimal criterion; it matches the "
         "full automorphism-group condition only up to the connected component"
     )
+
+    @cached_property
+    def witness(self) -> tuple[int, tuple[Fraction, ...]] | None:
+        """None when stable; else the first (derivation, ideal row) pair, in
+        that order, whose image leaves I, as (k, dense image)."""
+        if self.der_stable:
+            return None
+        k, img = _first_escape(self.algebra, self.ideal, self.ideal.rows.values())
+        return k, tuple(dense(img, self.algebra.dimension))
+
+
+def _first_escape(
+    algebra: WeilAlgebra, ideal: Subspace, elements: Iterable[SparseRow]
+) -> tuple[int, SparseRow] | None:
+    """First (k, delta_k(g)) outside I, derivations outer, elements inner."""
+    maps = [algebra.differential_rows(algebra.row_polynomial(g)) for g in elements]
+    for k, rel in enumerate(derivation_space(algebra).relations.rows.values()):
+        for rows in maps:
+            img = apply_rows(rows, rel)
+            if not ideal.contains_vector(img):
+                return k, img
+    return None
 
 
 def ideal_stability(
@@ -898,8 +932,8 @@ def ideal_stability(
     rows of I independent modulo m*I (Nakayama), and delta_k(g) is the
     relation row k of Der(A, A) under the Leibniz rows of g
     (:meth:`WeilAlgebra.differential_rows`, applied by :func:`apply_rows`).
-    The witness, on failure, is the first (derivation, ideal row) pair in
-    that order whose image leaves I.
+    ``der_stable`` is decided on those generators alone; the report's
+    witness scans every row of I and is built when it is first read.
     """
     if ideal.ambient_dimension != algebra.dimension:
         raise DimensionMismatchError("ideal must live in the quotient coordinates")
@@ -914,22 +948,7 @@ def ideal_stability(
                 raise NotAnIdealError(f"not closed under multiplication by generator {i}")
             products.insert(image)
     generators = [row for row in rows if products.insert(row)]
-    relations = derivation_space(algebra).relations.rows.values()
-
-    def first_escape(elements) -> tuple[int, SparseRow] | None:
-        """First (k, delta_k(g)) outside I, derivations outer, elements inner."""
-        maps = [algebra.differential_rows(algebra.row_polynomial(g)) for g in elements]
-        for k, rel in enumerate(relations):
-            for rows in maps:
-                img = apply_rows(rows, rel)
-                if not ideal.contains_vector(img):
-                    return k, img
-        return None
-
-    witness = None
-    if first_escape(generators) is not None:
-        k, img = first_escape(rows)
-        witness = (k, tuple(dense(img, d)))
+    stable = _first_escape(algebra, ideal, generators) is None
     auto_results = []
     for g in automorphisms:
         if g.source != algebra or g.target != algebra:
@@ -938,4 +957,4 @@ def ideal_stability(
         for row in rows:
             image.insert(apply_columns(g.columns, row))
         auto_results.append(image.subspace() == ideal)
-    return IdealStabilityReport(algebra, ideal, witness is None, witness, tuple(auto_results))
+    return IdealStabilityReport(algebra, ideal, stable, tuple(auto_results))

@@ -363,6 +363,27 @@ class TestCommandLine:
         assert "session error" in result.stderr and "Traceback" not in result.stderr
         assert re.search(message, result.stderr)
 
+    def test_render_out_of_memory_is_a_typed_failure(self):
+        # The report is rendered after every command's guard; running out of
+        # memory there is a one-line error with exit 1 and an empty stdout.
+        script = (
+            "import sys\n"
+            "import weiljets.cli as cli\n"
+            "def render(report, fmt):\n"
+            "    raise MemoryError\n"
+            "cli.render = render\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, "run", str(ROOT / "sessions" / "algebra_dual.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
     def test_module_entry_point(self):
         runs = [
             subprocess.run(

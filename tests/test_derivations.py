@@ -361,3 +361,135 @@ def test_dimension_is_the_nullity_over_every_generator(rank_over_qq, algebra):
         ]
         rows += [[col[g] for col in columns] for g in range(d)]
     assert derivation_space(algebra).dimension == n * d - rank_over_qq(rows, n * d)
+
+
+# -- the unit rows: delta(m) <= m, so top-degree generators add no constraint ----
+
+
+def dense_kernel(rows, width):
+    """Basis of {v : row . v = 0 for every row}, by Gauss-Jordan elimination
+    on dense Fraction rows."""
+    reduced, pivot_cols = [], []
+    for row in rows:
+        v = [Fraction(x) for x in row]
+        for p, r in zip(pivot_cols, reduced):
+            if v[p]:
+                c = v[p]
+                v = [a - c * b for a, b in zip(v, r)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        v = [x / v[lead] for x in v]
+        for k, r in enumerate(reduced):
+            if r[lead]:
+                c = r[lead]
+                reduced[k] = [a - c * b for a, b in zip(r, v)]
+        reduced.append(v)
+        pivot_cols.append(lead)
+    kernel = []
+    for free in (j for j in range(width) if j not in pivot_cols):
+        v = [Fraction(0)] * width
+        v[free] = Fraction(1)
+        for p, r in zip(pivot_cols, reduced):
+            v[p] = -r[free]
+        kernel.append(v)
+    return kernel
+
+
+def leibniz_kernel(algebra):
+    """Der(A, A) as the kernel of the Leibniz rows of every ideal generator,
+    with no row assumed: row g of generator f holds the a_g coordinates of
+    (d f / d x_i) * a_b, computed by ``ref_leibniz_columns``."""
+    d, width = algebra.dimension, algebra.n * algebra.dimension
+    rows = []
+    for f in algebra.ideal_generators:
+        columns = ref_leibniz_columns(f, algebra.basis_monomials, algebra)
+        rows += [[column.get(g, 0) for column in columns] for g in range(d)]
+    return canonical_basis(dense_kernel(rows, width), width)
+
+
+def assert_relations_match_the_leibniz_kernel(algebra):
+    assert derivation_space(algebra).relations == leibniz_kernel(algebra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras())
+def test_relations_are_the_kernel_over_every_generator(algebra):
+    assert_relations_match_the_leibniz_kernel(algebra)
+
+
+@pytest.mark.parametrize("m, ell", [(1, 3), (2, 2), (3, 2)])
+def test_free_algebra_relations_are_the_leibniz_kernel(m, ell):
+    algebra = quotient_algebra(m, ell, [])
+    assert all(
+        all(sum(e) == algebra.order + 1 for e in f.coefficients)
+        for f in algebra.minimal_generators
+    )
+    assert_relations_match_the_leibniz_kernel(algebra)
+    assert derivation_space(algebra).dimension == m * (algebra.dimension - 1)
+
+
+@pytest.mark.parametrize(
+    "relations, degrees",
+    [
+        # Order 3: the minimal generators are x y, x^3 and y^4.
+        (["x y", "x^3"], [2, 3, 4]),
+        # Order 3: x^2 y and x^3 - y^3 have degree equal to the order, and
+        # their Leibniz rows do constrain Der(A, A); one degree-4 monomial
+        # joins them.
+        (["x^2 y", "x^3 - y^3"], [3, 3, 4]),
+    ],
+)
+def test_top_degree_generator_beside_lower_relations(relations, degrees):
+    algebra = quotient_algebra(2, 3, [P(r, 2, 3) for r in relations])
+    found = sorted(max(sum(e) for e in f.coefficients) for f in algebra.minimal_generators)
+    assert algebra.order == 3 and found == degrees
+    assert_relations_match_the_leibniz_kernel(algebra)
+
+
+def test_order_zero_algebra_has_no_derivations():
+    # A = R[x, y]/(x, y) = R: every generator is a top-degree monomial, and
+    # the unit rows alone leave nothing.
+    algebra = quotient_algebra(2, 1, [P("x", 2, 1), P("y", 2, 1)])
+    assert (algebra.order, algebra.dimension) == (0, 1)
+    assert_relations_match_the_leibniz_kernel(algebra)
+    assert derivation_space(algebra).dimension == 0
+
+
+# -- counted work: Leibniz rows are built only where a report reads them ---------
+
+
+def _count_rows(monkeypatch) -> list:
+    built = []
+    differential_rows = WeilAlgebra.differential_rows
+
+    def counting(self, f):
+        built.append(f)
+        return differential_rows(self, f)
+
+    monkeypatch.setattr(WeilAlgebra, "differential_rows", counting)
+    return built
+
+
+@pytest.mark.parametrize("m, ell", [(2, 3), (3, 3), (4, 2)])
+def test_free_derivation_solve_builds_no_leibniz_row(monkeypatch, m, ell):
+    built = _count_rows(monkeypatch)
+    algebra = quotient_algebra(m, ell, [])  # fresh: no cached derivations
+    assert derivation_space(algebra).dimension == m * (algebra.dimension - 1)
+    assert built == []
+
+
+def test_stability_builds_rows_for_the_generators_and_the_witness_on_read(monkeypatch):
+    built = _count_rows(monkeypatch)
+    algebra = _run(['{"op": "stability", "of": "A", "ideal": ["x1"]}']).algebra
+    assert len(built) == 1  # (x1) has one generator, and R_3^3 solves with none
+    x = algebra.generator(0).coordinates
+    ideal = canonical_basis(principal_ideal(algebra, x), algebra.dimension)
+    del built[:]
+    report = ideal_stability(algebra, ideal)
+    assert not report.der_stable
+    assert len(built) == 1
+    witness = report.witness  # one row per row of the ideal, once
+    assert witness is not None and len(built) == 1 + ideal.dimension
+    assert report.witness == witness and len(built) == 1 + ideal.dimension
+
