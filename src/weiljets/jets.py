@@ -137,13 +137,6 @@ class Jet:
             other.embedded_ideal(bound)
         )
 
-    def ideal_polynomials(self) -> list[TruncatedPolynomial]:
-        """Canonical basis of the ideal as polynomials (origin coordinates)."""
-        return [
-            TruncatedPolynomial.from_sparse(self.n, self.window_bound, r)
-            for r in self.ideal.rows.values()
-        ]
-
 
 def _jet_from_origin(
     n: int,

@@ -367,7 +367,9 @@ def _jet_summary(jet: Jet) -> dict:
         "classical": jet.classical,
         "classical_dim": classical_dim,
         "classical_invariants": jet.quotient.dimension == classical_dim,
-        "generators": [format_polynomial(f) for f in jet.ideal_polynomials()],
+        "generators": [
+            _format_row(r, window(jet.n, jet.window_bound)) for r in jet.ideal.rows.values()
+        ],
     }
 
 

@@ -2,13 +2,16 @@
 
 An algebra here is R[x1..xn]/J where J contains every monomial of degree
 order+1; it is stored through the window (n, order+1) as a canonical
-subspace together with a monomial basis of the quotient and an exact
-multiplication table.  Orders and widths come out of the maximal-ideal
-filtration, so every invariant reported by this module is decidable.
+subspace together with a monomial basis of the quotient; the exact
+multiplication table is built when first read.  The maximal-ideal
+filtration is read off the graded layout of the basis (see
+:class:`WeilAlgebra`), so orders and widths are counts and every invariant
+reported by this module is decidable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -51,7 +54,6 @@ from .subspace import (
     dense,
     invert_matrix,
     solve_columns,
-    zero_subspace,
 )
 
 _ZERO = Fraction(0)
@@ -77,10 +79,20 @@ class WeilAlgebra:
     """Local rational quotient with an explicit monomial basis.
 
     Instances are built by :func:`quotient_algebra` (or :func:`tensor_product`)
-    and treated as immutable afterwards.  ``ideal_generators`` are polynomials
-    on the window (the given generators, restated, and the monomials of top
-    degree) that generate the defining ideal I; :attr:`minimal_generators`
-    keeps a minimal subset of them.
+    and treated as immutable afterwards.  The generator rows (the given
+    generators, restated on the window, and the monomials of top degree)
+    generate the defining ideal I; :attr:`ideal_generators` are their
+    polynomials and :attr:`minimal_generators` keeps a minimal subset.
+
+    The maximal-ideal filtration needs no elimination.  The layout is graded
+    and every canonical row of I has its pivot at its lowest column, so the
+    class of a pivot monomial of degree k (minus the rest of its row) lies
+    on basis monomials of degree >= k.  So m^k, the span of the classes of
+    the monomials of degree >= k, is exactly the span of the basis monomials
+    of degree >= k: the order is the degree of the last basis monomial, the
+    width the number of basis monomials of degree 1, and the filtration
+    dimensions are counts.  The classes and the multiplication table are
+    built when first read.
     """
 
     def __init__(
@@ -88,78 +100,79 @@ class WeilAlgebra:
         n: int,
         bound: int,
         ideal: Subspace,
-        generators: Sequence[TruncatedPolynomial],
+        generator_rows: Sequence[SparseRow],
     ):
         self.n = n
         self.window_bound = bound
-        size = window_size(n, bound)
-        self.window_dimension = size
-        degs = degrees(n, bound)
+        self.window_dimension = window_size(n, bound)
         if 0 in ideal.rows:
             raise EmptyQuotientError("the defining ideal contains a unit")
         self.defining_ideal = ideal
-        self.ideal_generators: tuple[TruncatedPolynomial, ...] = tuple(generators)
+        self._generator_rows = tuple(generator_rows)
         self.basis_columns: tuple[int, ...] = ideal.free_columns()
         exps = window(n, bound)
         self.basis_monomials: tuple[Exponent, ...] = tuple(
             exps[c] for c in self.basis_columns
         )
         self.dimension = len(self.basis_columns)
-        self._column_of = {c: i for i, c in enumerate(self.basis_columns)}
+        degs = degrees(n, bound)
+        self._basis_degrees = [degs[c] for c in self.basis_columns]
+        self.order = self._basis_degrees[-1]
+        self.width = self._basis_degrees.count(1)
+        self.filtration_dimensions = tuple(
+            self.dimension - bisect_left(self._basis_degrees, k) for k in range(1, self.order + 2)
+        )
+        self._derivations: "DerivationSpace | None" = None
+        self._tensors: dict[WeilAlgebra, WeilAlgebra] = {}
 
-        # Class of each window monomial in quotient coordinates, sparse: a
-        # pivot monomial is minus the rest of its ideal row.
+    @cached_property
+    def _classes(self) -> list[SparseRow]:
+        """Class of each window monomial in quotient coordinates, sparse: a
+        pivot monomial is minus the rest of its ideal row."""
+        column_of = {c: i for i, c in enumerate(self.basis_columns)}
+        rows = self.defining_ideal.rows
         classes: list[SparseRow] = []
-        for c in range(size):
-            row = ideal.rows.get(c)
+        for c in range(self.window_dimension):
+            row = rows.get(c)
             if row is None:
-                classes.append({self._column_of[c]: _ONE})
+                classes.append({column_of[c]: _ONE})
             else:
-                classes.append({self._column_of[b]: -v for b, v in row.items() if b != c})
-        self._classes = classes
+                classes.append({column_of[b]: -v for b, v in row.items() if b != c})
+        return classes
 
-        # Maximal-ideal filtration: m^k = span of classes of monomials of
-        # degree >= k; strictly decreasing until it vanishes.  One echelon
-        # takes the degrees from the top down; levels[k - 1] is m^k.
-        span = Echelon(self.dimension)
-        levels = [span.subspace()]
-        for k in range(bound, 0, -1):
-            for c, deg in enumerate(degs):
-                if deg == k:
-                    span.insert(classes[c])
-            levels.append(span.subspace())
-        levels.reverse()
-        filtration = levels[: next(k for k, sub in enumerate(levels) if sub.dimension == 0) + 1]
-        self.order = len(filtration) - 1
-        self.maximal_ideal = filtration[0]
-        second = filtration[1] if len(filtration) > 1 else zero_subspace(self.dimension)
-        self.width = filtration[0].dimension - second.dimension
-        self._filtration = filtration
-        self.filtration_dimensions = tuple(s.dimension for s in filtration)
+    @cached_property
+    def _table(self) -> tuple[list[dict[int, tuple[tuple[int, int], ...]]], int]:
+        """Sparse multiplication table over the basis monomials, as integer
+        numerators over one table denominator (1 for every monomial
+        quotient): [a_a][a_b] = sum_g table[a][b][g] / den.
 
-        # Sparse multiplication table over the basis monomials, stored once as
-        # integer numerators over one table denominator (1 for every
-        # monomial quotient): [a_a][a_b] = sum_g _mult[a][b][g] / _mult_den.
-        # Only nonzero products are stored, in ascending b.  Every monomial of
-        # degree above the order is zero, and the basis is in graded layout
-        # order, so only the prefix of b with deg a + deg b <= order is read.
-        idx = window_index(n, bound)
-        numerators, self._mult_den = _common_denominator([cls.items() for cls in classes])
+        Only nonzero products are stored, in ascending b.  Every monomial of
+        degree above the order is zero, and the basis is in graded layout
+        order, so only the prefix of b with deg a + deg b <= order is read.
+        """
+        idx = window_index(self.n, self.window_bound)
+        numerators, den = _common_denominator([cls.items() for cls in self._classes])
         entries = [tuple(row) for row in numerators]
-        basis_degrees = [degs[c] for c in self.basis_columns]
+        basis = list(zip(self.basis_monomials, self._basis_degrees))
         table: list[dict[int, tuple[tuple[int, int], ...]]] = []
-        for a, da in zip(self.basis_monomials, basis_degrees):
+        for a, da in basis:
             row = {}
-            for b, (exp, db) in enumerate(zip(self.basis_monomials, basis_degrees)):
+            for b, (exp, db) in enumerate(basis):
                 if da + db > self.order:
                     break
                 product = entries[idx[tuple(map(add, a, exp))]]
                 if product:
                     row[b] = product
             table.append(row)
-        self._mult = table
-        self._derivations: "DerivationSpace | None" = None
-        self._tensors: dict[WeilAlgebra, WeilAlgebra] = {}
+        return table, den
+
+    @cached_property
+    def _mult(self) -> list[dict[int, tuple[tuple[int, int], ...]]]:
+        return self._table[0]
+
+    @cached_property
+    def _mult_den(self) -> int:
+        return self._table[1]
 
     # -- identity ------------------------------------------------------------
 
@@ -318,39 +331,58 @@ class WeilAlgebra:
         }
 
     def maximal_power(self, k: int) -> Subspace:
-        """m_A^k as a subspace of the quotient coordinate space."""
-        if k <= 0:
-            span = self.maximal_ideal.echelon()
-            span.insert({0: _ONE})
-            return span.subspace()
-        if k - 1 < len(self._filtration):
-            return self._filtration[k - 1]
-        return zero_subspace(self.dimension)
+        """m_A^k (k >= 1) in quotient coordinates: the unit rows of the basis
+        monomials of degree >= k (see the class docstring)."""
+        d = self.dimension
+        return Subspace(d, {b: {b: _ONE} for b in range(bisect_left(self._basis_degrees, k), d)})
 
     def generated_by(self, elements: Sequence[SparseRow]) -> bool:
         """Whether elements (sparse rows) generate the algebra.
 
         They do exactly when their nilpotent parts span m/m^2 (Nakayama).
+        m^2 is the span of the basis monomials of degree >= 2, so that is
+        when their coordinates at the degree-1 basis monomials, the classes
+        1..width, have rank ``width``.
         """
-        span = self.maximal_power(2).echelon()
+        width = self.width
+        span = Echelon(self.dimension)
+        rank = 0
         for row in elements:
-            span.insert({g: c for g, c in row.items() if g})
-        return span.subspace() == self.maximal_ideal
+            rank += span.insert({g: c for g, c in row.items() if 0 < g <= width})
+        return rank == width
+
+    @cached_property
+    def ideal_generators(self) -> tuple[TruncatedPolynomial, ...]:
+        """The polynomials of the generator rows, built when first read."""
+        return tuple(
+            TruncatedPolynomial.from_sparse(self.n, self.window_bound, r)
+            for r in self._generator_rows
+        )
 
     @cached_property
     def minimal_generators(self) -> tuple[TruncatedPolynomial, ...]:
-        """The polynomials of ``ideal_generators`` independent modulo m*I.
+        """The polynomials of the generator rows independent modulo m*I.
 
         They generate I, minimally, by Nakayama's lemma (Atiyah-Macdonald,
         Prop. 2.8): the generators span I modulo m*I, and m is nilpotent on
         the window.  One echelon takes the variable shifts of I's rows (which
-        span m*I in the window) and keeps each generator that raises its rank.
+        span m*I in the window) and keeps each generator row that raises its
+        rank; a polynomial is built only for the rows kept.  A row with its
+        pivot at the top degree is a unit row there, and its shifts leave the
+        window, so it is skipped.
         """
+        n, bound = self.n, self.window_bound
+        degs = degrees(n, bound)
+        rows = [row for p, row in self.defining_ideal.rows.items() if degs[p] < bound]
         span = Echelon(self.window_dimension)
-        for table in shift_tables(self.n, self.window_bound):
-            for row in self.defining_ideal.rows.values():
+        for table in shift_tables(n, bound):
+            for row in rows:
                 span.insert({table[c]: v for c, v in row.items() if table[c] is not None})
-        return tuple(g for g in self.ideal_generators if span.insert(g.to_sparse()))
+        return tuple(
+            TruncatedPolynomial.from_sparse(n, bound, r)
+            for r in self._generator_rows
+            if span.insert(r)
+        )
 
     def row_polynomial(self, row: SparseRow) -> TruncatedPolynomial:
         """The representative polynomial of a sparse row of quotient coordinates."""
@@ -502,12 +534,7 @@ def _rewindow(
         if (converted := {c: v for c, v in r.items() if degs[c] <= new_bound})
     ]
     gen_rows += top_rows
-    return WeilAlgebra(
-        n,
-        new_bound,
-        Subspace(window_size(n, new_bound), rows),
-        [TruncatedPolynomial.from_sparse(n, new_bound, r) for r in gen_rows],
-    )
+    return WeilAlgebra(n, new_bound, Subspace(window_size(n, new_bound), rows), gen_rows)
 
 
 @lru_cache(maxsize=None)
@@ -543,20 +570,26 @@ def tensor_product(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivationSpace:
     """Der(A, A) as the span of the generator images (delta[x^1], ...,
     delta[x^n]) flattened into A^n.
 
-    The relation rows are all the dimension, the tangent presentation, the
-    stability check and the session report read."""
+    ``constraints`` is the echelon of the Leibniz system, so the dimension
+    is n*d minus its rank.  The relation rows (its kernel), which the
+    tangent presentation, the stability check and the session report read,
+    are built when first read."""
 
     algebra: WeilAlgebra
-    relations: Subspace
+    constraints: Echelon
 
     @property
     def dimension(self) -> int:
-        return self.relations.dimension
+        return self.algebra.n * self.algebra.dimension - len(self.constraints.rows)
+
+    @cached_property
+    def relations(self) -> Subspace:
+        return self.constraints.kernel()
 
     @cached_property
     def sparse_images(self) -> tuple[tuple[SparseRow, ...], ...]:
@@ -599,7 +632,7 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
         if any(sum(exp) <= algebra.order for exp in f.coefficients):
             for row in algebra.differential_rows(f).values():
                 constraints.insert(row)
-    space = DerivationSpace(algebra, constraints.kernel())
+    space = DerivationSpace(algebra, constraints)
     algebra._derivations = space
     return space
 

@@ -318,6 +318,11 @@ def from_vector(n: int, bound: int, vector) -> TruncatedPolynomial:
     return TruncatedPolynomial(n, bound, {e: v for e, v in zip(exps, vector) if v})
 
 
+def ideal_polynomials(jet) -> list[TruncatedPolynomial]:
+    """Canonical basis of a jet's ideal as polynomials (origin coordinates)."""
+    return [TruncatedPolynomial.from_sparse(jet.n, jet.window_bound, r) for r in jet.ideal.rows.values()]
+
+
 def structure_constants(algebra):
     """Sparse (alpha, beta, gamma, c) with a^alpha a^beta = c a^gamma + ...: the
     algebra's stored integer table, one ``Fraction`` per nonzero product."""

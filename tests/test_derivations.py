@@ -268,7 +268,7 @@ def test_stability_builds_the_leibniz_action_only_for_the_projection(monkeypatch
     algebra = ders.algebra
     # Only the variable maps, for the saturation and the m*I check.
     assert built == [algebra.generator(i).row for i in range(algebra.n)]
-    report = ideal_stability(algebra, algebra.maximal_ideal)
+    report = ideal_stability(algebra, algebra.maximal_power(1))
     assert report.der_stable
     assert len(built) == algebra.n
     assert projected_derivations(report) is not None

@@ -370,7 +370,7 @@ class TestIdealStability:
     def test_zero_and_maximal_are_stable(self):
         a = quotient_algebra(2, 3, [P("x^2", 2, 3), P("y^2", 2, 3)])
         assert ideal_stability(a, zero_subspace(a.dimension)).der_stable
-        assert ideal_stability(a, a.maximal_ideal).der_stable
+        assert ideal_stability(a, a.maximal_power(1)).der_stable
 
     def test_non_ideal_rejected(self):
         a = free_truncated_algebra(2, 2)
