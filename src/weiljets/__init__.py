@@ -31,11 +31,7 @@ from .poly import (
     truncated_substitute,
     variable_names,
 )
-from .subspace import (
-    Subspace,
-    subspace_intersection,
-    zero_subspace,
-)
+from .subspace import Subspace
 from .weil import (
     AlgebraElement,
     AlgebraMorphism,

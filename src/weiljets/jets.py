@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     ClassicalityError,
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .monomials import (
     Exponent,
+    degrees,
     monomials_of_degree,
     shift_tables,
     window,
@@ -50,7 +51,6 @@ from .subspace import (
     apply_rows,
     preimage,
     sparse,
-    subspace_intersection,
     transpose,
 )
 from .weil import (
@@ -360,6 +360,12 @@ def jet_fields(p: Jet) -> Subspace:
     coefficients have degree <= l, the order, and the ideal contains every
     monomial of degree l + 1, so nothing is lost.  Unknown i*w + c is the
     coefficient in a_i of the c-th monomial of the window (n, l).
+
+    The fields with coefficients in p are the n block copies of p's rows with
+    a pivot in the window (n, l).  Those are canonical rows of p, zero at
+    every other pivot and in degree l + 1, and the blocks are disjoint, so
+    the copies are in reduced form together: they seed the echelon, and only
+    the lift of Der(A, A) is inserted.
     """
     if p._fields is not None:
         return p._fields
@@ -369,15 +375,19 @@ def jet_fields(p: Jet) -> Subspace:
     w = window_size(n, ell)
     idx = window_index(n, ell)
     columns = [idx[e] for e in algebra.basis_monomials]
-    fields = Echelon(n * w)
+    # The window (n, l) is a prefix of p's, so p's rows with a pivot there
+    # keep their columns in each block.
+    inside = [(pivot, row) for pivot, row in p.ideal.rows.items() if pivot < w]
+    fields = Echelon(
+        n * w,
+        {
+            i * w + pivot: {i * w + c: v for c, v in row.items()}
+            for i in range(n)
+            for pivot, row in inside
+        },
+    )
     for row in derivation_space(algebra).relations.rows.values():
         fields.insert({(j // d) * w + columns[j % d]: c for j, c in row.items()})
-    # The window (n, l) is a prefix of p's, and the rows of p with a pivot
-    # there are zero in degree l + 1, whose monomials are the other pivots.
-    inside = [row for pivot, row in p.ideal.rows.items() if pivot < w]
-    for i in range(n):
-        for row in inside:
-            fields.insert({i * w + c: v for c, v in row.items()})
     p._fields = fields.subspace()
     return p._fields
 
@@ -422,23 +432,48 @@ def _x_columns(
 def _x_part(
     ideal: Subspace, n: int, bound: int, pivot_vars: Sequence[int], low: int, high: int
 ) -> Subspace:
-    """The elements of the ideal written in the free variables, in degrees low..high."""
-    columns = _x_columns(n, bound, pivot_vars, low, high)
-    coordinate = Echelon(ideal.ambient_dimension, {c: {c: _ONE} for c in columns})
-    return subspace_intersection(ideal, coordinate.subspace())
+    """The elements of the ideal written in the free variables, in degrees low..high.
+
+    ``ideal`` is an ideal of the window (n, bound) that contains every
+    monomial of the top degree ``bound`` and every pivot variable, so also
+    every monomial with a pivot variable.  Those columns are pivots whose
+    canonical rows are unit rows, so every other row is zero there: each
+    canonical row lies on monomials in the free variables of degree at least
+    its pivot's (the layout is graded).  An element of the ideal is the sum of
+    its entries at the pivots times their rows, so the elements on the
+    monomials in the free variables of degree low..high are exactly the span
+    of the rows whose pivot is such a monomial.  Those rows are the canonical
+    rows of the intersection as they stand: no elimination.
+    """
+    columns = set(_x_columns(n, bound, pivot_vars, low, high))
+    return Subspace(
+        ideal.ambient_dimension, {p: row for p, row in ideal.rows.items() if p in columns}
+    )
 
 
 def _substituted_ideal(
-    p_rows: Iterable[SparseRow],
+    ideal: Subspace,
     n: int,
     bound: int,
     substitute: Callable[[TruncatedPolynomial], TruncatedPolynomial],
 ) -> Subspace:
-    """The span of the rows' polynomials pushed through one substitution map."""
-    span = Echelon(window_size(n, bound))
-    for r in p_rows:
-        f = TruncatedPolynomial.from_sparse(n, bound, r)
-        span.insert(substitute(f).to_sparse(bound))
+    """The span of the ideal pushed through one substitution map of a stage.
+
+    A stage sends the variables into m with an invertible linear part, so in
+    the window it maps the span of the monomials of the top degree ``bound``
+    onto itself.  The ideal contains those monomials as unit rows, so they
+    seed the echelon first, as they stand, and only the lower rows are pushed
+    and inserted; each insertion clears its top-degree entries against the
+    seeded rows, which keeps the form reduced.
+    """
+    degs = degrees(n, bound)
+    span = Echelon(
+        ideal.ambient_dimension,
+        {p: row for p, row in ideal.rows.items() if degs[p] == bound},
+    )
+    for p, r in ideal.rows.items():
+        if degs[p] < bound:
+            span.insert(substitute(TruncatedPolynomial.from_sparse(n, bound, r)).to_sparse(bound))
     return span.subspace()
 
 
@@ -447,7 +482,12 @@ def normal_form(p: Jet) -> NormalForm:
 
     Pivot variables come from the reduced echelon form of the degree-1 part;
     the substitution absorbs the higher-order tails of the pivot rows degree
-    by degree.  The resulting identity is verified exactly.
+    by degree, each stage pushing only the rows below the top degree
+    (:func:`_substituted_ideal`).  The transformed ideal I is checked to
+    contain every pivot variable, so its x-part is a filter of its canonical
+    rows (:func:`_x_part`).  (y^1..y^r) + m^{l+1} is a monomial ideal, so
+    its echelon starts as unit rows; each Q row that it does not yet contain
+    is saturated into it, and the result must equal I exactly.
     """
     if p._normal_form is not None:
         return p._normal_form
@@ -492,13 +532,11 @@ def normal_form(p: Jet) -> NormalForm:
         sigma = _compose_substitutions(sigma, stage, sub_bound)
         # The ideal's rows and the carried rows share one power cache.
         through_stage = substitution(stage, bound)
-        current = _substituted_ideal(current.rows.values(), n, bound, through_stage)
+        current = _substituted_ideal(current, n, bound, through_stage)
         carried = [through_stage(g) for g in carried]
 
     # After absorption each carried element is the pure pivot variable mod m^{l+1}.
     for j, g in zip(pivot_vars, carried):
-        unit = [0] * n
-        unit[j] = 1
         residue = g - TruncatedPolynomial.variable(n, bound, j)
         if any(sum(e) <= ell for e in residue.coefficients):
             raise InternalCheckError("straightening left a low-degree tail")
@@ -508,15 +546,17 @@ def normal_form(p: Jet) -> NormalForm:
     # Q list: the x-only part in degrees 2..l, pruned of redundant rows.
     x_part = _x_part(current, n, bound, pivot_vars, 2, ell)
 
-    base_gens = [
-        TruncatedPolynomial.variable(n, bound, j) for j in pivot_vars
-    ] + [
-        TruncatedPolynomial.monomial(n, bound, e)
-        for e in monomials_of_degree(n, ell + 1)
-    ]
+    # (y^1..y^r) + m^{l+1} is a monomial ideal: its echelon is the unit rows
+    # of the monomials with a pivot variable or of degree l + 1.
+    generated = Echelon(
+        current.ambient_dimension,
+        {
+            c: {c: _ONE}
+            for c, e in enumerate(exps)
+            if sum(e) == bound or any(e[j] for j in pivot_vars)
+        },
+    )
     shifts = _variable_shifts(n, bound)
-    generated = Echelon(window_size(n, bound))
-    generated.saturate([g.to_sparse(bound) for g in base_gens], shifts)
     q_list: list[TruncatedPolynomial] = []
     for probe in x_part.rows.values():
         if not generated.reduce(probe):

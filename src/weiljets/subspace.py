@@ -254,32 +254,6 @@ class Subspace:
         return f"Subspace(dim={self.dimension}, ambient={self.ambient_dimension})"
 
 
-def zero_subspace(ambient_dimension: int) -> Subspace:
-    return Subspace(ambient_dimension, {})
-
-
-def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection by Zassenhaus' method.
-
-    Echelonize the rows (u_i | u_i) and (v_j | 0) in twice the ambient
-    dimension.  The rows whose pivot lies in the right half are zero on the
-    left, and their right halves are the canonical basis of U n V.
-    """
-    u._check_ambient(v)
-    n = u.ambient_dimension
-    if u.dimension == 0 or v.dimension == 0:
-        return zero_subspace(n)
-    span = Echelon(2 * n)
-    for r in u.rows.values():
-        doubled = dict(r)
-        doubled.update((n + c, x) for c, x in r.items())
-        span.insert(doubled)
-    for r in v.rows.values():
-        span.insert(r)
-    right = Echelon(n, {p - n: {c - n: x for c, x in r.items()} for p, r in span.rows.items() if p >= n})
-    return right.subspace()
-
-
 # -- linear maps as sparse columns ----------------------------------------------
 
 

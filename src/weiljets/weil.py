@@ -360,16 +360,15 @@ class WeilAlgebra:
         )
 
     @cached_property
-    def minimal_generators(self) -> tuple[TruncatedPolynomial, ...]:
-        """The polynomials of the generator rows independent modulo m*I.
+    def _minimal_generator_rows(self) -> tuple[SparseRow, ...]:
+        """The generator rows independent modulo m*I.
 
         They generate I, minimally, by Nakayama's lemma (Atiyah-Macdonald,
         Prop. 2.8): the generators span I modulo m*I, and m is nilpotent on
         the window.  One echelon takes the variable shifts of I's rows (which
         span m*I in the window) and keeps each generator row that raises its
-        rank; a polynomial is built only for the rows kept.  A row with its
-        pivot at the top degree is a unit row there, and its shifts leave the
-        window, so it is skipped.
+        rank.  A row with its pivot at the top degree is a unit row there,
+        and its shifts leave the window, so it is skipped.
         """
         n, bound = self.n, self.window_bound
         degs = degrees(n, bound)
@@ -378,10 +377,14 @@ class WeilAlgebra:
         for table in shift_tables(n, bound):
             for row in rows:
                 span.insert({table[c]: v for c, v in row.items() if table[c] is not None})
+        return tuple(r for r in self._generator_rows if span.insert(r))
+
+    @cached_property
+    def minimal_generators(self) -> tuple[TruncatedPolynomial, ...]:
+        """The polynomials of :attr:`_minimal_generator_rows`, built when first read."""
+        n, bound = self.n, self.window_bound
         return tuple(
-            TruncatedPolynomial.from_sparse(n, bound, r)
-            for r in self._generator_rows
-            if span.insert(r)
+            TruncatedPolynomial.from_sparse(n, bound, r) for r in self._minimal_generator_rows
         )
 
     def row_polynomial(self, row: SparseRow) -> TruncatedPolynomial:
@@ -619,17 +622,21 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     solve starts from the n unit rows {i*d: 1} (basis class 0 is the constant
     monomial), which change no kernel, and skips every generator whose terms
     all have degree above the order: its derivatives lie in m^order, which
-    kills m, so its Leibniz rows lie in the span of the unit rows.  On a free
-    truncated algebra no Leibniz row is built at all.
+    kills m, so its Leibniz rows lie in the span of the unit rows.  The layout
+    is graded, so a generator row's lowest column gives its lowest degree,
+    and a polynomial is built only for the rows kept.  On a free truncated
+    algebra no Leibniz row is built at all.
     """
     if algebra._derivations is not None:
         return algebra._derivations
-    d = algebra.dimension
-    constraints = Echelon(algebra.n * d)
-    for i in range(algebra.n):
+    n, d = algebra.n, algebra.dimension
+    degs = degrees(n, algebra.window_bound)
+    constraints = Echelon(n * d)
+    for i in range(n):
         constraints.insert({i * d: _ONE})
-    for f in algebra.minimal_generators:
-        if any(sum(exp) <= algebra.order for exp in f.coefficients):
+    for r in algebra._minimal_generator_rows:
+        if degs[min(r)] <= algebra.order:
+            f = TruncatedPolynomial.from_sparse(n, algebra.window_bound, r)
             for row in algebra.differential_rows(f).values():
                 constraints.insert(row)
     space = DerivationSpace(algebra, constraints)

@@ -169,6 +169,34 @@ def verify_axioms(group, points) -> bool:
     )
 
 
+# -- counted work ------------------------------------------------------------------
+
+
+@pytest.fixture
+def inserts_outside_saturation(monkeypatch):
+    """A list that gets one entry (the echelon's ambient dimension, the row)
+    per Echelon.insert made outside Echelon.saturate."""
+    made = []
+    depth = [0]
+    insert, saturate = Echelon.insert, Echelon.saturate
+
+    def counted_insert(self, row):
+        if not depth[0]:
+            made.append((self.ambient_dimension, dict(row)))
+        return insert(self, row)
+
+    def counted_saturate(self, rows, tables):
+        depth[0] += 1
+        try:
+            return saturate(self, rows, tables)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Echelon, "insert", counted_insert)
+    monkeypatch.setattr(Echelon, "saturate", counted_saturate)
+    return made
+
+
 # -- views of package values that only the tests read ------------------------------
 
 
@@ -298,6 +326,26 @@ def subspace_sum(u, v):
     for r in v.rows.values():
         span.insert(r)
     return span.subspace()
+
+
+def zero_subspace(ambient: int):
+    return Echelon(ambient).subspace()
+
+
+def subspace_intersection(u, v):
+    """U n V by Zassenhaus' method: echelonize the rows (u_i | u_i) and
+    (v_j | 0) in twice the ambient dimension; the rows whose pivot lies in
+    the right half are zero on the left, and their right halves are the
+    canonical rows of U n V."""
+    u._check_ambient(v)
+    n = u.ambient_dimension
+    span = Echelon(2 * n)
+    for r in u.rows.values():
+        span.insert({**r, **{n + c: x for c, x in r.items()}})
+    for r in v.rows.values():
+        span.insert(r)
+    right = {p - n: {c - n: x for c, x in r.items()} for p, r in span.rows.items() if p >= n}
+    return Echelon(n, right).subspace()
 
 
 def contains_dense(subspace, vector) -> bool:

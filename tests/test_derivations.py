@@ -479,6 +479,32 @@ def test_free_derivation_solve_builds_no_leibniz_row(monkeypatch, m, ell):
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "m, ell, relations, kept",
+    [
+        (2, 3, [], 0),
+        (3, 3, [], 0),
+        # The minimal generators are x y, x^3 and y^4; y^4 is above the order.
+        (2, 3, ["x y", "x^3"], 2),
+        (2, 3, ["x^2 y", "x^3 - y^3"], 2),
+    ],
+)
+def test_derivation_solve_builds_generator_polynomials_below_the_top_degree_only(
+    monkeypatch, m, ell, relations, kept
+):
+    algebra = quotient_algebra(m, ell, [P(r, m, ell) for r in relations])
+    built = []
+    from_sparse = TruncatedPolynomial.from_sparse
+    monkeypatch.setattr(
+        TruncatedPolynomial,
+        "from_sparse",
+        classmethod(lambda cls, n, bound, row: built.append(row) or from_sparse(n, bound, row)),
+    )
+    derivation_space(algebra)
+    assert len(built) == kept
+    assert_relations_match_the_leibniz_kernel(algebra)
+
+
 def test_stability_builds_rows_for_the_generators_and_the_witness_on_read(monkeypatch):
     built = _count_rows(monkeypatch)
     algebra = _run(['{"op": "stability", "of": "A", "ideal": ["x1"]}']).algebra

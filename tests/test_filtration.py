@@ -28,7 +28,7 @@ from weiljets import session
 from weiljets.jets import derived_jet, hat_ideal, jet_from_ideal
 from weiljets.monomials import window
 from weiljets.session import _op_info, execute, parse_session
-from weiljets.subspace import Echelon, dense
+from weiljets.subspace import dense
 from weiljets.weil import derivation_space, quotient_algebra, tensor_product
 
 from conftest import LADDER, P, algebras, ladder_jet
@@ -150,30 +150,6 @@ def test_filtration_of_the_rationals(oracle, n, bound, gens):
 
 
 # -- counted work ------------------------------------------------------------------
-
-
-@pytest.fixture
-def inserts_outside_saturation(monkeypatch):
-    """A list that gets one entry per Echelon.insert made outside Echelon.saturate."""
-    made = []
-    depth = [0]
-    insert, saturate = Echelon.insert, Echelon.saturate
-
-    def counted_insert(self, row):
-        if not depth[0]:
-            made.append(dict(row))
-        return insert(self, row)
-
-    def counted_saturate(self, rows, tables):
-        depth[0] += 1
-        try:
-            return saturate(self, rows, tables)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(Echelon, "insert", counted_insert)
-    monkeypatch.setattr(Echelon, "saturate", counted_saturate)
-    return made
 
 
 @pytest.mark.parametrize("m, ell", [(1, 0), (1, 5), (2, 3), (3, 2), (4, 4)])

@@ -12,8 +12,6 @@ from weiljets.subspace import (
     invert_matrix,
     preimage,
     solve_columns,
-    subspace_intersection,
-    zero_subspace,
 )
 
 from conftest import (
@@ -23,7 +21,9 @@ from conftest import (
     membership_rows,
     nullspace,
     pivots,
+    subspace_intersection,
     subspace_sum,
+    zero_subspace,
 )
 
 

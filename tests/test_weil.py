@@ -15,7 +15,7 @@ from weiljets.errors import (
 )
 from weiljets.monomials import monomials_of_degree, window, window_index, window_size
 from weiljets.poly import TruncatedPolynomial
-from weiljets.subspace import Echelon, zero_subspace
+from weiljets.subspace import Echelon
 from weiljets.weil import (
     _rewindow,
     _variable_shifts,
@@ -44,6 +44,7 @@ from conftest import (
     rationals,
     ref_product,
     structure_constants,
+    zero_subspace,
 )
 
 
