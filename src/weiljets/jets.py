@@ -664,15 +664,15 @@ def _graph_tangent_fields(nf: NormalForm) -> list[dict[int, TruncatedPolynomial]
     Each field is a dict {variable index: polynomial coefficient}: the
     coordinate fields d/dx^a of the base graph, and d/dx^a + dF/dx^a d/dy^j
     for F a top-degree form in the free variables or an element of the x-part
-    of the transformed ideal.
+    of the transformed ideal.  The x-part up to degree l+1 already holds each
+    top-degree monomial in the free variables as a unit row, so its rows give
+    every form once.
     """
     p = nf.jet
     n, bound = p.n, p.window_bound
     xs, ys = nf.free_variables, nf.pivot_variables
     h_basis = _x_part(nf.transformed_ideal, n, bound, ys, 2, bound)
-    forms = _x_top(nf) + [
-        TruncatedPolynomial.from_sparse(n, bound, r) for r in h_basis.rows.values()
-    ]
+    forms = [TruncatedPolynomial.from_sparse(n, bound, r) for r in h_basis.rows.values()]
     one = TruncatedPolynomial.constant(n, bound, 1)
     fields = [{a: one} for a in xs]
     for F in forms:

@@ -5,7 +5,9 @@ the reduced row-echelon form of a growing span.  Its rows are sparse: a row
 is a ``{column: Fraction}`` dict holding only the nonzero entries, and the
 rows are keyed by their pivot column.  The one builder inserts rows, reduces
 vectors against them, reads off the kernel and saturates the span (closes it
-under linear maps such as multiplication by the variables).
+under linear maps such as multiplication by the variables).  Its row update
+works on integer numerators and builds one ``Fraction`` per entry it writes,
+and a unit row is cleared from another row by deleting the entry.
 
 A :class:`Subspace` is the frozen result, and its pivot-keyed sparse rows are
 the only thing it stores.  Reduced row-echelon form is unique, so two
@@ -56,23 +58,36 @@ def dense(row: SparseRow, ambient: int) -> list[Fraction]:
     return out
 
 
-def _add_multiple(target: SparseRow, m: Fraction, row: SparseRow, skip: int = -1) -> None:
-    """target += m * row in place, off column ``skip``; cancelled entries drop.
+def _add_multiple(
+    target: SparseRow, m: Fraction, row: SparseRow, skip: int = -1, sign: int = 1
+) -> None:
+    """target += sign * m * row in place, off column ``skip``; cancelled entries drop.
 
-    ``m`` and the entries of ``row`` are nonzero, so no zero is ever stored.
+    ``sign`` is 1 or -1, so a subtraction never builds the negated multiplier.
+    Each written entry is worked out on integer numerators and denominators
+    and becomes exactly one new ``Fraction`` (``Fraction(n)`` when the
+    denominator is 1); no ``Fraction`` operator runs.  ``m`` and the entries
+    of ``row`` are nonzero, so no zero is ever stored.
     """
+    mn = m.numerator if sign > 0 else -m.numerator
+    md = m.denominator
     for c, v in row.items():
         if c == skip:
             continue
+        n = mn * v.numerator
+        d = md * v.denominator
         old = target.get(c)
-        if old is None:
-            target[c] = m * v
-        else:
-            new = old + m * v
-            if new:
-                target[c] = new
+        if old is not None:
+            od = old.denominator
+            if od == d:
+                n += old.numerator
             else:
+                n = old.numerator * d + n * od
+                d *= od
+            if not n:
                 del target[c]
+                continue
+        target[c] = Fraction(n) if d == 1 else Fraction(n, d)
 
 
 def _reduce(rows: dict[int, SparseRow], row: SparseRow) -> SparseRow:
@@ -80,11 +95,15 @@ def _reduce(rows: dict[int, SparseRow], row: SparseRow) -> SparseRow:
 
     A reduced row is zero in every other pivot column, so subtracting it
     leaves the row's other pivot entries alone: one pass over the pivot
-    columns the row starts with clears them all.
+    columns the row starts with clears them all.  A unit row (its pivot
+    entry alone) is cleared by deleting the entry, with no arithmetic.
     """
     out = dict(row)
     for p in [p for p in row if p in rows]:
-        _add_multiple(out, -out.pop(p), rows[p], p)
+        m = out.pop(p)
+        stored = rows[p]
+        if len(stored) > 1:
+            _add_multiple(out, m, stored, p, -1)
     return out
 
 
@@ -102,21 +121,40 @@ class Echelon:
         self.rows: dict[int, SparseRow] = {} if rows is None else rows
 
     def insert(self, row: SparseRow) -> bool:
-        """Add a row to the span, keeping the form reduced; False if dependent."""
+        """Add a row to the span, keeping the form reduced; False if dependent.
+
+        The remainder is scaled to a leading 1 on numerators, one new
+        ``Fraction`` per entry.  Every stored row with an entry in the new
+        pivot column then has it cleared: a unit row needs only the entry
+        deleted, any other row is updated by :func:`_add_multiple`.
+        """
         row = _reduce(self.rows, row)
         if not row:
             return False
         pivot = min(row)
-        lead = row[pivot]
-        if lead != 1:
-            row = {c: v / lead for c, v in row.items()}
         rows = self.rows
+        if len(row) == 1:
+            row = {pivot: _ONE}
+            for q, other in rows.items():
+                if pivot in other:
+                    other = dict(other)
+                    del other[pivot]
+                    rows[q] = other
+            rows[pivot] = row
+            return True
+        lead = row[pivot]
+        ln, ld = lead.numerator, lead.denominator
+        if ln != ld:
+            row = {
+                c: _ONE if c == pivot else Fraction(v.numerator * ld, v.denominator * ln)
+                for c, v in row.items()
+            }
         for q, other in rows.items():
             c = other.get(pivot)
             if c is not None:
                 other = dict(other)
                 del other[pivot]
-                _add_multiple(other, -c, row, pivot)
+                _add_multiple(other, c, row, pivot, -1)
                 rows[q] = other
         rows[pivot] = row
         return True
@@ -271,9 +309,20 @@ def apply_rows(rows: Mapping[int, SparseRow], row: SparseRow) -> SparseRow:
     out: SparseRow = {}
     for i, r in rows.items():
         short, long = (r, row) if len(r) <= len(row) else (row, r)
-        c = sum(v * x for j, v in short.items() if (x := long.get(j)) is not None)
-        if c:
-            out[i] = c
+        # The dot product on numerators, one Fraction per entry written.
+        n, d = 0, 1
+        for j, v in short.items():
+            x = long.get(j)
+            if x is not None:
+                tn = v.numerator * x.numerator
+                td = v.denominator * x.denominator
+                if td == d:
+                    n += tn
+                else:
+                    n = n * td + tn * d
+                    d *= td
+        if n:
+            out[i] = Fraction(n) if d == 1 else Fraction(n, d)
     return out
 
 

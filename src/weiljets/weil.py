@@ -124,6 +124,7 @@ class WeilAlgebra:
         )
         self._derivations: "DerivationSpace | None" = None
         self._tensors: dict[WeilAlgebra, WeilAlgebra] = {}
+        self._minimal_polynomials: dict[int, TruncatedPolynomial] = {}
 
     @cached_property
     def _classes(self) -> list[SparseRow]:
@@ -379,13 +380,19 @@ class WeilAlgebra:
                 span.insert({table[c]: v for c, v in row.items() if table[c] is not None})
         return tuple(r for r in self._generator_rows if span.insert(r))
 
+    def _minimal_generator(self, k: int) -> TruncatedPolynomial:
+        """The polynomial of minimal generator row k, built once, when first read."""
+        f = self._minimal_polynomials.get(k)
+        if f is None:
+            row = self._minimal_generator_rows[k]
+            f = TruncatedPolynomial.from_sparse(self.n, self.window_bound, row)
+            self._minimal_polynomials[k] = f
+        return f
+
     @cached_property
     def minimal_generators(self) -> tuple[TruncatedPolynomial, ...]:
         """The polynomials of :attr:`_minimal_generator_rows`, built when first read."""
-        n, bound = self.n, self.window_bound
-        return tuple(
-            TruncatedPolynomial.from_sparse(n, bound, r) for r in self._minimal_generator_rows
-        )
+        return tuple(map(self._minimal_generator, range(len(self._minimal_generator_rows))))
 
     def row_polynomial(self, row: SparseRow) -> TruncatedPolynomial:
         """The representative polynomial of a sparse row of quotient coordinates."""
@@ -624,8 +631,9 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     all have degree above the order: its derivatives lie in m^order, which
     kills m, so its Leibniz rows lie in the span of the unit rows.  The layout
     is graded, so a generator row's lowest column gives its lowest degree,
-    and a polynomial is built only for the rows kept.  On a free truncated
-    algebra no Leibniz row is built at all.
+    and a polynomial is built only for the rows kept, once per algebra (it is
+    the one :attr:`WeilAlgebra.minimal_generators` holds).  On a free
+    truncated algebra no Leibniz row is built at all.
     """
     if algebra._derivations is not None:
         return algebra._derivations
@@ -634,9 +642,9 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     constraints = Echelon(n * d)
     for i in range(n):
         constraints.insert({i * d: _ONE})
-    for r in algebra._minimal_generator_rows:
+    for k, r in enumerate(algebra._minimal_generator_rows):
         if degs[min(r)] <= algebra.order:
-            f = TruncatedPolynomial.from_sparse(n, algebra.window_bound, r)
+            f = algebra._minimal_generator(k)
             for row in algebra.differential_rows(f).values():
                 constraints.insert(row)
     space = DerivationSpace(algebra, constraints)

@@ -519,3 +519,43 @@ def test_stability_builds_rows_for_the_generators_and_the_witness_on_read(monkey
     assert witness is not None and len(built) == 1 + ideal.dimension
     assert report.witness == witness and len(built) == 1 + ideal.dimension
 
+
+
+@pytest.mark.parametrize(
+    "m, ell, relations",
+    [
+        (2, 3, ["x y", "x^3"]),
+        (2, 3, ["x^2 y", "x^3 - y^3"]),
+        (3, 2, ["x1 x2 - x3^2"]),
+    ],
+)
+def test_derivation_solve_reuses_the_read_minimal_generators(monkeypatch, m, ell, relations):
+    algebra = quotient_algebra(m, ell, [P(r, m, ell) for r in relations])
+    generators = algebra.minimal_generators
+    built = []
+    from_sparse = TruncatedPolynomial.from_sparse
+    monkeypatch.setattr(
+        TruncatedPolynomial,
+        "from_sparse",
+        classmethod(lambda cls, n, bound, row: built.append(row) or from_sparse(n, bound, row)),
+    )
+    derivation_space(algebra)
+    assert built == []
+    assert algebra.minimal_generators is generators
+    assert_relations_match_the_leibniz_kernel(algebra)
+
+
+def test_minimal_generators_reuse_the_polynomials_the_solve_built(monkeypatch):
+    algebra = quotient_algebra(2, 3, [P(r, 2, 3) for r in ["x y", "x^3"]])
+    built = []
+    from_sparse = TruncatedPolynomial.from_sparse
+    monkeypatch.setattr(
+        TruncatedPolynomial,
+        "from_sparse",
+        classmethod(lambda cls, n, bound, row: built.append(row) or from_sparse(n, bound, row)),
+    )
+    derivation_space(algebra)
+    assert len(built) == 2  # x y and x^3; y^4 is above the order
+    generators = algebra.minimal_generators
+    assert len(built) == len(generators) == 3
+    assert [set(g.coefficients) for g in generators] == [{(1, 1)}, {(3, 0)}, {(0, 4)}]

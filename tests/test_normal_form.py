@@ -157,3 +157,22 @@ def test_jet_fields_insert_only_the_derivation_rows(inserts_outside_saturation, 
     del inserts_outside_saturation[:]
     jet_fields(p)
     assert len(inserts_outside_saturation) == relations.dimension
+
+
+@pytest.mark.parametrize("n, gens, order", LADDER)
+def test_graph_tangent_fields_have_no_duplicate(n, gens, order):
+    fields = jets._graph_tangent_fields(normal_form(ladder_jet(n, gens, order)))
+    keys = [tuple(sorted(field.items())) for field in fields]
+    assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize(
+    "n, gens, order, count",
+    [
+        (3, ["z - x y"], 4, 12),
+        (4, ["x4 - x1 x2", "x3 - x1^2"], 3, 18),
+        (3, ["y^2 - x^3", "z"], 3, 15),
+    ],
+)
+def test_graph_tangent_field_counts(n, gens, order, count):
+    assert len(jets._graph_tangent_fields(normal_form(ladder_jet(n, gens, order)))) == count
