@@ -201,7 +201,9 @@ def test_a_unit_row_back_substitutes_by_deletion(fraction_work):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_add_multiple_builds_one_fraction_per_entry_written(fraction_work, sign):
-    row = {0: Fraction(1), 1: Fraction(-3, 4), 2: Fraction(5, 6), 3: Fraction(2), 4: Fraction(-7, 9)}
+    row = {
+        0: Fraction(1), 1: Fraction(-3, 4), 2: Fraction(5, 6), 3: Fraction(2), 4: Fraction(-7, 9)
+    }
     m = Fraction(-2, 5)
     # Column 1 cancels, column 2 is added to, columns 3 and 4 are new, column 0
     # is skipped, and column 5 is not in the row.
