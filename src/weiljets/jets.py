@@ -268,13 +268,15 @@ def hat_ideal(p: Jet) -> Jet:
         conditions.insert(r)
     for i in range(n):
         # Condition rows of (membership o d/dx_i): the coefficient of x^e in
-        # d f/dx_i is (e_i + 1) times that of x^e * x_i.
+        # d f/dx_i is (e_i + 1) times that of x^e * x_i, one Fraction built
+        # from the numerators.
         for r in memb:
             row: SparseRow = {}
             for c, v in r.items():
                 t = shifts[i][c]
                 if t is not None:
-                    row[t] = (exps[c][i] + 1) * v
+                    num, den = (exps[c][i] + 1) * v.numerator, v.denominator
+                    row[t] = Fraction(num) if den == 1 else Fraction(num, den)
             conditions.insert(row)
     hat = conditions.kernel()
 

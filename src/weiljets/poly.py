@@ -176,10 +176,22 @@ class TruncatedPolynomial:
         Each nonzero ``numerators[e] / den`` becomes one ``Fraction``; nothing
         is validated again.
         """
+        return cls._from_fractions(
+            variable_count,
+            degree_bound,
+            {e: Fraction(c, den) for e, c in numerators.items() if c},
+        )
+
+    @classmethod
+    def _from_fractions(
+        cls, variable_count: int, degree_bound: int, coefficients: dict[Exponent, Fraction]
+    ) -> "TruncatedPolynomial":
+        """Trusted constructor: ``coefficients`` are nonzero Fractions at
+        exponents that fit the ring and the bound; the dict is kept as it is."""
         poly = object.__new__(cls)
         poly.variable_count = variable_count
         poly.degree_bound = degree_bound
-        poly.coefficients = {e: Fraction(c, den) for e, c in numerators.items() if c}
+        poly.coefficients = coefficients
         return poly
 
     @classmethod
@@ -292,7 +304,8 @@ class TruncatedPolynomial:
         return TruncatedPolynomial(self.variable_count, bound, self.coefficients)
 
     def derivative(self, index: int) -> "TruncatedPolynomial":
-        """Partial derivative with respect to variable ``index``."""
+        """Partial derivative with respect to variable ``index``; each
+        coefficient ``k * c`` is one Fraction built from the numerators."""
         out: dict[Exponent, Fraction] = {}
         for exp, c in self.coefficients.items():
             k = exp[index]
@@ -300,8 +313,9 @@ class TruncatedPolynomial:
                 continue
             lowered = list(exp)
             lowered[index] -= 1
-            out[tuple(lowered)] = c * k
-        return TruncatedPolynomial(self.variable_count, self.degree_bound, out)
+            num, den = k * c.numerator, c.denominator
+            out[tuple(lowered)] = Fraction(num) if den == 1 else Fraction(num, den)
+        return TruncatedPolynomial._from_fractions(self.variable_count, self.degree_bound, out)
 
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
@@ -580,7 +594,11 @@ def _monomial_text(exp: Exponent) -> str:
 
 
 def _rational_text(num: int, den: int) -> str:
-    """Text of num/den (den > 0) in lowest terms, "p" or "p/q", with one ``gcd``."""
+    """Text of num/den (den > 0) in lowest terms, "p" or "p/q": ``str(num)`` over
+    denominator 1 (every structure constant of a monomial quotient), and
+    otherwise one ``gcd``."""
+    if den == 1:
+        return str(num)
     k = gcd(num, den)
     return str(num // k) if k == den else f"{num // k}/{den // k}"
 
@@ -604,7 +622,15 @@ def _format_terms(terms: Iterable[tuple[str, int, int]]) -> str:
 
 def _format_row(row: Mapping[int, Fraction], monomials: Sequence[Exponent]) -> str:
     """Text of sum_k row[k] x^monomials[k], with no polynomial built; ``monomials``
-    is in layout order (a window or a basis), so sorted keys give layout order."""
+    is in layout order (a window or a basis), so sorted keys give layout order.
+    The two shapes most rows of a report have skip the term formatter: the empty
+    row is "0", and a single entry equal to 1 is its monomial's text."""
+    if not row:
+        return "0"
+    if len(row) == 1:
+        ((k, c),) = row.items()
+        if c.numerator == 1 and c.denominator == 1:
+            return _monomial_text(monomials[k]) or "1"
     return _format_terms(
         [(_monomial_text(monomials[k]), row[k].numerator, row[k].denominator) for k in sorted(row)]
     )

@@ -70,7 +70,16 @@ from .weil import (
 )
 
 _FORMATS = ("json", "text")
-_CONSTANTS = {None: "null", True: "true", False: "false"}
+# The text of a scalar, keyed by its exact type: _json reads this before any
+# recursion and writes a scalar child of a container with no call of its own.
+# A subclass of str or int misses the table and takes _json's isinstance branches.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_scalar_text = _SCALARS.get
 
 
 @dataclass
@@ -696,24 +705,37 @@ def render(report: Report, format: str = "json") -> str:
 def _json(value, newline: str) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` with one join per container
     (with an indent the standard library runs its pure-Python encoder); ``newline``
-    is "\\n" plus the indent of value's line.  Only str-keyed dicts, lists, tuples,
-    str, int, bool and None are taken; any other type raises TypeError."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None or value is True or value is False:
-        return _CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
+    is "\\n" plus the indent of value's line.  A str, int, bool or None, by exact
+    type, is written from the ``_SCALARS`` table, in place when it is a child of a
+    container, so there is one call per container and none per scalar.  The
+    isinstance branches, tried after the containers', write subclasses of str and
+    int as json writes them.  Only str-keyed dicts, lists, tuples and these
+    scalars are taken; any other type raises TypeError."""
+    text = _scalar_text(type(value))
+    if text is not None:
+        return text(value)
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{_quote(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        items = []
+        for key in sorted(value):
+            child = value[key]
+            text = _scalar_text(type(child))
+            items.append(f"{_quote(key)}: {text(child) if text else _json(child, inner)}")
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+        items = []
+        for child in value:
+            text = _scalar_text(type(child))
+            items.append(text(child) if text else _json(child, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -9,7 +9,9 @@ entries, large denominators and entries made to cancel to zero.
 
 The counted-work tests patch the ``Fraction`` operators: reducing against
 unit rows and inserting a unit row must call none of them, and a row update
-must build exactly one ``Fraction`` per entry it writes.
+must build exactly one ``Fraction`` per entry it writes.  The hat ideal's
+condition rows and a polynomial's partial derivatives, which scale each
+entry by an integer, must call no binary operator either.
 """
 
 from fractions import Fraction
@@ -18,7 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weiljets.jets import hat_ideal
 from weiljets.subspace import Echelon, _add_multiple, _reduce
+
+from conftest import LADDER, P, ladder_jet
 
 WIDTH = 8
 values = st.fractions(
@@ -153,24 +158,41 @@ def test_reduce_leaves_its_input_and_the_stored_rows_alone():
 # -- counted work ------------------------------------------------------------------
 
 OPERATORS = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__")
+# An int on the left of a Fraction reaches the reflected operator.
+BINARY = (
+    "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+)
 
 
-@pytest.fixture
-def fraction_work(monkeypatch):
-    """Counts of Fraction operator calls and of Fraction constructions."""
-    counts = {"operators": 0, "built": 0}
+def count_calls(monkeypatch, counts: dict, key: str, names) -> dict:
+    """Patch the Fraction methods ``names`` to add their calls to ``counts[key]``."""
+    counts.setdefault(key, 0)
 
-    def counted(fn, key):
+    def counted(fn):
         def wrapper(*args, **kwargs):
             counts[key] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in OPERATORS:
-        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name), "operators"))
-    monkeypatch.setattr(Fraction, "__new__", counted(Fraction.__new__, "built"))
+    for name in names:
+        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
     return counts
+
+
+@pytest.fixture
+def fraction_work(monkeypatch):
+    """Counts of Fraction operator calls and of Fraction constructions."""
+    counts: dict = {}
+    count_calls(monkeypatch, counts, "operators", OPERATORS)
+    return count_calls(monkeypatch, counts, "built", ["__new__"])
+
+
+@pytest.fixture
+def binary_work(monkeypatch):
+    """Count of binary Fraction operator calls, reflected ones included."""
+    return count_calls(monkeypatch, {}, "binary", BINARY)
 
 
 def test_reducing_against_unit_rows_does_no_arithmetic(fraction_work):
@@ -213,3 +235,27 @@ def test_add_multiple_builds_one_fraction_per_entry_written(fraction_work, sign)
     _add_multiple(target, m, row, 0, sign)
     assert fraction_work == {"operators": 0, "built": 3}
     assert target == expected and 1 not in target
+
+
+def ref_derivative(f, index: int) -> dict:
+    out = {}
+    for exp, c in f.coefficients.items():
+        if exp[index]:
+            lowered = exp[:index] + (exp[index] - 1,) + exp[index + 1 :]
+            out[lowered] = exp[index] * c
+    return out
+
+
+def test_hat_ideal_and_derivatives_call_no_binary_operator(binary_work):
+    jets = [ladder_jet(*entry) for entry in LADDER]
+    # Coefficients whose denominators the integer factor cancels (3/2 * 2 = 3).
+    f = P("3/2 x^2 y - 4/9 x y^3 + 5 y^2 - 7/6 x^3 - 1/3 y", 2, 5)
+    expected = [ref_derivative(f, i) for i in range(2)]
+    binary_work["binary"] = 0
+    hats = [hat_ideal(p) for p in jets]
+    derivatives = [f.derivative(i) for i in range(2)]
+    assert binary_work["binary"] == 0
+    for d, want in zip(derivatives, expected):
+        assert d.coefficients == want and (d.variable_count, d.degree_bound) == (2, 5)
+        assert all(type(c) is Fraction and c for c in d.coefficients.values())
+    assert all(p.contains_jet(hat) for p, hat in zip(jets, hats))

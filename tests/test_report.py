@@ -19,7 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weiljets.monomials import monomial_sort_key, window
-from weiljets.poly import TruncatedPolynomial, _format_row, format_polynomial, variable_names
+from weiljets import poly, session
+from weiljets.poly import (
+    TruncatedPolynomial,
+    _format_row,
+    _rational_text,
+    format_polynomial,
+    variable_names,
+)
 from weiljets.session import Report, _json, _op_describe, execute, parse_session, render
 from weiljets.weil import quotient_algebra
 
@@ -90,6 +97,77 @@ def test_emitter_refuses_other_types(value):
     report = Report([{"index": 0, "op": "info", "ok": True, "result": {"v": [value]}}], 0, 0.0)
     with pytest.raises(TypeError):
         render(report)
+
+
+class Name(str):
+    def __repr__(self):
+        return "Name()"
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+# Subclasses of str and int miss the emitter's exact-type table and take its
+# fallback branches; bool and None sit two and more containers deep.
+@pytest.mark.parametrize(
+    "payload",
+    [
+        Name("a\u00e9\n"),
+        Count(-7),
+        {"k": Name("v"), Name("key"): Count(3), "n": [Count(0), Name("")]},
+        [[Count(10**40), (Name("\\"),)], {"x": {"y": Count(-1)}}],
+        {"a": {"b": [True, None, False]}, "c": [[None], [False, {"d": True}]]},
+        [[[None]], ({"e": False},), [{"f": [True]}]],
+    ],
+    ids=repr,
+)
+def test_emitter_subclasses_and_deep_constants(payload):
+    assert _json(payload, "\n") == oracle(payload)
+
+
+def containers(value) -> int:
+    if isinstance(value, dict):
+        return 1 + sum(containers(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return 1 + sum(containers(v) for v in value)
+    return 0
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Patch module.name to count its calls, recursive ones included."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def free_algebra_session(m: int, l: int, *ops: str) -> str:
+    bind = [{"algebra": "A", "vars": m, "relations": [], "bound": l}]
+    return json.dumps({"bind": bind, "run": [{"op": op, "of": "A"} for op in ops]})
+
+
+def test_emitter_calls_itself_once_per_container(monkeypatch):
+    report = execute(parse_session(free_algebra_session(4, 4, "describe", "derivations")))
+    payload = {"exit": report.exit_status, "results": report.results}
+    calls = counting(monkeypatch, session, "_json")
+    assert render(report) == oracle(payload) + "\n"
+    assert len(calls) <= containers(payload) + 1
+
+
+@pytest.mark.parametrize("m, l", [(1, 1), (1, 4), (2, 3), (3, 2), (4, 4)])
+def test_free_derivation_images_skip_the_term_formatter(monkeypatch, m, l):
+    calls = counting(monkeypatch, poly, "_format_terms")
+    report = execute(parse_session(free_algebra_session(m, l, "derivations")))
+    assert report.exit_status == 0 and calls == []
+    images = report.results[0]["result"]["generator_images"]
+    assert images and all(len(image) == m for image in images)
 
 
 # -- the row formatter ----------------------------------------------------------------
@@ -178,3 +256,26 @@ def test_example_tables_have_entries_to_reduce(algebra, den, numerators):
 def test_describe_prints_each_structure_constant_as_its_fraction(algebra):
     expected = [[a, b, g, str(c)] for a, b, g, c in structure_constants(algebra)]
     assert _op_describe(algebra)["structure_constants"] == expected
+
+
+# -- the fast paths of the formatter --------------------------------------------------
+
+QUOTIENT = quotient_algebra(2, 3, [P("x^2 - 2/3 y^2", 2, 3)])
+
+
+@pytest.mark.parametrize("value", [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)], ids=str)
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "monomial"])
+@pytest.mark.parametrize(
+    "n, monomials",
+    [(QUOTIENT.n, QUOTIENT.basis_monomials), (2, window(2, 3)), (3, window(3, 2))],
+    ids=["quotient", "window 2 3", "window 3 2"],
+)
+def test_single_entry_rows_match_ref_format(n, monomials, constant, value):
+    k = 0 if constant else len(monomials) - 1
+    assert sum(monomials[k]) == (0 if constant else max(map(sum, monomials)))
+    assert _format_row({k: value}, monomials) == ref_format(n, {monomials[k]: value})
+
+
+@pytest.mark.parametrize("n", [-5, 0, 7, -(10**59) - 123, 10**59 + 7], ids=str)
+def test_rational_text_over_one_is_str_of_the_fraction(n):
+    assert _rational_text(n, 1) == str(Fraction(n))
