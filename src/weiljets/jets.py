@@ -58,6 +58,7 @@ from .weil import (
     WeilAlgebra,
     _identity_substitution,
     _inverse_substitution,
+    _memo,
     _rewindow,
     _variable_shifts,
     derivation_space,
@@ -82,12 +83,7 @@ class Jet:
         self.window_bound = quotient.window_bound
         self.ideal = quotient.defining_ideal
         self.classical = classical
-        self._normal_form: "NormalForm | None" = None
-        self._derived: "Jet | None" = None
-        self._fields: Subspace | None = None
-        self._cartan: "tuple[Jet, list[dict[int, SparseRow]], Subspace] | None" = None
-        self._contact: "ContactData | None" = None
-        self._hat: "Jet | None" = None
+        self._memo: dict[tuple, object] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -246,6 +242,7 @@ def classical_jet(
 # -- hat ideal and cotangent ---------------------------------------------------
 
 
+@_memo
 def hat_ideal(p: Jet) -> Jet:
     """{f in p : every first partial of f stays in p}, as a jet.
 
@@ -254,8 +251,6 @@ def hat_ideal(p: Jet) -> Jet:
     products of pairs of minimal generators of p generate p^2, so those pairs
     are the ones checked.  The result is cached on the jet.
     """
-    if p._hat is not None:
-        return p._hat
     n, ell = p.n, p.order
     bound = ell + 2
     exps = window(n, bound)
@@ -289,8 +284,7 @@ def hat_ideal(p: Jet) -> Jet:
             if not hat.contains_vector(prod.to_sparse(bound)):
                 raise InternalCheckError("p^2 is not inside the hat ideal")
 
-    p._hat = _window_jet(n, bound, hat, p.base_point)
-    return p._hat
+    return _window_jet(n, bound, hat, p.base_point)
 
 
 @dataclass(frozen=True)
@@ -352,6 +346,7 @@ def tangent_module(p: Jet) -> TangentModule:
     return TangentModule(p, ambient, relations, ambient - relations.dimension)
 
 
+@_memo
 def jet_fields(p: Jet) -> Subspace:
     """Fields (window-order polynomial coefficients) mapping the ideal into itself.
 
@@ -369,8 +364,6 @@ def jet_fields(p: Jet) -> Subspace:
     the copies are in reduced form together: they seed the echelon, and only
     the lift of Der(A, A) is inserted.
     """
-    if p._fields is not None:
-        return p._fields
     n, ell = p.n, p.order
     algebra = p.quotient
     d = algebra.dimension
@@ -390,8 +383,7 @@ def jet_fields(p: Jet) -> Subspace:
     )
     for row in derivation_space(algebra).relations.rows.values():
         fields.insert({(j // d) * w + columns[j % d]: c for j, c in row.items()})
-    p._fields = fields.subspace()
-    return p._fields
+    return fields.subspace()
 
 
 # -- normal form -----------------------------------------------------------------
@@ -479,6 +471,7 @@ def _substituted_ideal(
     return span.subspace()
 
 
+@_memo
 def normal_form(p: Jet) -> NormalForm:
     """Straighten the jet to (y^1..y^r) + m^{l+1} + (Q^h(x)).
 
@@ -491,8 +484,6 @@ def normal_form(p: Jet) -> NormalForm:
     its echelon starts as unit rows; each Q row that it does not yet contain
     is saturated into it, and the result must equal I exactly.
     """
-    if p._normal_form is not None:
-        return p._normal_form
     n, ell = p.n, p.order
     bound = p.window_bound
     sub_bound = max(ell, 1)
@@ -576,7 +567,7 @@ def normal_form(p: Jet) -> NormalForm:
     if _compose_substitutions(sigma, tau, sub_bound) != _identity_substitution(n, sub_bound):
         raise InternalCheckError("substitution inverse failed to verify")
 
-    result = NormalForm(
+    return NormalForm(
         p,
         tuple(pivot_vars),
         tuple(free_vars),
@@ -586,8 +577,6 @@ def normal_form(p: Jet) -> NormalForm:
         tuple(q_list),
         current,
     )
-    p._normal_form = result
-    return result
 
 
 # -- derived jet: closed form and generation oracle ------------------------------
@@ -597,21 +586,15 @@ def derived_jet(p: Jet, verify: bool = False) -> Jet:
     """p + (derivatives of p along the Cartan directions), via the normal form.
 
     With ``verify`` the independent field-generation oracle is run and exact
-    agreement is required.
+    agreement with the cached derived jet is required.
     """
-    if p._derived is not None and not verify:
-        return p._derived
     result = _derived_via_normal_form(p)
-    if verify:
-        oracle = cartan_generation_oracle(p)
-        if oracle != result:
-            raise InternalCheckError(
-                "derived jet disagrees with the generation oracle"
-            )
-    p._derived = result
+    if verify and cartan_generation_oracle(p) != result:
+        raise InternalCheckError("derived jet disagrees with the generation oracle")
     return result
 
 
+@_memo
 def _derived_via_normal_form(p: Jet) -> Jet:
     n, ell = p.n, p.order
     if ell == 0:
@@ -797,13 +780,12 @@ def _differential_rows(
     return {o: row for o, row in sorted(moved.items()) if row}
 
 
+@_memo
 def _cartan_system(p: Jet) -> tuple[Jet, list[dict[int, SparseRow]], Subspace]:
     """The derived jet p', the rows of each minimal generator's map moved to
     A' = R[x]/p' (:func:`_differential_rows`), and the Cartan system they cut
     out (see :func:`contact_and_cartan`).  The result is cached on the jet.
     """
-    if p._cartan is not None:
-        return p._cartan
     derived = derived_jet(p)
     qcols = _class_columns(p.quotient.basis_monomials, derived.quotient)
     differentials = [_differential_rows(p, qcols, g) for g in p.quotient.minimal_generators]
@@ -825,10 +807,10 @@ def _cartan_system(p: Jet) -> tuple[Jet, list[dict[int, SparseRow]], Subspace]:
     cartan = constraints.kernel()
     if not cartan.contains_subspace(relations):
         raise InternalCheckError("annihilator lost the derivation relations")
-    p._cartan = (derived, differentials, cartan)
-    return p._cartan
+    return derived, differentials, cartan
 
 
+@_memo
 def contact_and_cartan(p: Jet) -> ContactData:
     """Omega as a span of maps into A' = R[x]/p', Cartan as its exact annihilator.
 
@@ -846,8 +828,6 @@ def contact_and_cartan(p: Jet) -> ContactData:
     coordinates) so the two routes can be compared exactly.  The result is
     cached on the jet.
     """
-    if p._contact is not None:
-        return p._contact
     derived, differentials, cartan = _cartan_system(p)
     algebra = p.quotient
     n = p.n
@@ -878,7 +858,7 @@ def contact_and_cartan(p: Jet) -> ContactData:
     kernel = preimage(pi_rows, tangent_module(derived).relations, nd)
     kernel_ok = cartan.contains_subspace(kernel)
 
-    p._contact = ContactData(
+    return ContactData(
         jet=p,
         derived=derived,
         omega=omega,
@@ -889,7 +869,6 @@ def contact_and_cartan(p: Jet) -> ContactData:
         cartan_tangent_dimension=cartan.dimension - tangent.relations.dimension,
         kernel_inside_cartan=kernel_ok,
     )
-    return p._contact
 
 
 def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:

@@ -14,7 +14,6 @@ checked then too, and the rest of it when it runs, so a bad command fails alone.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -104,11 +103,10 @@ class Session:
 
 @dataclass
 class Report:
-    """Per-command results; timing is kept internal and never rendered."""
+    """Per-command results and the session's exit status."""
 
     results: list[dict]
     exit_status: int
-    elapsed: float
 
 
 def _require(condition: bool, message: str) -> None:
@@ -650,7 +648,6 @@ def execute(
     A command that runs out of memory fails with :class:`OutOfMemoryError`;
     leaving its frames frees what it held before the next command runs.
     """
-    started = time.monotonic()
     results: list[dict] = []
     status = 0
     for index, cmd in enumerate(session.commands):
@@ -667,7 +664,7 @@ def execute(
                 results.append(entry)
                 break
         results.append(entry)
-    return Report(results, status, time.monotonic() - started)
+    return Report(results, status)
 
 
 def _run_command(session: Session, cmd: dict, verify_oracles: bool) -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import comb
 from operator import add
 from typing import Iterable, Sequence
@@ -64,6 +64,23 @@ def _fraction_row(pairs: Iterable[tuple[int, int]], den: int) -> SparseRow:
     """The sparse ``Fraction`` row of integer ``(index, numerator)`` pairs over
     ``den``, zero numerators dropped: where integer products become rows."""
     return {g: Fraction(x, den) for g, x in pairs if x}
+
+
+def _memo(build):
+    """Cache ``build(value, *args)`` in the value's ``_memo`` dict, keyed by
+    the builder's name and the arguments.  Jets and algebras are immutable,
+    so an entry never goes stale; a build that raises stores nothing."""
+    name = build.__name__
+
+    @wraps(build)
+    def cached(value, *args):
+        key = (name, *args)
+        result = value._memo.get(key)
+        if result is None:
+            result = value._memo[key] = build(value, *args)
+        return result
+
+    return cached
 
 
 @lru_cache(maxsize=None)
@@ -122,9 +139,7 @@ class WeilAlgebra:
         self.filtration_dimensions = tuple(
             self.dimension - bisect_left(self._basis_degrees, k) for k in range(1, self.order + 2)
         )
-        self._derivations: "DerivationSpace | None" = None
-        self._tensors: dict[WeilAlgebra, WeilAlgebra] = {}
-        self._minimal_polynomials: dict[int, TruncatedPolynomial] = {}
+        self._memo: dict[tuple, object] = {}
 
     @cached_property
     def _classes(self) -> list[SparseRow]:
@@ -380,14 +395,11 @@ class WeilAlgebra:
                 span.insert({table[c]: v for c, v in row.items() if table[c] is not None})
         return tuple(r for r in self._generator_rows if span.insert(r))
 
+    @_memo
     def _minimal_generator(self, k: int) -> TruncatedPolynomial:
         """The polynomial of minimal generator row k, built once, when first read."""
-        f = self._minimal_polynomials.get(k)
-        if f is None:
-            row = self._minimal_generator_rows[k]
-            f = TruncatedPolynomial.from_sparse(self.n, self.window_bound, row)
-            self._minimal_polynomials[k] = f
-        return f
+        row = self._minimal_generator_rows[k]
+        return TruncatedPolynomial.from_sparse(self.n, self.window_bound, row)
 
     @cached_property
     def minimal_generators(self) -> tuple[TruncatedPolynomial, ...]:
@@ -558,14 +570,12 @@ def is_free_truncated(algebra: WeilAlgebra) -> bool:
     return algebra.dimension == comb(algebra.n + algebra.order, algebra.order)
 
 
+@_memo
 def tensor_product(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
     """Quotient on disjoint variables whose ideal joins both defining ideals.
 
-    Memoized on the left factor (the values are immutable).
+    Memoized on the left factor, keyed by the right one.
     """
-    result = a._tensors.get(b)
-    if result is not None:
-        return result
     n = a.n + b.n
     bound = a.order + b.order + 1
     idx = window_index(n, bound)
@@ -576,8 +586,7 @@ def tensor_product(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
             rows.append({idx[before + exps[c] + after]: v for c, v in row.items()})
     ideal = Echelon(window_size(n, bound))
     ideal.saturate(rows, _variable_shifts(n, bound))
-    result = a._tensors[b] = _rewindow(n, bound, ideal, rows)
-    return result
+    return _rewindow(n, bound, ideal, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -614,6 +623,7 @@ class DerivationSpace:
         return tuple(out)
 
 
+@_memo
 def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     """Solve the Leibniz system: derivations are fixed by generator images.
 
@@ -635,8 +645,6 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     the one :attr:`WeilAlgebra.minimal_generators` holds).  On a free
     truncated algebra no Leibniz row is built at all.
     """
-    if algebra._derivations is not None:
-        return algebra._derivations
     n, d = algebra.n, algebra.dimension
     degs = degrees(n, algebra.window_bound)
     constraints = Echelon(n * d)
@@ -647,9 +655,7 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
             f = algebra._minimal_generator(k)
             for row in algebra.differential_rows(f).values():
                 constraints.insert(row)
-    space = DerivationSpace(algebra, constraints)
-    algebra._derivations = space
-    return space
+    return DerivationSpace(algebra, constraints)
 
 
 @dataclass(frozen=True)

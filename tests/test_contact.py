@@ -91,6 +91,30 @@ class TestGenerationOracle:
     def test_single_variable(self):
         assert cartan_generation_oracle(power_jet(1, 2)) == power_jet(1, 1)
 
+    def test_verify_checks_the_cached_derived_jet(self, monkeypatch):
+        # The oracle runs once, against the derived jet already cached on p,
+        # and that same object comes back.
+        p = ladder_jet(*LADDER[0])
+        derived = derived_jet(p)
+        seen = []
+        oracle = jets.cartan_generation_oracle
+
+        def spy(q):
+            seen.append(q)
+            return oracle(q)
+
+        monkeypatch.setattr(jets, "cartan_generation_oracle", spy)
+        assert derived_jet(p, verify=True) is derived
+        assert seen == [p]
+
+    def test_verify_fires_on_a_disagreeing_oracle(self, monkeypatch):
+        p = ladder_jet(*LADDER[0])
+        derived = derived_jet(p)
+        monkeypatch.setattr(jets, "cartan_generation_oracle", lambda q: power_jet(q.n, 1))
+        with pytest.raises(InternalCheckError, match="disagrees with the generation oracle"):
+            derived_jet(p, verify=True)
+        assert derived_jet(p) is derived
+
 
 class TestContactSystem:
     def test_order_one_jet(self):
@@ -357,7 +381,7 @@ class TestSelfChecksPerOp:
         fields_project = jets._assert_fields_project
 
         def spy_cartan(q):
-            calls["cartan_hit" if q._cartan is not None else "cartan_built"].append(q)
+            calls["cartan_hit" if ("_cartan_system",) in q._memo else "cartan_built"].append(q)
             return cartan_system(q)
 
         def spy_generation(q, derived):
@@ -382,7 +406,7 @@ class TestSelfChecksPerOp:
             "cartan_built": [p, ty.derived], "cartan_hit": [], "generation": [],
             "fields_project": [p],
         }
-        assert p._contact is None and ty.derived._contact is None
+        assert all(("contact_and_cartan",) not in q._memo for q in (p, ty.derived))
 
     def test_contact_runs_the_generation_route_once_and_then_hits(self, monkeypatch):
         p = ladder_jet(*LADDER[0])

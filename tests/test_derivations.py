@@ -235,7 +235,7 @@ def _run(ops):
     )
     report = execute(session)
     assert all(entry["ok"] for entry in report.results)
-    return session.algebras["A"]._derivations
+    return session.algebras["A"]._memo.get(("derivation_space",))
 
 
 def _count_maps(monkeypatch) -> list:

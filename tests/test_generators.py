@@ -5,9 +5,10 @@ elimination over a window layout rebuilt from ``itertools``: the saturation
 of the minimal generators, dim I - dim m*I, the field space of a jet taken
 over the full vector basis of its ideal, and the order of polynomial terms.
 The tests also make each reworked self-check fire on a perturbed input, and
-pin the memo of the hat ideal.
+pin the memo of every builder that caches on a jet or an algebra.
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weiljets import jets, weil
 from weiljets.errors import InternalCheckError
 from weiljets.jets import (
     _assert_fields_project,
@@ -35,7 +37,7 @@ from conftest import (
     algebras,
     basis,
     canonical_basis,
-    jets,
+    jets as drawn_jets,
     ladder_jet,
     rationals,
     to_vector,
@@ -157,7 +159,7 @@ def test_minimal_generators_drop_redundant_rows():
 @given(data=st.data())
 @pytest.mark.parametrize("n, gens, order", [*LADDER, pytest.param(0, None, 0, id="drawn")])
 def test_jet_fields_match_full_basis_route(n, gens, order, data):
-    p = data.draw(jets()) if gens is None else ladder_jet(n, gens, order)
+    p = data.draw(drawn_jets()) if gens is None else ladder_jet(n, gens, order)
     n, ell, bound = p.n, p.order, p.window_bound
     coeff_exps = layout(n, ell)
     exps = layout(n, bound)
@@ -209,7 +211,7 @@ class TestChecksFire:
             for k, v in field.items():
                 row[k] = Fraction(v)
             rows.append(row)
-        p._fields = canonical_basis(rows, width)
+        p._memo[("jet_fields",)] = canonical_basis(rows, width)
         return p
 
     def test_fields_project_fires_on_a_perturbed_field(self):
@@ -265,7 +267,67 @@ def test_hat_ideal_is_memoized_on_the_jet():
     assert cotangent_module(p).hat is hat
     derived = derived_jet(p)
     taylor_map(p)
-    assert derived._hat is hat_ideal(derived)
+    assert derived._memo[("hat_ideal",)] is hat_ideal(derived)
+
+
+def _entries(code, call):
+    """call() and the number of times a frame of ``code`` was entered meanwhile."""
+    entered = 0
+
+    def profile(frame, event, arg):
+        nonlocal entered
+        entered += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, entered
+
+
+def _memo_jet():
+    return ladder_jet(3, ["z - x y"], 3)
+
+
+def _memo_algebra():
+    return quotient_algebra(2, 3, [P("x^2 - y^3", 2)])
+
+
+# Builder name -> (owner, fresh value, call that reaches the builder).
+MEMOIZED = {
+    "hat_ideal": (jets, _memo_jet, jets.hat_ideal),
+    "jet_fields": (jets, _memo_jet, jets.jet_fields),
+    "normal_form": (jets, _memo_jet, jets.normal_form),
+    "_derived_via_normal_form": (jets, _memo_jet, derived_jet),
+    "_cartan_system": (jets, _memo_jet, jets._cartan_system),
+    "contact_and_cartan": (jets, _memo_jet, jets.contact_and_cartan),
+    "derivation_space": (weil, _memo_algebra, weil.derivation_space),
+    "tensor_product": (
+        weil, _memo_algebra, lambda a: weil.tensor_product(a, weil.free_truncated_algebra(1, 2))
+    ),
+    "_minimal_generator": (weil.WeilAlgebra, _memo_algebra, lambda a: a._minimal_generator(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOIZED))
+def test_builders_are_memoized_per_value(name):
+    owner, make, call = MEMOIZED[name]
+    builder = vars(owner)[name]
+    # The bench tracer finds what it wraps by these two names.
+    assert builder.__name__ == name
+    assert builder.__module__ == getattr(owner, "__module__", owner.__name__)
+    body = builder.__wrapped__.__code__
+    value, twin = make(), make()
+    assert value == twin and value is not twin
+    result, entered = _entries(body, lambda: call(value))
+    assert entered == 1
+    again, entered = _entries(body, lambda: call(value))
+    assert again is result and entered == 0
+    # Equal values keep separate memos.
+    assert all(key[0] != name for key in twin._memo)
+    other, entered = _entries(body, lambda: call(twin))
+    assert entered == 1 and other is not result
 
 
 @pytest.mark.parametrize("n, gens, order", LADDER)

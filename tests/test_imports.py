@@ -6,7 +6,10 @@ module-level function or class is referenced somewhere in the package
 outside its own definition; a re-export does not count.  The one exception
 is :data:`AWAITING_OPS`, paper constructions that no session op reaches yet.
 Every non-dunder method of a module-level class is likewise read by name or
-attribute outside its own body, apart from :data:`AWAITING_METHODS`.
+attribute outside its own body, apart from :data:`AWAITING_METHODS`.  No
+package code stores to a private attribute of anything but ``self``: what a
+jet or an algebra derives is cached through ``weil._memo``, in the value's
+own ``_memo`` dict.
 """
 
 import ast
@@ -138,6 +141,21 @@ def _dead_methods(trees: dict[str, ast.Module]) -> list[str]:
     return dead
 
 
+def _foreign_private_stores(tree: ast.Module) -> list[str]:
+    """``line N: x._name`` for each store to a private, non-dunder attribute
+    of any object other than ``self``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)):
+            continue
+        if not node.attr.startswith("_") or node.attr.endswith("__"):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id == "self":
+            continue
+        found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert _local_imports(_tree(path)) == []
@@ -166,6 +184,28 @@ def test_checks_catch_both_faults():
     assert _local_imports(tree) == ["line 4 in f: path"]
     unused = set(_bound_names(tree)) - _used_names(tree)
     assert unused == {"json", "gcd"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_stores_on_other_objects(path):
+    assert _foreign_private_stores(_tree(path)) == []
+
+
+def test_private_store_check_catches_a_planted_store():
+    tree = ast.parse(
+        "class Jet:\n"
+        "    def __init__(self):\n"
+        "        self._memo = {}\n"
+        "def hat(p, h, f):\n"
+        "    p._hat = h\n"
+        "    p.hat = h\n"
+        "    p._memo[0] = h\n"
+        "    f.__name__ = 'g'\n"
+        "    p.quotient._table, p._fields = h, h\n"
+    )
+    assert _foreign_private_stores(tree) == [
+        "line 5: p._hat", "line 9: p.quotient._table", "line 9: p._fields"
+    ]
 
 
 def test_no_dead_private_helpers():

@@ -94,7 +94,7 @@ def test_verify_oracles_reports_are_covered():
 
 @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1, 2}, b"x"], ids=repr)
 def test_emitter_refuses_other_types(value):
-    report = Report([{"index": 0, "op": "info", "ok": True, "result": {"v": [value]}}], 0, 0.0)
+    report = Report([{"index": 0, "op": "info", "ok": True, "result": {"v": [value]}}], 0)
     with pytest.raises(TypeError):
         render(report)
 
