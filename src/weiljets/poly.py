@@ -116,25 +116,34 @@ class _Powers:
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings; floats are rejected."""
-    if isinstance(value, float):
-        raise TypeError("floating-point input is not allowed; pass 'p/q' strings")
-    if isinstance(value, Fraction):
+    """Coerce ints, Fractions and 'p/q' strings; floats are rejected.
+
+    The exact types ``Fraction`` and ``str`` are tested first: ``isinstance``
+    against ``Fraction`` goes through its ABC, and session coordinates are
+    strings.  Subclasses take the same routes as before.
+    """
+    kind = type(value)
+    if kind is Fraction:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        # ASCII [+-]digits[/digits] is split into ints; every other spelling
-        # goes through Fraction's own parser, so it keeps its value or error.
-        num, slash, den = text.partition("/")
-        digits = num[1:] if num[:1] in ("+", "-") else num
-        fast = text.isascii() and digits.isdigit() and (not slash or den.isdigit())
-        try:
-            return Fraction(int(num), int(den) if slash else 1) if fast else Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if kind is not str:
+        if isinstance(value, float):
+            raise TypeError("floating-point input is not allowed; pass 'p/q' strings")
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        if not isinstance(value, str):
+            raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    text = value.strip()
+    # ASCII [+-]digits[/digits] is split into ints; every other spelling
+    # goes through Fraction's own parser, so it keeps its value or error.
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    fast = text.isascii() and digits.isdigit() and (not slash or den.isdigit())
+    try:
+        return Fraction(int(num), int(den) if slash else 1) if fast else Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class TruncatedPolynomial:
@@ -499,8 +508,11 @@ def _name_table(variable_count: int) -> dict[str, int]:
     return names
 
 
+# Every position of a stripped text starts a token: ``bad`` catches the first
+# character no other group reads, so one finditer pass walks the whole text.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[a-zA-Z]\w*)|(?P<pow>\^|\*\*)|(?P<mul>\*)|(?P<sign>[+-]))"
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[a-zA-Z]\w*)|(?P<pow>\^|\*\*)|(?P<mul>\*)|(?P<sign>[+-])"
+    r"|(?P<bad>.))"
 )
 
 
@@ -510,14 +522,17 @@ def parse_polynomial(
     """Parse the documented term syntax; the bound defaults to the exact degree.
 
     A term's sign and coefficient tokens multiply as an integer numerator and
-    denominator, and each term becomes one ``Fraction``.
+    denominator, and each term becomes one ``Fraction``.  A variable counts
+    once when it is read; a ``^`` right after it makes the next token its
+    exponent, which adds the rest of the power.
     """
     names = _name_table(variable_count)
     coeffs: dict[Exponent, Fraction] = {}
 
-    pos = 0
     sign = 1
     pending: tuple[int, int, list[int]] | None = None  # (numerator, denominator, exponents)
+    variable = -1  # the variable of the previous token, which '^' may raise
+    raised = -1  # the variable whose exponent is the next token
 
     def flush():
         nonlocal pending
@@ -532,24 +547,28 @@ def parse_polynomial(
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot parse polynomial near {text[pos:pos + 12]!r}")
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
+        token = m.group(kind)
+        if raised >= 0:
+            if kind != "num" or "/" in token:
+                raise ValueError("exponent must be a non-negative integer")
+            pending[2][raised] += int(token) - 1
+            raised = -1
+            continue
+        if kind == "pow" and variable >= 0:
+            raised, variable = variable, -1
+            continue
+        variable = -1
         if kind == "sign":
             flush()
-            sign = 1 if m.group(kind) == "+" else -1
-            continue
-        if kind == "mul":
+            sign = 1 if token == "+" else -1
+        elif kind == "mul":
             if pending is None:
                 raise ValueError("unexpected '*'")
-            continue
-        if kind == "pow":
+        elif kind == "pow":
             raise ValueError("unexpected exponent operator")
-        if kind == "num":
-            token = m.group(kind)
+        elif kind == "num":
             # int reads every digit \d matches, as Fraction's own parser does.
             top, _, bottom = token.partition("/")
             num, den = int(top), int(bottom or 1)
@@ -559,22 +578,18 @@ def parse_polynomial(
                 pending = (sign * num, den, [0] * variable_count)
             else:
                 pending = (pending[0] * num, pending[1] * den, pending[2])
-            continue
-        name = m.group(kind)
-        if name not in names:
-            raise ValueError(f"unknown variable {name!r} for {variable_count} variables")
-        power = 1
-        pm = _TOKEN.match(text, pos)
-        if pm and pm.group("pow"):
-            pos = pm.end()
-            em = _TOKEN.match(text, pos)
-            if not em or not em.group("num") or "/" in em.group("num"):
-                raise ValueError("exponent must be a non-negative integer")
-            power = int(em.group("num"))
-            pos = em.end()
-        if pending is None:
-            pending = (sign, 1, [0] * variable_count)
-        pending[2][names[name]] += power
+        elif kind == "name":
+            variable = names.get(token, -1)
+            if variable < 0:
+                raise ValueError(f"unknown variable {token!r} for {variable_count} variables")
+            if pending is None:
+                pending = (sign, 1, [0] * variable_count)
+            pending[2][variable] += 1
+        else:
+            pos = m.start()
+            raise ValueError(f"cannot parse polynomial near {text[pos:pos + 12]!r}")
+    if raised >= 0:
+        raise ValueError("exponent must be a non-negative integer")
     flush()
 
     bound = degree_bound
@@ -642,14 +657,25 @@ def _format_index_terms(
     """Text of sum_m numerators[m] / den x^m over index keys ``(v1, -k1, ...)``,
     with no polynomial built; ``names[v]`` names variable v.  Within one degree
     tuple order is the layout order, so a sort and a stable sort by degree give
-    the layout, as in :meth:`TruncatedPolynomial.terms`."""
+    the layout, as in :meth:`TruncatedPolynomial.terms`.  Each term is written
+    in one pass, as :func:`_format_terms` writes it."""
     keys = sorted(m for m, c in numerators.items() if c)
     keys.sort(key=lambda m: -sum(m[1::2]))
-    terms = []
+    pieces: list[str] = []
     for m in keys:
-        factors = (names[v] if k == -1 else f"{names[v]}^{-k}" for v, k in zip(m[::2], m[1::2]))
-        terms.append((" ".join(factors), numerators[m], den))
-    return _format_terms(terms)
+        parts = []
+        for j in range(0, len(m), 2):
+            k = m[j + 1]
+            parts.append(names[m[j]] if k == -1 else f"{names[m[j]]}^{-k}")
+        factors = " ".join(parts)
+        num = numerators[m]
+        mag = _rational_text(abs(num), den)
+        body = factors if mag == "1" and factors else f"{mag} {factors}" if factors else mag
+        if pieces:
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
+        else:
+            pieces.append(body if num > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
 
 
 def format_polynomial(f: TruncatedPolynomial) -> str:

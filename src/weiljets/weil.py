@@ -231,7 +231,7 @@ class WeilAlgebra:
 
     def element(self, coordinates: Sequence) -> "AlgebraElement":
         """The element with the given dense coordinates: the one dense entry."""
-        coords = [as_fraction(c) for c in coordinates]
+        coords = [c if type(c) is Fraction else as_fraction(c) for c in coordinates]
         if len(coords) != self.dimension:
             raise DimensionMismatchError(
                 f"need {self.dimension} coordinates, got {len(coords)}"
@@ -254,46 +254,67 @@ class WeilAlgebra:
 
     # -- arithmetic on sparse rows ------------------------------------------------
 
+    def _factor(self, vs: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
+        """A right factor of :meth:`_mult_numerators`: its sparse ``(index,
+        numerator)`` pairs and the same numerators dense."""
+        dense = [0] * self.dimension
+        for b, x in vs:
+            dense[b] = x
+        return vs, dense
+
     def _mult_numerators(
-        self, us: Iterable[tuple[int, int]], vs: Iterable[tuple[int, int]]
+        self, us: Iterable[tuple[int, int]], factor: tuple[list[tuple[int, int]], list[int]]
     ) -> list[int]:
         """The one integer algebra product: numerators of u * v, dense.
 
-        ``us`` and ``vs`` are sparse ``(index, numerator)`` pairs, ``vs``
-        reiterable; the result lies over their two denominators times
-        ``_mult_den``.
+        ``us`` are sparse ``(index, numerator)`` pairs and ``factor`` is v
+        from :meth:`_factor`; the result lies over their two denominators
+        times ``_mult_den``.  Per row a of the table the kernel walks the
+        shorter side: the row's stored products, read against v dense, or
+        v's nonzeros, each looked up in the row.
         """
+        vs, dense = factor
+        nonzeros = len(vs)
         out = [0] * self.dimension
         mult = self._mult
         for a, ua in us:
             row = mult[a]
-            for b, vb in vs:
-                entries = row.get(b)
-                if entries:
-                    w = ua * vb
-                    for g, c in entries:
-                        out[g] += w * c
+            if len(row) < nonzeros:
+                for b, entries in row.items():
+                    vb = dense[b]
+                    if vb:
+                        w = ua * vb
+                        for g, c in entries:
+                            out[g] += w * c
+            else:
+                for b, vb in vs:
+                    entries = row.get(b)
+                    if entries:
+                        w = ua * vb
+                        for g, c in entries:
+                            out[g] += w * c
         return out
 
     def product(self, u: SparseRow, v: SparseRow) -> SparseRow:
         """The row of u * v, for sparse rows u and v of quotient coordinates."""
         (us, vs), den = _common_denominator([u.items(), v.items()])
-        return _fraction_row(enumerate(self._mult_numerators(us, vs)), den * den * self._mult_den)
+        numerators = self._mult_numerators(us, self._factor(vs))
+        return _fraction_row(enumerate(numerators), den * den * self._mult_den)
 
     def _power_numerators(self, factors: Sequence[SparseRow]) -> _Powers:
         """The morphism R[y] -> A sending y_i to the element of row factors[i].
 
         A product is the sparse ``(index, numerator)`` pairs of
         prod_i factors[i]^e[i].  The factors are split once over one
-        denominator q, and each product multiplies numerators only, so the
-        scale is q times ``_mult_den``.
+        denominator q and prepared once by :meth:`_factor`, and each product
+        multiplies numerators only, so the scale is q times ``_mult_den``.
         """
         rows, q = _common_denominator(f.items() for f in factors)
 
         def mul(u, v):
             return tuple((g, x) for g, x in enumerate(self._mult_numerators(u, v)) if x)
 
-        return _Powers(((0, 1),), rows, mul, q * self._mult_den)
+        return _Powers(((0, 1),), [self._factor(r) for r in rows], mul, q * self._mult_den)
 
     def multiplication_map(self, w: SparseRow) -> list[SparseRow]:
         """Sparse images of the basis classes under v -> w*v (saturation table),
@@ -892,6 +913,8 @@ def _inverse_substitution(
     lin_inv = invert_matrix([tuple(f.coefficient(u) for u in units) for f in sigma])
     if lin_inv is None:
         return None
+    rows, q = _common_denominator(enumerate(row) for row in lin_inv)
+    lin_rows = [[(j, x) for j, x in row if x] for row in rows]
     nonlinear = [
         TruncatedPolynomial(
             n, bound, {e: c for e, c in f.coefficients.items() if sum(e) >= 2}
@@ -899,21 +922,26 @@ def _inverse_substitution(
         for f in sigma
     ]
 
-    def lin_inv_apply(polys: Sequence[TruncatedPolynomial]) -> list[TruncatedPolynomial]:
+    def lin_inv_apply(images: Sequence[TruncatedPolynomial]) -> list[TruncatedPolynomial]:
+        """Lin^{-1} (x - images): each output's integer numerators accumulated
+        once over one denominator, one ``Fraction`` per coefficient."""
+        terms, p = _common_denominator(img.coefficients.items() for img in images)
         out = []
-        for i in range(n):
-            acc = TruncatedPolynomial.zero(n, bound)
-            for j in range(n):
-                if lin_inv[i][j]:
-                    acc = acc + polys[j].scale(lin_inv[i][j])
-            out.append(acc)
+        for row in lin_rows:
+            acc: dict[Exponent, int] = {}
+            get = acc.get
+            for j, x in row:
+                if bound:  # x_j is zero in the window of bound 0
+                    acc[units[j]] = get(units[j], 0) + x * p
+                for e, c in terms[j]:
+                    acc[e] = get(e, 0) - x * c
+            out.append(TruncatedPolynomial._from_numerators(n, bound, acc, q * p))
         return out
 
-    identity = _identity_substitution(n, bound)
-    tau = lin_inv_apply(identity)
+    tau = lin_inv_apply([TruncatedPolynomial.zero(n, bound)] * n)
     for _ in range(max(bound - 1, 0)):
         through_tau = substitution(tau, bound)
-        step = lin_inv_apply([x - through_tau(f) for x, f in zip(identity, nonlinear)])
+        step = lin_inv_apply([through_tau(f) for f in nonlinear])
         if step == tau:
             break
         tau = step

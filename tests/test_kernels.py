@@ -42,7 +42,7 @@ from weiljets.poly import (
 from weiljets.session import _op_prolong
 from weiljets.weil import WeilAlgebra, algebra_morphism, free_truncated_algebra, quotient_algebra
 
-from conftest import P, canonical_basis, ideal_polynomials, ref_product, ref_substitute, structure_constants
+from conftest import P, algebras, canonical_basis, ideal_polynomials, ref_product, ref_substitute, structure_constants
 
 ZERO = Fraction(0)
 POOL = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3, 4, 6)]
@@ -315,6 +315,123 @@ def test_element_product_matches_product_of_representatives(case):
     got = (algebra.element(u) * algebra.element(v)).coordinates
     assert got == expected
     assert all(type(c) is Fraction for c in got)
+
+
+# -- the algebra product kernel: per row, the shorter side -----------------------
+
+
+def dense_product(algebra, u: dict, v: dict) -> dict:
+    """u * v as a dense double loop over every pair of basis classes, each
+    pair read off ``structure_constants``."""
+    table: dict = {}
+    for a, b, g, c in structure_constants(algebra):
+        table.setdefault((a, b), []).append((g, c))
+    d = algebra.dimension
+    out: dict = {}
+    for a in range(d):
+        for b in range(d):
+            w = u.get(a, ZERO) * v.get(b, ZERO)
+            for g, c in table.get((a, b), ()):
+                out[g] = out.get(g, ZERO) + w * c
+    return {g: c for g, c in out.items() if c}
+
+
+@st.composite
+def kernel_factors(draw, d: int) -> dict:
+    """A sparse row of quotient coordinates: dense, sparse, a single entry,
+    zero or one."""
+    shape = draw(st.sampled_from(["dense", "sparse", "single", "zero", "one"]))
+    if shape == "dense":
+        return {k: draw(coefficients) for k in range(d)}
+    if shape == "sparse":
+        return draw(st.dictionaries(st.integers(0, d - 1), coefficients, max_size=d))
+    if shape == "single":
+        return {draw(st.integers(0, d - 1)): draw(coefficients)}
+    return {} if shape == "zero" else {0: Fraction(1)}
+
+
+@st.composite
+def kernel_case(draw):
+    algebra = draw(algebras())
+    d = algebra.dimension
+    return algebra, draw(kernel_factors(d)), draw(kernel_factors(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_algebra_product_matches_dense_double_loop(case):
+    algebra, u, v = case
+    got = algebra.product(u, v)
+    assert got == dense_product(algebra, u, v)
+    assert all(type(c) is Fraction for c in got.values())
+    powers = algebra._power_numerators([u, v])
+    assert powers.row((1, 1)) == got
+    assert powers.row((2, 0)) == dense_product(algebra, u, u)
+    assert powers.row((0, 2)) == dense_product(algebra, v, v)
+
+
+class CountingRow(dict):
+    """A table row that counts the kernel's inner steps: each lookup and each
+    stored product walked."""
+
+    def __init__(self, row):
+        super().__init__(row)
+        self.steps = 0
+
+    def get(self, key, default=None):
+        self.steps += 1
+        return super().get(key, default)
+
+    def items(self):
+        for item in super().items():
+            self.steps += 1
+            yield item
+
+
+R44 = free_truncated_algebra(4, 4)
+
+
+def kernel_steps(left: dict, right: dict) -> list[int]:
+    """The cost rule of one product left * right in R_4^4, per table row: a
+    row of a nonzero of ``left`` costs the shorter of its stored products and
+    the nonzeros of ``right``; every other row costs nothing."""
+    return [min(len(row), len(right)) if a in left else 0 for a, row in enumerate(R44._mult)]
+
+
+@pytest.mark.parametrize("shape", ["dense", "half", "single", "one"])
+@pytest.mark.parametrize("route", ["product", "powers"])
+def test_product_walks_the_shorter_side_of_each_row(monkeypatch, shape, route):
+    # R_4^4 has 70 basis classes and 495 stored products, from 70 in row 0
+    # down to 1 in each row of degree 4.  Per row the kernel makes
+    # min(stored products, nonzeros of v) steps, never more than the one
+    # lookup per nonzero of v it made before.
+    d = R44.dimension
+    u = {a: Fraction(a + 1, 2) for a in range(d)}
+    v = {
+        "dense": {b: Fraction(1, b + 1) for b in range(d)},
+        "half": {b: Fraction(-b, 3) for b in range(0, d, 2) if b},
+        "single": {d // 2: Fraction(5, 7)},
+        "one": {0: Fraction(1)},
+    }[shape]
+    expected = dense_product(R44, u, v)
+    uv = kernel_steps(u, v)
+    if route == "product":
+        want = uv
+    else:
+        # y0 y1 under y0 -> v, y1 -> u is made as (1 * u) * v.
+        want = [x + y for x, y in zip(kernel_steps({0: 1}, u), uv)]
+    rows = [CountingRow(row) for row in R44._mult]
+    monkeypatch.setitem(R44.__dict__, "_mult", rows)
+    if route == "product":
+        got = R44.product(u, v)
+    else:
+        got = R44._power_numerators([v, u]).row((1, 1))
+    assert got == expected
+    assert [row.steps for row in rows] == want
+    if shape == "dense":
+        # Every stored product once: 495 steps, where one lookup per pair
+        # of nonzeros made 70 * 70.
+        assert sum(uv) == 495
 
 
 def ref_value(f: dict, algebra, images) -> tuple:

@@ -14,6 +14,7 @@ from weiljets.poly import (
     truncated_product,
     truncated_substitute,
 )
+from weiljets.weil import free_truncated_algebra
 
 from conftest import P
 
@@ -91,6 +92,15 @@ _PIECES = ["0", "1", "2", "12", "3/4", "6/8", "0/5", "\u0663", "\u0661/\u0662", 
 _FAULTS = ["3/0", "3/\u0660", "^", "**", "w", "@", "x^y", "x^1/2"]
 
 
+def dense_text(count):
+    """``count`` terms in x and y, every monomial of the layout in turn, with
+    mixed signs, zero and fractional coefficients and explicit powers."""
+    exps = [(i, d - i) for d in range(count) for i in range(d, -1, -1)][:count]
+    return " ".join(
+        f"{'-' if k % 3 else '+'} {k % 7}/{k % 5 + 1} x^{i} y^{j}" for k, (i, j) in enumerate(exps)
+    )
+
+
 def _texts(pieces):
     return st.lists(
         st.tuples(st.sampled_from(pieces), st.sampled_from(["", " "])), max_size=9
@@ -120,7 +130,8 @@ class TestParseFormat:
 
     @pytest.mark.parametrize(
         "text", ["2 x - 2 x + y^2", "x^2 - x^2 + 3/6 x", "-3 * 4/6 x y 5", "3/0 x", "x ** 2",
-                 "**", "\u0663/\u0664 x", "x^\u0662", "1" * 5000 + " x", "2/" + "\u0661" * 4400],
+                 "**", "\u0663/\u0664 x", "x^\u0662", "1" * 5000 + " x", "2/" + "\u0661" * 4400,
+                 "@ x + 1", "x + 1 @", "x +  \t@ y", "x^ @", "x y^2 ?", dense_text(2000)],
         ids=lambda text: repr(text) if len(text) < 20 else f"{len(text)} characters",
     )
     def test_agrees_with_the_reference_parser(self, text):
@@ -169,6 +180,21 @@ def assert_as_fraction_agrees(text):
         assert type(result) is Fraction and result == expected
 
 
+class Int(int):
+    pass
+
+
+class Str(str):
+    pass
+
+
+class Half(Fraction):
+    pass
+
+
+HALF = Half(1, 2)
+
+
 class TestAsFraction:
     # The fast path takes ASCII [+-]digits[/digits]; each other spelling must
     # still reach Fraction's parser and keep its value or its error.
@@ -187,6 +213,34 @@ class TestAsFraction:
     @given(st.text(alphabet="0123456789+-/ _.e", max_size=8))
     def test_agrees_with_fraction_on_drawn_text(self, text):
         assert_as_fraction_agrees(text)
+
+    # The exact types str and Fraction are dispatched first; every other
+    # value, subclasses included, keeps its result or its error and message.
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(True, Fraction(1)), (Int(7), Fraction(7)), (HALF, HALF), (Str(" -6/8 "), Fraction(-3, 4)),
+         (1.5, TypeError("floating-point input is not allowed; pass 'p/q' strings")),
+         (None, TypeError("cannot interpret None as an exact rational")),
+         (b"1", TypeError("cannot interpret b'1' as an exact rational"))],
+        ids=["bool", "int subclass", "Fraction subclass", "str subclass", "float", "None", "bytes"],
+    )
+    def test_non_exact_types_keep_their_route(self, value, expected):
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as err:
+                as_fraction(value)
+            assert str(err.value) == str(expected)
+        else:
+            result = as_fraction(value)
+            assert result == expected and type(result) is type(expected)
+            assert (result is value) == (value is HALF)
+
+    def test_element_keeps_fractions_and_rejects_floats(self):
+        algebra = free_truncated_algebra(1, 2)
+        third = Fraction(1, 3)
+        assert algebra.element([third, "2", 0]).row == {0: third, 1: Fraction(2)}
+        assert algebra.element([third, "2", 0]).row[0] is third
+        with pytest.raises(TypeError, match="floating-point"):
+            algebra.element([third, 1.5, 0])
 
 
 class TestProduct:
