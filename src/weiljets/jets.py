@@ -8,7 +8,9 @@ computation happens at the origin after an exact translation.
 The derived jet is produced twice over: through the adapted normal form
 (y^1..y^r) + m^{l+1} + (Q^h(x)) and, independently, by applying the finite
 family of graph-tangent fields and saturating.  Their agreement is one of
-the package's standing checks.
+the package's standing checks.  A derived jet of the same width keeps the
+adapted coordinates it was built in (its :class:`Chart`), so the jet derived
+from it again needs no second straightening.
 """
 
 from __future__ import annotations
@@ -69,11 +71,35 @@ from .weil import (
 _ONE = Fraction(1)
 
 
+@dataclass(frozen=True)
+class Chart:
+    """Adapted coordinates of a jet, in which its ideal is
+    (pivot variables) + m^{l+1} + (q_list) with each q in the free variables.
+
+    The jet is that ideal moved back through ``sigma_inverse``.  A
+    :class:`NormalForm` is a chart; a derived jet carries the chart of the
+    coordinates it was built in (see :func:`_derived_via_normal_form`).
+    """
+
+    pivot_variables: tuple[int, ...]
+    free_variables: tuple[int, ...]
+    sigma_inverse: tuple[TruncatedPolynomial, ...]
+    q_list: tuple[TruncatedPolynomial, ...]
+
+
 class Jet:
-    """An ideal of the local model at a point, in canonical form."""
+    """An ideal of the local model at a point, in canonical form.
+
+    ``chart``, when given, is a :class:`Chart` of the ideal; it takes no part
+    in equality or hashing.
+    """
 
     def __init__(
-        self, quotient: WeilAlgebra, base_point: tuple[Fraction, ...], classical: bool = False
+        self,
+        quotient: WeilAlgebra,
+        base_point: tuple[Fraction, ...],
+        classical: bool = False,
+        chart: Chart | None = None,
     ):
         self.quotient = quotient
         self.n = quotient.n
@@ -83,6 +109,7 @@ class Jet:
         self.window_bound = quotient.window_bound
         self.ideal = quotient.defining_ideal
         self.classical = classical
+        self.chart = chart
         self._memo: dict[tuple, object] = {}
 
     def __eq__(self, other) -> bool:
@@ -134,24 +161,6 @@ class Jet:
         )
 
 
-def _jet_from_origin(
-    n: int,
-    base_point: tuple[Fraction, ...],
-    generators: Sequence[TruncatedPolynomial],
-    order_hint: int,
-    strict_hint: bool = False,
-) -> Jet:
-    if order_hint < 0:
-        raise HintTooSmallError("the order hint must be non-negative")
-    algebra = quotient_algebra(n, order_hint, list(generators))
-    if strict_hint and algebra.order == order_hint:
-        raise HintTooSmallError(
-            f"detected order {algebra.order} reached the hint; the truncation "
-            "may be cutting the ideal, retry with a larger hint"
-        )
-    return Jet(algebra, base_point)
-
-
 def _window_jet(n: int, bound: int, ideal: Subspace, base_point: tuple[Fraction, ...]) -> Jet:
     """The jet of a subspace that is already an ideal of the window: its rows
     generate it, and need no saturation."""
@@ -186,7 +195,15 @@ def jet_from_ideal(
                 f"generator {format_polynomial(g)} does not vanish at the base point"
             )
         shifted.append(moved)
-    return _jet_from_origin(n, base, shifted, order_hint, strict_hint)
+    if order_hint < 0:
+        raise HintTooSmallError("the order hint must be non-negative")
+    algebra = quotient_algebra(n, order_hint, shifted)
+    if strict_hint and algebra.order == order_hint:
+        raise HintTooSmallError(
+            f"detected order {algebra.order} reached the hint; the truncation "
+            "may be cutting the ideal, retry with a larger hint"
+        )
+    return Jet(algebra, base)
 
 
 def power_jet(n: int, k: int, base_point: Sequence = None) -> Jet:
@@ -249,7 +266,12 @@ def hat_ideal(p: Jet) -> Jet:
     Computed one window above the jet's own so the raised order is visible;
     the inclusions p^2 <= hat(p) <= p are verified before returning.  The
     products of pairs of minimal generators of p generate p^2, so those pairs
-    are the ones checked.  The result is cached on the jet.
+    are the ones checked.  Every monomial of the top degree l + 2 lies in
+    hat(p), its partials having degree l + 1, so each must be a pivot of hat;
+    the layout is graded, so their rows are then unit rows, and a product
+    whose factors' lowest degrees add up to l + 2 or more lies in hat as it
+    stands.  Only the other pairs are multiplied.  The result is cached on
+    the jet.
     """
     n, ell = p.n, p.order
     bound = ell + 2
@@ -277,9 +299,14 @@ def hat_ideal(p: Jet) -> Jet:
 
     if not embedded.contains_subspace(hat):
         raise InternalCheckError("hat ideal escaped the jet")
+    if any(c not in hat.rows for c in range(window_size(n, ell + 1), len(exps))):
+        raise InternalCheckError("hat ideal misses a monomial of the top degree")
     gen_polys = p.quotient.minimal_generators
+    lowest = [min(map(sum, g.coefficients), default=bound) for g in gen_polys]
     for a in range(len(gen_polys)):
         for b in range(a, len(gen_polys)):
+            if lowest[a] + lowest[b] >= bound:
+                continue
             prod = truncated_product(gen_polys[a], gen_polys[b], bound)
             if not hat.contains_vector(prod.to_sparse(bound)):
                 raise InternalCheckError("p^2 is not inside the hat ideal")
@@ -390,16 +417,13 @@ def jet_fields(p: Jet) -> Subspace:
 
 
 @dataclass(frozen=True)
-class NormalForm:
-    """Adapted coordinates where the ideal is (y pivots) + m^{l+1} + (Q(x))."""
+class NormalForm(Chart):
+    """Adapted coordinates where the ideal is (y pivots) + m^{l+1} + (Q(x)):
+    a :class:`Chart` of the jet, with sigma and the transformed ideal."""
 
     jet: Jet
-    pivot_variables: tuple[int, ...]
-    free_variables: tuple[int, ...]
     r: int
     sigma: tuple[TruncatedPolynomial, ...]
-    sigma_inverse: tuple[TruncatedPolynomial, ...]
-    q_list: tuple[TruncatedPolynomial, ...]
     transformed_ideal: Subspace
 
 
@@ -568,14 +592,14 @@ def normal_form(p: Jet) -> NormalForm:
         raise InternalCheckError("substitution inverse failed to verify")
 
     return NormalForm(
-        p,
-        tuple(pivot_vars),
-        tuple(free_vars),
-        r,
-        tuple(sigma),
-        tuple(tau),
-        tuple(q_list),
-        current,
+        pivot_variables=tuple(pivot_vars),
+        free_variables=tuple(free_vars),
+        sigma_inverse=tuple(tau),
+        q_list=tuple(q_list),
+        jet=p,
+        r=r,
+        sigma=tuple(sigma),
+        transformed_ideal=current,
     )
 
 
@@ -596,40 +620,65 @@ def derived_jet(p: Jet, verify: bool = False) -> Jet:
 
 @_memo
 def _derived_via_normal_form(p: Jet) -> Jet:
+    """p' = (y) + m^l + (Q, d_x Q) in a chart of p, moved back to p's coordinates.
+
+    The chart is p's own when p carries one, and otherwise p's normal form.
+    When p' keeps p's width, no element of Q or d_x Q has a linear term, so
+    the chart is adapted to p' as well: p' carries it, with Q' = (Q, d_x Q)
+    truncated at the order of p', and the jet derived from p' needs no
+    normal form.  A width drop (d_v of v^2 is a unit) gives no chart.
+    """
     n, ell = p.n, p.order
     if ell == 0:
         return p
-    nf = normal_form(p)
+    chart = p.chart or normal_form(p)
     bound = p.window_bound
     gens: list[TruncatedPolynomial] = [
-        TruncatedPolynomial.variable(n, bound, j) for j in nf.pivot_variables
+        TruncatedPolynomial.variable(n, bound, j) for j in chart.pivot_variables
     ]
     gens += [
         TruncatedPolynomial.monomial(n, bound, e)
         for e in monomials_of_degree(n, ell)
     ]
-    for q in nf.q_list:
-        gens.append(q)
-        for a in nf.free_variables:
+    q_prime: list[TruncatedPolynomial] = []
+    for q in chart.q_list:
+        q_prime.append(q)
+        for a in chart.free_variables:
             dq = q.derivative(a)
             if not dq.is_zero():
-                gens.append(dq)
-    return _pullback_jet(p, gens, ell - 1, nf)
+                q_prime.append(dq)
+    algebra = _pullback(p, gens + q_prime, ell - 1, chart.sigma_inverse)
+    if algebra.width != p.width:
+        return Jet(algebra, p.base_point)
+    kept = (q.truncate(algebra.order) for q in q_prime)
+    return Jet(
+        algebra,
+        p.base_point,
+        chart=Chart(
+            chart.pivot_variables,
+            chart.free_variables,
+            chart.sigma_inverse,
+            tuple(q for q in kept if not q.is_zero()),
+        ),
+    )
 
 
-def _pullback_jet(
-    p: Jet, gens_new_coords: Sequence[TruncatedPolynomial], hint: int, nf: NormalForm
-) -> Jet:
-    """Move generators written in normal coordinates back through sigma."""
-    n = p.n
+def _pullback(
+    p: Jet,
+    gens_new_coords: Sequence[TruncatedPolynomial],
+    hint: int,
+    sigma_inverse: Sequence[TruncatedPolynomial],
+) -> WeilAlgebra:
+    """The quotient by generators written in adapted coordinates, moved back
+    through sigma: the jet's algebra of (pulled generators) + m^{hint+1}."""
     work_bound = hint + 1
-    pull = substitution(nf.sigma_inverse, work_bound)
+    pull = substitution(sigma_inverse, work_bound)
     pulled = []
     for g in gens_new_coords:
         moved = pull(g.truncate(work_bound) if g.degree() > work_bound else g)
         if not moved.is_zero():
             pulled.append(moved)
-    return _jet_from_origin(n, p.base_point, tuple(pulled), hint)
+    return quotient_algebra(p.n, hint, pulled)
 
 
 def _x_top(nf: NormalForm) -> list[TruncatedPolynomial]:
@@ -702,7 +751,8 @@ def cartan_generation_oracle(p: Jet) -> Jet:
 
     # Saturate with the jet's own cap only: the drop to order l-1 (in
     # particular m^l itself) has to come out of the field derivatives.
-    return _pullback_jet(p, ideal_gens + list(derived_rows), ell, nf)
+    algebra = _pullback(p, ideal_gens + list(derived_rows), ell, nf.sigma_inverse)
+    return Jet(algebra, p.base_point)
 
 
 # -- contact system ----------------------------------------------------------------

@@ -524,7 +524,8 @@ def parse_polynomial(
     A term's sign and coefficient tokens multiply as an integer numerator and
     denominator, and each term becomes one ``Fraction``.  A variable counts
     once when it is read; a ``^`` right after it makes the next token its
-    exponent, which adds the rest of the power.
+    exponent, which adds the rest of the power.  Zero and above-bound terms
+    are dropped here, so the result is built with no second validation.
     """
     names = _name_table(variable_count)
     coeffs: dict[Exponent, Fraction] = {}
@@ -595,7 +596,12 @@ def parse_polynomial(
     bound = degree_bound
     if bound is None:
         bound = max((sum(e) for e in coeffs), default=0)
-    return TruncatedPolynomial(variable_count, bound, coeffs)
+    if variable_count < 0 or bound < 0:
+        raise ValueError("variable count and degree bound must be non-negative")
+    # Every exponent has variable_count entries and every value is a Fraction.
+    return TruncatedPolynomial._from_fractions(
+        variable_count, bound, {e: c for e, c in coeffs.items() if c and sum(e) <= bound}
+    )
 
 
 # A few hundred entries hold the bases and windows a session reports.  Prolonged

@@ -29,6 +29,7 @@ from weiljets.jets import (
     taylor_map,
 )
 from weiljets.poly import TruncatedPolynomial
+from weiljets.subspace import Subspace
 from weiljets.weil import quotient_algebra
 
 from conftest import (
@@ -252,6 +253,22 @@ class TestChecksFire:
         kept = p.quotient.minimal_generators if keep else ()
         p.quotient.minimal_generators = kept + (g,)
         with pytest.raises(InternalCheckError, match="p\\^2 is not inside the hat ideal"):
+            hat_ideal(p)
+
+    @pytest.mark.parametrize("case", LADDER, ids=lambda case: " ; ".join(case[1]))
+    def test_hat_check_fires_on_a_dropped_top_degree_row(self, monkeypatch, case):
+        # Every monomial of degree l + 2 lies in hat(p), so the products the
+        # check skips rest on those rows: losing one must still fail the step.
+        class Dropping(jets.Echelon):
+            def kernel(self):
+                hat = super().kernel()
+                rows = dict(hat.rows)
+                del rows[max(rows)]
+                return Subspace(hat.ambient_dimension, rows)
+
+        p = ladder_jet(*case)
+        monkeypatch.setattr(jets, "Echelon", Dropping)
+        with pytest.raises(InternalCheckError, match="misses a monomial of the top degree"):
             hat_ideal(p)
 
     def test_hat_square_check_passes_unperturbed(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weiljets import poly
 from weiljets.errors import DimensionMismatchError
 from weiljets.poly import (
     TruncatedPolynomial,
@@ -145,6 +146,24 @@ class TestParseFormat:
     )
     def test_agrees_with_the_reference_parser_on_drawn_text(self, text, n, bound):
         assert_parse_agrees(text, n, bound)
+
+    @pytest.mark.parametrize(
+        "text, n, bound", [("x", 1, -1), ("0", 2, -3), ("1", -1, None), ("1", -2, 2)]
+    )
+    def test_negative_count_or_bound_keeps_its_error(self, text, n, bound):
+        message = "variable count and degree bound must be non-negative"
+        with pytest.raises(ValueError, match=message):
+            TruncatedPolynomial(n, -1 if bound is None else bound, {})
+        with pytest.raises(ValueError, match=message):
+            parse_polynomial(text, n, bound)
+
+    def test_no_coefficient_is_validated_twice(self, monkeypatch):
+        # Zero and above-bound terms are dropped by the parser itself.
+        seen = []
+        monkeypatch.setattr(poly, "as_fraction", lambda value: seen.append(value) or value)
+        f = parse_polynomial("3/2 x^2 y - x + x + 2 x y - y^3 - 1/2", 2, 2)
+        assert seen == []
+        assert f.coefficients == {(1, 1): Fraction(2), (0, 0): Fraction(-1, 2)}
 
 
 def assert_parse_agrees(text, n, bound):
