@@ -43,8 +43,6 @@ from .weil import (
     factor_epimorphism,
     free_truncated_algebra,
     ideal_stability,
-    identity_morphism,
-    invert_substitution,
     quotient_algebra,
     tensor_product,
 )

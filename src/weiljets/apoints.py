@@ -27,7 +27,7 @@ from .poly import (
     truncated_product,
     variable_names,
 )
-from .subspace import Echelon, apply_columns
+from .subspace import apply_columns, span_coordinates
 from .weil import AlgebraElement, WeilAlgebra, _fraction_row, tensor_product
 
 _ZERO = Fraction(0)
@@ -244,13 +244,11 @@ def weil_iso_check(
         for ea in a.basis_monomials
         for eb in b.basis_monomials
     ]
-    # Rows (P^T e_k | e_k) reduce to (e_g | row g of P^-T): the columns of P^-1.
-    pairing = Echelon(2 * d)
-    for k, col in enumerate(pair_cols):
-        pairing.insert({**col, d + k: _ONE})
-    if any(p >= d for p in pairing.rows):
+    # Column g of P^-1 is the coordinates of e_g over the pair columns.
+    solve = span_coordinates(pair_cols, d)
+    pair_inverse = [solve({g: _ONE}) for g in range(d)]
+    if None in pair_inverse:
         raise DimensionMismatchError("tensor pairing is degenerate")
-    pair_inverse = [{c - d: v for c, v in pairing.rows[g].items() if c >= d} for g in range(d)]
 
     # Route 1: evaluate directly over A (x) B and convert to pair coordinates.
     flat = [[c for row in m for c in row] for m in mats]

@@ -30,7 +30,6 @@ from .errors import (
 from .monomials import (
     Exponent,
     degrees,
-    monomials_of_degree,
     shift_tables,
     window,
     window_index,
@@ -53,6 +52,7 @@ from .subspace import (
     apply_rows,
     preimage,
     sparse,
+    span_coordinates,
     transpose,
 )
 from .weil import (
@@ -633,13 +633,8 @@ def _derived_via_normal_form(p: Jet) -> Jet:
         return p
     chart = p.chart or normal_form(p)
     bound = p.window_bound
-    gens: list[TruncatedPolynomial] = [
-        TruncatedPolynomial.variable(n, bound, j) for j in chart.pivot_variables
-    ]
-    gens += [
-        TruncatedPolynomial.monomial(n, bound, e)
-        for e in monomials_of_degree(n, ell)
-    ]
+    # sigma^*(m^l) = m^l, which the quotient at hint l - 1 holds by itself.
+    gens = [TruncatedPolynomial.variable(n, bound, j) for j in chart.pivot_variables]
     q_prime: list[TruncatedPolynomial] = []
     for q in chart.q_list:
         q_prime.append(q)
@@ -1128,14 +1123,10 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
 
     columns = None
     if exists:
-        # B -> A is injective: one echelon of the image columns, each tagged
-        # with its unknown, solves for every value (an image reduces to minus
-        # its coordinates in B, on the tags).
-        iota_cols = [powers.row(exp) for exp in b.basis_monomials]
+        # B -> A is injective: one solver over the image columns gives every
+        # value its coordinates in B.
+        solve = span_coordinates([powers.row(exp) for exp in b.basis_monomials], d)
         db = b.dimension
-        system = Echelon(d + db)
-        for k, col in enumerate(iota_cols):
-            system.insert({**col, d + k: _ONE})
         # Column i*d + beta of the induced map, sparse over target_n * db rows.
         induced: list[SparseRow] = [{} for _ in range(n * d)]
         for j in range(target_n):
@@ -1143,9 +1134,8 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
                 if not w:
                     continue
                 for beta, value in enumerate(algebra.multiplication_map(w)):
-                    rest = system.reduce(value)
-                    w_coords = {c - d: -v for c, v in rest.items() if c >= d}
-                    if len(w_coords) != len(rest) or apply_columns(iota_cols, w_coords) != value:
+                    w_coords = solve(value)
+                    if w_coords is None:
                         raise InternalCheckError(
                             "tangent value escaped the image subalgebra"
                         )

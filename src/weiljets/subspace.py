@@ -16,7 +16,10 @@ equality and hashing compare, and what makes ideal equality (and every
 acceptance check built on it) decidable.  A linear map is the list of its
 sparse columns, applied by :func:`apply_columns`.
 
-All solvers here are exact: no pivot thresholds, no floating point.
+Every exact solve for coordinates in a span of columns, the matrix inverse
+included, goes through the one solver :func:`span_coordinates`, which builds
+one echelon per set of columns and then only reduces.  All solvers here are
+exact: no pivot thresholds, no floating point.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
 from .poly import as_fraction
@@ -345,37 +348,43 @@ def preimage(rows: Sequence[SparseRow], target: Subspace, domain_dimension: int)
     return constraints.kernel()
 
 
-def solve_columns(columns: Sequence[SparseRow], target: SparseRow) -> SparseRow | None:
-    """One exact solution u of sum_k u_k columns[k] = target, or None.
+def span_coordinates(
+    columns: Sequence[SparseRow], size: int
+) -> Callable[[SparseRow], SparseRow | None]:
+    """``solve(value)``: the exact coordinates u of a sparse value in the span
+    of sparse columns of length ``size`` (sum_k u_k columns[k] = value), or
+    None when the value lies outside it.
 
-    The columns, the target and the solution are sparse rows (the target
-    without zero entries).  Free unknowns stay zero, so the answer is
-    deterministic.
+    One echelon, built here once, holds each column with its unknown as a
+    tag: column k gets the unit entry at ``size + len(columns) - 1 - k``.
+    The tags come in reverse order, so each kernel relation pivots on its
+    last unknown, which is free (its column lies in the span of the columns
+    before it).  A value reduces to zero off the tags exactly when it lies in
+    the span, and then to minus the coordinates that are zero at every free
+    unknown: the unique such solution.  Each answer is checked against the
+    columns before it is returned.
     """
-    ncols = len(columns)
-    system = Echelon(ncols + 1)
-    for row in transpose([*columns, target]):
-        system.insert(row)
-    if ncols in system.rows:
-        return None  # inconsistent system
-    # Row p: x_p + sum_{free c>p} row[c] x_c = row[ncols]; free unknowns are 0.
-    solution = {p: row[ncols] for p, row in system.rows.items() if ncols in row}
-    # Cheap insurance: the zero-free-variable answer must solve the system.
-    if apply_columns(columns, solution) != target:
-        return None
-    return solution
+    last = size + len(columns) - 1
+    system = Echelon(last + 1)
+    for k, column in enumerate(columns):
+        system.insert({**column, last - k: _ONE})
+
+    def solve(value: SparseRow) -> SparseRow | None:
+        rest = system.reduce(value)
+        coordinates = {last - c: -v for c, v in rest.items() if c >= size}
+        if len(coordinates) != len(rest) or apply_columns(columns, coordinates) != value:
+            return None
+        return coordinates
+
+    return solve
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square row matrix, or None if singular."""
+    """Exact inverse of a square row matrix, or None if singular: row g of the
+    inverse is the coordinates of the unit vector e_g over the rows."""
     n = len(rows)
-    augmented = Echelon(2 * n)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise DimensionMismatchError("invert_matrix needs a square matrix")
-        ext = sparse(row, n)
-        ext[n + i] = _ONE
-        augmented.insert(ext)
-    if any(p >= n for p in augmented.rows):
-        return None
-    return [dense(augmented.rows[i], 2 * n)[n:] for i in range(n)]
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatchError("invert_matrix needs a square matrix")
+    solve = span_coordinates([sparse(row, n) for row in rows], n)
+    inverse = [solve({g: _ONE}) for g in range(n)]
+    return None if None in inverse else [dense(row, n) for row in inverse]

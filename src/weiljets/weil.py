@@ -53,7 +53,7 @@ from .subspace import (
     apply_rows,
     dense,
     invert_matrix,
-    solve_columns,
+    span_coordinates,
 )
 
 _ZERO = Fraction(0)
@@ -238,11 +238,6 @@ class WeilAlgebra:
             )
         return AlgebraElement(self, {g: c for g, c in enumerate(coords) if c})
 
-    def project_polynomial(self, f: TruncatedPolynomial) -> "AlgebraElement":
-        if f.variable_count != self.n:
-            raise DimensionMismatchError("polynomial has the wrong variable count")
-        return AlgebraElement(self, self._polynomial_class(f))
-
     def _polynomial_class(self, f: TruncatedPolynomial) -> SparseRow:
         """Sparse quotient coordinates of the class of f."""
         row: SparseRow = {}
@@ -367,26 +362,22 @@ class WeilAlgebra:
             if numerators and (row := _fraction_row(numerators.items(), den))
         }
 
-    def maximal_power(self, k: int) -> Subspace:
-        """m_A^k (k >= 1) in quotient coordinates: the unit rows of the basis
-        monomials of degree >= k (see the class docstring)."""
-        d = self.dimension
-        return Subspace(d, {b: {b: _ONE} for b in range(bisect_left(self._basis_degrees, k), d)})
-
-    def generated_by(self, elements: Sequence[SparseRow]) -> bool:
-        """Whether elements (sparse rows) generate the algebra.
-
-        They do exactly when their nilpotent parts span m/m^2 (Nakayama).
-        m^2 is the span of the basis monomials of degree >= 2, so that is
-        when their coordinates at the degree-1 basis monomials, the classes
-        1..width, have rank ``width``.
-        """
+    def _independent_mod_m2(self, elements: Iterable[SparseRow]) -> list[int]:
+        """The indices of the elements (sparse rows) independent modulo m^2 of
+        those before them: m^2 is the span of the basis monomials of degree
+        >= 2, so those whose coordinates at the classes 1..width raise the rank."""
         width = self.width
         span = Echelon(self.dimension)
-        rank = 0
-        for row in elements:
-            rank += span.insert({g: c for g, c in row.items() if 0 < g <= width})
-        return rank == width
+        return [
+            k for k, row in enumerate(elements)
+            if span.insert({g: c for g, c in row.items() if 0 < g <= width})
+        ]
+
+    def generated_by(self, elements: Sequence[SparseRow]) -> bool:
+        """Whether elements (sparse rows) generate the algebra: exactly when
+        their nilpotent parts span m/m^2 (Nakayama), that is when ``width``
+        of them are independent modulo m^2."""
+        return len(self._independent_mod_m2(elements)) == self.width
 
     @cached_property
     def ideal_generators(self) -> tuple[TruncatedPolynomial, ...]:
@@ -758,41 +749,22 @@ def algebra_morphism(
     return AlgebraMorphism(source, target, tuple(elems), columns, epi)
 
 
-def identity_morphism(algebra: WeilAlgebra) -> AlgebraMorphism:
-    return algebra_morphism(
-        algebra, algebra, [algebra.generator(i) for i in range(algebra.n)]
-    )
-
-
-def _express_in_generators(
-    algebra: WeilAlgebra,
-    values: Sequence[AlgebraElement],
-    target: AlgebraElement,
-    m: int,
-) -> TruncatedPolynomial:
-    """A zero-constant polynomial P with P(values) = target, in m variables."""
-    bound = algebra.order if algebra.order > 0 else 1
-    monos = window(m, bound)[1:]
-    powers = algebra._power_numerators([v.row for v in values])
-    columns = [powers.row(exp) for exp in monos]
-    solution = solve_columns(columns, target.row)
-    if solution is None:
-        raise NotEpimorphismError(
-            "images do not generate the target algebra"
-        )
-    return TruncatedPolynomial(m, bound, {monos[k]: c for k, c in solution.items()})
-
-
 def factor_epimorphism(
     alpha: AlgebraMorphism, beta: AlgebraMorphism
 ) -> AlgebraMorphism:
     """An automorphism g of the free source with beta = alpha o g.
 
     Both arguments must be epimorphisms from the same full truncated algebra.
-    The construction straightens each epimorphism to a standard form (selected
-    generators map to a distinguished generating set, the rest to zero) and
-    splices the two straightenings; the identity beta = alpha o g is checked
-    exactly before returning.
+    Let S_a be the generators whose alpha-images are independent modulo m^2,
+    and S_b the same for beta.  The images of S_a generate the target
+    (Nakayama), so one solver over the alpha-images of the monomials on S_a
+    lifts each beta(x_j) to a polynomial P_j on S_a and each alpha(x_i),
+    i not in S_a, to Q_i.  g sends x_j to P_j for j in S_b; the generators
+    off S_b and off S_a are paired in order, and x_j goes to P_j + x_i - Q_i
+    for the pair (j, i).  x_i - Q_i lies in the kernel of alpha, so
+    alpha o g = beta, and the linear part of g is block-triangular with
+    invertible diagonal blocks.  Both facts are checked exactly before
+    returning.
     """
     source = alpha.source
     if beta.source != source:
@@ -807,90 +779,38 @@ def factor_epimorphism(
         raise NotEpimorphismError("first morphism is not an epimorphism")
     if not beta.is_epimorphism:
         raise NotEpimorphismError("second morphism is not an epimorphism")
-    if source.order == 0:
-        # A one-dimensional target forces alpha = beta = augmentation.
-        return identity_morphism(source)
 
-    n = source.n
     target = alpha.target
+    sel_a = target._independent_mod_m2(img.row for img in alpha.images)
+    sel_b = target._independent_mod_m2(img.row for img in beta.images)
+    # The source is free, so basis class b is its monomial; alpha.columns[b]
+    # is that monomial's image.
+    on_a = [
+        b for b, exp in enumerate(source.basis_monomials)
+        if any(exp) and all(i in sel_a for i, e in enumerate(exp) if e)
+    ]
+    solve = span_coordinates([alpha.columns[b] for b in on_a], target.dimension)
 
-    def straighten(phi: AlgebraMorphism) -> tuple[list[int], AlgebraMorphism]:
-        """Pivot indices S and automorphism h with (phi o h)(x_j)=0 off S."""
-        m2 = target.maximal_power(2)
-        independent = Echelon(target.dimension)
-        selected: list[int] = []
-        for i, img in enumerate(phi.images):
-            if independent.insert(m2.reduce(img.nilpotent_part().row)):
-                selected.append(i)
-        values = [phi.images[i] for i in selected]
-        images = []
-        for j in range(n):
-            if j in selected:
-                images.append(source.generator(j))
-            else:
-                correction = _express_in_generators(
-                    target, values, phi.images[j], len(selected)
-                )
-                # Substitute the selected source variables for the formal ones.
-                full = TruncatedPolynomial(
-                    n,
-                    source.window_bound,
-                    {
-                        _spread(exp, selected, n): c
-                        for exp, c in correction.coefficients.items()
-                    },
-                )
-                images.append(source.generator(j) - source.project_polynomial(full))
-        h = algebra_morphism(source, source, images)
-        return selected, h
+    def lift(value: AlgebraElement) -> AlgebraElement:
+        coordinates = solve(value.row)
+        if coordinates is None:
+            raise NotEpimorphismError("images do not generate the target algebra")
+        return AlgebraElement(source, {on_a[k]: c for k, c in coordinates.items()})
 
-    sel_a, h_a = straighten(alpha)
-    sel_b, h_b = straighten(beta)
-    std_a = alpha.compose(h_a)
-    std_b = beta.compose(h_b)
+    images = [lift(img) for img in beta.images]
+    rest_a = [i for i in range(source.n) if i not in sel_a]
+    rest_b = [j for j in range(source.n) if j not in sel_b]
+    for j, i in zip(rest_b, rest_a):
+        images[j] = images[j] + source.generator(i) - lift(alpha.images[i])
+    g = algebra_morphism(source, source, images)
 
-    # Express the second distinguished generating set through the first.
-    values_a = [std_a.images[i] for i in sel_a]
-    w_images: list[AlgebraElement | None] = [None] * n
-    for k, j in enumerate(sel_b):
-        formal = _express_in_generators(
-            target, values_a, std_b.images[j], len(sel_a)
-        )
-        full = TruncatedPolynomial(
-            n,
-            source.window_bound,
-            {
-                _spread(exp, sel_a, n): c
-                for exp, c in formal.coefficients.items()
-            },
-        )
-        w_images[j] = source.project_polynomial(full)
-    rest_a = [j for j in range(n) if j not in sel_a]
-    rest_b = [j for j in range(n) if j not in sel_b]
-    for jb, ja in zip(rest_b, rest_a):
-        w_images[jb] = source.generator(ja)
-    w = algebra_morphism(source, source, [img for img in w_images])
-
-    h_b_inv = invert_substitution(h_b)
-    g = h_a.compose(w).compose(h_b_inv)
-
-    # Exact verification of the factorization and of invertibility.
-    composite = alpha.compose(g)
-    for got, want in zip(composite.images, beta.images):
-        if got != want:
-            raise NotEpimorphismError("internal factorization check failed")
-    if invert_matrix([tuple(r) for r in g.linear_part()]) is None:
+    # Exact verification of the factorization and of invertibility.  At
+    # order 0 every x_i is zero, the source is R and g its identity.
+    if alpha.compose(g).images != beta.images:
+        raise NotEpimorphismError("internal factorization check failed")
+    if source.order and invert_matrix(g.linear_part()) is None:
         raise NotEpimorphismError("constructed substitution is not invertible")
     return g
-
-
-def _spread(exp: Exponent, positions: Sequence[int], n: int) -> Exponent:
-    """Re-embed an exponent on selected variables into n variables."""
-    out = [0] * n
-    for k, e in enumerate(exp):
-        if e:
-            out[positions[k]] = e
-    return tuple(out)
 
 
 def _identity_substitution(n: int, bound: int) -> list[TruncatedPolynomial]:
@@ -946,21 +866,6 @@ def _inverse_substitution(
             break
         tau = step
     return tau
-
-
-def invert_substitution(phi: AlgebraMorphism) -> AlgebraMorphism:
-    """Inverse of an automorphism of a free truncated algebra."""
-    source = phi.source
-    if phi.target != source or not is_free_truncated(source):
-        raise NotEpimorphismError("can only invert automorphisms of the free algebra")
-    tau = _inverse_substitution(
-        [source.row_polynomial(img.row) for img in phi.images], source.order
-    )
-    if tau is None:
-        raise NotEpimorphismError("linear part is singular")
-    return algebra_morphism(
-        source, source, [source.project_polynomial(t) for t in tau]
-    )
 
 
 @dataclass(frozen=True)

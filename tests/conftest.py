@@ -6,8 +6,14 @@ from hypothesis import strategies as st
 from weiljets.jets import jet_from_ideal
 from weiljets.monomials import window, window_size
 from weiljets.poly import TruncatedPolynomial, parse_polynomial
-from weiljets.subspace import Echelon, sparse
-from weiljets.weil import derivation_space, quotient_algebra
+from weiljets.subspace import Echelon, Subspace, sparse
+from weiljets.weil import (
+    AlgebraElement,
+    _inverse_substitution,
+    algebra_morphism,
+    derivation_space,
+    quotient_algebra,
+)
 
 
 def P(text, n, bound=None):
@@ -122,11 +128,12 @@ def ref_evaluate_free(f: TruncatedPolynomial, point) -> dict:
 def ref_leibniz_columns(f: TruncatedPolynomial, monomials, target) -> list[dict]:
     """Column i*len(monomials) + b: the sparse class in ``target`` of
     (d f / d x_i) * x^monomials[b], the product expanded by ``ref_product``
-    and projected with ``target.project_polynomial`` (no multiplication
+    and projected with :func:`class_of` (no multiplication
     table, no multiplication map)."""
     n, bound = f.variable_count, target.window_bound
     return [
-        target.project_polynomial(
+        class_of(
+            target,
             TruncatedPolynomial(n, bound, ref_product(f.derivative(i).coefficients, {exp: 1}, bound))
         ).row
         for i in range(n)
@@ -209,6 +216,32 @@ def is_identity(phi) -> bool:
     """Whether an algebra morphism is the identity of its source."""
     return phi.source == phi.target and all(
         col == {b: Fraction(1)} for b, col in enumerate(phi.columns)
+    )
+
+
+def class_of(algebra, f: TruncatedPolynomial):
+    """The class of a polynomial in the algebra, as an element."""
+    return AlgebraElement(algebra, algebra._polynomial_class(f))
+
+
+def inverse_morphism(phi):
+    """The inverse of an automorphism of a free truncated algebra, through
+    ``weil._inverse_substitution``; None when its linear part is singular."""
+    source = phi.source
+    tau = _inverse_substitution(
+        [source.row_polynomial(img.row) for img in phi.images], source.order
+    )
+    if tau is None:
+        return None
+    return algebra_morphism(source, source, [class_of(source, t) for t in tau])
+
+
+def maximal_power(algebra, k: int):
+    """m^k (k >= 1) in quotient coordinates: the unit rows of the basis
+    monomials of degree >= k, which span it because the basis is graded."""
+    return Subspace(
+        algebra.dimension,
+        {b: {b: Fraction(1)} for b, e in enumerate(algebra.basis_monomials) if sum(e) >= k},
     )
 
 

@@ -32,6 +32,7 @@ from conftest import (
     P,
     basis,
     canonical_basis,
+    class_of,
     jets as drawn_jets,
     ladder_jet,
     ref_leibniz_columns,
@@ -279,7 +280,7 @@ class TestTaylorMap:
             fy = P("2 x", 2, 2) + tail.derivative(0).truncate(2)
             value = []
             for f in (fx, fy):
-                value.extend(a_prime.project_polynomial(f).coordinates)
+                value.extend(class_of(a_prime, f).coordinates)
             # Module closure of the single tangent value under the action
             # of the coordinate classes.
             rows = list(basis(rel)) + [value]
@@ -333,7 +334,7 @@ def taylor_through_contact(p):
     derived = contact.derived
     source, target = p.quotient, derived.quotient
     classes = [
-        target.project_polynomial(TruncatedPolynomial.monomial(p.n, p.window_bound, exp)).row
+        class_of(target, TruncatedPolynomial.monomial(p.n, p.window_bound, exp)).row
         for exp in source.basis_monomials
     ]
     span = tangent_module(derived).relations.echelon()

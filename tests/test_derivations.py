@@ -37,7 +37,9 @@ from conftest import (
     algebras,
     basis,
     canonical_basis,
+    class_of,
     derivation_matrices,
+    maximal_power,
     pivots,
     projected_derivations,
     rationals,
@@ -56,7 +58,7 @@ def leibniz_image(algebra, images, f):
                 lowered = tuple(e - (j == i) for j, e in enumerate(exp))
                 term = TruncatedPolynomial.monomial(n, bound, lowered) * values[i]
                 total = total + term.scale(k * c)
-    return algebra.project_polynomial(total).coordinates
+    return class_of(algebra, total).coordinates
 
 
 def oracle_matrix(algebra, images):
@@ -268,7 +270,7 @@ def test_stability_builds_the_leibniz_action_only_for_the_projection(monkeypatch
     algebra = ders.algebra
     # Only the variable maps, for the saturation and the m*I check.
     assert built == [algebra.generator(i).row for i in range(algebra.n)]
-    report = ideal_stability(algebra, algebra.maximal_power(1))
+    report = ideal_stability(algebra, maximal_power(algebra, 1))
     assert report.der_stable
     assert len(built) == algebra.n
     assert projected_derivations(report) is not None
@@ -353,7 +355,8 @@ def test_dimension_is_the_nullity_over_every_generator(rank_over_qq, algebra):
     rows = []
     for f in algebra.ideal_generators:
         columns = [
-            algebra.project_polynomial(
+            class_of(
+                algebra,
                 f.derivative(i) * TruncatedPolynomial.monomial(n, bound, exp)
             ).coordinates
             for i in range(n)

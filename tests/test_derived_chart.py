@@ -152,3 +152,22 @@ def test_taylor_on_a_graph_jet_builds_one_normal_form(monkeypatch):
     result = execute(session).results[0]
     assert result["ok"] and result["result"]["cartan_projects"] is True
     assert built == [session.jets["p"]]
+
+
+def test_the_pullback_receives_no_monomial_of_the_top_degree(monkeypatch):
+    # sigma^*(m^l) = m^l, and the quotient at hint l - 1 holds m^l by itself:
+    # p' is pulled back from the pivot variables and (Q, d_x Q) alone.
+    received = []
+    pullback = jets._pullback
+
+    def spy(p, gens, hint, sigma_inverse):
+        received.extend((p.order, g) for g in gens)
+        return pullback(p, gens, hint, sigma_inverse)
+
+    monkeypatch.setattr(jets, "_pullback", spy)
+    for case in LADDER:
+        derived_jet(derived_jet(ladder_jet(*case)))
+    assert received
+    # At l = 1 the pivot variables themselves are monomials of degree l.
+    top = [g for l, g in received if len(g.coefficients) == 1 and g.degree() == l > 1]
+    assert top == []

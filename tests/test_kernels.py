@@ -4,7 +4,7 @@ Every expected value is computed with plain ``Fraction`` arithmetic, here
 and in the reference ``ref_product`` and ``ref_substitute`` of ``conftest``:
 double loops over the terms, one ``Fraction`` per partial sum, no common
 denominators.  Algebra products are then projected to the
-quotient with ``project_polynomial``, which shares no code with the kernels.
+quotient with conftest's ``class_of``, which shares no code with the kernels.
 Inputs mix denominators and signs, and the coefficient pool is small so
 that terms cancel often.  A second pool with the coprime denominators 5 and
 7 feeds substitution images and A-point images (hence base points), so that
@@ -42,7 +42,16 @@ from weiljets.poly import (
 from weiljets.session import _op_prolong
 from weiljets.weil import WeilAlgebra, algebra_morphism, free_truncated_algebra, quotient_algebra
 
-from conftest import P, algebras, canonical_basis, ideal_polynomials, ref_product, ref_substitute, structure_constants
+from conftest import (
+    P,
+    algebras,
+    canonical_basis,
+    class_of,
+    ideal_polynomials,
+    ref_product,
+    ref_substitute,
+    structure_constants,
+)
 
 ZERO = Fraction(0)
 POOL = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3, 4, 6)]
@@ -293,7 +302,7 @@ def representative(algebra, coords) -> dict:
 
 def project(algebra, coefficients: dict) -> tuple:
     poly = TruncatedPolynomial(algebra.n, algebra.window_bound, coefficients)
-    return algebra.project_polynomial(poly).coordinates
+    return class_of(algebra, poly).coordinates
 
 
 @st.composite

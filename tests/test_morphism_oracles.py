@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiljets.apoints import apoint, evaluate, regularity_and_kernel
-from weiljets.errors import NotEpimorphismError
 from weiljets import weil
 from weiljets.jets import derived_jet, jet_from_ideal, normal_form, power_jet, pushforward
 from weiljets.monomials import window
@@ -27,11 +26,20 @@ from weiljets.weil import (
     _inverse_substitution,
     algebra_morphism,
     free_truncated_algebra,
-    invert_substitution,
     quotient_algebra,
 )
 
-from conftest import LADDER, P, canonical_basis, ideal_polynomials, is_identity, ladder_jet, ref_substitute
+from conftest import (
+    LADDER,
+    P,
+    canonical_basis,
+    class_of,
+    ideal_polynomials,
+    inverse_morphism,
+    is_identity,
+    ladder_jet,
+    ref_substitute,
+)
 
 ALGEBRAS = [
     free_truncated_algebra(1, 3),
@@ -53,7 +61,7 @@ def substitute_and_project(f: dict, algebra, images):
     """[f(images)] in the algebra, by substituting representatives."""
     reps = [representative(img) for img in images]
     value = ref_substitute(f, reps, algebra.n, algebra.window_bound)
-    return algebra.project_polynomial(TruncatedPolynomial(algebra.n, algebra.window_bound, value))
+    return class_of(algebra, TruncatedPolynomial(algebra.n, algebra.window_bound, value))
 
 
 def substituted_value(f, algebra, images):
@@ -126,7 +134,7 @@ def test_kernel_of_point_matches_pushforward(jet, phi):
     # The A-point x -> [phi(base + x)] is the morphism R[y] -> A whose
     # kernel is the pushforward jet.
     algebra = jet.quotient
-    images = [algebra.project_polynomial(f.shift(jet.base_point)) for f in phi]
+    images = [class_of(algebra, f.shift(jet.base_point)) for f in phi]
     _, kernel = regularity_and_kernel(apoint(algebra, images))
     assert kernel == pushforward(jet, phi)
     assert kernel.base_point == tuple(f.evaluate(jet.base_point) for f in phi)
@@ -150,8 +158,7 @@ def test_kernel_of_point_matches_pushforward(jet, phi):
 def test_invert_substitution_rejects_singular_linear_part():
     r13 = free_truncated_algebra(1, 3)
     square = algebra_morphism(r13, r13, [r13.element([0, 0, 1, 0])])  # x -> x^2
-    with pytest.raises(NotEpimorphismError, match="linear part is singular"):
-        invert_substitution(square)
+    assert inverse_morphism(square) is None
 
 
 def test_invert_substitution_two_variables_round_trip():
@@ -160,7 +167,7 @@ def test_invert_substitution_two_variables_round_trip():
     phi = algebra_morphism(
         r23, r23, [x * 2 + y + x * y - y * y * y, x - y + x * x * Fraction(1, 2)]
     )
-    inv = invert_substitution(phi)
+    inv = inverse_morphism(phi)
     assert is_identity(phi.compose(inv))
     assert is_identity(inv.compose(phi))
 
@@ -180,9 +187,9 @@ def test_invert_substitution_round_trip_at_every_order(n, order):
     phi = algebra_morphism(
         algebra,
         algebra,
-        [algebra.project_polynomial(P(s, n, 4)) for s in SUBSTITUTIONS[n]],
+        [class_of(algebra, P(s, n, 4)) for s in SUBSTITUTIONS[n]],
     )
-    inv = invert_substitution(phi)
+    inv = inverse_morphism(phi)
     assert is_identity(phi.compose(inv))
     assert is_identity(inv.compose(phi))
 

@@ -11,7 +11,7 @@ from weiljets.subspace import (
     Subspace,
     invert_matrix,
     preimage,
-    solve_columns,
+    span_coordinates,
 )
 
 from conftest import (
@@ -127,9 +127,9 @@ class TestSolvers:
 
     def test_solve_columns(self):
         cols = [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
-        sol = solve_columns(cols, {0: Fraction(3), 1: Fraction(2)})
+        sol = span_coordinates(cols, 2)({0: Fraction(3), 1: Fraction(2)})
         assert sol == {0: Fraction(1), 1: Fraction(2)}
-        assert solve_columns([{}], {0: Fraction(1)}) is None
+        assert span_coordinates([{}], 1)({0: Fraction(1)}) is None
 
     def test_invert_matrix(self):
         m = [(Fraction(2), Fraction(1)), (Fraction(1), Fraction(1))]
@@ -317,7 +317,8 @@ def test_solve_columns_matches_sympy(qq, matrix, data):
         expected = None
     else:
         expected = {p: r[ncols] for r, p in zip(reduced, pivots) if r[ncols]}
-    assert solve_columns(columns, {i: t for i, t in enumerate(target) if t}) == expected
+    solve = span_coordinates(columns, len(rows))
+    assert solve({i: t for i, t in enumerate(target) if t}) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,6 +329,36 @@ def test_invert_matrix_matches_sympy(qq, matrix):
     m = to_domain(rows, n)
     expected = [list(r) for r in from_domain(m.inv())] if m.rank() == n else None
     assert invert_matrix(rows) == expected
+
+
+def test_the_solver_inserts_each_column_once(monkeypatch):
+    inserted = []
+    original = Echelon.insert
+
+    def counting(self, row):
+        inserted.append(row)
+        return original(self, row)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    one, two = Fraction(1), Fraction(2)
+    # Column 2 is column 0 plus column 1 and column 3 is zero: both are free
+    # unknowns, so every answer is zero there.
+    columns = [{0: one, 1: two}, {1: one}, {0: one, 1: Fraction(3)}, {}, {2: Fraction(5)}]
+    solve = span_coordinates(columns, 4)
+    assert len(inserted) == len(columns)
+    assert solve({0: one, 1: Fraction(3)}) == {0: one, 1: one}
+    assert solve({2: one}) == {4: Fraction(1, 5)}
+    assert solve({}) == {}
+    assert solve({3: one}) is None
+    for value in ({0: one}, {1: two, 2: one}, {0: Fraction(-1, 2), 1: one, 2: two}):
+        coordinates = solve(value)
+        assert not {2, 3} & set(coordinates)
+        total = {}
+        for k, u in coordinates.items():
+            for i, c in columns[k].items():
+                total[i] = total.get(i, 0) + u * c
+        assert {i: c for i, c in total.items() if c} == value
+    assert len(inserted) == len(columns)
 
 
 # -- invariants of the stored echelon form --------------------------------------
