@@ -168,7 +168,9 @@ def _prolonged_numerators(
                     out[key] = get(key, 0) + c * t
         return out.items()
 
-    powers = _Powers((((0, ()), 1),), range(f.variable_count), mul, algebra._mult_den)
+    den = algebra._mult_den
+    firsts = [[((b, (i * d + b, -1)), den) for b in range(d)] for i in range(f.variable_count)]
+    powers = _Powers((((0, ()), 1),), range(f.variable_count), mul, den, firsts)
     numerators, den = powers.image(f.coefficients.items())
     out: list[dict[tuple[int, ...], int]] = [{} for _ in range(d)]
     for (g, m), c in numerators.items():

@@ -389,7 +389,8 @@ def jet_fields(p: Jet) -> Subspace:
     a pivot in the window (n, l).  Those are canonical rows of p, zero at
     every other pivot and in degree l + 1, and the blocks are disjoint, so
     the copies are in reduced form together: they seed the echelon, and only
-    the lift of Der(A, A) is inserted.
+    the lift of Der(A, A) is inserted.  Only the ``fields`` op builds this
+    space: the Taylor map's check reads the lift (:func:`_assert_fields_project`).
     """
     n, ell = p.n, p.order
     algebra = p.quotient
@@ -425,15 +426,6 @@ class NormalForm(Chart):
     r: int
     sigma: tuple[TruncatedPolynomial, ...]
     transformed_ideal: Subspace
-
-
-def _compose_substitutions(
-    outer: Sequence[TruncatedPolynomial],
-    inner: Sequence[TruncatedPolynomial],
-    bound: int,
-) -> list[TruncatedPolynomial]:
-    """Formulas of outer o inner (apply inner first as functions of x)."""
-    return list(map(substitution(inner, bound), outer))
 
 
 def _x_columns(
@@ -546,7 +538,8 @@ def normal_form(p: Jet) -> NormalForm:
             stage[j] = stage[j] - TruncatedPolynomial(n, sub_bound, tail)
         if not changed:
             continue
-        sigma = _compose_substitutions(sigma, stage, sub_bound)
+        # sigma o stage: the stage is applied first, as functions of x.
+        sigma = list(map(substitution(stage, sub_bound), sigma))
         # The ideal's rows and the carried rows share one power cache.
         through_stage = substitution(stage, bound)
         current = _substituted_ideal(current, n, bound, through_stage)
@@ -588,7 +581,7 @@ def normal_form(p: Jet) -> NormalForm:
     if tau is None:
         raise InternalCheckError("substitution has a singular linear part")
     # sigma o tau must be the identity substitution.
-    if _compose_substitutions(sigma, tau, sub_bound) != _identity_substitution(n, sub_bound):
+    if list(map(substitution(tau, sub_bound), sigma)) != _identity_substitution(n, sub_bound):
         raise InternalCheckError("substitution inverse failed to verify")
 
     return NormalForm(
@@ -676,17 +669,6 @@ def _pullback(
     return quotient_algebra(p.n, hint, pulled)
 
 
-def _x_top(nf: NormalForm) -> list[TruncatedPolynomial]:
-    """The monomials of degree l+1 in the free variables alone."""
-    p = nf.jet
-    n, bound = p.n, p.window_bound
-    exps = window(n, bound)
-    return [
-        TruncatedPolynomial.monomial(n, bound, exps[c])
-        for c in _x_columns(n, bound, nf.pivot_variables, bound, bound)
-    ]
-
-
 def _graph_tangent_fields(nf: NormalForm) -> list[dict[int, TruncatedPolynomial]]:
     """The finite graph-tangent field family in adapted coordinates.
 
@@ -729,7 +711,10 @@ def cartan_generation_oracle(p: Jet) -> Jet:
     ideal_gens: list[TruncatedPolynomial] = [
         TruncatedPolynomial.variable(n, bound, j) for j in nf.pivot_variables
     ]
-    ideal_gens += _x_top(nf)
+    # The monomials of degree l+1 in the free variables alone.
+    exps = window(n, bound)
+    for c in _x_columns(n, bound, nf.pivot_variables, bound, bound):
+        ideal_gens.append(TruncatedPolynomial.monomial(n, bound, exps[c]))
     ideal_gens += list(nf.q_list)
 
     derived_rows: dict[TruncatedPolynomial, None] = {}
@@ -830,28 +815,27 @@ def _cartan_system(p: Jet) -> tuple[Jet, list[dict[int, SparseRow]], Subspace]:
     """The derived jet p', the rows of each minimal generator's map moved to
     A' = R[x]/p' (:func:`_differential_rows`), and the Cartan system they cut
     out (see :func:`contact_and_cartan`).  The result is cached on the jet.
+    A generator of lowest degree order(A') + 2 or more has its derivatives in
+    m^(order(A') + 1) <= p', so its map is zero and is not built.
     """
     derived = derived_jet(p)
-    qcols = _class_columns(p.quotient.basis_monomials, derived.quotient)
-    differentials = [_differential_rows(p, qcols, g) for g in p.quotient.minimal_generators]
-    relations = tangent_module(p).relations
-
-    # Representatives differing by an algebra derivation must evaluate to zero;
-    # on the generator maps, that covers every [h] Dg.
-    for rows in differentials:
-        for rel in relations.rows.values():
-            if apply_rows(rows, rel):
-                raise InternalCheckError("contact map is not constant on classes")
+    algebra = p.quotient
+    qcols = _class_columns(algebra.basis_monomials, derived.quotient)
+    degs = degrees(p.n, p.window_bound)
+    top = derived.quotient.order + 2
+    kept = [k for k, r in enumerate(algebra._minimal_generator_rows) if degs[min(r)] < top]
+    differentials = [_differential_rows(p, qcols, algebra._minimal_generator(k)) for k in kept]
 
     # The rows of the generator maps cut out the Cartan system: every map of
     # Omega is sum_k [h_k] Dg_k, and [1] is one of the [h].
-    constraints = Echelon(p.n * p.quotient.dimension)
+    constraints = Echelon(p.n * algebra.dimension)
     for rows in differentials:
         for row in rows.values():
             constraints.insert(row)
     cartan = constraints.kernel()
-    if not cartan.contains_subspace(relations):
-        raise InternalCheckError("annihilator lost the derivation relations")
+    # A relation lies in the kernel exactly when every generator row kills it.
+    if not cartan.contains_subspace(tangent_module(p).relations):
+        raise InternalCheckError("contact map is not constant on classes")
     return derived, differentials, cartan
 
 
@@ -866,7 +850,9 @@ def contact_and_cartan(p: Jet) -> ContactData:
     output index and flattened output-major, closed under multiplication by
     the variables on the output.  A tangent vector is killed by all of Omega
     exactly when the generator maps kill it ([1] is one of the [h]), so the
-    same rows cut out the Cartan system (:func:`_cartan_system`).
+    same rows cut out the Cartan system (:func:`_cartan_system`), and its
+    holding every derivation relation is the check that the contact map is
+    constant on tangent classes.
 
     The Cartan system is additionally rebuilt from the finite generating
     family of graph-tangent fields (transported back from the adapted
@@ -916,6 +902,15 @@ def contact_and_cartan(p: Jet) -> ContactData:
     )
 
 
+def _psi_columns(nf: NormalForm, monomials: Sequence[Exponent]) -> list[SparseRow]:
+    """Psi: [g]_q -> [g o tau]_p on the given monomials, as sparse columns:
+    taking the class is a ring morphism on the window, so psi is the algebra
+    morphism x_i -> [tau_i] of A_p."""
+    algebra = nf.jet.quotient
+    psi = algebra._power_numerators([algebra._polynomial_class(t) for t in nf.sigma_inverse])
+    return [psi.row(exp) for exp in monomials]
+
+
 def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     """Cartan system as the span of values of the graph-tangent field family."""
     n, ell = p.n, p.order
@@ -926,20 +921,12 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
         return tangent.relations
 
     nf = normal_form(p)
-    bound = p.window_bound
-
     # The transformed jet and the iso back to p's presentation.
-    q_jet = _window_jet(n, bound, nf.transformed_ideal, p.base_point)
+    q_jet = _window_jet(n, p.window_bound, nf.transformed_ideal, p.base_point)
     if q_jet.quotient.dimension != d:
         raise InternalCheckError("transformed jet changed dimension")
     bq = q_jet.quotient
-
-    # Psi: [g]_q -> [g o tau]_p on quotient coordinates, as sparse columns.
-    pull = substitution(nf.sigma_inverse, bound)
-    psi_cols = [
-        algebra._polynomial_class(pull(TruncatedPolynomial.monomial(n, bound, exp)))
-        for exp in bq.basis_monomials
-    ]
+    psi_cols = _psi_columns(nf, bq.basis_monomials)
 
     # The transport A_q^n -> A_p^n, v -> (psi(sum_k [d sigma^i / d x_k]_q v_k))_i,
     # as one sparse column per coordinate k * d + g of A_q^n.
@@ -1016,13 +1003,13 @@ def _assert_fields_project(p: Jet, derived: Jet) -> None:
     """Every field tangent to p maps the derived ideal into itself.
 
     A field maps p' into itself exactly when its coefficients' classes in
-    A' = R[x]/p' form a derivation of A' (see :func:`jet_fields`).  So each
-    field of p, projected to A'^n monomial by monomial, has to lie in the
-    relations of the tangent module of p'.
+    A' = R[x]/p' form a derivation of A' (see :func:`jet_fields`).  The fields
+    with coefficients in p project to zero (p <= p'), so each derivation
+    relation of A, projected to A'^n, has to lie in the relations of p'.
     """
-    pi = _projection_columns(p.n, window(p.n, p.order), derived.quotient)
+    pi = _projection_columns(p.n, p.quotient.basis_monomials, derived.quotient)
     relations = tangent_module(derived).relations
-    for coeffs in jet_fields(p).rows.values():
+    for coeffs in tangent_module(p).relations.rows.values():
         if not relations.contains_vector(apply_columns(pi, coeffs)):
             raise InternalCheckError(
                 "a field tangent to the jet is not tangent to its derived jet"

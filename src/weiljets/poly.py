@@ -52,13 +52,17 @@ class _Powers:
     The package keeps every product integer: the factors are numerators over
     one denominator, prepared once in whatever form ``mul`` reads fastest, so
     a product of k factors is a numerator over ``scale**k``.  :meth:`image`
-    and :meth:`row` read a product as ``(key, numerator)`` pairs.
+    and :meth:`row` read a product as ``(key, numerator)`` pairs.  ``firsts[i]``
+    is factors[i] as a product, so no first power costs a ``mul``.
     """
 
     __slots__ = ("_cache", "_factors", "_mul", "_scale")
 
-    def __init__(self, one: _T, factors: Sequence[_F], mul: Callable[[_T, _F], _T], scale: int):
+    def __init__(
+        self, one: _T, factors: Sequence[_F], mul: Callable[[_T, _F], _T], scale: int, firsts: list
+    ):
         self._cache: dict[Exponent, _T] = {(0,) * len(factors): one}
+        self._cache.update((_unit(len(factors), i), first) for i, first in enumerate(firsts))
         self._factors = factors
         self._mul = mul
         self._scale = scale
@@ -457,11 +461,13 @@ def substitution(
     # Products stay integer: the images' numerators over one denominator q,
     # so a product of k images is a numerator dict over q**k.
     factors, q = _common_denominator(img.coefficients.items() for img in images)
+    prepared = [_by_degree(terms) for terms in factors]
     powers = _Powers(
         {(0,) * target_vars: 1}.items(),
-        [_by_degree(terms) for terms in factors],
+        prepared,
         lambda u, v: _product_numerators(u, v, bound).items(),
         q,
+        [{e: c for e, d, c in terms if d <= bound}.items() for terms in prepared],
     )
 
     def substitute(f: TruncatedPolynomial) -> TruncatedPolynomial:

@@ -309,7 +309,9 @@ class WeilAlgebra:
         def mul(u, v):
             return tuple((g, x) for g, x in enumerate(self._mult_numerators(u, v)) if x)
 
-        return _Powers(((0, 1),), [self._factor(r) for r in rows], mul, q * self._mult_den)
+        den = self._mult_den
+        firsts = [tuple(sorted((g, x * den) for g, x in r)) for r in rows]
+        return _Powers(((0, 1),), [self._factor(r) for r in rows], mul, q * den, firsts)
 
     def multiplication_map(self, w: SparseRow) -> list[SparseRow]:
         """Sparse images of the basis classes under v -> w*v (saturation table),

@@ -16,16 +16,18 @@ from weiljets.jets import (
     hat_ideal,
     jet_fields,
     jet_from_ideal,
+    normal_form,
     power_jet,
     pushforward,
     tangent_map,
     tangent_module,
     taylor_map,
 )
-from weiljets.monomials import window_size
+from weiljets.monomials import window, window_size
 from weiljets.poly import TruncatedPolynomial, truncated_product
 from weiljets.session import execute, parse_session
 from weiljets.subspace import Echelon, apply_columns
+from weiljets.weil import WeilAlgebra
 
 from conftest import (
     LADDER,
@@ -36,6 +38,7 @@ from conftest import (
     jets as drawn_jets,
     ladder_jet,
     ref_leibniz_columns,
+    ref_substitute,
 )
 
 
@@ -218,8 +221,14 @@ def test_generator_route_matches_the_all_rows_route(n, gens, order, data):
     assert (c.omega, c.cartan) == all_rows_contact(p)
 
 
+def lowest_degree(f):
+    return min(map(sum, f.coefficients))
+
+
 @pytest.mark.parametrize("n, gens, order", LADDER)
 def test_one_differential_map_per_minimal_generator(monkeypatch, n, gens, order):
+    # One map per minimal generator of lowest degree <= order(A') + 1.  Every
+    # other generator has its derivatives in p', so its map is empty.
     p = ladder_jet(n, gens, order)
     seen = []
     original = jets._differential_rows
@@ -230,8 +239,80 @@ def test_one_differential_map_per_minimal_generator(monkeypatch, n, gens, order)
 
     monkeypatch.setattr(jets, "_differential_rows", spy)
     contact_and_cartan(p)
-    assert seen == list(p.quotient.minimal_generators)
+    target = derived_jet(p).quotient
+    generators = p.quotient.minimal_generators
+    assert seen == [g for g in generators if lowest_degree(g) <= target.order + 1]
     assert len(seen) < p.ideal.dimension
+    skipped = [g for g in generators if lowest_degree(g) > target.order + 1]
+    qcols = jets._class_columns(p.quotient.basis_monomials, target)
+    assert all(original(p, qcols, g) == {} for g in skipped)
+
+
+@pytest.mark.parametrize("n, gens, order", LADDER)
+class TestWorkPerFact:
+    """Each fact of the Cartan/Taylor path is paid for once, counted by spies."""
+
+    def test_taylor_builds_no_field_space(self, monkeypatch, n, gens, order):
+        p = ladder_jet(n, gens, order)
+        monkeypatch.setattr(jets, "jet_fields", lambda q: pytest.fail("jet_fields built"))
+        taylor_map(p)
+        assert ("jet_fields",) not in p._memo
+
+    def test_cartan_system_applies_no_row_to_a_relation(self, monkeypatch, n, gens, order):
+        p = ladder_jet(n, gens, order)
+        monkeypatch.setattr(jets, "apply_rows", lambda *args: pytest.fail("apply_rows called"))
+        jets._cartan_system(p)
+
+    def test_leibniz_rows_only_for_surviving_generators(self, monkeypatch, n, gens, order):
+        p = ladder_jet(n, gens, order)
+        # Derivations of A and the derived jet first, so only the Cartan
+        # system's own Leibniz rows are counted.
+        tangent_module(p)
+        target = derived_jet(p).quotient
+        built = []
+        differential_rows = WeilAlgebra.differential_rows
+
+        def spy(algebra, f):
+            if algebra is p.quotient:
+                built.append(f)
+            return differential_rows(algebra, f)
+
+        monkeypatch.setattr(WeilAlgebra, "differential_rows", spy)
+        jets._cartan_system(p)
+        generators = p.quotient.minimal_generators
+        surviving = [g for g in generators if lowest_degree(g) <= target.order + 1]
+        assert built == surviving and len(surviving) < len(generators)
+
+
+def reference_class(algebra, f: dict) -> dict:
+    """The class of a window polynomial {exponent: coefficient} in the
+    algebra: its remainder against the defining ideal's canonical rows lies on
+    the free columns, which are the basis monomials."""
+    exps = window(algebra.n, algebra.window_bound)
+    index = {e: c for c, e in enumerate(exps)}
+    rest = algebra.defining_ideal.reduce({index[e]: c for e, c in f.items()})
+    return {algebra.basis_columns.index(c): v for c, v in rest.items()}
+
+
+# The last case draws its jets from Hypothesis; the ladder cases draw nothing,
+# so Hypothesis runs each of them once.
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "n, gens, order",
+    [*LADDER, (2, ["y - x - x^2 - 1/2 x^3"], 3), pytest.param(0, None, 0, id="drawn")],
+)
+def test_psi_columns_are_classes_of_the_window_substitution(n, gens, order, data):
+    # Psi is the algebra morphism x_i -> [tau_i] of A_p; each column must be
+    # the class of the monomial substituted through tau in the window.
+    p = data.draw(drawn_jets()) if gens is None else ladder_jet(n, gens, order)
+    nf = normal_form(p)
+    n, bound = p.n, p.window_bound
+    tau = [t.coefficients for t in nf.sigma_inverse]
+    monomials = window(n, bound)
+    for exp, column in zip(monomials, jets._psi_columns(nf, monomials)):
+        pulled = ref_substitute({exp: Fraction(1)}, tau, n, bound)
+        assert column == reference_class(p.quotient, pulled)
 
 
 class TestFieldsProject:

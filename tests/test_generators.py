@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from operator import add
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -203,35 +204,38 @@ class TestChecksFire:
         with pytest.raises(InternalCheckError, match="not tangent to its derived jet"):
             _assert_fields_project(p, perturbed)
 
-    def with_fields(self, p, *fields):
-        """p with its field space replaced by the span of {unknown: value} dicts."""
-        width = 2 * len(layout(2, p.order))
+    def with_derivations(self, p, *fields):
+        """p with the derivation relations of A = R[x]/p, which the check
+        projects, replaced by the span of {unknown: value} dicts.  The unknown
+        i*d + b is the coefficient of the basis class b in the i-th component."""
+        width = 2 * p.quotient.dimension
         rows = []
         for field in fields:
             row = [Fraction(0)] * width
             for k, v in field.items():
                 row[k] = Fraction(v)
             rows.append(row)
-        p._memo[("jet_fields",)] = canonical_basis(rows, width)
+        planted = SimpleNamespace(relations=canonical_basis(rows, width))
+        p.quotient._memo[("derivation_space",)] = planted
         return p
 
     def test_fields_project_fires_on_a_perturbed_field(self):
         # d/dx alone takes y - x^2 to -2x, outside the derived jet (y - x^2) + m^3.
-        p = self.with_fields(self.parabola(), {0: 1})
+        p = self.with_derivations(self.parabola(), {0: 1})
         with pytest.raises(InternalCheckError, match="not tangent to its derived jet"):
             _assert_fields_project(p, derived_jet(p))
 
     def test_fields_project_checks_every_minimal_generator(self):
-        # The derived jet's minimal generators are y - x^2 and x^3.  The
-        # unknown i*w + c is the coefficient of x^c in the i-th component, so
-        # {0: 1, w + 1: 2} is d/dx + 2x d/dy: it kills y - x^2 and takes x^3 to
-        # 3x^2, which is outside the derived jet.
+        # The derived jet's minimal generators are y - x^2 and x^3.  The basis
+        # class 0 is 1, so {0: 1, d + x: 2} is d/dx + 2x d/dy: it kills
+        # y - x^2 and takes x^3 to 3x^2, which is outside the derived jet.
         p = self.parabola()
         derived = derived_jet(p)
         kept = [g.coefficients for g in derived.quotient.minimal_generators]
         assert kept == [{(0, 1): 1, (2, 0): -1}, {(3, 0): 1}]
-        w = len(layout(2, p.order))
-        p = self.with_fields(p, {0: 1, w + 1: 2})
+        d = p.quotient.dimension
+        x = p.quotient.basis_monomials.index((1, 0))
+        p = self.with_derivations(p, {0: 1, d + x: 2})
         with pytest.raises(InternalCheckError, match="not tangent to its derived jet"):
             _assert_fields_project(p, derived)
 

@@ -423,12 +423,9 @@ def test_product_walks_the_shorter_side_of_each_row(monkeypatch, shape, route):
         "one": {0: Fraction(1)},
     }[shape]
     expected = dense_product(R44, u, v)
-    uv = kernel_steps(u, v)
-    if route == "product":
-        want = uv
-    else:
-        # y0 y1 under y0 -> v, y1 -> u is made as (1 * u) * v.
-        want = [x + y for x, y in zip(kernel_steps({0: 1}, u), uv)]
+    # y0 y1 under y0 -> v, y1 -> u is made as u * v: the first power u is
+    # seeded from its factor, so no 1 * u product is made.
+    want = kernel_steps(u, v)
     rows = [CountingRow(row) for row in R44._mult]
     monkeypatch.setitem(R44.__dict__, "_mult", rows)
     if route == "product":
@@ -440,7 +437,7 @@ def test_product_walks_the_shorter_side_of_each_row(monkeypatch, shape, route):
     if shape == "dense":
         # Every stored product once: 495 steps, where one lookup per pair
         # of nonzeros made 70 * 70.
-        assert sum(uv) == 495
+        assert sum(want) == 495
 
 
 def ref_value(f: dict, algebra, images) -> tuple:
@@ -581,3 +578,60 @@ def test_kernel_jet_relations_vanish_at_the_point(case):
         algebra.dimension,
     )
     assert kernel.quotient.dimension == span.dimension
+
+
+class TestFirstPowersAreSeeded:
+    """Each power cache seeds every unit exponent from its prepared factor, so
+    a first power costs no kernel call; a second power costs one."""
+
+    def test_algebra_morphism(self, monkeypatch):
+        d = R44.dimension
+        u = {a: Fraction(a + 1, 2) for a in range(0, d, 3)}
+        v = {d // 2: Fraction(5, 7), 1: Fraction(-1, 3)}
+        calls = []
+        kernel = WeilAlgebra._mult_numerators
+
+        def counted(algebra, *args):
+            calls.append(1)
+            return kernel(algebra, *args)
+
+        monkeypatch.setattr(WeilAlgebra, "_mult_numerators", counted)
+        powers = R44._power_numerators([u, v])
+        assert (powers.row((1, 0)), powers.row((0, 1))) == (u, v)
+        assert not calls
+        assert powers.row((1, 1)) == dense_product(R44, u, v) and len(calls) == 1
+
+    def test_substitution(self, monkeypatch):
+        # The images reach degree 3, above the bound 2, which the first
+        # power truncates as a product would.
+        images = [P("1/2 x + y^2 - x^3", 2), P("-2/3 y + x y", 2)]
+        calls = []
+        kernel = poly._product_numerators
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(poly, "_product_numerators", counted)
+        substitute = substitution(images, 2)
+        first = substitute(P("x - 3 y", 2))
+        assert not calls
+        assert first.coefficients == P("1/2 x + y^2 + 2 y - 3 x y", 2).coefficients
+        assert first.degree_bound == 2
+        substitute(P("x y", 2))
+        assert len(calls) == 1
+
+    def test_prolongation(self, monkeypatch):
+        algebra = quotient_algebra(2, 2, [P("x^2 - 2/3 y^2", 2)])
+        rows = [CountingRow(row) for row in algebra._mult]
+        monkeypatch.setitem(algebra.__dict__, "_mult", rows)
+        components = prolong_polynomial(P("2 x - y", 2), algebra)
+        assert not any(row.steps for row in rows)
+        # Component b of 2 x - y is 2 x_b - x_(d + b) in the component variables.
+        d = algebra.dimension
+        units = [tuple(int(j == k) for j in range(2 * d)) for k in range(2 * d)]
+        assert [c.coefficients for c in components] == [
+            {units[b]: 2, units[d + b]: -1} for b in range(d)
+        ]
+        prolong_polynomial(P("x y", 2), algebra)
+        assert any(row.steps for row in rows)

@@ -229,15 +229,16 @@ class TestDeepExponents:
             calls.append(1)
             return a * b % 1_000_003
 
-        power = _Powers(1, [3], mul, 1).product
+        power = _Powers(1, [3], mul, 1, [3]).product
         assert power((2999,)) == pow(3, 2999, 1_000_003)
-        assert len(calls) == 2999  # one product per new exponent
+        # One product per new exponent; the first power is seeded.
+        assert len(calls) == 2998
         # The walk down cached every exponent on the way.
-        assert power((2998,)) == pow(3, 2998, 1_000_003) and len(calls) == 2999
+        assert power((2998,)) == pow(3, 2998, 1_000_003) and len(calls) == 2998
         # The next degree's window is above the cap: refused before any product.
         with pytest.raises(WindowTooLargeError):
             power((3000,))
-        assert len(calls) == 2999
+        assert len(calls) == 2998
 
     def test_power_products_lower_the_first_variable_first(self):
         calls = []
@@ -246,10 +247,11 @@ class TestDeepExponents:
             calls.append(1)
             return a * b
 
-        power = _Powers(1, [3, 5], mul, 1).product
-        assert power((40, 2)) == 3**40 * 25 and len(calls) == 42
+        power = _Powers(1, [3, 5], mul, 1, [3, 5]).product
+        # Down to the seeded (0, 1): 40 products, then one for (0, 2).
+        assert power((40, 2)) == 3**40 * 25 and len(calls) == 41
         # (0, 3) costs one product on top of the cached (0, 2).
-        assert power((0, 3)) == 125 and len(calls) == 43
+        assert power((0, 3)) == 125 and len(calls) == 42
 
     def test_jet_with_a_deep_shift(self):
         jet = dict(_SHIFTED_JET, generators=["x^2999 - 1"])
