@@ -12,7 +12,6 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -20,6 +19,7 @@ from .errors import DimensionMismatchError
 from .jets import Jet, _kernel_jet
 from .monomials import _check_window
 from .poly import (
+    Scalar,
     TruncatedPolynomial,
     _Powers,
     as_fraction,
@@ -29,10 +29,6 @@ from .poly import (
 )
 from .subspace import apply_columns, span_coordinates
 from .weil import AlgebraElement, WeilAlgebra, _fraction_row, tensor_product
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class APoint:
@@ -51,7 +47,7 @@ class APoint:
         return len(self.images)
 
     @property
-    def base_point(self) -> tuple[Fraction, ...]:
+    def base_point(self) -> tuple[Scalar, ...]:
         return tuple(img.augmentation() for img in self.images)
 
     @cached_property
@@ -79,7 +75,7 @@ def evaluate(f: TruncatedPolynomial, point: APoint) -> AlgebraElement:
 
     The coordinates of the result over the basis monomials are the real
     components of f at the point.  The products come from the point's one
-    power cache and stay integer until the one ``Fraction`` per coordinate.
+    power cache and stay integer until the one canonical scalar per coordinate.
     At a zero base point the images are nilpotent, so terms past the
     algebra's order vanish and are never walked.
     """
@@ -210,8 +206,8 @@ class WeilCheckReport:
 
     equal: bool
     tensor_algebra: WeilAlgebra
-    direct: tuple[tuple[Fraction, ...], ...]     # [alpha][beta]
-    two_stage: tuple[tuple[Fraction, ...], ...]  # [alpha][beta]
+    direct: tuple[tuple[Scalar, ...], ...]     # [alpha][beta]
+    two_stage: tuple[tuple[Scalar, ...], ...]  # [alpha][beta]
 
 
 def weil_iso_check(
@@ -248,7 +244,7 @@ def weil_iso_check(
     ]
     # Column g of P^-1 is the coordinates of e_g over the pair columns.
     solve = span_coordinates(pair_cols, d)
-    pair_inverse = [solve({g: _ONE}) for g in range(d)]
+    pair_inverse = [solve({g: 1}) for g in range(d)]
     if None in pair_inverse:
         raise DimensionMismatchError("tensor pairing is degenerate")
 
@@ -260,7 +256,7 @@ def weil_iso_check(
     )
     direct_pairs = apply_columns(pair_inverse, evaluate(f, APoint(tensor, images)).row)
     direct = tuple(
-        tuple(direct_pairs.get(alpha * db + beta, _ZERO) for beta in range(db))
+        tuple(direct_pairs.get(alpha * db + beta, 0) for beta in range(db))
         for alpha in range(da)
     )
 
@@ -284,7 +280,7 @@ class GroupLaw:
 
     dimension: int
     law: tuple[TruncatedPolynomial, ...]       # n polynomials in 2n variables
-    identity: tuple[Fraction, ...]
+    identity: tuple[Scalar, ...]
     inverse: tuple[TruncatedPolynomial, ...]   # n polynomials in n variables
 
     def __post_init__(self):
@@ -412,13 +408,13 @@ def tangent_correspondence_check(
     route_one = evaluate(df, point).coordinates
 
     comps = prolong_polynomial(f, algebra)
-    coords: list[Fraction] = []
+    coords: list[Scalar] = []
     for img in point.images:
         coords.extend(img.coordinates)
     induced = [evaluate(a, point).coordinates for a in field_coefficients]
     route_two = []
     for alpha in range(d):
-        total = _ZERO
+        total = 0
         for i in range(n):
             for beta in range(d):
                 v = induced[i][beta]

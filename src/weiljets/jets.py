@@ -16,7 +16,6 @@ from it again needs no second straightening.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (
@@ -36,8 +35,10 @@ from .monomials import (
     window_size,
 )
 from .poly import (
+    Scalar,
     TruncatedPolynomial,
     _Powers,
+    _rational,
     as_fraction,
     format_polynomial,
     substitution,
@@ -68,9 +69,6 @@ from .weil import (
     quotient_algebra,
 )
 
-_ONE = Fraction(1)
-
-
 @dataclass(frozen=True)
 class Chart:
     """Adapted coordinates of a jet, in which its ideal is
@@ -97,7 +95,7 @@ class Jet:
     def __init__(
         self,
         quotient: WeilAlgebra,
-        base_point: tuple[Fraction, ...],
+        base_point: tuple[Scalar, ...],
         classical: bool = False,
         chart: Chart | None = None,
     ):
@@ -148,7 +146,7 @@ class Jet:
         size = window_size(self.n, bound)
         rows = dict(self.ideal.rows)
         for c in range(self.ideal.ambient_dimension, size):
-            rows[c] = {c: _ONE}
+            rows[c] = {c: 1}
         return Subspace(size, rows)
 
     def contains_jet(self, other: "Jet") -> bool:
@@ -161,7 +159,7 @@ class Jet:
         )
 
 
-def _window_jet(n: int, bound: int, ideal: Subspace, base_point: tuple[Fraction, ...]) -> Jet:
+def _window_jet(n: int, bound: int, ideal: Subspace, base_point: tuple[Scalar, ...]) -> Jet:
     """The jet of a subspace that is already an ideal of the window: its rows
     generate it, and need no saturation."""
     return Jet(_rewindow(n, bound, ideal, list(ideal.rows.values())), base_point)
@@ -285,15 +283,14 @@ def hat_ideal(p: Jet) -> Jet:
         conditions.insert(r)
     for i in range(n):
         # Condition rows of (membership o d/dx_i): the coefficient of x^e in
-        # d f/dx_i is (e_i + 1) times that of x^e * x_i, one Fraction built
-        # from the numerators.
+        # d f/dx_i is (e_i + 1) times that of x^e * x_i, one canonical scalar
+        # built from the numerators.
         for r in memb:
             row: SparseRow = {}
             for c, v in r.items():
                 t = shifts[i][c]
                 if t is not None:
-                    num, den = (exps[c][i] + 1) * v.numerator, v.denominator
-                    row[t] = Fraction(num) if den == 1 else Fraction(num, den)
+                    row[t] = _rational((exps[c][i] + 1) * v.numerator, v.denominator)
             conditions.insert(row)
     hat = conditions.kernel()
 
@@ -323,7 +320,7 @@ class CotangentModule:
     dimension: int
     basis: tuple[TruncatedPolynomial, ...]
 
-    def differential(self, f: TruncatedPolynomial, tangent_coords: Sequence[Fraction]) -> AlgebraElement:
+    def differential(self, f: TruncatedPolynomial, tangent_coords: Sequence[Scalar]) -> AlgebraElement:
         """d_p f evaluated on an ambient tangent representative."""
         p = self.jet
         if not p.contains_polynomial(f):
@@ -561,7 +558,7 @@ def normal_form(p: Jet) -> NormalForm:
     generated = Echelon(
         current.ambient_dimension,
         {
-            c: {c: _ONE}
+            c: {c: 1}
             for c, e in enumerate(exps)
             if sum(e) == bound or any(e[j] for j in pivot_vars)
         },
@@ -766,17 +763,19 @@ def _class_columns(monomials: Sequence[Exponent], target: WeilAlgebra) -> list[S
     ]
 
 
-def _projection_columns(
-    n: int, monomials: Sequence[Exponent], target: WeilAlgebra
-) -> list[SparseRow]:
-    """Sparse columns of :func:`_class_columns` on each of n blocks, into target^n.
+@_memo
+def _projection_columns(p: Jet, derived: Jet) -> tuple[SparseRow, ...]:
+    """pi: A^n -> A'^n for A = R[x]/p and A' = R[x]/derived, as sparse columns:
+    :func:`_class_columns` of A's basis monomials on each of n blocks.
 
-    Column k*len(monomials) + j is the class of monomials[j], in block k.  On
-    the basis monomials of A it is pi: A^n -> A'^n.
+    Column k*dim A + j is the class of basis monomial j of A, in block k.  The
+    contact data, the Taylor map and the field check all read it, so it is
+    built once per pair and cached on p.
     """
-    columns = _class_columns(monomials, target)
+    target = derived.quotient
+    columns = _class_columns(p.quotient.basis_monomials, target)
     d = target.dimension
-    return [{k * d + i: v for i, v in col.items()} for k in range(n) for col in columns]
+    return tuple({k * d + i: v for i, v in col.items()} for k in range(p.n) for col in columns)
 
 
 class _BlockTable(dict):
@@ -883,7 +882,7 @@ def contact_and_cartan(p: Jet) -> ContactData:
 
     # Kernel of the tangent projection must sit inside the Cartan system.
     pi_rows: list[SparseRow] = [{} for _ in range(n * dprime)]
-    for c, col in enumerate(_projection_columns(n, algebra.basis_monomials, derived.quotient)):
+    for c, col in enumerate(_projection_columns(p, derived)):
         for r, v in col.items():
             pi_rows[r][c] = v
     kernel = preimage(pi_rows, tangent_module(derived).relations, nd)
@@ -983,7 +982,7 @@ def taylor_map(p: Jet) -> TaylorData:
 
     _assert_fields_project(p, derived)
 
-    pi_cols = _projection_columns(p.n, p.quotient.basis_monomials, derived.quotient)
+    pi_cols = _projection_columns(p, derived)
     span = tangent_module(derived).relations.echelon()
     for v in cartan.rows.values():
         span.insert(apply_columns(pi_cols, v))
@@ -1007,7 +1006,7 @@ def _assert_fields_project(p: Jet, derived: Jet) -> None:
     with coefficients in p project to zero (p <= p'), so each derivation
     relation of A, projected to A'^n, has to lie in the relations of p'.
     """
-    pi = _projection_columns(p.n, p.quotient.basis_monomials, derived.quotient)
+    pi = _projection_columns(p, derived)
     relations = tangent_module(derived).relations
     for coeffs in tangent_module(p).relations.rows.values():
         if not relations.contains_vector(apply_columns(pi, coeffs)):
@@ -1020,15 +1019,15 @@ def _assert_fields_project(p: Jet, derived: Jet) -> None:
 
 
 def _kernel_jet(
-    algebra: WeilAlgebra, base_point: tuple[Fraction, ...], m: int, powers: _Powers
+    algebra: WeilAlgebra, base_point: tuple[Scalar, ...], m: int, powers: _Powers
 ) -> Jet:
     """Jet of the morphism R[y1..ym] -> A of ``powers`` (from
     :meth:`WeilAlgebra._power_numerators`).
 
-    Each image of y^e becomes a ``Fraction`` row before the elimination.  The
-    ideal is the kernel on the window of degree order+1; the monomials of
-    that top degree map to zero, being products of order+1 nilpotents, so
-    the kernel is an ideal of the window.
+    Each image of y^e becomes a row of canonical scalars before the
+    elimination.  The ideal is the kernel on the window of degree order+1; the
+    monomials of that top degree map to zero, being products of order+1
+    nilpotents, so the kernel is an ideal of the window.
     """
     order = algebra.order
     bound = order + 1
@@ -1056,7 +1055,11 @@ def _pushforward(
     psi = []
     for f in phi:
         moved = f.shift(p.base_point) if any(p.base_point) else f
-        psi.append(moved - TruncatedPolynomial.constant(n, f.degree_bound, moved.constant_term()))
+        psi.append(
+            TruncatedPolynomial._from_fractions(
+                n, moved.degree_bound, {e: c for e, c in moved.coefficients.items() if any(e)}
+            )
+        )
     algebra = p.quotient
     images = [algebra._polynomial_class(f) for f in psi]
     powers = algebra._power_numerators(images)
@@ -1068,12 +1071,39 @@ def pushforward(p: Jet, phi: Sequence[TruncatedPolynomial]) -> Jet:
     return _pushforward(p, phi)[0]
 
 
+def _induced_columns(
+    algebra: WeilAlgebra, b: WeilAlgebra, powers: _Powers, partials: list[list[SparseRow]], n: int
+) -> tuple[SparseRow, ...] | None:
+    """Columns of (i, beta) -> ([d psi_j / d x_i] * a_beta)_j in B^m, or None
+    when one of those products leaves the image of B in A.
+
+    B -> A is injective: one solver over the image columns gives every value
+    its coordinates in B.  Column i*d + beta is sparse over m * dim B rows.
+    """
+    d = algebra.dimension
+    solve = span_coordinates([powers.row(exp) for exp in b.basis_monomials], d)
+    db = b.dimension
+    induced: list[SparseRow] = [{} for _ in range(n * d)]
+    for j, row in enumerate(partials):
+        for i, w in enumerate(row):
+            if not w:
+                continue
+            for beta, value in enumerate(algebra.multiplication_map(w)):
+                w_coords = solve(value)
+                if w_coords is None:
+                    return None
+                induced[i * d + beta].update((j * db + k, u) for k, u in w_coords.items())
+    return tuple(induced)
+
+
 @dataclass(frozen=True)
 class TangentMap:
     """Existence data and the induced map between tangent presentations.
 
-    ``columns[i * d + beta]``, when the map exists, is the sparse image in
-    B^m of the ambient tangent coordinate (i, beta) of A^n.
+    ``columns[i * d + beta]``, when the map exists and every partial times
+    every basis class of A lies in the image of B (always for a regular map),
+    is the sparse image in B^m of the ambient tangent coordinate (i, beta) of
+    A^n; otherwise ``columns`` is None.
     """
 
     jet: Jet
@@ -1088,14 +1118,15 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
 
     The subalgebra generated by the coordinate images is closed by span
     saturation; existence asks every first partial of every image to lie in
-    it, and regularity asks it to be the full quotient.
+    it, and regularity asks it to be the full quotient.  The induced columns
+    multiply each partial by every basis class of A, so they are defined
+    only when every such product lies in the subalgebra too: always for a
+    regular map.  Where they are not, ``columns`` is None.
     """
     n = p.n
-    target_n = len(phi)
     algebra = p.quotient
     d = algebra.dimension
     image_jet, psi, images, powers = _pushforward(p, phi)
-    b = image_jet.quotient
 
     generated = Echelon(d)
     generated.saturate(
@@ -1110,27 +1141,10 @@ def tangent_map(p: Jet, phi: Sequence[TruncatedPolynomial]) -> TangentMap:
 
     columns = None
     if exists:
-        # B -> A is injective: one solver over the image columns gives every
-        # value its coordinates in B.
-        solve = span_coordinates([powers.row(exp) for exp in b.basis_monomials], d)
-        db = b.dimension
-        # Column i*d + beta of the induced map, sparse over target_n * db rows.
-        induced: list[SparseRow] = [{} for _ in range(n * d)]
-        for j in range(target_n):
-            for i, w in enumerate(partials[j]):
-                if not w:
-                    continue
-                for beta, value in enumerate(algebra.multiplication_map(w)):
-                    w_coords = solve(value)
-                    if w_coords is None:
-                        raise InternalCheckError(
-                            "tangent value escaped the image subalgebra"
-                        )
-                    induced[i * d + beta].update(
-                        (j * db + k, u) for k, u in w_coords.items()
-                    )
-        columns = tuple(induced)
-
+        columns = _induced_columns(algebra, image_jet.quotient, powers, partials, n)
+        if columns is None and regular:
+            raise InternalCheckError("tangent value escaped the image subalgebra")
+    if columns is not None:
         rel_image = tangent_module(image_jet).relations
         for v in tangent_module(p).relations.rows.values():
             if not rel_image.contains_vector(apply_columns(columns, v)):

@@ -1,10 +1,12 @@
 """Truncated multivariate polynomials with exact rational coefficients.
 
-A polynomial is a sparse mapping from exponent tuples to ``Fraction``
-coefficients together with a degree bound; every operation discards
-monomials beyond the bound of the result.  Coefficients are never floats,
-so equality of polynomials (and of everything built on top of them) is
-exact.
+A polynomial is a sparse mapping from exponent tuples to exact coefficients
+together with a degree bound; every operation discards monomials beyond the
+bound of the result.  Every stored coefficient is a canonical scalar: a
+Python ``int`` when it is integral, and otherwise a ``Fraction`` whose
+denominator is > 1 (see :func:`as_fraction`).  The two types compare and
+hash equal on equal values, so equality of polynomials (and of everything
+built on top of them) is exact, and no coefficient is ever a float.
 
 The text syntax accepted by :func:`parse_polynomial` covers terms like
 ``3/2 x1^2 x3 - y``: rationals written ``p/q``, variables ``x1 .. xn`` with
@@ -29,7 +31,15 @@ _K = TypeVar("_K", bound=Hashable)
 _T = TypeVar("_T")
 _F = TypeVar("_F")
 
-_ZERO = Fraction(0)
+
+def _rational(n: int, d: int) -> Scalar:
+    """The canonical scalar n / d (d != 0): the int itself when the quotient is
+    integral, and otherwise one ``Fraction``, whose denominator is then > 1."""
+    if d == 1:
+        return n
+    if n % d:
+        return Fraction(n, d)
+    return n // d
 
 
 def _common_denominator(
@@ -114,28 +124,32 @@ class _Powers:
         return acc, den * scale**top
 
     def row(self, exp: Exponent) -> dict:
-        """The image of x^exp as ``{key: Fraction}``, zero entries dropped."""
+        """The image of x^exp as ``{key: scalar}``, zero entries dropped."""
         den = self._scale ** sum(exp)
-        return {k: Fraction(v, den) for k, v in self.product(exp) if v}
+        return {k: _rational(v, den) for k, v in self.product(exp) if v}
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings; floats are rejected.
+def as_fraction(value) -> Scalar:
+    """The canonical scalar of an int, a Fraction or a 'p/q' string: a plain
+    ``int`` when the value is integral (bools and int subclasses included),
+    otherwise a ``Fraction`` with denominator > 1.  Floats are rejected.
 
-    The exact types ``Fraction`` and ``str`` are tested first: ``isinstance``
-    against ``Fraction`` goes through its ABC, and session coordinates are
-    strings.  Subclasses take the same routes as before.
+    The exact types ``int``, ``Fraction`` and ``str`` are tested first:
+    ``isinstance`` against ``Fraction`` goes through its ABC, and session
+    coordinates are strings.  Subclasses take the same routes as before.
     """
     kind = type(value)
-    if kind is Fraction:
+    if kind is int:
         return value
+    if kind is Fraction:
+        return value if value.denominator != 1 else value.numerator
     if kind is not str:
         if isinstance(value, float):
             raise TypeError("floating-point input is not allowed; pass 'p/q' strings")
         if isinstance(value, Fraction):
-            return value
+            return value if value.denominator != 1 else int(value.numerator)
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)
         if not isinstance(value, str):
             raise TypeError(f"cannot interpret {value!r} as an exact rational")
     text = value.strip()
@@ -143,11 +157,16 @@ def as_fraction(value) -> Fraction:
     # goes through Fraction's own parser, so it keeps its value or error.
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
-    fast = text.isascii() and digits.isdigit() and (not slash or den.isdigit())
+    if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+        d = int(den) if slash else 1
+        if not d:
+            raise ValueError(f"zero denominator in {text!r}")
+        return _rational(int(num), d)
     try:
-        return Fraction(int(num), int(den) if slash else 1) if fast else Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    return value if value.denominator != 1 else value.numerator
 
 
 class TruncatedPolynomial:
@@ -163,7 +182,7 @@ class TruncatedPolynomial:
     ):
         if variable_count < 0 or degree_bound < 0:
             raise ValueError("variable count and degree bound must be non-negative")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Scalar] = {}
         for exp, raw in (coefficients or {}).items():
             if len(exp) != variable_count:
                 raise DimensionMismatchError(
@@ -186,20 +205,20 @@ class TruncatedPolynomial:
     ) -> "TruncatedPolynomial":
         """Trusted constructor: exponents already fit the ring and the bound.
 
-        Each nonzero ``numerators[e] / den`` becomes one ``Fraction``; nothing
-        is validated again.
+        Each nonzero ``numerators[e] / den`` becomes one canonical scalar (see
+        :func:`_rational`); nothing is validated again.
         """
         return cls._from_fractions(
             variable_count,
             degree_bound,
-            {e: Fraction(c, den) for e, c in numerators.items() if c},
+            {e: _rational(c, den) for e, c in numerators.items() if c},
         )
 
     @classmethod
     def _from_fractions(
-        cls, variable_count: int, degree_bound: int, coefficients: dict[Exponent, Fraction]
+        cls, variable_count: int, degree_bound: int, coefficients: dict[Exponent, Scalar]
     ) -> "TruncatedPolynomial":
-        """Trusted constructor: ``coefficients`` are nonzero Fractions at
+        """Trusted constructor: ``coefficients`` are nonzero canonical scalars at
         exponents that fit the ring and the bound; the dict is kept as it is."""
         poly = object.__new__(cls)
         poly.variable_count = variable_count
@@ -246,10 +265,10 @@ class TruncatedPolynomial:
             return 0
         return max(sum(e) for e in self.coefficients)
 
-    def constant_term(self) -> Fraction:
-        return self.coefficients.get((0,) * self.variable_count, _ZERO)
+    def constant_term(self) -> Scalar:
+        return self.coefficients.get((0,) * self.variable_count, 0)
 
-    def terms(self) -> list[tuple[Exponent, Fraction]]:
+    def terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in the canonical layout order.
 
         The layout sorts by degree, then by exponent descending; two stable
@@ -261,8 +280,8 @@ class TruncatedPolynomial:
         exps.sort(key=sum)
         return [(e, coefficients[e]) for e in exps]
 
-    def coefficient(self, exponent: Exponent) -> Fraction:
-        return self.coefficients.get(tuple(exponent), _ZERO)
+    def coefficient(self, exponent: Exponent) -> Scalar:
+        return self.coefficients.get(tuple(exponent), 0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -277,7 +296,7 @@ class TruncatedPolynomial:
         bound = min(self.degree_bound, other.degree_bound)
         out = dict(self.coefficients)
         for exp, c in other.coefficients.items():
-            out[exp] = out.get(exp, _ZERO) + c
+            out[exp] = out.get(exp, 0) + c
         return TruncatedPolynomial(self.variable_count, bound, out)
 
     def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
@@ -318,8 +337,8 @@ class TruncatedPolynomial:
 
     def derivative(self, index: int) -> "TruncatedPolynomial":
         """Partial derivative with respect to variable ``index``; each
-        coefficient ``k * c`` is one Fraction built from the numerators."""
-        out: dict[Exponent, Fraction] = {}
+        coefficient ``k * c`` is one canonical scalar built from the numerators."""
+        out: dict[Exponent, Scalar] = {}
         for exp, c in self.coefficients.items():
             k = exp[index]
             if k == 0:
@@ -327,22 +346,29 @@ class TruncatedPolynomial:
             lowered = list(exp)
             lowered[index] -= 1
             num, den = k * c.numerator, c.denominator
-            out[tuple(lowered)] = Fraction(num) if den == 1 else Fraction(num, den)
+            out[tuple(lowered)] = _rational(num, den)
         return TruncatedPolynomial._from_fractions(self.variable_count, self.degree_bound, out)
 
-    def evaluate(self, values: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point."""
+    def evaluate(self, values: Sequence[Scalar]) -> Scalar:
+        """Exact value at a rational point, as a canonical scalar.
+
+        The point's coordinates are numerators over one denominator q, so a
+        term of degree k is an integer over q**k; weighted by q**(top - k) for
+        the top degree, every term lies over one denominator and the sum is
+        one scalar.
+        """
         if len(values) != self.variable_count:
             raise DimensionMismatchError("wrong number of coordinates")
-        vals = [as_fraction(v) for v in values]
-        total = _ZERO
-        for exp, c in self.coefficients.items():
-            term = c
-            for v, k in zip(vals, exp):
+        (point,), q = _common_denominator([enumerate(as_fraction(v) for v in values)])
+        (terms,), den = _common_denominator([self.coefficients.items()])
+        top = self.degree()
+        total = 0
+        for exp, c in terms:
+            for (_, a), k in zip(point, exp):
                 if k:
-                    term *= v**k
-            total += term
-        return total
+                    c *= a**k
+            total += c * q ** (top - sum(exp))
+        return _rational(total, den * q**top)
 
     def shift(self, point: Sequence[Scalar], bound: int | None = None) -> "TruncatedPolynomial":
         """f(x + point), computed exactly (the degree does not grow).
@@ -365,7 +391,7 @@ class TruncatedPolynomial:
 
     # -- coordinate vectors --------------------------------------------------
 
-    def to_sparse(self, bound: int | None = None) -> dict[int, Fraction]:
+    def to_sparse(self, bound: int | None = None) -> dict[int, Scalar]:
         """Nonzero coefficients keyed by their window index (truncating)."""
         b = self.degree_bound if bound is None else bound
         idx = window_index(self.variable_count, b)
@@ -528,13 +554,14 @@ def parse_polynomial(
     """Parse the documented term syntax; the bound defaults to the exact degree.
 
     A term's sign and coefficient tokens multiply as an integer numerator and
-    denominator, and each term becomes one ``Fraction``.  A variable counts
+    denominator, and each term becomes one canonical scalar (a repeated
+    monomial adds its term on numerators).  A variable counts
     once when it is read; a ``^`` right after it makes the next token its
     exponent, which adds the rest of the power.  Zero and above-bound terms
     are dropped here, so the result is built with no second validation.
     """
     names = _name_table(variable_count)
-    coeffs: dict[Exponent, Fraction] = {}
+    coeffs: dict[Exponent, Scalar] = {}
 
     sign = 1
     pending: tuple[int, int, list[int]] | None = None  # (numerator, denominator, exponents)
@@ -547,8 +574,10 @@ def parse_polynomial(
             return
         num, den, exps = pending
         exp = tuple(exps)
-        value = Fraction(num, den)
-        coeffs[exp] = coeffs[exp] + value if exp in coeffs else value
+        old = coeffs.get(exp)
+        if old is not None:
+            num, den = old.numerator * den + num * old.denominator, old.denominator * den
+        coeffs[exp] = _rational(num, den)
         pending = None
 
     text = text.strip()
@@ -604,7 +633,7 @@ def parse_polynomial(
         bound = max((sum(e) for e in coeffs), default=0)
     if variable_count < 0 or bound < 0:
         raise ValueError("variable count and degree bound must be non-negative")
-    # Every exponent has variable_count entries and every value is a Fraction.
+    # Every exponent has variable_count entries and every value is canonical.
     return TruncatedPolynomial._from_fractions(
         variable_count, bound, {e: c for e, c in coeffs.items() if c and sum(e) <= bound}
     )
@@ -647,7 +676,7 @@ def _format_terms(terms: Iterable[tuple[str, int, int]]) -> str:
     return " ".join(pieces) or "0"
 
 
-def _format_row(row: Mapping[int, Fraction], monomials: Sequence[Exponent]) -> str:
+def _format_row(row: Mapping[int, Scalar], monomials: Sequence[Exponent]) -> str:
     """Text of sum_k row[k] x^monomials[k], with no polynomial built; ``monomials``
     is in layout order (a window or a basis), so sorted keys give layout order.
     The two shapes most rows of a report have skip the term formatter: the empty

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Any, Callable, NamedTuple
@@ -50,6 +49,7 @@ from .jets import (
 )
 from .monomials import window
 from .poly import (
+    Scalar,
     TruncatedPolynomial,
     _format_index_terms,
     _format_row,
@@ -156,7 +156,7 @@ def _boolean(key, value, values) -> bool:
     return value
 
 
-def _rat(key, value, values) -> Fraction:
+def _rat(key, value, values) -> Scalar:
     if isinstance(value, (bool, float)):
         raise SessionParseError(f"{json.dumps(value)} is not an exact rational; use 'p/q' strings")
     try:

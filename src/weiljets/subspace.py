@@ -2,12 +2,15 @@
 
 Every elimination in the package goes through :class:`Echelon`, which keeps
 the reduced row-echelon form of a growing span.  Its rows are sparse: a row
-is a ``{column: Fraction}`` dict holding only the nonzero entries, and the
-rows are keyed by their pivot column.  The one builder inserts rows, reduces
-vectors against them, reads off the kernel and saturates the span (closes it
-under linear maps such as multiplication by the variables).  Its row update
-works on integer numerators and builds one ``Fraction`` per entry it writes,
-and a unit row is cleared from another row by deleting the entry.
+is a ``{column: scalar}`` dict holding only the nonzero entries, and the rows
+are keyed by their pivot column.  Every stored entry is a canonical scalar
+(:func:`weiljets.poly.as_fraction`): a Python ``int`` when it is integral, and
+otherwise a ``Fraction`` whose denominator is > 1.  The one builder inserts
+rows, reduces vectors against them, reads off the kernel and saturates the
+span (closes it under linear maps such as multiplication by the variables).
+Its row update works on integer numerators and writes one canonical scalar
+per entry, so an integral entry allocates no ``Fraction``; a unit row is
+cleared from another row by deleting the entry.
 
 A :class:`Subspace` is the frozen result, and its pivot-keyed sparse rows are
 the only thing it stores.  Reduced row-echelon form is unique, so two
@@ -30,47 +33,45 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
-from .poly import as_fraction
+from .poly import Scalar, _rational, as_fraction
 
-SparseRow = dict[int, Fraction]  # column -> nonzero entry
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+SparseRow = dict[int, Scalar]  # column -> nonzero canonical scalar
 
 
 def sparse(vector: Sequence, ambient: int) -> SparseRow:
-    """The nonzero entries of a dense vector, coerced to Fractions."""
+    """The nonzero entries of a dense vector, as canonical scalars."""
     if len(vector) != ambient:
         raise DimensionMismatchError(
             f"vector of length {len(vector)} in ambient dimension {ambient}"
         )
     row: SparseRow = {}
     for c, v in enumerate(vector):
-        if type(v) is not Fraction:
+        if type(v) is not int and (type(v) is not Fraction or v.denominator == 1):
             v = as_fraction(v)
         if v:
             row[c] = v
     return row
 
 
-def dense(row: SparseRow, ambient: int) -> list[Fraction]:
+def dense(row: SparseRow, ambient: int) -> list[Scalar]:
     """The dense vector of a sparse row."""
-    out = [_ZERO] * ambient
+    out = [0] * ambient
     for c, v in row.items():
         out[c] = v
     return out
 
 
 def _add_multiple(
-    target: SparseRow, m: Fraction, row: SparseRow, skip: int = -1, sign: int = 1
+    target: SparseRow, m: Scalar, row: SparseRow, skip: int = -1, sign: int = 1
 ) -> None:
     """target += sign * m * row in place, off column ``skip``; cancelled entries drop.
 
     ``sign`` is 1 or -1, so a subtraction never builds the negated multiplier.
     Each written entry is worked out on integer numerators and denominators
-    and becomes exactly one new ``Fraction`` (``Fraction(n)`` when the
-    denominator is 1); no ``Fraction`` operator runs.  ``m`` and the entries
-    of ``row`` are nonzero, so no zero is ever stored.
+    and becomes one canonical scalar (:func:`~weiljets.poly._rational`): an
+    integral entry is stored as the int itself, with no ``Fraction`` built,
+    and no ``Fraction`` operator runs.  ``m`` and the entries of ``row`` are
+    nonzero, so no zero is ever stored.
     """
     mn = m.numerator if sign > 0 else -m.numerator
     md = m.denominator
@@ -90,7 +91,7 @@ def _add_multiple(
             if not n:
                 del target[c]
                 continue
-        target[c] = Fraction(n) if d == 1 else Fraction(n, d)
+        target[c] = n if d == 1 else _rational(n, d)
 
 
 def _reduce(rows: dict[int, SparseRow], row: SparseRow) -> SparseRow:
@@ -126,8 +127,8 @@ class Echelon:
     def insert(self, row: SparseRow) -> bool:
         """Add a row to the span, keeping the form reduced; False if dependent.
 
-        The remainder is scaled to a leading 1 on numerators, one new
-        ``Fraction`` per entry.  Every stored row with an entry in the new
+        The remainder is scaled to a leading 1 on numerators, one canonical
+        scalar per entry.  Every stored row with an entry in the new
         pivot column then has it cleared: a unit row needs only the entry
         deleted, any other row is updated by :func:`_add_multiple`.
         """
@@ -137,7 +138,7 @@ class Echelon:
         pivot = min(row)
         rows = self.rows
         if len(row) == 1:
-            row = {pivot: _ONE}
+            row = {pivot: 1}
             for q, other in rows.items():
                 if pivot in other:
                     other = dict(other)
@@ -149,7 +150,7 @@ class Echelon:
         ln, ld = lead.numerator, lead.denominator
         if ln != ld:
             row = {
-                c: _ONE if c == pivot else Fraction(v.numerator * ld, v.denominator * ln)
+                c: 1 if c == pivot else _rational(v.numerator * ld, v.denominator * ln)
                 for c, v in row.items()
             }
         for q, other in rows.items():
@@ -200,7 +201,7 @@ class Echelon:
         the kernel, the annihilator of the span; read as functionals, they cut
         the span out (see :func:`preimage`).
         """
-        out = {c: {c: _ONE} for c in range(self.ambient_dimension) if c not in self.rows}
+        out = {c: {c: 1} for c in range(self.ambient_dimension) if c not in self.rows}
         for p, row in self.rows.items():
             for c, v in row.items():
                 if c != p:
@@ -312,7 +313,7 @@ def apply_rows(rows: Mapping[int, SparseRow], row: SparseRow) -> SparseRow:
     out: SparseRow = {}
     for i, r in rows.items():
         short, long = (r, row) if len(r) <= len(row) else (row, r)
-        # The dot product on numerators, one Fraction per entry written.
+        # The dot product on numerators, one canonical scalar per entry written.
         n, d = 0, 1
         for j, v in short.items():
             x = long.get(j)
@@ -325,7 +326,7 @@ def apply_rows(rows: Mapping[int, SparseRow], row: SparseRow) -> SparseRow:
                     n = n * td + tn * d
                     d *= td
         if n:
-            out[i] = Fraction(n) if d == 1 else Fraction(n, d)
+            out[i] = _rational(n, d)
     return out
 
 
@@ -367,7 +368,7 @@ def span_coordinates(
     last = size + len(columns) - 1
     system = Echelon(last + 1)
     for k, column in enumerate(columns):
-        system.insert({**column, last - k: _ONE})
+        system.insert({**column, last - k: 1})
 
     def solve(value: SparseRow) -> SparseRow | None:
         rest = system.reduce(value)
@@ -379,12 +380,12 @@ def span_coordinates(
     return solve
 
 
-def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
+def invert_matrix(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]] | None:
     """Exact inverse of a square row matrix, or None if singular: row g of the
     inverse is the coordinates of the unit vector e_g over the rows."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError("invert_matrix needs a square matrix")
     solve = span_coordinates([sparse(row, n) for row in rows], n)
-    inverse = [solve({g: _ONE}) for g in range(n)]
+    inverse = [solve({g: 1}) for g in range(n)]
     return None if None in inverse else [dense(row, n) for row in inverse]

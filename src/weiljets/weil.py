@@ -6,7 +6,9 @@ subspace together with a monomial basis of the quotient; the exact
 multiplication table is built when first read.  The maximal-ideal
 filtration is read off the graded layout of the basis (see
 :class:`WeilAlgebra`), so orders and widths are counts and every invariant
-reported by this module is decidable.
+reported by this module is decidable.  Coordinates and structure constants
+are canonical scalars, as in :mod:`weiljets.subspace`: ints when integral
+(every structure constant of a monomial quotient), otherwise ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from .poly import (
     TruncatedPolynomial,
     _common_denominator,
     _format_row,
+    Scalar,
     _Powers,
+    _rational,
     as_fraction,
     format_polynomial,
     substitution,
@@ -56,14 +60,10 @@ from .subspace import (
     span_coordinates,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def _fraction_row(pairs: Iterable[tuple[int, int]], den: int) -> SparseRow:
-    """The sparse ``Fraction`` row of integer ``(index, numerator)`` pairs over
-    ``den``, zero numerators dropped: where integer products become rows."""
-    return {g: Fraction(x, den) for g, x in pairs if x}
+    """The sparse row of integer ``(index, numerator)`` pairs over ``den``, one
+    canonical scalar per nonzero numerator: where integer products become rows."""
+    return {g: _rational(x, den) for g, x in pairs if x}
 
 
 def _memo(build):
@@ -87,7 +87,7 @@ def _memo(build):
 def _variable_shifts(n: int, bound: int) -> tuple[tuple[SparseRow | None, ...], ...]:
     """Multiplication by each variable on the window, as saturation tables."""
     return tuple(
-        tuple(None if t is None else {t: _ONE} for t in table)
+        tuple(None if t is None else {t: 1} for t in table)
         for table in shift_tables(n, bound)
     )
 
@@ -151,7 +151,7 @@ class WeilAlgebra:
         for c in range(self.window_dimension):
             row = rows.get(c)
             if row is None:
-                classes.append({column_of[c]: _ONE})
+                classes.append({column_of[c]: 1})
             else:
                 classes.append({column_of[b]: -v for b, v in row.items() if b != c})
         return classes
@@ -215,7 +215,7 @@ class WeilAlgebra:
         return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {0: _ONE})
+        return AlgebraElement(self, {0: 1})
 
     def generator(self, i: int) -> "AlgebraElement":
         """Class of the variable x_i."""
@@ -231,7 +231,10 @@ class WeilAlgebra:
 
     def element(self, coordinates: Sequence) -> "AlgebraElement":
         """The element with the given dense coordinates: the one dense entry."""
-        coords = [c if type(c) is Fraction else as_fraction(c) for c in coordinates]
+        coords = [
+            c if type(c) is int or (type(c) is Fraction and c.denominator != 1) else as_fraction(c)
+            for c in coordinates
+        ]
         if len(coords) != self.dimension:
             raise DimensionMismatchError(
                 f"need {self.dimension} coordinates, got {len(coords)}"
@@ -339,7 +342,7 @@ class WeilAlgebra:
         derivation with generator images (v_1, ..., v_n) sends [f] to the
         image of the flattened tuple.  The rows are read straight off the
         multiplication table, as integer numerators over one denominator of
-        the n derivative classes, with one ``Fraction`` per entry; no
+        the n derivative classes, with one canonical scalar per entry; no
         multiplication map is built.  Only nonzero rows are kept, in
         ascending g.
         """
@@ -447,7 +450,7 @@ class AlgebraElement:
         return hash((self.algebra, frozenset(self.row.items())))
 
     @property
-    def coordinates(self) -> tuple[Fraction, ...]:
+    def coordinates(self) -> tuple[Scalar, ...]:
         """The dense coordinates, built on each read."""
         return tuple(dense(self.row, self.algebra.dimension))
 
@@ -455,20 +458,20 @@ class AlgebraElement:
         if self.algebra != other.algebra:
             raise DimensionMismatchError("elements live in different algebras")
 
-    def _combine(self, m: Fraction, other: "AlgebraElement") -> "AlgebraElement":
+    def _combine(self, m: Scalar, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         row = dict(self.row)
         _add_multiple(row, m, other.row)
         return AlgebraElement(self.algebra, row)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self._combine(_ONE, other)
+        return self._combine(1, other)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self._combine(-_ONE, other)
+        return self._combine(-1, other)
 
     def __neg__(self) -> "AlgebraElement":
-        return self * -_ONE
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -491,9 +494,9 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.row
 
-    def augmentation(self) -> Fraction:
+    def augmentation(self) -> Scalar:
         """Constant term: the image in A/m_A = R."""
-        return self.row.get(0, _ZERO)
+        return self.row.get(0, 0)
 
     def nilpotent_part(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, {g: v for g, v in self.row.items() if g})
@@ -560,7 +563,7 @@ def _rewindow(
     new_bound = order + 1
     new_idx = window_index(n, new_bound)
     top = [new_idx[exp] for exp in monomials_of_degree(n, new_bound)]
-    top_rows = [{c: _ONE} for c in top]
+    top_rows = [{c: 1} for c in top]
     rows = {p: row for p, row in ideal.rows.items() if degs[p] <= new_bound}
     if new_bound > bound:
         rows.update(zip(top, top_rows))
@@ -663,7 +666,7 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     degs = degrees(n, algebra.window_bound)
     constraints = Echelon(n * d)
     for i in range(n):
-        constraints.insert({i * d: _ONE})
+        constraints.insert({i * d: 1})
     for k, r in enumerate(algebra._minimal_generator_rows):
         if degs[min(r)] <= algebra.order:
             f = algebra._minimal_generator(k)
@@ -699,7 +702,7 @@ class AlgebraMorphism:
             inner.source, self.target, [self.apply(img) for img in inner.images]
         )
 
-    def linear_part(self) -> list[list[Fraction]]:
+    def linear_part(self) -> list[list[Scalar]]:
         """n x n matrix of degree-1 coefficients of the generator images."""
         n = self.source.n
         rows = []
@@ -846,7 +849,7 @@ def _inverse_substitution(
 
     def lin_inv_apply(images: Sequence[TruncatedPolynomial]) -> list[TruncatedPolynomial]:
         """Lin^{-1} (x - images): each output's integer numerators accumulated
-        once over one denominator, one ``Fraction`` per coefficient."""
+        once over one denominator, one canonical scalar per coefficient."""
         terms, p = _common_denominator(img.coefficients.items() for img in images)
         out = []
         for row in lin_rows:
@@ -887,7 +890,7 @@ class IdealStabilityReport:
     )
 
     @cached_property
-    def witness(self) -> tuple[int, tuple[Fraction, ...]] | None:
+    def witness(self) -> tuple[int, tuple[Scalar, ...]] | None:
         """None when stable; else the first (derivation, ideal row) pair, in
         that order, whose image leaves I, as (k, dense image)."""
         if self.der_stable:

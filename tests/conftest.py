@@ -24,6 +24,12 @@ def Q(value):
     return Fraction(value)
 
 
+def is_canonical_scalar(c) -> bool:
+    """The package's one scalar rule: a plain ``int`` when the value is
+    integral, otherwise a ``Fraction`` whose denominator is > 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 @pytest.fixture
 def parse():
     return P
@@ -288,7 +294,7 @@ def projected_derivations(report):
 
 
 def dense_row(row: dict, ambient: int) -> tuple:
-    return tuple(row.get(c, ZERO) for c in range(ambient))
+    return tuple(row.get(c, 0) for c in range(ambient))
 
 
 def basis(subspace) -> tuple:

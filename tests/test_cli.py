@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,27 @@ class TestDeterminismAndGoldens:
         assert run_session(path) == golden
         golden_text = (GOLDEN / f"{path.stem}.out.txt").read_text()
         assert run_session(path, "text") == golden_text
+
+    @pytest.mark.parametrize("path", SESSIONS, ids=lambda p: p.stem)
+    def test_builds_no_integral_fraction(self, path, monkeypatch):
+        # Integral scalars stay ints: every Fraction a corpus session builds,
+        # in either rendering, has a denominator > 1, and the reports are the
+        # goldens.
+        built = []
+        new = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            value = new(cls, *args, **kwargs)
+            built.append(value)
+            return value
+
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        reports = run_session(path), run_session(path, "text")
+        monkeypatch.undo()
+        assert [f for f in built if f.denominator == 1] == []
+        assert reports == tuple(
+            (GOLDEN / f"{path.stem}.out.{fmt}").read_text() for fmt in ("json", "txt")
+        )
 
     @pytest.mark.parametrize("path", SESSIONS, ids=lambda p: p.stem)
     def test_json_round_trips(self, path):

@@ -1,12 +1,13 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiljets import jets
+from weiljets import cli, jets
 from weiljets.errors import InternalCheckError
 from weiljets.jets import (
     cartan_generation_oracle,
@@ -282,6 +283,23 @@ class TestWorkPerFact:
         generators = p.quotient.minimal_generators
         surviving = [g for g in generators if lowest_degree(g) <= target.order + 1]
         assert built == surviving and len(surviving) < len(generators)
+
+    def test_one_projection_per_jet(self, monkeypatch, n, gens, order):
+        # pi: A^n -> A'^n is read by the contact data, the field check and the
+        # Taylor map; its columns are built once.
+        p = ladder_jet(n, gens, order)
+        callers = []
+        class_columns = jets._class_columns
+
+        def spy(monomials, target):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return class_columns(monomials, target)
+
+        monkeypatch.setattr(jets, "_class_columns", spy)
+        contact_and_cartan(p)
+        taylor_map(p)
+        taylor_map(p)
+        assert callers.count("_projection_columns") == 1
 
 
 def reference_class(algebra, f: dict) -> dict:
@@ -613,3 +631,27 @@ class TestTangentMap:
         target = tangent_module(tm.image_jet)
         for rel in source.relations.rows.values():
             assert target.relations.contains_vector(apply_columns(tm.columns, rel))
+
+    def test_a_map_onto_a_proper_subalgebra_has_no_columns(self):
+        # m^2 in two variables under x: the partials (1, 0) lie in the image
+        # subalgebra span{1, x}, but 1 * y leaves it, so the induced columns
+        # are undefined; the map still exists and is not regular.
+        p = jet_from_ideal(2, [0, 0], [], 1)
+        tm = tangent_map(p, [P("x", 2)])
+        assert tm.exists and not tm.is_regular_for_subalgebra
+        assert tm.columns is None
+        assert tm.image_jet == power_jet(1, 2)
+
+    def test_a_map_onto_a_proper_subalgebra_exits_0(self, tmp_path, capsys):
+        session = {
+            "bind": [{"jet": "p", "vars": 2, "order_hint": 1}],
+            "run": [{"op": "tangent_map", "of": "p", "map": ["x1"]}],
+        }
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(session))
+        assert cli.main(["run", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)["results"][0]["result"]
+        assert result["exists"] is True
+        assert result["regular_for_subalgebra"] is False
+        assert result["image"]["vars"] == 1 and result["image"]["dim"] == 2
+        assert result["image"]["generators"] == ["x^2"]

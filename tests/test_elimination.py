@@ -1,6 +1,10 @@
 """The elimination core of ``subspace`` against plain Fraction arithmetic, and
 the work it does.
 
+The kernels take and store canonical scalars (ints when integral, otherwise
+Fractions with denominator > 1), so the drawn entries they are handed pass
+through ``as_fraction`` and every stored entry must satisfy the same rule.
+
 The reference below is written here with ``Fraction`` operators only and
 shares no code with the package: a row update, a reduction that subtracts
 until no pivot column is left, and an insertion that scales by the lead and
@@ -9,7 +13,7 @@ entries, large denominators and entries made to cancel to zero.
 
 The counted-work tests patch the ``Fraction`` operators: reducing against
 unit rows and inserting a unit row must call none of them, and a row update
-must build exactly one ``Fraction`` per entry it writes.  The hat ideal's
+must build at most one ``Fraction`` per entry it writes.  The hat ideal's
 condition rows and a polynomial's partial derivatives, which scale each
 entry by an integer, must call no binary operator either.
 """
@@ -21,14 +25,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiljets.jets import hat_ideal
+from weiljets.poly import as_fraction
 from weiljets.subspace import Echelon, _add_multiple, _reduce
 
-from conftest import LADDER, P, ladder_jet
+from conftest import LADDER, P, is_canonical_scalar, ladder_jet
 
 WIDTH = 8
-values = st.fractions(
-    min_value=-(10**6), max_value=10**6, max_denominator=10**12
-).filter(bool)
+values = (
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12)
+    .filter(bool)
+    .map(as_fraction)
+)
 rows = st.dictionaries(st.integers(0, WIDTH - 1), values, max_size=WIDTH)
 
 
@@ -68,7 +75,7 @@ def ref_insert(stored, row):
         return stored, False
     pivot = min(row)
     lead = row[pivot]
-    row = {c: v / lead for c, v in row.items()}
+    row = {c: Fraction(v) / lead for c, v in row.items()}
     out = {}
     for q, other in stored.items():
         c = other.get(pivot, Fraction(0))
@@ -77,8 +84,8 @@ def ref_insert(stored, row):
     return out, True
 
 
-def assert_stored_values_are_nonzero_fractions(stored):
-    assert all(type(v) is Fraction and v != 0 for r in stored.values() for v in r.values())
+def assert_stored_values_are_nonzero_canonical(stored):
+    assert all(is_canonical_scalar(v) and v != 0 for r in stored.values() for v in r.values())
 
 
 @st.composite
@@ -91,7 +98,7 @@ def updates(draw):
     skip = draw(st.sampled_from([-1, *row])) if row else -1
     target = draw(rows)
     for c in draw(st.lists(st.sampled_from(sorted(row)), unique=True)) if row else ():
-        target[c] = -sign * m * row[c]
+        target[c] = as_fraction(-sign * m * row[c])
     return target, m, row, skip, sign
 
 
@@ -107,7 +114,8 @@ def echelon_inputs(draw):
         elif kind == "combination" and out:
             a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
             s, t = draw(values), draw(values)
-            out.append(ref_add_multiple({c: s * v for c, v in a.items()}, t, b, -1, 1))
+            combination = ref_add_multiple({c: s * v for c, v in a.items()}, t, b, -1, 1)
+            out.append({c: as_fraction(v) for c, v in combination.items()})
         else:
             out.append(draw(rows))
     return out
@@ -123,7 +131,7 @@ def test_add_multiple_matches_fraction_arithmetic(update):
     expected = ref_add_multiple(target, m, row, skip, sign)
     _add_multiple(target, m, row, skip, sign)
     assert target == expected
-    assert_stored_values_are_nonzero_fractions({0: target})
+    assert_stored_values_are_nonzero_canonical({0: target})
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,12 +143,12 @@ def test_insert_and_reduce_match_fraction_arithmetic(inserted, probes):
         stored, independent = ref_insert(stored, row)
         assert echelon.insert(dict(row)) == independent
         assert echelon.rows == stored
-        assert_stored_values_are_nonzero_fractions(echelon.rows)
+        assert_stored_values_are_nonzero_canonical(echelon.rows)
         assert all(r[p] == 1 for p, r in echelon.rows.items())
     for probe in probes + inserted:
         remainder = _reduce(echelon.rows, probe)
         assert remainder == ref_reduce(stored, probe)
-        assert_stored_values_are_nonzero_fractions({0: remainder})
+        assert_stored_values_are_nonzero_canonical({0: remainder})
         assert not any(p in remainder for p in echelon.rows)
 
 
@@ -257,5 +265,5 @@ def test_hat_ideal_and_derivatives_call_no_binary_operator(binary_work):
     assert binary_work["binary"] == 0
     for d, want in zip(derivatives, expected):
         assert d.coefficients == want and (d.variable_count, d.degree_bound) == (2, 5)
-        assert all(type(c) is Fraction and c for c in d.coefficients.values())
+        assert all(is_canonical_scalar(c) and c for c in d.coefficients.values())
     assert all(p.contains_jet(hat) for p, hat in zip(jets, hats))

@@ -10,6 +10,13 @@ attribute outside its own body, apart from :data:`AWAITING_METHODS`.  No
 package code stores to a private attribute of anything but ``self``: what a
 jet or an algebra derives is cached through ``weil._memo``, in the value's
 own ``_memo`` dict.
+
+No package code divides with ``/`` (``ast.Div``): scalars are ints and
+Fractions, and ``int / int`` is a float, so every quotient is built on
+numerators by ``poly._rational``.  The ``**`` sites are pinned in
+:data:`POWER_SITES`; each raises an int to a non-negative integer exponent (a
+degree, an exponent entry, or the top degree minus a degree), which is an
+int, never a float.
 """
 
 import ast
@@ -34,6 +41,15 @@ AWAITING_OPS = {
 AWAITING_METHODS = {
     "CotangentModule.differential": "the paper's cotangent differential d_p f, for an optional "
     "poly key on the cotangent op",
+}
+
+
+# The functions holding a ``**``, each with a non-negative integer exponent.
+POWER_SITES = {
+    "poly.py: _Powers.image": "scale ** (top - deg e) and scale ** top, with top the largest degree",
+    "poly.py: _Powers.row": "scale ** deg e",
+    "poly.py: TruncatedPolynomial.evaluate": "a ** k for an exponent entry k >= 1, "
+    "q ** (top - deg e) and q ** top",
 }
 
 
@@ -154,6 +170,65 @@ def _foreign_private_stores(tree: ast.Module) -> list[str]:
             continue
         found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
+
+
+def _true_divisions(tree: ast.Module) -> list[str]:
+    """``line N: text`` for each ``/`` or ``/=``, in source order."""
+    found = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+def _power_sites(tree: ast.Module, module: str) -> set[str]:
+    """``module: Class.function`` (or ``module: function``) for each function
+    that holds a ``**`` of its own."""
+    sites = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Pow):
+                sites.add(f"{module}: {prefix[:-1]}")
+                visit(child, prefix)
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return sites
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_true_division(path):
+    assert _true_divisions(_tree(path)) == []
+
+
+def test_every_power_site_is_pinned():
+    sites = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        sites |= _power_sites(_tree(path), path.name)
+    assert sites == set(POWER_SITES)
+
+
+def test_division_and_power_checks_catch_planted_sites():
+    tree = ast.parse(
+        "def f(a, b):\n"
+        "    c = a // b\n"
+        "    d = a / b\n"
+        "    a /= b\n"
+        "    return c, d, f'{a / 2}'\n"
+        "class K:\n"
+        "    def g(self, x):\n"
+        "        return [y ** 2 for y in x]\n"
+        "    def h(self, x):\n"
+        "        return dict(**x)\n"
+    )
+    assert _true_divisions(tree) == ["line 3: a / b", "line 4: a /= b", "line 5: a / 2"]
+    assert _power_sites(tree, "m.py") == {"m.py: K.g"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

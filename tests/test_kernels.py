@@ -8,7 +8,9 @@ quotient with conftest's ``class_of``, which shares no code with the kernels.
 Inputs mix denominators and signs, and the coefficient pool is small so
 that terms cancel often.  A second pool with the coprime denominators 5 and
 7 feeds substitution images and A-point images (hence base points), so that
-the kernels' common denominators and their powers grow.
+the kernels' common denominators and their powers grow.  The pools hold
+canonical scalars (``as_fraction``: ints when integral), as the package's own
+rows do, and every stored value must keep that rule.
 """
 
 import sys
@@ -32,6 +34,7 @@ from weiljets.jets import jet_from_ideal, normal_form, tangent_map
 from weiljets.monomials import monomial_sort_key, window
 from weiljets.poly import (
     TruncatedPolynomial,
+    as_fraction,
     format_polynomial,
     parse_polynomial,
     substitution,
@@ -48,26 +51,27 @@ from conftest import (
     canonical_basis,
     class_of,
     ideal_polynomials,
+    is_canonical_scalar,
     ref_product,
     ref_substitute,
     structure_constants,
 )
 
 ZERO = Fraction(0)
-POOL = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3, 4, 6)]
-COPRIME_POOL = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 5, 7)]
+POOL = [as_fraction(Fraction(p, q)) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3, 4, 6)]
+COPRIME_POOL = [as_fraction(Fraction(p, q)) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 5, 7)]
 coefficients = st.sampled_from(POOL)
 coprime_coefficients = st.sampled_from(COPRIME_POOL)
 pools = st.sampled_from([coefficients, coprime_coefficients])
 
 
-def assert_stored_fractions(poly: TruncatedPolynomial) -> None:
+def assert_stored_canonical(poly: TruncatedPolynomial) -> None:
     for c in poly.coefficients.values():
-        assert type(c) is Fraction and c != 0
+        assert is_canonical_scalar(c) and c != 0
 
 
-def assert_fraction_coordinates(coordinates: tuple) -> None:
-    assert all(type(c) is Fraction for c in coordinates)
+def assert_canonical_coordinates(coordinates: tuple) -> None:
+    assert all(is_canonical_scalar(c) for c in coordinates)
 
 
 def top_degree(f: dict) -> int:
@@ -98,7 +102,7 @@ def test_truncated_product_matches_double_loop(case):
     got = truncated_product(TruncatedPolynomial(n, 3, f), TruncatedPolynomial(n, 3, g), bound)
     assert got.coefficients == ref_product(f, g, bound)
     assert got.degree_bound == bound
-    assert_stored_fractions(got)
+    assert_stored_canonical(got)
 
 
 def test_product_cancels_cross_terms():
@@ -106,7 +110,7 @@ def test_product_cancels_cross_terms():
     g = P("1/2 x - 1/3 y", 2)
     got = truncated_product(f, g, 2)
     assert got.coefficients == {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
-    assert_stored_fractions(got)
+    assert_stored_canonical(got)
     assert truncated_product(f, -f + f, 2).coefficients == {}
 
 
@@ -139,7 +143,7 @@ def test_truncated_substitute_matches_expansion(case):
     )
     assert got.coefficients == ref_substitute(f, images, m, bound)
     assert got.degree_bound == bound
-    assert_stored_fractions(got)
+    assert_stored_canonical(got)
 
 
 @st.composite
@@ -165,7 +169,7 @@ def test_one_substitution_map_matches_expansion(case):
         got = substitute(TruncatedPolynomial(n, 3, f))
         assert got.coefficients == ref_substitute(f, images, m, bound)
         assert got.degree_bound == bound
-        assert_stored_fractions(got)
+        assert_stored_canonical(got)
 
 
 def test_substitution_checks_its_images_when_built(monkeypatch):
@@ -268,15 +272,16 @@ def test_shift_matches_expansion(case):
         images.append({unit: Fraction(1), (0,) * n: p})
     got = TruncatedPolynomial(n, 4, f).shift(point)
     assert got.coefficients == ref_substitute(f, images, n, 4)
-    assert_stored_fractions(got)
+    assert_stored_canonical(got)
 
 
-def test_integer_input_is_stored_as_fractions():
+def test_integer_input_is_stored_as_ints():
     f = TruncatedPolynomial(2, 2, {(1, 0): 2, (0, 1): -3, (1, 1): 0})
     assert f.coefficients == {(1, 0): 2, (0, 1): -3}
-    assert_stored_fractions(f)
+    assert_stored_canonical(f)
     for poly in (truncated_product(f, f, 2), truncated_substitute(f, [f, f], 2), f.shift([1, 2])):
-        assert_stored_fractions(poly)
+        assert_stored_canonical(poly)
+        assert all(type(c) is int for c in poly.coefficients.values())
 
 
 # -- A-point products --------------------------------------------------------------
@@ -323,7 +328,7 @@ def test_element_product_matches_product_of_representatives(case):
     )
     got = (algebra.element(u) * algebra.element(v)).coordinates
     assert got == expected
-    assert all(type(c) is Fraction for c in got)
+    assert_canonical_coordinates(got)
 
 
 # -- the algebra product kernel: per row, the shorter side -----------------------
@@ -356,7 +361,7 @@ def kernel_factors(draw, d: int) -> dict:
         return draw(st.dictionaries(st.integers(0, d - 1), coefficients, max_size=d))
     if shape == "single":
         return {draw(st.integers(0, d - 1)): draw(coefficients)}
-    return {} if shape == "zero" else {0: Fraction(1)}
+    return {} if shape == "zero" else {0: 1}
 
 
 @st.composite
@@ -372,7 +377,7 @@ def test_algebra_product_matches_dense_double_loop(case):
     algebra, u, v = case
     got = algebra.product(u, v)
     assert got == dense_product(algebra, u, v)
-    assert all(type(c) is Fraction for c in got.values())
+    assert all(is_canonical_scalar(c) and c for c in got.values())
     powers = algebra._power_numerators([u, v])
     assert powers.row((1, 1)) == got
     assert powers.row((2, 0)) == dense_product(algebra, u, u)
@@ -474,7 +479,7 @@ def test_evaluate_matches_expansion(case):
     algebra, n, f, images = case
     got = evaluate(TruncatedPolynomial(n, top_degree(f), f), apoint(algebra, images)).coordinates
     assert got == ref_value(f, algebra, images)
-    assert_fraction_coordinates(got)
+    assert_canonical_coordinates(got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,7 +490,7 @@ def test_prolonged_components_match_expansion(case):
     algebra, n, f, images = case
     components = prolong_polynomial(TruncatedPolynomial(n, 3, f), algebra)
     for component in components:
-        assert_stored_fractions(component)
+        assert_stored_canonical(component)
     coords = [c for img in apoint(algebra, images).images for c in img.coordinates]
     got = tuple(f.evaluate(coords) for f in components)
     assert got == ref_value(f, algebra, images)
@@ -569,7 +574,7 @@ def test_kernel_jet_relations_vanish_at_the_point(case):
     nil = [representative(algebra, [0] + list(img[1:])) for img in images]
     bound = algebra.window_bound
     for g in ideal_polynomials(kernel):
-        assert_stored_fractions(g)
+        assert_stored_canonical(g)
         value = ref_substitute(g.coefficients, nil, algebra.n, bound)
         assert not any(project(algebra, value))
     span = canonical_basis(

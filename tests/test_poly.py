@@ -17,7 +17,7 @@ from weiljets.poly import (
 )
 from weiljets.weil import free_truncated_algebra
 
-from conftest import P
+from conftest import P, is_canonical_scalar
 
 
 # -- a reference parser: one Fraction per sign and per coefficient token --------
@@ -196,7 +196,7 @@ def assert_as_fraction_agrees(text):
         assert str(err.value) == str(expected)
     else:
         result = as_fraction(text)
-        assert type(result) is Fraction and result == expected
+        assert is_canonical_scalar(result) and result == expected
 
 
 class Int(int):
@@ -233,11 +233,12 @@ class TestAsFraction:
     def test_agrees_with_fraction_on_drawn_text(self, text):
         assert_as_fraction_agrees(text)
 
-    # The exact types str and Fraction are dispatched first; every other
+    # The exact types int, str and Fraction are dispatched first; every other
     # value, subclasses included, keeps its result or its error and message.
+    # Integral input comes back as a plain int, bools and int subclasses too.
     @pytest.mark.parametrize(
         "value, expected",
-        [(True, Fraction(1)), (Int(7), Fraction(7)), (HALF, HALF), (Str(" -6/8 "), Fraction(-3, 4)),
+        [(True, 1), (Int(7), 7), (HALF, HALF), (Str(" -6/8 "), Fraction(-3, 4)),
          (1.5, TypeError("floating-point input is not allowed; pass 'p/q' strings")),
          (None, TypeError("cannot interpret None as an exact rational")),
          (b"1", TypeError("cannot interpret b'1' as an exact rational"))],

@@ -49,7 +49,6 @@ UNREACHED = {
     "apoints.tangent_correspondence_check": "Weil's R[eps]-points as tangent vectors, no op yet (AWAITING_OPS)",
     "errors.NotWellDefinedError.__init__": "raised only by algebra_morphism, which no op calls",
     "jets.CotangentModule.differential": "d_p f, waiting for a poly key on the cotangent op (AWAITING_METHODS)",
-    "jets.Jet.__hash__": "no session keys a dict or a set by a jet",
     "jets.Jet.__repr__": _REPR,
     "jets.Jet.contains_polynomial": "read only by CotangentModule.differential",
     "jets.power_jet": "the jet m^k, waiting for a power binding (AWAITING_OPS)",

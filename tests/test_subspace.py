@@ -18,6 +18,7 @@ from conftest import (
     basis,
     canonical_basis,
     contains_dense,
+    is_canonical_scalar,
     membership_rows,
     nullspace,
     pivots,
@@ -393,9 +394,9 @@ def _rank(rows):
 )
 def test_stored_rows_are_reduced_and_exact(case):
     n, rows, probes = case
-    s = canonical_basis(rows, n)  # integer input must come out as Fractions
-    assert all(type(a) is Fraction for r in basis(s) for a in r)
-    assert all(type(a) is Fraction and a != 0 for r in s.rows.values() for a in r.values())
+    s = canonical_basis(rows, n)  # every entry must come out as a canonical scalar
+    assert all(is_canonical_scalar(a) for r in basis(s) for a in r)
+    assert all(is_canonical_scalar(a) and a != 0 for r in s.rows.values() for a in r.values())
     assert list(pivots(s)) == sorted(set(pivots(s)))
     assert list(s.rows) == list(pivots(s))
     for i, (r, p) in enumerate(zip(basis(s), pivots(s))):
