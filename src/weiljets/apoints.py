@@ -242,19 +242,17 @@ def weil_iso_check(
         for ea in a.basis_monomials
         for eb in b.basis_monomials
     ]
-    # Column g of P^-1 is the coordinates of e_g over the pair columns.
-    solve = span_coordinates(pair_cols, d)
-    pair_inverse = [solve({g: 1}) for g in range(d)]
-    if None in pair_inverse:
-        raise DimensionMismatchError("tensor pairing is degenerate")
 
-    # Route 1: evaluate directly over A (x) B and convert to pair coordinates.
+    # Route 1: evaluate directly over A (x) B and solve for the coordinates
+    # over the pair columns.
     flat = [[c for row in m for c in row] for m in mats]
     images = tuple(
         AlgebraElement(tensor, apply_columns(pair_cols, {k: c for k, c in enumerate(v) if c}))
         for v in flat
     )
-    direct_pairs = apply_columns(pair_inverse, evaluate(f, APoint(tensor, images)).row)
+    direct_pairs = span_coordinates(pair_cols, d)(evaluate(f, APoint(tensor, images)).row)
+    if direct_pairs is None:
+        raise DimensionMismatchError("tensor pairing is degenerate")
     direct = tuple(
         tuple(direct_pairs.get(alpha * db + beta, 0) for beta in range(db))
         for alpha in range(da)

@@ -59,8 +59,6 @@ from .subspace import (
 from .weil import (
     AlgebraElement,
     WeilAlgebra,
-    _identity_substitution,
-    _inverse_substitution,
     _memo,
     _rewindow,
     _variable_shifts,
@@ -74,9 +72,12 @@ class Chart:
     """Adapted coordinates of a jet, in which its ideal is
     (pivot variables) + m^{l+1} + (q_list) with each q in the free variables.
 
-    The jet is that ideal moved back through ``sigma_inverse``.  A
-    :class:`NormalForm` is a chart; a derived jet carries the chart of the
-    coordinates it was built in (see :func:`_derived_via_normal_form`).
+    The jet is that ideal moved back through ``sigma_inverse``, the
+    substitution (x, y + h(x)) whose h_j are the tails of the degree-1 pivot
+    rows y_j + h_j of the jet the chart was straightened from (see
+    :func:`normal_form`).  A :class:`NormalForm` is a chart; a derived jet
+    carries the chart of the coordinates it was built in (see
+    :func:`_derived_via_normal_form`).
     """
 
     pivot_variables: tuple[int, ...]
@@ -464,9 +465,9 @@ def _substituted_ideal(
     bound: int,
     substitute: Callable[[TruncatedPolynomial], TruncatedPolynomial],
 ) -> Subspace:
-    """The span of the ideal pushed through one substitution map of a stage.
+    """The span of the ideal pushed through the straightening substitution.
 
-    A stage sends the variables into m with an invertible linear part, so in
+    sigma sends the variables into m with an invertible linear part, so in
     the window it maps the span of the monomials of the top degree ``bound``
     onto itself.  The ideal contains those monomials as unit rows, so they
     seed the echelon first, as they stand, and only the lower rows are pushed
@@ -486,67 +487,55 @@ def _substituted_ideal(
 
 @_memo
 def normal_form(p: Jet) -> NormalForm:
-    """Straighten the jet to (y^1..y^r) + m^{l+1} + (Q^h(x)).
+    """Straighten the jet to (y^1..y^r) + m^{l+1} + (Q^h(x)), in closed form.
 
-    Pivot variables come from the reduced echelon form of the degree-1 part;
-    the substitution absorbs the higher-order tails of the pivot rows degree
-    by degree, each stage pushing only the rows below the top degree
-    (:func:`_substituted_ideal`).  The transformed ideal I is checked to
-    contain every pivot variable, so its x-part is a filter of its canonical
-    rows (:func:`_x_part`).  (y^1..y^r) + m^{l+1} is a monomial ideal, so
-    its echelon starts as unit rows; each Q row that it does not yet contain
-    is saturated into it, and the result must equal I exactly.
+    The layout is graded, so it is a monomial order and the pivots of p's
+    canonical rows form a monomial ideal: the leading ideal of a local degree
+    ordering.  The pivot variables y are the pivots of degree 1, so every
+    monomial that holds one is a pivot too.  A canonical row is zero at every
+    other pivot, so the row with pivot y_j is y_j + h_j, with h_j on
+    monomials in the free variables x alone.  Then sigma = (x, y - h(x))
+    sends that row to y_j, and tau = (x, y + h(x)) is its exact inverse.
+    p's ideal is pushed through sigma once, only its rows below the top
+    degree (:func:`_substituted_ideal`), and not at all when every h_j is
+    zero.  The transformed ideal I is checked to contain every pivot
+    variable, so its x-part is a filter of its canonical rows
+    (:func:`_x_part`).  (y^1..y^r) + m^{l+1} is a monomial ideal, so its
+    echelon starts as unit rows; each Q row that it does not yet contain is
+    saturated into it, and the result must equal I exactly.
     """
     n, ell = p.n, p.order
     bound = p.window_bound
     sub_bound = max(ell, 1)
-
-    # Rows whose pivot sits in the degree-1 block carry the linear part.
-    deg1_cols = {}
     exps = window(n, bound)
-    for c, exp in enumerate(exps):
-        if sum(exp) == 1:
-            deg1_cols[c] = exp.index(1)
+
+    # Rows whose pivot sits in the degree-1 block are y_j + h_j.  Every
+    # monomial of the top degree is a pivot, so h_j fits sigma's bound.
     pivot_vars: list[int] = []
-    carried: list[TruncatedPolynomial] = []
+    tails: list[TruncatedPolynomial] = []
     for piv, row in p.ideal.rows.items():
-        if piv in deg1_cols:
-            pivot_vars.append(deg1_cols[piv])
-            carried.append(TruncatedPolynomial.from_sparse(n, bound, row))
+        if sum(exps[piv]) == 1:
+            pivot_vars.append(exps[piv].index(1))
+            tails.append(
+                TruncatedPolynomial(n, sub_bound, {exps[c]: v for c, v in row.items() if c != piv})
+            )
     free_vars = [i for i in range(n) if i not in set(pivot_vars)]
     r = len(pivot_vars)
     if r != n - p.width:
         raise InternalCheckError("degree-1 rank disagrees with the width")
+    if any(e[j] for h in tails for e in h.coefficients for j in pivot_vars):
+        raise InternalCheckError("a pivot row's tail holds a pivot variable")
 
-    sigma = _identity_substitution(n, sub_bound)
+    identity = [TruncatedPolynomial.variable(n, sub_bound, i) for i in range(n)]
+    sigma, tau = list(identity), list(identity)
+    for j, h in zip(pivot_vars, tails):
+        sigma[j] = identity[j] - h
+        tau[j] = identity[j] + h
     current = p.ideal
+    if any(h.coefficients for h in tails):
+        current = _substituted_ideal(current, n, bound, substitution(sigma, bound))
 
-    for d in range(1, ell + 1):
-        stage = _identity_substitution(n, sub_bound)
-        changed = False
-        for j, g in zip(pivot_vars, carried):
-            tail = {e: c for e, c in g.coefficients.items() if sum(e) == d}
-            unit = [0] * n
-            unit[j] = 1
-            tail.pop(tuple(unit), None)
-            if not tail:
-                continue
-            changed = True
-            stage[j] = stage[j] - TruncatedPolynomial(n, sub_bound, tail)
-        if not changed:
-            continue
-        # sigma o stage: the stage is applied first, as functions of x.
-        sigma = list(map(substitution(stage, sub_bound), sigma))
-        # The ideal's rows and the carried rows share one power cache.
-        through_stage = substitution(stage, bound)
-        current = _substituted_ideal(current, n, bound, through_stage)
-        carried = [through_stage(g) for g in carried]
-
-    # After absorption each carried element is the pure pivot variable mod m^{l+1}.
-    for j, g in zip(pivot_vars, carried):
-        residue = g - TruncatedPolynomial.variable(n, bound, j)
-        if any(sum(e) <= ell for e in residue.coefficients):
-            raise InternalCheckError("straightening left a low-degree tail")
+    for j in pivot_vars:
         if not current.contains_vector(TruncatedPolynomial.variable(n, bound, j).to_sparse(bound)):
             raise InternalCheckError("pivot variable missing from the transformed ideal")
 
@@ -574,11 +563,8 @@ def normal_form(p: Jet) -> NormalForm:
     if rebuilt != current:
         raise InternalCheckError("normal form identity failed to verify")
 
-    tau = _inverse_substitution(sigma, sub_bound)
-    if tau is None:
-        raise InternalCheckError("substitution has a singular linear part")
     # sigma o tau must be the identity substitution.
-    if list(map(substitution(tau, sub_bound), sigma)) != _identity_substitution(n, sub_bound):
+    if list(map(substitution(tau, sub_bound), sigma)) != identity:
         raise InternalCheckError("substitution inverse failed to verify")
 
     return NormalForm(

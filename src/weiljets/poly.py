@@ -280,9 +280,6 @@ class TruncatedPolynomial:
         exps.sort(key=sum)
         return [(e, coefficients[e]) for e in exps]
 
-    def coefficient(self, exponent: Exponent) -> Scalar:
-        return self.coefficients.get(tuple(exponent), 0)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compatible(self, other: "TruncatedPolynomial") -> None:

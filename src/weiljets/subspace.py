@@ -19,9 +19,9 @@ equality and hashing compare, and what makes ideal equality (and every
 acceptance check built on it) decidable.  A linear map is the list of its
 sparse columns, applied by :func:`apply_columns`.
 
-Every exact solve for coordinates in a span of columns, the matrix inverse
-included, goes through the one solver :func:`span_coordinates`, which builds
-one echelon per set of columns and then only reduces.  All solvers here are
+Every exact solve for coordinates in a span of columns goes through the one
+solver :func:`span_coordinates`, which builds one echelon per set of columns
+and then only reduces; no matrix is inverted.  All solvers here are
 exact: no pivot thresholds, no floating point.
 """
 
@@ -378,14 +378,3 @@ def span_coordinates(
         return coordinates
 
     return solve
-
-
-def invert_matrix(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]] | None:
-    """Exact inverse of a square row matrix, or None if singular: row g of the
-    inverse is the coordinates of the unit vector e_g over the rows."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise DimensionMismatchError("invert_matrix needs a square matrix")
-    solve = span_coordinates([sparse(row, n) for row in rows], n)
-    inverse = [solve({g: 1}) for g in range(n)]
-    return None if None in inverse else [dense(row, n) for row in inverse]

@@ -46,7 +46,6 @@ from .poly import (
     _rational,
     as_fraction,
     format_polynomial,
-    substitution,
 )
 from .subspace import (
     Echelon,
@@ -56,7 +55,6 @@ from .subspace import (
     apply_columns,
     apply_rows,
     dense,
-    invert_matrix,
     span_coordinates,
 )
 
@@ -702,21 +700,6 @@ class AlgebraMorphism:
             inner.source, self.target, [self.apply(img) for img in inner.images]
         )
 
-    def linear_part(self) -> list[list[Scalar]]:
-        """n x n matrix of degree-1 coefficients of the generator images."""
-        n = self.source.n
-        rows = []
-        for i in range(n):
-            img = self.images[i]
-            poly = self.target.row_polynomial(img.row)
-            row = []
-            for j in range(self.target.n):
-                exp = [0] * self.target.n
-                exp[j] = 1
-                row.append(poly.coefficient(tuple(exp)))
-            rows.append(row)
-        return rows
-
 
 def algebra_morphism(
     source: WeilAlgebra,
@@ -809,68 +792,14 @@ def factor_epimorphism(
         images[j] = images[j] + source.generator(i) - lift(alpha.images[i])
     g = algebra_morphism(source, source, images)
 
-    # Exact verification of the factorization and of invertibility.  At
-    # order 0 every x_i is zero, the source is R and g its identity.
+    # Exact verification of the factorization and of invertibility: an
+    # endomorphism of the free source is invertible exactly when it is onto,
+    # that is when its linear part is invertible (Nakayama), at order 0 too.
     if alpha.compose(g).images != beta.images:
         raise NotEpimorphismError("internal factorization check failed")
-    if source.order and invert_matrix(g.linear_part()) is None:
+    if not g.is_epimorphism:
         raise NotEpimorphismError("constructed substitution is not invertible")
     return g
-
-
-def _identity_substitution(n: int, bound: int) -> list[TruncatedPolynomial]:
-    return [TruncatedPolynomial.variable(n, bound, i) for i in range(n)]
-
-
-def _inverse_substitution(
-    sigma: Sequence[TruncatedPolynomial], bound: int
-) -> list[TruncatedPolynomial] | None:
-    """Truncated inverse of the substitution x -> sigma(x); None if not invertible.
-
-    Fixed-point iteration tau <- Lin^{-1} (x - N o tau) where sigma = Lin + N
-    splits off the linear part; each pass fixes one more degree, and the
-    iteration stops at the first pass that changes nothing (every later pass
-    would return the same tau).  The substitution is invertible exactly when
-    its linear part is.
-    """
-    n = len(sigma)
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    lin_inv = invert_matrix([tuple(f.coefficient(u) for u in units) for f in sigma])
-    if lin_inv is None:
-        return None
-    rows, q = _common_denominator(enumerate(row) for row in lin_inv)
-    lin_rows = [[(j, x) for j, x in row if x] for row in rows]
-    nonlinear = [
-        TruncatedPolynomial(
-            n, bound, {e: c for e, c in f.coefficients.items() if sum(e) >= 2}
-        )
-        for f in sigma
-    ]
-
-    def lin_inv_apply(images: Sequence[TruncatedPolynomial]) -> list[TruncatedPolynomial]:
-        """Lin^{-1} (x - images): each output's integer numerators accumulated
-        once over one denominator, one canonical scalar per coefficient."""
-        terms, p = _common_denominator(img.coefficients.items() for img in images)
-        out = []
-        for row in lin_rows:
-            acc: dict[Exponent, int] = {}
-            get = acc.get
-            for j, x in row:
-                if bound:  # x_j is zero in the window of bound 0
-                    acc[units[j]] = get(units[j], 0) + x * p
-                for e, c in terms[j]:
-                    acc[e] = get(e, 0) - x * c
-            out.append(TruncatedPolynomial._from_numerators(n, bound, acc, q * p))
-        return out
-
-    tau = lin_inv_apply([TruncatedPolynomial.zero(n, bound)] * n)
-    for _ in range(max(bound - 1, 0)):
-        through_tau = substitution(tau, bound)
-        step = lin_inv_apply([through_tau(f) for f in nonlinear])
-        if step == tau:
-            break
-        tau = step
-    return tau
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ from weiljets.poly import TruncatedPolynomial, parse_polynomial
 from weiljets.subspace import Echelon, Subspace, sparse
 from weiljets.weil import (
     AlgebraElement,
-    _inverse_substitution,
     algebra_morphism,
     derivation_space,
+    factor_epimorphism,
     quotient_algebra,
 )
 
@@ -230,16 +230,60 @@ def class_of(algebra, f: TruncatedPolynomial):
     return AlgebraElement(algebra, algebra._polynomial_class(f))
 
 
+def exact_inverse(rows) -> list[list[Fraction]]:
+    """The inverse of an invertible square matrix of rationals by sympy's
+    exact ``Matrix.inv()``, as ``Fraction`` rows."""
+    from sympy import Matrix, Rational
+
+    inverse = Matrix([[Rational(Fraction(c).numerator, Fraction(c).denominator) for c in r] for r in rows]).inv()
+    return [[Fraction(int(v.p), int(v.q)) for v in inverse.row(i)] for i in range(inverse.rows)]
+
+
+def linear_part(phi) -> list[list]:
+    """Row i: the coordinates of phi(x_i) at the classes 1..n of the target,
+    which are x_1..x_n when the target is a free truncated algebra of order >= 1."""
+    n = phi.target.n
+    return [[img.row.get(j, 0) for j in range(1, n + 1)] for img in phi.images]
+
+
+def all_passes_inverse(sigma, bound):
+    """The inverse of the substitution x -> sigma(x) up to the degree bound,
+    as coefficient dicts: every one of the bound - 1 passes
+    tau <- Lin^{-1} (x - N o tau), with sigma = Lin + N, Lin invertible, and
+    N o tau expanded by ``ref_substitute``."""
+    n = len(sigma)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    lin_inv = exact_inverse([[f.coefficients.get(u, 0) for u in units] for f in sigma])
+    nonlinear = [{e: c for e, c in f.coefficients.items() if sum(e) >= 2} for f in sigma]
+
+    def lin_inv_apply(polys):
+        out = []
+        for i in range(n):
+            acc: dict = {}
+            for j, poly in enumerate(polys):
+                for e, c in poly.items():
+                    acc[e] = acc.get(e, 0) + lin_inv[i][j] * c
+            out.append({e: c for e, c in acc.items() if c})
+        return out
+
+    tau = lin_inv_apply([{u: Fraction(1)} for u in units])
+    for _ in range(max(bound - 1, 0)):
+        rest = [ref_substitute(f, tau, n, bound) for f in nonlinear]
+        tau = lin_inv_apply(
+            [{u: Fraction(1), **{e: -c for e, c in r.items()}} for u, r in zip(units, rest)]
+        )
+    return tau
+
+
 def inverse_morphism(phi):
-    """The inverse of an automorphism of a free truncated algebra, through
-    ``weil._inverse_substitution``; None when its linear part is singular."""
-    source = phi.source
-    tau = _inverse_substitution(
-        [source.row_polynomial(img.row) for img in phi.images], source.order
-    )
-    if tau is None:
+    """The inverse of an automorphism phi of a free truncated algebra: the g
+    with phi o g = id, by ``factor_epimorphism``; None when phi is not onto,
+    that is when its linear part is singular."""
+    if not phi.is_epimorphism:
         return None
-    return algebra_morphism(source, source, [class_of(source, t) for t in tau])
+    source = phi.source
+    identity = algebra_morphism(source, source, [source.generator(i) for i in range(source.n)])
+    return factor_epimorphism(phi, identity)
 
 
 def maximal_power(algebra, k: int):

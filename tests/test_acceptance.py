@@ -50,6 +50,7 @@ from conftest import (
     columns_matrix,
     contains_dense,
     derivation_matrices,
+    exact_inverse,
     from_vector,
     invert_point,
     jets,
@@ -307,10 +308,8 @@ def test_criterion_09_tangent_group():
         pinv = invert_point(law, pb)
         assert [img.augmentation() for img in inv.images] == pinv
         # -L_{p^-1 *} (Ad p) delta with delta the left-translated tangent part.
-        from weiljets.subspace import invert_matrix
-
         lp = jac("y", pb, e)
-        delta = mat_vec(invert_matrix([tuple(r) for r in lp]), dp)
+        delta = mat_vec(exact_inverse(lp), dp)
         ad_delta = mat_vec(jac("x", pb, pinv), mat_vec(lp, delta))
         expected_inv = [-v for v in mat_vec(jac("y", pinv, e), ad_delta)]
         assert [img.coordinates[1] for img in inv.images] == expected_inv

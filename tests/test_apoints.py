@@ -32,6 +32,7 @@ from weiljets.weil import (
 
 from conftest import (
     P,
+    exact_inverse,
     invert_point,
     mat_vec,
     multiply_points,
@@ -385,10 +386,8 @@ class TestGroups:
             ]
             assert [img.coordinates[1] for img in inv_point.images] == direct
             # Adjoint form: delta = (L_p*)^{-1} D_p, result = -L_{p^-1*} Ad(p) delta.
-            from weiljets.subspace import invert_matrix
-
             lp = jac_y(pb, e)
-            lp_inv = invert_matrix([tuple(r) for r in lp])
+            lp_inv = exact_inverse(lp)
             delta = mat_vec(lp_inv, dp)
             ad_p = [
                 mat_vec(jac_x(pb, pinv), col)

@@ -11,7 +11,7 @@ oracle.
 :func:`non_graph_case` makes every choice through one ``choose(options)``
 callable, as :func:`test_jet_space.graph_case` does, so Hypothesis draws the
 cases below and a seeded ``random.Random.choice`` draws the higher-order
-batch that CI checks.
+batch of ``tests/deep/test_second_derived_jets.py``.
 """
 
 import json

@@ -6,14 +6,15 @@ for epimorphisms alpha, beta: R_n^l -> A, ``factor_epimorphism`` returns an
 automorphism g of R_n^l with beta = alpha o g.  Each drawn pair is checked
 twice over, with no package route: alpha o g = beta by substituting the
 representatives of alpha's images into those of g's with ``ref_substitute``
-(plain ``Fraction`` double loops), and g's linear part is invertible by a
-determinant computed here.  At order 0 the source is R and g must be its
+(plain ``Fraction`` double loops), and g's linear part, read off its
+coordinates at the classes 1..n, is invertible by a determinant computed here.  At order 0 the source is R and g must be its
 identity.
 
 :func:`drawn_target` and :func:`drawn_pair` make every choice through one
 ``choose(options)`` callable, as :func:`test_jet_space.graph_case` does, so
 Hypothesis draws the cases below and a seeded ``random.Random.choice`` draws
-the higher-order batch that CI checks.
+the higher-order batch of
+``tests/deep/test_epimorphism_factorization.py``.
 """
 
 import random
@@ -27,7 +28,7 @@ from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial
 from weiljets.weil import algebra_morphism, factor_epimorphism, free_truncated_algebra, quotient_algebra
 
-from conftest import algebras, class_of, is_identity, ref_substitute
+from conftest import algebras, class_of, is_identity, linear_part, ref_substitute
 from test_morphism_oracles import representative
 
 COEFFICIENTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))
@@ -132,8 +133,8 @@ def mismatches(alpha, beta, g) -> list[str]:
     if source.order == 0:
         if not is_identity(g):
             found.append("g is not the identity of R")
-    elif determinant(g.linear_part()) == 0:
-        found.append(f"g has the singular linear part {g.linear_part()}")
+    elif determinant(linear_part(g)) == 0:
+        found.append(f"g has the singular linear part {linear_part(g)}")
     return found
 
 
@@ -161,7 +162,7 @@ def test_the_oracles_report_a_broken_factorization():
 
 
 def test_a_seeded_higher_order_batch_factors():
-    # The first cases of the batch that CI checks, at orders up to 4.
+    # The first cases of the deep batch, at orders up to 4.
     rng = random.Random(1)
     for _ in range(10):
         alpha, beta = drawn_pair(rng.choice, drawn_target(rng.choice, range(5)))

@@ -1,13 +1,14 @@
 """Oracles for the morphism kernels: evaluation, morphism columns, kernel jets
-and substitution inverses.
+and automorphism round trips.
 
 Each expected value is computed by the reference ``ref_substitute`` of
 ``conftest`` (plain ``Fraction`` double loops, the shift to the base point
 included) on representatives read off the elements' rows, followed by
 projection to the quotient.  Unlike ``truncated_substitute`` and
 ``TruncatedPolynomial.shift``, that route shares no code with the package's
-power products and their top-degree weights.  The substitution inverter's
-early stop is checked against every one of its passes run on that route.
+power products and their top-degree weights.  The inverse of an
+automorphism is the reference inverse of ``conftest``, which runs every
+fixed-point pass on that route.
 """
 
 from fractions import Fraction
@@ -17,27 +18,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiljets.apoints import apoint, evaluate, regularity_and_kernel
-from weiljets import weil
-from weiljets.jets import derived_jet, jet_from_ideal, normal_form, power_jet, pushforward
+from weiljets.jets import jet_from_ideal, power_jet, pushforward
 from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial
-from weiljets.subspace import invert_matrix
 from weiljets.weil import (
-    _inverse_substitution,
     algebra_morphism,
     free_truncated_algebra,
     quotient_algebra,
 )
 
 from conftest import (
-    LADDER,
     P,
     canonical_basis,
     class_of,
     ideal_polynomials,
     inverse_morphism,
     is_identity,
-    ladder_jet,
     ref_substitute,
 )
 
@@ -172,8 +168,8 @@ def test_invert_substitution_two_variables_round_trip():
     assert is_identity(inv.compose(phi))
 
 
-# Substitutions with terms in every degree up to 4; each pass of the inverter
-# fixes one more degree, so a missing pass shows at the top degree.
+# Substitutions with terms in every degree up to 4; each pass of the reference
+# inverse fixes one more degree, so a missing pass shows at the top degree.
 SUBSTITUTIONS = {
     1: ["2 x + x^2 - 3 x^3 + 1/2 x^4"],
     2: ["x + 2 y + x y - y^2 + x^3 + x^2 y^2", "y - x + x^2 + 1/3 x y^2 - y^4"],
@@ -192,77 +188,3 @@ def test_invert_substitution_round_trip_at_every_order(n, order):
     inv = inverse_morphism(phi)
     assert is_identity(phi.compose(inv))
     assert is_identity(inv.compose(phi))
-
-
-# -- the inverter stops at its fixed point ------------------------------------------
-
-
-def all_passes_inverse(sigma, bound):
-    """Every one of the bound - 1 passes tau <- Lin^{-1} (x - N o tau), on
-    coefficient dicts, with N o tau expanded by ``ref_substitute``."""
-    n = len(sigma)
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    lin_inv = invert_matrix([tuple(f.coefficient(u) for u in units) for f in sigma])
-    nonlinear = [{e: c for e, c in f.coefficients.items() if sum(e) >= 2} for f in sigma]
-
-    def lin_inv_apply(polys):
-        out = []
-        for i in range(n):
-            acc: dict = {}
-            for j, poly in enumerate(polys):
-                for e, c in poly.items():
-                    acc[e] = acc.get(e, 0) + lin_inv[i][j] * c
-            out.append({e: c for e, c in acc.items() if c})
-        return out
-
-    tau = lin_inv_apply([{u: Fraction(1)} for u in units])
-    for _ in range(max(bound - 1, 0)):
-        rest = [ref_substitute(f, tau, n, bound) for f in nonlinear]
-        tau = lin_inv_apply(
-            [{u: Fraction(1), **{e: -c for e, c in r.items()}} for u, r in zip(units, rest)]
-        )
-    return tau
-
-
-def ladder_substitutions():
-    """(sigma, bound) of the normal form of each ladder jet and its derived jet."""
-    out = []
-    for n, gens, order in LADDER:
-        p = ladder_jet(n, gens, order)
-        for jet in (p, derived_jet(p)):
-            out.append((normal_form(jet).sigma, max(jet.order, 1)))
-    return out
-
-
-def test_early_stopped_inverse_is_the_all_passes_inverse():
-    ladder = ladder_substitutions()
-    assert any(any(sum(e) >= 2 for f in sigma for e in f.coefficients) for sigma, _ in ladder)
-    cases = ladder + [
-        ([P(s, len(images), 4) for s in images], 4) for images in SUBSTITUTIONS.values()
-    ]
-    for sigma, bound in cases:
-        tau = _inverse_substitution(sigma, bound)
-        assert [t.coefficients for t in tau] == all_passes_inverse(sigma, bound)
-
-
-@pytest.mark.parametrize(
-    "images, bound, passes",
-    [
-        (["2 x + y", "x - y"], 5, 1),  # linear: the first pass changes nothing
-        (["x + y^2", "y"], 5, 2),  # exact after one pass
-        (SUBSTITUTIONS[2], 4, 3),  # terms in every degree: every pass is needed
-    ],
-)
-def test_inverter_stops_at_the_first_pass_that_changes_nothing(monkeypatch, images, bound, passes):
-    built = []
-    original = weil.substitution
-
-    def counting(taus, b):
-        built.append(b)
-        return original(taus, b)
-
-    monkeypatch.setattr(weil, "substitution", counting)
-    sigma = [P(s, 2, bound) for s in images]
-    tau = _inverse_substitution(sigma, bound)
-    assert len(built) == passes
-    assert [t.coefficients for t in tau] == all_passes_inverse(sigma, bound)

@@ -1,7 +1,14 @@
-"""The normal form's x-part against the Zassenhaus intersection, a mutation
-that its identity check has to catch, and counted work: the normal form and
-the fields read the canonical rows they already hold instead of eliminating
-them again.
+"""The normal form's closed-form straightening against a fixed-point
+reference inverse, its x-part against the Zassenhaus intersection, mutations
+that its checks have to catch, and counted work: the normal form and the
+fields read the canonical rows they already hold instead of eliminating them
+again.
+
+The straightening substitution is read off p's degree-1 pivot rows
+y_j + h_j(x): sigma = (x, y - h(x)) and tau = (x, y + h(x)).  The reference
+``conftest.all_passes_inverse`` inverts sigma by every pass of
+tau <- Lin^{-1} (x - N o tau) with ``ref_substitute``, so it assumes nothing
+about the form of h, and both compositions are expanded by ``ref_substitute``.
 
 The oracle is ``conftest.subspace_intersection`` (Zassenhaus' method, in
 twice the ambient dimension) of the transformed ideal with the coordinate
@@ -17,20 +24,30 @@ from hypothesis import strategies as st
 
 from weiljets import jets
 from weiljets.errors import InternalCheckError
-from weiljets.jets import _x_part, jet_fields, jet_from_ideal, normal_form
+from weiljets.jets import Jet, _x_part, derived_jet, jet_fields, jet_from_ideal, normal_form
 from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial
 from weiljets.subspace import Echelon, Subspace
 from weiljets.weil import derivation_space
 
-from conftest import LADDER, P, jets as drawn_jets, ladder_jet, rationals, subspace_intersection
+from conftest import (
+    LADDER,
+    P,
+    all_passes_inverse,
+    jets as drawn_jets,
+    ladder_jet,
+    rationals,
+    ref_substitute,
+    subspace_intersection,
+)
+from test_derived_chart import non_graph_case
 
 
 @st.composite
 def graph_jets(draw):
     """Graph jets y = f(x), f of degree <= 2 with a nonzero coefficient of x1,
-    moved to a drawn rational base point, so that the straightening runs its
-    degree-1 stage."""
+    moved to a drawn rational base point, so that the straightening
+    substitution has a linear tail."""
     n = draw(st.integers(2, 3))
     ell = draw(st.integers(1, 3))
     y = n - 1
@@ -77,6 +94,62 @@ def test_x_part_of_the_ladder_jets(n, gens, order):
     check_x_part(ladder_jet(n, gens, order))
 
 
+# -- closed-form straightening ----------------------------------------------------
+
+
+def check_closed_form(p):
+    """tau is the reference inverse of sigma, and sigma o tau = tau o sigma = id
+    by ``ref_substitute``."""
+    nf = normal_form(p)
+    n, bound = p.n, max(p.order, 1)
+    sigma = [f.coefficients for f in nf.sigma]
+    tau = [f.coefficients for f in nf.sigma_inverse]
+    assert tau == all_passes_inverse(nf.sigma, bound)
+    identity = [{tuple(int(i == j) for j in range(n)): 1} for i in range(n)]
+    assert [ref_substitute(f, tau, n, bound) for f in sigma] == identity
+    assert [ref_substitute(f, sigma, n, bound) for f in tau] == identity
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_jets())
+def test_sigma_inverse_is_the_reference_inverse(p):
+    check_closed_form(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_jets())
+def test_sigma_inverse_of_graph_jets_with_a_linear_tail(p):
+    check_closed_form(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sigma_inverse_of_non_graph_jets(data):
+    check_closed_form(non_graph_case(lambda options: data.draw(st.sampled_from(options)), range(1, 5)))
+
+
+@pytest.mark.parametrize("n, gens, order", LADDER)
+def test_sigma_inverse_of_the_ladder_jets_and_their_derived_jets(n, gens, order):
+    p = ladder_jet(n, gens, order)
+    for jet in (p, derived_jet(p)):
+        check_closed_form(jet)
+
+
+def test_a_pivot_variable_in_a_tail_fails_the_normal_form():
+    # y - x^2 at order 3: the pivot row of y is y - x^2.  Planting x y, a
+    # monomial that holds the pivot variable, in that row breaks the fact that
+    # the closed form rests on.
+    p = jet_from_ideal(2, [0, 0], [P("y - x^2", 2)], 3)
+    exps = window(2, p.window_bound)
+    y, xy = exps.index((0, 1)), exps.index((1, 1))
+    planted = Jet(p.quotient, p.base_point)
+    planted.ideal = Subspace(
+        p.ideal.ambient_dimension, {**p.ideal.rows, y: {**p.ideal.rows[y], xy: 1}}
+    )
+    with pytest.raises(InternalCheckError, match="tail holds a pivot variable"):
+        normal_form(planted)
+
+
 @pytest.mark.parametrize(
     "degree, message",
     [
@@ -87,7 +160,8 @@ def test_x_part_of_the_ladder_jets(n, gens, order):
     ],
 )
 def test_a_lost_pivot_monomial_row_fails_the_normal_form(monkeypatch, degree, message):
-    # y - x^2 at order 3 runs the degree-2 stage; y is the pivot variable.
+    # y - x^2 at order 3 is pushed through sigma = (x, y + x^2); y is the
+    # pivot variable.
     p = jet_from_ideal(2, [0, 0], [P("y - x^2", 2)], 3)
     exps = window(2, p.window_bound)
     original = jets._substituted_ideal
@@ -139,11 +213,12 @@ def test_normal_form_pushes_only_the_lower_rows(monkeypatch, inserts_outside_sat
     nf = normal_form(p)
     bound = p.window_bound
     exps = window(n, bound)
-    # Outside saturation the window echelons take the pushed rows of p below
-    # the top degree, once per stage, and never a row of the top degree (the
-    # other inserts invert the linear part, in 2n columns).
+    # Outside saturation the only inserts are the pushed rows of p below the
+    # top degree, in one push at most, and never a row of the top degree.
     lower = sum(1 for c in p.ideal.rows if sum(exps[c]) < bound)
-    pushed = [row for ambient, row in inserts_outside_saturation if ambient == len(exps)]
+    assert len(stages) <= 1
+    assert all(ambient == len(exps) for ambient, _ in inserts_outside_saturation)
+    pushed = [row for _, row in inserts_outside_saturation]
     assert len(pushed) == len(stages) * lower
     assert all(sum(exps[min(row)]) < bound for row in pushed)
     # The monomial block is seeded: each saturation starts from one Q row.

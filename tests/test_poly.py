@@ -111,8 +111,7 @@ def _texts(pieces):
 class TestParseFormat:
     def test_simple_terms(self):
         f = P("3/2 x1^2 x3 - y", 3)
-        assert f.coefficient((2, 0, 1)) == Fraction(3, 2)
-        assert f.coefficient((0, 1, 0)) == Fraction(-1)
+        assert f.coefficients == {(2, 0, 1): Fraction(3, 2), (0, 1, 0): Fraction(-1)}
 
     def test_aliases_match_numbered_names(self):
         assert P("x + 2 y", 2) == P("x1 + 2 x2", 2)

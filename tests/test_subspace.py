@@ -9,9 +9,9 @@ from weiljets.errors import DimensionMismatchError
 from weiljets.subspace import (
     Echelon,
     Subspace,
-    invert_matrix,
     preimage,
     span_coordinates,
+    sparse,
 )
 
 from conftest import (
@@ -134,9 +134,18 @@ class TestSolvers:
 
     def test_invert_matrix(self):
         m = [(Fraction(2), Fraction(1)), (Fraction(1), Fraction(1))]
-        inv = invert_matrix(m)
+        inv = inverse_by_the_solver(m)
         assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-        assert invert_matrix([(Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))]) is None
+        assert inverse_by_the_solver([(Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))]) is None
+
+
+def inverse_by_the_solver(rows):
+    """The inverse of a square row matrix through the one solver: row g is the
+    coordinates of e_g over the rows; None when some e_g is outside their span."""
+    n = len(rows)
+    solve = span_coordinates([sparse(row, n) for row in rows], n)
+    inverse = [solve({g: 1}) for g in range(n)]
+    return None if None in inverse else [[row.get(j, 0) for j in range(n)] for row in inverse]
 
 
 def vectors(dim=4):
@@ -329,7 +338,7 @@ def test_invert_matrix_matches_sympy(qq, matrix):
     n, rows = matrix
     m = to_domain(rows, n)
     expected = [list(r) for r in from_domain(m.inv())] if m.rank() == n else None
-    assert invert_matrix(rows) == expected
+    assert inverse_by_the_solver(rows) == expected
 
 
 def test_the_solver_inserts_each_column_once(monkeypatch):
