@@ -63,7 +63,6 @@ from .jets import (
     jet_fields,
     jet_from_ideal,
     normal_form,
-    power_jet,
     pushforward,
     tangent_map,
     tangent_module,

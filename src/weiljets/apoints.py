@@ -352,10 +352,6 @@ class ProlongedGroup:
             tuple(evaluate(f, joint) for f in self.law.law),
         )
 
-    def identity(self) -> APoint:
-        one = self.algebra.one()
-        return APoint(self.algebra, tuple(one * c for c in self.law.identity))
-
     def inverse(self, p: APoint) -> APoint:
         self._check(p)
         return APoint(

@@ -306,23 +306,6 @@ class TruncatedPolynomial:
             {e: -c for e, c in self.coefficients.items()},
         )
 
-    def scale(self, value: Scalar) -> "TruncatedPolynomial":
-        c = as_fraction(value)
-        return TruncatedPolynomial(
-            self.variable_count,
-            self.degree_bound,
-            {e: c * v for e, v in self.coefficients.items()},
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedPolynomial):
-            return truncated_product(
-                self, other, min(self.degree_bound, other.degree_bound)
-            )
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
     def truncate(self, bound: int) -> "TruncatedPolynomial":
         return TruncatedPolynomial(self.variable_count, bound, self.coefficients)
 

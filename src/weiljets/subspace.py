@@ -269,10 +269,6 @@ class Subspace:
         """A builder that starts from this span."""
         return Echelon(self.ambient_dimension, dict(self.rows))
 
-    def reduce(self, row: SparseRow) -> SparseRow:
-        """Remainder of a sparse row after elimination; empty iff in the span."""
-        return _reduce(self.rows, row)
-
     def contains_vector(self, row: SparseRow) -> bool:
         """Membership of a sparse row."""
         return not _reduce(self.rows, row)

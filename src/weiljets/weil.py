@@ -209,9 +209,6 @@ class WeilAlgebra:
 
     # -- elements --------------------------------------------------------------
 
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
-
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, {0: 1})
 
@@ -223,7 +220,7 @@ class WeilAlgebra:
 
     def monomial_element(self, exponent: Exponent) -> "AlgebraElement":
         if sum(exponent) > self.window_bound:
-            return self.zero()
+            return AlgebraElement(self, {})
         idx = window_index(self.n, self.window_bound)[tuple(exponent)]
         return AlgebraElement(self, self._classes[idx])
 
@@ -290,12 +287,6 @@ class WeilAlgebra:
                         for g, c in entries:
                             out[g] += w * c
         return out
-
-    def product(self, u: SparseRow, v: SparseRow) -> SparseRow:
-        """The row of u * v, for sparse rows u and v of quotient coordinates."""
-        (us, vs), den = _common_denominator([u.items(), v.items()])
-        numerators = self._mult_numerators(us, self._factor(vs))
-        return _fraction_row(enumerate(numerators), den * den * self._mult_den)
 
     def _power_numerators(self, factors: Sequence[SparseRow]) -> _Powers:
         """The morphism R[y] -> A sending y_i to the element of row factors[i].
@@ -451,46 +442,6 @@ class AlgebraElement:
     def coordinates(self) -> tuple[Scalar, ...]:
         """The dense coordinates, built on each read."""
         return tuple(dense(self.row, self.algebra.dimension))
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.algebra != other.algebra:
-            raise DimensionMismatchError("elements live in different algebras")
-
-    def _combine(self, m: Scalar, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        row = dict(self.row)
-        _add_multiple(row, m, other.row)
-        return AlgebraElement(self.algebra, row)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self._combine(1, other)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self._combine(-1, other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return self * -1
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check(other)
-            return AlgebraElement(self.algebra, self.algebra.product(self.row, other.row))
-        c = as_fraction(other)
-        row: SparseRow = {}
-        if c:
-            _add_multiple(row, c, self.row)
-        return AlgebraElement(self.algebra, row)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "AlgebraElement":
-        result = self.algebra.one()
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def is_zero(self) -> bool:
-        return not self.row
 
     def augmentation(self) -> Scalar:
         """Constant term: the image in A/m_A = R."""
@@ -779,18 +730,19 @@ def factor_epimorphism(
     ]
     solve = span_coordinates([alpha.columns[b] for b in on_a], target.dimension)
 
-    def lift(value: AlgebraElement) -> AlgebraElement:
+    def lift(value: AlgebraElement) -> SparseRow:
         coordinates = solve(value.row)
         if coordinates is None:
             raise NotEpimorphismError("images do not generate the target algebra")
-        return AlgebraElement(source, {on_a[k]: c for k, c in coordinates.items()})
+        return {on_a[k]: c for k, c in coordinates.items()}
 
-    images = [lift(img) for img in beta.images]
+    rows = [lift(img) for img in beta.images]
     rest_a = [i for i in range(source.n) if i not in sel_a]
     rest_b = [j for j in range(source.n) if j not in sel_b]
     for j, i in zip(rest_b, rest_a):
-        images[j] = images[j] + source.generator(i) - lift(alpha.images[i])
-    g = algebra_morphism(source, source, images)
+        _add_multiple(rows[j], 1, source.generator(i).row)
+        _add_multiple(rows[j], 1, lift(alpha.images[i]), sign=-1)
+    g = algebra_morphism(source, source, [AlgebraElement(source, row) for row in rows])
 
     # Exact verification of the factorization and of invertibility: an
     # endomorphism of the free source is invertible exactly when it is onto,

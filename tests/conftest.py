@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from weiljets.apoints import APoint
 from weiljets.jets import jet_from_ideal
 from weiljets.monomials import window, window_size
 from weiljets.poly import TruncatedPolynomial, parse_polynomial
-from weiljets.subspace import Echelon, Subspace, sparse
+from weiljets.subspace import Echelon, Subspace, apply_columns, sparse
 from weiljets.weil import (
     AlgebraElement,
     algebra_morphism,
@@ -89,6 +90,46 @@ def ladder_jet(n, gens, order):
     return jet_from_ideal(n, [0] * n, [P(g, n) for g in gens], order)
 
 
+def power_jet(n, k, base_point=None):
+    """The jet m^k at the base point (k >= 1): no generators at order hint
+    k - 1, as a session's ``jet`` binding without ``generators`` builds it."""
+    return jet_from_ideal(n, base_point or [0] * n, [], k - 1)
+
+
+# -- element arithmetic ------------------------------------------------------------
+# The package multiplies rows inside its kernels and has no element operators;
+# tests combine elements through the dense entry and multiply them through the
+# multiplication map.
+
+
+def zero(algebra):
+    return AlgebraElement(algebra, {})
+
+
+def add(u, v, c=1):
+    """u + c v, on the dense coordinates."""
+    return u.algebra.element([a + c * b for a, b in zip(u.coordinates, v.coordinates)])
+
+
+def times(u, v):
+    """u v: the multiplication map of u applied to v."""
+    return AlgebraElement(u.algebra, apply_columns(u.algebra.multiplication_map(u.row), v.row))
+
+
+def power(u, k: int):
+    result = u.algebra.one()
+    for _ in range(k):
+        result = times(result, u)
+    return result
+
+
+def identity_point(group):
+    """The neutral A-point of a prolonged group: the law's identity as constants."""
+    algebra = group.algebra
+    rest = [0] * (algebra.dimension - 1)
+    return APoint(algebra, tuple(algebra.element([c] + rest) for c in group.law.identity))
+
+
 # -- reference polynomial arithmetic -----------------------------------------------
 # Plain Fraction double loops over the terms of {exponent: coefficient} dicts:
 # one Fraction per partial sum, no common denominators, no power-product walk.
@@ -167,7 +208,7 @@ def invert_point(law, p) -> list:
 def verify_axioms(group, points) -> bool:
     """Exact identity, inverse and associativity laws of a prolonged group on
     the given A-points."""
-    e = group.identity()
+    e = identity_point(group)
     for p in points:
         if group.product(p, e).images != p.images or group.product(e, p).images != p.images:
             return False

@@ -29,7 +29,6 @@ from weiljets.jets import (
     hat_ideal,
     jet_fields,
     jet_from_ideal,
-    power_jet,
     pushforward,
     tangent_module,
     taylor_map,
@@ -58,6 +57,7 @@ from conftest import (
     membership_rows,
     multiply_points,
     nullspace,
+    power_jet,
     verify_axioms,
 )
 

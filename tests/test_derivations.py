@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiljets.monomials import window
-from weiljets.poly import TruncatedPolynomial
+from weiljets.poly import TruncatedPolynomial, truncated_product
 from weiljets.session import execute, parse_session
 from weiljets.weil import (
     WeilAlgebra,
@@ -44,6 +44,7 @@ from conftest import (
     projected_derivations,
     rationals,
     ref_leibniz_columns,
+    times,
 )
 
 def leibniz_image(algebra, images, f):
@@ -56,8 +57,8 @@ def leibniz_image(algebra, images, f):
         for i, k in enumerate(exp):
             if k:
                 lowered = tuple(e - (j == i) for j, e in enumerate(exp))
-                term = TruncatedPolynomial.monomial(n, bound, lowered) * values[i]
-                total = total + term.scale(k * c)
+                term = TruncatedPolynomial.monomial(n, bound, lowered, k * c)
+                total = total + truncated_product(term, values[i], bound)
     return class_of(algebra, total).coordinates
 
 
@@ -105,7 +106,7 @@ def principal_ideal(algebra, coords):
     d = algebra.dimension
     units = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     f = algebra.element(coords)
-    return [(f * algebra.element(u)).coordinates for u in units]
+    return [times(f, algebra.element(u)).coordinates for u in units]
 
 
 def element(algebra):
@@ -192,7 +193,8 @@ def test_multiplication_map_columns_are_products_with_basis_classes(algebra, dat
     assert len(columns) == d
     for b, column in enumerate(columns):
         assert all(column.values())
-        product = w * algebra.monomial_element(algebra.basis_monomials[b])
+        monomial = TruncatedPolynomial.monomial(algebra.n, algebra.window_bound, algebra.basis_monomials[b])
+        product = class_of(algebra, truncated_product(algebra.row_polynomial(w.row), monomial, algebra.window_bound))
         assert [column.get(g, 0) for g in range(d)] == list(product.coordinates)
 
 
@@ -200,7 +202,7 @@ def test_multiplication_map_drops_cancelled_entries():
     # In R[x, y]/(x^2 - 2xy) the element x - 2y kills x: both products land
     # on the same class and cancel, and the column must come out empty.
     a = quotient_algebra(2, 2, [P("x^2 - 2 x y", 2, 2)])
-    w = (a.generator(0) - a.generator(1) * 2).row
+    w = class_of(a, P("x - 2 y", 2, 2)).row
     columns = a.multiplication_map(w)
     assert columns[a.basis_monomials.index((1, 0))] == {}
     assert all(all(column.values()) for column in columns)
@@ -357,7 +359,7 @@ def test_dimension_is_the_nullity_over_every_generator(rank_over_qq, algebra):
         columns = [
             class_of(
                 algebra,
-                f.derivative(i) * TruncatedPolynomial.monomial(n, bound, exp)
+                truncated_product(f.derivative(i), TruncatedPolynomial.monomial(n, bound, exp), bound)
             ).coordinates
             for i in range(n)
             for exp in algebra.basis_monomials

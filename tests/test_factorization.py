@@ -28,7 +28,7 @@ from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial
 from weiljets.weil import algebra_morphism, factor_epimorphism, free_truncated_algebra, quotient_algebra
 
-from conftest import algebras, class_of, is_identity, linear_part, ref_substitute
+from conftest import algebras, class_of, is_identity, linear_part, ref_substitute, zero
 from test_morphism_oracles import representative
 
 COEFFICIENTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))
@@ -149,15 +149,15 @@ def test_drawn_epimorphisms_factor_through_an_automorphism(target, data):
 def test_the_oracles_report_a_broken_factorization():
     r21, r11 = free_truncated_algebra(2, 1), free_truncated_algebra(1, 1)
     eps = r11.generator(0)
-    alpha = algebra_morphism(r21, r11, [eps, r11.zero()])
-    beta = algebra_morphism(r21, r11, [r11.zero(), eps])
+    alpha = algebra_morphism(r21, r11, [eps, zero(r11)])
+    beta = algebra_morphism(r21, r11, [zero(r11), eps])
     assert factorization_mismatches(alpha, beta) == []
     # g must send x1 into span{x2}, so the identity misses beta on both
     # generators; the zero map misses it on x2 and is singular.
     identity = algebra_morphism(r21, r21, [r21.generator(0), r21.generator(1)])
-    zero = algebra_morphism(r21, r21, [r21.zero(), r21.zero()])
+    zero_map = algebra_morphism(r21, r21, [zero(r21), zero(r21)])
     assert len(mismatches(alpha, beta, identity)) == 2
-    found = mismatches(alpha, beta, zero)
+    found = mismatches(alpha, beta, zero_map)
     assert len(found) == 2 and found[1].startswith("g has the singular linear part")
 
 

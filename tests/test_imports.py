@@ -29,11 +29,12 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weiljets"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 # Public constructions of the paper with no package caller, each waiting to be
-# wired into a session op; an entry leaves the set when its op lands.
+# wired into a session op; an entry leaves the set when its op lands.  A
+# construction that a session input already builds is no entry: the jet m^k
+# is a ``jet`` binding with no ``generators`` and ``order_hint`` k - 1.
 AWAITING_OPS = {
     "factor_epimorphism": "two regular A-points at a point differ by an automorphism of the source",
     "tangent_correspondence_check": "Weil's identification of R[eps]-points with tangent vectors",
-    "power_jet": "the jet m^k at a point, the model jet whose derived jet is m^(k-1)",
 }
 
 # Methods that only the tests read, each waiting to be wired into an op or to

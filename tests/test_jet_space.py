@@ -11,25 +11,39 @@ the (k-1)-jet of the same graph.  So:
   taylor condition hat(p') <= p holds.
 
 Every expected value comes from ``math.comb`` alone, so the oracle shares no
-code with the package.  The jets enter through ``parse_session`` and
+code with the package.
+
+The jet m^k at a point, a ``jet`` binding with no ``generators`` and
+``order_hint`` k - 1, has the algebra R_n^(k-1) and the derived jet m^(k-1):
+
+- ``info`` reports dim C(n+k-1, n);
+- the ``tangent`` op's dim is n dim A - dim Der(A, A), with the Der half from
+  ``bench/oracles.py:free_der_dim`` (read only);
+- ``derive`` reports the generators and order that ``info`` reports for the
+  binding with ``order_hint`` k - 2.  The jets enter through ``parse_session`` and
 ``execute``, with the ``graph`` key; the dependent coordinates of the base
 point are computed here, on the graph.
 
 :func:`graph_case` makes every choice through one ``choose(options)``
 callable, so Hypothesis draws the cases below and a seeded
-``random.Random.choice`` draws the higher-order batch that CI checks.
+``random.Random.choice`` draws the higher-order batch of
+``tests/deep/test_higher_order_jet_space.py``.
 """
 
+import importlib
 import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiljets.session import execute, parse_session
 
+ROOT = Path(__file__).resolve().parent.parent
 COEFFICIENTS = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2))
 FREE_COORDINATES = (Fraction(0), Fraction(1), Fraction(-2))
 
@@ -116,3 +130,23 @@ def test_a_broken_identity_is_reported():
     text = json.dumps(session)
     assert identity_mismatches(2, 1, 2, text) == []
     assert len(identity_mismatches(2, 2, 2, text)) == 3
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_power_jets_satisfy_the_jet_space_identities(monkeypatch, n, k):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    oracles = importlib.import_module("oracles")
+    session = {
+        "bind": [
+            {"jet": "p", "vars": n, "order_hint": k - 1},
+            {"jet": "q", "vars": n, "order_hint": k - 2},
+        ],
+        "run": [{"op": op, "of": "p"} for op in ("info", "tangent", "derive")]
+        + [{"op": "info", "of": "q"}],
+    }
+    report = execute(parse_session(json.dumps(session)))
+    info, tangent, derived, lower = (entry["result"] for entry in report.results)
+    assert info["dim"] == comb(n + k - 1, n)
+    assert tangent["dim"] == n * info["dim"] - oracles.free_der_dim(n, k - 1)
+    assert (derived["generators"], derived["order"]) == (lower["generators"], lower["order"])

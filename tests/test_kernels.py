@@ -50,11 +50,13 @@ from conftest import (
     algebras,
     canonical_basis,
     class_of,
+    dense_row,
     ideal_polynomials,
     is_canonical_scalar,
     ref_product,
     ref_substitute,
     structure_constants,
+    times,
 )
 
 ZERO = Fraction(0)
@@ -327,7 +329,7 @@ def test_element_product_matches_product_of_representatives(case):
         algebra,
         ref_product(representative(algebra, u), representative(algebra, v), algebra.window_bound),
     )
-    got = (algebra.element(u) * algebra.element(v)).coordinates
+    got = times(algebra.element(u), algebra.element(v)).coordinates
     assert got == expected
     assert_canonical_coordinates(got)
 
@@ -376,11 +378,10 @@ def kernel_case(draw):
 @given(kernel_case())
 def test_algebra_product_matches_dense_double_loop(case):
     algebra, u, v = case
-    got = algebra.product(u, v)
+    powers = algebra._power_numerators([u, v])
+    got = powers.row((1, 1))
     assert got == dense_product(algebra, u, v)
     assert all(is_canonical_scalar(c) and c for c in got.values())
-    powers = algebra._power_numerators([u, v])
-    assert powers.row((1, 1)) == got
     assert powers.row((2, 0)) == dense_product(algebra, u, u)
     assert powers.row((0, 2)) == dense_product(algebra, v, v)
 
@@ -414,7 +415,7 @@ def kernel_steps(left: dict, right: dict) -> list[int]:
 
 
 @pytest.mark.parametrize("shape", ["dense", "half", "single", "one"])
-@pytest.mark.parametrize("route", ["product", "powers"])
+@pytest.mark.parametrize("route", ["evaluate", "powers"])
 def test_product_walks_the_shorter_side_of_each_row(monkeypatch, shape, route):
     # R_4^4 has 70 basis classes and 495 stored products, from 70 in row 0
     # down to 1 in each row of degree 4.  Per row the kernel makes
@@ -432,10 +433,12 @@ def test_product_walks_the_shorter_side_of_each_row(monkeypatch, shape, route):
     # y0 y1 under y0 -> v, y1 -> u is made as u * v: the first power u is
     # seeded from its factor, so no 1 * u product is made.
     want = kernel_steps(u, v)
+    # The evaluate route is the session's: x y at the A-point (v, u).
+    point = apoint(R44, [R44.element(dense_row(v, d)), R44.element(dense_row(u, d))])
     rows = [CountingRow(row) for row in R44._mult]
     monkeypatch.setitem(R44.__dict__, "_mult", rows)
-    if route == "product":
-        got = R44.product(u, v)
+    if route == "evaluate":
+        got = evaluate(P("x y", 2), point).row
     else:
         got = R44._power_numerators([v, u]).row((1, 1))
     assert got == expected

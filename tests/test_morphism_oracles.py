@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiljets.apoints import apoint, evaluate, regularity_and_kernel
-from weiljets.jets import jet_from_ideal, power_jet, pushforward
+from weiljets.jets import jet_from_ideal, pushforward
 from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial
 from weiljets.weil import (
@@ -34,6 +34,7 @@ from conftest import (
     ideal_polynomials,
     inverse_morphism,
     is_identity,
+    power_jet,
     ref_substitute,
 )
 
@@ -140,7 +141,7 @@ def test_kernel_of_point_matches_pushforward(jet, phi):
     m, bound = len(phi), algebra.window_bound
     nil = [img.nilpotent_part() for img in images]
     for g in ideal_polynomials(kernel):
-        assert substitute_and_project(g.coefficients, algebra, nil).is_zero()
+        assert not substitute_and_project(g.coefficients, algebra, nil).row
     image = canonical_basis(
         [
             substitute_and_project({e: Fraction(1)}, algebra, nil).coordinates
@@ -159,9 +160,8 @@ def test_invert_substitution_rejects_singular_linear_part():
 
 def test_invert_substitution_two_variables_round_trip():
     r23 = free_truncated_algebra(2, 3)
-    x, y = r23.generator(0), r23.generator(1)
     phi = algebra_morphism(
-        r23, r23, [x * 2 + y + x * y - y * y * y, x - y + x * x * Fraction(1, 2)]
+        r23, r23, [class_of(r23, P("2 x + y + x y - y^3", 2, 3)), class_of(r23, P("x - y + 1/2 x^2", 2, 3))]
     )
     inv = inverse_morphism(phi)
     assert is_identity(phi.compose(inv))

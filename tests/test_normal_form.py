@@ -225,6 +225,23 @@ def test_normal_form_pushes_only_the_lower_rows(monkeypatch, inserts_outside_sat
     assert saturated == [[q.to_sparse(bound)] for q in nf.q_list]
 
 
+@pytest.mark.parametrize("n, gens, order", LADDER + NON_CLASSICAL + ((2, [], 2),))
+def test_normal_form_builds_only_the_push_map(monkeypatch, n, gens, order):
+    # The one substitution map is the push through sigma, built when some h_j
+    # is nonzero.  tau = (x, y + h(x)) fixes x and no h_j holds a pivot
+    # variable (check 5), so sigma o tau = id needs no map of its own.
+    p = ladder_jet(n, gens, order)
+    built = []
+    substitution = jets.substitution
+    monkeypatch.setattr(
+        jets, "substitution", lambda images, bound: built.append(bound) or substitution(images, bound)
+    )
+    nf = normal_form(p)
+    sub_bound = max(p.order, 1)
+    pushed = list(nf.sigma) != [TruncatedPolynomial.variable(n, sub_bound, i) for i in range(n)]
+    assert built == ([p.window_bound] if pushed else [])
+
+
 @pytest.mark.parametrize("n, gens, order", LADDER + NON_CLASSICAL)
 def test_jet_fields_insert_only_the_derivation_rows(inserts_outside_saturation, n, gens, order):
     p = ladder_jet(n, gens, order)

@@ -39,48 +39,32 @@ PACKAGE = ROOT / "src" / "weiljets"
 ADDRESS_SPACE_CAP = 256 * 2**20
 
 _FACTOR = "epimorphism factorization, which no op reaches yet (AWAITING_OPS)"
-_ELEMENT = "an AlgebraElement operator: factorization and the tests use it, no op does"
+_ELEMENT = "element equality and its hash, kept for APoint equality and factorization's check; no op compares"
 _REPR = "a debugging view: no report prints the value's repr"
 
 # Function -> why no session reaches it.
 UNREACHED = {
     "apoints.APoint.__repr__": _REPR,
-    "apoints.ProlongedGroup.identity": "the group op reports products and inverses, not the identity point",
     "apoints.tangent_correspondence_check": "Weil's R[eps]-points as tangent vectors, no op yet (AWAITING_OPS)",
     "errors.NotWellDefinedError.__init__": "raised only by algebra_morphism, which no op calls",
     "jets.CotangentModule.differential": "d_p f, waiting for a poly key on the cotangent op (AWAITING_METHODS)",
     "jets.Jet.__repr__": _REPR,
     "jets.Jet.contains_polynomial": "read only by CotangentModule.differential",
-    "jets.power_jet": "the jet m^k, waiting for a power binding (AWAITING_OPS)",
-    "poly.TruncatedPolynomial.__mul__": "the package multiplies through truncated_product; tests use the operator",
     "poly.TruncatedPolynomial.__repr__": _REPR,
     "poly.TruncatedPolynomial.__str__": "reports format polynomials with format_polynomial",
-    "poly.TruncatedPolynomial.scale": "read only by TruncatedPolynomial.__mul__",
     "session._boolean": "the optional strict and verify keys, which no corpus session or workload "
     "sets; tests/test_schema.py covers them",
     "subspace.Subspace.__repr__": _REPR,
-    "subspace.Subspace.reduce": "the package reduces through Echelon and contains_vector; tests read it",
     "subspace.sparse": "the one dense input, read only by CotangentModule.differential "
     "and by the tests' dense constructors",
-    "weil.AlgebraElement.__add__": _ELEMENT,
     "weil.AlgebraElement.__eq__": _ELEMENT,
     "weil.AlgebraElement.__hash__": _ELEMENT,
-    "weil.AlgebraElement.__mul__": _ELEMENT,
-    "weil.AlgebraElement.__neg__": _ELEMENT,
-    "weil.AlgebraElement.__pow__": _ELEMENT,
     "weil.AlgebraElement.__repr__": _REPR,
-    "weil.AlgebraElement.__sub__": _ELEMENT,
-    "weil.AlgebraElement._check": _ELEMENT,
-    "weil.AlgebraElement._combine": _ELEMENT,
-    "weil.AlgebraElement.is_zero": _ELEMENT,
     "weil.AlgebraMorphism.apply": _FACTOR,
     "weil.AlgebraMorphism.compose": _FACTOR,
     "weil.IdealStabilityReport.witness": "the stability op reports der_stable, not the witness",
     "weil.WeilAlgebra.__repr__": _REPR,
     "weil.WeilAlgebra.ideal_generators": "read only by algebra_morphism's well-definedness check",
-    "weil.WeilAlgebra.product": "read only by AlgebraElement.__mul__",
-    "weil.WeilAlgebra.zero": "read by AlgebraElement and by monomial_element above the window, "
-    "which no op asks for",
     "weil.algebra_morphism": _FACTOR,
     "weil.factor_epimorphism": _FACTOR,
     "weil.factor_epimorphism.lift": _FACTOR,
