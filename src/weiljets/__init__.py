@@ -13,7 +13,6 @@ from .errors import (
     NotAnIdealError,
     NotEpimorphismError,
     NotInIdealError,
-    NotWellDefinedError,
     OutOfMemoryError,
     SessionError,
     SessionParseError,
@@ -34,13 +33,10 @@ from .poly import (
 from .subspace import Subspace
 from .weil import (
     AlgebraElement,
-    AlgebraMorphism,
     DerivationSpace,
     IdealStabilityReport,
     WeilAlgebra,
-    algebra_morphism,
     derivation_space,
-    factor_epimorphism,
     free_truncated_algebra,
     ideal_stability,
     quotient_algebra,
@@ -71,14 +67,15 @@ from .jets import (
 from .apoints import (
     APoint,
     GroupLaw,
-    ProlongedGroup,
     WeilCheckReport,
     apoint,
     cartesian_product,
     component_names,
     evaluate,
+    factor_epimorphism,
+    group_inverse,
     group_law,
-    prolong_group,
+    group_product,
     prolong_polynomial,
     regularity_and_kernel,
     tangent_correspondence_check,

@@ -7,6 +7,12 @@ and cached on the point.  Real components (the coordinates of a value over
 the basis monomials) are what turn A-points into honest coordinates:
 prolongation of ideals and the lifted group operations all happen through
 them.
+
+An A-point of R^m is the algebra morphism R[x1..xm] -> A, and at the origin
+also the morphism R_m^l -> A for every l at or above the order of A: this is
+the package's one morphism type.  A point is regular when that morphism is
+onto, and two regular points at the origin differ by an automorphism of
+R_m^l (:func:`factor_epimorphism`).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NotEpimorphismError
 from .jets import Jet, _kernel_jet
 from .monomials import _check_window
 from .poly import (
@@ -27,8 +33,14 @@ from .poly import (
     truncated_product,
     variable_names,
 )
-from .subspace import apply_columns, span_coordinates
-from .weil import AlgebraElement, WeilAlgebra, _fraction_row, tensor_product
+from .subspace import SparseRow, _add_multiple, apply_columns, span_coordinates
+from .weil import (
+    AlgebraElement,
+    WeilAlgebra,
+    _fraction_row,
+    free_truncated_algebra,
+    tensor_product,
+)
 
 @dataclass(frozen=True)
 class APoint:
@@ -102,6 +114,75 @@ def regularity_and_kernel(point: APoint) -> tuple[bool, Jet]:
     regular = algebra.generated_by([img.row for img in point.images])
     nilpotent = algebra._power_numerators([img.nilpotent_part().row for img in point.images])
     return regular, _kernel_jet(algebra, point.base_point, point.ambient_dimension, nilpotent)
+
+
+def factor_epimorphism(alpha: APoint, beta: APoint, order: int) -> APoint:
+    """An automorphism g of R_m^order with beta = alpha o g, as an A-point of
+    R^m over :func:`free_truncated_algebra` (m, order).
+
+    An epimorphism R_m^order -> A is exactly a regular A-point of R^m at the
+    origin over an algebra A of order <= ``order``; anything else is refused.
+    Let S_a be the coordinates whose alpha-images are independent modulo m^2,
+    and S_b the same for beta.  The images of S_a generate A (Nakayama), so
+    one solver over the alpha-images of the monomials on S_a lifts each
+    beta(x_j) to a polynomial P_j on S_a and each alpha(x_i), i not in S_a,
+    to Q_i.  g sends x_j to P_j for j in S_b; the coordinates off S_b and off
+    S_a are paired in order, and x_j goes to P_j + x_i - Q_i for the pair
+    (j, i).  x_i - Q_i lies in the kernel of alpha, so alpha o g = beta, and
+    the linear part of g is block-triangular with invertible diagonal blocks.
+    Both facts are checked exactly before returning.
+    """
+    algebra, m = alpha.algebra, alpha.ambient_dimension
+    if beta.algebra != algebra:
+        raise DimensionMismatchError("A-points must share their algebra")
+    if beta.ambient_dimension != m:
+        raise DimensionMismatchError("A-points must share their ambient dimension")
+    if any(alpha.base_point) or any(beta.base_point):
+        raise NotEpimorphismError("factorization needs A-points at the origin")
+    if order < algebra.order:
+        raise NotEpimorphismError(
+            f"an algebra of order {algebra.order} is no quotient of R_{m}^{order}"
+        )
+    sel_a = algebra._independent_mod_m2(img.row for img in alpha.images)
+    if len(sel_a) != algebra.width:
+        raise NotEpimorphismError("first A-point is not regular")
+    sel_b = algebra._independent_mod_m2(img.row for img in beta.images)
+    if len(sel_b) != algebra.width:
+        raise NotEpimorphismError("second A-point is not regular")
+
+    # The source is free, so basis class b is its monomial, and alpha's power
+    # cache gives that monomial's image.
+    source = free_truncated_algebra(m, order)
+    on_a = [
+        b for b, exp in enumerate(source.basis_monomials)
+        if any(exp) and all(i in sel_a for i, e in enumerate(exp) if e)
+    ]
+    powers = alpha._powers
+    solve = span_coordinates(
+        [powers.row(source.basis_monomials[b]) for b in on_a], algebra.dimension
+    )
+
+    def lift(value: AlgebraElement) -> SparseRow:
+        coordinates = solve(value.row)
+        if coordinates is None:
+            raise NotEpimorphismError("images do not generate the target algebra")
+        return {on_a[k]: c for k, c in coordinates.items()}
+
+    rows = [lift(img) for img in beta.images]
+    rest_a = [i for i in range(m) if i not in sel_a]
+    rest_b = [j for j in range(m) if j not in sel_b]
+    for j, i in zip(rest_b, rest_a):
+        _add_multiple(rows[j], 1, source.generator(i).row)
+        _add_multiple(rows[j], 1, lift(alpha.images[i]), sign=-1)
+
+    # Exact verification of the factorization and of invertibility: an
+    # endomorphism of the free source is invertible exactly when it is onto,
+    # that is when its linear part is invertible (Nakayama), at order 0 too.
+    if [evaluate(source.row_polynomial(row), alpha) for row in rows] != list(beta.images):
+        raise NotEpimorphismError("internal factorization check failed")
+    if not source.generated_by(rows):
+        raise NotEpimorphismError("constructed substitution is not invertible")
+    return APoint(source, tuple(AlgebraElement(source, row) for row in rows))
 
 
 def cartesian_product(p: APoint, q: APoint) -> APoint:
@@ -336,39 +417,19 @@ def group_law(
     )
 
 
-@dataclass(frozen=True)
-class ProlongedGroup:
-    """The group of A-points of a polynomial group law."""
-
-    law: GroupLaw
-    algebra: WeilAlgebra
-
-    def product(self, p: APoint, q: APoint) -> APoint:
-        self._check(p)
-        self._check(q)
-        joint = cartesian_product(p, q)
-        return APoint(
-            self.algebra,
-            tuple(evaluate(f, joint) for f in self.law.law),
-        )
-
-    def inverse(self, p: APoint) -> APoint:
-        self._check(p)
-        return APoint(
-            self.algebra,
-            tuple(evaluate(f, p) for f in self.law.inverse),
-        )
-
-    def _check(self, p: APoint) -> None:
-        if p.algebra != self.algebra:
-            raise DimensionMismatchError("point does not live over the group algebra")
-        if p.ambient_dimension != self.law.dimension:
-            raise DimensionMismatchError("point has the wrong ambient dimension")
+def group_product(law: GroupLaw, p: APoint, q: APoint) -> APoint:
+    """p q in the group of A-points of the law: the law evaluated at (p, q)."""
+    if law.dimension != p.ambient_dimension or law.dimension != q.ambient_dimension:
+        raise DimensionMismatchError("point has the wrong ambient dimension")
+    joint = cartesian_product(p, q)
+    return APoint(p.algebra, tuple(evaluate(f, joint) for f in law.law))
 
 
-def prolong_group(law: GroupLaw, algebra: WeilAlgebra) -> ProlongedGroup:
-    """Lift the group operations to the algebra-valued points."""
-    return ProlongedGroup(law, algebra)
+def group_inverse(law: GroupLaw, p: APoint) -> APoint:
+    """The inverse of p in the group of A-points of the law."""
+    if law.dimension != p.ambient_dimension:
+        raise DimensionMismatchError("point has the wrong ambient dimension")
+    return APoint(p.algebra, tuple(evaluate(f, p) for f in law.inverse))
 
 
 # -- tangent correspondence ------------------------------------------------------------

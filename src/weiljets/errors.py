@@ -21,16 +21,10 @@ class NotAnIdealError(WeilJetsError):
     """A subspace is not closed under multiplication by the generators."""
 
 
-class NotWellDefinedError(WeilJetsError):
-    """Generator images do not kill the defining ideal of the source."""
-
-    def __init__(self, witness: str):
-        super().__init__(f"defining relation maps to a nonzero element: {witness}")
-        self.witness = witness
-
-
 class NotEpimorphismError(WeilJetsError):
-    """A morphism required to be surjective is not."""
+    """An A-point is no epimorphism from the free truncated algebra asked for:
+    its base point is not the origin, its algebra's order is above the
+    source's, or it is not regular (its evaluation is not onto)."""
 
 
 class NotInIdealError(WeilJetsError):

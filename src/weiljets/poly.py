@@ -678,25 +678,18 @@ def _format_index_terms(
     """Text of sum_m numerators[m] / den x^m over index keys ``(v1, -k1, ...)``,
     with no polynomial built; ``names[v]`` names variable v.  Within one degree
     tuple order is the layout order, so a sort and a stable sort by degree give
-    the layout, as in :meth:`TruncatedPolynomial.terms`.  Each term is written
-    in one pass, as :func:`_format_terms` writes it."""
+    the layout, as in :meth:`TruncatedPolynomial.terms`.  The terms are written
+    by :func:`_format_terms`, as ``(factors, numerator, den)`` triples."""
     keys = sorted(m for m, c in numerators.items() if c)
     keys.sort(key=lambda m: -sum(m[1::2]))
-    pieces: list[str] = []
+    terms = []
     for m in keys:
         parts = []
         for j in range(0, len(m), 2):
             k = m[j + 1]
             parts.append(names[m[j]] if k == -1 else f"{names[m[j]]}^{-k}")
-        factors = " ".join(parts)
-        num = numerators[m]
-        mag = _rational_text(abs(num), den)
-        body = factors if mag == "1" and factors else f"{mag} {factors}" if factors else mag
-        if pieces:
-            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
-        else:
-            pieces.append(body if num > 0 else f"-{body}")
-    return " ".join(pieces) or "0"
+        terms.append((" ".join(parts), numerators[m], den))
+    return _format_terms(terms)
 
 
 def format_polynomial(f: TruncatedPolynomial) -> str:

@@ -26,8 +26,9 @@ from .apoints import (
     apoint,
     component_names,
     evaluate,
+    group_inverse,
     group_law,
-    prolong_group,
+    group_product,
     regularity_and_kernel,
     weil_iso_check,
 )
@@ -621,11 +622,11 @@ _OPERATIONS: dict[str, _Command] = {
         "point": _Key(_list(_list(_list(_rat)))),
     }),
     "group_product": _Command(
-        lambda group, algebra, p, q: _images(prolong_group(group, algebra).product(p, q)),
+        lambda group, algebra, p, q: _images(group_product(group, p, q)),
         {"group": _GROUP, "algebra": _ALGEBRA, "p": _POINT_OVER_ALGEBRA, "q": _POINT_OVER_ALGEBRA},
     ),
     "group_inverse": _Command(
-        lambda group, algebra, p: _images(prolong_group(group, algebra).inverse(p)),
+        lambda group, algebra, p: _images(group_inverse(group, p)),
         {"group": _GROUP, "algebra": _ALGEBRA, "p": _POINT_OVER_ALGEBRA},
     ),
 }

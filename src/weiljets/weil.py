@@ -9,6 +9,9 @@ filtration is read off the graded layout of the basis (see
 reported by this module is decidable.  Coordinates and structure constants
 are canonical scalars, as in :mod:`weiljets.subspace`: ints when integral
 (every structure constant of a monomial quotient), otherwise ``Fraction``s.
+A morphism out of an algebra on m generators is given by the images of the
+generators, that is as an A-point of R^m (:mod:`weiljets.apoints`), the
+package's one morphism type.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
-from math import comb
 from operator import add
 from typing import Iterable, Sequence
 
@@ -25,8 +27,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyQuotientError,
     NotAnIdealError,
-    NotEpimorphismError,
-    NotWellDefinedError,
 )
 from .monomials import (
     Exponent,
@@ -55,7 +55,6 @@ from .subspace import (
     apply_columns,
     apply_rows,
     dense,
-    span_coordinates,
 )
 
 def _fraction_row(pairs: Iterable[tuple[int, int]], den: int) -> SparseRow:
@@ -96,8 +95,8 @@ class WeilAlgebra:
     Instances are built by :func:`quotient_algebra` (or :func:`tensor_product`)
     and treated as immutable afterwards.  The generator rows (the given
     generators, restated on the window, and the monomials of top degree)
-    generate the defining ideal I; :attr:`ideal_generators` are their
-    polynomials and :attr:`minimal_generators` keeps a minimal subset.
+    generate the defining ideal I; :attr:`minimal_generators` keeps the
+    polynomials of a minimal subset.
 
     The maximal-ideal filtration needs no elimination.  The layout is graded
     and every canonical row of I has its pivot at its lowest column, so the
@@ -374,14 +373,6 @@ class WeilAlgebra:
         return len(self._independent_mod_m2(elements)) == self.width
 
     @cached_property
-    def ideal_generators(self) -> tuple[TruncatedPolynomial, ...]:
-        """The polynomials of the generator rows, built when first read."""
-        return tuple(
-            TruncatedPolynomial.from_sparse(self.n, self.window_bound, r)
-            for r in self._generator_rows
-        )
-
-    @cached_property
     def _minimal_generator_rows(self) -> tuple[SparseRow, ...]:
         """The generator rows independent modulo m*I.
 
@@ -532,10 +523,6 @@ def free_truncated_algebra(m: int, order: int) -> WeilAlgebra:
     return quotient_algebra(m, order, [])
 
 
-def is_free_truncated(algebra: WeilAlgebra) -> bool:
-    return algebra.dimension == comb(algebra.n + algebra.order, algebra.order)
-
-
 @_memo
 def tensor_product(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
     """Quotient on disjoint variables whose ideal joins both defining ideals.
@@ -625,138 +612,8 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
 
 
 @dataclass(frozen=True)
-class AlgebraMorphism:
-    """Unital algebra morphism fixed by its generator images.
-
-    ``columns[b]`` is the sparse target row of the image of the source basis
-    class a_b, so :meth:`apply` is :func:`apply_columns`.
-    """
-
-    source: WeilAlgebra
-    target: WeilAlgebra
-    images: tuple[AlgebraElement, ...]
-    columns: tuple[SparseRow, ...]
-    is_epimorphism: bool
-
-    def apply(self, element: AlgebraElement) -> AlgebraElement:
-        if element.algebra != self.source:
-            raise DimensionMismatchError("element does not live in the source algebra")
-        return AlgebraElement(self.target, apply_columns(self.columns, element.row))
-
-    def compose(self, inner: "AlgebraMorphism") -> "AlgebraMorphism":
-        """self o inner (inner first)."""
-        if inner.target != self.source:
-            raise DimensionMismatchError("morphisms do not compose")
-        return algebra_morphism(
-            inner.source, self.target, [self.apply(img) for img in inner.images]
-        )
-
-
-def algebra_morphism(
-    source: WeilAlgebra,
-    target: WeilAlgebra,
-    images: Sequence[AlgebraElement | Sequence],
-) -> AlgebraMorphism:
-    """Validated morphism sending the class of x_i to images[i].
-
-    Raises :class:`NotWellDefinedError` with a witness generator when some
-    defining relation of the source has a nonzero image.
-    """
-    if len(images) != source.n:
-        raise DimensionMismatchError(
-            f"need one image per generator: {source.n} expected, {len(images)} given"
-        )
-    elems: list[AlgebraElement] = []
-    for img in images:
-        if isinstance(img, AlgebraElement):
-            if img.algebra != target:
-                raise DimensionMismatchError("image lives in the wrong algebra")
-            elems.append(img)
-        else:
-            elems.append(target.element(img))
-
-    powers = target._power_numerators([e.row for e in elems])
-
-    # Well-definedness on a generating set of the ideal.
-    for f in source.ideal_generators:
-        if any(powers.image(f.coefficients.items())[0].values()):
-            raise NotWellDefinedError(format_polynomial(f))
-
-    exps = window(source.n, source.window_bound)
-    columns = tuple(powers.row(exps[c]) for c in source.basis_columns)
-    epi = target.generated_by([e.row for e in elems])
-    return AlgebraMorphism(source, target, tuple(elems), columns, epi)
-
-
-def factor_epimorphism(
-    alpha: AlgebraMorphism, beta: AlgebraMorphism
-) -> AlgebraMorphism:
-    """An automorphism g of the free source with beta = alpha o g.
-
-    Both arguments must be epimorphisms from the same full truncated algebra.
-    Let S_a be the generators whose alpha-images are independent modulo m^2,
-    and S_b the same for beta.  The images of S_a generate the target
-    (Nakayama), so one solver over the alpha-images of the monomials on S_a
-    lifts each beta(x_j) to a polynomial P_j on S_a and each alpha(x_i),
-    i not in S_a, to Q_i.  g sends x_j to P_j for j in S_b; the generators
-    off S_b and off S_a are paired in order, and x_j goes to P_j + x_i - Q_i
-    for the pair (j, i).  x_i - Q_i lies in the kernel of alpha, so
-    alpha o g = beta, and the linear part of g is block-triangular with
-    invertible diagonal blocks.  Both facts are checked exactly before
-    returning.
-    """
-    source = alpha.source
-    if beta.source != source:
-        raise DimensionMismatchError("epimorphisms must share their source")
-    if alpha.target != beta.target:
-        raise DimensionMismatchError("epimorphisms must share their target")
-    if not is_free_truncated(source):
-        raise NotEpimorphismError(
-            "factorization requires the full truncated algebra as source"
-        )
-    if not alpha.is_epimorphism:
-        raise NotEpimorphismError("first morphism is not an epimorphism")
-    if not beta.is_epimorphism:
-        raise NotEpimorphismError("second morphism is not an epimorphism")
-
-    target = alpha.target
-    sel_a = target._independent_mod_m2(img.row for img in alpha.images)
-    sel_b = target._independent_mod_m2(img.row for img in beta.images)
-    # The source is free, so basis class b is its monomial; alpha.columns[b]
-    # is that monomial's image.
-    on_a = [
-        b for b, exp in enumerate(source.basis_monomials)
-        if any(exp) and all(i in sel_a for i, e in enumerate(exp) if e)
-    ]
-    solve = span_coordinates([alpha.columns[b] for b in on_a], target.dimension)
-
-    def lift(value: AlgebraElement) -> SparseRow:
-        coordinates = solve(value.row)
-        if coordinates is None:
-            raise NotEpimorphismError("images do not generate the target algebra")
-        return {on_a[k]: c for k, c in coordinates.items()}
-
-    rows = [lift(img) for img in beta.images]
-    rest_a = [i for i in range(source.n) if i not in sel_a]
-    rest_b = [j for j in range(source.n) if j not in sel_b]
-    for j, i in zip(rest_b, rest_a):
-        _add_multiple(rows[j], 1, source.generator(i).row)
-        _add_multiple(rows[j], 1, lift(alpha.images[i]), sign=-1)
-    g = algebra_morphism(source, source, [AlgebraElement(source, row) for row in rows])
-
-    # Exact verification of the factorization and of invertibility: an
-    # endomorphism of the free source is invertible exactly when it is onto,
-    # that is when its linear part is invertible (Nakayama), at order 0 too.
-    if alpha.compose(g).images != beta.images:
-        raise NotEpimorphismError("internal factorization check failed")
-    if not g.is_epimorphism:
-        raise NotEpimorphismError("constructed substitution is not invertible")
-    return g
-
-
-@dataclass(frozen=True)
 class IdealStabilityReport:
-    """Outcome of the derivation-level (and optional group-level) checks.
+    """Outcome of the derivation-level check.
 
     ``der_stable`` comes from the generators of the ideal; the
     :attr:`witness` is built when it is first read."""
@@ -764,7 +621,6 @@ class IdealStabilityReport:
     algebra: WeilAlgebra
     ideal: Subspace
     der_stable: bool
-    automorphism_stable: tuple[bool, ...]
     note: str = (
         "derivation stability is the infinitesimal criterion; it matches the "
         "full automorphism-group condition only up to the connected component"
@@ -793,12 +649,8 @@ def _first_escape(
     return None
 
 
-def ideal_stability(
-    algebra: WeilAlgebra,
-    ideal: Subspace,
-    automorphisms: Sequence[AlgebraMorphism] = (),
-) -> IdealStabilityReport:
-    """Check delta(I) <= I for all derivations, plus supplied automorphisms.
+def ideal_stability(algebra: WeilAlgebra, ideal: Subspace) -> IdealStabilityReport:
+    """Check delta(I) <= I for all derivations.
 
     Since delta(a g) = delta(a) g + a delta(g), a derivation maps the ideal
     into itself once it maps a generating set there.  The generators are the
@@ -822,12 +674,4 @@ def ideal_stability(
             products.insert(image)
     generators = [row for row in rows if products.insert(row)]
     stable = _first_escape(algebra, ideal, generators) is None
-    auto_results = []
-    for g in automorphisms:
-        if g.source != algebra or g.target != algebra:
-            raise DimensionMismatchError("automorphism must act on the algebra")
-        image = Echelon(d)
-        for row in rows:
-            image.insert(apply_columns(g.columns, row))
-        auto_results.append(image.subspace() == ideal)
-    return IdealStabilityReport(algebra, ideal, stable, tuple(auto_results))
+    return IdealStabilityReport(algebra, ideal, stable)

@@ -3,18 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from weiljets.apoints import APoint
+from weiljets.apoints import APoint, evaluate, factor_epimorphism, group_inverse, group_product
 from weiljets.jets import jet_from_ideal
 from weiljets.monomials import window, window_size
 from weiljets.poly import TruncatedPolynomial, parse_polynomial
 from weiljets.subspace import Echelon, Subspace, apply_columns, sparse
-from weiljets.weil import (
-    AlgebraElement,
-    algebra_morphism,
-    derivation_space,
-    factor_epimorphism,
-    quotient_algebra,
-)
+from weiljets.weil import AlgebraElement, derivation_space, quotient_algebra
 
 
 def P(text, n, bound=None):
@@ -123,11 +117,11 @@ def power(u, k: int):
     return result
 
 
-def identity_point(group):
-    """The neutral A-point of a prolonged group: the law's identity as constants."""
-    algebra = group.algebra
+def identity_point(law, algebra):
+    """The neutral A-point of a group law over an algebra: the law's identity
+    as constants."""
     rest = [0] * (algebra.dimension - 1)
-    return APoint(algebra, tuple(algebra.element([c] + rest) for c in group.law.identity))
+    return APoint(algebra, tuple(algebra.element([c] + rest) for c in law.identity))
 
 
 # -- reference polynomial arithmetic -----------------------------------------------
@@ -205,18 +199,21 @@ def invert_point(law, p) -> list:
     return [f.evaluate(vals) for f in law.inverse]
 
 
-def verify_axioms(group, points) -> bool:
-    """Exact identity, inverse and associativity laws of a prolonged group on
-    the given A-points."""
-    e = identity_point(group)
+def verify_axioms(law, algebra, points) -> bool:
+    """Exact identity, inverse and associativity laws of the group of A-points
+    of a law over an algebra, on the given points."""
+    e = identity_point(law, algebra)
+
+    def product(p, q):
+        return group_product(law, p, q)
+
     for p in points:
-        if group.product(p, e).images != p.images or group.product(e, p).images != p.images:
+        if product(p, e).images != p.images or product(e, p).images != p.images:
             return False
-        if group.product(p, group.inverse(p)).images != e.images:
+        if product(p, group_inverse(law, p)).images != e.images:
             return False
     return all(
-        group.product(group.product(p, q), s).images
-        == group.product(p, group.product(q, s)).images
+        product(product(p, q), s).images == product(p, product(q, s)).images
         for p in points
         for q in points
         for s in points
@@ -259,10 +256,39 @@ def pivots(subspace) -> tuple:
     return tuple(subspace.rows)
 
 
-def is_identity(phi) -> bool:
-    """Whether an algebra morphism is the identity of its source."""
-    return phi.source == phi.target and all(
-        col == {b: Fraction(1)} for b, col in enumerate(phi.columns)
+def is_identity(point) -> bool:
+    """Whether an A-point of R^m over an algebra on m generators is the
+    identity morphism of that algebra: each basis monomial evaluates to its
+    own class."""
+    algebra = point.algebra
+    n = algebra.n
+    return point.ambient_dimension == n and all(
+        evaluate(TruncatedPolynomial(n, algebra.window_bound, {exp: 1}), point).row == {b: Fraction(1)}
+        for b, exp in enumerate(algebra.basis_monomials)
+    )
+
+
+def is_regular(point) -> bool:
+    """Whether the evaluation at an A-point is onto its algebra."""
+    return point.algebra.generated_by([img.row for img in point.images])
+
+
+def compose(outer, inner):
+    """outer o inner (inner first) for an A-point inner of R^m over an algebra
+    on outer's ambient coordinates: x_i -> outer(inner(x_i)), each image of
+    inner read as the polynomial of its row."""
+    return APoint(
+        outer.algebra,
+        tuple(evaluate(inner.algebra.row_polynomial(img.row), outer) for img in inner.images),
+    )
+
+
+def ideal_generators(algebra) -> tuple:
+    """The polynomials of the algebra's generator rows, which generate its
+    defining ideal: the given generators and the monomials of top degree."""
+    return tuple(
+        TruncatedPolynomial.from_sparse(algebra.n, algebra.window_bound, row)
+        for row in algebra._generator_rows
     )
 
 
@@ -280,11 +306,12 @@ def exact_inverse(rows) -> list[list[Fraction]]:
     return [[Fraction(int(v.p), int(v.q)) for v in inverse.row(i)] for i in range(inverse.rows)]
 
 
-def linear_part(phi) -> list[list]:
-    """Row i: the coordinates of phi(x_i) at the classes 1..n of the target,
-    which are x_1..x_n when the target is a free truncated algebra of order >= 1."""
-    n = phi.target.n
-    return [[img.row.get(j, 0) for j in range(1, n + 1)] for img in phi.images]
+def linear_part(point) -> list[list]:
+    """Row i: the coordinates of the image of x_i at the classes 1..n of the
+    point's algebra, which are x_1..x_n when it is a free truncated algebra of
+    order >= 1."""
+    n = point.algebra.n
+    return [[img.row.get(j, 0) for j in range(1, n + 1)] for img in point.images]
 
 
 def all_passes_inverse(sigma, bound):
@@ -317,14 +344,15 @@ def all_passes_inverse(sigma, bound):
 
 
 def inverse_morphism(phi):
-    """The inverse of an automorphism phi of a free truncated algebra: the g
-    with phi o g = id, by ``factor_epimorphism``; None when phi is not onto,
-    that is when its linear part is singular."""
-    if not phi.is_epimorphism:
+    """The inverse of an automorphism phi of a free truncated algebra R_m^l,
+    given as an A-point of R^m over it: the g with phi o g = id, by
+    ``factor_epimorphism``; None when phi is not onto, that is when its
+    linear part is singular."""
+    source = phi.algebra
+    if not is_regular(phi):
         return None
-    source = phi.source
-    identity = algebra_morphism(source, source, [source.generator(i) for i in range(source.n)])
-    return factor_epimorphism(phi, identity)
+    identity = APoint(source, tuple(source.generator(i) for i in range(source.n)))
+    return factor_epimorphism(phi, identity, source.order)
 
 
 def maximal_power(algebra, k: int):

@@ -1,6 +1,7 @@
 """Epimorphism factorization on drawn pairs, at orders above the Tier-1 draws.
 
-300 pairs of epimorphisms R_n^l -> A drawn with seed 1 (``drawn_target`` and
+300 pairs of epimorphisms R_n^l -> A, as regular A-points of R^n at the
+origin with their l, drawn with seed 1 (``drawn_target`` and
 ``drawn_pair`` of ``tests/test_factorization.py``), at orders up to 4; the
 Tier-1 test draws targets of orders up to 3 only.  ``factor_epimorphism``
 must return an automorphism g with beta = alpha o g, by substitution of
@@ -23,11 +24,11 @@ def test_drawn_epimorphism_pairs_factor():
     rng = random.Random(1)
     checked, bad = 0, []
     for _ in range(300):
-        alpha, beta = drawn_pair(rng.choice, drawn_target(rng.choice, range(5)))
+        alpha, beta, order = drawn_pair(rng.choice, drawn_target(rng.choice, range(5)))
         checked += 1
         bad += [
-            f"{alpha.source!r} -> {alpha.target!r}: {mismatch}"
-            for mismatch in factorization_mismatches(alpha, beta)
+            f"R_{alpha.ambient_dimension}^{order} -> {alpha.algebra!r}: {mismatch}"
+            for mismatch in factorization_mismatches(alpha, beta, order)
         ]
     assert checked == 300
     assert not bad, "\n".join(bad)

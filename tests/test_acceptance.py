@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from weiljets.apoints import (
     apoint,
     evaluate,
+    group_inverse,
     group_law,
-    prolong_group,
+    group_product,
     prolong_polynomial,
 )
 from weiljets.jets import (
@@ -267,7 +268,6 @@ def test_criterion_09_tangent_group():
         [P("-x1", 3), P("-x2", 3), P("-x3 + x1 x2", 3)],
     )
     algebra = free_truncated_algebra(1, 1)
-    lifted = prolong_group(law, algebra)
     rng = random.Random(99)
 
     def rand_point():
@@ -290,8 +290,8 @@ def test_criterion_09_tangent_group():
     e = [Fraction(0)] * 3
     for _ in range(10):
         p, q, s = rand_point(), rand_point(), rand_point()
-        assert verify_axioms(lifted, [p, q, s])
-        prod = lifted.product(p, q)
+        assert verify_axioms(law, algebra, [p, q, s])
+        prod = group_product(law, p, q)
         pb, qb = p.base_point, q.base_point
         dp = [img.coordinates[1] for img in p.images]
         dq = [img.coordinates[1] for img in q.images]
@@ -304,7 +304,7 @@ def test_criterion_09_tangent_group():
         assert [img.coordinates[1] for img in prod.images] == expected
         assert [img.augmentation() for img in prod.images] == multiply_points(law, pb, qb)
 
-        inv = lifted.inverse(p)
+        inv = group_inverse(law, p)
         pinv = invert_point(law, pb)
         assert [img.augmentation() for img in inv.images] == pinv
         # -L_{p^-1 *} (Ad p) delta with delta the left-translated tangent part.

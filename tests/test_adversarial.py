@@ -25,6 +25,7 @@ EXIT_CODES = {
     "float_image.json": (2, "not an exact rational"),
     "zero_denominator.json": (2, "zero denominator"),
     "unit_generator.json": (2, "does not vanish at the base point"),
+    "strict_hint.json": (2, "reached the hint"),
     "huge_prolong.json": (1, "WindowTooLargeError"),
     "deep_prolong.json": (1, "2999 x^2998 y"),
     "dense_prolong.json": (1, "OutOfMemoryError"),

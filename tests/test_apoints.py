@@ -11,8 +11,9 @@ from weiljets.apoints import (
     cartesian_product,
     component_names,
     evaluate,
+    group_inverse,
     group_law,
-    prolong_group,
+    group_product,
     prolong_polynomial,
     regularity_and_kernel,
     tangent_correspondence_check,
@@ -24,7 +25,6 @@ from weiljets.poly import TruncatedPolynomial, format_polynomial
 from weiljets.session import execute, parse_session
 from weiljets.weil import (
     WeilAlgebra,
-    algebra_morphism,
     free_truncated_algebra,
     quotient_algebra,
     tensor_product,
@@ -32,6 +32,7 @@ from weiljets.weil import (
 
 from conftest import (
     P,
+    compose,
     exact_inverse,
     identity_point,
     invert_point,
@@ -130,8 +131,8 @@ class TestRegularityAndKernel:
     def test_kernel_is_automorphism_invariant(self):
         point = apoint(R12, [["2", 1, "1/2"]])
         _, kernel = regularity_and_kernel(point)
-        auto = algebra_morphism(R12, R12, [R12.element([0, 2, 3])])
-        moved = apoint(R12, [auto.apply(img) for img in point.images])
+        auto = apoint(R12, [R12.element([0, 2, 3])])
+        moved = compose(auto, point)
         _, kernel2 = regularity_and_kernel(moved)
         assert kernel == kernel2
 
@@ -239,26 +240,34 @@ class TestWeilTheorem:
 class TestGroups:
     def test_axioms_on_random_points(self):
         law = heisenberg()
-        lifted = prolong_group(law, R11)
         rng = random.Random(7)
         pts = [random_r11_point(rng) for _ in range(3)]
-        assert verify_axioms(lifted, pts)
+        assert verify_axioms(law, R11, pts)
+
+    def test_group_ops_refuse_mismatched_points(self):
+        law = heisenberg()
+        p = apoint(R11, [[1, 2], [0, 1], [2, 0]])
+        with pytest.raises(DimensionMismatchError, match="shared algebra"):
+            group_product(law, p, apoint(R12, [[1, 2, 0], [0, 1, 1], [2, 0, 0]]))
+        short = apoint(R11, [[1, 2], [0, 1]])
+        for op in (lambda: group_product(law, p, short), lambda: group_product(law, short, p),
+                   lambda: group_inverse(law, short)):
+            with pytest.raises(DimensionMismatchError, match="ambient dimension"):
+                op()
 
     def test_identity_point_is_neutral(self):
         law = heisenberg()
-        lifted = prolong_group(law, R12)
         p = apoint(R12, [[1, 2, 0], [0, 1, 1], [2, 0, "1/2"]])
-        e = identity_point(lifted)
-        assert lifted.product(p, e).images == p.images
-        assert lifted.product(e, p).images == p.images
+        e = identity_point(law, R12)
+        assert group_product(law, p, e).images == p.images
+        assert group_product(law, e, p).images == p.images
 
     def test_tangent_translation_law(self):
         law = heisenberg()
-        lifted = prolong_group(law, R11)
         rng = random.Random(13)
         for _ in range(4):
             p, q = random_r11_point(rng), random_r11_point(rng)
-            prod = lifted.product(p, q)
+            prod = group_product(law, p, q)
             pb, qb = p.base_point, q.base_point
             vals = list(pb) + list(qb)
             jx = [[law.law[i].derivative(j).evaluate(vals) for j in range(3)] for i in range(3)]
@@ -357,14 +366,13 @@ class TestGroups:
 
     def test_inverse_adjoint_formula(self):
         law = heisenberg()
-        lifted = prolong_group(law, R11)
         rng = random.Random(17)
         for _ in range(4):
             p = random_r11_point(rng)
             pb = list(p.base_point)
             pinv = invert_point(law, pb)
             dp = [img.coordinates[1] for img in p.images]
-            inv_point = lifted.inverse(p)
+            inv_point = group_inverse(law, p)
             assert [img.augmentation() for img in inv_point.images] == pinv
 
             def jac_x(at_x, at_y):

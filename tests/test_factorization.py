@@ -2,8 +2,9 @@
 automorphism of the source, against oracles.
 
 Two regular A-points at a point differ by an automorphism of the source:
-for epimorphisms alpha, beta: R_n^l -> A, ``factor_epimorphism`` returns an
-automorphism g of R_n^l with beta = alpha o g.  Each drawn pair is checked
+for regular A-points alpha, beta of R^n at the origin, that is epimorphisms
+R_n^l -> A, ``factor_epimorphism`` returns an automorphism g of R_n^l, as an
+A-point of R^n over R_n^l, with beta = alpha o g.  Each drawn pair is checked
 twice over, with no package route: alpha o g = beta by substituting the
 representatives of alpha's images into those of g's with ``ref_substitute``
 (plain ``Fraction`` double loops), and g's linear part, read off its
@@ -24,11 +25,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weiljets.apoints import apoint, factor_epimorphism
 from weiljets.monomials import window
 from weiljets.poly import TruncatedPolynomial
-from weiljets.weil import algebra_morphism, factor_epimorphism, free_truncated_algebra, quotient_algebra
+from weiljets.weil import free_truncated_algebra, quotient_algebra
 
-from conftest import algebras, class_of, is_identity, linear_part, ref_substitute, zero
+from conftest import algebras, class_of, is_identity, is_regular, linear_part, ref_substitute, zero
 from test_morphism_oracles import representative
 
 COEFFICIENTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))
@@ -54,16 +56,16 @@ def drawn_target(choose, orders):
     return quotient_algebra(m, ell, generators)
 
 
-def drawn_epimorphism(choose, source, target):
-    """An epimorphism source -> target.  A drawn injection S sends the k-th
-    generator it picks to a drawn degree-1 class plus a combination of the
-    linear parts of the ones picked before, so S spans m/m^2; every other
-    generator goes to any combination of the degree-1 classes, and every
-    image gets a drawn part in m^2."""
+def drawn_epimorphism(choose, n, target):
+    """A regular A-point of R^n at the origin over target.  A drawn injection
+    S sends the k-th coordinate it picks to a drawn degree-1 class plus a
+    combination of the linear parts of the ones picked before, so S spans
+    m/m^2; every other coordinate goes to any combination of the degree-1
+    classes, and every image gets a drawn part in m^2."""
     w, d = target.width, target.dimension
-    rest = list(range(source.n))
+    rest = list(range(n))
     classes = list(range(1, w + 1))
-    linear = [{} for _ in range(source.n)]
+    linear = [{} for _ in range(n)]
     picked = []
     for _ in range(w):
         i = choose(rest)
@@ -87,15 +89,15 @@ def drawn_epimorphism(choose, source, target):
         for g in range(w + 1, d):
             coordinates[g] = choose(COEFFICIENTS)
         images.append(coordinates)
-    return algebra_morphism(source, target, images)
+    return apoint(target, images)
 
 
 def drawn_pair(choose, target):
     """Two drawn epimorphisms R_n^l -> target, with n from the target's width
-    to width + 2 and l its order or one more."""
+    to width + 2 and l its order or one more: the two A-points and l."""
     n = choose(range(target.width, target.width + 3))
-    source = free_truncated_algebra(n, target.order + choose((0, 1)))
-    return drawn_epimorphism(choose, source, target), drawn_epimorphism(choose, source, target)
+    order = target.order + choose((0, 1))
+    return drawn_epimorphism(choose, n, target), drawn_epimorphism(choose, n, target), order
 
 
 def determinant(matrix) -> Fraction:
@@ -109,19 +111,20 @@ def determinant(matrix) -> Fraction:
     )
 
 
-def factorization_mismatches(alpha, beta) -> list[str]:
+def factorization_mismatches(alpha, beta, order) -> list[str]:
     """Each way in which the factorization of beta through alpha fails."""
     try:
-        g = factor_epimorphism(alpha, beta)
+        g = factor_epimorphism(alpha, beta, order)
     except Exception:
         return [f"raised {traceback.format_exc()}"]
-    return mismatches(alpha, beta, g)
+    return mismatches(alpha, beta, order, g)
 
 
-def mismatches(alpha, beta, g) -> list[str]:
-    """Each way in which g fails to be an automorphism with beta = alpha o g."""
-    source, target = alpha.source, alpha.target
-    if (g.source, g.target) != (source, source):
+def mismatches(alpha, beta, order, g) -> list[str]:
+    """Each way in which g fails to be an automorphism of R_n^order with
+    beta = alpha o g."""
+    source, target = free_truncated_algebra(alpha.ambient_dimension, order), alpha.algebra
+    if (g.algebra, g.ambient_dimension) != (source, source.n):
         return ["g is not an endomorphism of the source"]
     found = []
     reps = [representative(img) for img in alpha.images]
@@ -141,23 +144,23 @@ def mismatches(alpha, beta, g) -> list[str]:
 @settings(max_examples=100, deadline=None)
 @given(algebras(), st.data())
 def test_drawn_epimorphisms_factor_through_an_automorphism(target, data):
-    alpha, beta = drawn_pair(lambda options: data.draw(st.sampled_from(options)), target)
-    assert alpha.is_epimorphism and beta.is_epimorphism
-    assert factorization_mismatches(alpha, beta) == []
+    alpha, beta, order = drawn_pair(lambda options: data.draw(st.sampled_from(options)), target)
+    assert is_regular(alpha) and is_regular(beta)
+    assert factorization_mismatches(alpha, beta, order) == []
 
 
 def test_the_oracles_report_a_broken_factorization():
     r21, r11 = free_truncated_algebra(2, 1), free_truncated_algebra(1, 1)
     eps = r11.generator(0)
-    alpha = algebra_morphism(r21, r11, [eps, zero(r11)])
-    beta = algebra_morphism(r21, r11, [zero(r11), eps])
-    assert factorization_mismatches(alpha, beta) == []
+    alpha = apoint(r11, [eps, zero(r11)])
+    beta = apoint(r11, [zero(r11), eps])
+    assert factorization_mismatches(alpha, beta, 1) == []
     # g must send x1 into span{x2}, so the identity misses beta on both
     # generators; the zero map misses it on x2 and is singular.
-    identity = algebra_morphism(r21, r21, [r21.generator(0), r21.generator(1)])
-    zero_map = algebra_morphism(r21, r21, [zero(r21), zero(r21)])
-    assert len(mismatches(alpha, beta, identity)) == 2
-    found = mismatches(alpha, beta, zero_map)
+    identity = apoint(r21, [r21.generator(0), r21.generator(1)])
+    zero_map = apoint(r21, [zero(r21), zero(r21)])
+    assert len(mismatches(alpha, beta, 1, identity)) == 2
+    found = mismatches(alpha, beta, 1, zero_map)
     assert len(found) == 2 and found[1].startswith("g has the singular linear part")
 
 
@@ -165,5 +168,5 @@ def test_a_seeded_higher_order_batch_factors():
     # The first cases of the deep batch, at orders up to 4.
     rng = random.Random(1)
     for _ in range(10):
-        alpha, beta = drawn_pair(rng.choice, drawn_target(rng.choice, range(5)))
-        assert factorization_mismatches(alpha, beta) == []
+        alpha, beta, order = drawn_pair(rng.choice, drawn_target(rng.choice, range(5)))
+        assert factorization_mismatches(alpha, beta, order) == []

@@ -188,7 +188,7 @@ def test_hat_builds_no_table_and_no_generator_polynomial(monkeypatch):
     report = execute(parse_session(text))
     assert report.exit_status == 0 and len(built) == 1
     lazy = built[0].quotient.__dict__
-    for name in ("_table", "_mult", "_mult_den", "_classes", "ideal_generators", "minimal_generators"):
+    for name in ("_table", "_mult", "_mult_den", "_classes", "minimal_generators"):
         assert name not in lazy, name
 
 

@@ -42,6 +42,8 @@ AWAITING_OPS = {
 AWAITING_METHODS = {
     "CotangentModule.differential": "the paper's cotangent differential d_p f, for an optional "
     "poly key on the cotangent op",
+    "IdealStabilityReport.witness": "the first derivation and ideal row that leave I; the "
+    "stability op reports der_stable, and a witness key would change its report",
 }
 
 

@@ -26,6 +26,7 @@ from weiljets.apoints import (
     apoint,
     component_names,
     evaluate,
+    factor_epimorphism,
     prolong_polynomial,
     regularity_and_kernel,
 )
@@ -43,7 +44,7 @@ from weiljets.poly import (
     variable_names,
 )
 from weiljets.session import _op_prolong
-from weiljets.weil import WeilAlgebra, algebra_morphism, free_truncated_algebra, quotient_algebra
+from weiljets.weil import WeilAlgebra, free_truncated_algebra, quotient_algebra
 
 from conftest import (
     P,
@@ -218,8 +219,8 @@ def test_normal_form_builds_one_power_cache_per_stage(monkeypatch):
 
 def test_tangent_maps_and_morphisms_build_one_power_cache(monkeypatch):
     # The kernel jet of a tangent map and its inclusion columns read one
-    # morphism's products, as do a morphism's well-definedness check and its
-    # columns: one cache each, and every product read comes from it.
+    # morphism's products, as do the lift and the check of an epimorphism
+    # factorization: one cache each, and every product read comes from it.
     p = jet_from_ideal(2, [1, 1], [P("y - x^2", 2)], 3)
     source = free_truncated_algebra(2, 2)
     target = quotient_algebra(2, 2, [P("x^2", 2), P("y^2", 2)])
@@ -252,11 +253,14 @@ def test_tangent_maps_and_morphisms_build_one_power_cache(monkeypatch):
 
     built.clear()
     read.clear()
-    phi = algebra_morphism(source, target, [target.generator(0), target.generator(1)])
-    assert len(built) == 1 and phi.is_epimorphism
+    # alpha's cache alone: a row per nonconstant monomial of the source for
+    # the lift, then an image per generator for the check alpha o g = beta.
+    alpha = apoint(target, [target.generator(0), target.generator(1)])
+    g = factor_epimorphism(alpha, alpha, source.order)
+    assert len(built) == 1 and built[0] is alpha._powers and g.algebra == source
     kinds = [kind for kind, powers in read if powers is built[0]]
     assert len(kinds) == len(read)
-    assert kinds == ["image"] * len(source.ideal_generators) + ["row"] * source.dimension
+    assert kinds == ["row"] * (source.dimension - 1) + ["image"] * source.n
 
 
 @settings(max_examples=100, deadline=None)
@@ -593,7 +597,7 @@ class TestFirstPowersAreSeeded:
     """Each power cache seeds every unit exponent from its prepared factor, so
     a first power costs no kernel call; a second power costs one."""
 
-    def test_algebra_morphism(self, monkeypatch):
+    def test_power_numerators(self, monkeypatch):
         d = R44.dimension
         u = {a: Fraction(a + 1, 2) for a in range(0, d, 3)}
         v = {d // 2: Fraction(5, 7), 1: Fraction(-1, 3)}

@@ -45,30 +45,22 @@ _REPR = "a debugging view: no report prints the value's repr"
 # Function -> why no session reaches it.
 UNREACHED = {
     "apoints.APoint.__repr__": _REPR,
+    "apoints.factor_epimorphism": _FACTOR,
+    "apoints.factor_epimorphism.lift": _FACTOR,
     "apoints.tangent_correspondence_check": "Weil's R[eps]-points as tangent vectors, no op yet (AWAITING_OPS)",
-    "errors.NotWellDefinedError.__init__": "raised only by algebra_morphism, which no op calls",
     "jets.CotangentModule.differential": "d_p f, waiting for a poly key on the cotangent op (AWAITING_METHODS)",
     "jets.Jet.__repr__": _REPR,
     "jets.Jet.contains_polynomial": "read only by CotangentModule.differential",
     "poly.TruncatedPolynomial.__repr__": _REPR,
     "poly.TruncatedPolynomial.__str__": "reports format polynomials with format_polynomial",
-    "session._boolean": "the optional strict and verify keys, which no corpus session or workload "
-    "sets; tests/test_schema.py covers them",
     "subspace.Subspace.__repr__": _REPR,
     "subspace.sparse": "the one dense input, read only by CotangentModule.differential "
     "and by the tests' dense constructors",
     "weil.AlgebraElement.__eq__": _ELEMENT,
     "weil.AlgebraElement.__hash__": _ELEMENT,
     "weil.AlgebraElement.__repr__": _REPR,
-    "weil.AlgebraMorphism.apply": _FACTOR,
-    "weil.AlgebraMorphism.compose": _FACTOR,
     "weil.IdealStabilityReport.witness": "the stability op reports der_stable, not the witness",
     "weil.WeilAlgebra.__repr__": _REPR,
-    "weil.WeilAlgebra.ideal_generators": "read only by algebra_morphism's well-definedness check",
-    "weil.algebra_morphism": _FACTOR,
-    "weil.factor_epimorphism": _FACTOR,
-    "weil.factor_epimorphism.lift": _FACTOR,
-    "weil.is_free_truncated": _FACTOR,
 }
 
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weiljets.apoints import apoint, evaluate
+from weiljets.apoints import apoint, evaluate, factor_epimorphism
 from weiljets.errors import (
+    DimensionMismatchError,
     EmptyQuotientError,
     NotAnIdealError,
     NotEpimorphismError,
-    NotWellDefinedError,
 )
 from weiljets.monomials import monomials_of_degree, window, window_index, window_size
 from weiljets.poly import TruncatedPolynomial
@@ -19,9 +19,7 @@ from weiljets.subspace import Echelon
 from weiljets.weil import (
     _rewindow,
     _variable_shifts,
-    algebra_morphism,
     derivation_space,
-    factor_epimorphism,
     free_truncated_algebra,
     ideal_stability,
     quotient_algebra,
@@ -34,11 +32,13 @@ from conftest import (
     algebras,
     canonical_basis,
     class_of,
+    compose,
     contains_dense,
     derivation_matrices,
     generator_images,
     inverse_morphism,
     is_identity,
+    is_regular,
     linear_part,
     maximal_power,
     mat_vec,
@@ -248,93 +248,104 @@ class TestDerivations:
 
 
 class TestMorphisms:
-    def test_projection_to_dual_numbers_is_epi(self):
-        r21 = free_truncated_algebra(2, 1)
-        r11 = free_truncated_algebra(1, 1)
-        phi = algebra_morphism(r21, r11, [r11.generator(0), zero(r11)])
-        assert phi.is_epimorphism
+    """An algebra morphism R_m^l -> A is an A-point of R^m at the origin; it is
+    an epimorphism exactly when the point is regular."""
 
-    def test_inclusion_into_higher_order_fails(self):
+    def test_projection_to_dual_numbers_is_epi(self):
         r11 = free_truncated_algebra(1, 1)
-        r12 = free_truncated_algebra(1, 2)
-        with pytest.raises(NotWellDefinedError) as err:
-            algebra_morphism(r11, r12, [r12.generator(0)])
-        assert "x^2" in str(err.value)
+        assert is_regular(apoint(r11, [r11.generator(0), zero(r11)]))
 
     def test_square_image_is_well_defined(self):
-        r11 = free_truncated_algebra(1, 1)
         r12 = free_truncated_algebra(1, 2)
-        phi = algebra_morphism(r11, r12, [r12.monomial_element((2,))])
-        assert not phi.is_epimorphism
+        assert not is_regular(apoint(r12, [r12.monomial_element((2,))]))
 
     def test_identity_is_epimorphism(self):
         a = quotient_algebra(2, 3, [P("x^2", 2, 3), P("y^2", 2, 3)])
-        assert algebra_morphism(a, a, [a.generator(i) for i in range(a.n)]).is_epimorphism
-
-    def test_apply_is_multiplicative(self):
-        r21 = free_truncated_algebra(2, 1)
-        r11 = free_truncated_algebra(1, 1)
-        phi = algebra_morphism(r21, r11, [r11.generator(0), r11.generator(0)])
-        u = r21.element([1, 2, 3])
-        v = r21.element([2, 0, Fraction(1, 2)])
-        assert phi.apply(times(u, v)).coordinates == times(phi.apply(u), phi.apply(v)).coordinates
+        assert is_regular(apoint(a, [a.generator(i) for i in range(a.n)]))
 
 
 class TestFactorEpimorphism:
     def setup_method(self):
-        self.r21 = free_truncated_algebra(2, 1)
         self.r11 = free_truncated_algebra(1, 1)
         self.eps = self.r11.generator(0)
+        self.alpha = apoint(self.r11, [self.eps, zero(self.r11)])
 
-    def _check(self, alpha, beta):
-        g = factor_epimorphism(alpha, beta)
-        for got, want in zip(alpha.compose(g).images, beta.images):
+    def _check(self, alpha, beta, order=1):
+        g = factor_epimorphism(alpha, beta, order)
+        assert g.algebra == free_truncated_algebra(alpha.ambient_dimension, order)
+        for got, want in zip(compose(alpha, g).images, beta.images):
             assert got.coordinates == want.coordinates
         return g
 
     def test_shift_example(self):
-        alpha = algebra_morphism(self.r21, self.r11, [self.eps, zero(self.r11)])
-        beta = algebra_morphism(self.r21, self.r11, [self.eps, self.eps])
-        self._check(alpha, beta)
+        beta = apoint(self.r11, [self.eps, self.eps])
+        self._check(self.alpha, beta)
 
     def test_equal_inputs_admit_identity(self):
-        alpha = algebra_morphism(self.r21, self.r11, [self.eps, zero(self.r11)])
-        g = self._check(alpha, alpha)
+        g = self._check(self.alpha, self.alpha)
         assert is_identity(g)
 
     def test_swap(self):
-        alpha = algebra_morphism(self.r21, self.r11, [self.eps, zero(self.r11)])
-        beta = algebra_morphism(self.r21, self.r11, [zero(self.r11), self.eps])
-        g = self._check(alpha, beta)
+        beta = apoint(self.r11, [zero(self.r11), self.eps])
+        g = self._check(self.alpha, beta)
         lin = linear_part(g)
         assert lin == [[0, 1], [1, 0]]
 
     def test_higher_order_factorization(self):
         r12 = free_truncated_algebra(1, 2)
-        r22 = free_truncated_algebra(2, 2)
-        alpha = algebra_morphism(r22, r12, [r12.generator(0), zero(r12)])
-        beta = algebra_morphism(
-            r22,
+        alpha = apoint(r12, [r12.generator(0), zero(r12)])
+        beta = apoint(
             r12,
             [
                 r12.element([0, 1, 1]),  # x + x^2
                 r12.element([0, 0, 2]),  # 2 x^2
             ],
         )
-        self._check(alpha, beta)
+        self._check(alpha, beta, 2)
+
+    def test_order_zero_gives_the_identity_of_R(self):
+        r = free_truncated_algebra(1, 0)
+        point = apoint(r, [zero(r), zero(r)])
+        g = self._check(point, point, 0)
+        assert g.algebra.dimension == 1 and is_identity(g)
 
     def test_rejects_non_epimorphism(self):
-        alpha = algebra_morphism(self.r21, self.r11, [self.eps, zero(self.r11)])
-        bad = algebra_morphism(self.r21, self.r11, [zero(self.r11), zero(self.r11)])
-        with pytest.raises(NotEpimorphismError):
-            factor_epimorphism(alpha, bad)
+        bad = apoint(self.r11, [zero(self.r11), zero(self.r11)])
+        with pytest.raises(NotEpimorphismError, match="second A-point is not regular"):
+            factor_epimorphism(self.alpha, bad, 1)
+        with pytest.raises(NotEpimorphismError, match="first A-point is not regular"):
+            factor_epimorphism(bad, self.alpha, 1)
+
+    def test_rejects_a_nonzero_base_point(self):
+        moved = apoint(self.r11, [[1, 1], [0, 0]])
+        with pytest.raises(NotEpimorphismError, match="origin"):
+            factor_epimorphism(moved, self.alpha, 1)
+        with pytest.raises(NotEpimorphismError, match="origin"):
+            factor_epimorphism(self.alpha, moved, 1)
+
+    def test_rejects_an_order_below_the_algebra(self):
+        r12 = free_truncated_algebra(1, 2)
+        alpha = apoint(r12, [r12.generator(0)])
+        with pytest.raises(NotEpimorphismError, match="order 2"):
+            factor_epimorphism(alpha, alpha, 1)
+
+    def test_rejects_different_algebras(self):
+        r21 = free_truncated_algebra(2, 1)
+        other = apoint(r21, [r21.generator(0), r21.generator(1)])
+        with pytest.raises(DimensionMismatchError, match="algebra"):
+            factor_epimorphism(self.alpha, other, 1)
+
+    def test_rejects_different_ambient_dimensions(self):
+        three = apoint(self.r11, [self.eps, zero(self.r11), zero(self.r11)])
+        with pytest.raises(DimensionMismatchError, match="ambient dimension"):
+            factor_epimorphism(self.alpha, three, 1)
 
     def test_invert_substitution(self):
         r13 = free_truncated_algebra(1, 3)
-        phi = algebra_morphism(r13, r13, [r13.element([0, 1, 1, 0])])  # x + x^2
+        phi = apoint(r13, [r13.element([0, 1, 1, 0])])  # x + x^2
         inv = inverse_morphism(phi)
-        assert is_identity(phi.compose(inv))
-        assert is_identity(inv.compose(phi))
+        assert is_identity(compose(phi, inv))
+        assert is_identity(compose(inv, phi))
 
 
 class TestIdealStability:
@@ -384,12 +395,6 @@ class TestIdealStability:
         one_dim = canonical_basis([[0, 1, 0, 0, 0, 0]], a.dimension)  # span{x}
         with pytest.raises(NotAnIdealError):
             ideal_stability(a, one_dim)
-
-    def test_explicit_automorphism_check(self):
-        a = free_truncated_algebra(1, 2)
-        doubling = algebra_morphism(a, a, [a.element([0, 2, 0])])
-        report = ideal_stability(a, maximal_power(a, 2), [doubling])
-        assert report.automorphism_stable == (True,)
 
 
 # -- independent oracle: sympy's groebner ----------------------------------------
@@ -493,11 +498,11 @@ def test_element_rows_hold_no_zero_so_equality_is_decidable(a, data):
     point = apoint(a, [u, v])
     source = free_truncated_algebra(a.n, a.order)
     images = [data.draw(elements(a)).nilpotent_part() for _ in range(a.n)]
-    phi = algebra_morphism(source, a, images)
+    phi = apoint(a, images)
     results = [
         add(u, v), add(u, v, -1), add(u, u, -1), times(u, v), times(u, u),
         power(u, data.draw(st.integers(0, 4))), evaluate(f, point), evaluate(f - f, point),
-        phi.apply(data.draw(elements(source))),
+        evaluate(source.row_polynomial(data.draw(elements(source)).row), phi),
     ]
     for w in results:
         assert all(w.row.values())
