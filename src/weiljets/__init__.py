@@ -5,14 +5,12 @@ ideals, ranks, contact data and all reported invariants is exact.
 """
 
 from .errors import (
-    ClassicalityError,
     DimensionMismatchError,
     EmptyQuotientError,
     HintTooSmallError,
     InternalCheckError,
     NotAnIdealError,
     NotEpimorphismError,
-    NotInIdealError,
     OutOfMemoryError,
     SessionError,
     SessionParseError,
@@ -78,7 +76,6 @@ from .apoints import (
     group_product,
     prolong_polynomial,
     regularity_and_kernel,
-    tangent_correspondence_check,
     weil_iso_check,
 )
 from .session import Report, Session, execute, parse_session, render

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import DimensionMismatchError, NotEpimorphismError
+from .errors import DimensionMismatchError, InternalCheckError, NotEpimorphismError
 from .jets import Jet, _kernel_jet
 from .monomials import _check_window
 from .poly import (
@@ -30,7 +30,6 @@ from .poly import (
     _Powers,
     as_fraction,
     substitution,
-    truncated_product,
     variable_names,
 )
 from .subspace import SparseRow, _add_multiple, apply_columns, span_coordinates
@@ -163,10 +162,9 @@ def factor_epimorphism(alpha: APoint, beta: APoint, order: int) -> APoint:
     )
 
     def lift(value: AlgebraElement) -> SparseRow:
-        coordinates = solve(value.row)
-        if coordinates is None:
-            raise NotEpimorphismError("images do not generate the target algebra")
-        return {on_a[k]: c for k, c in coordinates.items()}
+        # Every value in m lies in the span: alpha is regular, so the images
+        # of the monomials of degree >= 1 on S_a span m (Nakayama).
+        return {on_a[k]: c for k, c in solve(value.row).items()}
 
     rows = [lift(img) for img in beta.images]
     rest_a = [i for i in range(m) if i not in sel_a]
@@ -179,9 +177,9 @@ def factor_epimorphism(alpha: APoint, beta: APoint, order: int) -> APoint:
     # endomorphism of the free source is invertible exactly when it is onto,
     # that is when its linear part is invertible (Nakayama), at order 0 too.
     if [evaluate(source.row_polynomial(row), alpha) for row in rows] != list(beta.images):
-        raise NotEpimorphismError("internal factorization check failed")
+        raise InternalCheckError("internal factorization check failed")
     if not source.generated_by(rows):
-        raise NotEpimorphismError("constructed substitution is not invertible")
+        raise InternalCheckError("constructed substitution is not invertible")
     return APoint(source, tuple(AlgebraElement(source, row) for row in rows))
 
 
@@ -431,51 +429,3 @@ def group_inverse(law: GroupLaw, p: APoint) -> APoint:
         raise DimensionMismatchError("point has the wrong ambient dimension")
     return APoint(p.algebra, tuple(evaluate(f, p) for f in law.inverse))
 
-
-# -- tangent correspondence ------------------------------------------------------------
-
-
-def tangent_correspondence_check(
-    f: TruncatedPolynomial,
-    point: APoint,
-    field_coefficients: Sequence[TruncatedPolynomial],
-) -> bool:
-    """(Df)(p^A) versus the induced derivative of the real components.
-
-    The induced tangent vector on the component coordinates x^i_alpha has
-    entries (a_i(p^A))_alpha; applying it to the component polynomials of f
-    must reproduce the components of (Df)(p^A), exactly.
-    """
-    n = point.ambient_dimension
-    algebra = point.algebra
-    d = algebra.dimension
-    if len(field_coefficients) != n:
-        raise DimensionMismatchError("need one field coefficient per coordinate")
-
-    bound = max(
-        [f.degree()] + [a.degree() + max(f.degree() - 1, 0) for a in field_coefficients]
-    )
-    bound = max(bound, 1)
-    df = TruncatedPolynomial.zero(n, bound)
-    for i, a in enumerate(field_coefficients):
-        term = truncated_product(a.with_bound(bound), f.derivative(i).with_bound(bound), bound)
-        df = df + term
-    route_one = evaluate(df, point).coordinates
-
-    comps = prolong_polynomial(f, algebra)
-    coords: list[Scalar] = []
-    for img in point.images:
-        coords.extend(img.coordinates)
-    induced = [evaluate(a, point).coordinates for a in field_coefficients]
-    route_two = []
-    for alpha in range(d):
-        total = 0
-        for i in range(n):
-            for beta in range(d):
-                v = induced[i][beta]
-                if v:
-                    partial = comps[alpha].derivative(i * d + beta)
-                    if not partial.is_zero():
-                        total += v * partial.evaluate(coords)
-        route_two.append(total)
-    return list(route_one) == route_two

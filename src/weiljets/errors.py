@@ -27,14 +27,6 @@ class NotEpimorphismError(WeilJetsError):
     source's, or it is not regular (its evaluation is not onto)."""
 
 
-class NotInIdealError(WeilJetsError):
-    """A differential was requested for a function outside the ideal."""
-
-
-class ClassicalityError(WeilJetsError):
-    """Internal consistency failure: a graph jet missed its model invariants."""
-
-
 class WindowTooLargeError(WeilJetsError):
     """A monomial window is larger than the package will allocate."""
 

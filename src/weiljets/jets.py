@@ -19,12 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import (
-    ClassicalityError,
     DimensionMismatchError,
     EmptyQuotientError,
     HintTooSmallError,
     InternalCheckError,
-    NotInIdealError,
 )
 from .monomials import (
     Exponent,
@@ -50,14 +48,11 @@ from .subspace import (
     Subspace,
     _add_multiple,
     apply_columns,
-    apply_rows,
     preimage,
-    sparse,
     span_coordinates,
     transpose,
 )
 from .weil import (
-    AlgebraElement,
     WeilAlgebra,
     _memo,
     _rewindow,
@@ -130,11 +125,6 @@ class Jet:
         )
 
     # -- membership ------------------------------------------------------------
-
-    def contains_polynomial(self, f: TruncatedPolynomial) -> bool:
-        """Membership of a polynomial written in coordinates at the base point."""
-        shifted = f.shift(self.base_point, self.window_bound) if any(self.base_point) else f
-        return self.ideal.contains_vector(shifted.to_sparse(self.window_bound))
 
     def embedded_ideal(self, bound: int) -> Subspace:
         """The ideal as a subspace of a larger window (origin coordinates)."""
@@ -240,7 +230,7 @@ def classical_jet(
         and quotient.width == model.width
     )
     if not ok:
-        raise ClassicalityError(
+        raise InternalCheckError(
             f"graph jet missed the model invariants: got dim {quotient.dimension},"
             f" order {quotient.order}, width {quotient.width}"
         )
@@ -306,31 +296,16 @@ def hat_ideal(p: Jet) -> Jet:
 
 @dataclass(frozen=True)
 class CotangentModule:
-    """p/hat(p) together with the evaluation of differentials."""
+    """p/hat(p), with a basis of representatives."""
 
     jet: Jet
     hat: Jet
     dimension: int
     basis: tuple[TruncatedPolynomial, ...]
 
-    def differential(self, f: TruncatedPolynomial, tangent_coords: Sequence[Scalar]) -> AlgebraElement:
-        """d_p f evaluated on an ambient tangent representative."""
-        p = self.jet
-        if not p.contains_polynomial(f):
-            raise NotInIdealError(
-                f"{format_polynomial(f)} is not in the ideal at the base point"
-            )
-        shifted = f.shift(p.base_point) if any(p.base_point) else f
-        algebra = p.quotient
-        coords = [as_fraction(c) for c in tangent_coords]
-        if len(coords) != p.n * algebra.dimension:
-            raise DimensionMismatchError("tangent representative has the wrong length")
-        value = apply_rows(algebra.differential_rows(shifted), sparse(coords, len(coords)))
-        return AlgebraElement(algebra, value)
-
 
 def cotangent_module(p: Jet) -> CotangentModule:
-    """Basis of p/hat(p) plus the differential evaluator d_p f."""
+    """Basis of p/hat(p): the rows of p that stay independent modulo hat(p)."""
     hat = hat_ideal(p)
     bound = max(p.window_bound, hat.window_bound)
     p_emb = p.embedded_ideal(bound)

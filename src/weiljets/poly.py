@@ -397,9 +397,6 @@ class TruncatedPolynomial:
     def __hash__(self) -> int:
         return hash((self.variable_count, frozenset(self.coefficients.items())))
 
-    def __str__(self) -> str:
-        return format_polynomial(self)
-
     def __repr__(self) -> str:
         return f"TruncatedPolynomial({format_polynomial(self)!r})"
 

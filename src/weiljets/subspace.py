@@ -39,11 +39,10 @@ SparseRow = dict[int, Scalar]  # column -> nonzero canonical scalar
 
 
 def sparse(vector: Sequence, ambient: int) -> SparseRow:
-    """The nonzero entries of a dense vector, as canonical scalars."""
+    """The nonzero entries of a dense vector, as canonical scalars: the
+    package's one dense input (:meth:`WeilAlgebra.element`)."""
     if len(vector) != ambient:
-        raise DimensionMismatchError(
-            f"vector of length {len(vector)} in ambient dimension {ambient}"
-        )
+        raise DimensionMismatchError(f"need {ambient} coordinates, got {len(vector)}")
     row: SparseRow = {}
     for c, v in enumerate(vector):
         if type(v) is not int and (type(v) is not Fraction or v.denominator == 1):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from operator import add
 from typing import Iterable, Sequence
@@ -44,7 +43,6 @@ from .poly import (
     Scalar,
     _Powers,
     _rational,
-    as_fraction,
     format_polynomial,
 )
 from .subspace import (
@@ -55,6 +53,7 @@ from .subspace import (
     apply_columns,
     apply_rows,
     dense,
+    sparse,
 )
 
 def _fraction_row(pairs: Iterable[tuple[int, int]], den: int) -> SparseRow:
@@ -224,16 +223,8 @@ class WeilAlgebra:
         return AlgebraElement(self, self._classes[idx])
 
     def element(self, coordinates: Sequence) -> "AlgebraElement":
-        """The element with the given dense coordinates: the one dense entry."""
-        coords = [
-            c if type(c) is int or (type(c) is Fraction and c.denominator != 1) else as_fraction(c)
-            for c in coordinates
-        ]
-        if len(coords) != self.dimension:
-            raise DimensionMismatchError(
-                f"need {self.dimension} coordinates, got {len(coords)}"
-            )
-        return AlgebraElement(self, {g: c for g, c in enumerate(coords) if c})
+        """The element with the given dense coordinates (:func:`sparse`)."""
+        return AlgebraElement(self, sparse(coordinates, self.dimension))
 
     def _polynomial_class(self, f: TruncatedPolynomial) -> SparseRow:
         """Sparse quotient coordinates of the class of f."""
@@ -613,40 +604,13 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
 
 @dataclass(frozen=True)
 class IdealStabilityReport:
-    """Outcome of the derivation-level check.
+    """Outcome of the derivation-level check."""
 
-    ``der_stable`` comes from the generators of the ideal; the
-    :attr:`witness` is built when it is first read."""
-
-    algebra: WeilAlgebra
-    ideal: Subspace
     der_stable: bool
     note: str = (
         "derivation stability is the infinitesimal criterion; it matches the "
         "full automorphism-group condition only up to the connected component"
     )
-
-    @cached_property
-    def witness(self) -> tuple[int, tuple[Scalar, ...]] | None:
-        """None when stable; else the first (derivation, ideal row) pair, in
-        that order, whose image leaves I, as (k, dense image)."""
-        if self.der_stable:
-            return None
-        k, img = _first_escape(self.algebra, self.ideal, self.ideal.rows.values())
-        return k, tuple(dense(img, self.algebra.dimension))
-
-
-def _first_escape(
-    algebra: WeilAlgebra, ideal: Subspace, elements: Iterable[SparseRow]
-) -> tuple[int, SparseRow] | None:
-    """First (k, delta_k(g)) outside I, derivations outer, elements inner."""
-    maps = [algebra.differential_rows(algebra.row_polynomial(g)) for g in elements]
-    for k, rel in enumerate(derivation_space(algebra).relations.rows.values()):
-        for rows in maps:
-            img = apply_rows(rows, rel)
-            if not ideal.contains_vector(img):
-                return k, img
-    return None
 
 
 def ideal_stability(algebra: WeilAlgebra, ideal: Subspace) -> IdealStabilityReport:
@@ -657,8 +621,6 @@ def ideal_stability(algebra: WeilAlgebra, ideal: Subspace) -> IdealStabilityRepo
     rows of I independent modulo m*I (Nakayama), and delta_k(g) is the
     relation row k of Der(A, A) under the Leibniz rows of g
     (:meth:`WeilAlgebra.differential_rows`, applied by :func:`apply_rows`).
-    ``der_stable`` is decided on those generators alone; the report's
-    witness scans every row of I and is built when it is first read.
     """
     if ideal.ambient_dimension != algebra.dimension:
         raise DimensionMismatchError("ideal must live in the quotient coordinates")
@@ -673,5 +635,10 @@ def ideal_stability(algebra: WeilAlgebra, ideal: Subspace) -> IdealStabilityRepo
                 raise NotAnIdealError(f"not closed under multiplication by generator {i}")
             products.insert(image)
     generators = [row for row in rows if products.insert(row)]
-    stable = _first_escape(algebra, ideal, generators) is None
-    return IdealStabilityReport(algebra, ideal, stable)
+    maps = [algebra.differential_rows(algebra.row_polynomial(g)) for g in generators]
+    stable = all(
+        ideal.contains_vector(apply_rows(rows, rel))
+        for rel in derivation_space(algebra).relations.rows.values()
+        for rows in maps
+    )
+    return IdealStabilityReport(stable)

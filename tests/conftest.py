@@ -7,7 +7,7 @@ from weiljets.apoints import APoint, evaluate, factor_epimorphism, group_inverse
 from weiljets.jets import jet_from_ideal
 from weiljets.monomials import window, window_size
 from weiljets.poly import TruncatedPolynomial, parse_polynomial
-from weiljets.subspace import Echelon, Subspace, apply_columns, sparse
+from weiljets.subspace import Echelon, Subspace, apply_columns, apply_rows, sparse
 from weiljets.weil import AlgebraElement, derivation_space, quotient_algebra
 
 
@@ -386,16 +386,16 @@ def leibniz_columns(ders) -> tuple:
     return tuple(out)
 
 
-def projected_derivations(report):
+def projected_derivations(algebra, ideal, report):
     """Per derivation, the induced map on A/I (rows index the output), read off
     the remainder of each complement column of the Leibniz action against the
-    ideal's echelon; None unless the report found the ideal stable."""
+    ideal's echelon; None unless the stability report found the ideal stable."""
     if not report.der_stable:
         return None
-    complement = report.ideal.free_columns()
-    span = report.ideal.echelon()
+    complement = ideal.free_columns()
+    span = ideal.echelon()
     proj = []
-    for columns in leibniz_columns(derivation_space(report.algebra)):
+    for columns in leibniz_columns(derivation_space(algebra)):
         reduced = [span.reduce(columns[c_in]) for c_in in complement]
         proj.append(tuple(tuple(r.get(c_out, ZERO) for r in reduced) for c_out in complement))
     return tuple(proj)
@@ -503,6 +503,24 @@ def subspace_intersection(u, v):
 def contains_dense(subspace, vector) -> bool:
     """Membership of a dense vector, sparsified first."""
     return subspace.contains_vector(sparse(vector, subspace.ambient_dimension))
+
+
+def jet_contains(jet, f: TruncatedPolynomial) -> bool:
+    """Membership in a jet's ideal of a polynomial written in coordinates at
+    the jet's base point."""
+    shifted = f.shift(jet.base_point, jet.window_bound) if any(jet.base_point) else f
+    return jet.ideal.contains_vector(shifted.to_sparse(jet.window_bound))
+
+
+def differential(jet, f: TruncatedPolynomial, tangent) -> tuple:
+    """d_p f for f in the jet's ideal, on a dense ambient tangent
+    representative in A^n: f's Leibniz rows applied to it, as dense
+    coordinates in A."""
+    assert jet_contains(jet, f)
+    algebra = jet.quotient
+    shifted = f.shift(jet.base_point) if any(jet.base_point) else f
+    value = apply_rows(algebra.differential_rows(shifted), sparse(tangent, jet.n * algebra.dimension))
+    return dense_row(value, algebra.dimension)
 
 
 def to_vector(f: TruncatedPolynomial, bound: int | None = None) -> tuple:

@@ -8,7 +8,6 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -16,7 +15,6 @@ from hypothesis import example, given, settings
 
 from weiljets.apoints import (
     apoint,
-    evaluate,
     group_inverse,
     group_law,
     group_product,

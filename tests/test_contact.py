@@ -15,7 +15,6 @@ from weiljets.jets import (
     contact_and_cartan,
     derived_jet,
     hat_ideal,
-    jet_fields,
     jet_from_ideal,
     normal_form,
     pushforward,
@@ -23,8 +22,8 @@ from weiljets.jets import (
     tangent_module,
     taylor_map,
 )
-from weiljets.monomials import window, window_size
-from weiljets.poly import TruncatedPolynomial, truncated_product
+from weiljets.monomials import window
+from weiljets.poly import TruncatedPolynomial
 from weiljets.session import execute, parse_session
 from weiljets.subspace import Echelon, apply_columns
 from weiljets.weil import WeilAlgebra
@@ -262,7 +261,9 @@ class TestWorkPerFact:
 
     def test_cartan_system_applies_no_row_to_a_relation(self, monkeypatch, n, gens, order):
         p = ladder_jet(n, gens, order)
-        monkeypatch.setattr(jets, "apply_rows", lambda *args: pytest.fail("apply_rows called"))
+        monkeypatch.setattr(
+            jets, "apply_rows", lambda *args: pytest.fail("apply_rows called"), raising=False
+        )
         jets._cartan_system(p)
 
     def test_leibniz_rows_only_for_surviving_generators(self, monkeypatch, n, gens, order):

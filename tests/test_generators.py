@@ -22,6 +22,7 @@ from weiljets import jets, weil
 from weiljets.errors import InternalCheckError
 from weiljets.jets import (
     _assert_fields_project,
+    classical_jet,
     cotangent_module,
     derived_jet,
     hat_ideal,
@@ -275,6 +276,14 @@ class TestChecksFire:
         monkeypatch.setattr(jets, "Echelon", Dropping)
         with pytest.raises(InternalCheckError, match="misses a monomial of the top degree"):
             hat_ideal(p)
+
+    def test_classicality_check_fires_on_a_wrong_model(self, monkeypatch):
+        # The graph of y = x^2 has the invariants of R_1^3; R_2^3 has a larger
+        # dimension and width.
+        model = jets.free_truncated_algebra
+        monkeypatch.setattr(jets, "free_truncated_algebra", lambda m, order: model(m + 1, order))
+        with pytest.raises(InternalCheckError, match="graph jet missed the model invariants"):
+            classical_jet(2, [0, 0], {1: P("x^2", 2)}, 3)
 
     def test_hat_square_check_passes_unperturbed(self):
         p = self.parabola()

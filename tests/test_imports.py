@@ -6,7 +6,9 @@ module-level function or class is referenced somewhere in the package
 outside its own definition; a re-export does not count.  The one exception
 is :data:`AWAITING_OPS`, paper constructions that no session op reaches yet.
 Every non-dunder method of a module-level class is likewise read by name or
-attribute outside its own body, apart from :data:`AWAITING_METHODS`.  No
+attribute outside its own body.  Every module-level import of a test file
+under ``tests/`` is used as well; there a name that a test takes as a
+parameter counts as used, since pytest passes fixtures by name.  No
 package code stores to a private attribute of anything but ``self``: what a
 jet or an algebra derives is cached through ``weil._memo``, in the value's
 own ``_memo`` dict.
@@ -27,6 +29,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weiljets"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_FILES = sorted(TESTS.rglob("*.py"))
 
 # Public constructions of the paper with no package caller, each waiting to be
 # wired into a session op; an entry leaves the set when its op lands.  A
@@ -34,16 +38,6 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # is a ``jet`` binding with no ``generators`` and ``order_hint`` k - 1.
 AWAITING_OPS = {
     "factor_epimorphism": "two regular A-points at a point differ by an automorphism of the source",
-    "tangent_correspondence_check": "Weil's identification of R[eps]-points with tangent vectors",
-}
-
-# Methods that only the tests read, each waiting to be wired into an op or to
-# leave the package; an entry leaves the dict when it gets a package reader.
-AWAITING_METHODS = {
-    "CotangentModule.differential": "the paper's cotangent differential d_p f, for an optional "
-    "poly key on the cotangent op",
-    "IdealStabilityReport.witness": "the first derivation and ideal row that leave I; the "
-    "stability op reports der_stable, and a witness key would change its report",
 }
 
 
@@ -105,6 +99,26 @@ def _used_names(tree: ast.Module) -> set[str]:
     for root in [tree, *_annotation_strings(tree)]:
         used |= {n.id for n in ast.walk(root) if isinstance(n, ast.Name)}
     return used
+
+
+def _parameter_names(tree: ast.Module) -> set[str]:
+    """Names that the functions under tree take as parameters."""
+    return {
+        arg.arg
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+    }
+
+
+def _unused_imports(tree: ast.Module, fixtures: bool = False) -> list[str]:
+    """``name (line N)`` for each module-level import that nothing reads.  With
+    ``fixtures``, a name taken as a parameter counts as read: pytest passes an
+    imported fixture to each test that names it."""
+    used = _used_names(tree) | (_parameter_names(tree) if fixtures else set())
+    return sorted(
+        f"{name} (line {line})" for name, line in _bound_names(tree).items() if name not in used
+    )
 
 
 def _reference_counts(root: ast.AST) -> Counter:
@@ -241,14 +255,23 @@ def test_no_function_local_imports(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
-    tree = _tree(path)
-    used = _used_names(tree)
-    unused = sorted(
-        f"{name} (line {line})"
-        for name, line in _bound_names(tree).items()
-        if name not in used
+    assert _unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: str(p.relative_to(TESTS)))
+def test_no_unused_test_imports(path):
+    assert _unused_imports(_tree(path), fixtures=True) == []
+
+
+def test_test_import_check_counts_fixture_parameters():
+    tree = ast.parse(
+        "import json\n"
+        "from conftest import P, algebra, jet\n"
+        "def test_a(algebra):\n"
+        "    assert P\n"
     )
-    assert unused == []
+    assert _unused_imports(tree, fixtures=True) == ["jet (line 2)", "json (line 1)"]
+    assert _unused_imports(tree) == ["algebra (line 2)", "jet (line 2)", "json (line 1)"]
 
 
 def test_checks_catch_both_faults():
@@ -260,8 +283,7 @@ def test_checks_catch_both_faults():
         "    return comb(x, 2)\n"
     )
     assert _local_imports(tree) == ["line 4 in f: path"]
-    unused = set(_bound_names(tree)) - _used_names(tree)
-    assert unused == {"json", "gcd"}
+    assert _unused_imports(tree) == ["gcd (line 2)", "json (line 1)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -299,8 +321,7 @@ def test_no_dead_public_names():
 
 def test_no_dead_methods():
     trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
-    dead = _dead_methods(trees)
-    assert sorted(entry.split(": ")[1] for entry in dead) == sorted(AWAITING_METHODS)
+    assert _dead_methods(trees) == []
 
 
 def test_dead_helper_check_catches_unreferenced_helpers():

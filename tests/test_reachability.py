@@ -47,19 +47,12 @@ UNREACHED = {
     "apoints.APoint.__repr__": _REPR,
     "apoints.factor_epimorphism": _FACTOR,
     "apoints.factor_epimorphism.lift": _FACTOR,
-    "apoints.tangent_correspondence_check": "Weil's R[eps]-points as tangent vectors, no op yet (AWAITING_OPS)",
-    "jets.CotangentModule.differential": "d_p f, waiting for a poly key on the cotangent op (AWAITING_METHODS)",
     "jets.Jet.__repr__": _REPR,
-    "jets.Jet.contains_polynomial": "read only by CotangentModule.differential",
     "poly.TruncatedPolynomial.__repr__": _REPR,
-    "poly.TruncatedPolynomial.__str__": "reports format polynomials with format_polynomial",
     "subspace.Subspace.__repr__": _REPR,
-    "subspace.sparse": "the one dense input, read only by CotangentModule.differential "
-    "and by the tests' dense constructors",
     "weil.AlgebraElement.__eq__": _ELEMENT,
     "weil.AlgebraElement.__hash__": _ELEMENT,
     "weil.AlgebraElement.__repr__": _REPR,
-    "weil.IdealStabilityReport.witness": "the stability op reports der_stable, not the witness",
     "weil.WeilAlgebra.__repr__": _REPR,
 }
 

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weiljets import apoints
 from weiljets.apoints import apoint, evaluate, factor_epimorphism
 from weiljets.errors import (
     DimensionMismatchError,
     EmptyQuotientError,
+    InternalCheckError,
     NotAnIdealError,
     NotEpimorphismError,
 )
@@ -17,6 +19,7 @@ from weiljets.monomials import monomials_of_degree, window, window_index, window
 from weiljets.poly import TruncatedPolynomial
 from weiljets.subspace import Echelon
 from weiljets.weil import (
+    WeilAlgebra,
     _rewindow,
     _variable_shifts,
     derivation_space,
@@ -340,6 +343,20 @@ class TestFactorEpimorphism:
         with pytest.raises(DimensionMismatchError, match="ambient dimension"):
             factor_epimorphism(self.alpha, three, 1)
 
+    # The two exact self-checks state facts of the construction, so a failure
+    # is a package bug: each is planted by breaking the route it re-checks.
+
+    def test_a_failed_factorization_check_is_an_internal_error(self, monkeypatch):
+        beta = apoint(self.r11, [self.eps, self.eps])
+        monkeypatch.setattr(apoints, "evaluate", lambda f, point: zero(point.algebra))
+        with pytest.raises(InternalCheckError, match="internal factorization check failed"):
+            factor_epimorphism(self.alpha, beta, 1)
+
+    def test_a_singular_substitution_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(WeilAlgebra, "generated_by", lambda self, rows: False)
+        with pytest.raises(InternalCheckError, match="constructed substitution is not invertible"):
+            factor_epimorphism(self.alpha, self.alpha, 1)
+
     def test_invert_substitution(self):
         r13 = free_truncated_algebra(1, 3)
         phi = apoint(r13, [r13.element([0, 1, 1, 0])])  # x + x^2
@@ -351,9 +368,10 @@ class TestFactorEpimorphism:
 class TestIdealStability:
     def test_square_of_maximal_ideal_is_stable(self):
         a = free_truncated_algebra(1, 2)
-        report = ideal_stability(a, maximal_power(a, 2))
+        ideal = maximal_power(a, 2)
+        report = ideal_stability(a, ideal)
         assert report.der_stable
-        assert projected_derivations(report) is not None
+        assert projected_derivations(a, ideal, report) is not None
 
     def test_unstable_principal_ideal(self):
         # In R_2^1 every pair (v_x, v_y) of nilpotents is a derivation, so
@@ -365,7 +383,6 @@ class TestIdealStability:
         ideal = canonical_basis([row], a.dimension)
         report = ideal_stability(a, ideal)
         assert not report.der_stable
-        assert report.witness is not None
 
     def test_principal_ideal_in_square_zero_algebra_is_stable(self):
         # Checking the Leibniz constraints directly: in R[x,y]/(x^2, y^2)
