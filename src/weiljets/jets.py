@@ -564,18 +564,19 @@ def _derived_via_normal_form(p: Jet) -> Jet:
     """p' = (y) + m^l + (Q, d_x Q) in a chart of p, moved back to p's coordinates.
 
     The chart is p's own when p carries one, and otherwise p's normal form.
-    When p' keeps p's width, no element of Q or d_x Q has a linear term, so
-    the chart is adapted to p' as well: p' carries it, with Q' = (Q, d_x Q)
-    truncated at the order of p', and the jet derived from p' needs no
-    normal form.  A width drop (d_v of v^2 is a unit) gives no chart.
+    tau sends y_j to tau_j = y_j + h_j(x) and fixes Q' = (Q, d_x Q), which
+    lives on x, so p' is the quotient by the tau_j and Q', with no
+    substitution.  When p' keeps p's width, no element of Q' has a linear
+    term, so p' carries the chart, with Q' truncated at its order, and the jet
+    derived from p' needs no normal form.  A width drop (d_v of v^2 is a unit)
+    gives no chart.
     """
     n, ell = p.n, p.order
     if ell == 0:
         return p
     chart = p.chart or normal_form(p)
-    bound = p.window_bound
     # sigma^*(m^l) = m^l, which the quotient at hint l - 1 holds by itself.
-    gens = [TruncatedPolynomial.variable(n, bound, j) for j in chart.pivot_variables]
+    gens = [chart.sigma_inverse[j] for j in chart.pivot_variables]
     q_prime: list[TruncatedPolynomial] = []
     for q in chart.q_list:
         q_prime.append(q)
@@ -583,7 +584,7 @@ def _derived_via_normal_form(p: Jet) -> Jet:
             dq = q.derivative(a)
             if not dq.is_zero():
                 q_prime.append(dq)
-    algebra = _pullback(p, gens + q_prime, ell - 1, chart.sigma_inverse)
+    algebra = quotient_algebra(n, ell - 1, gens + q_prime)
     if algebra.width != p.width:
         return Jet(algebra, p.base_point)
     kept = (q.truncate(algebra.order) for q in q_prime)
@@ -606,7 +607,8 @@ def _pullback(
     sigma_inverse: Sequence[TruncatedPolynomial],
 ) -> WeilAlgebra:
     """The quotient by generators written in adapted coordinates, moved back
-    through sigma: the jet's algebra of (pulled generators) + m^{hint+1}."""
+    through sigma: the jet's algebra of (pulled generators) + m^{hint+1}.
+    Its one caller is the oracle, :func:`cartan_generation_oracle`."""
     work_bound = hint + 1
     pull = substitution(sigma_inverse, work_bound)
     pulled = []
@@ -805,9 +807,8 @@ def contact_and_cartan(p: Jet) -> ContactData:
     constant on tangent classes.
 
     The Cartan system is additionally rebuilt from the finite generating
-    family of graph-tangent fields (transported back from the adapted
-    coordinates) so the two routes can be compared exactly.  The result is
-    cached on the jet.
+    family of graph-tangent fields (:func:`_cartan_by_generation`) so the
+    two routes can be compared exactly.  The result is cached on the jet.
     """
     derived, differentials, cartan = _cartan_system(p)
     algebra = p.quotient
@@ -852,17 +853,14 @@ def contact_and_cartan(p: Jet) -> ContactData:
     )
 
 
-def _psi_columns(nf: NormalForm, monomials: Sequence[Exponent]) -> list[SparseRow]:
-    """Psi: [g]_q -> [g o tau]_p on the given monomials, as sparse columns:
-    taking the class is a ring morphism on the window, so psi is the algebra
-    morphism x_i -> [tau_i] of A_p."""
-    algebra = nf.jet.quotient
-    psi = algebra._power_numerators([algebra._polynomial_class(t) for t in nf.sigma_inverse])
-    return [psi.row(exp) for exp in monomials]
-
-
 def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
-    """Cartan system as the span of values of the graph-tangent field family."""
+    """Cartan system as the span of values of the graph-tangent field family.
+
+    A field X takes the value [X(sigma^i)]_q in block i at the transformed
+    jet, moved back through tau.  X's coefficients and the partials of
+    sigma = (x, y - h(x)) live on x, which tau fixes, so the value is
+    [X(sigma^i)] in A = R[x]/p as it stands.
+    """
     n, ell = p.n, p.order
     algebra = p.quotient
     d = algebra.dimension
@@ -871,32 +869,30 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
         return tangent.relations
 
     nf = normal_form(p)
-    # The transformed jet and the iso back to p's presentation.
-    q_jet = _window_jet(n, p.window_bound, nf.transformed_ideal, p.base_point)
-    if q_jet.quotient.dimension != d:
+    # Every column above the order is a unit-row pivot of the transformed
+    # ideal, so its codimension is dim A_q.
+    ideal = nf.transformed_ideal
+    if ideal.ambient_dimension - ideal.dimension != d:
         raise InternalCheckError("transformed jet changed dimension")
-    bq = q_jet.quotient
-    psi_cols = _psi_columns(nf, bq.basis_monomials)
 
-    # The transport A_q^n -> A_p^n, v -> (psi(sum_k [d sigma^i / d x_k]_q v_k))_i,
-    # as one sparse column per coordinate k * d + g of A_q^n.
-    transport = [{} for _ in range(n * d)]
-    for i in range(n):
-        for k in range(n):
-            entry = bq._polynomial_class(nf.sigma[i].derivative(k))
-            if not entry:
-                continue
-            for g, column in enumerate(bq.multiplication_map(entry)):
-                for h, c in apply_columns(psi_cols, column).items():
-                    transport[k * d + g][i * d + h] = c
+    def block(i: int, f: TruncatedPolynomial) -> SparseRow:
+        return {i * d + g: c for g, c in algebra._polynomial_class(f).items()}
 
-    # Family values at the transformed jet.
+    # Column a of sigma's Jacobian: 1 in block a, [-d h_j / d x_a] in block j.
+    jacobian: dict[int, SparseRow] = {a: {} for a in nf.free_variables}
+    for a, column in jacobian.items():
+        for i in range(n):
+            column.update(block(i, nf.sigma[i].derivative(a)))
+
+    # Each field is d/dx^a plus components f_j along pivot variables
+    # (:func:`_graph_tangent_fields`), and d sigma^i / d y_j = delta_ij, so
+    # its value is Jacobian column a plus [f_j] in each block j.
     values = []
     for coeff in _graph_tangent_fields(nf):
-        field_q: SparseRow = {}
+        value: SparseRow = {}
         for k, f in coeff.items():
-            field_q.update((k * d + g, c) for g, c in bq._polynomial_class(f).items())
-        values.append(apply_columns(transport, field_q))
+            _add_multiple(value, 1, jacobian[k] if k in jacobian else block(k, f))
+        values.append(value)
 
     # The Cartan system is the submodule the values generate: a field tangent
     # to X stays tangent under any coefficient, so close under the action of

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from weiljets import jets as jet_module
 from weiljets.apoints import APoint, evaluate, factor_epimorphism, group_inverse, group_product
 from weiljets.jets import jet_from_ideal
 from weiljets.monomials import window, window_size
@@ -295,6 +296,76 @@ def ideal_generators(algebra) -> tuple:
 def class_of(algebra, f: TruncatedPolynomial):
     """The class of a polynomial in the algebra, as an element."""
     return AlgebraElement(algebra, algebra._polynomial_class(f))
+
+
+def reference_class(algebra, f: dict) -> dict:
+    """The class of a window polynomial {exponent: coefficient} in the
+    algebra: its remainder against the defining ideal's canonical rows lies on
+    the free columns, which are the basis monomials."""
+    exps = window(algebra.n, algebra.window_bound)
+    index = {e: c for c, e in enumerate(exps)}
+    rest = algebra.defining_ideal.echelon().reduce({index[e]: c for e, c in f.items()})
+    return {algebra.basis_columns.index(c): v for c, v in rest.items()}
+
+
+def transported_cartan(p) -> Subspace:
+    """The Cartan system of the graph-tangent fields, valued at the
+    transformed jet A_q and transported back to A = A_p.
+
+    The transformed jet is its own Weil algebra; psi: A_q -> A is the class
+    of each basis monomial substituted through tau (``ref_substitute``,
+    ``reference_class``); the transport sends v in A_q^n to
+    (psi(sum_k [d sigma^i / d x_k]_q v_k))_i through A_q's multiplication
+    maps, one per pair (i, k).  The field values are then saturated as the
+    package saturates them.  The package values the fields in closed form.
+    """
+    algebra = p.quotient
+    relations = jet_module.tangent_module(p).relations
+    if p.order == 0:
+        return relations
+    n, d, bound = p.n, algebra.dimension, p.window_bound
+    nf = jet_module.normal_form(p)
+    bq = jet_module._window_jet(n, bound, nf.transformed_ideal, p.base_point).quotient
+    assert bq.dimension == d
+    tau = [t.coefficients for t in nf.sigma_inverse]
+    psi = [
+        reference_class(algebra, ref_substitute({exp: Fraction(1)}, tau, n, bound))
+        for exp in bq.basis_monomials
+    ]
+    transport: list[dict] = [{} for _ in range(n * d)]
+    for i in range(n):
+        for k in range(n):
+            entry = bq._polynomial_class(nf.sigma[i].derivative(k))
+            if entry:
+                for g, column in enumerate(bq.multiplication_map(entry)):
+                    for h, c in apply_columns(psi, column).items():
+                        transport[k * d + g][i * d + h] = c
+    values = []
+    for coeff in jet_module._graph_tangent_fields(nf):
+        field: dict = {}
+        for k, f in coeff.items():
+            field.update((k * d + g, c) for g, c in bq._polynomial_class(f).items())
+        values.append(apply_columns(transport, field))
+    tables = [jet_module._BlockTable(images, d, outer=False) for images in algebra.variable_maps]
+    cartan = relations.echelon()
+    cartan.saturate(values, tables)
+    return cartan.subspace()
+
+
+def pulled_back_derived(p):
+    """The derived jet's algebra with the substitution route: the pivot
+    variables and Q' = (Q, d_x Q) of p's chart (its normal form when it
+    carries none), moved back through tau by ``jets._pullback`` at hint
+    l - 1.  The package passes the images tau_j and Q' straight to the
+    quotient."""
+    if p.order == 0:
+        return p.quotient
+    chart = p.chart or jet_module.normal_form(p)
+    n, bound = p.n, p.window_bound
+    gens = [TruncatedPolynomial.variable(n, bound, j) for j in chart.pivot_variables]
+    for q in chart.q_list:
+        gens += [q] + [dq for a in chart.free_variables if not (dq := q.derivative(a)).is_zero()]
+    return jet_module._pullback(p, gens, p.order - 1, chart.sigma_inverse)
 
 
 def exact_inverse(rows) -> list[list[Fraction]]:

@@ -16,14 +16,12 @@ from weiljets.jets import (
     derived_jet,
     hat_ideal,
     jet_from_ideal,
-    normal_form,
     pushforward,
     tangent_map,
     tangent_module,
     taylor_map,
 )
-from weiljets.monomials import window
-from weiljets.poly import TruncatedPolynomial
+from weiljets.poly import TruncatedPolynomial, _Powers
 from weiljets.session import execute, parse_session
 from weiljets.subspace import Echelon, apply_columns
 from weiljets.weil import WeilAlgebra
@@ -39,7 +37,9 @@ from conftest import (
     power_jet,
     ref_leibniz_columns,
     ref_substitute,
+    reference_class,
     times,
+    transported_cartan,
 )
 
 
@@ -304,16 +304,6 @@ class TestWorkPerFact:
         assert callers.count("_projection_columns") == 1
 
 
-def reference_class(algebra, f: dict) -> dict:
-    """The class of a window polynomial {exponent: coefficient} in the
-    algebra: its remainder against the defining ideal's canonical rows lies on
-    the free columns, which are the basis monomials."""
-    exps = window(algebra.n, algebra.window_bound)
-    index = {e: c for c, e in enumerate(exps)}
-    rest = algebra.defining_ideal.echelon().reduce({index[e]: c for e, c in f.items()})
-    return {algebra.basis_columns.index(c): v for c, v in rest.items()}
-
-
 # The last case draws its jets from Hypothesis; the ladder cases draw nothing,
 # so Hypothesis runs each of them once.
 @settings(max_examples=60, deadline=None)
@@ -323,16 +313,48 @@ def reference_class(algebra, f: dict) -> dict:
     [*LADDER, (2, ["y - x - x^2 - 1/2 x^3"], 3), pytest.param(0, None, 0, id="drawn")],
 )
 def test_psi_columns_are_classes_of_the_window_substitution(n, gens, order, data):
-    # Psi is the algebra morphism x_i -> [tau_i] of A_p; each column must be
-    # the class of the monomial substituted through tau in the window.
+    # Psi: A_q -> A_p is the class of each basis monomial of A_q substituted
+    # through tau in the window.  Those monomials live on x, which tau fixes,
+    # so each column is the monomial's own class in A_p: the package values
+    # each graph-tangent field as [X(sigma^i)] in A_p, and must match the
+    # route through A_q and psi (:func:`conftest.transported_cartan`).
     p = data.draw(drawn_jets()) if gens is None else ladder_jet(n, gens, order)
-    nf = normal_form(p)
-    n, bound = p.n, p.window_bound
-    tau = [t.coefficients for t in nf.sigma_inverse]
-    monomials = window(n, bound)
-    for exp, column in zip(monomials, jets._psi_columns(nf, monomials)):
-        pulled = ref_substitute({exp: Fraction(1)}, tau, n, bound)
-        assert column == reference_class(p.quotient, pulled)
+    if p.order:
+        nf = jets.normal_form(p)
+        n, bound = p.n, p.window_bound
+        tau = [t.coefficients for t in nf.sigma_inverse]
+        bq = jets._window_jet(n, bound, nf.transformed_ideal, p.base_point).quotient
+        for exp in bq.basis_monomials:
+            pulled = ref_substitute({exp: Fraction(1)}, tau, n, bound)
+            own = TruncatedPolynomial.monomial(n, bound, exp)
+            assert reference_class(p.quotient, pulled) == p.quotient._polynomial_class(own)
+    assert contact_and_cartan(p).cartan_generated == transported_cartan(p)
+
+
+def test_generation_builds_no_algebra_and_no_power_cache(monkeypatch):
+    # Every value is a class in A_p already: no transformed algebra A_q, and
+    # no power cache for psi.
+    built = []
+
+    def counting(init):
+        def spy(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        return spy
+
+    for cls in (WeilAlgebra, _Powers):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    for case in [*LADDER, (2, ["y - x - x^2 - 1/2 x^3"], 3)]:
+        p = ladder_jet(*case)
+        # Build first what the route reads from the caches of p and its algebra.
+        derived, _, _ = jets._cartan_system(p)
+        tangent_module(p)
+        jets.normal_form(p)
+        p.quotient.variable_maps
+        built.clear()
+        jets._cartan_by_generation(p, derived)
+        assert built == [], case
 
 
 class TestFieldsProject:

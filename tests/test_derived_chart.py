@@ -17,6 +17,7 @@ batch of ``tests/deep/test_second_derived_jets.py``.
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,8 @@ from weiljets.jets import Jet, cartan_generation_oracle, derived_jet, jet_from_i
 from weiljets.poly import TruncatedPolynomial
 from weiljets.session import execute, parse_session
 
-from conftest import LADDER, P, ladder_jet
+from conftest import LADDER, P, ladder_jet, pulled_back_derived
+from conftest import jets as drawn_jets
 from test_jet_space import COEFFICIENTS, FREE_COORDINATES, graph_case
 
 
@@ -156,18 +158,59 @@ def test_taylor_on_a_graph_jet_builds_one_normal_form(monkeypatch):
 
 def test_the_pullback_receives_no_monomial_of_the_top_degree(monkeypatch):
     # sigma^*(m^l) = m^l, and the quotient at hint l - 1 holds m^l by itself:
-    # p' is pulled back from the pivot variables and (Q, d_x Q) alone.
+    # p' is the quotient by the images tau_j of the pivot variables and by
+    # (Q, d_x Q) alone.  Only the derived jet calls the quotient here: the
+    # jets are bound, and their normal forms built, first.
+    ladder = [ladder_jet(*case) for case in LADDER]
+    for p in ladder:
+        jets.normal_form(p)
     received = []
-    pullback = jets._pullback
+    quotient = jets.quotient_algebra
 
-    def spy(p, gens, hint, sigma_inverse):
-        received.extend((p.order, g) for g in gens)
-        return pullback(p, gens, hint, sigma_inverse)
+    def spy(n, hint, gens):
+        received.extend((hint + 1, g) for g in gens)
+        return quotient(n, hint, gens)
 
-    monkeypatch.setattr(jets, "_pullback", spy)
-    for case in LADDER:
-        derived_jet(derived_jet(ladder_jet(*case)))
+    monkeypatch.setattr(jets, "quotient_algebra", spy)
+    for p in ladder:
+        derived_jet(derived_jet(p))
     assert received
     # At l = 1 the pivot variables themselves are monomials of degree l.
     top = [g for l, g in received if len(g.coefficients) == 1 and g.degree() == l > 1]
     assert top == []
+
+
+def test_derive_builds_no_substitution_map(monkeypatch):
+    # tau fixes Q' and sends y_j to tau_j, so the derived jet substitutes
+    # nothing; the normal form's push through sigma is built first, and the
+    # jet (y^2 - x^3, z) has a zero tail, so its normal form pushes nothing.
+    ladder = [ladder_jet(*case) for case in LADDER]
+    for p in ladder[:-1]:
+        jets.normal_form(p)
+    built = []
+    substitution = jets.substitution
+    monkeypatch.setattr(
+        jets, "substitution", lambda images, bound: built.append(bound) or substitution(images, bound)
+    )
+    for p in ladder:
+        derived_jet(p)
+    bind = {"jet": "p", "vars": 3, "generators": list(LADDER[-1][1]), "order_hint": 3}
+    session = parse_session(json.dumps({"bind": [bind], "run": [{"op": "derive", "of": "p"}]}))
+    assert execute(session).results[0]["ok"]
+    assert built == []
+
+
+# The last case draws its jets from Hypothesis; the ladder cases draw nothing,
+# so Hypothesis runs each of them once.
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("case", [*LADDER, pytest.param(None, id="drawn")])
+def test_the_closed_form_derived_jet_equals_the_pullback(case, data):
+    # p carries no chart; its derived jet carries one when it keeps the
+    # width, and derives in it.
+    p = data.draw(drawn_jets()) if case is None else ladder_jet(*case)
+    for jet in (p, derived_jet(p)):
+        derived = derived_jet(jet).quotient
+        expected = pulled_back_derived(jet)
+        assert derived == expected
+        assert derived.minimal_generators == expected.minimal_generators
