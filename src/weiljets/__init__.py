@@ -44,7 +44,6 @@ from .jets import (
     ContactData,
     CotangentModule,
     Jet,
-    NormalForm,
     TangentMap,
     TangentModule,
     TaylorData,

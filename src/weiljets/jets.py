@@ -15,8 +15,8 @@ from it again needs no second straightening.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -68,17 +68,24 @@ class Chart:
     (pivot variables) + m^{l+1} + (q_list) with each q in the free variables.
 
     The jet is that ideal moved back through ``sigma_inverse``, the
-    substitution (x, y + h(x)) whose h_j are the tails of the degree-1 pivot
-    rows y_j + h_j of the jet the chart was straightened from (see
-    :func:`normal_form`).  A :class:`NormalForm` is a chart; a derived jet
-    carries the chart of the coordinates it was built in (see
-    :func:`_derived_via_normal_form`).
+    substitution tau = (x, y + h(x)) whose h_j are the tails of the degree-1
+    pivot rows y_j + h_j of the jet the chart was straightened from, and
+    ``sigma`` = (x, y - h(x)) is its inverse.  The normal form reads the
+    q_list off that jet's own rows: their pivots hold every monomial with a
+    pivot variable, so a row with a pivot on x alone lies on x (see
+    :func:`normal_form`).  A derived jet carries the chart of the coordinates
+    it was built in (see :func:`_derived_via_normal_form`).
     """
 
     pivot_variables: tuple[int, ...]
     free_variables: tuple[int, ...]
+    sigma: tuple[TruncatedPolynomial, ...]
     sigma_inverse: tuple[TruncatedPolynomial, ...]
     q_list: tuple[TruncatedPolynomial, ...]
+
+    @property
+    def r(self) -> int:
+        return len(self.pivot_variables)
 
 
 class Jet:
@@ -382,17 +389,6 @@ def jet_fields(p: Jet) -> Subspace:
 # -- normal form -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalForm(Chart):
-    """Adapted coordinates where the ideal is (y pivots) + m^{l+1} + (Q(x)):
-    a :class:`Chart` of the jet, with sigma and the transformed ideal."""
-
-    jet: Jet
-    r: int
-    sigma: tuple[TruncatedPolynomial, ...]
-    transformed_ideal: Subspace
-
-
 def _x_columns(
     n: int, bound: int, pivot_vars: Sequence[int], low: int, high: int
 ) -> list[int]:
@@ -409,16 +405,18 @@ def _x_part(
 ) -> Subspace:
     """The elements of the ideal written in the free variables, in degrees low..high.
 
-    ``ideal`` is an ideal of the window (n, bound) that contains every
-    monomial of the top degree ``bound`` and every pivot variable, so also
-    every monomial with a pivot variable.  Those columns are pivots whose
-    canonical rows are unit rows, so every other row is zero there: each
-    canonical row lies on monomials in the free variables of degree at least
-    its pivot's (the layout is graded).  An element of the ideal is the sum of
-    its entries at the pivots times their rows, so the elements on the
-    monomials in the free variables of degree low..high are exactly the span
-    of the rows whose pivot is such a monomial.  Those rows are the canonical
-    rows of the intersection as they stand: no elimination.
+    ``ideal`` is an ideal of the window (n, bound) whose pivots include every
+    monomial of the top degree ``bound`` and every monomial with a pivot
+    variable: a jet's canonical ideal, whose pivots form a monomial ideal that
+    holds each pivot variable (see :func:`normal_form`).  A canonical row is
+    zero at every other pivot, so a row whose pivot is a monomial in the free
+    variables lies on such monomials alone, of degree at least its pivot's
+    (the layout is graded) and below the top degree unless its pivot is
+    there.  An element of the ideal is the sum of its entries at the pivots
+    times their rows, so for ``high`` = bound - 1 or bound the elements on
+    the monomials in the free variables of degree low..high are exactly the
+    span of the rows whose pivot is such a monomial.  Those rows are the
+    canonical rows of the intersection as they stand: no elimination.
     """
     columns = set(_x_columns(n, bound, pivot_vars, low, high))
     return Subspace(
@@ -426,34 +424,8 @@ def _x_part(
     )
 
 
-def _substituted_ideal(
-    ideal: Subspace,
-    n: int,
-    bound: int,
-    substitute: Callable[[TruncatedPolynomial], TruncatedPolynomial],
-) -> Subspace:
-    """The span of the ideal pushed through the straightening substitution.
-
-    sigma sends the variables into m with an invertible linear part, so in
-    the window it maps the span of the monomials of the top degree ``bound``
-    onto itself.  The ideal contains those monomials as unit rows, so they
-    seed the echelon first, as they stand, and only the lower rows are pushed
-    and inserted; each insertion clears its top-degree entries against the
-    seeded rows, which keeps the form reduced.
-    """
-    degs = degrees(n, bound)
-    span = Echelon(
-        ideal.ambient_dimension,
-        {p: row for p, row in ideal.rows.items() if degs[p] == bound},
-    )
-    for p, r in ideal.rows.items():
-        if degs[p] < bound:
-            span.insert(substitute(TruncatedPolynomial.from_sparse(n, bound, r)).to_sparse(bound))
-    return span.subspace()
-
-
 @_memo
-def normal_form(p: Jet) -> NormalForm:
+def normal_form(p: Jet) -> Chart:
     """Straighten the jet to (y^1..y^r) + m^{l+1} + (Q^h(x)), in closed form.
 
     The layout is graded, so it is a monomial order and the pivots of p's
@@ -463,13 +435,13 @@ def normal_form(p: Jet) -> NormalForm:
     other pivot, so the row with pivot y_j is y_j + h_j, with h_j on
     monomials in the free variables x alone.  Then sigma = (x, y - h(x))
     sends that row to y_j, and tau = (x, y + h(x)) is its exact inverse.
-    p's ideal is pushed through sigma once, only its rows below the top
-    degree (:func:`_substituted_ideal`), and not at all when every h_j is
-    zero.  The transformed ideal I is checked to contain every pivot
-    variable, so its x-part is a filter of its canonical rows
-    (:func:`_x_part`).  (y^1..y^r) + m^{l+1} is a monomial ideal, so its
-    echelon starts as unit rows; each Q row that it does not yet contain is
-    saturated into it, and the result must equal I exactly.
+    sigma fixes every polynomial in x, so the elements of sigma^*(p) on x are
+    those of p: Q is read off p's own rows (:func:`_x_part`), with no push
+    through sigma.  (y^1..y^r) + m^{l+1} is a monomial ideal, so its echelon
+    starts as unit rows, and each Q row that it does not yet contain is
+    saturated into it.  The rebuilt ideal J lies in sigma^*(p): each y_j is
+    sigma^*(y_j + h_j) and each Q row lies in p on x.  So J equals
+    sigma^*(p) exactly when its codimension is dim A_p.
     """
     n, ell = p.n, p.order
     bound = p.window_bound
@@ -487,8 +459,7 @@ def normal_form(p: Jet) -> NormalForm:
                 TruncatedPolynomial(n, sub_bound, {exps[c]: v for c, v in row.items() if c != piv})
             )
     free_vars = [i for i in range(n) if i not in set(pivot_vars)]
-    r = len(pivot_vars)
-    if r != n - p.width:
+    if len(pivot_vars) != n - p.width:
         raise InternalCheckError("degree-1 rank disagrees with the width")
     # With every h_j on x alone, tau fixes x, so sigma_j(tau) = y_j + h_j(x)
     # - h_j(x) = y_j: this check is also the one that tau inverts sigma.
@@ -500,21 +471,11 @@ def normal_form(p: Jet) -> NormalForm:
     for j, h in zip(pivot_vars, tails):
         sigma[j] = identity[j] - h
         tau[j] = identity[j] + h
-    current = p.ideal
-    if any(h.coefficients for h in tails):
-        current = _substituted_ideal(current, n, bound, substitution(sigma, bound))
-
-    for j in pivot_vars:
-        if not current.contains_vector(TruncatedPolynomial.variable(n, bound, j).to_sparse(bound)):
-            raise InternalCheckError("pivot variable missing from the transformed ideal")
-
-    # Q list: the x-only part in degrees 2..l, pruned of redundant rows.
-    x_part = _x_part(current, n, bound, pivot_vars, 2, ell)
 
     # (y^1..y^r) + m^{l+1} is a monomial ideal: its echelon is the unit rows
     # of the monomials with a pivot variable or of degree l + 1.
     generated = Echelon(
-        current.ambient_dimension,
+        len(exps),
         {
             c: {c: 1}
             for c, e in enumerate(exps)
@@ -523,24 +484,20 @@ def normal_form(p: Jet) -> NormalForm:
     )
     shifts = _variable_shifts(n, bound)
     q_list: list[TruncatedPolynomial] = []
-    for probe in x_part.rows.values():
+    for probe in _x_part(p.ideal, n, bound, pivot_vars, 2, ell).rows.values():
         if not generated.reduce(probe):
             continue
         q_list.append(TruncatedPolynomial.from_sparse(n, bound, probe))
         generated.saturate([probe], shifts)
-    rebuilt = generated.subspace()
-    if rebuilt != current:
+    if len(exps) - len(generated.rows) != p.quotient.dimension:
         raise InternalCheckError("normal form identity failed to verify")
 
-    return NormalForm(
+    return Chart(
         pivot_variables=tuple(pivot_vars),
         free_variables=tuple(free_vars),
+        sigma=tuple(sigma),
         sigma_inverse=tuple(tau),
         q_list=tuple(q_list),
-        jet=p,
-        r=r,
-        sigma=tuple(sigma),
-        transformed_ideal=current,
     )
 
 
@@ -589,14 +546,7 @@ def _derived_via_normal_form(p: Jet) -> Jet:
         return Jet(algebra, p.base_point)
     kept = (q.truncate(algebra.order) for q in q_prime)
     return Jet(
-        algebra,
-        p.base_point,
-        chart=Chart(
-            chart.pivot_variables,
-            chart.free_variables,
-            chart.sigma_inverse,
-            tuple(q for q in kept if not q.is_zero()),
-        ),
+        algebra, p.base_point, chart=replace(chart, q_list=tuple(q for q in kept if not q.is_zero()))
     )
 
 
@@ -619,20 +569,21 @@ def _pullback(
     return quotient_algebra(p.n, hint, pulled)
 
 
-def _graph_tangent_fields(nf: NormalForm) -> list[dict[int, TruncatedPolynomial]]:
-    """The finite graph-tangent field family in adapted coordinates.
+def _graph_tangent_fields(p: Jet) -> list[dict[int, TruncatedPolynomial]]:
+    """The finite graph-tangent field family in the adapted coordinates of
+    p's normal form.
 
     Each field is a dict {variable index: polynomial coefficient}: the
     coordinate fields d/dx^a of the base graph, and d/dx^a + dF/dx^a d/dy^j
-    for F a top-degree form in the free variables or an element of the x-part
-    of the transformed ideal.  The x-part up to degree l+1 already holds each
-    top-degree monomial in the free variables as a unit row, so its rows give
-    every form once.
+    for F a top-degree form in the free variables or an element of the ideal
+    on x, which sigma fixes, so p's own x-part (:func:`_x_part`).  The x-part
+    up to degree l+1 already holds each top-degree monomial in the free
+    variables as a unit row, so its rows give every form once.
     """
-    p = nf.jet
+    nf = normal_form(p)
     n, bound = p.n, p.window_bound
     xs, ys = nf.free_variables, nf.pivot_variables
-    h_basis = _x_part(nf.transformed_ideal, n, bound, ys, 2, bound)
+    h_basis = _x_part(p.ideal, n, bound, ys, 2, bound)
     forms = [TruncatedPolynomial.from_sparse(n, bound, r) for r in h_basis.rows.values()]
     one = TruncatedPolynomial.constant(n, bound, 1)
     fields = [{a: one} for a in xs]
@@ -668,7 +619,7 @@ def cartan_generation_oracle(p: Jet) -> Jet:
     ideal_gens += list(nf.q_list)
 
     derived_rows: dict[TruncatedPolynomial, None] = {}
-    for coeff in _graph_tangent_fields(nf):
+    for coeff in _graph_tangent_fields(p):
         for g in ideal_gens:
             total = TruncatedPolynomial.zero(n, bound)
             for i, a in coeff.items():
@@ -856,8 +807,8 @@ def contact_and_cartan(p: Jet) -> ContactData:
 def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     """Cartan system as the span of values of the graph-tangent field family.
 
-    A field X takes the value [X(sigma^i)]_q in block i at the transformed
-    jet, moved back through tau.  X's coefficients and the partials of
+    A field X takes the value [X(sigma^i)] in block i modulo sigma^*(p),
+    moved back through tau.  X's coefficients and the partials of
     sigma = (x, y - h(x)) live on x, which tau fixes, so the value is
     [X(sigma^i)] in A = R[x]/p as it stands.
     """
@@ -869,11 +820,6 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
         return tangent.relations
 
     nf = normal_form(p)
-    # Every column above the order is a unit-row pivot of the transformed
-    # ideal, so its codimension is dim A_q.
-    ideal = nf.transformed_ideal
-    if ideal.ambient_dimension - ideal.dimension != d:
-        raise InternalCheckError("transformed jet changed dimension")
 
     def block(i: int, f: TruncatedPolynomial) -> SparseRow:
         return {i * d + g: c for g, c in algebra._polynomial_class(f).items()}
@@ -888,7 +834,7 @@ def _cartan_by_generation(p: Jet, derived: Jet) -> Subspace:
     # (:func:`_graph_tangent_fields`), and d sigma^i / d y_j = delta_ij, so
     # its value is Jacobian column a plus [f_j] in each block j.
     values = []
-    for coeff in _graph_tangent_fields(nf):
+    for coeff in _graph_tangent_fields(p):
         value: SparseRow = {}
         for k, f in coeff.items():
             _add_multiple(value, 1, jacobian[k] if k in jacobian else block(k, f))

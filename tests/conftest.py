@@ -7,7 +7,7 @@ from weiljets import jets as jet_module
 from weiljets.apoints import APoint, evaluate, factor_epimorphism, group_inverse, group_product
 from weiljets.jets import jet_from_ideal
 from weiljets.monomials import window, window_size
-from weiljets.poly import TruncatedPolynomial, parse_polynomial
+from weiljets.poly import TruncatedPolynomial, parse_polynomial, substitution
 from weiljets.subspace import Echelon, Subspace, apply_columns, apply_rows, sparse
 from weiljets.weil import AlgebraElement, derivation_space, quotient_algebra
 
@@ -308,6 +308,38 @@ def reference_class(algebra, f: dict) -> dict:
     return {algebra.basis_columns.index(c): v for c, v in rest.items()}
 
 
+def transformed_ideal(p) -> Subspace:
+    """sigma^*(p): the span of p's ideal pushed through the straightening
+    substitution sigma of ``normal_form(p)``, by ``poly.substitution``.
+
+    sigma sends the variables into m with an invertible linear part, so in
+    the window it maps the span of the monomials of the top degree onto
+    itself.  The ideal holds those monomials as unit rows, so they seed the
+    echelon as they stand, and only the lower rows are pushed and inserted.
+    The package reads the normal form off p's own rows and pushes nothing.
+    """
+    n, bound = p.n, p.window_bound
+    push = substitution(list(jet_module.normal_form(p).sigma), bound)
+    degrees = [sum(e) for e in window(n, bound)]
+    span = Echelon(
+        p.ideal.ambient_dimension,
+        {c: row for c, row in p.ideal.rows.items() if degrees[c] == bound},
+    )
+    for c, row in p.ideal.rows.items():
+        if degrees[c] < bound:
+            span.insert(push(TruncatedPolynomial.from_sparse(n, bound, row)).to_sparse(bound))
+    return span.subspace()
+
+
+def normal_form_ideal(p) -> Subspace:
+    """(y) + m^{l+1} + (Q) at p's window, for the pivot variables y and the
+    Q list of ``normal_form(p)``: the ideal that ``transformed_ideal(p)``
+    has to equal."""
+    nf = jet_module.normal_form(p)
+    ys = [TruncatedPolynomial.variable(p.n, p.window_bound, j) for j in nf.pivot_variables]
+    return quotient_algebra(p.n, p.order, ys + list(nf.q_list)).defining_ideal
+
+
 def transported_cartan(p) -> Subspace:
     """The Cartan system of the graph-tangent fields, valued at the
     transformed jet A_q and transported back to A = A_p.
@@ -325,7 +357,7 @@ def transported_cartan(p) -> Subspace:
         return relations
     n, d, bound = p.n, algebra.dimension, p.window_bound
     nf = jet_module.normal_form(p)
-    bq = jet_module._window_jet(n, bound, nf.transformed_ideal, p.base_point).quotient
+    bq = jet_module._window_jet(n, bound, transformed_ideal(p), p.base_point).quotient
     assert bq.dimension == d
     tau = [t.coefficients for t in nf.sigma_inverse]
     psi = [
@@ -341,7 +373,7 @@ def transported_cartan(p) -> Subspace:
                     for h, c in apply_columns(psi, column).items():
                         transport[k * d + g][i * d + h] = c
     values = []
-    for coeff in jet_module._graph_tangent_fields(nf):
+    for coeff in jet_module._graph_tangent_fields(p):
         field: dict = {}
         for k, f in coeff.items():
             field.update((k * d + g, c) for g, c in bq._polynomial_class(f).items())

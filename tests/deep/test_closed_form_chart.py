@@ -1,4 +1,4 @@
-"""The closed-form chart against the two substitution routes, on a drawn batch.
+"""The closed-form chart against the substitution routes, on a drawn batch.
 
 300 jets drawn with seed 1 (``random.Random(1)``) in 2 to 4 variables, of
 order 1 to 5 in two variables and 1 to 3 in three or four.  Their generators
@@ -8,6 +8,9 @@ linear term) and width-dropping (the square of a linear form, with a graph
 generator in half the draws), each at the origin or, in half the draws, at
 a rational point where the generators vanish.  For each jet:
 
+- p pushed through sigma row by row (``conftest.transformed_ideal``) is
+  the ideal of the pivot variables and the Q list that the normal form
+  reads off p's own rows (``conftest.normal_form_ideal``);
 - the Cartan system of the graph-tangent fields, valued in closed form,
   equals the route through the transformed algebra and psi
   (``conftest.transported_cartan``);
@@ -30,7 +33,7 @@ import pytest
 from weiljets.jets import contact_and_cartan, derived_jet, jet_from_ideal, normal_form
 from weiljets.poly import TruncatedPolynomial, truncated_product
 
-from conftest import pulled_back_derived, transported_cartan
+from conftest import normal_form_ideal, pulled_back_derived, transformed_ideal, transported_cartan
 
 SEED, JETS = 1, 300
 COEFFICIENTS = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2))
@@ -98,6 +101,8 @@ def test_closed_form_chart_matches_the_substitution_routes():
         jets += 1
         nf = normal_form(p)
         tails += any(len(nf.sigma_inverse[j].coefficients) > 1 for j in nf.pivot_variables)
+        if transformed_ideal(p) != normal_form_ideal(p):
+            bad.append(f"{kind.__name__}, {p!r} at {p.base_point}: Q list")
         if contact_and_cartan(p).cartan_generated != transported_cartan(p):
             bad.append(f"{kind.__name__}, {p!r} at {p.base_point}: generated Cartan system")
         derived = derived_jet(p)

@@ -39,6 +39,7 @@ from conftest import (
     ref_substitute,
     reference_class,
     times,
+    transformed_ideal,
     transported_cartan,
 )
 
@@ -323,7 +324,7 @@ def test_psi_columns_are_classes_of_the_window_substitution(n, gens, order, data
         nf = jets.normal_form(p)
         n, bound = p.n, p.window_bound
         tau = [t.coefficients for t in nf.sigma_inverse]
-        bq = jets._window_jet(n, bound, nf.transformed_ideal, p.base_point).quotient
+        bq = jets._window_jet(n, bound, transformed_ideal(p), p.base_point).quotient
         for exp in bq.basis_monomials:
             pulled = ref_substitute({exp: Fraction(1)}, tau, n, bound)
             own = TruncatedPolynomial.monomial(n, bound, exp)

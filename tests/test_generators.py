@@ -9,7 +9,6 @@ pin the memo of every builder that caches on a jet or an algebra.
 """
 
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -285,19 +284,6 @@ class TestChecksFire:
         monkeypatch.setattr(jets, "free_truncated_algebra", lambda m, order: model(m + 1, order))
         with pytest.raises(InternalCheckError, match="graph jet missed the model invariants"):
             classical_jet(2, [0, 0], {1: P("x^2", 2)}, 3)
-
-    def test_transformed_dimension_check_fires_on_a_dropped_row(self, monkeypatch):
-        # Dropping the row of y leaves canonical rows of an ideal one
-        # dimension smaller, so its quotient is one dimension larger than A.
-        p = self.parabola()
-        derived = derived_jet(p)
-        nf = jets.normal_form(p)
-        rows = dict(nf.transformed_ideal.rows)
-        del rows[min(rows)]
-        dropped = replace(nf, transformed_ideal=Subspace(nf.transformed_ideal.ambient_dimension, rows))
-        monkeypatch.setattr(jets, "normal_form", lambda q: dropped)
-        with pytest.raises(InternalCheckError, match="transformed jet changed dimension"):
-            jets._cartan_by_generation(p, derived)
 
     def test_hat_square_check_passes_unperturbed(self):
         p = self.parabola()

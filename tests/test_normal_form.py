@@ -11,9 +11,12 @@ tau <- Lin^{-1} (x - N o tau) with ``ref_substitute``, so it assumes nothing
 about the form of h, and both compositions are expanded by ``ref_substitute``.
 
 The oracle is ``conftest.subspace_intersection`` (Zassenhaus' method, in
-twice the ambient dimension) of the transformed ideal with the coordinate
-subspace of the monomials in the free variables, built here from the window
-layout.  It assumes nothing about where the transformed ideal's pivots lie.
+twice the ambient dimension) of p's ideal with the coordinate subspace of
+the monomials in the free variables, built here from the window layout.  It
+assumes nothing about where the ideal's pivots lie.  sigma fixes every
+polynomial in the free variables, so p and sigma^*(p)
+(``conftest.transformed_ideal``, the push through sigma) have the same
+x-part, and the package reads it off p's own rows.
 """
 
 from fractions import Fraction
@@ -36,9 +39,11 @@ from conftest import (
     all_passes_inverse,
     jets as drawn_jets,
     ladder_jet,
+    normal_form_ideal,
     rationals,
     ref_substitute,
     subspace_intersection,
+    transformed_ideal,
 )
 from test_derived_chart import non_graph_case
 
@@ -69,8 +74,7 @@ def coordinate_subspace(n, bound, pivot_vars, low, high):
 
 
 def check_x_part(p):
-    nf = normal_form(p)
-    ideal, ys = nf.transformed_ideal, nf.pivot_variables
+    ideal, ys = p.ideal, normal_form(p).pivot_variables
     n, bound = p.n, p.window_bound
     for high in (p.order, bound):
         expected = subspace_intersection(ideal, coordinate_subspace(n, bound, ys, 2, high))
@@ -150,30 +154,36 @@ def test_a_pivot_variable_in_a_tail_fails_the_normal_form():
         normal_form(planted)
 
 
-@pytest.mark.parametrize(
-    "degree, message",
-    [
-        (1, "pivot variable missing"),
-        (2, "normal form identity failed"),
-        (3, "normal form identity failed"),
-        (4, "normal form identity failed"),
-    ],
-)
-def test_a_lost_pivot_monomial_row_fails_the_normal_form(monkeypatch, degree, message):
-    # y - x^2 at order 3 is pushed through sigma = (x, y + x^2); y is the
-    # pivot variable.
-    p = jet_from_ideal(2, [0, 0], [P("y - x^2", 2)], 3)
-    exps = window(2, p.window_bound)
-    original = jets._substituted_ideal
+NON_CLASSICAL = ((3, ["z", "x^2"], 2), (3, ["z - x^2", "y^3 - x y"], 3))
 
-    def dropping(ideal, n, bound, substitute):
-        out = original(ideal, n, bound, substitute)
-        lost = next(c for c in out.rows if exps[c][1] and sum(exps[c]) == degree)
+
+@pytest.mark.parametrize("n, gens, order", NON_CLASSICAL + ((3, ["y^2 - x^3", "z"], 3),))
+def test_a_lost_q_row_fails_the_normal_form(monkeypatch, n, gens, order):
+    # Each of these jets has one Q row, a row of p on the free variables.
+    # Without it the rebuilt ideal (y) + m^{l+1} + (Q) is too small, so its
+    # codimension exceeds dim A_p.
+    p = ladder_jet(n, gens, order)
+    assert normal_form(p).q_list
+    original = jets._x_part
+
+    def dropping(*args):
+        out = original(*args)
+        lost = min(out.rows)
         return Subspace(out.ambient_dimension, {c: r for c, r in out.rows.items() if c != lost})
 
-    monkeypatch.setattr(jets, "_substituted_ideal", dropping)
-    with pytest.raises(InternalCheckError, match=message):
-        normal_form(p)
+    monkeypatch.setattr(jets, "_x_part", dropping)
+    with pytest.raises(InternalCheckError, match="normal form identity failed"):
+        normal_form(ladder_jet(n, gens, order))
+
+
+@pytest.mark.parametrize("n, gens, order", LADDER + NON_CLASSICAL)
+def test_q_rows_span_the_transformed_ideal(n, gens, order):
+    # sigma^*(p), pushed through sigma row by row, is the ideal of the pivot
+    # variables and the Q list read off p, at p's window, for p and for the
+    # jet derived from it.
+    p = ladder_jet(n, gens, order)
+    for jet in (p, derived_jet(p)):
+        assert transformed_ideal(jet) == normal_form_ideal(jet)
 
 
 # -- counted work ------------------------------------------------------------------
@@ -182,24 +192,18 @@ def test_a_lost_pivot_monomial_row_fails_the_normal_form(monkeypatch, degree, me
 @pytest.mark.parametrize("n, gens, order", LADDER)
 def test_x_part_makes_no_elimination(inserts_outside_saturation, n, gens, order):
     p = ladder_jet(n, gens, order)
-    nf = normal_form(p)
+    ys = normal_form(p).pivot_variables
     del inserts_outside_saturation[:]
     for high in (p.order, p.window_bound):
-        _x_part(nf.transformed_ideal, n, p.window_bound, nf.pivot_variables, 2, high)
+        _x_part(p.ideal, n, p.window_bound, ys, 2, high)
     assert inserts_outside_saturation == []
-
-
-NON_CLASSICAL = ((3, ["z", "x^2"], 2), (3, ["z - x^2", "y^3 - x y"], 3))
 
 
 @pytest.mark.parametrize("n, gens, order", LADDER + NON_CLASSICAL)
 def test_normal_form_pushes_only_the_lower_rows(monkeypatch, inserts_outside_saturation, n, gens, order):
+    # The normal form pushes no row at all: Q is read off p's own rows, so
+    # nothing is inserted outside saturation.
     p = ladder_jet(n, gens, order)
-    stages = []
-    substituted = jets._substituted_ideal
-    monkeypatch.setattr(
-        jets, "_substituted_ideal", lambda *args: stages.append(args) or substituted(*args)
-    )
     saturated = []
     saturate = Echelon.saturate
 
@@ -211,35 +215,19 @@ def test_normal_form_pushes_only_the_lower_rows(monkeypatch, inserts_outside_sat
     monkeypatch.setattr(Echelon, "saturate", recorded)
     del inserts_outside_saturation[:]
     nf = normal_form(p)
-    bound = p.window_bound
-    exps = window(n, bound)
-    # Outside saturation the only inserts are the pushed rows of p below the
-    # top degree, in one push at most, and never a row of the top degree.
-    lower = sum(1 for c in p.ideal.rows if sum(exps[c]) < bound)
-    assert len(stages) <= 1
-    assert all(ambient == len(exps) for ambient, _ in inserts_outside_saturation)
-    pushed = [row for _, row in inserts_outside_saturation]
-    assert len(pushed) == len(stages) * lower
-    assert all(sum(exps[min(row)]) < bound for row in pushed)
+    assert inserts_outside_saturation == []
     # The monomial block is seeded: each saturation starts from one Q row.
-    assert saturated == [[q.to_sparse(bound)] for q in nf.q_list]
+    assert saturated == [[q.to_sparse(p.window_bound)] for q in nf.q_list]
 
 
 @pytest.mark.parametrize("n, gens, order", LADDER + NON_CLASSICAL + ((2, [], 2),))
 def test_normal_form_builds_only_the_push_map(monkeypatch, n, gens, order):
-    # The one substitution map is the push through sigma, built when some h_j
-    # is nonzero.  tau = (x, y + h(x)) fixes x and no h_j holds a pivot
-    # variable (check 5), so sigma o tau = id needs no map of its own.
+    # normal_form builds no substitution map: sigma fixes the free variables,
+    # so Q is read off p with no push; tau = (x, y + h(x)) fixes x and no h_j
+    # holds a pivot variable (check 5), so sigma o tau = id needs no map.
     p = ladder_jet(n, gens, order)
-    built = []
-    substitution = jets.substitution
-    monkeypatch.setattr(
-        jets, "substitution", lambda images, bound: built.append(bound) or substitution(images, bound)
-    )
-    nf = normal_form(p)
-    sub_bound = max(p.order, 1)
-    pushed = list(nf.sigma) != [TruncatedPolynomial.variable(n, sub_bound, i) for i in range(n)]
-    assert built == ([p.window_bound] if pushed else [])
+    monkeypatch.setattr(jets, "substitution", lambda *args: pytest.fail("substitution map built"))
+    normal_form(p)
 
 
 @pytest.mark.parametrize("n, gens, order", LADDER + NON_CLASSICAL)
@@ -253,7 +241,7 @@ def test_jet_fields_insert_only_the_derivation_rows(inserts_outside_saturation, 
 
 @pytest.mark.parametrize("n, gens, order", LADDER)
 def test_graph_tangent_fields_have_no_duplicate(n, gens, order):
-    fields = jets._graph_tangent_fields(normal_form(ladder_jet(n, gens, order)))
+    fields = jets._graph_tangent_fields(ladder_jet(n, gens, order))
     keys = [tuple(sorted(field.items())) for field in fields]
     assert len(set(keys)) == len(keys)
 
@@ -267,4 +255,4 @@ def test_graph_tangent_fields_have_no_duplicate(n, gens, order):
     ],
 )
 def test_graph_tangent_field_counts(n, gens, order, count):
-    assert len(jets._graph_tangent_fields(normal_form(ladder_jet(n, gens, order)))) == count
+    assert len(jets._graph_tangent_fields(ladder_jet(n, gens, order))) == count

@@ -4,6 +4,7 @@ Every input either gives a result or a typed error: exit 2 for a bad binding,
 one structured per-command error for a bad command, and never a traceback.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -406,3 +407,39 @@ def test_readme_example_parses_and_runs():
     example = section[start : section.index("```", start)]
     report = execute(parse_session(example))
     assert report.exit_status == 0 and len(report.results) == 4
+
+
+# -- the README lists every internal check ----------------------------------------------
+
+
+def _raised_check_messages() -> list[str]:
+    """The message of every ``raise InternalCheckError(...)`` in the package,
+    read with ``ast``.  An f-string's message is its constant text before the
+    first replacement field, up to the colon that introduces the details."""
+    messages = []
+    for path in sorted((ROOT / "src" / "weiljets").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            if getattr(node.exc.func, "id", None) != "InternalCheckError":
+                continue
+            (message,) = node.exc.args
+            if isinstance(message, ast.JoinedStr):
+                prefix = ""
+                for part in message.values:
+                    if not isinstance(part, ast.Constant):
+                        break
+                    prefix += part.value
+                messages.append(prefix.partition(":")[0])
+            else:
+                messages.append(message.value)
+    return messages
+
+
+def test_readme_check_table_lists_every_raise_site():
+    text = (ROOT / "README.md").read_text()
+    start = text.index("| # | Site | Fact checked |")
+    table = text[start : text.index("\n\n", start)]
+    documented = re.findall(r'^ *\| \d+ \| `\w+`[^"|]*: "([^"]+)" \|', table, re.M)
+    raised = _raised_check_messages()
+    assert sorted(documented) == sorted(raised)
