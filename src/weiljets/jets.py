@@ -8,14 +8,12 @@ computation happens at the origin after an exact translation.
 The derived jet is produced twice over: through the adapted normal form
 (y^1..y^r) + m^{l+1} + (Q^h(x)) and, independently, by applying the finite
 family of graph-tangent fields and saturating.  Their agreement is one of
-the package's standing checks.  A derived jet of the same width keeps the
-adapted coordinates it was built in (its :class:`Chart`), so the jet derived
-from it again needs no second straightening.
+the package's standing checks.  Every chart of a jet is its normal form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -39,7 +37,6 @@ from .poly import (
     _rational,
     as_fraction,
     format_polynomial,
-    substitution,
     truncated_product,
 )
 from .subspace import (
@@ -73,8 +70,7 @@ class Chart:
     ``sigma`` = (x, y - h(x)) is its inverse.  The normal form reads the
     q_list off that jet's own rows: their pivots hold every monomial with a
     pivot variable, so a row with a pivot on x alone lies on x (see
-    :func:`normal_form`).  A derived jet carries the chart of the coordinates
-    it was built in (see :func:`_derived_via_normal_form`).
+    :func:`normal_form`).
     """
 
     pivot_variables: tuple[int, ...]
@@ -89,18 +85,10 @@ class Chart:
 
 
 class Jet:
-    """An ideal of the local model at a point, in canonical form.
-
-    ``chart``, when given, is a :class:`Chart` of the ideal; it takes no part
-    in equality or hashing.
-    """
+    """An ideal of the local model at a point, in canonical form."""
 
     def __init__(
-        self,
-        quotient: WeilAlgebra,
-        base_point: tuple[Scalar, ...],
-        classical: bool = False,
-        chart: Chart | None = None,
+        self, quotient: WeilAlgebra, base_point: tuple[Scalar, ...], classical: bool = False
     ):
         self.quotient = quotient
         self.n = quotient.n
@@ -110,7 +98,6 @@ class Jet:
         self.window_bound = quotient.window_bound
         self.ideal = quotient.defining_ideal
         self.classical = classical
-        self.chart = chart
         self._memo: dict[tuple, object] = {}
 
     def __eq__(self, other) -> bool:
@@ -518,55 +505,26 @@ def derived_jet(p: Jet, verify: bool = False) -> Jet:
 
 @_memo
 def _derived_via_normal_form(p: Jet) -> Jet:
-    """p' = (y) + m^l + (Q, d_x Q) in a chart of p, moved back to p's coordinates.
+    """p' = (y) + m^l + (Q, d_x Q) in p's normal form, moved back to p's coordinates.
 
-    The chart is p's own when p carries one, and otherwise p's normal form.
     tau sends y_j to tau_j = y_j + h_j(x) and fixes Q' = (Q, d_x Q), which
     lives on x, so p' is the quotient by the tau_j and Q', with no
-    substitution.  When p' keeps p's width, no element of Q' has a linear
-    term, so p' carries the chart, with Q' truncated at its order, and the jet
-    derived from p' needs no normal form.  A width drop (d_v of v^2 is a unit)
-    gives no chart.
+    substitution.
     """
     n, ell = p.n, p.order
     if ell == 0:
         return p
-    chart = p.chart or normal_form(p)
+    nf = normal_form(p)
     # sigma^*(m^l) = m^l, which the quotient at hint l - 1 holds by itself.
-    gens = [chart.sigma_inverse[j] for j in chart.pivot_variables]
+    gens = [nf.sigma_inverse[j] for j in nf.pivot_variables]
     q_prime: list[TruncatedPolynomial] = []
-    for q in chart.q_list:
+    for q in nf.q_list:
         q_prime.append(q)
-        for a in chart.free_variables:
+        for a in nf.free_variables:
             dq = q.derivative(a)
             if not dq.is_zero():
                 q_prime.append(dq)
-    algebra = quotient_algebra(n, ell - 1, gens + q_prime)
-    if algebra.width != p.width:
-        return Jet(algebra, p.base_point)
-    kept = (q.truncate(algebra.order) for q in q_prime)
-    return Jet(
-        algebra, p.base_point, chart=replace(chart, q_list=tuple(q for q in kept if not q.is_zero()))
-    )
-
-
-def _pullback(
-    p: Jet,
-    gens_new_coords: Sequence[TruncatedPolynomial],
-    hint: int,
-    sigma_inverse: Sequence[TruncatedPolynomial],
-) -> WeilAlgebra:
-    """The quotient by generators written in adapted coordinates, moved back
-    through sigma: the jet's algebra of (pulled generators) + m^{hint+1}.
-    Its one caller is the oracle, :func:`cartan_generation_oracle`."""
-    work_bound = hint + 1
-    pull = substitution(sigma_inverse, work_bound)
-    pulled = []
-    for g in gens_new_coords:
-        moved = pull(g.truncate(work_bound) if g.degree() > work_bound else g)
-        if not moved.is_zero():
-            pulled.append(moved)
-    return quotient_algebra(p.n, hint, pulled)
+    return Jet(quotient_algebra(n, ell - 1, gens + q_prime), p.base_point)
 
 
 def _graph_tangent_fields(p: Jet) -> list[dict[int, TruncatedPolynomial]]:
@@ -601,7 +559,11 @@ def cartan_generation_oracle(p: Jet) -> Jet:
     In adapted coordinates the family consists of the coordinate fields of the
     base graph, corrections by gradients of top-degree forms, and corrections
     by gradients of elements of the x-part ideal; the ideal generated by the
-    jet together with all their derivatives is the derived jet.
+    jet together with all their derivatives is the derived jet.  Every
+    generator but the pivot variables lies on x, and so does every
+    derivative, since each field is d/dx^a plus components on x along the
+    y_j.  tau fixes x, so moving the ideal back to p's coordinates replaces
+    each y_j by tau_j and leaves the rest as it stands.
     """
     n, ell = p.n, p.order
     if ell == 0:
@@ -609,18 +571,17 @@ def cartan_generation_oracle(p: Jet) -> Jet:
     nf = normal_form(p)
     bound = p.window_bound
 
-    ideal_gens: list[TruncatedPolynomial] = [
-        TruncatedPolynomial.variable(n, bound, j) for j in nf.pivot_variables
-    ]
-    # The monomials of degree l+1 in the free variables alone.
+    ys = [TruncatedPolynomial.variable(n, bound, j) for j in nf.pivot_variables]
+    # The monomials of degree l+1 in the free variables alone, and Q.
     exps = window(n, bound)
-    for c in _x_columns(n, bound, nf.pivot_variables, bound, bound):
-        ideal_gens.append(TruncatedPolynomial.monomial(n, bound, exps[c]))
-    ideal_gens += list(nf.q_list)
+    x_gens = [
+        TruncatedPolynomial.monomial(n, bound, exps[c])
+        for c in _x_columns(n, bound, nf.pivot_variables, bound, bound)
+    ] + list(nf.q_list)
 
     derived_rows: dict[TruncatedPolynomial, None] = {}
     for coeff in _graph_tangent_fields(p):
-        for g in ideal_gens:
+        for g in ys + x_gens:
             total = TruncatedPolynomial.zero(n, bound)
             for i, a in coeff.items():
                 dg = g.derivative(i)
@@ -632,7 +593,8 @@ def cartan_generation_oracle(p: Jet) -> Jet:
 
     # Saturate with the jet's own cap only: the drop to order l-1 (in
     # particular m^l itself) has to come out of the field derivatives.
-    algebra = _pullback(p, ideal_gens + list(derived_rows), ell, nf.sigma_inverse)
+    taus = [nf.sigma_inverse[j] for j in nf.pivot_variables]
+    algebra = quotient_algebra(n, ell, taus + x_gens + list(derived_rows))
     return Jet(algebra, p.base_point)
 
 

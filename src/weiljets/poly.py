@@ -17,6 +17,7 @@ and ``^`` (or ``**``) for powers.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -626,14 +627,25 @@ def _monomial_text(exp: Exponent) -> str:
     return " ".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, exp) if k)
 
 
+def _exact_text(c: Scalar) -> str:
+    """``str(c)`` for a scalar of any size.  ``str`` refuses an int of more
+    digits than the interpreter's int-to-string limit, which guards parsing;
+    ``decimal.Decimal`` prints an int of any size exactly."""
+    try:
+        return str(c)
+    except ValueError:
+        num = str(Decimal(c.numerator))
+        return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
+
+
 def _rational_text(num: int, den: int) -> str:
-    """Text of num/den (den > 0) in lowest terms, "p" or "p/q": ``str(num)`` over
+    """Text of num/den (den > 0) in lowest terms, "p" or "p/q": ``num`` over
     denominator 1 (every structure constant of a monomial quotient), and
     otherwise one ``gcd``."""
     if den == 1:
-        return str(num)
+        return _exact_text(num)
     k = gcd(num, den)
-    return str(num // k) if k == den else f"{num // k}/{den // k}"
+    return _exact_text(num // k) if k == den else f"{_exact_text(num // k)}/{_exact_text(den // k)}"
 
 
 def _format_terms(terms: Iterable[tuple[str, int, int]]) -> str:

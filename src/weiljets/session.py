@@ -48,10 +48,11 @@ from .jets import (
     tangent_module,
     taylor_map,
 )
-from .monomials import window
+from .monomials import _check_window, window
 from .poly import (
     Scalar,
     TruncatedPolynomial,
+    _exact_text,
     _format_index_terms,
     _format_row,
     _rational_text,
@@ -150,6 +151,15 @@ def _integer(minimum: int) -> _Converter:
         return value
 
     return convert
+
+
+def _variable_count(key, value, values) -> int:
+    """A positive count whose window of degree <= 1 is within the cap: every
+    algebra and jet needs it, and a group law's checks need it at the law's
+    dimension, so a larger count is refused before any polynomial is parsed."""
+    count = _integer(1)(key, value, values)
+    _check_window(count, 1)
+    return count
 
 
 def _boolean(key, value, values) -> bool:
@@ -290,6 +300,7 @@ def _bind_group(dim: int, law: list, inverse: list, identity=None) -> GroupLaw:
 
 
 _VARS = _Key(_integer(1))
+_BOUND_VARS = _Key(_variable_count)
 _VARS_POLYS = _list(_poly(lambda v: v["vars"]))  # polynomials in the entry's 'vars' variables
 _PER_DIM = "component per dimension"
 _ALGEBRA, _JET, _APOINT, _GROUP = (_Key(_Ref(k)) for k in ("algebra", "jet", "apoint", "group"))
@@ -302,7 +313,7 @@ _BINDINGS: dict[str, tuple[Callable[..., Any], dict[str, _Key]]] = {
         "images": _Key(_list(_list(_rat), nonempty=True)),
     }),
     "jet": (_bind_jet, {
-        "vars": _VARS,
+        "vars": _BOUND_VARS,
         "order_hint": _Key(_integer(0)),
         "point": _optional(_point),
         "generators": _optional(_VARS_POLYS),
@@ -310,13 +321,13 @@ _BINDINGS: dict[str, tuple[Callable[..., Any], dict[str, _Key]]] = {
         "strict": _optional(_boolean),
     }),
     "group": (_bind_group, {
-        "dim": _Key(_integer(1)),
+        "dim": _BOUND_VARS,
         "law": _Key(_sized(_list(_poly(lambda v: 2 * v["dim"])), "dim", _PER_DIM)),
         "identity": _optional(_sized(_list(_rat), "dim", "coordinate per dimension")),
         "inverse": _Key(_sized(_list(_poly(lambda v: v["dim"])), "dim", _PER_DIM)),
     }),
     "algebra": (_bind_algebra, {
-        "vars": _VARS,
+        "vars": _BOUND_VARS,
         "relations": _optional(_VARS_POLYS),
         "bound": _optional(_integer(0)),
     }),
@@ -368,7 +379,7 @@ def _jet_summary(jet: Jet) -> dict:
     classical_dim = comb(jet.width + jet.order, jet.order)
     return {
         "vars": jet.n,
-        "point": [str(c) for c in jet.base_point],
+        "point": [_exact_text(c) for c in jet.base_point],
         "order": jet.order,
         "width": jet.width,
         "dim": jet.quotient.dimension,
@@ -391,7 +402,7 @@ def _algebra_summary(algebra: WeilAlgebra) -> dict:
 
 
 def _images(point: APoint) -> dict:
-    return {"images": [[str(c) for c in img.coordinates] for img in point.images]}
+    return {"images": [[_exact_text(c) for c in img.coordinates] for img in point.images]}
 
 
 # -- commands: each handler takes its op's validated values as keyword arguments ---------
@@ -406,9 +417,9 @@ def _op_info(of) -> dict:
         return {
             "ambient": of.ambient_dimension,
             "algebra_dim": of.algebra.dimension,
-            "base_point": [str(c) for c in of.base_point],
+            "base_point": [_exact_text(c) for c in of.base_point],
         }
-    return {"dim": of.dimension, "identity": [str(c) for c in of.identity]}
+    return {"dim": of.dimension, "identity": [_exact_text(c) for c in of.identity]}
 
 
 def _op_describe(of: WeilAlgebra) -> dict:
@@ -542,7 +553,7 @@ def _op_tangent_map(of: Jet, map: list) -> dict:
 def _op_evaluate(of: APoint, poly: TruncatedPolynomial) -> dict:
     value = evaluate(poly, of)
     return {
-        "components": [str(c) for c in value.coordinates],
+        "components": [_exact_text(c) for c in value.coordinates],
         "value": _format_row(value.row, of.algebra.basis_monomials),
     }
 
@@ -565,7 +576,7 @@ def _op_weil_check(a: WeilAlgebra, b: WeilAlgebra, vars: int, poly, point: list)
     report = weil_iso_check(poly, a, b, point)
     return {
         "equal": report.equal,
-        "components": [[str(v) for v in row] for row in report.direct],
+        "components": [[_exact_text(v) for v in row] for row in report.direct],
     }
 
 

@@ -386,18 +386,25 @@ def transported_cartan(p) -> Subspace:
 
 def pulled_back_derived(p):
     """The derived jet's algebra with the substitution route: the pivot
-    variables and Q' = (Q, d_x Q) of p's chart (its normal form when it
-    carries none), moved back through tau by ``jets._pullback`` at hint
-    l - 1.  The package passes the images tau_j and Q' straight to the
-    quotient."""
+    variables and Q' = (Q, d_x Q) of ``normal_form(p)``, each pushed back
+    through tau by ``poly.substitution`` at the bound l, and the quotient by
+    them at hint l - 1.  The package passes the images tau_j and Q' straight
+    to the quotient."""
     if p.order == 0:
         return p.quotient
-    chart = p.chart or jet_module.normal_form(p)
+    nf = jet_module.normal_form(p)
     n, bound = p.n, p.window_bound
-    gens = [TruncatedPolynomial.variable(n, bound, j) for j in chart.pivot_variables]
-    for q in chart.q_list:
-        gens += [q] + [dq for a in chart.free_variables if not (dq := q.derivative(a)).is_zero()]
-    return jet_module._pullback(p, gens, p.order - 1, chart.sigma_inverse)
+    gens = [TruncatedPolynomial.variable(n, bound, j) for j in nf.pivot_variables]
+    for q in nf.q_list:
+        gens += [q] + [dq for a in nf.free_variables if not (dq := q.derivative(a)).is_zero()]
+    work_bound = p.order
+    pull = substitution(list(nf.sigma_inverse), work_bound)
+    pulled = []
+    for g in gens:
+        moved = pull(g.truncate(work_bound) if g.degree() > work_bound else g)
+        if not moved.is_zero():
+            pulled.append(moved)
+    return quotient_algebra(n, p.order - 1, pulled)
 
 
 def exact_inverse(rows) -> list[list[Fraction]]:

@@ -425,6 +425,11 @@ class TestCommandLine:
         payload = json.loads(result.stdout)
         assert payload["results"][0]["result"]["dim"] == 2
 
+    def test_a_huge_variable_count_is_refused_before_parsing(self):
+        result = self._run("algebra", "--vars", "10000000", "--relations", "x1")
+        assert result.returncode == 2
+        assert "more than the cap" in result.stderr and "Traceback" not in result.stderr
+
     def test_jet_shortcut(self):
         result = self._run(
             "jet",

@@ -1,12 +1,11 @@
-"""The chart a derived jet carries, and the second derived jet built in it.
+"""The derived tower, each step built in the chart of its own jet.
 
 In the adapted coordinates of p's normal form, p = (y) + m^{l+1} + (Q(x))
-and p' = (y) + m^l + (Q, d_x Q).  When p' keeps p's width, the same
-coordinates are adapted to p', so p' carries them as its chart and p'' is
-built in them with no second normal form.  Each chart-built derived jet is
-compared with two routes that never read a chart: the derived jet of a
-chart-less copy (through its own normal form) and the field-generation
-oracle.
+and p' = (y) + m^l + (Q, d_x Q).  A jet's one chart is its normal form:
+p' is built in p's, and p'' in the normal form of p', read off the rows of
+p' itself, whether or not p' keeps p's width.  Every step of a tower is
+compared with the field-generation oracle and with the pullback through tau
+(``conftest.pulled_back_derived``).
 
 :func:`non_graph_case` makes every choice through one ``choose(options)``
 callable, as :func:`test_jet_space.graph_case` does, so Hypothesis draws the
@@ -21,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiljets import jets
+from weiljets import jets, poly
 from weiljets.jets import Jet, cartan_generation_oracle, derived_jet, jet_from_ideal
-from weiljets.poly import TruncatedPolynomial
+from weiljets.poly import TruncatedPolynomial, format_polynomial
 from weiljets.session import execute, parse_session
 
 from conftest import LADDER, P, ladder_jet, pulled_back_derived
@@ -64,30 +63,25 @@ def graph_jet(choose, orders) -> Jet:
 
 
 def tower_checks(p: Jet) -> tuple[int, list[str]]:
-    """The number of chart-built derived jets in p's derived tower, and each
-    step of the tower that breaks the chart's contract.
+    """The number of width-keeping steps in p's derived tower, and each step
+    of the tower that breaks the contract.
 
-    A derived jet carries a chart exactly when it keeps the width of the jet
-    it comes from; a jet with a chart derives to the same jet as its
-    chart-less copy and as the generation oracle."""
+    Every step derives its jet in that jet's own normal form, which the
+    derivation builds before any other route reads it, and its result equals
+    the generation oracle and the pullback through tau."""
     compared, found = 0, []
     jet = p
     while jet.order > 0:
         derived = derived_jet(jet)
-        if (derived.chart is not None) != (derived.width == jet.width):
+        if ("normal_form",) not in jet._memo:
+            found.append(f"order {jet.order}: derived in a chart other than its normal form")
+        oracle = cartan_generation_oracle(jet)
+        pulled = pulled_back_derived(jet)
+        if not (derived == oracle and derived.quotient == pulled):
             found.append(
-                f"order {derived.order}: width {jet.width} -> {derived.width}, "
-                f"chart {derived.chart is not None}"
+                f"order {jet.order}: derived {derived!r}, oracle {oracle!r}, pullback {pulled!r}"
             )
-        if derived.chart is not None:
-            compared += 1
-            second = derived_jet(derived)
-            bare = derived_jet(Jet(derived.quotient, derived.base_point))
-            oracle = cartan_generation_oracle(derived)
-            if not second == bare == oracle:
-                found.append(
-                    f"order {derived.order}: chart {second!r}, bare {bare!r}, oracle {oracle!r}"
-                )
+        compared += derived.width == jet.width
         jet = derived
     return compared, found
 
@@ -108,38 +102,27 @@ def test_non_graph_jets_derive_in_their_chart(data):
     assert tower_checks(non_graph_case(draw(data), range(2, 6)))[1] == []
 
 
-def test_a_chart_outlives_one_step_of_the_tower():
-    # (x^3) + m^5 in the plane: Q = [x^3], so p' = (x^2) + m^4 keeps width 2
-    # and carries Q' = [x^3, 3 x^2]; p'' = (x) + m^3 has width 1, no chart.
-    # The jet derived from p'' keeps width 1, in the chart of p'''s normal form.
+def test_a_width_keeping_step_derives_in_its_own_normal_form():
+    # (x^3) + m^5 in the plane: Q = [x^3], so p' = (x^3, 3 x^2) + m^4 keeps
+    # width 2, and its own normal form reads Q = [x^2] off its rows.
+    # p'' = (x) + m^3 has width 1, and so has the jet derived from it.
     p = jet_from_ideal(2, [Fraction(1, 2), -1], [P("x^3", 2).shift([Fraction(-1, 2), 1])], 4)
     first = derived_jet(p)
     assert (p.width, first.width, first.order) == (2, 2, 3)
-    assert len(first.chart.q_list) == 2
     second = derived_jet(first)
-    assert (second.width, second.chart) == (1, None)
+    assert [format_polynomial(q) for q in jets.normal_form(first).q_list] == ["x^2"]
+    assert second.width == 1
     assert tower_checks(p) == (2, [])
 
 
 def test_root_jets_and_the_ladder_cusp_derive_with_no_chart():
     cusp = ladder_jet(*LADDER[5])
-    derived = derived_jet(cusp)
-    assert (cusp.width, derived.width) == (2, 1)
-    assert (cusp.chart, derived.chart) == (None, None)
-    assert all(ladder_jet(*case).chart is None for case in LADDER)
-
-
-def test_equality_and_hash_ignore_the_chart():
-    derived = derived_jet(ladder_jet(*LADDER[1]))
-    bare = Jet(derived.quotient, derived.base_point)
-    assert derived.chart is not None and bare.chart is None
-    assert derived == bare and hash(derived) == hash(bare)
-    assert {derived: 1}[bare] == 1
+    assert (cusp.width, derived_jet(cusp).width) == (2, 1)
 
 
 def test_taylor_on_a_graph_jet_builds_one_normal_form(monkeypatch):
-    # taylor reads the Cartan systems of p and p', so it derives p and p'.
-    # The second derived jet comes from p's chart, not from a normal form of p'.
+    # taylor reads the Cartan systems of p and p', so it derives p and p',
+    # each in its own normal form: one normal form per jet, and no other.
     built = []
     normal_form = jets.normal_form
 
@@ -153,7 +136,8 @@ def test_taylor_on_a_graph_jet_builds_one_normal_form(monkeypatch):
     session = parse_session(json.dumps({"bind": [bind], "run": [{"op": "taylor", "of": "p"}]}))
     result = execute(session).results[0]
     assert result["ok"] and result["result"]["cartan_projects"] is True
-    assert built == [session.jets["p"]]
+    p = session.jets["p"]
+    assert [id(q) for q in built] == [id(p), id(derived_jet(p))]
 
 
 def test_the_pullback_receives_no_monomial_of_the_top_degree(monkeypatch):
@@ -181,21 +165,20 @@ def test_the_pullback_receives_no_monomial_of_the_top_degree(monkeypatch):
 
 
 def test_derive_builds_no_substitution_map(monkeypatch):
-    # tau fixes Q' and sends y_j to tau_j, and the normal form reads Q off
-    # p's own rows, so deriving a jet substitutes nothing, its normal form
-    # included.
+    # tau fixes Q' and sends y_j to tau_j, the normal form reads Q off p's
+    # own rows, and the oracle moves back only the pivot variables, so
+    # deriving a jet substitutes nothing, its normal form and its oracle
+    # included.  Every substitution map builds a power cache; binding a jet
+    # at a point other than the origin builds one, so the jets are bound first.
     ladder = [ladder_jet(*case) for case in LADDER]
-    built = []
-    substitution = jets.substitution
-    monkeypatch.setattr(
-        jets, "substitution", lambda images, bound: built.append(bound) or substitution(images, bound)
-    )
-    for p in ladder:
-        derived_jet(p)
+    moved = jet_from_ideal(2, [Fraction(1, 2), -1], [P("y - x^3", 2).shift([Fraction(-1, 2), 1])], 4)
     bind = {"jet": "p", "vars": 3, "generators": list(LADDER[-1][1]), "order_hint": 3}
-    session = parse_session(json.dumps({"bind": [bind], "run": [{"op": "derive", "of": "p"}]}))
+    run = [{"op": "derive", "of": "p", "verify": True}]
+    session = parse_session(json.dumps({"bind": [bind], "run": run}))
+    monkeypatch.setattr(poly, "_Powers", lambda *args: pytest.fail("substitution map built"))
+    for p in [*ladder, moved]:
+        derived_jet(derived_jet(p, verify=True), verify=True)
     assert execute(session).results[0]["ok"]
-    assert built == []
 
 
 # The last case draws its jets from Hypothesis; the ladder cases draw nothing,
@@ -204,8 +187,7 @@ def test_derive_builds_no_substitution_map(monkeypatch):
 @given(data=st.data())
 @pytest.mark.parametrize("case", [*LADDER, pytest.param(None, id="drawn")])
 def test_the_closed_form_derived_jet_equals_the_pullback(case, data):
-    # p carries no chart; its derived jet carries one when it keeps the
-    # width, and derives in it.
+    # p and its derived jet each derive in their own normal form.
     p = data.draw(drawn_jets()) if case is None else ladder_jet(*case)
     for jet in (p, derived_jet(p)):
         derived = derived_jet(jet).quotient

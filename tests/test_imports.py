@@ -11,7 +11,8 @@ under ``tests/`` is used as well; there a name that a test takes as a
 parameter counts as used, since pytest passes fixtures by name.  No
 package code stores to a private attribute of anything but ``self``: what a
 jet or an algebra derives is cached through ``weil._memo``, in the value's
-own ``_memo`` dict.
+own ``_memo`` dict.  Only ``poly``, which builds substitution maps, and
+``apoints`` name them: every jet construction works in closed form.
 
 No package code divides with ``/`` (``ast.Div``): scalars are ints and
 Fractions, and ``int / int`` is a float, so every quotient is built on
@@ -284,6 +285,24 @@ def test_checks_catch_both_faults():
     )
     assert _local_imports(tree) == ["line 4 in f: path"]
     assert _unused_imports(tree) == ["gcd (line 2)", "json (line 1)"]
+
+
+def _names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, imports or defines."""
+    names = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_poly_and_apoints_substitute():
+    # The normal form, the derived jet and its oracle all work in closed form:
+    # tau fixes the free variables, so jets moves nothing through a map.
+    substituting = {"substitution", "truncated_substitute"}
+    assert [p.stem for p in MODULES if _names(_tree(p)) & substituting] == ["apoints", "poly"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

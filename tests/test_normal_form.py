@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiljets import jets
+from weiljets import jets, poly
 from weiljets.errors import InternalCheckError
 from weiljets.jets import Jet, _x_part, derived_jet, jet_fields, jet_from_ideal, normal_form
 from weiljets.monomials import window
@@ -225,8 +225,9 @@ def test_normal_form_builds_only_the_push_map(monkeypatch, n, gens, order):
     # normal_form builds no substitution map: sigma fixes the free variables,
     # so Q is read off p with no push; tau = (x, y + h(x)) fixes x and no h_j
     # holds a pivot variable (check 5), so sigma o tau = id needs no map.
+    # Every substitution map builds a power cache; the jet is bound first.
     p = ladder_jet(n, gens, order)
-    monkeypatch.setattr(jets, "substitution", lambda *args: pytest.fail("substitution map built"))
+    monkeypatch.setattr(poly, "_Powers", lambda *args: pytest.fail("substitution map built"))
     normal_form(p)
 
 

@@ -182,6 +182,9 @@ class TestWindowCap:
             {"jet": "p", "vars": 2, "graph": {"1": _HUGE}, "point": ["1", "0"], "order_hint": 1},
             dict(_GROUP, law=["x + y + " + _HUGE]),
             dict(_GROUP, law=["x + y + x^40 y^40"]),
+            dict(_JET, vars=10_000_000, generators=["x1"]),
+            {"algebra": "A", "vars": 10_000_000, "relations": ["x1"]},
+            dict(_GROUP, dim=5_000_000),
         ],
         ids=[
             "R_40^6",
@@ -192,6 +195,9 @@ class TestWindowCap:
             "huge-graph-shift",
             "huge-group-law",
             "group-law-squared-degree",
+            "huge-jet-vars",
+            "huge-algebra-vars",
+            "huge-group-dim",
         ],
     )
     def test_bind_time_exits_2(self, binding):
