@@ -41,6 +41,7 @@ from .poly import (
 )
 from .subspace import (
     Echelon,
+    LinearSystem,
     SparseRow,
     Subspace,
     _add_multiple,
@@ -253,9 +254,9 @@ def hat_ideal(p: Jet) -> Jet:
     exps = window(n, bound)
     shifts = shift_tables(n, bound)
     embedded = p.embedded_ideal(bound)
-    memb = embedded.echelon().kernel_rows()
+    memb = embedded.echelon().kernel_rows().values()
 
-    conditions = Echelon(window_size(n, bound))
+    conditions = LinearSystem(window_size(n, bound))
     for r in memb:
         conditions.insert(r)
     for i in range(n):
@@ -269,7 +270,7 @@ def hat_ideal(p: Jet) -> Jet:
                 if t is not None:
                     row[t] = _rational((exps[c][i] + 1) * v.numerator, v.denominator)
             conditions.insert(row)
-    hat = conditions.kernel()
+    hat = conditions.solutions()
 
     if not embedded.contains_subspace(hat):
         raise InternalCheckError("hat ideal escaped the jet")
@@ -693,11 +694,11 @@ def _cartan_system(p: Jet) -> tuple[Jet, list[dict[int, SparseRow]], Subspace]:
 
     # The rows of the generator maps cut out the Cartan system: every map of
     # Omega is sum_k [h_k] Dg_k, and [1] is one of the [h].
-    constraints = Echelon(p.n * algebra.dimension)
+    constraints = LinearSystem(p.n * algebra.dimension)
     for rows in differentials:
         for row in rows.values():
             constraints.insert(row)
-    cartan = constraints.kernel()
+    cartan = constraints.solutions()
     # A relation lies in the kernel exactly when every generator row kills it.
     if not cartan.contains_subspace(tangent_module(p).relations):
         raise InternalCheckError("contact map is not constant on classes")
@@ -887,10 +888,10 @@ def _kernel_jet(
     order = algebra.order
     bound = order + 1
     exps = window(m, bound)
-    span = Echelon(len(exps))
+    relations = LinearSystem(len(exps))
     for row in transpose(powers.row(e) if sum(e) <= order else {} for e in exps):
-        span.insert(row)
-    return _window_jet(m, bound, span.kernel(), base_point)
+        relations.insert(row)
+    return _window_jet(m, bound, relations.solutions(), base_point)
 
 
 def _pushforward(

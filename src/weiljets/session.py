@@ -299,7 +299,6 @@ def _bind_group(dim: int, law: list, inverse: list, identity=None) -> GroupLaw:
         raise SessionParseError(f"invalid group law: {exc}")
 
 
-_VARS = _Key(_integer(1))
 _BOUND_VARS = _Key(_variable_count)
 _VARS_POLYS = _list(_poly(lambda v: v["vars"]))  # polynomials in the entry's 'vars' variables
 _PER_DIM = "component per dimension"
@@ -623,12 +622,12 @@ _OPERATIONS: dict[str, _Command] = {
     ),
     "kernel": _Command(_op_kernel, {"of": _APOINT}),
     "prolong": _Command(
-        _op_prolong, {"algebra": _ALGEBRA, "vars": _VARS, "ideal": _optional(_VARS_POLYS)}
+        _op_prolong, {"algebra": _ALGEBRA, "vars": _BOUND_VARS, "ideal": _optional(_VARS_POLYS)}
     ),
     "weil_check": _Command(_op_weil_check, {
         "a": _ALGEBRA,
         "b": _ALGEBRA,
-        "vars": _VARS,
+        "vars": _BOUND_VARS,
         "poly": _Key(_poly(lambda v: v["vars"])),
         "point": _Key(_list(_list(_list(_rat)))),
     }),

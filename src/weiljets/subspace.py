@@ -6,11 +6,12 @@ is a ``{column: scalar}`` dict holding only the nonzero entries, and the rows
 are keyed by their pivot column.  Every stored entry is a canonical scalar
 (:func:`weiljets.poly.as_fraction`): a Python ``int`` when it is integral, and
 otherwise a ``Fraction`` whose denominator is > 1.  The one builder inserts
-rows, reduces vectors against them, reads off the kernel and saturates the
-span (closes it under linear maps such as multiplication by the variables).
-Its row update works on integer numerators and writes one canonical scalar
-per entry, so an integral entry allocates no ``Fraction``; a unit row is
-cleared from another row by deleting the entry.
+rows, reduces vectors against them, reads off the functionals that cut the
+span out and saturates the span (closes it under linear maps such as
+multiplication by the variables).  Its row update works on integer
+numerators and writes one canonical scalar per entry, so an integral entry
+allocates no ``Fraction``; a unit row is cleared from another row by
+deleting the entry.
 
 A :class:`Subspace` is the frozen result, and its pivot-keyed sparse rows are
 the only thing it stores.  Reduced row-echelon form is unique, so two
@@ -19,10 +20,14 @@ equality and hashing compare, and what makes ideal equality (and every
 acceptance check built on it) decidable.  A linear map is the list of its
 sparse columns, applied by :func:`apply_columns`.
 
-Every exact solve for coordinates in a span of columns goes through the one
-solver :func:`span_coordinates`, which builds one echelon per set of columns
-and then only reduces; no matrix is inverted.  All solvers here are
-exact: no pivot thresholds, no floating point.
+Every homogeneous system goes through :class:`LinearSystem`, which keeps
+its equations in an echelon on reversed columns (each row pivots on its
+highest column): its solution space is then read off in canonical form,
+with no second elimination.  Every exact solve for coordinates in a span of
+columns goes through the one solver :func:`span_coordinates`, which builds
+one echelon per set of columns and then only reduces; no matrix is
+inverted.  All solvers here are exact: no pivot thresholds, no floating
+point.
 """
 
 from __future__ import annotations
@@ -114,10 +119,12 @@ class Echelon:
     """Reduced row-echelon form of a growing span, with sparse rows.
 
     ``rows`` maps each pivot column to its row; the pivot entry is 1 and every
-    other row is zero in that column.  A stored row is never mutated (an
-    elimination replaces it), so rows may be shared with the subspaces built
-    from it.
+    other row is zero in that column.  A row pivots on its lowest column
+    (``_lead``).  A stored row is never mutated (an elimination replaces it),
+    so rows may be shared with the subspaces built from it.
     """
+
+    _lead = min
 
     def __init__(self, ambient_dimension: int, rows: dict[int, SparseRow] | None = None):
         self.ambient_dimension = ambient_dimension
@@ -134,7 +141,7 @@ class Echelon:
         row = _reduce(self.rows, row)
         if not row:
             return False
-        pivot = min(row)
+        pivot = self._lead(row)
         rows = self.rows
         if len(row) == 1:
             row = {pivot: 1}
@@ -193,8 +200,9 @@ class Echelon:
                 if image:
                     queue.append(image)
 
-    def kernel_rows(self) -> list[SparseRow]:
-        """One solution of row . x = 0 (all rows) per free column c, in order.
+    def kernel_rows(self) -> dict[int, SparseRow]:
+        """One solution of row . x = 0 (all rows) per free column c, keyed by
+        c in order.
 
         The solution for c is e_c - sum_p rows[p][c] e_p.  Together they span
         the kernel, the annihilator of the span; read as functionals, they cut
@@ -205,27 +213,46 @@ class Echelon:
             for c, v in row.items():
                 if c != p:
                     out[c][p] = -v
-        return list(out.values())
-
-    def kernel(self) -> "Subspace":
-        """The solution space of row . x = 0 for every row, in canonical form.
-
-        A free column that no row touches gives the unit solution e_c, whose
-        support meets no other solution's: it is a reduced row as it stands,
-        so only the other solutions are eliminated.
-        """
-        solutions = Echelon(self.ambient_dimension)
-        for row in self.kernel_rows():
-            if len(row) == 1:
-                (c,) = row
-                solutions.rows[c] = row
-            else:
-                solutions.insert(row)
-        return solutions.subspace()
+        return out
 
     def subspace(self) -> "Subspace":
         """The canonical subspace of the current span."""
         return Subspace(self.ambient_dimension, self.rows)
+
+
+class _Reversed(Echelon):
+    """An echelon whose rows pivot on their highest column: the echelon of
+    the same rows with the column order reversed."""
+
+    _lead = max
+
+
+class LinearSystem:
+    """Homogeneous equations row . x = 0 in ``unknowns`` unknowns, solved by
+    one elimination.
+
+    The equations are eliminated on reversed columns (:class:`_Reversed`),
+    so each stored row pivots on its highest unknown.  The solution of a
+    free unknown c is e_c minus the pivot rows' entries at c, and those rows
+    pivot above c: each solution leads with 1 at c and is zero at every
+    other free unknown.  That is the canonical form a :class:`Subspace`
+    stores, read off with no second elimination.
+    """
+
+    def __init__(self, unknowns: int):
+        self._echelon = _Reversed(unknowns)
+
+    def insert(self, row: SparseRow) -> bool:
+        """Add the equation row . x = 0; False if it follows from the others."""
+        return self._echelon.insert(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self._echelon.rows)
+
+    def solutions(self) -> "Subspace":
+        """The solution space: one row per free unknown, which is its pivot."""
+        return Subspace(self._echelon.ambient_dimension, self._echelon.kernel_rows())
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,12 +363,12 @@ def transpose(columns: Iterable[SparseRow]) -> list[SparseRow]:
 
 def preimage(rows: Sequence[SparseRow], target: Subspace, domain_dimension: int) -> Subspace:
     """{v : M v in target} for the map M with the given sparse rows."""
-    constraints = Echelon(domain_dimension)
-    for functional in target.echelon().kernel_rows():
+    constraints = LinearSystem(domain_dimension)
+    for functional in target.echelon().kernel_rows().values():
         # functional . (M v) = (functional @ M) . v, and functional @ M
         # combines the rows of M.
         constraints.insert(apply_columns(rows, functional))
-    return constraints.kernel()
+    return constraints.solutions()
 
 
 def span_coordinates(

@@ -47,6 +47,7 @@ from .poly import (
 )
 from .subspace import (
     Echelon,
+    LinearSystem,
     SparseRow,
     Subspace,
     _add_multiple,
@@ -538,21 +539,22 @@ class DerivationSpace:
     """Der(A, A) as the span of the generator images (delta[x^1], ...,
     delta[x^n]) flattened into A^n.
 
-    ``constraints`` is the echelon of the Leibniz system, so the dimension
-    is n*d minus its rank.  The relation rows (its kernel), which the
-    tangent presentation, the stability check and the session report read,
-    are built when first read."""
+    ``constraints`` is the Leibniz system, eliminated on reversed columns
+    (:class:`~weiljets.subspace.LinearSystem`), so the dimension is n*d minus
+    its rank.  The relation rows (its solutions, read off that one echelon),
+    which the tangent presentation, the stability check and the session
+    report read, are built when first read."""
 
     algebra: WeilAlgebra
-    constraints: Echelon
+    constraints: LinearSystem
 
     @property
     def dimension(self) -> int:
-        return self.algebra.n * self.algebra.dimension - len(self.constraints.rows)
+        return self.algebra.n * self.algebra.dimension - self.constraints.rank
 
     @cached_property
     def relations(self) -> Subspace:
-        return self.constraints.kernel()
+        return self.constraints.solutions()
 
     @cached_property
     def sparse_images(self) -> tuple[tuple[SparseRow, ...], ...]:
@@ -591,7 +593,7 @@ def derivation_space(algebra: WeilAlgebra) -> DerivationSpace:
     """
     n, d = algebra.n, algebra.dimension
     degs = degrees(n, algebra.window_bound)
-    constraints = Echelon(n * d)
+    constraints = LinearSystem(n * d)
     for i in range(n):
         constraints.insert({i * d: 1})
     for k, r in enumerate(algebra._minimal_generator_rows):

@@ -8,7 +8,7 @@ from weiljets.apoints import APoint, evaluate, factor_epimorphism, group_inverse
 from weiljets.jets import jet_from_ideal
 from weiljets.monomials import window, window_size
 from weiljets.poly import TruncatedPolynomial, parse_polynomial, substitution
-from weiljets.subspace import Echelon, Subspace, apply_columns, apply_rows, sparse
+from weiljets.subspace import Echelon, LinearSystem, Subspace, apply_columns, apply_rows, sparse
 from weiljets.weil import AlgebraElement, derivation_space, quotient_algebra
 
 
@@ -575,10 +575,29 @@ def canonical_basis(vectors, ambient: int):
 
 def nullspace(rows, ambient: int):
     """The solution space of row . x = 0 for every dense row."""
+    system = LinearSystem(ambient)
+    for row in rows:
+        system.insert(sparse(row, ambient))
+    return system.solutions()
+
+
+def two_elimination_kernel(rows, ambient: int):
+    """The solution space of row . x = 0 for every sparse row, by two
+    eliminations: the rows in their own columns, then their free-column
+    solutions (:meth:`Echelon.kernel_rows`), which lead on a pivot column,
+    eliminated again into canonical form.  The reference for
+    :class:`LinearSystem`, which reads the same space off one echelon."""
     span = Echelon(ambient)
     for row in rows:
-        span.insert(sparse(row, ambient))
-    return span.kernel()
+        span.insert(row)
+    solutions = Echelon(ambient)
+    for row in span.kernel_rows().values():
+        if len(row) == 1:
+            (c,) = row
+            solutions.rows[c] = row
+        else:
+            solutions.insert(row)
+    return solutions.subspace()
 
 
 def subspace_sum(u, v):

@@ -30,6 +30,7 @@ EXIT_CODES = {
     "deep_prolong.json": (1, "2999 x^2998 y"),
     "dense_prolong.json": (1, "OutOfMemoryError"),
     "huge_vars.json": (2, "more than the cap"),
+    "huge_op_vars.json": (1, "more than the cap"),
     # (10^99 + e)^50 in R[e]/(e^2): its constant component 10^4950 is longer
     # than the interpreter's int-to-string limit and prints exactly.
     "long_integer.json": (0, "1" + "0" * 4950),

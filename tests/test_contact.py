@@ -23,7 +23,7 @@ from weiljets.jets import (
 )
 from weiljets.poly import TruncatedPolynomial, _Powers
 from weiljets.session import execute, parse_session
-from weiljets.subspace import Echelon, apply_columns
+from weiljets.subspace import Echelon, LinearSystem, apply_columns
 from weiljets.weil import WeilAlgebra
 
 from conftest import (
@@ -205,11 +205,11 @@ def all_rows_contact(p):
         columns = ref_leibniz_columns(f, algebra.basis_monomials, target)
         span.insert({out * nd + j: v for j, col in enumerate(columns) for out, v in col.items()})
     omega = span.subspace()
-    constraints = Echelon(nd)
+    constraints = LinearSystem(nd)
     for vec in omega.rows.values():
         for out in range(target.dimension):
             constraints.insert({k % nd: v for k, v in vec.items() if k // nd == out})
-    return omega, constraints.kernel()
+    return omega, constraints.solutions()
 
 
 # The last case draws its jets from Hypothesis; the ladder cases draw nothing,

@@ -265,15 +265,15 @@ class TestChecksFire:
     def test_hat_check_fires_on_a_dropped_top_degree_row(self, monkeypatch, case):
         # Every monomial of degree l + 2 lies in hat(p), so the products the
         # check skips rest on those rows: losing one must still fail the step.
-        class Dropping(jets.Echelon):
-            def kernel(self):
-                hat = super().kernel()
+        class Dropping(jets.LinearSystem):
+            def solutions(self):
+                hat = super().solutions()
                 rows = dict(hat.rows)
                 del rows[max(rows)]
                 return Subspace(hat.ambient_dimension, rows)
 
         p = ladder_jet(*case)
-        monkeypatch.setattr(jets, "Echelon", Dropping)
+        monkeypatch.setattr(jets, "LinearSystem", Dropping)
         with pytest.raises(InternalCheckError, match="misses a monomial of the top degree"):
             hat_ideal(p)
 

@@ -5,25 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weiljets import jets
 from weiljets.errors import DimensionMismatchError
+from weiljets.jets import hat_ideal
 from weiljets.subspace import (
     Echelon,
+    LinearSystem,
     Subspace,
     preimage,
     span_coordinates,
     sparse,
 )
+from weiljets.weil import derivation_space
 
 from conftest import (
+    LADDER,
     basis,
     canonical_basis,
     contains_dense,
     is_canonical_scalar,
+    ladder_jet,
     membership_rows,
     nullspace,
     pivots,
     subspace_intersection,
     subspace_sum,
+    two_elimination_kernel,
     zero_subspace,
 )
 
@@ -180,10 +187,14 @@ class TestEchelon:
         assert span.subspace() == canonical_basis([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 4)
 
     def test_kernel_matches_nullspace(self):
+        # x0 = x2 is cut out by one equation; the other is dependent.
+        system = LinearSystem(3)
+        assert system.insert({0: Fraction(1), 2: Fraction(-1)})
+        assert not system.insert({0: Fraction(3), 2: Fraction(-3)})
+        assert system.rank == 1
+        assert system.solutions() == canonical_basis([(1, 0, 1), (0, 1, 0)], 3)
         span = Echelon(3)
         assert span.insert({0: Fraction(1), 2: Fraction(-1)})
-        assert not span.insert({0: Fraction(3), 2: Fraction(-3)})
-        assert span.kernel() == nullspace([(1, 0, -1)], 3)
         assert not span.reduce({0: Fraction(2), 2: Fraction(-2)})
 
 
@@ -245,8 +256,8 @@ def test_canonical_basis_matches_sympy_rref(qq, matrix):
 def test_equal_spans_are_equal_and_hash_alike(matrix, rng, cut):
     ncols, rows = matrix
     s = canonical_basis(rows, ncols)
-    annihilator = Echelon(ncols)
-    for r in s.echelon().kernel_rows():
+    annihilator = LinearSystem(ncols)
+    for r in s.echelon().kernel_rows().values():
         annihilator.insert(r)
     # Every row dict, and the dict of rows, in another insertion order.
     scrambled = {
@@ -257,7 +268,7 @@ def test_equal_spans_are_equal_and_hash_alike(matrix, rng, cut):
         canonical_basis(rng.sample(rows, len(rows)), ncols),
         subspace_sum(canonical_basis(rows[:cut], ncols), canonical_basis(rows[cut:], ncols)),
         subspace_sum(s, zero_subspace(ncols)),
-        annihilator.kernel(),
+        annihilator.solutions(),
         Subspace(ncols, scrambled),
     ]
     for t in same:
@@ -285,12 +296,18 @@ def test_equality_matches_sympy_rref(qq, matrix, data):
 @settings(max_examples=60, deadline=None)
 @given(sparse_matrices())
 def test_nullspace_matches_sympy(qq, matrix):
+    # Zero and duplicate rows are drawn: each is refused as dependent, and
+    # the rank and the canonical solution rows are sympy's.
     to_domain, from_domain = qq
     ncols, rows = matrix
     kernel = from_domain(to_domain(rows, ncols).nullspace())
     expected = _oracle_rref(qq, kernel, ncols) if kernel else ([], ())
-    k = nullspace(rows, ncols)
+    system = LinearSystem(ncols)
+    accepted = sum(system.insert(sparse(row, ncols)) for row in rows)
+    k = system.solutions()
+    assert accepted == system.rank == ncols - len(kernel)
     assert (list(basis(k)), pivots(k)) == expected
+    assert all(is_canonical_scalar(a) and a != 0 for r in k.rows.values() for a in r.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,3 +433,44 @@ def test_stored_rows_are_reduced_and_exact(case):
     assert s.dimension == base
     for v in probes + rows[:2]:
         assert contains_dense(s, v) == (_rank(list(rows) + [v]) == base)
+
+
+# -- the solver on the package's own systems -----------------------------------
+
+
+@pytest.mark.parametrize("n, gens, order", LADDER)
+def test_one_elimination_matches_two_on_the_ladder_systems(monkeypatch, n, gens, order):
+    # Every system solved for a ladder jet's derivations, hat ideal and
+    # Cartan system is solved again by the two-elimination reference.
+    equations, read = {}, []
+    insert, solutions = LinearSystem.insert, LinearSystem.solutions
+
+    def recorded_insert(self, row):
+        equations.setdefault(id(self), (self, []))[1].append(dict(row))
+        return insert(self, row)
+
+    def recorded_solutions(self):
+        result = solutions(self)
+        read.append((self, result))
+        return result
+
+    monkeypatch.setattr(LinearSystem, "insert", recorded_insert)
+    monkeypatch.setattr(LinearSystem, "solutions", recorded_solutions)
+    p = ladder_jet(n, gens, order)
+    derivation_space(p.quotient).relations
+    hat_ideal(p)
+    jets._cartan_system(p)
+    assert len(read) >= 3
+    for system, result in read:
+        rows = equations.get(id(system), (system, []))[1]
+        assert result == two_elimination_kernel(rows, result.ambient_dimension)
+
+
+@pytest.mark.parametrize("n, gens, order", LADDER)
+def test_reading_a_solution_space_makes_no_elimination(inserts_outside_saturation, n, gens, order):
+    space = derivation_space(ladder_jet(n, gens, order).quotient)
+    del inserts_outside_saturation[:]
+    relations = space.relations
+    assert inserts_outside_saturation == []
+    # Some solution leads on a free unknown with pivot entries after it.
+    assert any(len(row) > 1 for row in relations.rows.values())
